@@ -259,6 +259,40 @@ func benchSweepGrid(b *testing.B, nocache bool) {
 func BenchmarkSweepGridCached(b *testing.B)  { benchSweepGrid(b, false) }
 func BenchmarkSweepGridNoCache(b *testing.B) { benchSweepGrid(b, true) }
 
+// benchDistinctFrames prices the kernel memo on traffic with no reuse:
+// every iteration simulates one full-size frame no earlier iteration has
+// seen, so each kernel's memo lookup misses and pays for hashing and
+// copying its bands with nothing to show for it. The NoCache variant
+// computes inline and is the reference. The cache is flushed after each
+// iteration so it does not grow with b.N; hit_share reports the memo's
+// hits over lookups (0 by construction).
+func benchDistinctFrames(b *testing.B, nocache bool) {
+	arts := marvel.NewArtifactCache()
+	for i := 0; i < b.N; i++ {
+		pc := marvel.PortedConfig{
+			Workload:      marvel.Workload{Images: 1, W: 352, H: 240, Seed: uint64(i) + 1},
+			Scenario:      marvel.SingleSPE,
+			Variant:       marvel.Optimized,
+			MachineConfig: benchMachine(),
+		}
+		if nocache {
+			pc.NoCache = true
+		} else {
+			pc.Artifacts = arts
+		}
+		if _, err := marvel.RunPorted(pc); err != nil {
+			b.Fatal(err)
+		}
+		arts.Flush()
+	}
+	if hits, misses := arts.KernelStats(); hits+misses > 0 {
+		b.ReportMetric(float64(hits)/float64(hits+misses), "hit_share")
+	}
+}
+
+func BenchmarkDistinctFramesMemo(b *testing.B)    { benchDistinctFrames(b, false) }
+func BenchmarkDistinctFramesNoCache(b *testing.B) { benchDistinctFrames(b, true) }
+
 func BenchmarkFig7SingleSPE1(b *testing.B)  { benchScenario(b, marvel.SingleSPE, 1) }
 func BenchmarkFig7SingleSPE4(b *testing.B)  { benchScenario(b, marvel.SingleSPE, 4) }
 func BenchmarkFig7MultiSPE1(b *testing.B)   { benchScenario(b, marvel.MultiSPE, 1) }
@@ -327,7 +361,7 @@ func BenchmarkAblationPollVsInterrupt(b *testing.B) {
 
 func benchDataParallel(b *testing.B, id marvel.KernelID, n int) {
 	w := benchWorkload(1)
-	res, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, benchMachine())
+	res, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, benchMachine(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -337,7 +371,7 @@ func benchDataParallel(b *testing.B, id marvel.KernelID, n int) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, benchMachine()); err != nil {
+			if _, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, benchMachine(), nil); err != nil {
 				b.Error(err)
 				return
 			}

@@ -52,6 +52,7 @@
 //	paperbench -cpuprofile F     # write a pprof CPU profile of the run
 //	paperbench -memprofile F     # write a pprof allocation profile of the run
 //	paperbench -bench-refresh    # regenerate the committed bench/ baselines
+//	                             # (-nocache and -parallel carry into each run)
 //	paperbench -bench-dir D      # target directory for -bench-refresh
 //
 // Independent simulation runs fan out over -parallel workers (default:
@@ -79,6 +80,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -184,7 +187,7 @@ func parseFlags(args []string, errw io.Writer) (*options, int) {
 	fs.IntVar(&o.reps, "reps", 0, "race: real-execution repetitions per point, fastest wall time wins (default 3)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this path")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof allocation profile of the run to this path")
-	fs.BoolVar(&o.benchFresh, "bench-refresh", false, "regenerate the committed benchmark baselines (BENCH_serve.json, BENCH_sweep.json, BENCH_fleet.json)")
+	fs.BoolVar(&o.benchFresh, "bench-refresh", false, "regenerate the committed benchmark baselines (BENCH_serve.json, BENCH_sweep.json, BENCH_fleet.json, BENCH_race.json); -nocache and -parallel carry into every run")
 	fs.StringVar(&o.benchDir, "bench-dir", "bench", "target directory for -bench-refresh")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -269,10 +272,16 @@ func (o *options) validate() string {
 		return fmt.Sprintf("-shards must be >= 0, got %d", o.shards)
 	}
 	if o.benchFresh {
-		// The refresh runs a fixed invocation matrix; per-run flags would
-		// silently not apply to it.
-		for _, f := range []string{"exp", "json", "cpuprofile", "memprofile", "trace", "metrics"} {
-			if o.set[f] {
+		// The refresh runs a fixed invocation matrix. Only the global mode
+		// flags in refreshForwarded carry into it; any other flag would
+		// silently not apply.
+		names := make([]string, 0, len(o.set))
+		for f := range o.set {
+			names = append(names, f)
+		}
+		sort.Strings(names)
+		for _, f := range names {
+			if f != "bench-refresh" && f != "bench-dir" && !refreshForwarded[f] {
 				return fmt.Sprintf("-bench-refresh runs a fixed invocation set and is incompatible with -%s", f)
 			}
 		}
@@ -283,11 +292,26 @@ func (o *options) validate() string {
 	return ""
 }
 
-// benchRefreshArgs lists the committed-baseline invocations. They match
-// the CI smoke jobs argument-for-argument, so a local -bench-refresh and
-// the CI artifact describe the same runs.
-func benchRefreshArgs(dir string) [][]string {
-	return [][]string{
+// refreshForwarded names the global mode flags -bench-refresh passes on
+// to every invocation it runs: neither changes a data block, so
+// `-nocache -bench-refresh` regenerates the baselines on the inline
+// (oracle) kernel path, and -parallel only sets the worker pool.
+var refreshForwarded = map[string]bool{"nocache": true, "parallel": true}
+
+// benchRefreshArgs lists the committed-baseline invocations, each
+// prefixed with the forwarded mode flags o sets. They match the CI smoke
+// jobs argument-for-argument, so a local -bench-refresh and the CI
+// artifact describe the same runs.
+func (o *options) benchRefreshArgs() [][]string {
+	var mode []string
+	if o.set["nocache"] {
+		mode = append(mode, fmt.Sprintf("-nocache=%t", o.nocache))
+	}
+	if o.set["parallel"] {
+		mode = append(mode, "-parallel", strconv.Itoa(o.parallel))
+	}
+	dir := o.benchDir
+	subs := [][]string{
 		{"-quick", "-exp", "serve", "-blades", "3", "-rate", "2", "-servesed", "7",
 			"-json", filepath.Join(dir, "BENCH_serve.json")},
 		{"-quick", "-exp", "fig7", "-json", filepath.Join(dir, "BENCH_sweep.json")},
@@ -299,6 +323,10 @@ func benchRefreshArgs(dir string) [][]string {
 		{"-quick", "-exp", "race", "-workers", "2", "-reps", "2",
 			"-json", filepath.Join(dir, "BENCH_race.json")},
 	}
+	for i, sub := range subs {
+		subs[i] = append(append([]string(nil), mode...), sub...)
+	}
+	return subs
 }
 
 func run(args []string, out, errw io.Writer) int {
@@ -317,7 +345,7 @@ func run(args []string, out, errw io.Writer) int {
 			fmt.Fprintf(errw, "paperbench: %v\n", err)
 			return 1
 		}
-		for _, sub := range benchRefreshArgs(o.benchDir) {
+		for _, sub := range o.benchRefreshArgs() {
 			fmt.Fprintf(out, "paperbench: refresh %s\n", strings.Join(sub, " "))
 			if code := run(sub, out, errw); code != 0 {
 				return code

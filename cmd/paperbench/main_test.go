@@ -44,6 +44,10 @@ func TestFlagValidationMatrix(t *testing.T) {
 		{"bench-refresh with json", []string{"-bench-refresh", "-json", "x.json"}, 2, "incompatible with -json"},
 		{"bench-refresh with profile", []string{"-bench-refresh", "-cpuprofile", "cpu.pb"}, 2, "incompatible with -cpuprofile"},
 		{"bench-dir without refresh", []string{"-bench-dir", "bench"}, 2, "-bench-dir only applies"},
+		{"bench-refresh with quick", []string{"-bench-refresh", "-quick"}, 2, "incompatible with -quick"},
+		{"bench-refresh with seed", []string{"-bench-refresh", "-seed", "3"}, 2, "incompatible with -seed"},
+		{"bench-refresh with nocache", []string{"-nocache", "-bench-refresh"}, -1, ""},
+		{"bench-refresh with parallel", []string{"-bench-refresh", "-parallel", "1"}, -1, ""},
 		{"faults flag with faults exp", []string{"-exp", "faults", "-faults", "crash:spe=0,at=5ms"}, -1, ""},
 		{"faults flag with serve exp", []string{"-exp", "serve", "-faultseed", "3"}, -1, ""},
 		{"serve flags with serve exp", []string{"-exp", "serve", "-rate", "2", "-blades", "2", "-deadline", "-1", "-servesed", "9", "-burst", "1"}, -1, ""},
@@ -371,8 +375,40 @@ func TestRunProfilesWritten(t *testing.T) {
 	}
 }
 
-// TestRunBenchRefresh checks -bench-refresh regenerates both committed
-// baselines into the requested directory with the expected experiments.
+// TestBenchRefreshForwardsModeFlags checks -bench-refresh passes -nocache
+// and -parallel on to every invocation it runs, and nothing else.
+func TestBenchRefreshForwardsModeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args     []string
+		nocache  bool
+		parallel int
+	}{
+		{[]string{"-bench-refresh"}, false, 0},
+		{[]string{"-nocache", "-bench-refresh"}, true, 0},
+		{[]string{"-bench-refresh", "-nocache=false", "-parallel", "3"}, false, 3},
+	} {
+		var errw bytes.Buffer
+		o, _ := parseFlags(tc.args, &errw)
+		if o == nil || o.validate() != "" {
+			t.Fatalf("%v: rejected: %s", tc.args, errw.String())
+		}
+		for _, sub := range o.benchRefreshArgs() {
+			so, _ := parseFlags(sub, &errw)
+			if so == nil || so.validate() != "" {
+				t.Fatalf("%v: sub-invocation %v rejected: %s", tc.args, sub, errw.String())
+			}
+			if so.nocache != tc.nocache || so.parallel != tc.parallel {
+				t.Errorf("%v: sub-invocation %v runs nocache=%t parallel=%d, want %t, %d",
+					tc.args, sub, so.nocache, so.parallel, tc.nocache, tc.parallel)
+			}
+		}
+	}
+}
+
+// TestRunBenchRefresh checks -bench-refresh regenerates every committed
+// baseline into the requested directory with the expected experiments,
+// and that -nocache reaches each run: the cold-path (oracle) sidecars
+// record nocache and carry the same data as the cached ones.
 func TestRunBenchRefresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full baseline matrix")
@@ -381,6 +417,38 @@ func TestRunBenchRefresh(t *testing.T) {
 	var out, errw bytes.Buffer
 	if status := run([]string{"-bench-refresh", "-bench-dir", dir}, &out, &errw); status != 0 {
 		t.Fatalf("status %d, stderr: %s", status, errw.String())
+	}
+	coldDir := t.TempDir()
+	if status := run([]string{"-nocache", "-bench-refresh", "-bench-dir", coldDir}, &out, &errw); status != 0 {
+		t.Fatalf("-nocache status %d, stderr: %s", status, errw.String())
+	}
+	for _, name := range []string{"BENCH_serve.json", "BENCH_sweep.json", "BENCH_fleet.json", "BENCH_race.json"} {
+		for _, tc := range []struct {
+			dir     string
+			nocache bool
+		}{{dir, false}, {coldDir, true}} {
+			var doc struct {
+				Config struct {
+					NoCache bool `json:"nocache"`
+				} `json:"config"`
+			}
+			if err := json.Unmarshal(readFileT(t, filepath.Join(tc.dir, name)), &doc); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if doc.Config.NoCache != tc.nocache {
+				t.Errorf("%s in %s records nocache=%t, want %t", name, tc.dir, doc.Config.NoCache, tc.nocache)
+			}
+		}
+		if name == "BENCH_race.json" {
+			continue // its measured_* keys are host wall facts
+		}
+		warm := experimentData(t, readFileT(t, filepath.Join(dir, name)))
+		cold := experimentData(t, readFileT(t, filepath.Join(coldDir, name)))
+		for exp, data := range warm {
+			if !bytes.Equal(data, cold[exp]) {
+				t.Errorf("%s: %s data differs between the memo and -nocache", name, exp)
+			}
+		}
 	}
 	serveData := experimentData(t, readFileT(t, filepath.Join(dir, "BENCH_serve.json")))
 	if _, ok := serveData["serve"]; !ok {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -37,12 +38,15 @@ type Backend struct {
 	arts       *marvel.ArtifactCache
 	reps       int
 	instrument bool
-	now        func() time.Duration
+	now        func(track string) time.Duration
 
-	// traceMu serializes span recording: lanes finish concurrently and
-	// trace.Recorder is not thread-safe.
+	// traceMu serializes span recording: lanes finish concurrently. The
+	// spans of the instrumented rep are sorted before they reach the
+	// trace.Recorder, so the recorded order never depends on which lane
+	// finished first.
 	traceMu sync.Mutex
-	rec     *trace.Recorder
+	tracing bool
+	spans   []trace.Span
 }
 
 // Options configures a Backend.
@@ -59,9 +63,14 @@ type Options struct {
 	// returned run.
 	Instrument bool
 	// Now overrides the wall clock (elapsed time since an arbitrary
-	// epoch). Tests inject a deterministic clock; nil selects the host
-	// monotonic clock.
-	Now func() time.Duration
+	// epoch), read for one trace track at a time: the batch track
+	// ("batch", the orchestrator's wall measurement), "pre", a kernel
+	// lane, or "detect". Reads on one track never overlap, but different
+	// tracks are read concurrently (under Pipelined the orchestrator
+	// preprocesses while the lanes run), so Now must be safe for
+	// concurrent use. Tests inject a deterministic per-track clock; nil
+	// selects the host monotonic clock for every track.
+	Now func(track string) time.Duration
 }
 
 // NewBackend starts a backend and its worker pool; Close releases the
@@ -79,7 +88,7 @@ func NewBackend(o Options) *Backend {
 	}
 	if b.now == nil {
 		start := time.Now()
-		b.now = func() time.Duration { return time.Since(start) }
+		b.now = func(string) time.Duration { return time.Since(start) }
 	}
 	return b
 }
@@ -90,14 +99,43 @@ func (b *Backend) Close() { b.ex.Close() }
 // Workers reports the pool width.
 func (b *Backend) Workers() int { return b.ex.Workers() }
 
+// batchTrack is the clock track of Execute's per-rep wall measurement.
+const batchTrack = "batch"
+
 // span records one wall-clock span when instrumenting the current rep.
 func (b *Backend) span(lane string, start, end time.Duration, kind trace.Kind, label string) {
-	if b.rec == nil {
+	if !b.tracing {
 		return
 	}
 	b.traceMu.Lock()
-	b.rec.Span(lane, trace.WallNanos(start.Nanoseconds()), trace.WallNanos(end.Nanoseconds()), kind, label)
+	b.spans = append(b.spans, trace.Span{Lane: lane, Start: trace.WallNanos(start.Nanoseconds()),
+		End: trace.WallNanos(end.Nanoseconds()), Kind: kind, Label: label})
 	b.traceMu.Unlock()
+}
+
+// takeTrace returns the instrumented rep's spans as a recorder, ordered
+// by start time, then end, lane and label.
+func (b *Backend) takeTrace() *trace.Recorder {
+	spans := b.spans
+	b.tracing, b.spans = false, nil
+	sort.Slice(spans, func(i, j int) bool {
+		x, y := spans[i], spans[j]
+		switch {
+		case x.Start != y.Start:
+			return x.Start < y.Start
+		case x.End != y.End:
+			return x.End < y.End
+		case x.Lane != y.Lane:
+			return x.Lane < y.Lane
+		default:
+			return x.Label < y.Label
+		}
+	})
+	rec := trace.NewRecorder()
+	for _, s := range spans {
+		rec.Span(s.Lane, s.Start, s.End, s.Kind, s.Label)
+	}
+	return rec
 }
 
 // extractionLanes lists the four extraction kernels in the launch order
@@ -142,13 +180,11 @@ func (b *Backend) Execute(p marvel.ExecPoint) (*marvel.ExecRun, error) {
 	var reg *metrics.Registry
 	for rep := 0; rep < b.reps; rep++ {
 		last := rep == b.reps-1
-		if b.instrument && last {
-			b.rec = trace.NewRecorder()
-		}
+		b.tracing, b.spans = b.instrument && last, nil
 		s0 := b.ex.Stats()
-		t0 := b.now()
+		t0 := b.now(batchTrack)
 		images, err := b.runBatch(p, ms, plans)
-		wall := (b.now() - t0).Nanoseconds()
+		wall := (b.now(batchTrack) - t0).Nanoseconds()
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +200,7 @@ func (b *Backend) Execute(p marvel.ExecPoint) (*marvel.ExecRun, error) {
 		}
 	}
 	if b.instrument {
-		run.Trace, b.rec = b.rec, nil
+		run.Trace = b.takeTrace()
 		reg = metrics.NewRegistry()
 		reg.Counter("exec", "wall_ns").Add(run.WallNS)
 		reg.Counter("exec", "tasks").Add(int64(run.Tasks))
@@ -220,24 +256,24 @@ func (b *Backend) runBatch(p marvel.ExecPoint, ms *marvel.ModelSet, plans map[ma
 // cached frame) and stores it strided into pixel buffer buf.
 func (st *batchState) preprocess(n, buf int) {
 	w := st.p.Workload
-	t0 := st.b.now()
+	t0 := st.b.now("pre")
 	dec := img.Synthesize(img.CorpusSeed(w.Seed, n), w.W, w.H)
 	dst := st.bufs[buf]
 	for y := 0; y < w.H; y++ {
 		copy(dst[y*st.stride:], dec.Row(y))
 	}
-	st.b.span("pre", t0, st.b.now(), trace.KindIO, fmt.Sprintf("img%d", n))
+	st.b.span("pre", t0, st.b.now("pre"), trace.KindIO, fmt.Sprintf("img%d", n))
 }
 
 // processSlice runs one slice of a lane: wrap the band in the pixel
 // buffer (the analog of the kernel's view of its DMA'd local-store
 // band) and fold its payload rows into the accumulator.
 func (st *batchState) processSlice(acc marvel.Accumulator, buf int, s img.Slice, lane string, n, si int) {
-	t0 := st.b.now()
+	t0 := st.b.now(lane)
 	rows := s.TransferRows()
 	band := img.Wrap(st.bufs[buf][s.TransferY0()*st.stride:][:rows*st.stride], st.p.Workload.W, rows, st.stride)
 	acc.Process(band, s.HaloTop, s.HaloTop+s.PayloadRows())
-	st.b.span(lane, t0, st.b.now(), trace.KindCompute, fmt.Sprintf("img%d/slice%d", n, si))
+	st.b.span(lane, t0, st.b.now(lane), trace.KindCompute, fmt.Sprintf("img%d/slice%d", n, si))
 }
 
 // extractLane builds one kernel's slice chain over pixel buffer buf for
@@ -259,9 +295,9 @@ func (st *batchState) extractLane(id marvel.KernelID, buf, n int) *Future[laneOu
 		})
 	}
 	return Then(st.b.ex, f, func(struct{}) laneOut {
-		t0 := st.b.now()
+		t0 := st.b.now(lane)
 		vec := acc.Finalize()
-		st.b.span(lane, t0, st.b.now(), trace.KindCompute, fmt.Sprintf("img%d/finalize", n))
+		st.b.span(lane, t0, st.b.now(lane), trace.KindCompute, fmt.Sprintf("img%d/finalize", n))
 		return laneOut{id: id, vec: vec}
 	})
 }
@@ -270,9 +306,9 @@ func (st *batchState) extractLane(id marvel.KernelID, buf, n int) *Future[laneOu
 // the score to float32 exactly as the SPE kernel reports it.
 func (st *batchState) detect(f *Future[laneOut], lane string, n int) *Future[laneOut] {
 	return Then(st.b.ex, f, func(o laneOut) laneOut {
-		t0 := st.b.now()
+		t0 := st.b.now(lane)
 		o.score = float64(float32(decision(st.ms, o.id, o.vec)))
-		st.b.span(lane, t0, st.b.now(), trace.KindCompute, fmt.Sprintf("img%d/detect-%s", n, o.id))
+		st.b.span(lane, t0, st.b.now(lane), trace.KindCompute, fmt.Sprintf("img%d/detect-%s", n, o.id))
 		return o
 	})
 }
@@ -319,9 +355,9 @@ func (st *batchState) runSequential() ([]marvel.ImageResult, error) {
 			}
 			outs = Then(st.b.ex, WhenAll(st.b.ex, lanes), func(os []laneOut) []laneOut {
 				for i := range os {
-					t0 := st.b.now()
+					t0 := st.b.now("detect")
 					os[i].score = float64(float32(decision(st.ms, os[i].id, os[i].vec)))
-					st.b.span("detect", t0, st.b.now(), trace.KindCompute, fmt.Sprintf("img%d/detect-%s", n, os[i].id))
+					st.b.span("detect", t0, st.b.now("detect"), trace.KindCompute, fmt.Sprintf("img%d/detect-%s", n, os[i].id))
 				}
 				return os
 			}).Wait()

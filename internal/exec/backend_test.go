@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,6 +52,24 @@ func TestBackendBitExact(t *testing.T) {
 	}
 }
 
+// TestBackendNeverConsultsKernelMemo checks that real execution measures
+// real compute: the backend runs its own accumulators and never reads
+// the simulated kernels' memo, even when it shares their cache.
+func TestBackendNeverConsultsKernelMemo(t *testing.T) {
+	arts := marvel.NewArtifactCache()
+	b := NewBackend(Options{Workers: 2, Reps: 1, Artifacts: arts})
+	defer b.Close()
+	w := marvel.Workload{Images: 2, W: 352, H: 96, Seed: 11}
+	for _, sc := range []marvel.Scenario{marvel.SingleSPE, marvel.MultiSPE, marvel.MultiSPE2, marvel.Pipelined} {
+		if _, err := b.Execute(marvel.ExecPoint{Workload: w, Scenario: sc, Variant: marvel.Optimized}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses := arts.KernelStats(); hits != 0 || misses != 0 {
+		t.Fatalf("kernel memo hits/misses after Execute = (%d, %d), want (0, 0)", hits, misses)
+	}
+}
+
 // TestBackendRejectsBadWorkload pins the validation path.
 func TestBackendRejectsBadWorkload(t *testing.T) {
 	b := NewBackend(Options{Workers: 1, Reps: 1, Artifacts: marvel.NewArtifactCache()})
@@ -60,53 +79,81 @@ func TestBackendRejectsBadWorkload(t *testing.T) {
 	}
 }
 
+// trackClock is a deterministic clock for Options.Now: every track
+// advances 1 ms per read, independently of the others, so its readings
+// do not depend on how concurrently running tracks interleave.
+type trackClock struct {
+	mu    sync.Mutex
+	ticks map[string]time.Duration
+}
+
+func (c *trackClock) now(track string) time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ticks == nil {
+		c.ticks = map[string]time.Duration{}
+	}
+	c.ticks[track] += time.Millisecond
+	return c.ticks[track]
+}
+
+func (c *trackClock) reset() {
+	c.mu.Lock()
+	c.ticks = nil
+	c.mu.Unlock()
+}
+
 // TestBackendInstrumentation checks the clock-domain rules on the
 // instrumented run: all metrics live in the single "exec" component and
 // every trace span sits on an executor lane, never a simulator track.
+// Under Pipelined the orchestrator preprocesses while the lanes run, so
+// the deterministic clock is per track and the trace is sorted: two
+// identical executes must record identical spans at any worker count.
 func TestBackendInstrumentation(t *testing.T) {
-	var tick time.Duration
-	b := NewBackend(Options{
-		Workers:    1,
-		Reps:       2,
-		Artifacts:  marvel.NewArtifactCache(),
-		Instrument: true,
-		Now: func() time.Duration {
-			tick += time.Millisecond
-			return tick
-		},
-	})
-	defer b.Close()
-	w := marvel.Workload{Images: 2, W: 352, H: 96, Seed: 11}
-	run, err := b.Execute(marvel.ExecPoint{Workload: w, Scenario: marvel.Pipelined, Variant: marvel.Optimized})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Trace == nil || run.Metrics == nil {
-		t.Fatal("instrumented run returned no trace or metrics")
-	}
-	if got := run.Metrics.Components(); len(got) != 1 || got[0] != "exec" {
-		t.Fatalf("exec metrics components = %v, want [exec] only (clock domains must not mix)", got)
-	}
-	if len(run.Trace.Spans()) == 0 {
-		t.Fatal("instrumented run recorded no spans")
-	}
-	if run.Tasks == 0 {
-		t.Fatal("run counted no tasks")
-	}
-	// Deterministic clock + one worker: a second identical execute must
-	// produce the identical span list.
-	tick = 0
-	run2, err := b.Execute(marvel.ExecPoint{Workload: w, Scenario: marvel.Pipelined, Variant: marvel.Optimized})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b2 := run.Trace.Spans(), run2.Trace.Spans()
-	if len(a) != len(b2) {
-		t.Fatalf("span counts differ across identical runs: %d vs %d", len(a), len(b2))
-	}
-	for i := range a {
-		if a[i] != b2[i] {
-			t.Fatalf("span %d differs across identical runs: %+v vs %+v", i, a[i], b2[i])
-		}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var clock trackClock
+			b := NewBackend(Options{
+				Workers:    workers,
+				Reps:       2,
+				Artifacts:  marvel.NewArtifactCache(),
+				Instrument: true,
+				Now:        clock.now,
+			})
+			defer b.Close()
+			w := marvel.Workload{Images: 2, W: 352, H: 96, Seed: 11}
+			run, err := b.Execute(marvel.ExecPoint{Workload: w, Scenario: marvel.Pipelined, Variant: marvel.Optimized})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.Trace == nil || run.Metrics == nil {
+				t.Fatal("instrumented run returned no trace or metrics")
+			}
+			if got := run.Metrics.Components(); len(got) != 1 || got[0] != "exec" {
+				t.Fatalf("exec metrics components = %v, want [exec] only (clock domains must not mix)", got)
+			}
+			if len(run.Trace.Spans()) == 0 {
+				t.Fatal("instrumented run recorded no spans")
+			}
+			if run.Tasks == 0 {
+				t.Fatal("run counted no tasks")
+			}
+			// Deterministic clock: a second identical execute must
+			// produce the identical span list.
+			clock.reset()
+			run2, err := b.Execute(marvel.ExecPoint{Workload: w, Scenario: marvel.Pipelined, Variant: marvel.Optimized})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b2 := run.Trace.Spans(), run2.Trace.Spans()
+			if len(a) != len(b2) {
+				t.Fatalf("span counts differ across identical runs: %d vs %d", len(a), len(b2))
+			}
+			for i := range a {
+				if a[i] != b2[i] {
+					t.Fatalf("span %d differs across identical runs: %+v vs %+v", i, a[i], b2[i])
+				}
+			}
+		})
 	}
 }

@@ -184,7 +184,7 @@ func TestRaceTraceGolden(t *testing.T) {
 		Reps:       1,
 		Artifacts:  marvel.NewArtifactCache(),
 		Instrument: true,
-		Now: func() time.Duration {
+		Now: func(string) time.Duration {
 			tick += time.Millisecond
 			return tick
 		},

@@ -37,7 +37,7 @@ func Scaling(cfg Config) ([]ScalingRow, error) {
 	counts := []int{1, 2, 4, 8}
 	rows, err := RunWheels(cfg.workers(), len(kernels)*len(counts), func(i int) (ScalingRow, error) {
 		id, n := kernels[i/len(counts)], counts[i%len(counts)]
-		res, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, MachineConfig())
+		res, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, MachineConfig(), cfg.artifacts())
 		if err != nil {
 			return ScalingRow{}, fmt.Errorf("scaling %s/%d: %w", id, n, err)
 		}

@@ -88,9 +88,9 @@ func (c Config) serveBase() (serve.Config, error) {
 	}
 	// The serving layer threads its cache straight into every calibration
 	// simulation; the cold path gets a private cache per invocation
-	// instead of the process-wide one.
+	// instead of the process-wide one, with its kernel memo off.
 	if base.Artifacts = c.artifacts(); base.Artifacts == nil {
-		base.Artifacts = marvel.NewArtifactCache()
+		base.Artifacts = marvel.NewColdArtifactCache()
 	}
 	if c.FaultSpec != "" {
 		plan, err := fault.Parse(c.FaultSpec)

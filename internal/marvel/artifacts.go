@@ -8,25 +8,32 @@ import (
 
 // ArtifactCache memoizes the workload artifacts that are bit-identical
 // across the points of an experiment sweep: the generated image set, the
-// synthetic model library (train + encode + float32-rounded decode), and
-// the sequential reference run. A Fig7-style grid of spes × scenarios ×
-// variants computes each artifact exactly once; concurrent sweep workers
-// (experiments.RunIndexed) share one in-flight computation per key via
-// the workcache singleflight.
+// synthetic model library (train + encode + float32-rounded decode), the
+// sequential reference run, and the functional output of every simulated
+// extraction kernel invocation (the kernel memo, kernelmemo.go). A
+// Fig7-style grid of spes × scenarios × variants computes each artifact
+// exactly once; concurrent sweep workers (experiments.RunIndexed) share
+// one in-flight computation per key via the workcache singleflight.
 //
 // All returned values are shared across callers and goroutines and MUST
 // be treated as immutable: images are only read (the ported preprocessing
 // copies rows into simulated memory, the reference extractors only scan
 // pixels), model sets are only read (placement copies the encodings into
-// simulated memory), and reference results are only compared against.
+// simulated memory), reference results are only compared against, and
+// kernel outputs are only copied into the local store.
 //
 // A nil *ArtifactCache is valid and means "no caching": every accessor
-// falls back to computing a private artifact, which is the isolation path
-// for calibration runs and cache-sensitivity tests.
+// falls back to computing a private artifact and every simulated kernel
+// computes inline, which is the isolation path for calibration runs and
+// cache-sensitivity tests.
 type ArtifactCache struct {
-	images workcache.Cache[Workload, []*img.RGB]
-	models workcache.Cache[uint64, *ModelSet]
-	refs   workcache.Cache[refKey, *ReferenceResult]
+	images  workcache.Cache[Workload, []*img.RGB]
+	models  workcache.Cache[uint64, *ModelSet]
+	refs    workcache.Cache[refKey, *ReferenceResult]
+	kernels workcache.Cache[kernelKey, kernelOut]
+
+	// cold disables the kernel memo (NewColdArtifactCache).
+	cold bool
 }
 
 // refKey identifies a reference run: the cost model's name plus the full
@@ -49,6 +56,13 @@ func SharedArtifacts() *ArtifactCache { return &sharedArtifacts }
 // NewArtifactCache returns an empty private cache, for callers that want
 // sharing within one sweep but isolation from the rest of the process.
 func NewArtifactCache() *ArtifactCache { return &ArtifactCache{} }
+
+// NewColdArtifactCache returns a private cache for a cold-path run that
+// needs one cache object to thread through its calibration (the serving
+// experiments under paperbench -nocache): images, models and references
+// are shared within the run, while every simulated kernel computes inline
+// as under a nil cache, so the run stays an oracle for the kernel memo.
+func NewColdArtifactCache() *ArtifactCache { return &ArtifactCache{cold: true} }
 
 // Images returns the workload's generated image set, shared and read-only.
 func (c *ArtifactCache) Images(w Workload) []*img.RGB {
@@ -93,7 +107,8 @@ func (c *ArtifactCache) Reference(host *cost.Model, w Workload) (*ReferenceResul
 	})
 }
 
-// Stats reports cumulative (hits, misses) over the three artifact layers.
+// Stats reports cumulative (hits, misses) over the image, model and
+// reference layers; KernelStats counts the kernel memo.
 func (c *ArtifactCache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
@@ -106,7 +121,18 @@ func (c *ArtifactCache) Stats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// Flush drops all cached artifacts (cold-path calibration, tests).
+// KernelStats reports cumulative (hits, misses) of the kernel memo. Misses
+// equal the number of distinct kernel inputs simulated, so they are
+// deterministic for a given set of runs at any parallelism.
+func (c *ArtifactCache) KernelStats() (hits, misses uint64) {
+	if c == nil {
+		return 0, 0
+	}
+	return c.kernels.Stats()
+}
+
+// Flush drops all cached artifacts and memoized kernel outputs
+// (cold-path calibration, tests).
 func (c *ArtifactCache) Flush() {
 	if c == nil {
 		return
@@ -114,4 +140,5 @@ func (c *ArtifactCache) Flush() {
 	c.images.Flush()
 	c.models.Flush()
 	c.refs.Flush()
+	c.kernels.Flush()
 }

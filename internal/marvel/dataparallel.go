@@ -59,8 +59,9 @@ func splitRows(h, n, gran int) [][2]int {
 
 // RunDataParallelExtraction runs kernel id over one image of workload w,
 // split across nSPEs, and validates the merged feature against the
-// whole-image reference computation.
-func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mcfg *cell.Config) (*DataParallelResult, error) {
+// whole-image reference computation. The partial kernels serve their
+// arithmetic from arts' kernel memo; a nil arts computes inline.
+func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mcfg *cell.Config, arts *ArtifactCache) (*DataParallelResult, error) {
 	if id == KCD {
 		return nil, fmt.Errorf("marvel: concept detection is not row-parallel")
 	}
@@ -96,7 +97,7 @@ func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mc
 			ifaces := make([]*core.Interface, len(bands))
 			wraps := make([]*core.Wrapper, len(bands))
 			for i, b := range bands {
-				iface, err := core.Open(ctx, i, ExtractKernelSpec(id, v))
+				iface, err := core.Open(ctx, i, ExtractKernelSpec(id, v, arts))
 				if err != nil {
 					return err
 				}

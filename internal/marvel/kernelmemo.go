@@ -1,0 +1,141 @@
+package marvel
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"hash"
+	"sync"
+
+	"cellport/internal/img"
+)
+
+// The kernel memo: the fourth ArtifactCache layer. A simulated extraction
+// kernel charges its SPU time from dimensions (chargeExtract), never from
+// pixel values, yet it also computes real feature values so the port
+// stays functional at all times. Calibration grids and verified serving
+// re-run the same kernels on the same seeded frames many times over, so
+// the arithmetic is memoized by the exact input the kernel saw: its local
+// store bands, as the DMA delivered them, and the slice geometry it folded
+// them with. Every DMA, compute charge and event still happens, so virtual
+// time and EventCount cannot move; only the host arithmetic is shared.
+
+// kernelKey identifies one extraction kernel invocation's functional
+// output: the kernel, whether it emits raw accumulator words
+// (OpRunPartial) or the finalized vector (OpRun), and a SHA-256 over every
+// slice's geometry and local-store band bytes. A corrupted DMA payload
+// therefore changes the key.
+type kernelKey struct {
+	id      KernelID
+	partial bool
+	sum     [sha256.Size]byte
+}
+
+// kernelOut is one kernel invocation's output, shared and read-only: the
+// finalized feature vector (OpRun) or the raw accumulator words
+// (OpRunPartial).
+type kernelOut struct {
+	vec []float32
+	raw []uint32
+}
+
+// kernelRun gathers one kernel invocation's bands and produces its
+// output. Without a memo it folds each band into the accumulator as the
+// band arrives (the inline oracle path); with one it hashes and copies
+// each band, and runs the same accumulator over the copies only when the
+// key misses.
+type kernelRun struct {
+	id        KernelID
+	partial   bool
+	w, stride int
+
+	acc sliceAcc // inline path
+
+	memo   *ArtifactCache // memo path
+	h      hash.Hash
+	bands  *[]byte // from bandPool, returned by output
+	slices []img.Slice
+}
+
+// bandPool recycles the memo path's band copies: the local store
+// overwrites its buffers as the kernel streams, so a miss needs its own
+// copy of every band, but no copy outlives its invocation's output call.
+var bandPool sync.Pool
+
+// newKernelRun starts an invocation of kernel id over the planned slices
+// of a w-pixel-wide image with the given row stride. A nil or cold memo
+// selects the inline path.
+func newKernelRun(memo *ArtifactCache, id KernelID, partial bool, w, stride int, slices []img.Slice) *kernelRun {
+	r := &kernelRun{id: id, partial: partial, w: w, stride: stride}
+	if memo == nil || memo.cold {
+		r.acc = kernelGeom(id).newAcc()
+		return r
+	}
+	total := 0
+	for _, s := range slices {
+		total += s.TransferRows() * stride
+	}
+	r.memo = memo
+	r.h = sha256.New()
+	r.bands, _ = bandPool.Get().(*[]byte)
+	if r.bands == nil || cap(*r.bands) < total {
+		b := make([]byte, 0, total)
+		r.bands = &b
+	}
+	*r.bands = (*r.bands)[:0]
+	r.slices = make([]img.Slice, 0, len(slices))
+	return r
+}
+
+// add takes slice s's band as it sits in the local store.
+func (r *kernelRun) add(band []byte, s img.Slice) {
+	if r.memo == nil {
+		foldBand(r.acc, band, s, r.w, r.stride)
+		return
+	}
+	var g [5 * 4]byte
+	for i, v := range []int{r.w, r.stride, s.TransferRows(), s.HaloTop, s.PayloadRows()} {
+		binary.LittleEndian.PutUint32(g[4*i:], uint32(v))
+	}
+	r.h.Write(g[:])
+	r.h.Write(band)
+	*r.bands = append(*r.bands, band...)
+	r.slices = append(r.slices, s)
+}
+
+// output returns the invocation's result: computed inline, found in the
+// memo, or computed once over the copied bands and stored.
+func (r *kernelRun) output() kernelOut {
+	if r.memo == nil {
+		return finishAcc(r.id, r.acc, r.partial)
+	}
+	key := kernelKey{id: r.id, partial: r.partial}
+	r.h.Sum(key.sum[:0])
+	// The computation never fails, and a panic in it propagates (see
+	// workcache.Cache.Do), so the error is always nil.
+	out, _ := r.memo.kernels.Do(key, func() (kernelOut, error) {
+		acc := kernelGeom(r.id).newAcc()
+		bands, off := *r.bands, 0
+		for _, s := range r.slices {
+			n := s.TransferRows() * r.stride
+			foldBand(acc, bands[off:off+n], s, r.w, r.stride)
+			off += n
+		}
+		return finishAcc(r.id, acc, r.partial), nil
+	})
+	bandPool.Put(r.bands)
+	r.bands = nil
+	return out
+}
+
+// foldBand folds slice s's payload rows of band into acc.
+func foldBand(acc sliceAcc, band []byte, s img.Slice, w, stride int) {
+	acc.process(img.Wrap(band, w, s.TransferRows(), stride), s.HaloTop, s.HaloTop+s.PayloadRows())
+}
+
+// finishAcc turns a complete accumulator into the kernel's output.
+func finishAcc(id KernelID, acc sliceAcc, partial bool) kernelOut {
+	if partial {
+		return kernelOut{raw: encodeRaw(id, acc)}
+	}
+	return kernelOut{vec: acc.finalize()}
+}

@@ -213,8 +213,10 @@ func sliceBudget(free uint32, id KernelID, v Variant, w, stride int) int {
 // halo'd slices against its local-store budget, streams the image through
 // one (naive) or two (optimized) buffers, runs the real incremental
 // feature computation, and DMAs the result back — the finalized feature
-// vector for OpRun, the raw accumulator words for OpRunPartial.
-func ExtractKernelSpec(id KernelID, v Variant) core.KernelSpec {
+// vector for OpRun, the raw accumulator words for OpRunPartial. A non-nil
+// memo serves the feature arithmetic from its kernel layer, keyed by the
+// bands the DMA delivered (kernelmemo.go); nil computes inline.
+func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelSpec {
 	cal := Cal(id)
 	g := kernelGeom(id)
 	fn := func(ctx *spe.Context, wrapper mainmem.Addr, partial bool) uint32 {
@@ -268,7 +270,7 @@ func ExtractKernelSpec(id KernelID, v Variant) core.KernelSpec {
 			return resErr
 		}
 
-		acc := g.newAcc()
+		run := newKernelRun(memo, id, partial, w, stride, slices)
 		fetch := func(i, tag int) error {
 			s := slices[i]
 			return dmaRows(ctx, bufs[tag], pixEA+mainmem.Addr(s.TransferY0()*stride),
@@ -276,8 +278,7 @@ func ExtractKernelSpec(id KernelID, v Variant) core.KernelSpec {
 		}
 		process := func(i, tag int) {
 			s := slices[i]
-			band := img.Wrap(st.Bytes(bufs[tag], uint32(s.TransferRows()*stride)), w, s.TransferRows(), stride)
-			acc.process(band, s.HaloTop, s.HaloTop+s.PayloadRows())
+			run.add(st.Bytes(bufs[tag], uint32(s.TransferRows()*stride)), s)
 			chargeExtract(ctx, id, v, float64(s.PayloadRows()*w))
 		}
 		if v == Optimized {
@@ -305,14 +306,13 @@ func ExtractKernelSpec(id KernelID, v Variant) core.KernelSpec {
 			}
 		}
 
+		out := run.output()
 		if partial {
-			words := encodeRaw(id, acc)
-			ctx.ComputeScalar(float64(len(words))*3, id.String()+"-emit-raw")
-			core.PutUint32s(st.Bytes(outLS, uint32(len(words)*4)), words)
+			ctx.ComputeScalar(float64(len(out.raw))*3, id.String()+"-emit-raw")
+			core.PutUint32s(st.Bytes(outLS, uint32(len(out.raw)*4)), out.raw)
 		} else {
-			vec := acc.finalize()
-			ctx.ComputeScalar(float64(len(vec))*12, id.String()+"-finalize")
-			core.PutFloat32s(st.Bytes(outLS, uint32(len(vec)*4)), vec)
+			ctx.ComputeScalar(float64(len(out.vec))*12, id.String()+"-finalize")
+			core.PutFloat32s(st.Bytes(outLS, uint32(len(out.vec)*4)), out.vec)
 		}
 		if err := ctx.Put(outLS, wrapper+mainmem.Addr(extractOutOff()), oBytes, 1); err != nil {
 			return resErr

@@ -440,7 +440,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images
 	}
 	extract := map[KernelID]*kern{}
 	for i, id := range []KernelID{KCH, KCC, KTX, KEH} {
-		k, err := sup.open(i, ExtractKernelSpec(id, cfg.Variant), extractFallback(id))
+		k, err := sup.open(i, ExtractKernelSpec(id, cfg.Variant, cfg.artifacts()), extractFallback(id))
 		if err != nil {
 			return err
 		}

@@ -192,7 +192,10 @@ func detOpsShare(n, dim int) float64 {
 // ShardedEngine (parallel.RunWheels) bounded by the configured worker
 // pool; the assembled table is byte-identical at any parallelism, and
 // workcache hits/misses stay deterministic because the job set — not the
-// execution order — determines which artifacts are built.
+// execution order — determines which artifacts are built. The same holds
+// for the kernel memo: the simulated kernels take their feature
+// arithmetic from it, computing each distinct kernel input once, so its
+// miss count is the number of distinct inputs at any parallelism.
 func Calibrate(cfg Config) (*Calibration, error) {
 	cfg = cfg.withDefaults()
 	geoms := []bool{false}

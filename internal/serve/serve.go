@@ -142,7 +142,9 @@ type Config struct {
 	// dispatch (nested in the dispatching blade's wheel) and fails the
 	// run if any dispatch diverges from the calibration table. This is
 	// the verified-dispatch mode: much more expensive, byte-identical
-	// report.
+	// report. Every dispatch still simulates every DMA and event, but
+	// the kernels' feature arithmetic comes from the artifact cache's
+	// kernel memo, so dispatches over the same frames compute it once.
 	FullFidelity bool
 	// Instrument attaches a per-blade trace recorder and metrics
 	// registry to the report (excluded from JSON, so artifacts stay
