@@ -390,10 +390,10 @@ func BenchmarkScalingEH8(b *testing.B) { benchDataParallel(b, marvel.KEH, 8) }
 // --- sharded serving engine --------------------------------------------------
 
 // benchServeConfig is the sharded engine's acceptance scenario: a
-// 16-blade pool in verified-dispatch mode (every dispatch re-runs the
-// full machine simulation nested in its blade's wheel), bursty arrivals
-// so whole blade-fulls of work land on one barrier, and no deadlines so
-// nothing is shed. The only difference between the Seq and Sharded
+// 16-blade pool in verified-dispatch mode (after the loop, the full
+// machine simulation re-runs once per distinct dispatched key), bursty
+// arrivals so whole blade-fulls of work land on one barrier, and no
+// deadlines so nothing is shed. The only difference between the Seq and Sharded
 // benchmarks is the engine driving the blades; their reports are
 // byte-identical (TestShardedMatchesSequentialLoop and friends).
 func benchServeConfig() serve.Config {
@@ -446,15 +446,15 @@ func benchServe(b *testing.B, seqsim, noLookahead bool) {
 	}
 }
 
-// BenchmarkServeSeq is the sequential reference loop with inline
-// verified dispatch — the single-core baseline.
+// BenchmarkServeSeq is the sequential reference loop with verified
+// dispatch — the single-core baseline.
 func BenchmarkServeSeq(b *testing.B) { benchServe(b, true, false) }
 
 // BenchmarkServeSharded is the same run on per-blade event wheels
 // (workers = GOMAXPROCS) under the conservative lookahead coordinator.
-// On a multicore host the nested dispatch simulations spread across the
-// wheels; target is ≥2× over BenchmarkServeSeq at GOMAXPROCS ≥ 4, and
-// fewer epochs than BenchmarkServeBarrierPerArrival (the epochs metric).
+// Verification runs off the wheels, so the two benchmarks differ only
+// in the event loop; the sharded run should pay fewer epochs than
+// BenchmarkServeBarrierPerArrival (the epochs metric).
 func BenchmarkServeSharded(b *testing.B) { benchServe(b, false, false) }
 
 // BenchmarkServeBarrierPerArrival is the sharded run with lookahead

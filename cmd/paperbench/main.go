@@ -39,8 +39,8 @@
 //	                             # the sharded wheels (determinism oracle)
 //	paperbench -lookahead=false  # serve: restore an epoch barrier per arrival
 //	                             # instant (lookahead off; identical bytes)
-//	paperbench -fullsim          # serve: re-simulate the machine behind every
-//	                             # dispatch and fail on calibration divergence
+//	paperbench -fullsim          # serve: re-simulate the machine once per
+//	                             # dispatched key; fail on calibration divergence
 //	paperbench -workers 2        # race: executor pool width (0 = GOMAXPROCS;
 //	                             # wall times move, sim/est results never do)
 //	paperbench -reps 3           # race: real-execution repetitions per point
@@ -179,7 +179,7 @@ func parseFlags(args []string, errw io.Writer) (*options, int) {
 	fs.IntVar(&o.shards, "shards", 0, "serve: workers driving the per-blade event wheels (0 = GOMAXPROCS; never affects results)")
 	fs.BoolVar(&o.seqSim, "seqsim", false, "serve: run the sequential reference event loop instead of the sharded wheels")
 	fs.BoolVar(&o.lookahead, "lookahead", true, "serve: admit arrivals inside the conservative lookahead horizon without a barrier (-lookahead=false restores per-arrival barriers; results are byte-identical)")
-	fs.BoolVar(&o.fullSim, "fullsim", false, "serve: re-simulate the full machine behind every dispatch (verified dispatch)")
+	fs.BoolVar(&o.fullSim, "fullsim", false, "serve: re-simulate the full machine once per distinct dispatched key (verified dispatch)")
 	fs.IntVar(&o.pools, "pools", 4, "fleet: number of routed blade pools (each of -blades blades)")
 	fs.BoolVar(&o.autoscale, "autoscale", true, "fleet: arm the virtual-time autoscaler (-autoscale=false for a static fleet)")
 	fs.BoolVar(&o.flash, "flash", true, "fleet: add seeded flash-crowd windows to the diurnal load model")

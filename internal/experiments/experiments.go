@@ -66,9 +66,9 @@ type Config struct {
 	// in the sharded serve run (serve.Config.NoLookahead). Reports are
 	// byte-identical either way; only the epoch count changes.
 	NoLookahead bool
-	// FullSim re-runs the full machine simulation behind every serve
-	// dispatch and fails on any divergence from the calibration table
-	// (serve.Config.FullFidelity).
+	// FullSim re-runs the full machine simulation once per distinct
+	// dispatched serve key and fails on any divergence from the
+	// calibration table (serve.Config.FullFidelity).
 	FullSim bool
 }
 

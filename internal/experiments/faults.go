@@ -64,7 +64,7 @@ func FaultsExp(cfg Config) (*FaultsResult, error) {
 		pc.Watchdog = cfg.Watchdog
 		return cfg.runPorted(label, pc)
 	}
-	runs, err := RunWheels(cfg.workers(), 3, func(i int) (*marvel.PortedResult, error) {
+	runs, err := RunIndexed(cfg.workers(), 3, func(i int) (*marvel.PortedResult, error) {
 		switch i {
 		case 0:
 			return runOne("faults/baseline", nil) // fault-free baseline

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"cellport/internal/parallel"
-	"cellport/internal/sim"
-)
+import "cellport/internal/parallel"
 
 // The experiment grid is embarrassingly parallel: every simulation owns a
 // private sim.Engine, a private machine and a private workload, and all
@@ -20,18 +17,6 @@ import (
 // failures the lowest-index error is always the one returned.
 func RunIndexed[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
 	return parallel.RunIndexed(workers, n, job)
-}
-
-// RunWheels executes job(0..n-1) wheel-per-job on a drained
-// sim.ShardedEngine instead of a raw goroutine pool (parallel.RunWheels
-// with the wheel handle dropped): the uniform substrate for grids of
-// independent simulations, with the same index-ordered results and
-// lowest-index-error contract as RunIndexed. Unlike RunIndexed, every
-// job runs even after a sibling fails.
-func RunWheels[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
-	return parallel.RunWheels(workers, n, func(i int, _ *sim.Engine) (T, error) {
-		return job(i)
-	})
 }
 
 // workers resolves the configured parallelism for this experiment config.

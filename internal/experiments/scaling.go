@@ -28,14 +28,13 @@ type ScalingRow struct {
 }
 
 // Scaling measures data-parallel extraction for the windowed kernels. The
-// kernel × SPE-count sweep fans out wheel-per-job over a drained
-// ShardedEngine (RunWheels); speed-ups are derived afterward against each
-// kernel's 1-SPE row.
+// kernel × SPE-count sweep fans out over RunIndexed; speed-ups are
+// derived afterward against each kernel's 1-SPE row.
 func Scaling(cfg Config) ([]ScalingRow, error) {
 	w := cfg.Workload(1)
 	kernels := []marvel.KernelID{marvel.KCC, marvel.KEH, marvel.KCH, marvel.KTX}
 	counts := []int{1, 2, 4, 8}
-	rows, err := RunWheels(cfg.workers(), len(kernels)*len(counts), func(i int) (ScalingRow, error) {
+	rows, err := RunIndexed(cfg.workers(), len(kernels)*len(counts), func(i int) (ScalingRow, error) {
 		id, n := kernels[i/len(counts)], counts[i%len(counts)]
 		res, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, MachineConfig(), cfg.artifacts())
 		if err != nil {

@@ -59,16 +59,16 @@ func TestParseDurations(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
-		"nova:spe=0,n=1",              // unknown kind
-		"crash:spe=0",                 // crash without at=
-		"dma-drop:spe=0",              // count-based without n=
-		"dma-drop:n=1",                // missing spe=
-		"dma-drop:spe=0,n=0",          // counts are 1-based
-		"mbox-stall:spe=0,n=1",        // stall without delay=
+		"nova:spe=0,n=1",               // unknown kind
+		"crash:spe=0",                  // crash without at=
+		"dma-drop:spe=0",               // count-based without n=
+		"dma-drop:n=1",                 // missing spe=
+		"dma-drop:spe=0,n=0",           // counts are 1-based
+		"mbox-stall:spe=0,n=1",         // stall without delay=
 		"mbox-stall:spe=0,n=1,delay=5", // bare duration, no suffix
-		"crash:spe=-1,at=1ms",         // negative SPE
-		"crash:spe=0,at=1ms,bogus=1",  // unknown key
-		"crash:spe=0,at",              // not key=value
+		"crash:spe=-1,at=1ms",          // negative SPE
+		"crash:spe=0,at=1ms,bogus=1",   // unknown key
+		"crash:spe=0,at",               // not key=value
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {

@@ -59,6 +59,24 @@ type svc struct {
 	DegTime  sim.Duration
 }
 
+// measuredSvc reads one dispatch record off a ported run.
+func measuredSvc(p *marvel.PortedResult) svc {
+	s := svc{Service: p.Total - p.OneTime, Warmup: p.OneTime}
+	if rep := p.Faults; rep != nil {
+		s.Degraded = rep.Retries > 0 || rep.Redispatches > 0 || rep.Fallbacks > 0
+		s.DegTime = rep.DegradedTime
+	}
+	return s
+}
+
+// String prints the durations in exact femtoseconds: sim.Duration's own
+// String rounds to 6 significant digits, which would hide a small
+// divergence between two records.
+func (s svc) String() string {
+	return fmt.Sprintf("{Service:%dfs Warmup:%dfs Degraded:%v DegTime:%dfs}",
+		int64(s.Service), int64(s.Warmup), s.Degraded, int64(s.DegTime))
+}
+
 // geomCal holds one frame geometry's estimator inputs and outputs.
 type geomCal struct {
 	// RefPerImage is the PPE reference per-image processing time.
@@ -188,11 +206,11 @@ func detOpsShare(n, dim int) float64 {
 // Calibrate measures the dispatch service table (every scheme × geometry
 // × batch size the loop can request) and fits the Eqs. 1-3 estimator
 // from a PPE reference run and a single-SPE ported run per geometry. All
-// simulations are independent and fan out wheel-per-job over a drained
-// ShardedEngine (parallel.RunWheels) bounded by the configured worker
-// pool; the assembled table is byte-identical at any parallelism, and
-// workcache hits/misses stay deterministic because the job set — not the
-// execution order — determines which artifacts are built. The same holds
+// simulations are independent and fan out over parallel.RunIndexed,
+// bounded by the configured worker pool; the assembled table is
+// byte-identical at any parallelism, and workcache hits/misses stay
+// deterministic because the job set — not the execution order —
+// determines which artifacts are built. The same holds
 // for the kernel memo: the simulated kernels take their feature
 // arithmetic from it, computing each distinct kernel input once, so its
 // miss count is the number of distinct inputs at any parallelism.
@@ -230,7 +248,7 @@ func Calibrate(cfg Config) (*Calibration, error) {
 		ref    *marvel.ReferenceResult
 		ported *marvel.PortedResult
 	}
-	outs, err := parallel.RunWheels(cfg.Parallel, len(jobs), func(i int, _ *sim.Engine) (jobOut, error) {
+	outs, err := parallel.RunIndexed(cfg.Parallel, len(jobs), func(i int) (jobOut, error) {
 		j := jobs[i]
 		switch j.kind {
 		case 0:
@@ -257,13 +275,7 @@ func Calibrate(cfg Config) (*Calibration, error) {
 		case 1:
 			singles[j.tall] = outs[i].ported
 		default:
-			p := outs[i].ported
-			s := svc{Service: p.Total - p.OneTime, Warmup: p.OneTime}
-			if rep := p.Faults; rep != nil {
-				s.Degraded = rep.Retries > 0 || rep.Redispatches > 0 || rep.Fallbacks > 0
-				s.DegTime = rep.DegradedTime
-			}
-			cal.services[svcKey{Scheme: j.scheme, Tall: j.tall, K: j.k}] = s
+			cal.services[svcKey{Scheme: j.scheme, Tall: j.tall, K: j.k}] = measuredSvc(outs[i].ported)
 		}
 	}
 	for _, tall := range geoms {

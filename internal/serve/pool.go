@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"cellport/internal/marvel"
+	"cellport/internal/parallel"
 	"cellport/internal/sim"
 	"cellport/internal/trace"
 )
@@ -14,7 +15,7 @@ import (
 // accounting. The blade's machine itself is not held here — dispatch
 // timing comes from the calibrated service table, which was measured on
 // a machine identical to the one this blade models (FullFidelity re-runs
-// that machine per dispatch to prove it).
+// that machine once per distinct dispatched key to prove it).
 //
 // All mutable state below the wheel field is owned by the blade: in a
 // sharded run it is touched only by events on this blade's wheel, or by
@@ -74,7 +75,10 @@ type blade struct {
 	latencies       []sim.Duration
 	lastDone        sim.Time
 
-	verifyErr error // first FullFidelity divergence on this blade
+	// keys are the distinct service keys this blade dispatched, in
+	// first-dispatch order (FullFidelity only): the blade's share of the
+	// run's verification set (verifyDispatched).
+	keys []svcKey
 
 	tr  trace.Tracer
 	rec *trace.Recorder
@@ -600,16 +604,7 @@ func (p *pool) dispatch(b *blade, now sim.Time) {
 		fmt.Sprintf("batch#%d ×%d %s%s", b.dispatches, len(batch), scheme, geom))
 
 	if p.cfg.FullFidelity {
-		k := len(batch)
-		if b.wheel != nil {
-			// Scheduled before the completion event at the same instant,
-			// so the wheel's FIFO lane runs the verification first — and,
-			// crucially, inside the wheel's goroutine, which is where the
-			// sharded run's real parallel work comes from.
-			b.wheel.At(b.done, func() { p.verifyDispatch(b, scheme, tall, k) })
-		} else {
-			p.verifyDispatch(b, scheme, tall, k)
-		}
+		b.noteKey(svcKey{Scheme: scheme, Tall: tall, K: len(batch)})
 	}
 	p.scheduleCompletion(b)
 }
@@ -631,40 +626,62 @@ func (p *pool) scheduleCompletion(b *blade) {
 	})
 }
 
-// verifyDispatch re-runs the full machine simulation behind one dispatch
-// and cross-checks it against the calibration table entry the event loop
-// charged. The nested run is a pure function of its config, so any
-// divergence means the table no longer describes the machine. Only the
-// first divergence per blade is kept.
-func (p *pool) verifyDispatch(b *blade, scheme Scheme, tall bool, k int) {
-	if b.verifyErr != nil {
-		return
+// noteKey records k in the blade's verification set unless it is already
+// there. The set is bounded by the calibration table (schemes × geometries
+// × batch sizes), so a linear scan beats a map.
+func (b *blade) noteKey(k svcKey) {
+	for _, have := range b.keys {
+		if have == k {
+			return
+		}
 	}
-	res, err := marvel.RunPorted(p.cfg.portedConfig(scheme.scenario(), tall, k, true))
-	if err != nil {
-		b.verifyErr = fmt.Errorf("serve: blade %d: full-fidelity dispatch %s/tall=%v/k=%d: %w",
-			b.id, scheme, tall, k, err)
-		return
-	}
-	got := svc{Service: res.Total - res.OneTime, Warmup: res.OneTime}
-	if rep := res.Faults; rep != nil {
-		got.Degraded = rep.Retries > 0 || rep.Redispatches > 0 || rep.Fallbacks > 0
-		got.DegTime = rep.DegradedTime
-	}
-	want := p.cal.service(svcKey{Scheme: scheme, Tall: tall, K: k})
-	if got != want {
-		b.verifyErr = fmt.Errorf("serve: blade %d: full-fidelity dispatch %s/tall=%v/k=%d diverged from calibration: got %+v want %+v",
-			b.id, scheme, tall, k, got, want)
-	}
+	b.keys = append(b.keys, k)
 }
 
-// firstVerifyErr returns the lowest-blade-index FullFidelity divergence,
-// if any — a deterministic pick regardless of wheel scheduling.
-func (p *pool) firstVerifyErr() error {
+// verifyDispatched re-runs the full machine simulation once per distinct
+// service key the run dispatched and cross-checks each result against the
+// calibration table entry the event loop charged. The nested run is a pure
+// function of its config, and the config depends only on the key, so one
+// run proves every dispatch that used it; any divergence means the table
+// no longer describes the machine.
+//
+// The keys are ordered by blade index, then by each blade's first
+// dispatch, and each is attributed to the first blade that dispatched it.
+// RunIndexed returns the lowest-index error, so the error names the
+// lowest blade that dispatched a diverging key and that blade's first
+// such key, at any parallelism.
+func (p *pool) verifyDispatched() error {
+	type owned struct {
+		key   svcKey
+		blade int
+	}
+	var keys []owned
+	seen := map[svcKey]bool{}
 	for _, b := range p.blades {
-		if b.verifyErr != nil {
-			return b.verifyErr
+		for _, k := range b.keys {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, owned{key: k, blade: b.id})
+			}
 		}
+	}
+	_, err := parallel.RunIndexed(p.cfg.Parallel, len(keys), func(i int) (struct{}, error) {
+		return struct{}{}, p.verifyKey(keys[i].blade, keys[i].key)
+	})
+	return err
+}
+
+// verifyKey runs one dispatch key's full machine simulation and compares
+// it with the table entry; blade only attributes the error.
+func (p *pool) verifyKey(blade int, k svcKey) error {
+	res, err := marvel.RunPorted(p.cfg.portedConfig(k.Scheme.scenario(), k.Tall, k.K, true))
+	if err != nil {
+		return fmt.Errorf("serve: blade %d: full-fidelity dispatch %s/tall=%v/k=%d: %w",
+			blade, k.Scheme, k.Tall, k.K, err)
+	}
+	if got, want := measuredSvc(res), p.cal.service(k); got != want {
+		return fmt.Errorf("serve: blade %d: full-fidelity dispatch %s/tall=%v/k=%d diverged from calibration: got %v want %v",
+			blade, k.Scheme, k.Tall, k.K, got, want)
 	}
 	return nil
 }

@@ -120,8 +120,9 @@ type Config struct {
 	// RetryBackoff << (k-1), saturating at 16 doublings (default 100µs,
 	// mirroring the supervision loop's backoff).
 	RetryBackoff sim.Duration
-	// Parallel bounds the worker pool used for calibration simulations;
-	// it never affects results, only wall-clock time.
+	// Parallel bounds the worker pool used for calibration and
+	// FullFidelity verification simulations; it never affects results,
+	// only wall-clock time.
 	Parallel int
 	// Shards bounds the workers driving the per-blade event wheels in the
 	// sharded run (zero selects GOMAXPROCS). Like Parallel it never
@@ -138,13 +139,14 @@ type Config struct {
 	// schedule exists as the oracle for the lookahead coordinator (and
 	// as the slow-but-obvious fallback).
 	NoLookahead bool
-	// FullFidelity re-runs the full machine simulation behind every
-	// dispatch (nested in the dispatching blade's wheel) and fails the
-	// run if any dispatch diverges from the calibration table. This is
-	// the verified-dispatch mode: much more expensive, byte-identical
-	// report. Every dispatch still simulates every DMA and event, but
-	// the kernels' feature arithmetic comes from the artifact cache's
-	// kernel memo, so dispatches over the same frames compute it once.
+	// FullFidelity proves the calibration table against the machine:
+	// after the event loop, the full machine simulation re-runs once per
+	// distinct (scheme, geometry, batch size) key the run dispatched,
+	// fanned out over Parallel workers, and the run fails if any result
+	// diverges from the table entry the loop charged. The report is
+	// byte-identical either way. Each nested run simulates every DMA and
+	// event; the kernels' feature arithmetic comes from the artifact
+	// cache's kernel memo.
 	FullFidelity bool
 	// Instrument attaches a per-blade trace recorder and metrics
 	// registry to the report (excluded from JSON, so artifacts stay
@@ -291,8 +293,10 @@ func Run(cfg Config) (*Report, error) {
 	} else if err := p.runSharded(reqs, cfg.Shards, !cfg.NoLookahead); err != nil {
 		return nil, fmt.Errorf("serve: sharded run: %w", err)
 	}
-	if err := p.firstVerifyErr(); err != nil {
-		return nil, err
+	if cfg.FullFidelity {
+		if err := p.verifyDispatched(); err != nil {
+			return nil, err
+		}
 	}
 	return p.report(offered), nil
 }

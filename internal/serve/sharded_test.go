@@ -82,12 +82,12 @@ func TestShardedMatchesSequentialUnderFaults(t *testing.T) {
 }
 
 // TestFullFidelityByteIdentical checks verified-dispatch mode: re-running
-// the machine behind every dispatch (sequentially inline, or nested in
-// the blades' wheels) must not perturb the report at all.
+// the machine once per dispatched key after the loop (sequential or
+// sharded) must not perturb the report at all.
 func TestFullFidelityByteIdentical(t *testing.T) {
 	base := quickConfig()
 	base.Cal = mustCal(t)
-	base.Requests = 24 // every dispatch costs a nested machine simulation
+	base.Requests = 24
 	golden := marshal(t, mustRun(t, base))
 
 	ffSeq := base
@@ -133,16 +133,7 @@ func BenchmarkPoolEventLoop(b *testing.B) {
 // entry and checks verified dispatch fails the run with the blade's
 // divergence instead of silently serving from a stale table.
 func TestFullFidelityCatchesStaleCalibration(t *testing.T) {
-	cal := mustCal(t)
-	poisoned := &Calibration{
-		maxBatch: cal.maxBatch,
-		services: map[svcKey]svc{},
-		geoms:    cal.geoms,
-		perBlade: cal.perBlade,
-	}
-	for k, v := range cal.services {
-		poisoned.services[k] = v
-	}
+	poisoned := copyCal(mustCal(t))
 	k := svcKey{Scheme: SchemeJob, Tall: false, K: 1}
 	v := poisoned.services[k]
 	v.Service += sim.Microsecond

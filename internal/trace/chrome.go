@@ -118,9 +118,9 @@ func WriteChrome(w io.Writer, procs []ChromeProcess) error {
 		// One merged per-lane stream: spans and instants sorted by time
 		// with recording order as the tie-break.
 		type timed struct {
-			at   sim.Time
-			seq  int
-			ev   chromeEvent
+			at  sim.Time
+			seq int
+			ev  chromeEvent
 		}
 		var lane []timed
 		for i, s := range p.Rec.Spans() {
