@@ -1,6 +1,10 @@
 package features
 
-import "cellport/internal/img"
+import (
+	"sync"
+
+	"cellport/internal/img"
+)
 
 // Correlogram geometry (§5.2: "a square window of size 17x17 around P").
 const (
@@ -18,6 +22,21 @@ type CorrAcc struct {
 	Total [HistBins]uint64
 }
 
+// A column census entry counts one color in one column of the window, so
+// it never exceeds CorrWindow; this line stops compiling if CorrWindow
+// outgrows the uint8 that holds it.
+const _ uint8 = CorrWindow
+
+// corrScratch is the per-call working set: the quantized band and the
+// column census. Exec workers call AccumulateCorrelogram concurrently, so
+// each call takes its own from corrPool.
+type corrScratch struct {
+	bins []int32
+	col  []uint8
+}
+
+var corrPool = sync.Pool{New: func() any { return new(corrScratch) }}
+
 // AccumulateCorrelogram processes payload rows [py0, py1) of band, a
 // sub-image that already includes any halo rows (up to CorrRadius above
 // and below the payload). Windows are clamped to the band: for interior
@@ -25,60 +44,75 @@ type CorrAcc struct {
 // for bands at the image boundary the band edge *is* the image boundary —
 // the §3.4 border-condition rule.
 //
-// The window is maintained as a sliding per-color census: stepping P from
-// x to x+1 subtracts the column leaving the window and adds the column
-// entering it, so each pixel costs O(CorrWindow) column work instead of
-// the O(CorrWindow²) full rescan. Counts are exact integers, so Same and
+// The census is kept per column: col[x*HistBins+c] counts the pixels of
+// color c in column x among the window rows of the current payload row,
+// so advancing the payload row costs one increment (the row entering the
+// window) and one decrement (the row leaving it) per column. A pixel's
+// same-color count is then the sum of its color's entries over the
+// columns of its clamped window — CorrWindow byte loads, no stores. When
+// a pixel repeats its left neighbour's color, the count slides instead:
+// add the column entering the window, subtract the one leaving it. Total
+// is the closed form winH*winW-1. Counts are exact integers, so Same and
 // Total are bit-identical to the reference scan (enforced by the
 // reference-vs-optimized property test).
 func (a *CorrAcc) AccumulateCorrelogram(band *img.RGB, py0, py1 int) {
+	if py0 >= py1 {
+		return
+	}
 	w, h := band.W, band.H
-	bins := make([]int32, w*h)
+	s := corrPool.Get().(*corrScratch)
+	defer corrPool.Put(s)
+	if cap(s.bins) < w*h {
+		s.bins = make([]int32, w*h)
+	}
+	if cap(s.col) < w*HistBins {
+		s.col = make([]uint8, w*HistBins)
+	}
+	bins, col := s.bins[:w*h], s.col[:w*HistBins]
+	clear(col)
 	img.QuantizeRows(band, 0, h, bins)
-	var cnt [HistBins]uint32 // per-color census of the current window
+
+	// census adds (d=1) or removes (d=0xff, i.e. -1) window row r.
+	census := func(r int, d uint8) {
+		for x, c := range bins[r*w : r*w+w] {
+			col[x*HistBins+int(c)] += d
+		}
+	}
+	lo, hi := max(py0-CorrRadius, 0), min(py0+CorrRadius, h-1)
+	for r := lo; r <= hi; r++ {
+		census(r, 1)
+	}
 	for y := py0; y < py1; y++ {
-		yLo, yHi := y-CorrRadius, y+CorrRadius
-		if yLo < 0 {
-			yLo = 0
+		if yLo := max(y-CorrRadius, 0); yLo > lo {
+			census(lo, 0xff)
+			lo = yLo
 		}
-		if yHi > h-1 {
-			yHi = h - 1
+		if yHi := min(y+CorrRadius, h-1); yHi > hi {
+			hi = yHi
+			census(hi, 1)
 		}
-		winH := uint64(yHi - yLo + 1)
-		// Seed the census with the window of x=0: columns [0, min(R, w-1)].
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		seedHi := CorrRadius
-		if seedHi > w-1 {
-			seedHi = w - 1
-		}
-		for wy := yLo; wy <= yHi; wy++ {
-			row := bins[wy*w : wy*w+w]
-			for wx := 0; wx <= seedHi; wx++ {
-				cnt[row[wx]]++
-			}
-		}
-		winW := uint64(seedHi + 1)
-		for x := 0; x < w; x++ {
-			if x > 0 {
-				if in := x + CorrRadius; in <= w-1 {
-					for wy := yLo; wy <= yHi; wy++ {
-						cnt[bins[wy*w+in]]++
-					}
-					winW++
+		winH := uint64(hi - lo + 1)
+		var same uint64
+		prev := int32(-1)
+		for x, c := range bins[y*w : y*w+w] {
+			xLo, xHi := max(x-CorrRadius, 0), min(x+CorrRadius, w-1)
+			if c == prev {
+				if xHi == x+CorrRadius {
+					same += uint64(col[xHi*HistBins+int(c)])
 				}
-				if out := x - CorrRadius - 1; out >= 0 {
-					for wy := yLo; wy <= yHi; wy++ {
-						cnt[bins[wy*w+out]]--
-					}
-					winW--
+				if xLo > 0 {
+					same -= uint64(col[(xLo-1)*HistBins+int(c)])
 				}
+			} else {
+				same = 0
+				for i := xLo*HistBins + int(c); i <= xHi*HistBins+int(c); i += HistBins {
+					same += uint64(col[i])
+				}
+				prev = c
 			}
-			c := bins[y*w+x]
 			// Exclude P itself from both numerator and denominator.
-			a.Same[c] += uint64(cnt[c]) - 1
-			a.Total[c] += winH*winW - 1
+			a.Same[c] += same - 1
+			a.Total[c] += winH*uint64(xHi-xLo+1) - 1
 		}
 	}
 }

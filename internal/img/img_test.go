@@ -226,3 +226,12 @@ func TestCloneIndependent(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkQuantizeRows352x240(b *testing.B) {
+	im := Synthesize(13, 352, 240)
+	dst := make([]int32, im.W*im.H)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		QuantizeRows(im, 0, im.H, dst)
+	}
+}
