@@ -12,16 +12,21 @@ type HistAcc struct {
 // color histogram is pointwise, so bands need no halo.
 //
 // The inner loop walks a full-row slice in 3-byte steps so the compiler
-// can hoist the bounds checks out of the per-pixel path; counts are exact
-// integers, bit-identical to the naive scan (enforced by the
-// reference-vs-optimized property test).
+// can hoist the bounds checks out of the per-pixel path. A pixel that
+// repeats the previous one in scan order reuses its bin, as in
+// img.QuantizeRows. Counts are exact integers, bit-identical to the naive
+// scan (enforced by the reference-vs-optimized property test).
 func (a *HistAcc) AccumulateHistogram(im *img.RGB, y0, y1 int) {
 	w := im.W
+	prev, bin := uint32(1<<24), 0 // prev matches no pixel
 	for y := y0; y < y1; y++ {
 		off := y * im.Stride
 		row := im.Pix[off : off+3*w : off+3*w]
 		for ; len(row) >= 3; row = row[3:] {
-			a.Counts[img.QuantizeHSV166(row[0], row[1], row[2])]++
+			if k := uint32(row[0])<<16 | uint32(row[1])<<8 | uint32(row[2]); k != prev {
+				prev, bin = k, img.QuantizeHSV166(row[0], row[1], row[2])
+			}
+			a.Counts[bin]++
 		}
 		a.Pixels += uint64(w)
 	}

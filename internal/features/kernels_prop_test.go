@@ -134,15 +134,26 @@ func accumulateTextureReference(a *TexAcc, band *img.RGB, py0, py1 int) {
 	}
 }
 
-// randomImage builds either a synthesized full-width frame or a
-// uniform-random image with dimensions biased toward kernel-geometry edge
-// cases (single-pixel rows/columns, sub-window, sub-tile sizes).
+// randomTrials is the number of randomImage frames each kernel property
+// test checks.
+const randomTrials = 50
+
+// randomImage builds a synthesized full-width frame (trials 0..3), a run
+// frame (trials 4..13) or a uniform-random image, with dimensions biased
+// toward kernel-geometry edge cases (single-pixel rows/columns, sub-window,
+// sub-tile sizes).
 func randomImage(rng *rand.Rand, trial int) *img.RGB {
 	if trial < 4 {
 		return img.Synthesize(rng.Uint64(), 352, 24+rng.Intn(40))
 	}
 	w := 1 + rng.Intn(3*TexTile-1)
 	h := 1 + rng.Intn(3*TexTile-1)
+	if trial < 14 {
+		if trial < 6 {
+			w = 1
+		}
+		return runImage(rng, w, h)
+	}
 	im := img.New(w, h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -152,12 +163,42 @@ func randomImage(rng *rand.Rand, trial int) *img.RGB {
 	return im
 }
 
-// TestHistogramMatchesReference: the hoisted-row histogram is bit-exact
-// against the original scan, whole-image and split into arbitrary bands
-// (pointwise kernel: no halo, any split works).
+// runImage builds a w×h frame of color runs laid in scan order, so runs
+// cross row ends, as run reuse in the quantizer sees them. The first run
+// is black, which a zero-initialised "previous pixel" would count in bin 0
+// instead of 162, and the palette holds colors that differ from black in
+// one channel only.
+func runImage(rng *rand.Rand, w, h int) *img.RGB {
+	palette := [][3]byte{{0, 0, 0}, {255, 0, 0}, {0, 255, 0}, {0, 0, 255}}
+	for len(palette) < 6 {
+		palette = append(palette, [3]byte{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))})
+	}
+	im := img.New(w, h)
+	// The first runs step from black to each one-channel color and back.
+	steps := []int{0, 1, 0, 2, 0, 3, 0}
+	c, left := palette[0], 1+rng.Intn(2*w)
+	for i, run := 0, 1; i < w*h; i++ {
+		if left == 0 {
+			k := rng.Intn(len(palette))
+			if run < len(steps) {
+				k = steps[run]
+			}
+			c, left = palette[k], 1+rng.Intn(2*w)
+			run++
+		}
+		im.Set(i%w, i/w, c[0], c[1], c[2])
+		left--
+	}
+	return im
+}
+
+// TestHistogramMatchesReference: the hoisted-row, run-reusing histogram
+// is bit-exact against the original per-pixel scan, whole-image, over a
+// sub-range starting at y0 > 0, and split into arbitrary bands (pointwise
+// kernel: no halo, any split works).
 func TestHistogramMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < randomTrials; trial++ {
 		im := randomImage(rng, trial)
 		var ref, opt HistAcc
 		accumulateHistogramReference(&ref, im, 0, im.H)
@@ -167,6 +208,12 @@ func TestHistogramMatchesReference(t *testing.T) {
 		}
 		if im.H >= 2 {
 			split := 1 + rng.Intn(im.H-1)
+			var tailRef, tail HistAcc
+			accumulateHistogramReference(&tailRef, im, split, im.H)
+			tail.AccumulateHistogram(im, split, im.H)
+			if tail != tailRef {
+				t.Fatalf("trial %d (%dx%d rows [%d,%d)): histogram diverges from reference", trial, im.W, im.H, split, im.H)
+			}
 			var banded HistAcc
 			banded.AccumulateHistogram(im, 0, split)
 			banded.AccumulateHistogram(im, split, im.H)
@@ -181,7 +228,7 @@ func TestHistogramMatchesReference(t *testing.T) {
 // against the uniformly clamped scan, whole-image and in halo'd bands.
 func TestEdgeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < randomTrials; trial++ {
 		im := randomImage(rng, trial)
 		w, h := im.W, im.H
 		var ref, opt EdgeAcc
@@ -221,7 +268,7 @@ func TestEdgeMatchesReference(t *testing.T) {
 // at tile-aligned rows.
 func TestTextureMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < randomTrials; trial++ {
 		im := randomImage(rng, trial)
 		var ref, opt TexAcc
 		accumulateTextureReference(&ref, im, 0, im.H)

@@ -75,13 +75,24 @@ func QuantizeHSV166(r, g, b byte) int {
 // QuantizeRows fills dst (len >= W*(y1-y0)) with the bin index of every
 // pixel in rows [y0, y1) — the form both the PPE reference and the SPE
 // kernels share.
+//
+// A pixel that repeats the previous one in scan order (across row ends
+// too) reuses its bin instead of re-running QuantizeHSV166; synthetic
+// frames are mostly flat runs, so most pixels take that path. The bins
+// are exactly the per-pixel ones.
 func QuantizeRows(im *RGB, y0, y1 int, dst []int32) {
-	i := 0
+	w := im.W
+	prev, bin := uint32(1<<24), int32(0) // prev matches no pixel
 	for y := y0; y < y1; y++ {
-		row := im.Pix[y*im.Stride:]
-		for x := 0; x < im.W; x++ {
-			dst[i] = int32(QuantizeHSV166(row[3*x], row[3*x+1], row[3*x+2]))
-			i++
+		off := y * im.Stride
+		row := im.Pix[off : off+3*w : off+3*w]
+		d := dst[(y-y0)*w : (y-y0+1)*w]
+		for x := range d {
+			r, g, b := row[3*x], row[3*x+1], row[3*x+2]
+			if k := uint32(r)<<16 | uint32(g)<<8 | uint32(b); k != prev {
+				prev, bin = k, int32(QuantizeHSV166(r, g, b))
+			}
+			d[x] = bin
 		}
 	}
 }

@@ -2,6 +2,8 @@ package img
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -105,18 +107,95 @@ func TestQuantizeGraysAreAchromatic(t *testing.T) {
 	}
 }
 
-func TestQuantizeRowsMatchesPixelwise(t *testing.T) {
-	im := Synthesize(7, 40, 30)
-	dst := make([]int32, im.W*im.H)
-	QuantizeRows(im, 0, im.H, dst)
-	for y := 0; y < im.H; y++ {
+// runFrame builds a w×h frame of color runs laid in scan order, so runs
+// cross row ends. The first run is black, which a zero-initialised
+// "previous pixel" would misquantize (black's bin is 162, not 0), and the
+// palette holds colors that differ from black in one channel only.
+func runFrame(rng *rand.Rand, w, h int) *RGB {
+	palette := [][3]byte{{0, 0, 0}, {255, 0, 0}, {0, 255, 0}, {0, 0, 255}}
+	for len(palette) < 6 {
+		palette = append(palette, [3]byte{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))})
+	}
+	im := New(w, h)
+	// The first runs step from black to each one-channel color and back.
+	steps := []int{0, 1, 0, 2, 0, 3, 0}
+	c, left := palette[0], 1+rng.Intn(2*w)
+	for i, run := 0, 1; i < w*h; i++ {
+		if left == 0 {
+			k := rng.Intn(len(palette))
+			if run < len(steps) {
+				k = steps[run]
+			}
+			c, left = palette[k], 1+rng.Intn(2*w)
+			run++
+		}
+		im.Set(i%w, i/w, c[0], c[1], c[2])
+		left--
+	}
+	return im
+}
+
+// checkQuantizeRows runs QuantizeRows over rows [y0, y1) and compares
+// every bin with the per-pixel QuantizeHSV166 oracle.
+func checkQuantizeRows(t *testing.T, im *RGB, y0, y1 int) {
+	t.Helper()
+	dst := make([]int32, im.W*(y1-y0))
+	QuantizeRows(im, y0, y1, dst)
+	for y := y0; y < y1; y++ {
 		for x := 0; x < im.W; x++ {
 			r, g, b := im.At(x, y)
-			if dst[y*im.W+x] != int32(QuantizeHSV166(r, g, b)) {
-				t.Fatalf("QuantizeRows mismatch at %d,%d", x, y)
+			if got, want := dst[(y-y0)*im.W+x], int32(QuantizeHSV166(r, g, b)); got != want {
+				t.Fatalf("%dx%d rows [%d,%d): bin %d at %d,%d, want %d", im.W, im.H, y0, y1, got, x, y, want)
 			}
 		}
 	}
+}
+
+// TestQuantizeRowsMatchesPixelwise: run reuse in QuantizeRows yields the
+// per-pixel bins on synthesized scenes, uniform noise (no runs) and run
+// frames (black first pixel, runs across row ends, width 1), whole-frame,
+// from every start row y0 > 0, and split into bands.
+func TestQuantizeRowsMatchesPixelwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	frames := []*RGB{Synthesize(7, 40, 30), noiseFrame(rng, 17, 9), New(3, 4)}
+	for _, w := range []int{1, 1, 2, 3, 7, 40} {
+		frames = append(frames, runFrame(rng, w, 1+rng.Intn(12)))
+	}
+	blackStarts := 0
+	for _, im := range frames {
+		checkQuantizeRows(t, im, 0, im.H)
+		for y0 := 1; y0 < im.H; y0++ {
+			if r, g, b := im.At(0, y0); r|g|b == 0 {
+				blackStarts++
+			}
+			checkQuantizeRows(t, im, y0, im.H)
+			checkQuantizeRows(t, im, y0, y0+1)
+		}
+		// Banded: consecutive bands fill consecutive dst ranges.
+		if im.H >= 3 {
+			a := 1 + rng.Intn(im.H-2)
+			b := a + 1 + rng.Intn(im.H-a-1)
+			whole := make([]int32, im.W*im.H)
+			QuantizeRows(im, 0, im.H, whole)
+			banded := make([]int32, im.W*im.H)
+			for _, band := range [][2]int{{0, a}, {a, b}, {b, im.H}} {
+				QuantizeRows(im, band[0], band[1], banded[band[0]*im.W:])
+			}
+			if !slices.Equal(banded, whole) {
+				t.Fatalf("%dx%d split %d,%d: banded bins differ from whole-frame bins", im.W, im.H, a, b)
+			}
+		}
+	}
+	if blackStarts == 0 {
+		t.Fatal("no sub-range starts on a black pixel; the zero-sentinel case is not covered")
+	}
+}
+
+// noiseFrame is a w×h frame of uniform random pixels: no runs.
+func noiseFrame(rng *rand.Rand, w, h int) *RGB {
+	im := New(w, h)
+	rng.Read(im.Pix)
+	return im
 }
 
 func TestPlanSlicesCoverExactly(t *testing.T) {
@@ -228,7 +307,17 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func BenchmarkQuantizeRows352x240(b *testing.B) {
-	im := Synthesize(13, 352, 240)
+	benchmarkQuantizeRows(b, Synthesize(13, 352, 240))
+}
+
+// BenchmarkQuantizeRowsNoise352x240 is run reuse's worst case: uniform
+// random pixels never repeat, so every pixel pays the compare and the
+// full quantization.
+func BenchmarkQuantizeRowsNoise352x240(b *testing.B) {
+	benchmarkQuantizeRows(b, noiseFrame(rand.New(rand.NewSource(13)), 352, 240))
+}
+
+func benchmarkQuantizeRows(b *testing.B, im *RGB) {
 	dst := make([]int32, im.W*im.H)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

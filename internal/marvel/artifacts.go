@@ -9,26 +9,35 @@ import (
 // ArtifactCache memoizes the workload artifacts that are bit-identical
 // across the points of an experiment sweep: the generated image set, the
 // synthetic model library (train + encode + float32-rounded decode), the
-// sequential reference run, and the functional output of every simulated
-// extraction kernel invocation (the kernel memo, kernelmemo.go). A
-// Fig7-style grid of spes × scenarios × variants computes each artifact
-// exactly once; concurrent sweep workers (experiments.RunIndexed) share
-// one in-flight computation per key via the workcache singleflight.
+// host reference features of every corpus frame, the sequential reference
+// run, and the functional output of every simulated extraction kernel
+// invocation (the kernel memo, kernelmemo.go). A Fig7-style grid of
+// spes × scenarios × variants computes each artifact exactly once;
+// concurrent sweep workers (experiments.RunIndexed) share one in-flight
+// computation per key via the workcache singleflight.
+//
+// The frame layer is keyed per frame, not per workload: a batch-k
+// workload holds corpus frames 0..k-1, so the references of batches
+// 1..k together extract k frames, not k(k+1)/2. It stores host feature
+// vectors only; each reference run still folds its own virtual-time
+// charges and concept detection over them.
 //
 // All returned values are shared across callers and goroutines and MUST
 // be treated as immutable: images are only read (the ported preprocessing
 // copies rows into simulated memory, the reference extractors only scan
 // pixels), model sets are only read (placement copies the encodings into
-// simulated memory), reference results are only compared against, and
-// kernel outputs are only copied into the local store.
+// simulated memory), reference results and their feature vectors are only
+// compared against, and kernel outputs are only copied into the local
+// store.
 //
 // A nil *ArtifactCache is valid and means "no caching": every accessor
-// falls back to computing a private artifact and every simulated kernel
-// computes inline, which is the isolation path for calibration runs and
-// cache-sensitivity tests.
+// falls back to computing a private artifact (Reference runs the inline
+// RunReference oracle) and every simulated kernel computes inline, which
+// is the isolation path for calibration runs and cache-sensitivity tests.
 type ArtifactCache struct {
 	images  workcache.Cache[Workload, []*img.RGB]
 	models  workcache.Cache[uint64, *ModelSet]
+	frames  workcache.Cache[frameKey, ImageResult]
 	refs    workcache.Cache[refKey, *ReferenceResult]
 	kernels workcache.Cache[kernelKey, kernelOut]
 
@@ -42,6 +51,14 @@ type ArtifactCache struct {
 type refKey struct {
 	Host string
 	W    Workload
+}
+
+// frameKey identifies one corpus frame's host reference features: its
+// geometry and synthesis seed (img.CorpusSeed of the workload seed and
+// the frame index). Features are host-independent, so no host appears.
+type frameKey struct {
+	W, H int
+	Seed uint64
 }
 
 // sharedArtifacts is the process-wide cache used when a config neither
@@ -87,9 +104,11 @@ func (c *ArtifactCache) ModelSet(seed uint64) (*ModelSet, error) {
 }
 
 // Reference returns the sequential reference run of workload w under the
-// host cost model, shared and read-only. The model set and image set are
-// resolved through the same cache, so a cold Reference call on one worker
-// warms all three artifact layers for every other sweep point.
+// host cost model, shared and read-only. The model set, image set and
+// per-frame features are resolved through the same cache, so a cold
+// Reference call on one worker warms all four layers for every other
+// sweep point, and a batch-k workload extracts only the frames no earlier
+// workload of the same geometry and seed did.
 func (c *ArtifactCache) Reference(host *cost.Model, w Workload) (*ReferenceResult, error) {
 	if c == nil {
 		ms, err := NewModelSet(w.Seed)
@@ -103,17 +122,23 @@ func (c *ArtifactCache) Reference(host *cost.Model, w Workload) (*ReferenceResul
 		if err != nil {
 			return nil, err
 		}
-		return runReference(host, w, ms, c.Images(w)), nil
+		images := c.Images(w)
+		return runReference(host, w, ms, func(i int) ImageResult {
+			f, _ := c.frames.Do(frameKey{W: w.W, H: w.H, Seed: img.CorpusSeed(w.Seed, i)}, func() (ImageResult, error) {
+				return hostFeatures(images[i]), nil
+			})
+			return f
+		}), nil
 	})
 }
 
-// Stats reports cumulative (hits, misses) over the image, model and
-// reference layers; KernelStats counts the kernel memo.
+// Stats reports cumulative (hits, misses) over the image, model, frame
+// and reference layers; KernelStats counts the kernel memo.
 func (c *ArtifactCache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	for _, s := range []func() (uint64, uint64){c.images.Stats, c.models.Stats, c.refs.Stats} {
+	for _, s := range []func() (uint64, uint64){c.images.Stats, c.models.Stats, c.frames.Stats, c.refs.Stats} {
 		h, m := s()
 		hits += h
 		misses += m
@@ -139,6 +164,7 @@ func (c *ArtifactCache) Flush() {
 	}
 	c.images.Flush()
 	c.models.Flush()
+	c.frames.Flush()
 	c.refs.Flush()
 	c.kernels.Flush()
 }

@@ -116,10 +116,10 @@ func TestArtifactCacheConcurrentReference(t *testing.T) {
 			t.Fatal("concurrent Reference callers must share one result")
 		}
 	}
-	// One miss per layer (images, model set, reference); everything else
-	// is hits.
-	if _, misses := c.Stats(); misses != 3 {
-		t.Fatalf("misses = %d, want 3 (one per artifact layer)", misses)
+	// One miss per layer (images, model set, the workload's one frame,
+	// reference); everything else is hits.
+	if _, misses := c.Stats(); misses != 4 {
+		t.Fatalf("misses = %d, want 4 (one per artifact layer)", misses)
 	}
 }
 
@@ -193,8 +193,140 @@ func TestPortedCacheOnOffIdentical(t *testing.T) {
 				}
 			}
 		}
-		if hits, misses := warm.Artifacts.Stats(); hits == 0 || misses != 3 {
+		// One miss each for images, model set and reference, plus one per
+		// frame.
+		if hits, misses := warm.Artifacts.Stats(); hits == 0 || misses != 3+uint64(base.Workload.Images) {
 			t.Fatalf("%v: cache stats %d hits / %d misses — second run did not hit", scen, hits, misses)
+		}
+	}
+}
+
+// frameGrid is the batch grid the per-frame layer is built for: batches
+// 1..4 at the single- and double-height geometries, as a calibration
+// measures them.
+func frameGrid() []Workload {
+	var ws []Workload
+	for _, h := range []int{240, 480} {
+		for k := 1; k <= 4; k++ {
+			ws = append(ws, Workload{Images: k, W: 352, H: h, Seed: 20070710})
+		}
+	}
+	return ws
+}
+
+// sameReference reports the first field in which got differs from want.
+func sameReference(got, want *ReferenceResult) string {
+	switch {
+	case got.Host != want.Host:
+		return "Host"
+	case got.Total != want.Total:
+		return "Total"
+	case got.OneTime != want.OneTime:
+		return "OneTime"
+	case got.PreprocessPerImage != want.PreprocessPerImage:
+		return "PreprocessPerImage"
+	case !reflect.DeepEqual(got.KernelTime, want.KernelTime):
+		return "KernelTime"
+	case got.PerImage != want.PerImage:
+		return "PerImage"
+	case !reflect.DeepEqual(got.Images, want.Images):
+		return "Images"
+	case got.Profile.Total() != want.Profile.Total():
+		return "Profile.Total"
+	case !reflect.DeepEqual(got.Profile.Flat(), want.Profile.Flat()):
+		return "Profile.Flat"
+	case !reflect.DeepEqual(got.Profile.Edges(), want.Profile.Edges()):
+		return "Profile.Edges"
+	}
+	return ""
+}
+
+// TestArtifactCacheFrameLayer: references folded over the shared
+// per-frame layer equal the nil-cache RunReference oracle field for
+// field, whichever order the batches arrive in, and each distinct frame
+// is extracted exactly once, under both host models.
+func TestArtifactCacheFrameLayer(t *testing.T) {
+	grid := frameGrid()
+	hosts := []*cost.Model{cost.NewPPE(), cost.NewDesktop()}
+	want := make(map[refKey]*ReferenceResult)
+	var nilCache *ArtifactCache
+	for _, host := range hosts {
+		for _, w := range grid {
+			ref, err := nilCache.Reference(host, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[refKey{Host: host.Name, W: w}] = ref
+		}
+	}
+	check := func(t *testing.T, c *ArtifactCache, host *cost.Model, w Workload) {
+		got, err := c.Reference(host, w)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if f := sameReference(got, want[refKey{Host: host.Name, W: w}]); f != "" {
+			t.Errorf("%s %+v: %s differs from the nil-cache reference", host.Name, w, f)
+		}
+	}
+	orders := map[string]func(t *testing.T, c *ArtifactCache){
+		"ascending": func(t *testing.T, c *ArtifactCache) {
+			for _, host := range hosts {
+				for _, w := range grid {
+					check(t, c, host, w)
+				}
+			}
+		},
+		"descending": func(t *testing.T, c *ArtifactCache) {
+			for _, host := range hosts {
+				for i := len(grid) - 1; i >= 0; i-- {
+					check(t, c, host, grid[i])
+				}
+			}
+		},
+		"concurrent": func(t *testing.T, c *ArtifactCache) {
+			var wg sync.WaitGroup
+			for _, host := range hosts {
+				for _, w := range grid {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						check(t, c, host, w)
+					}()
+				}
+			}
+			wg.Wait()
+		},
+	}
+	for name, run := range orders {
+		t.Run(name, func(t *testing.T) {
+			c := NewArtifactCache()
+			run(t, c)
+			// 4 frames per geometry, shared by every batch and both hosts.
+			if _, misses := c.frames.Stats(); misses != 8 {
+				t.Fatalf("frame layer misses = %d, want 8 (one per distinct frame)", misses)
+			}
+			// 16 (host, workload) references each look up the model set,
+			// the images and their k frames once: misses are the 16
+			// references, 1 model set, 8 image sets and 8 frames.
+			if hits, misses := c.Stats(); hits != 88-33 || misses != 33 {
+				t.Fatalf("Stats() = %d hits / %d misses, want 55 / 33", hits, misses)
+			}
+		})
+	}
+}
+
+// BenchmarkReferenceBatchGrid prices the reference side of a calibration:
+// a fresh cache asked for batches 1..4 at both geometries.
+func BenchmarkReferenceBatchGrid(b *testing.B) {
+	grid := frameGrid()
+	host := cost.NewPPE()
+	for i := 0; i < b.N; i++ {
+		c := NewArtifactCache()
+		for _, w := range grid {
+			if _, err := c.Reference(host, w); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

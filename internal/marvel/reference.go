@@ -39,15 +39,43 @@ func (c *hostClock) charge(d sim.Duration) { c.now = c.now.Add(d) }
 // model: the one-time model-library load, then per image the §5.1
 // pipeline (read/decode, four feature extractions, concept detection).
 // Feature values are computed for real; time comes from the calibrated
-// cost model.
+// cost model. It computes every frame inline and is the oracle for the
+// ArtifactCache's per-frame layer.
 func RunReference(host *cost.Model, w Workload, ms *ModelSet) *ReferenceResult {
-	return runReference(host, w, ms, w.Generate())
+	images := w.Generate()
+	return runReference(host, w, ms, func(i int) ImageResult { return hostFeatures(images[i]) })
 }
 
-// runReference is RunReference over a pre-generated image set, so an
-// ArtifactCache can feed the shared images instead of regenerating them.
-// images must equal w.Generate() for the result to be meaningful.
-func runReference(host *cost.Model, w Workload, ms *ModelSet, images []*img.RGB) *ReferenceResult {
+// hostFeatures computes one frame's four reference feature vectors; the
+// detection scores are left for runReference, which owns the model set.
+func hostFeatures(im *img.RGB) ImageResult {
+	return ImageResult{
+		CH: features.ColorHistogram(im),
+		CC: features.ColorCorrelogram(im),
+		TX: features.Texture(im),
+		EH: features.EdgeHistogram(im),
+	}
+}
+
+// refKernels are the reference pipeline's kernels in charge order, with
+// the profiler names they are recorded under.
+var refKernels = [...]struct {
+	id            KernelID
+	class, method string
+}{
+	{KCH, "ColorHistogram", "extract"},
+	{KCC, "ColorCorrelogram", "extract"},
+	{KTX, "Texture", "extract"},
+	{KEH, "EdgeHistogram", "extract"},
+	{KCD, "ConceptDetect", "detect"},
+}
+
+// runReference folds the reference run's virtual-time charges and concept
+// detection over frame(i), frame i's host features (hostFeatures of
+// w.Generate()[i]), so an ArtifactCache can feed features shared across
+// workloads instead of recomputing them. Host arithmetic is virtual-time
+// free, so where it happens does not move any charge.
+func runReference(host *cost.Model, w Workload, ms *ModelSet, frame func(i int) ImageResult) *ReferenceResult {
 	clk := &hostClock{}
 	prof := profile.New(func() sim.Time { return clk.now })
 	res := &ReferenceResult{
@@ -65,25 +93,7 @@ func runReference(host *cost.Model, w Workload, ms *ModelSet, images []*img.RGB)
 	prof.Exit()
 	res.OneTime = clk.now.Sub(0)
 
-	chargeKernel := func(id KernelID, class, method string, body func()) {
-		cal := Cal(id)
-		prof.Enter(class, method)
-		start := clk.now
-		body() // the real computation (virtual-time free)
-		var nomOps float64
-		if id == KCD {
-			nomOps = detectNomOpsAll()
-		} else {
-			nomOps = cal.NomOpsPerPixel * pixels
-			clk.charge(host.Branches(cal.NomBranchesPerPixel*pixels, -1))
-		}
-		clk.charge(host.ScalarOps(nomOps * cal.HostOpsMult))
-		res.KernelTime[id] += clk.now.Sub(start)
-		prof.Exit()
-	}
-
-	for _, im := range images {
-		var r ImageResult
+	for i := 0; i < w.Images; i++ {
 		prof.Enter("Preprocess", "readImage")
 		pre := clk.now
 		clk.charge(host.DiskRead(CompressedImageBytes))
@@ -91,13 +101,23 @@ func runReference(host *cost.Model, w Workload, ms *ModelSet, images []*img.RGB)
 		res.PreprocessPerImage += clk.now.Sub(pre)
 		prof.Exit()
 
-		im := im
-		chargeKernel(KCH, "ColorHistogram", "extract", func() { r.CH = features.ColorHistogram(im) })
-		chargeKernel(KCC, "ColorCorrelogram", "extract", func() { r.CC = features.ColorCorrelogram(im) })
-		chargeKernel(KTX, "Texture", "extract", func() { r.TX = features.Texture(im) })
-		chargeKernel(KEH, "EdgeHistogram", "extract", func() { r.EH = features.EdgeHistogram(im) })
-		chargeKernel(KCD, "ConceptDetect", "detect", func() { ms.Detect(&r) })
-
+		r := frame(i)
+		ms.Detect(&r)
+		for _, k := range refKernels {
+			cal := Cal(k.id)
+			prof.Enter(k.class, k.method)
+			start := clk.now
+			var nomOps float64
+			if k.id == KCD {
+				nomOps = detectNomOpsAll()
+			} else {
+				nomOps = cal.NomOpsPerPixel * pixels
+				clk.charge(host.Branches(cal.NomBranchesPerPixel*pixels, -1))
+			}
+			clk.charge(host.ScalarOps(nomOps * cal.HostOpsMult))
+			res.KernelTime[k.id] += clk.now.Sub(start)
+			prof.Exit()
+		}
 		res.Images = append(res.Images, r)
 	}
 	prof.Exit()
