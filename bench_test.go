@@ -16,6 +16,7 @@ import (
 	"cellport/internal/cost"
 	"cellport/internal/experiments"
 	"cellport/internal/marvel"
+	"cellport/internal/parallel"
 	"cellport/internal/serve"
 )
 
@@ -204,10 +205,11 @@ func BenchmarkFig7GridNoCache(b *testing.B) {
 // grid of scenarios × kernel variants × set sizes with validation on, so
 // every point checks its outputs against the sequential reference — the
 // "application functional at all times" workflow of an iterative porting
-// sweep. Cached, each (workload, host) reference — and the image set and
-// model set under it — is computed once and shared across the RunIndexed
-// workers and across sweeps (the process-lifetime behavior paperbench
-// gets by default); NoCache recomputes them at every point. One warm-up
+// sweep. Cached, each frame (pixels and host features), each model set and
+// each kernel output is computed once and shared across the
+// parallel.RunIndexed workers and across sweeps (the process-lifetime
+// behavior paperbench gets by default); each reference is folded over
+// them per point. NoCache recomputes everything at every point. One warm-up
 // sweep runs before the timer in both variants, so Cached measures the
 // steady state. Outputs are byte-identical either way
 // (TestPortedCacheOnOffIdentical).
@@ -227,7 +229,7 @@ func benchSweepGrid(b *testing.B, nocache bool) {
 	}
 	arts := marvel.NewArtifactCache()
 	sweep := func() error {
-		_, err := experiments.RunIndexed(0, len(grid), func(j int) (*marvel.PortedResult, error) {
+		_, err := parallel.RunIndexed(0, len(grid), func(j int) (*marvel.PortedResult, error) {
 			g := grid[j]
 			pc := marvel.PortedConfig{
 				Workload:      benchWorkload(g.n),

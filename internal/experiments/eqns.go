@@ -7,6 +7,7 @@ import (
 
 	"cellport/internal/amdahl"
 	"cellport/internal/marvel"
+	"cellport/internal/parallel"
 )
 
 // EqnsResult holds the §4.2 worked examples and the §5.5 estimate-vs-
@@ -110,7 +111,7 @@ func Eqns(cfg Config) (*EqnsResult, error) {
 		{"scenario2/multi-SPE (Eq.3)", marvel.MultiSPE, est2},
 		{"scenario3/multi-SPE2 (Eq.3 lanes)", marvel.MultiSPE2, est3},
 	}
-	measured, err := RunIndexed(cfg.workers(), len(scenarios), func(i int) (float64, error) {
+	measured, err := parallel.RunIndexed(cfg.Parallel, len(scenarios), func(i int) (float64, error) {
 		if scenarios[i].s == marvel.SingleSPE {
 			return ref.PerImage.Seconds() / single.PerImage.Seconds(), nil
 		}

@@ -2,6 +2,12 @@
 // paper's evaluation (§4.2 worked examples, §5.2 profile, §5.3 naive
 // ports, Table 1, Figure 6, Figure 7) from the simulated machine and the
 // MARVEL port, and renders paper-vs-measured comparisons.
+//
+// The experiment grids are embarrassingly parallel: every simulation owns
+// a private sim.Engine, machine and workload, and all cross-run inputs
+// are immutable. Each grid fans out over parallel.RunIndexed with
+// Config.Parallel workers, so parallel execution returns byte-identical
+// artifacts to the sequential path (TestParallelRunnerDeterminism).
 package experiments
 
 import (
@@ -12,6 +18,7 @@ import (
 	"cellport/internal/cell"
 	"cellport/internal/cost"
 	"cellport/internal/marvel"
+	"cellport/internal/parallel"
 	"cellport/internal/sim"
 )
 
@@ -27,7 +34,7 @@ type Config struct {
 	// wall time changes.
 	Parallel int
 	// NoCache forces every run to recompute its workload artifacts
-	// (images, model sets, reference runs) instead of sharing them through
+	// (frames, model sets, kernel outputs) instead of sharing them through
 	// the process-wide cache — the paperbench -nocache calibration path.
 	NoCache bool
 	// Artifacts, when non-nil, overrides the artifact cache used by all
@@ -72,17 +79,10 @@ type Config struct {
 	FullSim bool
 }
 
-// artifacts resolves the cache for this configuration's runs: an explicit
-// instance wins, NoCache yields nil (compute privately), default is the
-// process-wide shared cache.
+// artifacts resolves the cache for this configuration's runs
+// (marvel.ResolveArtifacts).
 func (c Config) artifacts() *marvel.ArtifactCache {
-	if c.Artifacts != nil {
-		return c.Artifacts
-	}
-	if c.NoCache {
-		return nil
-	}
-	return marvel.SharedArtifacts()
+	return marvel.ResolveArtifacts(c.Artifacts, c.NoCache)
 }
 
 // ported builds a PortedConfig carrying this configuration's machine and
@@ -165,7 +165,7 @@ func kernelRoundTrips(cfg Config, v marvel.Variant) (*marvel.ReferenceResult, *m
 	w := cfg.Workload(1)
 	var ref *marvel.ReferenceResult
 	var ported *marvel.PortedResult
-	_, err := RunIndexed(cfg.workers(), 2, func(i int) (struct{}, error) {
+	_, err := parallel.RunIndexed(cfg.Parallel, 2, func(i int) (struct{}, error) {
 		if i == 0 {
 			r, err := cfg.artifacts().Reference(cost.NewPPE(), w)
 			ref = r
@@ -266,7 +266,7 @@ type Fig6Row struct {
 func Fig6(cfg Config) ([]Fig6Row, error) {
 	w := cfg.Workload(1)
 	hosts := []func() *cost.Model{cost.NewLaptop, cost.NewDesktop}
-	refs, err := RunIndexed(cfg.workers(), len(hosts), func(i int) (*marvel.ReferenceResult, error) {
+	refs, err := parallel.RunIndexed(cfg.Parallel, len(hosts), func(i int) (*marvel.ReferenceResult, error) {
 		return cfg.artifacts().Reference(hosts[i](), w)
 	})
 	if err != nil {

@@ -1,64 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"cellport/internal/marvel"
+	"cellport/internal/parallel"
 )
-
-func TestRunIndexedOrderAndCompleteness(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		got, err := RunIndexed(workers, 20, func(i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-}
-
-func TestRunIndexedZeroJobs(t *testing.T) {
-	got, err := RunIndexed(4, 0, func(i int) (int, error) { return 0, nil })
-	if err != nil || len(got) != 0 {
-		t.Fatalf("got %v, %v", got, err)
-	}
-}
-
-func TestRunIndexedPropagatesError(t *testing.T) {
-	boom := errors.New("boom")
-	var ran atomic.Int64
-	_, err := RunIndexed(4, 50, func(i int) (int, error) {
-		ran.Add(1)
-		if i == 3 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if n := ran.Load(); n > 50 {
-		t.Fatalf("ran %d jobs for 50 indices", n)
-	}
-	// Sequential path: fails fast at the erroring index.
-	ran.Store(0)
-	_, err = RunIndexed(1, 50, func(i int) (int, error) {
-		ran.Add(1)
-		if i == 3 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) || ran.Load() != 4 {
-		t.Fatalf("sequential: err=%v ran=%d, want boom after 4 jobs", err, ran.Load())
-	}
-}
 
 // TestParallelRunnerDeterminism is the harness-level replay guarantee: the
 // same seeded Fig. 7 workload produces identical per-run virtual times and
@@ -79,7 +27,7 @@ func TestParallelRunnerDeterminism(t *testing.T) {
 				grid = append(grid, point{scen, n})
 			}
 		}
-		runs, err := RunIndexed(workers, len(grid), func(i int) (*marvel.PortedResult, error) {
+		runs, err := parallel.RunIndexed(workers, len(grid), func(i int) (*marvel.PortedResult, error) {
 			return marvel.RunPorted(marvel.PortedConfig{
 				Workload:      cfg.Workload(grid[i].n),
 				Scenario:      grid[i].scen,

@@ -68,7 +68,7 @@ func (c Config) serveBase() (serve.Config, error) {
 		Variant:       marvel.Optimized,
 		MachineConfig: MachineConfig(),
 		Watchdog:      c.Watchdog,
-		Parallel:      c.workers(),
+		Parallel:      c.Parallel,
 		Shards:        c.Shards,
 		SeqSim:        c.SeqSim,
 		NoLookahead:   c.NoLookahead,

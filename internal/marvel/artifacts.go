@@ -1,74 +1,84 @@
 package marvel
 
 import (
+	"sync"
+
 	"cellport/internal/cost"
 	"cellport/internal/img"
 	"cellport/internal/workcache"
 )
 
 // ArtifactCache memoizes the workload artifacts that are bit-identical
-// across the points of an experiment sweep: the generated image set, the
-// synthetic model library (train + encode + float32-rounded decode), the
-// host reference features of every corpus frame, the sequential reference
-// run, and the functional output of every simulated extraction kernel
-// invocation (the kernel memo, kernelmemo.go). A Fig7-style grid of
-// spes × scenarios × variants computes each artifact exactly once;
-// concurrent sweep workers (experiments.RunIndexed) share one in-flight
-// computation per key via the workcache singleflight.
+// across the points of an experiment sweep, in three layers: corpus
+// frames, model libraries per seed, and the output of every simulated
+// extraction kernel invocation (the kernel memo, kernelmemo.go).
+// Concurrent sweep workers share one in-flight computation per key via
+// the workcache singleflight.
 //
-// The frame layer is keyed per frame, not per workload: a batch-k
-// workload holds corpus frames 0..k-1, so the references of batches
-// 1..k together extract k frames, not k(k+1)/2. It stores host feature
-// vectors only; each reference run still folds its own virtual-time
-// charges and concept detection over them.
+// A frame entry holds the synthesized pixels and, from the first Reference
+// that needs them, the frame's host reference features, so a ported run
+// without Validate never pays for host extraction. Frames are keyed per
+// frame, not per workload: batches 1..k together synthesize and extract k
+// frames, not k(k+1)/2. References are not cached; each Reference folds
+// its virtual-time charges and concept detection over the cached frames.
 //
 // All returned values are shared across callers and goroutines and MUST
-// be treated as immutable: images are only read (the ported preprocessing
-// copies rows into simulated memory, the reference extractors only scan
-// pixels), model sets are only read (placement copies the encodings into
-// simulated memory), reference results and their feature vectors are only
-// compared against, and kernel outputs are only copied into the local
-// store.
+// be treated as immutable: images and model sets are only read (scanned,
+// or copied into simulated memory), feature vectors are only compared
+// against, and kernel outputs are only copied into the local store.
 //
 // A nil *ArtifactCache is valid and means "no caching": every accessor
-// falls back to computing a private artifact (Reference runs the inline
-// RunReference oracle) and every simulated kernel computes inline, which
-// is the isolation path for calibration runs and cache-sensitivity tests.
+// computes a private artifact (Reference runs the inline RunReference
+// oracle) and every simulated kernel computes inline, which is the
+// isolation path for calibration runs and cache-sensitivity tests.
 type ArtifactCache struct {
-	images  workcache.Cache[Workload, []*img.RGB]
+	frames  workcache.Cache[frameKey, *frame]
 	models  workcache.Cache[uint64, *ModelSet]
-	frames  workcache.Cache[frameKey, ImageResult]
-	refs    workcache.Cache[refKey, *ReferenceResult]
 	kernels workcache.Cache[kernelKey, kernelOut]
 
 	// cold disables the kernel memo (NewColdArtifactCache).
 	cold bool
 }
 
-// refKey identifies a reference run: the cost model's name plus the full
-// workload parameters (Images, W, H, Seed). The model set is derived from
-// the workload seed, so it does not appear separately in the key.
-type refKey struct {
-	Host string
-	W    Workload
-}
-
-// frameKey identifies one corpus frame's host reference features: its
-// geometry and synthesis seed (img.CorpusSeed of the workload seed and
-// the frame index). Features are host-independent, so no host appears.
+// frameKey identifies one corpus frame: its geometry and synthesis seed
+// (img.CorpusSeed of the workload seed and the frame index). Features are
+// host-independent, so no host appears.
 type frameKey struct {
 	W, H int
 	Seed uint64
 }
 
+// frame is one corpus frame's entry: its pixels, and its host reference
+// features, extracted by the first features call.
+type frame struct {
+	im   *img.RGB
+	once sync.Once
+	host ImageResult
+}
+
+func (f *frame) features() ImageResult {
+	f.once.Do(func() { f.host = hostFeatures(f.im) })
+	return f.host
+}
+
 // sharedArtifacts is the process-wide cache used when a config neither
-// disables caching nor supplies its own instance.
+// disables caching nor supplies its own instance. Repeated sweeps within
+// one process (successive paperbench experiments, repeated benchmark
+// iterations) reuse its entries.
 var sharedArtifacts ArtifactCache
 
-// SharedArtifacts returns the process-wide artifact cache. Repeated
-// sweeps within one process (successive paperbench experiments, repeated
-// benchmark iterations) reuse its entries.
+// SharedArtifacts returns the process-wide artifact cache.
 func SharedArtifacts() *ArtifactCache { return &sharedArtifacts }
+
+// ResolveArtifacts is the one cache-resolution rule every config follows:
+// an explicit instance wins, noCache yields nil (compute privately), and
+// the default is the process-wide shared cache.
+func ResolveArtifacts(explicit *ArtifactCache, noCache bool) *ArtifactCache {
+	if explicit != nil || noCache {
+		return explicit
+	}
+	return SharedArtifacts()
+}
 
 // NewArtifactCache returns an empty private cache, for callers that want
 // sharing within one sweep but isolation from the rest of the process.
@@ -76,19 +86,29 @@ func NewArtifactCache() *ArtifactCache { return &ArtifactCache{} }
 
 // NewColdArtifactCache returns a private cache for a cold-path run that
 // needs one cache object to thread through its calibration (the serving
-// experiments under paperbench -nocache): images, models and references
-// are shared within the run, while every simulated kernel computes inline
-// as under a nil cache, so the run stays an oracle for the kernel memo.
+// experiments under paperbench -nocache): frames and models are shared
+// within the run, while every simulated kernel computes inline as under a
+// nil cache, so the run stays an oracle for the kernel memo.
 func NewColdArtifactCache() *ArtifactCache { return &ArtifactCache{cold: true} }
 
-// Images returns the workload's generated image set, shared and read-only.
+// frame returns corpus frame i of workload w, synthesizing it on first use.
+func (c *ArtifactCache) frame(w Workload, i int) *frame {
+	seed := img.CorpusSeed(w.Seed, i)
+	f, _ := c.frames.Do(frameKey{W: w.W, H: w.H, Seed: seed}, func() (*frame, error) {
+		return &frame{im: img.Synthesize(seed, w.W, w.H)}, nil
+	})
+	return f
+}
+
+// Images returns the workload's frames, shared and read-only.
 func (c *ArtifactCache) Images(w Workload) []*img.RGB {
 	if c == nil {
 		return w.Generate()
 	}
-	images, _ := c.images.Do(w, func() ([]*img.RGB, error) {
-		return w.Generate(), nil
-	})
+	images := make([]*img.RGB, w.Images)
+	for i := range images {
+		images[i] = c.frame(w, i).im
+	}
 	return images
 }
 
@@ -104,46 +124,27 @@ func (c *ArtifactCache) ModelSet(seed uint64) (*ModelSet, error) {
 }
 
 // Reference returns the sequential reference run of workload w under the
-// host cost model, shared and read-only. The model set, image set and
-// per-frame features are resolved through the same cache, so a cold
-// Reference call on one worker warms all four layers for every other
-// sweep point, and a batch-k workload extracts only the frames no earlier
-// workload of the same geometry and seed did.
+// host cost model, folded over the cached model set and frames. The
+// result is private to the caller; its feature vectors are shared.
 func (c *ArtifactCache) Reference(host *cost.Model, w Workload) (*ReferenceResult, error) {
+	ms, err := c.ModelSet(w.Seed)
+	if err != nil {
+		return nil, err
+	}
 	if c == nil {
-		ms, err := NewModelSet(w.Seed)
-		if err != nil {
-			return nil, err
-		}
 		return RunReference(host, w, ms), nil
 	}
-	return c.refs.Do(refKey{Host: host.Name, W: w}, func() (*ReferenceResult, error) {
-		ms, err := c.ModelSet(w.Seed)
-		if err != nil {
-			return nil, err
-		}
-		images := c.Images(w)
-		return runReference(host, w, ms, func(i int) ImageResult {
-			f, _ := c.frames.Do(frameKey{W: w.W, H: w.H, Seed: img.CorpusSeed(w.Seed, i)}, func() (ImageResult, error) {
-				return hostFeatures(images[i]), nil
-			})
-			return f
-		}), nil
-	})
+	return runReference(host, w, ms, func(i int) ImageResult { return c.frame(w, i).features() }), nil
 }
 
-// Stats reports cumulative (hits, misses) over the image, model, frame
-// and reference layers; KernelStats counts the kernel memo.
+// Stats reports cumulative (hits, misses) over the frame and model layers.
 func (c *ArtifactCache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	for _, s := range []func() (uint64, uint64){c.images.Stats, c.models.Stats, c.frames.Stats, c.refs.Stats} {
-		h, m := s()
-		hits += h
-		misses += m
-	}
-	return hits, misses
+	fh, fm := c.frames.Stats()
+	mh, mm := c.models.Stats()
+	return fh + mh, fm + mm
 }
 
 // KernelStats reports cumulative (hits, misses) of the kernel memo. Misses
@@ -162,9 +163,7 @@ func (c *ArtifactCache) Flush() {
 	if c == nil {
 		return
 	}
-	c.images.Flush()
-	c.models.Flush()
 	c.frames.Flush()
-	c.refs.Flush()
+	c.models.Flush()
 	c.kernels.Flush()
 }

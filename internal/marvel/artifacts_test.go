@@ -9,13 +9,33 @@ import (
 	"cellport/internal/cost"
 )
 
+// TestArtifactCacheSharesPointers: the frame layer is per frame, so at
+// each geometry batch k+1 reuses the pointers of batch k's frames
+// 0..k-1; the model set is one pointer per seed; and references under
+// different hosts fold over the same feature vectors.
 func TestArtifactCacheSharesPointers(t *testing.T) {
 	c := NewArtifactCache()
-	w := testWorkload(2)
-
-	if a, b := c.Images(w), c.Images(w); len(a) != 2 || &a[0] != &b[0] {
-		t.Fatal("Images not shared across lookups")
+	grid := frameGrid() // batches 1..4 at H=240, then at H=480
+	for j := 0; j+1 < len(grid); j++ {
+		wa, wb := grid[j], grid[j+1]
+		if wa.H != wb.H {
+			continue
+		}
+		a, b := c.Images(wa), c.Images(wb)
+		if len(a) != wa.Images || len(b) != wb.Images {
+			t.Fatalf("H=%d: got %d and %d frames for batches %d and %d", wa.H, len(a), len(b), wa.Images, wb.Images)
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("H=%d: frame %d of batch %d not shared with batch %d", wa.H, i, wa.Images, wb.Images)
+			}
+		}
 	}
+	if c.Images(grid[0])[0] == c.Images(grid[len(grid)-1])[0] {
+		t.Fatal("frames of different geometries must be distinct")
+	}
+
+	w := testWorkload(2)
 	ma, err := c.ModelSet(w.Seed)
 	if err != nil {
 		t.Fatal(err)
@@ -28,24 +48,63 @@ func TestArtifactCacheSharesPointers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, _ := c.Reference(cost.NewPPE(), w)
-	if ra != rb {
-		t.Fatal("Reference not shared across lookups")
-	}
-	// A different host model is a different artifact.
 	rd, err := c.Reference(cost.NewDesktop(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd == ra || rd.Host == ra.Host {
+	if rd.Host == ra.Host || rd.Total == ra.Total {
 		t.Fatal("Desktop reference must be distinct from the PPE one")
+	}
+	for i := range ra.Images {
+		a, d := &ra.Images[i], &rd.Images[i]
+		if &a.CH[0] != &d.CH[0] || &a.CC[0] != &d.CC[0] || &a.TX[0] != &d.TX[0] || &a.EH[0] != &d.EH[0] {
+			t.Fatalf("frame %d: hosts must share one host-feature extraction", i)
+		}
+	}
+}
+
+// TestArtifactCacheImagesComputeNoFeatures: Images, and a ported run
+// without Validate, synthesize frames but extract no host features; the
+// first Reference extracts each frame's features.
+func TestArtifactCacheImagesComputeNoFeatures(t *testing.T) {
+	c := NewArtifactCache()
+	w := testWorkload(2)
+	extracted := func() (n int) {
+		for i := 0; i < w.Images; i++ {
+			if c.frame(w, i).host.CH != nil {
+				n++
+			}
+		}
+		return n
+	}
+	c.Images(w)
+	if n := extracted(); n != 0 {
+		t.Fatalf("Images extracted host features of %d frames, want 0", n)
+	}
+	if _, err := RunPorted(PortedConfig{
+		Workload:      w,
+		Scenario:      SingleSPE,
+		Variant:       Optimized,
+		MachineConfig: testMachineConfig(),
+		Artifacts:     c,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := extracted(); n != 0 {
+		t.Fatalf("RunPorted without Validate extracted host features of %d frames, want 0", n)
+	}
+	if _, err := c.Reference(cost.NewPPE(), w); err != nil {
+		t.Fatal(err)
+	}
+	if n := extracted(); n != w.Images {
+		t.Fatalf("Reference extracted host features of %d frames, want %d", n, w.Images)
 	}
 }
 
 func TestArtifactCacheNilIsColdPath(t *testing.T) {
 	var c *ArtifactCache
 	w := testWorkload(1)
-	if a, b := c.Images(w), c.Images(w); &a[0] == &b[0] {
+	if a, b := c.Images(w), c.Images(w); a[0] == b[0] {
 		t.Fatal("nil cache must regenerate images per call")
 	}
 	ref, err := c.Reference(cost.NewPPE(), w)
@@ -112,14 +171,17 @@ func TestArtifactCacheConcurrentReference(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 1; i < workers; i++ {
-		if refs[i] != refs[0] {
-			t.Fatal("concurrent Reference callers must share one result")
+		if f := sameReference(refs[i], refs[0]); f != "" {
+			t.Fatalf("concurrent Reference callers differ in %s", f)
+		}
+		if &refs[i].Images[0].CH[0] != &refs[0].Images[0].CH[0] {
+			t.Fatal("concurrent Reference callers must share one host-feature extraction")
 		}
 	}
-	// One miss per layer (images, model set, the workload's one frame,
-	// reference); everything else is hits.
-	if _, misses := c.Stats(); misses != 4 {
-		t.Fatalf("misses = %d, want 4 (one per artifact layer)", misses)
+	// One miss per layer (the model set and the workload's one frame);
+	// everything else is hits.
+	if _, misses := c.Stats(); misses != 2 {
+		t.Fatalf("misses = %d, want 2 (one per artifact layer)", misses)
 	}
 }
 
@@ -193,9 +255,8 @@ func TestPortedCacheOnOffIdentical(t *testing.T) {
 				}
 			}
 		}
-		// One miss each for images, model set and reference, plus one per
-		// frame.
-		if hits, misses := warm.Artifacts.Stats(); hits == 0 || misses != 3+uint64(base.Workload.Images) {
+		// One miss for the model set, plus one per frame.
+		if hits, misses := warm.Artifacts.Stats(); hits == 0 || misses != 1+uint64(base.Workload.Images) {
 			t.Fatalf("%v: cache stats %d hits / %d misses — second run did not hit", scen, hits, misses)
 		}
 	}
@@ -248,6 +309,10 @@ func sameReference(got, want *ReferenceResult) string {
 func TestArtifactCacheFrameLayer(t *testing.T) {
 	grid := frameGrid()
 	hosts := []*cost.Model{cost.NewPPE(), cost.NewDesktop()}
+	type refKey struct {
+		host string
+		w    Workload
+	}
 	want := make(map[refKey]*ReferenceResult)
 	var nilCache *ArtifactCache
 	for _, host := range hosts {
@@ -256,7 +321,7 @@ func TestArtifactCacheFrameLayer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[refKey{Host: host.Name, W: w}] = ref
+			want[refKey{host.Name, w}] = ref
 		}
 	}
 	check := func(t *testing.T, c *ArtifactCache, host *cost.Model, w Workload) {
@@ -265,7 +330,7 @@ func TestArtifactCacheFrameLayer(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if f := sameReference(got, want[refKey{Host: host.Name, W: w}]); f != "" {
+		if f := sameReference(got, want[refKey{host.Name, w}]); f != "" {
 			t.Errorf("%s %+v: %s differs from the nil-cache reference", host.Name, w, f)
 		}
 	}
@@ -306,27 +371,41 @@ func TestArtifactCacheFrameLayer(t *testing.T) {
 			if _, misses := c.frames.Stats(); misses != 8 {
 				t.Fatalf("frame layer misses = %d, want 8 (one per distinct frame)", misses)
 			}
-			// 16 (host, workload) references each look up the model set,
-			// the images and their k frames once: misses are the 16
-			// references, 1 model set, 8 image sets and 8 frames.
-			if hits, misses := c.Stats(); hits != 88-33 || misses != 33 {
-				t.Fatalf("Stats() = %d hits / %d misses, want 55 / 33", hits, misses)
+			// 16 (host, workload) references each look up the model set
+			// and their k frames once: 16 + 2*2*(1+2+3+4) = 56 lookups,
+			// whose misses are 1 model set and 8 frames.
+			if hits, misses := c.Stats(); hits != 56-9 || misses != 9 {
+				t.Fatalf("Stats() = %d hits / %d misses, want 47 / 9", hits, misses)
 			}
 		})
 	}
 }
 
-// BenchmarkReferenceBatchGrid prices the reference side of a calibration:
-// a fresh cache asked for batches 1..4 at both geometries.
+// BenchmarkReferenceBatchGrid prices the reference side of a calibration,
+// batches 1..4 at both geometries: cold on a fresh cache (the model set,
+// and synthesis and host extraction of 8 frames), and warm on a cache that
+// already holds them, which prices the fold every Reference call repeats.
 func BenchmarkReferenceBatchGrid(b *testing.B) {
 	grid := frameGrid()
 	host := cost.NewPPE()
-	for i := 0; i < b.N; i++ {
-		c := NewArtifactCache()
+	refs := func(b *testing.B, c *ArtifactCache) {
 		for _, w := range grid {
 			if _, err := c.Reference(host, w); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			refs(b, NewArtifactCache())
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		c := NewArtifactCache()
+		refs(b, c)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			refs(b, c)
+		}
+	})
 }

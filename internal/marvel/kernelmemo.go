@@ -9,7 +9,7 @@ import (
 	"cellport/internal/img"
 )
 
-// The kernel memo: the fifth ArtifactCache layer. A simulated extraction
+// The kernel memo: the third ArtifactCache layer. A simulated extraction
 // kernel charges its SPU time from dimensions (chargeExtract), never from
 // pixel values, yet it also computes real feature values so the port
 // stays functional at all times. Calibration grids and verified serving

@@ -68,9 +68,9 @@ type PortedConfig struct {
 	Validate bool
 	// MachineConfig overrides the default machine when non-nil.
 	MachineConfig *cell.Config
-	// Artifacts selects the cache used for the image set, model set, and
-	// (when Validate is set) the reference run. Nil means the process-wide
-	// SharedArtifacts cache, unless NoCache is set.
+	// Artifacts selects the cache used for the frames, the model set and
+	// the kernel memo. Nil means the process-wide SharedArtifacts cache,
+	// unless NoCache is set (ResolveArtifacts).
 	Artifacts *ArtifactCache
 	// NoCache forces cold-path behaviour: every artifact is recomputed
 	// privately for this run. Ignored when Artifacts is non-nil.
@@ -96,17 +96,9 @@ type PortedConfig struct {
 // meaningless and the schedules have nothing to execute.
 var ErrEmptyWorkload = errors.New("marvel: workload has no images")
 
-// artifacts resolves the cache a run should use: an explicit instance
-// wins, NoCache yields nil (the compute-privately path), and the default
-// is the process-wide shared cache.
+// artifacts resolves the cache a run should use (ResolveArtifacts).
 func (cfg *PortedConfig) artifacts() *ArtifactCache {
-	if cfg.Artifacts != nil {
-		return cfg.Artifacts
-	}
-	if cfg.NoCache {
-		return nil
-	}
-	return SharedArtifacts()
+	return ResolveArtifacts(cfg.Artifacts, cfg.NoCache)
 }
 
 // PortedResult reports a ported run.
