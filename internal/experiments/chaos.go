@@ -87,13 +87,7 @@ func ChaosExp(cfg Config) (*ChaosResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Epochs += rep.Epochs
-		for _, bs := range rep.PerBlade {
-			cfg.Collect.AddArtifacts(fmt.Sprintf("chaos/%s/blade%d", label, bs.Blade), bs.Trace, bs.Metrics)
-		}
-		if rep.Coordinator != nil || rep.Sim != nil {
-			cfg.Collect.AddArtifacts(fmt.Sprintf("chaos/%s/sim", label), rep.Coordinator, rep.Sim)
-		}
+		res.Epochs += collectServe(cfg.Collect, "chaos/"+label, rep)
 		return rep, nil
 	}
 	if res.Baseline, err = runOne("baseline", plan.MachineFaults()); err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"cellport/internal/cell"
 	"cellport/internal/marvel"
 	"cellport/internal/metrics"
+	"cellport/internal/serve"
 	"cellport/internal/trace"
 )
 
@@ -50,6 +52,19 @@ func (c *Collector) AddArtifacts(label string, rec *trace.Recorder, snap *metric
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.runs = append(c.runs, CollectedRun{Label: label, Trace: rec, Metrics: snap})
+}
+
+// collectServe files one serve run's artifacts in c: each blade's trace
+// and metrics under prefix/bladeN, the coordinator's under prefix/sim.
+// It returns the run's epoch count for the caller's total.
+func collectServe(c *Collector, prefix string, rep *serve.Report) uint64 {
+	for _, bs := range rep.PerBlade {
+		c.AddArtifacts(fmt.Sprintf("%s/blade%d", prefix, bs.Blade), bs.Trace, bs.Metrics)
+	}
+	if rep.Coordinator != nil || rep.Sim != nil {
+		c.AddArtifacts(prefix+"/sim", rep.Coordinator, rep.Sim)
+	}
+	return rep.Epochs
 }
 
 // Runs returns the collected records sorted by label (ties keep insertion

@@ -86,13 +86,7 @@ func FleetExp(cfg Config) (*FleetResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Epochs += rep.Epochs
-		for _, bs := range rep.PerBlade {
-			cfg.Collect.AddArtifacts(fmt.Sprintf("fleet/%s/blade%d", label, bs.Blade), bs.Trace, bs.Metrics)
-		}
-		if rep.Coordinator != nil || rep.Sim != nil {
-			cfg.Collect.AddArtifacts(fmt.Sprintf("fleet/%s/sim", label), rep.Coordinator, rep.Sim)
-		}
+		res.Epochs += collectServe(cfg.Collect, "fleet/"+label, rep)
 		return rep, nil
 	}
 	if res.Fleet, err = runOne("fleet", base); err != nil {

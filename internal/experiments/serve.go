@@ -130,13 +130,7 @@ func ServeExp(cfg Config) (*ServeResult, error) {
 			return nil, err
 		}
 		*p.out = rep
-		res.Epochs += rep.Epochs
-		for _, bs := range rep.PerBlade {
-			cfg.Collect.AddArtifacts(fmt.Sprintf("serve/%s/blade%d", rep.Policy, bs.Blade), bs.Trace, bs.Metrics)
-		}
-		if rep.Coordinator != nil || rep.Sim != nil {
-			cfg.Collect.AddArtifacts(fmt.Sprintf("serve/%s/sim", rep.Policy), rep.Coordinator, rep.Sim)
-		}
+		res.Epochs += collectServe(cfg.Collect, "serve/"+rep.Policy, rep)
 	}
 	return res, nil
 }

@@ -1,11 +1,5 @@
 package serve
 
-import (
-	"fmt"
-
-	"cellport/internal/trace"
-)
-
 // Fleet mode (DESIGN.md §13): the run's blades are partitioned into
 // Config.Pools independent pools of Config.Blades blades each. Each pool
 // keeps its own admission rotation and queue set; calibration tables and
@@ -40,7 +34,6 @@ type fleetState struct {
 
 	visited []bool // ring-walk scratch, one slot per pool
 
-	shedGlobal int // requests shed by global backpressure (no candidate pool)
 	overrides  int // estimator frontier overrides of the hash placement
 	scaleUps   int
 	scaleDowns int
@@ -93,26 +86,15 @@ func (p *pool) poolHasRoom(pl *poolShard) bool {
 
 // admitFleet is fleet-mode admission: route to a pool, then place within
 // it through the normal per-pool policy order. The router guarantees the
-// chosen pool has room, so the inner admission cannot fail; the
+// chosen pool has room, so the inner admission cannot fail; its
 // defensive shed keeps the ledger conserved even if that invariant ever
 // broke.
 func (p *pool) admitFleet(r Request) {
 	pl := p.routePool(r)
 	if pl == nil {
-		p.fleet.shedGlobal++
-		if p.ctr != nil {
-			p.ctr.Instant(coordLane, p.now, fmt.Sprintf("shed-global req %d (fleet backpressure)", r.ID))
-		}
+		p.finish(r, outShedGlobal, nil, p.now)
 		return
 	}
 	pl.routed++
-	order := p.placeOrderIn(r, pl.blades, &pl.rr)
-	if p.admitInto(r, order) {
-		return
-	}
-	p.shedRejected++
-	if len(order) > 0 {
-		first := order[0]
-		trace.RecordInstant(first.tr, first.lane, p.now, fmt.Sprintf("shed-rejected req %d", r.ID))
-	}
+	p.admitInto(r, p.placeOrderIn(r, pl.blades, &pl.rr))
 }

@@ -236,19 +236,16 @@ func (p *pool) killBlade(b *blade) {
 // exponential virtual-time backoff, unless its retry budget is exhausted
 // (shed as exhausted) or the backoff alone already overshoots its
 // deadline (shed as rerouted — it died in transit). Sheds are attributed
-// to the blade that lost the request, keeping the conservation ledger's
-// merge blade-index-ordered.
+// to the blade that lost the request.
 func (p *pool) reroute(b *blade, r Request) {
 	r.Attempts++
 	if r.Attempts > p.cfg.RetryBudget {
-		b.shedExhausted++
-		trace.RecordInstant(b.tr, b.lane, p.now, fmt.Sprintf("shed-exhausted req %d", r.ID))
+		p.finish(r, outShedExhausted, b, p.now)
 		return
 	}
 	at := p.now.Add(rerouteBackoff(p.cfg.RetryBackoff, r.Attempts))
 	if r.Deadline != sim.Never && at > r.Deadline {
-		b.shedRerouted++
-		trace.RecordInstant(b.tr, b.lane, p.now, fmt.Sprintf("shed-rerouted req %d", r.ID))
+		p.finish(r, outShedRerouted, b, p.now)
 		return
 	}
 	b.rerouted++

@@ -43,31 +43,48 @@ func chaosConfig(t *testing.T) Config {
 // TestChaosConservation: under seeded rolling-restart schedules the
 // ledger still conserves exactly — every request is served or shed with
 // an attributed reason — and the lifecycle counters record what fired.
+// The last two schedules run with a one-retry budget and a 300ms
+// deadline, so between them both lifecycle shed reasons occur.
 func TestChaosConservation(t *testing.T) {
-	cfg := chaosConfig(t)
-	span := runSpan(t, cfg)
-	for _, seed := range []uint64{1, 7, 42} {
-		cfg.Faults = fault.SeededFleet(seed, cfg.Blades, span)
+	var shedRerouted, shedExhausted int
+	for _, tc := range []struct {
+		seed     uint64
+		budget   int
+		backoff  sim.Duration
+		deadline sim.Duration
+	}{
+		{seed: 1},
+		{seed: 7},
+		{seed: 42},
+		// A short backoff: a request evicted twice exhausts its budget.
+		{seed: 7, budget: 1, backoff: 10 * sim.Millisecond, deadline: 300 * sim.Millisecond},
+		// A backoff of two thirds of the deadline: a re-routed request
+		// dies in transit.
+		{seed: 7, budget: 1, backoff: 200 * sim.Millisecond, deadline: 300 * sim.Millisecond},
+	} {
+		cfg := chaosConfig(t)
+		cfg.Faults = fault.SeededFleet(tc.seed, cfg.Blades, runSpan(t, cfg))
+		cfg.RetryBudget, cfg.RetryBackoff, cfg.Deadline = tc.budget, tc.backoff, tc.deadline
 		rep := mustRun(t, cfg)
 		checkLedger(t, rep)
 		if rep.BladeCrashes == 0 {
-			t.Fatalf("seed %d: seeded fleet schedule fired no crash", seed)
+			t.Fatalf("%+v: seeded fleet schedule fired no crash", tc)
 		}
 		if rep.Rerouted == 0 {
-			t.Fatalf("seed %d: chaos run re-routed nothing", seed)
+			t.Fatalf("%+v: chaos run re-routed nothing", tc)
 		}
-		var perBladeSheds, perBladeReroutes int
+		var perBladeReroutes int
 		for _, bs := range rep.PerBlade {
-			perBladeSheds += bs.ShedRerouted + bs.ShedExhausted
 			perBladeReroutes += bs.Rerouted
 		}
-		if perBladeSheds != rep.ShedRerouted+rep.ShedExhausted {
-			t.Fatalf("seed %d: per-blade shed attribution %d != totals %d",
-				seed, perBladeSheds, rep.ShedRerouted+rep.ShedExhausted)
-		}
 		if perBladeReroutes != rep.Rerouted {
-			t.Fatalf("seed %d: per-blade reroutes %d != total %d", seed, perBladeReroutes, rep.Rerouted)
+			t.Fatalf("%+v: per-blade reroutes %d != total %d", tc, perBladeReroutes, rep.Rerouted)
 		}
+		shedRerouted += rep.ShedRerouted
+		shedExhausted += rep.ShedExhausted
+	}
+	if shedRerouted == 0 || shedExhausted == 0 {
+		t.Fatalf("schedules shed %d rerouted and %d exhausted, want both reasons", shedRerouted, shedExhausted)
 	}
 }
 

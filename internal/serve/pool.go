@@ -11,18 +11,16 @@ import (
 )
 
 // blade is one serving Cell blade: a bounded admission queue, the
-// in-flight dispatch (if any), and the blade-local slice of the run's
-// accounting. The blade's machine itself is not held here — dispatch
-// timing comes from the calibrated service table, which was measured on
-// a machine identical to the one this blade models (FullFidelity re-runs
-// that machine once per distinct dispatched key to prove it).
+// in-flight dispatch (if any), and the blade's event counters. The
+// blade's machine itself is not held here — dispatch timing comes from
+// the calibrated service table, which was measured on a machine
+// identical to the one this blade models (FullFidelity re-runs that
+// machine once per distinct dispatched key to prove it).
 //
 // All mutable state below the wheel field is owned by the blade: in a
 // sharded run it is touched only by events on this blade's wheel, or by
 // the coordinator while every wheel is quiescent at an epoch barrier.
-// That ownership is what lets the wheels run concurrently without locks,
-// and the blade-index merge in report() is what keeps the result
-// byte-identical to the sequential loop.
+// That ownership is what lets the wheels run concurrently without locks.
 type blade struct {
 	id    int
 	lane  string
@@ -52,28 +50,17 @@ type blade struct {
 	restartPending bool
 	parkPending    bool
 
-	dispatches int
-	requests   int
-	busyTime   sim.Duration
-	warmupTime sim.Duration
-
-	// Blade-local run accounting, merged in blade-index order by report().
-	served          int
-	late            int
-	degraded        int
-	shedExpired     int
-	shedRerouted    int // evicted, backoff overshot the deadline
-	shedExhausted   int // evicted, retry budget exhausted
+	// Events that are not request outcomes (those are pool.outcomes).
+	dispatches      int
+	busyTime        sim.Duration
+	warmupTime      sim.Duration
 	rerouted        int // evictions sent back through admission
 	crashes         int
 	restarts        int
 	stalls          int
-	batches         int
 	batchRequests   int
 	schemeFallbacks int
 	schemeBatches   [numSchemes]int
-	latencies       []sim.Duration
-	lastDone        sim.Time
 
 	// keys are the distinct service keys this blade dispatched, in
 	// first-dispatch order (FullFidelity only): the blade's share of the
@@ -91,9 +78,9 @@ type blade struct {
 // and by construction in the sharded run, where same-timestamp
 // completions on different wheels touch only disjoint blade state).
 //
-// Admission state (rr, shedRejected, placement fallbacks, the placeOrder
-// scratch buffers) belongs to the coordinator alone: it is only touched
-// while the wheels are quiescent.
+// Admission state (rr, placement fallbacks, the placeOrderIn scratch
+// buffers) belongs to the coordinator alone: it is only touched while
+// the wheels are quiescent.
 type pool struct {
 	cfg      Config
 	cal      *Calibration
@@ -106,7 +93,7 @@ type pool struct {
 	// fleet is the multi-pool routing/autoscaling layer (DESIGN.md §13);
 	// nil selects the classic single-pool admission path. In fleet mode
 	// p.blades still holds every blade (pool-major, blade-index order) —
-	// the wheels, the ledger merge, and the lifecycle machinery are
+	// the wheels, the report fold, and the lifecycle machinery are
 	// shared — while fleet.pools partitions them for routing.
 	fleet *fleetState
 
@@ -115,7 +102,11 @@ type pool struct {
 	// coordinator refresh its horizon in O(1) via sim.HorizonAfter.
 	lastTouched int
 
-	shedRejected   int
+	// outcomes holds one terminal record per request, indexed by
+	// Request.ID and written only by finish. A request is on at most one
+	// blade at a time, so wheels write disjoint records.
+	outcomes []outcome
+
 	placeFallbacks int
 
 	// Lifecycle coordinator state: the compiled blade-fault schedule
@@ -139,7 +130,7 @@ type pool struct {
 	// barrier) when Config.Instrument is set; nil otherwise.
 	ctr *trace.Recorder
 
-	// placeOrder scratch, hoisted out of the admission hot path.
+	// placeOrderIn scratch, hoisted out of the admission hot path.
 	ordBuf   []*blade
 	scoreBuf []sim.Duration
 	idxBuf   []int
@@ -161,6 +152,7 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 		cal:         cal,
 		deadline:    deadline,
 		lastTouched: -1,
+		outcomes:    make([]outcome, cfg.Requests),
 		ordBuf:      make([]*blade, total),
 		scoreBuf:    make([]sim.Duration, total),
 		idxBuf:      make([]int, total),
@@ -415,13 +407,6 @@ func (p *pool) bladeScore(b *blade) sim.Duration {
 	return s
 }
 
-// placeOrder ranks the whole pool's admittable blades (the classic
-// single-pool path; the fleet router ranks within the routed pool via
-// placeOrderIn).
-func (p *pool) placeOrder(r Request) []*blade {
-	return p.placeOrderIn(r, p.blades, &p.rr)
-}
-
 // placeOrderIn ranks the admittable blades of one candidate set for
 // admitting r — lifecycle health is the circuit breaker: draining,
 // stalled, parked, and dead blades never appear in the order. The
@@ -483,10 +468,12 @@ func (p *pool) placeOrderIn(r Request, blades []*blade, rr *int) []*blade {
 }
 
 // admitInto places r on the first blade of order with queue room,
-// dispatching immediately if that blade is idle, and reports whether
-// the request was admitted. The touched wheel is recorded for the
-// lookahead coordinator's O(1) horizon refresh.
-func (p *pool) admitInto(r Request, order []*blade) bool {
+// dispatching immediately if that blade is idle. A request finding every
+// candidate queue full — or no admittable blade at all — is shed as
+// rejected (backpressure), on the lane of the blade it would have
+// preferred. The touched wheel is recorded for the lookahead
+// coordinator's O(1) horizon refresh.
+func (p *pool) admitInto(r Request, order []*blade) {
 	for _, b := range order {
 		if len(b.queue) < p.cfg.MaxQueue {
 			b.queue = append(b.queue, r)
@@ -494,39 +481,30 @@ func (p *pool) admitInto(r Request, order []*blade) bool {
 			if !b.busy {
 				p.dispatch(b, p.now)
 			}
-			return true
+			return
 		}
 	}
-	return false
+	var first *blade
+	if len(order) > 0 {
+		first = order[0]
+	}
+	p.finish(r, outShedRejected, first, p.now)
 }
 
-// admit places one request (a fresh arrival or a re-routed eviction) on
-// the first blade in policy preference order with queue room,
-// dispatching immediately if that blade is idle. Requests finding every
-// candidate queue full — or no admittable blade at all — are shed
-// (backpressure). In fleet mode the router first picks the pool
-// (consistent hashing with estimator override), and exhausted candidacy
-// is global backpressure (shed_global). Admission always runs on the
-// coordinator: in the sharded run the wheels are quiescent at the
-// barrier, so the synchronous dispatch here observes exactly the state
-// the sequential loop would.
+// admit places one request (a fresh arrival or a re-routed eviction)
+// through admitInto in policy preference order. In fleet mode the router
+// first picks the pool (consistent hashing with estimator override), and
+// exhausted candidacy is global backpressure (shed_global). Admission
+// always runs on the coordinator: in the sharded run the wheels are
+// quiescent at the barrier, so the synchronous dispatch here observes
+// exactly the state the sequential loop would.
 func (p *pool) admit(r Request) {
 	p.lastTouched = -1
 	if p.fleet != nil {
 		p.admitFleet(r)
 		return
 	}
-	order := p.placeOrder(r)
-	if p.admitInto(r, order) {
-		return
-	}
-	p.shedRejected++
-	if len(order) > 0 {
-		first := order[0]
-		trace.RecordInstant(first.tr, first.lane, p.now, fmt.Sprintf("shed-rejected req %d", r.ID))
-	} else if p.ctr != nil {
-		p.ctr.Instant(coordLane, p.now, fmt.Sprintf("shed-rejected req %d (no admittable blade)", r.ID))
-	}
+	p.admitInto(r, p.placeOrderIn(r, p.blades, &p.rr))
 }
 
 // dispatch sheds queued requests that can no longer meet their deadline,
@@ -541,8 +519,7 @@ func (p *pool) dispatch(b *blade, now sim.Time) {
 	keep := b.queue[:0]
 	for _, r := range b.queue {
 		if r.Deadline != sim.Never && now.Add(p.estOne(r)) > r.Deadline {
-			b.shedExpired++
-			trace.RecordInstant(b.tr, b.lane, now, fmt.Sprintf("shed-expired req %d", r.ID))
+			p.finish(r, outShedExpired, b, now)
 			continue
 		}
 		keep = append(keep, r)
@@ -593,7 +570,6 @@ func (p *pool) dispatch(b *blade, now sim.Time) {
 	b.cur = batch
 	b.deg = s.Degraded
 	b.dispatches++
-	b.batches++
 	b.batchRequests += len(batch)
 	b.schemeBatches[scheme]++
 	geom := ""
@@ -686,28 +662,16 @@ func (p *pool) verifyKey(blade int, k svcKey) error {
 	return nil
 }
 
-// complete retires b's in-flight batch, accounts per-request latency and
-// deadline outcomes on the blade, and immediately redispatches if work
-// is queued. In the sharded run it fires as an event on b's wheel, so it
-// derives its own time from the dispatch record rather than the
-// coordinator clock.
+// complete retires b's in-flight batch, finishing each request as
+// served, and immediately redispatches if work is queued. In the sharded
+// run it fires as an event on b's wheel, so it derives its own time from
+// the dispatch record rather than the coordinator clock.
 func (p *pool) complete(b *blade) {
 	t := b.done
 	for _, r := range b.cur {
-		b.served++
-		b.latencies = append(b.latencies, t.Sub(r.Arrival))
-		if r.Deadline != sim.Never && t > r.Deadline {
-			b.late++
-		}
-		if b.deg {
-			b.degraded++
-		}
+		p.finish(r, outServed, b, t)
 	}
-	b.requests += len(b.cur)
 	b.busyTime += t.Sub(b.start)
-	if t > b.lastDone {
-		b.lastDone = t
-	}
 	b.busy = false
 	b.spare = b.cur[:0]
 	b.cur = nil

@@ -1,17 +1,20 @@
 package serve
 
 import (
+	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cellport/internal/metrics"
 	"cellport/internal/sim"
 	"cellport/internal/trace"
 )
 
-// BladeStats is one blade's share of the run. Trace and Metrics are
-// populated only when Config.Instrument is set and are excluded from
-// JSON so serialized reports are byte-identical either way.
+// BladeStats is one blade's share of the run: Requests, ShedRerouted and
+// ShedExhausted fold from its outcome records, the rest are its event
+// counters, and Metrics renders them all under their JSON names. Trace
+// and Metrics are set only under Config.Instrument and excluded from
+// JSON, so serialized reports are byte-identical either way.
 type BladeStats struct {
 	Blade      int          `json:"blade"`
 	Health     string       `json:"health"`
@@ -21,8 +24,7 @@ type BladeStats struct {
 	Warmup     sim.Duration `json:"warmup_fs"`
 
 	// Lifecycle outcomes (DESIGN.md §12). Sheds are attributed to the
-	// blade that lost the request, so these merge like every other
-	// ledger column.
+	// blade that lost the request.
 	Crashes       int `json:"crashes"`
 	Restarts      int `json:"restarts"`
 	Stalls        int `json:"stalls"`
@@ -128,65 +130,79 @@ type FleetStats struct {
 	PerPool         []PoolStats `json:"per_pool"`
 }
 
-// percentile returns the q-quantile (0 < q <= 1) of the sample by the
-// nearest-rank method on a sorted copy; 0 for an empty sample.
-func percentile(sample []sim.Duration, q float64) sim.Duration {
-	if len(sample) == 0 {
-		return 0
-	}
-	sorted := append([]sim.Duration(nil), sample...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+// terminal is the way a request left the run.
+type terminal uint8
+
+const (
+	outServed        terminal = iota
+	outShedRejected           // every candidate queue full, or no admittable blade
+	outShedExpired            // could no longer meet its deadline at dispatch
+	outShedRerouted           // evicted, backoff overshot the deadline
+	outShedExhausted          // evicted, retry budget exhausted
+	outShedGlobal             // fleet backpressure: no active pool had room
+)
+
+// shedLabels name the sheds in trace instants.
+var shedLabels = [...]string{
+	outShedRejected:  "shed-rejected",
+	outShedExpired:   "shed-expired",
+	outShedRerouted:  "shed-rerouted",
+	outShedExhausted: "shed-exhausted",
+	outShedGlobal:    "shed-global",
 }
 
-// report assembles the run outcome by merging the blade-local ledgers in
-// blade-index order. Every merged quantity is either a sum, a max, or an
-// order-insensitive percentile over the union of per-blade samples, so
-// the report is identical whether the blades ran sequentially or each on
-// its own wheel.
-func (p *pool) report(offered float64) *Report {
-	var served, late, degraded, shedExpired, batches, batchRequests, fallbacks int
-	var shedRerouted, shedExhausted, rerouted, crashes, restarts, stalls int
-	var schemeBatches [numSchemes]int
-	var lastDone sim.Time
-	var latencies []sim.Duration
-	for _, b := range p.blades {
-		served += b.served
-		late += b.late
-		degraded += b.degraded
-		shedExpired += b.shedExpired
-		shedRerouted += b.shedRerouted
-		shedExhausted += b.shedExhausted
-		rerouted += b.rerouted
-		crashes += b.crashes
-		restarts += b.restarts
-		stalls += b.stalls
-		batches += b.batches
-		batchRequests += b.batchRequests
-		fallbacks += b.schemeFallbacks
-		for s := range schemeBatches {
-			schemeBatches[s] += b.schemeBatches[s]
-		}
-		latencies = append(latencies, b.latencies...)
-		if b.lastDone > lastDone {
-			lastDone = b.lastDone
-		}
+// outcome is one request's terminal record, indexed by Request.ID.
+type outcome struct {
+	done     sim.Time // virtual instant the request left the run
+	blade    int32    // blade that served or lost it; -1 when none held it
+	state    terminal
+	degraded bool  // served by a dispatch running degraded
+	finishes uint8 // terminal writes: 1 after a correct run, 0 for a lost request
+}
+
+// finish writes r's terminal outcome at virtual time t: the one place a
+// request leaves the run. b is the blade that served or lost r, nil when
+// no blade held it. A shed is marked by an instant on b's lane, else on
+// the coordinator lane, formatted only when a recorder is attached.
+// finish touches only r's record and b, so b's wheel may call it.
+func (p *pool) finish(r Request, st terminal, b *blade, t sim.Time) {
+	o := &p.outcomes[r.ID]
+	o.finishes++
+	o.state, o.done, o.blade = st, t, -1
+	if b != nil {
+		o.blade = int32(b.id)
+		o.degraded = st == outServed && b.deg
 	}
-	// Only schemes that actually dispatched appear, matching the
-	// increment-on-use map the loop historically built.
-	schemes := map[string]int{}
-	for s := Scheme(0); s < numSchemes; s++ {
-		if n := schemeBatches[s]; n > 0 {
-			schemes[s.String()] = n
+	switch {
+	case st == outServed:
+	case b != nil:
+		if b.rec != nil {
+			b.rec.Instant(b.lane, t, fmt.Sprintf("%s req %d", shedLabels[st], r.ID))
 		}
+	case p.ctr != nil:
+		why := "no admittable blade"
+		if st == outShedGlobal {
+			why = "fleet backpressure"
+		}
+		p.ctr.Instant(coordLane, t, fmt.Sprintf("%s req %d (%s)", shedLabels[st], r.ID, why))
 	}
+}
+
+// percentile returns the q-quantile (0 < q <= 1) of an ascending sample
+// by the nearest-rank method; 0 for an empty sample.
+func percentile(sorted []sim.Duration, q float64) sim.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[int(math.Ceil(q*float64(len(sorted))))-1]
+}
+
+// report sums the blades' event counters and folds the outcome records
+// with the arrival stream (reqs, indexed by Request.ID) into the ledger,
+// lateness, makespan, percentiles and per-blade and per-pool shares:
+// counts, maxes and order-insensitive percentiles, identical for either
+// event loop. A request without exactly one terminal outcome is an error.
+func (p *pool) report(reqs []Request, offered float64) (*Report, error) {
 	rateMultiple := p.cfg.Rate
 	if p.cfg.OfferedRPS > 0 && p.cal.perBlade > 0 {
 		// The pinned absolute rate defines the multiple, not the config
@@ -201,32 +217,46 @@ func (p *pool) report(offered float64) *Report {
 		OfferedRPS:          offered,
 		RateMultiple:        rateMultiple,
 		Deadline:            p.deadline,
-		Served:              served,
-		Late:                late,
-		Degraded:            degraded,
-		ShedRejected:        p.shedRejected,
-		ShedExpired:         shedExpired,
-		ShedRerouted:        shedRerouted,
-		ShedExhausted:       shedExhausted,
-		Rerouted:            rerouted,
-		BladeCrashes:        crashes,
-		BladeRestarts:       restarts,
-		BladeStalls:         stalls,
-		Batches:             batches,
-		SchemeBatches:       schemes,
-		PolicyFallbacks:     p.placeFallbacks + fallbacks,
+		PolicyFallbacks:     p.placeFallbacks,
 		EstimatorConclusive: p.cal.Conclusive(),
-		Makespan:            lastDone.Sub(0),
-		LatencyP50:          percentile(latencies, 0.50),
-		LatencyP95:          percentile(latencies, 0.95),
-		LatencyP99:          percentile(latencies, 0.99),
+		PerBlade:            make([]BladeStats, len(p.blades)),
+		Epochs:              p.epochs,
+		Barriers:            p.barriers,
+		WindowAdmits:        p.windowAdmits,
+		BarrierWait:         p.barrierWait,
 	}
-	if batches > 0 {
-		r.MeanBatch = float64(batchRequests) / float64(batches)
+	// Only schemes that actually dispatched appear, matching the
+	// increment-on-use map the loop historically built.
+	r.SchemeBatches = map[string]int{}
+	var batchRequests int
+	for i, b := range p.blades {
+		r.PerBlade[i] = BladeStats{
+			Blade:      b.id,
+			Health:     b.health.String(),
+			Dispatches: b.dispatches,
+			Busy:       b.busyTime,
+			Warmup:     b.warmupTime,
+			Crashes:    b.crashes,
+			Restarts:   b.restarts,
+			Stalls:     b.stalls,
+			Rerouted:   b.rerouted,
+			Trace:      b.rec,
+		}
+		r.Rerouted += b.rerouted
+		r.BladeCrashes += b.crashes
+		r.BladeRestarts += b.restarts
+		r.BladeStalls += b.stalls
+		r.Batches += b.dispatches
+		batchRequests += b.batchRequests
+		r.PolicyFallbacks += b.schemeFallbacks
+		for s, n := range b.schemeBatches {
+			if n > 0 {
+				r.SchemeBatches[Scheme(s).String()] += n
+			}
+		}
 	}
 	if f := p.fleet; f != nil {
-		r.ShedGlobal = f.shedGlobal
-		fs := &FleetStats{
+		r.Fleet = &FleetStats{
 			Pools:           len(f.pools),
 			ActiveFinal:     f.activeCount(),
 			ActiveMin:       f.activeMin,
@@ -235,21 +265,55 @@ func (p *pool) report(offered float64) *Report {
 			RouterOverrides: f.overrides,
 		}
 		for _, pl := range f.pools {
-			ps := PoolStats{Pool: pl.id, Blades: len(pl.blades), Active: pl.active, Routed: pl.routed}
-			for _, b := range pl.blades {
-				ps.Served += b.served
-			}
-			fs.PerPool = append(fs.PerPool, ps)
+			r.Fleet.PerPool = append(r.Fleet.PerPool,
+				PoolStats{Pool: pl.id, Blades: len(pl.blades), Active: pl.active, Routed: pl.routed})
 		}
-		r.Fleet = fs
 	}
-	if served > 0 && lastDone > 0 {
-		r.AchievedRPS = float64(served) / lastDone.Seconds()
+
+	latencies := make([]sim.Duration, 0, len(p.outcomes))
+	for id, o := range p.outcomes {
+		if o.finishes != 1 {
+			return nil, fmt.Errorf("serve: request %d has %d terminal outcomes, want exactly one", id, o.finishes)
+		}
+		switch o.state {
+		case outServed:
+			r.Served++
+			r.PerBlade[o.blade].Requests++
+			if r.Fleet != nil {
+				r.Fleet.PerPool[int(o.blade)/p.cfg.Blades].Served++
+			}
+			latencies = append(latencies, o.done.Sub(reqs[id].Arrival))
+			if d := reqs[id].Deadline; d != sim.Never && o.done > d {
+				r.Late++
+			}
+			if o.degraded {
+				r.Degraded++
+			}
+			r.Makespan = max(r.Makespan, o.done.Sub(0))
+		case outShedRejected:
+			r.ShedRejected++
+		case outShedExpired:
+			r.ShedExpired++
+		case outShedRerouted:
+			r.ShedRerouted++
+			r.PerBlade[o.blade].ShedRerouted++
+		case outShedExhausted:
+			r.ShedExhausted++
+			r.PerBlade[o.blade].ShedExhausted++
+		case outShedGlobal:
+			r.ShedGlobal++
+		}
 	}
-	r.Epochs = p.epochs
-	r.Barriers = p.barriers
-	r.WindowAdmits = p.windowAdmits
-	r.BarrierWait = p.barrierWait
+	slices.Sort(latencies)
+	r.LatencyP50 = percentile(latencies, 0.50)
+	r.LatencyP95 = percentile(latencies, 0.95)
+	r.LatencyP99 = percentile(latencies, 0.99)
+	if r.Served > 0 && r.Makespan > 0 {
+		r.AchievedRPS = float64(r.Served) / r.Makespan.Seconds()
+	}
+	if r.Batches > 0 {
+		r.MeanBatch = float64(batchRequests) / float64(r.Batches)
+	}
 	if p.cfg.Instrument {
 		r.Coordinator = p.ctr
 		reg := metrics.NewRegistry()
@@ -258,38 +322,28 @@ func (p *pool) report(offered float64) *Report {
 		reg.Counter("sim", "barrier_wait").Add(int64(p.barrierWait))
 		reg.Counter("sim", "window_admits").Add(int64(p.windowAdmits))
 		r.Sim = reg.Snapshot()
-	}
-	for _, b := range p.blades {
-		bs := BladeStats{
-			Blade:         b.id,
-			Health:        b.health.String(),
-			Dispatches:    b.dispatches,
-			Requests:      b.requests,
-			Busy:          b.busyTime,
-			Warmup:        b.warmupTime,
-			Crashes:       b.crashes,
-			Restarts:      b.restarts,
-			Stalls:        b.stalls,
-			Rerouted:      b.rerouted,
-			ShedRerouted:  b.shedRerouted,
-			ShedExhausted: b.shedExhausted,
-			Trace:         b.rec,
-		}
-		if p.cfg.Instrument {
+		for i := range r.PerBlade {
+			bs := &r.PerBlade[i]
 			reg := metrics.NewRegistry()
-			reg.Counter(b.lane, "dispatches").Add(int64(b.dispatches))
-			reg.Counter(b.lane, "requests").Add(int64(b.requests))
-			reg.Counter(b.lane, "busy_fs").Add(int64(b.busyTime))
-			reg.Counter(b.lane, "warmup_fs").Add(int64(b.warmupTime))
-			reg.Counter(b.lane, "crashes").Add(int64(b.crashes))
-			reg.Counter(b.lane, "restarts").Add(int64(b.restarts))
-			reg.Counter(b.lane, "stalls").Add(int64(b.stalls))
-			reg.Counter(b.lane, "rerouted").Add(int64(b.rerouted))
-			reg.Counter(b.lane, "shed_rerouted").Add(int64(b.shedRerouted))
-			reg.Counter(b.lane, "shed_exhausted").Add(int64(b.shedExhausted))
+			for _, c := range []struct {
+				name string
+				v    int64
+			}{
+				{"dispatches", int64(bs.Dispatches)},
+				{"requests", int64(bs.Requests)},
+				{"busy_fs", int64(bs.Busy)},
+				{"warmup_fs", int64(bs.Warmup)},
+				{"crashes", int64(bs.Crashes)},
+				{"restarts", int64(bs.Restarts)},
+				{"stalls", int64(bs.Stalls)},
+				{"rerouted", int64(bs.Rerouted)},
+				{"shed_rerouted", int64(bs.ShedRerouted)},
+				{"shed_exhausted", int64(bs.ShedExhausted)},
+			} {
+				reg.Counter(p.blades[i].lane, c.name).Add(c.v)
+			}
 			bs.Metrics = reg.Snapshot()
 		}
-		r.PerBlade = append(r.PerBlade, bs)
 	}
-	return r
+	return r, nil
 }

@@ -239,8 +239,9 @@ func (c Config) RacePointConfig(s Scheme, tall bool, k int) marvel.PortedConfig 
 }
 
 // Run executes one serve run: validate and default the config,
-// calibrate (or reuse cfg.Cal), generate the seeded arrival stream, and
-// play the admission/dispatch event loop to completion.
+// calibrate (or reuse cfg.Cal), generate the seeded arrival stream, play
+// the admission/dispatch event loop to completion, and fold the report.
+// A request without exactly one terminal outcome fails the run.
 func Run(cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -298,5 +299,5 @@ func Run(cfg Config) (*Report, error) {
 			return nil, err
 		}
 	}
-	return p.report(offered), nil
+	return p.report(reqs, offered)
 }

@@ -109,8 +109,9 @@ func TestServeDeterminism(t *testing.T) {
 }
 
 // checkLedger asserts full request conservation over every shed
-// category (including the lifecycle ones) and that the per-blade merge
-// stayed blade-index-ordered.
+// category (including the lifecycle ones), that the per-blade merge
+// stayed blade-index-ordered, and that the per-blade and per-pool shares
+// sum to the report totals.
 func checkLedger(t *testing.T, rep *Report) {
 	t.Helper()
 	total := rep.Served + rep.ShedRejected + rep.ShedExpired + rep.ShedRerouted + rep.ShedExhausted + rep.ShedGlobal
@@ -118,9 +119,26 @@ func checkLedger(t *testing.T, rep *Report) {
 		t.Fatalf("ledger leaks: served %d + rejected %d + expired %d + rerouted %d + exhausted %d + global %d = %d, want %d",
 			rep.Served, rep.ShedRejected, rep.ShedExpired, rep.ShedRerouted, rep.ShedExhausted, rep.ShedGlobal, total, rep.Requests)
 	}
+	var requests, shedRerouted, shedExhausted int
 	for i, bs := range rep.PerBlade {
 		if bs.Blade != i {
 			t.Fatalf("per-blade merge out of order: index %d holds blade %d", i, bs.Blade)
+		}
+		requests += bs.Requests
+		shedRerouted += bs.ShedRerouted
+		shedExhausted += bs.ShedExhausted
+	}
+	if requests != rep.Served || shedRerouted != rep.ShedRerouted || shedExhausted != rep.ShedExhausted {
+		t.Fatalf("per-blade shares (requests %d, shed-rerouted %d, shed-exhausted %d) != totals (served %d, %d, %d)",
+			requests, shedRerouted, shedExhausted, rep.Served, rep.ShedRerouted, rep.ShedExhausted)
+	}
+	if rep.Fleet != nil {
+		var served int
+		for _, ps := range rep.Fleet.PerPool {
+			served += ps.Served
+		}
+		if served != rep.Served {
+			t.Fatalf("per-pool served sums to %d, want %d", served, rep.Served)
 		}
 	}
 }
@@ -139,15 +157,10 @@ func TestServeConservation(t *testing.T) {
 			t.Fatalf("seed %d: percentiles out of order: p50=%v p95=%v p99=%v",
 				seed, rep.LatencyP50, rep.LatencyP95, rep.LatencyP99)
 		}
-		var reqs int
 		for _, bs := range rep.PerBlade {
-			reqs += bs.Requests
 			if bs.Dispatches > 0 && bs.Warmup <= 0 {
 				t.Fatalf("seed %d: blade %d dispatched but charged no warmup", seed, bs.Blade)
 			}
-		}
-		if reqs != rep.Served {
-			t.Fatalf("seed %d: per-blade requests sum %d != served %d", seed, reqs, rep.Served)
 		}
 	}
 }
