@@ -389,15 +389,12 @@ func BenchmarkScalingCC4(b *testing.B) { benchDataParallel(b, marvel.KCC, 4) }
 func BenchmarkScalingCC8(b *testing.B) { benchDataParallel(b, marvel.KCC, 8) }
 func BenchmarkScalingEH8(b *testing.B) { benchDataParallel(b, marvel.KEH, 8) }
 
-// --- sharded serving engine --------------------------------------------------
+// --- verified serving ------------------------------------------------------
 
-// benchServeConfig is the sharded engine's acceptance scenario: a
-// 16-blade pool in verified-dispatch mode (after the loop, the full
-// machine simulation re-runs once per distinct dispatched key), bursty
-// arrivals so whole blade-fulls of work land on one barrier, and no
-// deadlines so nothing is shed. The only difference between the Seq and Sharded
-// benchmarks is the engine driving the blades; their reports are
-// byte-identical (TestShardedMatchesSequentialLoop and friends).
+// benchServeConfig is the verified-serving scenario: a 16-blade pool in
+// verified-dispatch mode (after the loop, the full machine simulation
+// re-runs once per distinct dispatched key), bursty arrivals, and no
+// deadlines so nothing is shed.
 func benchServeConfig() serve.Config {
 	return serve.Config{
 		Blades:       16,
@@ -425,15 +422,14 @@ var benchServeCal = sync.OnceValues(func() (*serve.Calibration, error) {
 	return serve.Calibrate(benchServeConfig())
 })
 
-func benchServe(b *testing.B, seqsim, noLookahead bool) {
+// BenchmarkServeSeq times one verified serving run on the event loop.
+func BenchmarkServeSeq(b *testing.B) {
 	cal, err := benchServeCal()
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := benchServeConfig()
 	cfg.Cal = cal
-	cfg.SeqSim = seqsim
-	cfg.NoLookahead = noLookahead
 	b.ResetTimer()
 	var rep *serve.Report
 	for i := 0; i < b.N; i++ {
@@ -443,27 +439,7 @@ func benchServe(b *testing.B, seqsim, noLookahead bool) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(rep.Served), "served")
-	if !seqsim {
-		b.ReportMetric(float64(rep.Epochs), "epochs")
-	}
 }
-
-// BenchmarkServeSeq is the sequential reference loop with verified
-// dispatch — the single-core baseline.
-func BenchmarkServeSeq(b *testing.B) { benchServe(b, true, false) }
-
-// BenchmarkServeSharded is the same run on per-blade event wheels
-// (workers = GOMAXPROCS) under the conservative lookahead coordinator.
-// Verification runs off the wheels, so the two benchmarks differ only
-// in the event loop; the sharded run should pay fewer epochs than
-// BenchmarkServeBarrierPerArrival (the epochs metric).
-func BenchmarkServeSharded(b *testing.B) { benchServe(b, false, false) }
-
-// BenchmarkServeBarrierPerArrival is the sharded run with lookahead
-// disabled — an epoch barrier at every distinct arrival instant. The gap
-// to BenchmarkServeSharded is the synchronization cost the lookahead
-// protocol removes; the reports are byte-identical.
-func BenchmarkServeBarrierPerArrival(b *testing.B) { benchServe(b, false, true) }
 
 // --- substrate micro-benchmarks ---------------------------------------------
 

@@ -40,18 +40,7 @@ import (
 
 type entry struct {
 	WallMS float64 `json:"wall_ms"`
-	Epochs uint64  `json:"epochs"`
 	Data   any     `json:"data"`
-}
-
-// epochNote renders the epoch-count column for experiments that report
-// one (serve): barrier regressions show up in the diff artifact even
-// when data and wall time are fine.
-func epochNote(b, f entry) string {
-	if b.Epochs == 0 && f.Epochs == 0 {
-		return ""
-	}
-	return fmt.Sprintf(", epochs %d -> %d", b.Epochs, f.Epochs)
 }
 
 type doc struct {
@@ -158,10 +147,10 @@ func run(args []string, out, errw io.Writer) int {
 		}
 		if grow := f.WallMS - b.WallMS; f.WallMS > *factor*b.WallMS && grow > *floor {
 			regressions++
-			fmt.Fprintf(out, "WALL %s: %.1f ms -> %.1f ms (%.2fx, threshold %.1fx%s)\n",
-				name, b.WallMS, f.WallMS, f.WallMS/b.WallMS, *factor, epochNote(b, f))
+			fmt.Fprintf(out, "WALL %s: %.1f ms -> %.1f ms (%.2fx, threshold %.1fx)\n",
+				name, b.WallMS, f.WallMS, f.WallMS/b.WallMS, *factor)
 		} else {
-			fmt.Fprintf(out, "ok   %s: %.1f ms -> %.1f ms%s\n", name, b.WallMS, f.WallMS, epochNote(b, f))
+			fmt.Fprintf(out, "ok   %s: %.1f ms -> %.1f ms\n", name, b.WallMS, f.WallMS)
 		}
 	}
 

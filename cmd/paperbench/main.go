@@ -33,12 +33,6 @@
 //	paperbench -deadline 250     # serve: per-request deadline, virtual ms (<0 = none)
 //	paperbench -servesed 7       # serve: arrival-stream seed
 //	paperbench -burst 3          # serve: mean arrival burst size
-//	paperbench -shards 8         # serve: workers driving the per-blade event
-//	                             # wheels (0 = GOMAXPROCS; never affects results)
-//	paperbench -seqsim           # serve: sequential reference loop instead of
-//	                             # the sharded wheels (determinism oracle)
-//	paperbench -lookahead=false  # serve: restore an epoch barrier per arrival
-//	                             # instant (lookahead off; identical bytes)
 //	paperbench -fullsim          # serve: re-simulate the machine once per
 //	                             # dispatched key; fail on calibration divergence
 //	paperbench -workers 2        # race: executor pool width (0 = GOMAXPROCS;
@@ -92,14 +86,12 @@ import (
 	"cellport/internal/sim"
 )
 
-// jsonEntry is one experiment's machine-readable record. Epochs (serve
-// only) counts epoch-barrier rounds across the experiment's runs; like
-// WallMS it describes the execution schedule, not the simulation, so it
-// lives beside Data — byte-compare tooling that strips to Data (the CI
-// smoke jobs, benchdiff's equality check) ignores it by construction.
+// jsonEntry is one experiment's machine-readable record. WallMS
+// describes the host run, not the simulation, so it lives beside Data —
+// byte-compare tooling that strips to Data (the CI smoke jobs,
+// benchdiff's equality check) ignores it by construction.
 type jsonEntry struct {
 	WallMS float64 `json:"wall_ms"`
-	Epochs uint64  `json:"epochs,omitempty"`
 	Data   any     `json:"data"`
 }
 
@@ -134,9 +126,6 @@ type options struct {
 	deadline    float64
 	serveSeed   uint64
 	burst       float64
-	shards      int
-	seqSim      bool
-	lookahead   bool
 	fullSim     bool
 	pools       int
 	autoscale   bool
@@ -176,9 +165,6 @@ func parseFlags(args []string, errw io.Writer) (*options, int) {
 	fs.Float64Var(&o.deadline, "deadline", 0, "serve: per-request deadline in virtual ms (0 = automatic, negative = none)")
 	fs.Uint64Var(&o.serveSeed, "servesed", 0, "serve: arrival-stream seed (default 7)")
 	fs.Float64Var(&o.burst, "burst", 0, "serve: mean arrival burst size (default 2)")
-	fs.IntVar(&o.shards, "shards", 0, "serve: workers driving the per-blade event wheels (0 = GOMAXPROCS; never affects results)")
-	fs.BoolVar(&o.seqSim, "seqsim", false, "serve: run the sequential reference event loop instead of the sharded wheels")
-	fs.BoolVar(&o.lookahead, "lookahead", true, "serve: admit arrivals inside the conservative lookahead horizon without a barrier (-lookahead=false restores per-arrival barriers; results are byte-identical)")
 	fs.BoolVar(&o.fullSim, "fullsim", false, "serve: re-simulate the full machine once per distinct dispatched key (verified dispatch)")
 	fs.IntVar(&o.pools, "pools", 4, "fleet: number of routed blade pools (each of -blades blades)")
 	fs.BoolVar(&o.autoscale, "autoscale", true, "fleet: arm the virtual-time autoscaler (-autoscale=false for a static fleet)")
@@ -234,7 +220,7 @@ func (o *options) validate() string {
 			return fmt.Sprintf("-%s only applies to -exp faults, serve, chaos or fleet, not -exp %s", f, o.exp)
 		}
 	}
-	for _, f := range []string{"rate", "blades", "deadline", "servesed", "burst", "shards", "seqsim", "lookahead", "fullsim"} {
+	for _, f := range []string{"rate", "blades", "deadline", "servesed", "burst", "fullsim"} {
 		if o.set[f] && !expSelects("serve", "chaos", "fleet") {
 			return fmt.Sprintf("-%s only applies to -exp serve, chaos or fleet, not -exp %s", f, o.exp)
 		}
@@ -267,9 +253,6 @@ func (o *options) validate() string {
 			return fmt.Sprintf("-watchdog must be positive, got %q", o.watchdog)
 		}
 		o.watchdogDur = d
-	}
-	if o.shards < 0 {
-		return fmt.Sprintf("-shards must be >= 0, got %d", o.shards)
 	}
 	if o.benchFresh {
 		// The refresh runs a fixed invocation matrix. Only the global mode
@@ -405,10 +388,7 @@ func runExperiments(o *options, out, errw io.Writer) int {
 			Workers: o.workers,
 			Reps:    o.reps,
 		},
-		Shards:      o.shards,
-		SeqSim:      o.seqSim,
-		NoLookahead: !o.lookahead,
-		FullSim:     o.fullSim,
+		FullSim: o.fullSim,
 	}
 	if o.tracePath != "" || o.metricsPath != "" {
 		cfg.Collect = &experiments.Collector{}
@@ -582,27 +562,6 @@ func runExperiments(o *options, out, errw io.Writer) int {
 			return 2
 		}
 		return 1
-	}
-
-	// Epochs ride beside the serve entry's data, like wall_ms: schedule
-	// stats, visible to benchdiff, invisible to data byte-compares.
-	if e, ok := jsonDoc["serve"]; ok {
-		if sr, isServe := e.Data.(*experiments.ServeResult); isServe {
-			e.Epochs = sr.Epochs
-			jsonDoc["serve"] = e
-		}
-	}
-	if e, ok := jsonDoc["chaos"]; ok {
-		if cr, isChaos := e.Data.(*experiments.ChaosResult); isChaos {
-			e.Epochs = cr.Epochs
-			jsonDoc["chaos"] = e
-		}
-	}
-	if e, ok := jsonDoc["fleet"]; ok {
-		if fr, isFleet := e.Data.(*experiments.FleetResult); isFleet {
-			e.Epochs = fr.Epochs
-			jsonDoc["fleet"] = e
-		}
 	}
 
 	if o.tracePath != "" {

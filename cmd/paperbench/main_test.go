@@ -29,14 +29,11 @@ func TestFlagValidationMatrix(t *testing.T) {
 		{"deadline with wrong exp", []string{"-exp", "profile", "-deadline", "100"}, 2, "-deadline only applies"},
 		{"servesed with wrong exp", []string{"-exp", "hosts", "-servesed", "9"}, 2, "-servesed only applies"},
 		{"burst with wrong exp", []string{"-exp", "overhead", "-burst", "3"}, 2, "-burst only applies"},
-		{"shards with wrong exp", []string{"-exp", "fig7", "-shards", "4"}, 2, "-shards only applies"},
-		{"seqsim with wrong exp", []string{"-exp", "table1", "-seqsim"}, 2, "-seqsim only applies"},
 		{"fullsim with wrong exp", []string{"-exp", "eqns", "-fullsim"}, 2, "-fullsim only applies"},
-		{"negative shards", []string{"-exp", "serve", "-shards", "-1"}, 2, "-shards must be >= 0"},
 		{"watchdog with wrong exp", []string{"-exp", "table1", "-watchdog", "250ms"}, 2, "-watchdog only applies"},
 		{"watchdog bad duration", []string{"-exp", "faults", "-watchdog", "soon"}, 2, "bad -watchdog"},
 		{"watchdog zero", []string{"-exp", "faults", "-watchdog", "0ms"}, 2, "-watchdog must be positive"},
-		{"serve flags with chaos exp", []string{"-exp", "chaos", "-rate", "2", "-blades", "8", "-shards", "4"}, -1, ""},
+		{"serve flags with chaos exp", []string{"-exp", "chaos", "-rate", "2", "-blades", "8"}, -1, ""},
 		{"faults flag with chaos exp", []string{"-exp", "chaos", "-faults", "blade-crash:blade=0,at=5ms"}, -1, ""},
 		{"watchdog with faults exp", []string{"-exp", "faults", "-watchdog", "250ms"}, -1, ""},
 		{"watchdog with chaos exp", []string{"-exp", "chaos", "-watchdog", "1s"}, -1, ""},
@@ -51,15 +48,14 @@ func TestFlagValidationMatrix(t *testing.T) {
 		{"faults flag with faults exp", []string{"-exp", "faults", "-faults", "crash:spe=0,at=5ms"}, -1, ""},
 		{"faults flag with serve exp", []string{"-exp", "serve", "-faultseed", "3"}, -1, ""},
 		{"serve flags with serve exp", []string{"-exp", "serve", "-rate", "2", "-blades", "2", "-deadline", "-1", "-servesed", "9", "-burst", "1"}, -1, ""},
-		{"shard flags with serve exp", []string{"-exp", "serve", "-shards", "8", "-fullsim"}, -1, ""},
-		{"seqsim with serve exp", []string{"-exp", "serve", "-seqsim"}, -1, ""},
+		{"fullsim with serve exp", []string{"-exp", "serve", "-fullsim"}, -1, ""},
 		{"pools with wrong exp", []string{"-exp", "serve", "-pools", "4"}, 2, "-pools only applies"},
 		{"autoscale with wrong exp", []string{"-exp", "chaos", "-autoscale=false"}, 2, "-autoscale only applies"},
 		{"flash with wrong exp", []string{"-exp", "table1", "-flash=false"}, 2, "-flash only applies"},
 		{"zero pools", []string{"-exp", "fleet", "-pools", "0"}, 2, "-pools must be >= 1"},
 		{"negative pools", []string{"-exp", "fleet", "-pools", "-3"}, 2, "-pools must be >= 1"},
 		{"fleet flags with fleet exp", []string{"-exp", "fleet", "-pools", "4", "-autoscale=false", "-flash=false"}, -1, ""},
-		{"serve flags with fleet exp", []string{"-exp", "fleet", "-rate", "1.5", "-blades", "2", "-shards", "8", "-seqsim"}, -1, ""},
+		{"serve flags with fleet exp", []string{"-exp", "fleet", "-rate", "1.5", "-blades", "2"}, -1, ""},
 		{"faults flag with fleet exp", []string{"-exp", "fleet", "-faults", "blade-crash:blade=0,at=5ms"}, -1, ""},
 		{"workers with wrong exp", []string{"-exp", "serve", "-workers", "2"}, 2, "-workers only applies"},
 		{"reps with wrong exp", []string{"-exp", "fig7", "-reps", "3"}, 2, "-reps only applies"},
@@ -207,10 +203,10 @@ func experimentData(t *testing.T, raw []byte) map[string]json.RawMessage {
 	return out
 }
 
-// TestRunShardedMatchesSeqSimCLI checks the flag plumbing end to end: the
-// sharded default, an explicit -shards 8, and the -seqsim reference loop
-// must produce identical experiment data through the CLI.
-func TestRunShardedMatchesSeqSimCLI(t *testing.T) {
+// TestRunServeParallelInvariantCLI checks the serve experiment end to
+// end: -parallel 1 and the default worker count must produce identical
+// experiment data through the CLI.
+func TestRunServeParallelInvariantCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full serve calibration")
 	}
@@ -225,25 +221,17 @@ func TestRunShardedMatchesSeqSimCLI(t *testing.T) {
 		}
 		return experimentData(t, readFileT(t, jsonPath))
 	}
-	seq := invoke("seq", "-seqsim")
-	for _, v := range []struct {
-		name  string
-		extra []string
-	}{{"default", nil}, {"shards8", []string{"-shards", "8"}},
-		{"lookahead-off", []string{"-lookahead=false"}},
-		{"lookahead-off-shards8", []string{"-lookahead=false", "-shards", "8"}}} {
-		got := invoke(v.name, v.extra...)
-		if string(got["serve"]) != string(seq["serve"]) {
-			t.Fatalf("%s diverged from -seqsim:\n got %s\nwant %s", v.name, got["serve"], seq["serve"])
-		}
+	serial := invoke("serial", "-parallel", "1")
+	if got := invoke("default"); string(got["serve"]) != string(serial["serve"]) {
+		t.Fatalf("default parallelism diverged from -parallel 1:\n got %s\nwant %s", got["serve"], serial["serve"])
 	}
 }
 
-// TestRunChaosMatchesSeqSimCLI checks the chaos experiment end to end:
-// the seeded blade-lifecycle schedule must produce identical experiment
-// data through the CLI on the sharded wheels and the sequential
-// reference loop, and the chaos run's ledger must conserve.
-func TestRunChaosMatchesSeqSimCLI(t *testing.T) {
+// TestRunChaosParallelInvariantCLI checks the chaos experiment end to
+// end: the seeded blade-lifecycle schedule must produce identical
+// experiment data through the CLI at -parallel 1 and the default worker
+// count, and the chaos run's ledger must conserve.
+func TestRunChaosParallelInvariantCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full serve calibration")
 	}
@@ -258,10 +246,9 @@ func TestRunChaosMatchesSeqSimCLI(t *testing.T) {
 		}
 		return experimentData(t, readFileT(t, jsonPath))
 	}
-	seq := invoke("seq", "-seqsim")
-	sharded := invoke("shards8", "-shards", "8")
-	if string(sharded["chaos"]) != string(seq["chaos"]) {
-		t.Fatalf("-shards 8 diverged from -seqsim:\n got %s\nwant %s", sharded["chaos"], seq["chaos"])
+	serial := invoke("serial", "-parallel", "1")
+	if got := invoke("default"); string(got["chaos"]) != string(serial["chaos"]) {
+		t.Fatalf("default parallelism diverged from -parallel 1:\n got %s\nwant %s", got["chaos"], serial["chaos"])
 	}
 	var res struct {
 		Spec  string `json:"spec"`
@@ -275,11 +262,11 @@ func TestRunChaosMatchesSeqSimCLI(t *testing.T) {
 			BladeCrashes  int `json:"blade_crashes"`
 		} `json:"chaos"`
 	}
-	if err := json.Unmarshal(seq["chaos"], &res); err != nil {
+	if err := json.Unmarshal(serial["chaos"], &res); err != nil {
 		t.Fatalf("chaos data did not parse: %v", err)
 	}
 	if res.Spec == "" || res.Chaos.BladeCrashes == 0 {
-		t.Fatalf("chaos run fired no blade crash: %s", seq["chaos"])
+		t.Fatalf("chaos run fired no blade crash: %s", serial["chaos"])
 	}
 	sum := res.Chaos.Served + res.Chaos.ShedRejected + res.Chaos.ShedExpired +
 		res.Chaos.ShedRerouted + res.Chaos.ShedExhausted
@@ -288,12 +275,12 @@ func TestRunChaosMatchesSeqSimCLI(t *testing.T) {
 	}
 }
 
-// TestRunFleetMatchesSeqSimCLI checks the fleet experiment end to end:
-// the routed, autoscaled fleet under flash-crowd load must produce
-// identical experiment data through the CLI on the sharded wheels and
-// the sequential reference loop, the six-term ledger must conserve, and
-// the autoscaler must demonstrably drain off-peak.
-func TestRunFleetMatchesSeqSimCLI(t *testing.T) {
+// TestRunFleetParallelInvariantCLI checks the fleet experiment end to
+// end: the routed, autoscaled fleet under flash-crowd load must produce
+// identical experiment data through the CLI at -parallel 1 and the
+// default worker count, the six-term ledger must conserve, and the
+// autoscaler must demonstrably drain off-peak.
+func TestRunFleetParallelInvariantCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full serve calibration")
 	}
@@ -311,10 +298,9 @@ func TestRunFleetMatchesSeqSimCLI(t *testing.T) {
 		}
 		return experimentData(t, readFileT(t, jsonPath))
 	}
-	seq := invoke("seq", "-seqsim")
-	sharded := invoke("shards8", "-shards", "8")
-	if string(sharded["fleet"]) != string(seq["fleet"]) {
-		t.Fatalf("-shards 8 diverged from -seqsim:\n got %s\nwant %s", sharded["fleet"], seq["fleet"])
+	serial := invoke("serial", "-parallel", "1")
+	if got := invoke("default"); string(got["fleet"]) != string(serial["fleet"]) {
+		t.Fatalf("default parallelism diverged from -parallel 1:\n got %s\nwant %s", got["fleet"], serial["fleet"])
 	}
 	var res struct {
 		Fleet struct {
@@ -335,7 +321,7 @@ func TestRunFleetMatchesSeqSimCLI(t *testing.T) {
 		GoodputFleet  int `json:"goodput_fleet"`
 		GoodputSingle int `json:"goodput_single"`
 	}
-	if err := json.Unmarshal(seq["fleet"], &res); err != nil {
+	if err := json.Unmarshal(serial["fleet"], &res); err != nil {
 		t.Fatalf("fleet data did not parse: %v", err)
 	}
 	f := res.Fleet
@@ -347,7 +333,7 @@ func TestRunFleetMatchesSeqSimCLI(t *testing.T) {
 		t.Fatalf("fleet ran %d pools, want 4", f.Stats.Pools)
 	}
 	if f.Stats.ScaleDowns == 0 || f.Stats.ActiveMin >= f.Stats.Pools {
-		t.Fatalf("autoscaler never drained: %s", seq["fleet"])
+		t.Fatalf("autoscaler never drained: %s", serial["fleet"])
 	}
 	if res.GoodputFleet <= res.GoodputSingle {
 		t.Fatalf("fleet goodput %d does not beat the single pool %d", res.GoodputFleet, res.GoodputSingle)

@@ -41,12 +41,6 @@ type Config struct {
 	// PollInterval is the PPE's polling period in SendAndWait-style busy
 	// loops (spe_stat_out_mbox spin).
 	PollInterval sim.Duration
-	// Engine, when non-nil, hosts the machine on an externally owned
-	// event wheel instead of a private engine — the hook that lets a
-	// sharded run (sim.ShardedEngine) place each machine on its own
-	// wheel. The machine must be the wheel's only tenant; results are
-	// identical to a private engine.
-	Engine *sim.Engine
 }
 
 // DefaultConfig returns a standard 8-SPE, 256 MB machine.
@@ -81,10 +75,7 @@ func New(cfg Config) *Machine {
 	if cfg.Tracer == nil {
 		cfg.Tracer = trace.Nop{}
 	}
-	e := cfg.Engine
-	if e == nil {
-		e = sim.NewEngine()
-	}
+	e := sim.NewEngine()
 	bus := eib.New(e, cfg.Bus)
 	mem := mainmem.New(cfg.MemorySize)
 	m := &Machine{cfg: cfg, Engine: e, Bus: bus, Memory: mem, tracer: cfg.Tracer}
@@ -224,43 +215,20 @@ func (m *Machine) HarvestMetrics(total sim.Duration) {
 	reg.Counter("mem", "allocations").Add(int64(m.Memory.Allocations()))
 }
 
-// MainRun is a PPE main program whose simulation is driven externally:
-// StartMain spawns it, and whoever owns the engine (typically a
-// sim.ShardedEngine wheel) runs it to completion.
-type MainRun struct {
-	elapsed sim.Duration
-	done    bool
-}
-
-// Elapsed reports the virtual time main consumed (spawn to return) and
-// whether main has actually returned; the duration is meaningless until
-// done is true.
-func (r *MainRun) Elapsed() (sim.Duration, bool) { return r.elapsed, r.done }
-
-// StartMain spawns the PPE main program on the machine's engine without
-// running the simulation — the partition-mode half of RunMain. The
-// caller drives the engine (Run, RunUntil, or a sharded wheel) and reads
-// the result through the returned MainRun.
-func (m *Machine) StartMain(name string, body func(ctx *Context)) *MainRun {
-	r := &MainRun{}
-	m.Engine.Spawn("PPE:"+name, func(p *sim.Proc) {
-		start := p.Now()
-		body(&Context{machine: m, p: p})
-		r.elapsed = p.Now().Sub(start)
-		r.done = true
-	})
-	return r
-}
-
 // RunMain spawns the PPE main program and runs the simulation to
 // completion. It returns the virtual time consumed by main (from spawn to
 // return) and any simulation error (e.g. a deadlock).
 func (m *Machine) RunMain(name string, body func(ctx *Context)) (sim.Duration, error) {
-	r := m.StartMain(name, body)
+	var elapsed sim.Duration
+	m.Engine.Spawn("PPE:"+name, func(p *sim.Proc) {
+		start := p.Now()
+		body(&Context{machine: m, p: p})
+		elapsed = p.Now().Sub(start)
+	})
 	if err := m.Engine.Run(); err != nil {
-		return r.elapsed, err
+		return elapsed, err
 	}
-	return r.elapsed, nil
+	return elapsed, nil
 }
 
 // Context is the PPE-side execution environment (main application thread).

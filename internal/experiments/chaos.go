@@ -33,11 +33,6 @@ type ChaosResult struct {
 	GoodputBaseline int     `json:"goodput_baseline"`
 	GoodputChaos    int     `json:"goodput_chaos"`
 	GoodputRatio    float64 `json:"goodput_ratio"`
-
-	// Epochs counts epoch-barrier rounds over both runs. Excluded from
-	// JSON so experiment data stays byte-identical across -shards,
-	// -lookahead, and -seqsim (same contract as ServeResult.Epochs).
-	Epochs uint64 `json:"-"`
 }
 
 // ChaosExp runs the fleet self-healing experiment: the serve scenario
@@ -87,7 +82,7 @@ func ChaosExp(cfg Config) (*ChaosResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Epochs += collectServe(cfg.Collect, "chaos/"+label, rep)
+		collectServe(cfg.Collect, "chaos/"+label, rep)
 		return rep, nil
 	}
 	if res.Baseline, err = runOne("baseline", plan.MachineFaults()); err != nil {
@@ -137,7 +132,4 @@ func RenderChaos(w io.Writer, r *ChaosResult) {
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "goodput (served on time): baseline %d, chaos %d (%.1f%% retained)\n",
 		r.GoodputBaseline, r.GoodputChaos, r.GoodputRatio*100)
-	if r.Epochs > 0 {
-		fmt.Fprintf(w, "sync: %d epochs over both runs\n", r.Epochs)
-	}
 }

@@ -10,20 +10,18 @@ import (
 
 // TestChaosExpDeterminism pins the chaos experiment's acceptance
 // criteria at the experiments layer: the seeded blade-lifecycle run is
-// byte-identical between the sharded wheels and the sequential
-// reference loop, the schedule actually fires, and the ledger conserves
-// over every shed category.
+// byte-identical at -parallel 1 and 4, the schedule actually fires, and
+// the ledger conserves over every shed category.
 func TestChaosExpDeterminism(t *testing.T) {
 	cache := marvel.NewArtifactCache()
-	measure := func(seqSim bool) *ChaosResult {
+	measure := func(parallel int) *ChaosResult {
 		t.Helper()
 		cfg := Config{
 			Quick:     true,
 			Seed:      20070710,
-			Parallel:  4,
+			Parallel:  parallel,
 			Artifacts: cache,
 			Serve:     ServeConfig{Blades: 2, Seed: 7},
-			SeqSim:    seqSim,
 		}
 		res, err := ChaosExp(cfg)
 		if err != nil {
@@ -39,30 +37,30 @@ func TestChaosExpDeterminism(t *testing.T) {
 		}
 		return doc
 	}
-	sharded := measure(false)
-	seq := measure(true)
-	if got, want := marshalRes(sharded), marshalRes(seq); !bytes.Equal(got, want) {
-		t.Fatalf("sharded chaos diverged from seqsim:\n got %s\nwant %s", got, want)
+	res := measure(4)
+	serial := measure(1)
+	if got, want := marshalRes(res), marshalRes(serial); !bytes.Equal(got, want) {
+		t.Fatalf("chaos diverged between -parallel 4 and 1:\n got %s\nwant %s", got, want)
 	}
 
-	c := sharded.Chaos
-	if c.BladeCrashes == 0 || sharded.Seed == 0 || sharded.Spec == "" {
+	c := res.Chaos
+	if c.BladeCrashes == 0 || res.Seed == 0 || res.Spec == "" {
 		t.Fatalf("seeded schedule did not fire: crashes=%d seed=%d spec=%q",
-			c.BladeCrashes, sharded.Seed, sharded.Spec)
+			c.BladeCrashes, res.Seed, res.Spec)
 	}
 	for name, rep := range map[string]*struct {
 		served, rej, exp, rer, exh, reqs int
 	}{
-		"baseline": {sharded.Baseline.Served, sharded.Baseline.ShedRejected, sharded.Baseline.ShedExpired,
-			sharded.Baseline.ShedRerouted, sharded.Baseline.ShedExhausted, sharded.Baseline.Requests},
+		"baseline": {res.Baseline.Served, res.Baseline.ShedRejected, res.Baseline.ShedExpired,
+			res.Baseline.ShedRerouted, res.Baseline.ShedExhausted, res.Baseline.Requests},
 		"chaos": {c.Served, c.ShedRejected, c.ShedExpired, c.ShedRerouted, c.ShedExhausted, c.Requests},
 	} {
 		if sum := rep.served + rep.rej + rep.exp + rep.rer + rep.exh; sum != rep.reqs {
 			t.Fatalf("%s ledger leaks: %d != %d requests", name, sum, rep.reqs)
 		}
 	}
-	if sharded.GoodputRatio <= 0 || sharded.GoodputRatio > 1 {
-		t.Fatalf("goodput ratio %v outside (0,1]: chaos cannot beat its own baseline", sharded.GoodputRatio)
+	if res.GoodputRatio <= 0 || res.GoodputRatio > 1 {
+		t.Fatalf("goodput ratio %v outside (0,1]: chaos cannot beat its own baseline", res.GoodputRatio)
 	}
 }
 

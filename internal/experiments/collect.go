@@ -55,16 +55,13 @@ func (c *Collector) AddArtifacts(label string, rec *trace.Recorder, snap *metric
 }
 
 // collectServe files one serve run's artifacts in c: each blade's trace
-// and metrics under prefix/bladeN, the coordinator's under prefix/sim.
-// It returns the run's epoch count for the caller's total.
-func collectServe(c *Collector, prefix string, rep *serve.Report) uint64 {
+// and metrics under prefix/bladeN, the coordinator-lane trace under
+// prefix/coordinator.
+func collectServe(c *Collector, prefix string, rep *serve.Report) {
 	for _, bs := range rep.PerBlade {
 		c.AddArtifacts(fmt.Sprintf("%s/blade%d", prefix, bs.Blade), bs.Trace, bs.Metrics)
 	}
-	if rep.Coordinator != nil || rep.Sim != nil {
-		c.AddArtifacts(prefix+"/sim", rep.Coordinator, rep.Sim)
-	}
-	return rep.Epochs
+	c.AddArtifacts(prefix+"/coordinator", rep.Coordinator, nil)
 }
 
 // Runs returns the collected records sorted by label (ties keep insertion

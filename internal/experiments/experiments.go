@@ -63,16 +63,6 @@ type Config struct {
 	// Fleet sizes the fleet-scale serving experiment (-exp fleet); the
 	// per-pool blade count and stream come from Serve.
 	Fleet FleetConfig
-	// Shards bounds the workers driving the serve experiment's per-blade
-	// event wheels (0 = GOMAXPROCS). Never affects results.
-	Shards int
-	// SeqSim runs the serve experiment on the sequential reference loop
-	// instead of the sharded wheels (the determinism oracle).
-	SeqSim bool
-	// NoLookahead restores the per-arrival-instant epoch barrier schedule
-	// in the sharded serve run (serve.Config.NoLookahead). Reports are
-	// byte-identical either way; only the epoch count changes.
-	NoLookahead bool
 	// FullSim re-runs the full machine simulation once per distinct
 	// dispatched serve key and fails on any divergence from the
 	// calibration table (serve.Config.FullFidelity).

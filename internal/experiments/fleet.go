@@ -38,11 +38,6 @@ type FleetResult struct {
 	GoodputFleet  int     `json:"goodput_fleet"`
 	GoodputSingle int     `json:"goodput_single"`
 	GoodputRatio  float64 `json:"goodput_ratio"`
-
-	// Epochs counts epoch-barrier rounds over both runs. Excluded from
-	// JSON so experiment data stays byte-identical across -shards,
-	// -lookahead, and -seqsim.
-	Epochs uint64 `json:"-"`
 }
 
 // FleetExp runs the fleet-scale serving experiment: Pools pools of
@@ -86,7 +81,7 @@ func FleetExp(cfg Config) (*FleetResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Epochs += collectServe(cfg.Collect, "fleet/"+label, rep)
+		collectServe(cfg.Collect, "fleet/"+label, rep)
 		return rep, nil
 	}
 	if res.Fleet, err = runOne("fleet", base); err != nil {
@@ -136,7 +131,4 @@ func RenderFleet(w io.Writer, r *FleetResult) {
 		f.Served, f.ShedRejected, f.ShedExpired, f.ShedRerouted, f.ShedExhausted, f.ShedGlobal, f.Requests)
 	fmt.Fprintf(w, "goodput (served on time): fleet %d vs single pool %d (%.2f×)\n",
 		r.GoodputFleet, r.GoodputSingle, r.GoodputRatio)
-	if r.Epochs > 0 {
-		fmt.Fprintf(w, "sync: %d epochs over both runs\n", r.Epochs)
-	}
 }

@@ -9,22 +9,21 @@ import (
 )
 
 // TestFleetExpDeterminism pins the fleet experiment's acceptance
-// criteria at the experiments layer: byte-identity between the sharded
-// wheels and the sequential reference loop, an autoscaler that
-// demonstrably drains off-peak, a conserving six-term ledger, and fleet
-// goodput beating the static single-pool baseline on the shared stream.
+// criteria at the experiments layer: byte-identity at -parallel 1 and
+// 4, an autoscaler that demonstrably drains off-peak, a conserving
+// six-term ledger, and fleet goodput beating the static single-pool
+// baseline on the shared stream.
 func TestFleetExpDeterminism(t *testing.T) {
 	cache := marvel.NewArtifactCache()
-	measure := func(seqSim bool) *FleetResult {
+	measure := func(parallel int) *FleetResult {
 		t.Helper()
 		cfg := Config{
 			Quick:     true,
 			Seed:      20070710,
-			Parallel:  4,
+			Parallel:  parallel,
 			Artifacts: cache,
 			Serve:     ServeConfig{Blades: 2, Seed: 7, Rate: 1.5},
 			Fleet:     FleetConfig{Pools: 4, Autoscale: true, Flash: true},
-			SeqSim:    seqSim,
 		}
 		res, err := FleetExp(cfg)
 		if err != nil {
@@ -40,13 +39,13 @@ func TestFleetExpDeterminism(t *testing.T) {
 		}
 		return doc
 	}
-	sharded := measure(false)
-	seq := measure(true)
-	if got, want := marshalRes(sharded), marshalRes(seq); !bytes.Equal(got, want) {
-		t.Fatalf("sharded fleet experiment diverged from seqsim:\n got %s\nwant %s", got, want)
+	res := measure(4)
+	serial := measure(1)
+	if got, want := marshalRes(res), marshalRes(serial); !bytes.Equal(got, want) {
+		t.Fatalf("fleet experiment diverged between -parallel 4 and 1:\n got %s\nwant %s", got, want)
 	}
 
-	f := sharded.Fleet
+	f := res.Fleet
 	if f.Fleet == nil {
 		t.Fatal("fleet run carries no fleet stats")
 	}
@@ -56,28 +55,28 @@ func TestFleetExpDeterminism(t *testing.T) {
 	if f.Fleet.ScaleDowns == 0 || f.Fleet.ActiveMin >= f.Fleet.Pools {
 		t.Fatalf("autoscaler never drained off-peak: %+v", f.Fleet)
 	}
-	if sharded.Single.Fleet != nil {
+	if res.Single.Fleet != nil {
 		t.Fatal("single-pool baseline grew fleet stats")
 	}
-	if f.OfferedRPS != sharded.Single.OfferedRPS {
-		t.Fatalf("offered rates diverged: fleet %v single %v", f.OfferedRPS, sharded.Single.OfferedRPS)
+	if f.OfferedRPS != res.Single.OfferedRPS {
+		t.Fatalf("offered rates diverged: fleet %v single %v", f.OfferedRPS, res.Single.OfferedRPS)
 	}
 	for name, rep := range map[string]*struct {
 		served, rej, exp, rer, exh, glob, reqs int
 	}{
 		"fleet": {f.Served, f.ShedRejected, f.ShedExpired, f.ShedRerouted,
 			f.ShedExhausted, f.ShedGlobal, f.Requests},
-		"single": {sharded.Single.Served, sharded.Single.ShedRejected, sharded.Single.ShedExpired,
-			sharded.Single.ShedRerouted, sharded.Single.ShedExhausted, sharded.Single.ShedGlobal,
-			sharded.Single.Requests},
+		"single": {res.Single.Served, res.Single.ShedRejected, res.Single.ShedExpired,
+			res.Single.ShedRerouted, res.Single.ShedExhausted, res.Single.ShedGlobal,
+			res.Single.Requests},
 	} {
 		if sum := rep.served + rep.rej + rep.exp + rep.rer + rep.exh + rep.glob; sum != rep.reqs {
 			t.Fatalf("%s ledger leaks: %d != %d requests", name, sum, rep.reqs)
 		}
 	}
-	if sharded.GoodputFleet <= sharded.GoodputSingle {
+	if res.GoodputFleet <= res.GoodputSingle {
 		t.Fatalf("fleet goodput %d does not beat the single-pool baseline %d",
-			sharded.GoodputFleet, sharded.GoodputSingle)
+			res.GoodputFleet, res.GoodputSingle)
 	}
 }
 

@@ -32,12 +32,6 @@ type ServeConfig struct {
 type ServeResult struct {
 	Estimator  *serve.Report `json:"estimator"`
 	RoundRobin *serve.Report `json:"round_robin"`
-
-	// Epochs is the total epoch-barrier count over both policy runs —
-	// the synchronization cost the lookahead protocol exists to shrink.
-	// Excluded from JSON so experiment data stays byte-identical across
-	// -lookahead on/off, -seqsim, and every -shards count.
-	Epochs uint64 `json:"-"`
 }
 
 // serveBase assembles the serve.Config for this experiment configuration
@@ -69,9 +63,6 @@ func (c Config) serveBase() (serve.Config, error) {
 		MachineConfig: MachineConfig(),
 		Watchdog:      c.Watchdog,
 		Parallel:      c.Parallel,
-		Shards:        c.Shards,
-		SeqSim:        c.SeqSim,
-		NoLookahead:   c.NoLookahead,
 		FullFidelity:  c.FullSim,
 		Instrument:    c.Collect != nil,
 	}
@@ -130,7 +121,7 @@ func ServeExp(cfg Config) (*ServeResult, error) {
 			return nil, err
 		}
 		*p.out = rep
-		res.Epochs += collectServe(cfg.Collect, "serve/"+rep.Policy, rep)
+		collectServe(cfg.Collect, "serve/"+rep.Policy, rep)
 	}
 	return res, nil
 }
@@ -151,12 +142,4 @@ func RenderServe(w io.Writer, r *ServeResult) {
 		e.SchemeBatches, e.PolicyFallbacks, e.EstimatorConclusive)
 	good := func(rep *serve.Report) int { return rep.Served - rep.Late }
 	fmt.Fprintf(w, "goodput (served on time): estimator %d vs round-robin %d\n", good(r.Estimator), good(r.RoundRobin))
-	if r.Epochs > 0 {
-		fmt.Fprintf(w, "sync: %d epochs", r.Epochs)
-		for _, rep := range []*serve.Report{r.Estimator, r.RoundRobin} {
-			fmt.Fprintf(w, " | %s: %d barriers, %d window admits, barrier wait %s",
-				rep.Policy, rep.Barriers, rep.WindowAdmits, rep.BarrierWait)
-		}
-		fmt.Fprintln(w)
-	}
 }

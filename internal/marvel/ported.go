@@ -159,28 +159,10 @@ func scoreIndex(id KernelID) int {
 	}
 }
 
-// PortedRun is an in-flight ported run in partition mode: StartPorted has
-// built the machine and spawned the PPE main program, but the simulation
-// itself is driven by the caller (typically as one wheel of a
-// sim.ShardedEngine). Finish harvests the result once the engine has run.
-type PortedRun struct {
-	cfg     PortedConfig
-	mcfg    cell.Config
-	machine *cell.Machine
-	inj     *fault.Injector
-	res     *PortedResult
-	nImages int
-	main    *cell.MainRun
-	runErr  error
-	ppeBusy sim.Duration
-}
-
-// StartPorted prepares a ported run without simulating it: it resolves
-// artifacts, builds the machine (on cfg.MachineConfig.Engine when set, so
-// a sharded harness can place the run on its own wheel), arms fault
-// injection, and spawns the PPE main process. Drive the returned run's
-// Engine to completion, then call Finish.
-func StartPorted(cfg PortedConfig) (*PortedRun, error) {
+// RunPorted executes the ported MARVEL application on a simulated Cell.
+// With an execution backend configured, the same point then runs for
+// real and the measured run rides along on the result.
+func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	w := cfg.Workload
 	if w.Images <= 0 {
 		return nil, fmt.Errorf("%w (Workload.Images = %d)", ErrEmptyWorkload, w.Images)
@@ -190,12 +172,7 @@ func StartPorted(cfg PortedConfig) (*PortedRun, error) {
 		mcfg = *cfg.MachineConfig
 	}
 	machine := cell.New(mcfg)
-	ok := false
-	defer func() {
-		if !ok {
-			machine.Release()
-		}
-	}()
+	defer machine.Release()
 	arts := cfg.artifacts()
 	images := arts.Images(w)
 	ms, err := arts.ModelSet(w.Seed)
@@ -210,68 +187,48 @@ func StartPorted(cfg PortedConfig) (*PortedRun, error) {
 		}
 	}
 
-	r := &PortedRun{
-		cfg:     cfg,
-		mcfg:    mcfg,
-		machine: machine,
-		nImages: len(images),
-		res: &PortedResult{
-			Scenario:   cfg.Scenario,
-			Variant:    cfg.Variant,
-			KernelTime: make(map[KernelID]sim.Duration),
-		},
+	res := &PortedResult{
+		Scenario:   cfg.Scenario,
+		Variant:    cfg.Variant,
+		KernelTime: make(map[KernelID]sim.Duration),
 	}
+	var inj *fault.Injector
 	if !cfg.Faults.Empty() {
-		r.inj = fault.NewInjector(machine.Engine, cfg.Faults, mcfg.NumSPEs)
-		machine.InjectFaults(r.inj)
+		inj = fault.NewInjector(machine.Engine, cfg.Faults, mcfg.NumSPEs)
+		machine.InjectFaults(inj)
 	}
-	r.main = machine.StartMain("marvel", func(ctx *cell.Context) {
-		r.runErr = portedMain(ctx, cfg, r.inj, images, ms, ref, r.res)
-		r.ppeBusy = ctx.BusyTime()
+	var runErr error
+	var ppeBusy sim.Duration
+	elapsed, err := machine.RunMain("marvel", func(ctx *cell.Context) {
+		runErr = portedMain(ctx, cfg, inj, images, ms, ref, res)
+		ppeBusy = ctx.BusyTime()
 	})
-	ok = true
-	return r, nil
-}
-
-// Engine returns the engine hosting this run (the wheel to drive).
-func (r *PortedRun) Engine() *sim.Engine { return r.machine.Engine }
-
-// Finish harvests the result after the run's engine has been driven to
-// completion; simErr is the engine's Run error. Finish releases the
-// machine and must be called exactly once.
-func (r *PortedRun) Finish(simErr error) (*PortedResult, error) {
-	defer r.machine.Release()
-	if simErr != nil {
-		return nil, fmt.Errorf("marvel: simulation: %w", simErr)
+	if err != nil {
+		return nil, fmt.Errorf("marvel: simulation: %w", err)
 	}
-	if r.runErr != nil {
-		return nil, r.runErr
-	}
-	res := r.res
-	elapsed, done := r.main.Elapsed()
-	if !done {
-		return nil, fmt.Errorf("marvel: simulation ended before main returned (scenario %s)", r.cfg.Scenario)
+	if runErr != nil {
+		return nil, runErr
 	}
 	res.Total = elapsed
-	if n := r.nImages; n > 0 {
+	if n := len(images); n > 0 {
 		res.PerImage = (res.Total - res.OneTime) / sim.Duration(n)
 		for id := range res.KernelTime {
 			res.KernelTime[id] /= sim.Duration(n)
 		}
 	}
-	for _, s := range r.machine.SPEs {
+	for _, s := range machine.SPEs {
 		res.SPEBusy = append(res.SPEBusy, s.BusyTime())
 	}
-	res.EventCount = r.machine.Engine.EventCount
-	if r.inj != nil {
-		res.Faults = r.inj.Report()
+	res.EventCount = machine.Engine.EventCount
+	if inj != nil {
+		res.Faults = inj.Report()
 	}
 	// Post-run observability harvest: pure bookkeeping over completed
 	// counters, after the engine has stopped — it cannot affect the replay
 	// fingerprint captured above.
-	if reg := r.mcfg.Metrics; reg != nil {
-		r.machine.HarvestMetrics(elapsed)
-		reg.Counter("ppe", "busy_fs").Add(int64(r.ppeBusy))
+	if reg := mcfg.Metrics; reg != nil {
+		machine.HarvestMetrics(elapsed)
+		reg.Counter("ppe", "busy_fs").Add(int64(ppeBusy))
 		if res.Faults != nil {
 			rep := res.Faults
 			reg.Counter("supervisor", "faults_planned").Add(int64(rep.Planned))
@@ -286,23 +243,8 @@ func (r *PortedRun) Finish(simErr error) (*PortedResult, error) {
 		}
 		res.Metrics = reg.Snapshot()
 	}
-	if rec, ok := r.mcfg.Tracer.(*trace.Recorder); ok {
+	if rec, ok := mcfg.Tracer.(*trace.Recorder); ok {
 		res.Trace = rec
-	}
-	return res, nil
-}
-
-// RunPorted executes the ported MARVEL application on a simulated Cell.
-// With an execution backend configured, the same point then runs for
-// real and the measured run rides along on the result.
-func RunPorted(cfg PortedConfig) (*PortedResult, error) {
-	r, err := StartPorted(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := r.Finish(r.Engine().Run())
-	if err != nil {
-		return nil, err
 	}
 	if cfg.Exec != nil {
 		run, err := cfg.Exec.Execute(ExecPoint{Workload: cfg.Workload, Scenario: cfg.Scenario, Variant: cfg.Variant})

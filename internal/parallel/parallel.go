@@ -6,10 +6,24 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
+
+// call runs job(i), turning a panic into an error naming i (with the
+// panicking goroutine's stack, which is gone once the worker returns) so
+// that it fails the run instead of killing the process from a worker.
+func call[T any](job func(int) (T, error), i int) (r T, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("parallel: job %d panicked: %v\n%s", i, v, debug.Stack())
+		}
+	}()
+	return job(i)
+}
 
 // RunIndexed executes job(0..n-1) on up to `workers` goroutines and
 // returns the results in index order. workers <= 0 means GOMAXPROCS;
@@ -21,7 +35,8 @@ import (
 // job always executes, the lowest failing index is always among the
 // executed jobs, so the returned error is deterministic no matter how
 // the goroutines are scheduled (pinned by
-// TestRunIndexedLowestIndexErrorDeterministic).
+// TestRunIndexedLowestIndexErrorDeterministic). A job that panics fails
+// with an error naming its index, on either path.
 func RunIndexed[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if workers <= 0 {
@@ -32,7 +47,7 @@ func RunIndexed[T any](workers, n int, job func(i int) (T, error)) ([]T, error) 
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			r, err := job(i)
+			r, err := call(job, i)
 			if err != nil {
 				return nil, err
 			}
@@ -61,7 +76,7 @@ func RunIndexed[T any](workers, n int, job func(i int) (T, error)) ([]T, error) 
 				if i >= n {
 					return
 				}
-				r, err := job(i)
+				r, err := call(job, i)
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)

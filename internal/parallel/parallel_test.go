@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,5 +100,53 @@ func TestRunIndexedPropagatesError(t *testing.T) {
 	})
 	if !errors.Is(err, boom) || ran.Load() != 4 {
 		t.Fatalf("sequential: err=%v ran=%d, want boom after 4 jobs", err, ran.Load())
+	}
+}
+
+// TestRunIndexedContainsPanics: a job that panics at index k fails the
+// run with an error naming k, on the inline path and on worker
+// goroutines alike; every job below k still runs, and the
+// lowest-index-error rule ranks the panic like any other failure.
+func TestRunIndexedContainsPanics(t *testing.T) {
+	const n, k = 32, 11
+	errLow, errHigh := errors.New("low-index failure"), errors.New("high-index failure")
+	for _, workers := range []int{1, 4} {
+		for _, tc := range []struct {
+			name    string
+			failAt  int   // a plain error at this index (-1: none)
+			fail    error // that error
+			wantErr error // nil: the panic at k
+		}{
+			{"alone", -1, nil, nil},
+			{"before a higher error", k + 5, errHigh, nil},
+			{"after a lower error", k - 4, errLow, errLow},
+		} {
+			var ran [n]atomic.Bool
+			_, err := RunIndexed(workers, n, func(i int) (int, error) {
+				ran[i].Store(true)
+				switch i {
+				case k:
+					panic(fmt.Sprintf("boom at %d", i))
+				case tc.failAt:
+					return 0, tc.fail
+				}
+				return i, nil
+			})
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("workers=%d %s: err = %v, want %v", workers, tc.name, err, tc.wantErr)
+				}
+				continue
+			}
+			want := fmt.Sprintf("parallel: job %d panicked: boom at %d\n", k, k)
+			if err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("workers=%d %s: err = %v, want one starting %q", workers, tc.name, err, want)
+			}
+			for i := 0; i < k; i++ {
+				if !ran[i].Load() {
+					t.Fatalf("workers=%d %s: job %d below the panic never ran", workers, tc.name, i)
+				}
+			}
+		}
 	}
 }

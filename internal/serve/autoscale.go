@@ -5,17 +5,16 @@ import (
 )
 
 // The fleet autoscaler: a deterministic controller sampling virtual-time
-// load signals on a fixed tick grid. Each tick reads two coordinator
+// load signals on a fixed tick grid. Each tick reads two pool-wide
 // observables over the active pools — queue depth relative to capacity,
 // and the estimated finish lag behind the frontier — averages them over
 // a sliding window, and moves one pool per decision: activate the
 // lowest-index drainable-back pool on sustained overload, drain the
-// highest-index active pool on sustained idleness. Ticks are
-// coordinator-scheduled instants exactly like planned faults (fenced in
-// the sharded run, priority-ordered between faults and re-admissions in
-// both loops), so every schedule decision is a pure function of the
-// virtual history and fleet runs stay byte-identical at any worker
-// count.
+// highest-index active pool on sustained idleness. Ticks are scheduled
+// instants like planned faults, ordered after faults and before
+// re-admissions at equal timestamps, so every schedule decision is a
+// pure function of the virtual history and fleet runs stay
+// byte-identical at any worker count.
 
 // Autoscale configures the fleet autoscaler. The zero value of each
 // field selects its documented default; the struct itself is opt-in
@@ -131,9 +130,7 @@ func (p *pool) fleetLoad() float64 {
 }
 
 // autoscaleTick takes one load sample and applies at most one scale
-// action. Coordinator-only, at a fenced instant: in the sharded run the
-// wheels are quiescent, so the signals it reads are exactly what the
-// sequential loop reads at the same virtual time.
+// action.
 func (p *pool) autoscaleTick() {
 	f := p.fleet
 	s := f.scaler
@@ -236,7 +233,7 @@ func (p *pool) drainPool() bool {
 			case b.health.admittable():
 				b.health = healthDraining
 				b.parkPending = true
-				p.maybePark(b, p.now)
+				p.maybePark(b)
 			}
 		}
 		f.rebuildRing()

@@ -2,19 +2,18 @@ package serve
 
 // Fleet mode (DESIGN.md §13): the run's blades are partitioned into
 // Config.Pools independent pools of Config.Blades blades each. Each pool
-// keeps its own admission rotation and queue set; calibration tables and
-// the wheel set are shared across the fleet (one wheel per blade, as in
-// the single-pool run). A router places each arrival on a pool by
-// consistent hashing of its geometry key, with an estimator-aware
-// override toward the pool with the earliest estimated finish frontier;
-// when no active pool has room the request is shed globally
-// (shed_global — the fleet ledger's sixth term). A deterministic
-// autoscaler (autoscale.go) activates and drains pools from virtual-time
-// load signals, driving drains through the blade lifecycle machinery.
+// keeps its own admission rotation and queue set; the calibration table
+// and the event loop are shared across the fleet. A router places each
+// arrival on a pool by consistent hashing of its geometry key, with an
+// estimator-aware override toward the pool with the earliest estimated
+// finish frontier; when no active pool has room the request is shed
+// globally (shed_global — the fleet ledger's sixth term). A
+// deterministic autoscaler (autoscale.go) activates and drains pools
+// from virtual-time load signals, driving drains through the blade
+// lifecycle machinery.
 //
-// Everything here is coordinator state: routing, scaling, and the ring
-// are only touched while the wheels are quiescent, so fleet runs stay
-// byte-identical across -seqsim, -shards N, -lookahead, and -parallel.
+// Routing, scaling, and the ring are pure functions of the virtual
+// history, so fleet runs stay byte-identical at any -parallel.
 
 // poolShard is one pool of the fleet: a contiguous pool-major slice of
 // the run's blades plus the pool-local admission rotation.
@@ -92,7 +91,7 @@ func (p *pool) poolHasRoom(pl *poolShard) bool {
 func (p *pool) admitFleet(r Request) {
 	pl := p.routePool(r)
 	if pl == nil {
-		p.finish(r, outShedGlobal, nil, p.now)
+		p.finish(r, outShedGlobal, nil)
 		return
 	}
 	pl.routed++

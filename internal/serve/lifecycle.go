@@ -13,10 +13,9 @@ import (
 // The blade lifecycle layer (DESIGN.md §12): fleet-level fault plans
 // kill, stall, and restart whole blades at planned virtual instants, and
 // the pool re-routes the victims' work through the normal placement path
-// under a retry budget. Everything here runs on the coordinator — in the
-// sharded run only at epoch barriers, with every wheel quiescent — so
-// blade state transitions are serial in both event loops and the chaos
-// run stays byte-identical across -seqsim, -shards N, and -lookahead.
+// under a retry budget. Every transition runs in the event loop at its
+// planned instant, after that instant's completions and before its
+// re-admissions and arrivals.
 
 // health is a blade's lifecycle state. Admission treats the states as a
 // circuit breaker: only admittable() states accept new requests.
@@ -110,7 +109,7 @@ func (p *pool) armFleet(plan *fault.Plan) error {
 	return nil
 }
 
-// applyFault runs one lifecycle transition on the coordinator. Guards
+// applyFault runs one lifecycle transition at p.now. Guards
 // make overlapping plans first-wins: a transition finding its blade in
 // an incompatible state (already down, already stalled, stall on a
 // draining blade) is a no-op, deterministically in plan order.
@@ -163,14 +162,10 @@ func (p *pool) applyFault(ev bladeEvent) {
 		trace.RecordInstant(b.tr, b.lane, p.now, fmt.Sprintf("blade-stall %s", ev.delay))
 		if b.busy {
 			// The in-flight dispatch finishes late by the stall length.
-			// Invalidate the already-scheduled completion (generation
-			// bump) and reschedule at the pushed-back instant.
-			b.gen++
 			if b.start > p.now {
 				b.start = b.start.Add(ev.delay)
 			}
 			b.done = b.done.Add(ev.delay)
-			p.scheduleCompletion(b)
 		}
 	case evStallEnd:
 		if b.health != healthStalled {
@@ -185,41 +180,36 @@ func (p *pool) applyFault(ev bladeEvent) {
 		}
 		trace.RecordInstant(b.tr, b.lane, p.now, "stall-end")
 		if !b.busy && len(b.queue) > 0 {
-			p.dispatch(b, p.now)
+			p.dispatch(b)
 		}
-		p.maybePark(b, p.now)
+		p.maybePark(b)
 	}
 }
 
 // maybePark completes an autoscale drain: a draining blade with the park
 // flag set powers down once it has neither in-flight work nor queue.
 // Parking loses warmth, so a later scale-up re-charges warmup exactly
-// like a restart. Only blade-owned state is touched, so the call is
-// legal both from the coordinator and from the blade's own wheel (the
-// completion path).
-func (p *pool) maybePark(b *blade, now sim.Time) {
+// like a restart.
+func (p *pool) maybePark(b *blade) {
 	if !b.parkPending || b.health != healthDraining || b.busy || len(b.queue) > 0 {
 		return
 	}
 	b.parkPending = false
 	b.health = healthParked
 	b.warm = false
-	trace.RecordInstant(b.tr, b.lane, now, "autoscale: parked")
+	trace.RecordInstant(b.tr, b.lane, p.now, "autoscale: parked")
 }
 
 // killBlade evicts b's work at p.now: the in-flight batch first (in
 // batch order), then the queue (in admission order), each request going
 // through the retry machinery. Partial busy time up to the kill instant
-// is accounted so utilization stays honest. Coordinator-only: in the
-// sharded run the wheels are quiescent, and the generation bump turns
-// the already-scheduled completion event into a no-op.
+// is accounted so utilization stays honest.
 func (p *pool) killBlade(b *blade) {
 	if b.busy {
 		if p.now > b.start {
 			b.busyTime += p.now.Sub(b.start)
 		}
 		b.busy = false
-		b.gen++
 		for _, r := range b.cur {
 			p.reroute(b, r)
 		}
@@ -240,12 +230,12 @@ func (p *pool) killBlade(b *blade) {
 func (p *pool) reroute(b *blade, r Request) {
 	r.Attempts++
 	if r.Attempts > p.cfg.RetryBudget {
-		p.finish(r, outShedExhausted, b, p.now)
+		p.finish(r, outShedExhausted, b)
 		return
 	}
 	at := p.now.Add(rerouteBackoff(p.cfg.RetryBackoff, r.Attempts))
 	if r.Deadline != sim.Never && at > r.Deadline {
-		p.finish(r, outShedRerouted, b, p.now)
+		p.finish(r, outShedRerouted, b)
 		return
 	}
 	b.rerouted++
@@ -269,8 +259,7 @@ func rerouteBackoff(base sim.Duration, attempt int) sim.Duration {
 
 // rerouteEntry is one re-routed request waiting out its backoff. The
 // (at, seq) key makes heap order total and deterministic: seq is
-// assigned in eviction order, which both event loops produce
-// identically.
+// assigned in eviction order.
 type rerouteEntry struct {
 	at  sim.Time
 	seq uint64
@@ -302,42 +291,6 @@ func (p *pool) popReroute() Request {
 	return heap.Pop(&p.reroutes).(rerouteEntry).req
 }
 
-// anyBusy reports whether any blade has an in-flight dispatch.
-// Coordinator-only (the wheels must be quiescent).
-func (p *pool) anyBusy() bool {
-	for _, b := range p.blades {
-		if b.busy {
-			return true
-		}
-	}
-	return false
-}
-
-// faultEligible reports whether pending lifecycle faults may still fire:
-// only while the run has live work (arrivals or re-admissions pending,
-// or a dispatch in flight). Once the last request resolves the run is
-// over, so later-scheduled faults stay armed-but-unfired — exactly the
-// PR-3 invariant lifted to fleet scope, and what makes an unfired blade
-// plan byte-identical to no plan.
-func (p *pool) faultEligible(reqs []Request, ai int) bool {
-	return ai < len(reqs) || len(p.reroutes) > 0 || p.anyBusy()
-}
-
-// coordClass orders same-instant coordinator events. Completions (wheel
-// events) always run first — RunUntil is inclusive of the barrier
-// instant — then faults, then autoscale ticks, then re-admissions, then
-// fresh arrivals. The sequential loop applies the identical priority,
-// which is what keeps the two event loops byte-identical under chaos
-// schedules.
-type coordClass int
-
-const (
-	coordFault coordClass = iota
-	coordTick
-	coordReroute
-	coordArrival
-)
-
 // nextTick reports the next armed autoscale sample instant (Never when
 // the fleet runs without an autoscaler).
 func (p *pool) nextTick() sim.Time {
@@ -345,28 +298,4 @@ func (p *pool) nextTick() sim.Time {
 		return sim.Never
 	}
 	return p.fleet.scaler.next
-}
-
-// nextCoord reports the earliest pending coordinator event and its
-// class; priority breaks timestamp ties. Fault and tick instants
-// participate only while faultEligible holds — once the last request
-// resolves, remaining faults stay armed-but-unfired and the autoscaler
-// stops sampling, in both event loops.
-func (p *pool) nextCoord(reqs []Request, ai int) (sim.Time, coordClass, bool) {
-	var t sim.Time
-	var class coordClass
-	ok := false
-	if p.fi < len(p.faultSched) && p.faultEligible(reqs, ai) {
-		t, class, ok = p.faultSched[p.fi].at, coordFault, true
-	}
-	if tick := p.nextTick(); tick != sim.Never && p.faultEligible(reqs, ai) && (!ok || tick < t) {
-		t, class, ok = tick, coordTick, true
-	}
-	if len(p.reroutes) > 0 && (!ok || p.reroutes[0].at < t) {
-		t, class, ok = p.reroutes[0].at, coordReroute, true
-	}
-	if ai < len(reqs) && (!ok || reqs[ai].Arrival < t) {
-		t, class, ok = reqs[ai].Arrival, coordArrival, true
-	}
-	return t, class, ok
 }

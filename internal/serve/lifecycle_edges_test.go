@@ -10,8 +10,8 @@ import (
 // corner of the health state machine is pinned table-driven, directly
 // against applyFault on a quiescent pool. What must never happen:
 // a restart fire claiming a drain it did not start (double warmup
-// recharge on a blade that never restarted), a generation bump leaking
-// from a no-op transition, or a crash leaving a pending flag armed.
+// recharge on a blade that never restarted), a no-op transition moving
+// an in-flight completion, or a crash leaving a pending flag armed.
 
 type edgeStep struct {
 	kind bladeEventKind
@@ -28,7 +28,8 @@ func TestLifecycleTransitionEdges(t *testing.T) {
 		wantCrashes        int
 		wantRestarts       int
 		wantStalls         int
-		wantGen            uint64
+		wantBusy           bool
+		wantDone           sim.Time
 		wantWarm           bool
 		wantRestartPending bool
 		wantParkPending    bool
@@ -44,10 +45,10 @@ func TestLifecycleTransitionEdges(t *testing.T) {
 			wantHealth: healthDown, wantCrashes: 1, wantRestarts: 1,
 		},
 		{
-			name:       "double crash counts once and keeps one generation bump",
+			name:       "double crash counts once and evicts once",
 			prep:       func(b *blade) { b.busy = true; b.done = 50 },
 			steps:      []edgeStep{{evBladeCrash, 20}, {evBladeCrash, 30}},
-			wantHealth: healthDown, wantCrashes: 1, wantGen: 1, wantWarm: true,
+			wantHealth: healthDown, wantCrashes: 1, wantDone: 50, wantWarm: true,
 		},
 		{
 			name:       "restart fire on an up blade is a no-op",
@@ -100,9 +101,9 @@ func TestLifecycleTransitionEdges(t *testing.T) {
 			wantHealth: healthDown, wantCrashes: 1, wantWarm: false,
 		},
 		{
-			name:       "stall on an idle blade bumps no generation",
+			name:       "stall on an idle blade pushes no completion",
 			steps:      []edgeStep{{evStallStart, 10}, {evStallEnd, 20}},
-			wantHealth: healthUp, wantStalls: 1, wantGen: 0, wantWarm: true,
+			wantHealth: healthUp, wantStalls: 1, wantWarm: true,
 		},
 	}
 	for _, tc := range cases {
@@ -133,8 +134,8 @@ func TestLifecycleTransitionEdges(t *testing.T) {
 			if b.stalls != tc.wantStalls {
 				t.Errorf("stalls = %d, want %d", b.stalls, tc.wantStalls)
 			}
-			if b.gen != tc.wantGen {
-				t.Errorf("gen = %d, want %d (generation counter leak)", b.gen, tc.wantGen)
+			if b.busy != tc.wantBusy || b.done != tc.wantDone {
+				t.Errorf("busy = %v done = %v, want %v and %v", b.busy, b.done, tc.wantBusy, tc.wantDone)
 			}
 			if b.warm != tc.wantWarm {
 				t.Errorf("warm = %v, want %v (warmup recharge audit)", b.warm, tc.wantWarm)

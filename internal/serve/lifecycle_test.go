@@ -89,25 +89,17 @@ func TestChaosConservation(t *testing.T) {
 }
 
 // TestChaosDeterminismMatrix is the acceptance matrix: a seeded
-// blade-fault schedule must serialize byte-identically across
-// -shards {0,1,2,8} × -lookahead {on,off} vs the -seqsim reference.
+// blade-fault schedule must serialize byte-identically across repeated
+// runs and -parallel {1,8}.
 func TestChaosDeterminismMatrix(t *testing.T) {
 	cfg := chaosConfig(t)
 	cfg.Faults = fault.SeededFleet(7, cfg.Blades, runSpan(t, cfg))
-
-	seq := cfg
-	seq.SeqSim = true
-	golden := marshal(t, mustRun(t, seq))
-
-	for _, shards := range []int{0, 1, 2, 8} {
-		for _, lookahead := range []bool{true, false} {
-			run := cfg
-			run.Shards = shards
-			run.NoLookahead = !lookahead
-			name := fmt.Sprintf("shards=%d lookahead=%v", shards, lookahead)
-			if got := marshal(t, mustRun(t, run)); !bytes.Equal(got, golden) {
-				t.Fatalf("%s diverged from seqsim:\n got %s\nwant %s", name, got, golden)
-			}
+	golden := marshal(t, mustRun(t, cfg))
+	for _, par := range []int{0, 1, 8} {
+		run := cfg
+		run.Parallel = par
+		if got := marshal(t, mustRun(t, run)); !bytes.Equal(got, golden) {
+			t.Fatalf("parallel=%d diverged:\n got %s\nwant %s", par, got, golden)
 		}
 	}
 }
@@ -126,19 +118,8 @@ func TestArmedButUnfiredFleetPlan(t *testing.T) {
 		{Kind: fault.BladeRestart, Blade: 1, At: sim.Time(far), Drain: sim.Millisecond},
 		{Kind: fault.BladeStall, Blade: 2, At: sim.Time(far), Delay: sim.Millisecond},
 	}}
-	for _, mode := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"sharded", func(*Config) {}},
-		{"seqsim", func(c *Config) { c.SeqSim = true }},
-		{"nolookahead", func(c *Config) { c.NoLookahead = true }},
-	} {
-		run := armed
-		mode.mut(&run)
-		if got := marshal(t, mustRun(t, run)); !bytes.Equal(got, golden) {
-			t.Fatalf("%s: armed-but-unfired blade plan changed the report:\n got %s\nwant %s", mode.name, got, golden)
-		}
+	if got := marshal(t, mustRun(t, armed)); !bytes.Equal(got, golden) {
+		t.Fatalf("armed-but-unfired blade plan changed the report:\n got %s\nwant %s", got, golden)
 	}
 }
 

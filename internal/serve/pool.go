@@ -16,15 +16,9 @@ import (
 // the calibrated service table, which was measured on a machine
 // identical to the one this blade models (FullFidelity re-runs that
 // machine once per distinct dispatched key to prove it).
-//
-// All mutable state below the wheel field is owned by the blade: in a
-// sharded run it is touched only by events on this blade's wheel, or by
-// the coordinator while every wheel is quiescent at an epoch barrier.
-// That ownership is what lets the wheels run concurrently without locks.
 type blade struct {
-	id    int
-	lane  string
-	wheel *sim.Engine // this blade's event wheel (nil in the sequential loop)
+	id   int
+	lane string
 
 	queue []Request
 	spare []Request // recycled batch buffer (capacity MaxBatch, reused across dispatches)
@@ -35,13 +29,9 @@ type blade struct {
 	cur   []Request
 	deg   bool // current dispatch runs degraded (supervised recovery)
 
-	// Lifecycle state (DESIGN.md §12). health gates admission; gen
-	// invalidates completion events scheduled for dispatches that a kill
-	// or stall subsequently rewrote (the stale closure finds a newer
-	// generation and returns untouched); stallRestore remembers the state
-	// a transient stall must restore.
+	// Lifecycle state (DESIGN.md §12). health gates admission;
+	// stallRestore remembers the state a transient stall must restore.
 	health       health
-	gen          uint64
 	stallRestore health
 	// restartPending pairs a fault drain with its restart fire so the
 	// fire can't claim an unrelated drain; parkPending marks an
@@ -74,13 +64,7 @@ type blade struct {
 // pool is the deterministic serving event loop: a virtual clock advanced
 // strictly by arrival and completion events. Completions at a timestamp
 // are processed before arrivals at the same timestamp; simultaneous
-// completions resolve by blade index (trivially in the sequential loop,
-// and by construction in the sharded run, where same-timestamp
-// completions on different wheels touch only disjoint blade state).
-//
-// Admission state (rr, placement fallbacks, the placeOrderIn scratch
-// buffers) belongs to the coordinator alone: it is only touched while
-// the wheels are quiescent.
+// completions resolve by blade index.
 type pool struct {
 	cfg      Config
 	cal      *Calibration
@@ -88,46 +72,30 @@ type pool struct {
 	blades   []*blade
 	rr       int
 	now      sim.Time
-	sharded  bool
 
 	// fleet is the multi-pool routing/autoscaling layer (DESIGN.md §13);
 	// nil selects the classic single-pool admission path. In fleet mode
 	// p.blades still holds every blade (pool-major, blade-index order) —
-	// the wheels, the report fold, and the lifecycle machinery are
-	// shared — while fleet.pools partitions them for routing.
+	// the report fold and the lifecycle machinery are shared — while
+	// fleet.pools partitions them for routing.
 	fleet *fleetState
 
-	// lastTouched is the wheel index the most recent admit dispatched or
-	// queued into (−1 when the request was shed), letting the lookahead
-	// coordinator refresh its horizon in O(1) via sim.HorizonAfter.
-	lastTouched int
-
 	// outcomes holds one terminal record per request, indexed by
-	// Request.ID and written only by finish. A request is on at most one
-	// blade at a time, so wheels write disjoint records.
+	// Request.ID and written only by finish.
 	outcomes []outcome
 
 	placeFallbacks int
 
-	// Lifecycle coordinator state: the compiled blade-fault schedule
-	// (sorted, consumed via fi) and the pending re-admissions heap. Both
-	// are coordinator-only, like the admission state above.
+	// Lifecycle state: the compiled blade-fault schedule (sorted,
+	// consumed via fi) and the pending re-admissions heap.
 	faultSched []bladeEvent
 	fi         int
 	reroutes   rerouteHeap
 	rerouteSeq uint64
 
-	// Coordinator-side synchronization accounting (sharded run only):
-	// epochs/barriers from the engine, windowAdmits counts arrivals the
-	// lookahead coordinator committed without paying a barrier, and
-	// barrierWait is the engine's accumulated virtual idle time.
-	epochs       uint64
-	barriers     uint64
-	windowAdmits int
-	barrierWait  sim.Duration
-
-	// ctr records coordinator-lane trace events (one instant per epoch
-	// barrier) when Config.Instrument is set; nil otherwise.
+	// ctr records coordinator-lane trace events (sheds that no blade
+	// held, autoscale actions) when Config.Instrument is set; nil
+	// otherwise.
 	ctr *trace.Recorder
 
 	// placeOrderIn scratch, hoisted out of the admission hot path.
@@ -136,8 +104,8 @@ type pool struct {
 	idxBuf   []int
 }
 
-// coordLane is the trace lane carrying coordinator events (epoch
-// barriers), distinct from the per-blade lanes.
+// coordLane is the trace lane carrying pool-wide events, distinct from
+// the per-blade lanes.
 const coordLane = "coordinator"
 
 func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
@@ -148,14 +116,13 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 		total = cfg.Blades * cfg.Pools
 	}
 	p := &pool{
-		cfg:         cfg,
-		cal:         cal,
-		deadline:    deadline,
-		lastTouched: -1,
-		outcomes:    make([]outcome, cfg.Requests),
-		ordBuf:      make([]*blade, total),
-		scoreBuf:    make([]sim.Duration, total),
-		idxBuf:      make([]int, total),
+		cfg:      cfg,
+		cal:      cal,
+		deadline: deadline,
+		outcomes: make([]outcome, cfg.Requests),
+		ordBuf:   make([]*blade, total),
+		scoreBuf: make([]sim.Duration, total),
+		idxBuf:   make([]int, total),
 	}
 	if cfg.Instrument {
 		p.ctr = trace.NewRecorder()
@@ -179,16 +146,17 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 	return p
 }
 
-// run plays the sequential event loop over the arrival stream until every
-// admitted request has completed or been shed. It is the reference
-// semantics the sharded run must reproduce byte-for-byte.
+// run plays the event loop over the arrival stream until every admitted
+// request has completed or been shed. Each step takes the earliest
+// pending event: the earliest in-flight completion (earliestBusy), the
+// next planned lifecycle fault, the next autoscale tick, the earliest
+// re-admission, or the next arrival.
 //
 // Event priority at equal timestamps: completions, then lifecycle
-// faults, then re-admissions of evicted requests, then fresh arrivals —
-// the same total order the sharded coordinator derives from inclusive
-// RunUntil plus coordClass. The run ends when no completion, re-route,
-// or arrival remains; lifecycle faults scheduled past that point never
-// fire (armed-but-unfired, see faultEligible).
+// faults, then autoscale ticks, then re-admissions of evicted requests,
+// then fresh arrivals. The run ends when no completion, re-route, or
+// arrival remains; lifecycle faults and ticks scheduled past that point
+// never fire, so an armed-but-unfired plan leaves the report unchanged.
 func (p *pool) run(reqs []Request) {
 	ai := 0
 	for {
@@ -235,136 +203,6 @@ func (p *pool) run(reqs []Request) {
 	}
 }
 
-// runSharded plays the identical semantics on one event wheel per blade.
-// With lookahead off, each distinct arrival timestamp is an epoch
-// barrier: the coordinator admits that instant's arrivals alone, in
-// stream order, exactly as the sequential loop would. RunUntil is
-// inclusive of the barrier time, so completions at an arrival's
-// timestamp still precede the admission, matching the sequential loop's
-// tie-break.
-//
-// With lookahead on, the coordinator exploits the conservative horizon
-// (ShardedEngine.Horizon — the earliest pending event across all
-// wheels): while the wheels are quiescent, any arrival strictly below
-// the horizon can be admitted immediately, because no wheel event — in
-// particular no completion — exists at or before its timestamp, so the
-// per-arrival schedule would have admitted it into exactly this pool
-// state anyway. Admission itself schedules completion events (shrinking
-// the horizon), so the horizon is re-read after every commit. Only the
-// first arrival at or past the horizon forces a barrier; arrivals
-// sharing that barrier's timestamp are then admitted after the epoch
-// runs, preserving the completions-before-same-instant-arrivals rule.
-// The two schedules produce identical per-wheel event sequences, so the
-// reports are byte-identical — lookahead only deletes barriers whose
-// ordering constraints were vacuous.
-//
-// Lifecycle faults are coordinator-observed events: a planned blade
-// fault is always a barrier (killing a blade reads and writes state
-// across the pool, so the wheels must be quiescent), and the engine
-// fence (ShardedEngine.SetFence) pins the horizon at the next scheduled
-// fault instant, so lookahead windows structurally cannot admit past a
-// fault even before any wheel knows about it. Re-admissions of evicted
-// requests window-admit exactly like arrivals when strictly below the
-// horizon. Same-instant ordering matches the sequential loop: wheel
-// completions run inside the epoch (RunUntil is inclusive), then the
-// barrier applies faults, re-admissions, and arrivals in coordClass
-// order.
-func (p *pool) runSharded(reqs []Request, workers int, lookahead bool) error {
-	sh := sim.NewSharded(len(p.blades), workers)
-	for i, b := range p.blades {
-		b.wheel = sh.Wheel(i)
-	}
-	p.sharded = true
-	ai := 0
-	p.setFence(sh)
-	err := sh.Run(
-		func() (sim.Time, bool) {
-			h := sh.Horizon()
-			for {
-				t, class, ok := p.nextCoord(reqs, ai)
-				if !ok {
-					return 0, false
-				}
-				// Coordinator-scheduled instants (faults, autoscale
-				// ticks) are always barriers: they read and write state
-				// across the pool, so the wheels must be quiescent.
-				if !lookahead || class == coordFault || class == coordTick || t >= h {
-					return t, true
-				}
-				// p.now drives placement scoring and deadline shedding,
-				// so it must track each admitted event exactly as a
-				// barrier at that instant would have set it.
-				p.now = t
-				if class == coordReroute {
-					p.admit(p.popReroute())
-				} else {
-					p.admit(reqs[ai])
-					ai++
-				}
-				p.windowAdmits++
-				// Admission touches at most one wheel, so the horizon
-				// refresh is O(1) instead of an all-wheels rescan.
-				if p.lastTouched >= 0 {
-					h = sh.HorizonAfter(p.lastTouched, h)
-				}
-			}
-		},
-		func(t sim.Time) {
-			p.barriers++
-			if p.ctr != nil {
-				p.ctr.Instant(coordLane, t, "epoch barrier")
-			}
-			p.now = t
-			for p.fi < len(p.faultSched) && p.faultSched[p.fi].at == t {
-				if !p.faultEligible(reqs, ai) {
-					// The last request resolved during this epoch: the
-					// run is over and every remaining fault stays
-					// armed-but-unfired, as in the sequential loop.
-					p.fi = len(p.faultSched)
-					break
-				}
-				p.applyFault(p.faultSched[p.fi])
-				p.fi++
-			}
-			for p.nextTick() == t {
-				if !p.faultEligible(reqs, ai) {
-					// Run over: the autoscaler stops sampling, exactly as
-					// the sequential loop returns before a trailing tick.
-					p.fleet.scaler.next = sim.Never
-					break
-				}
-				p.autoscaleTick()
-			}
-			p.setFence(sh)
-			for len(p.reroutes) > 0 && p.reroutes[0].at == t {
-				p.admit(p.popReroute())
-			}
-			for ai < len(reqs) && reqs[ai].Arrival == t {
-				p.admit(reqs[ai])
-				ai++
-			}
-		},
-	)
-	p.epochs = sh.Epochs()
-	p.barrierWait = sh.BarrierWait()
-	return err
-}
-
-// setFence pins the engine fence at the earliest coordinator-scheduled
-// instant — the next planned fault or autoscale tick — so lookahead
-// windows structurally cannot admit past it even before any wheel knows
-// about it.
-func (p *pool) setFence(sh *sim.ShardedEngine) {
-	fence := sim.Never
-	if p.fi < len(p.faultSched) {
-		fence = p.faultSched[p.fi].at
-	}
-	if tick := p.nextTick(); tick < fence {
-		fence = tick
-	}
-	sh.SetFence(fence)
-}
-
 // earliestBusy returns the busy blade finishing first (lowest index on
 // ties), or nil when the pool is idle.
 func (p *pool) earliestBusy() *blade {
@@ -392,7 +230,6 @@ func (p *pool) estOne(r Request) sim.Duration {
 // remaining in-flight work, plus warmup for a cold or restarted blade,
 // plus the estimated backlog of its queue. Both the per-pool placement
 // order and the fleet router's frontier comparison rank by it.
-// Coordinator-only (reads cross-blade state through p.now).
 func (p *pool) bladeScore(b *blade) sim.Duration {
 	var s sim.Duration
 	if b.busy {
@@ -415,8 +252,8 @@ func (p *pool) bladeScore(b *blade) sim.Duration {
 // the blades — uses plain rotation over rr, which belongs to the
 // candidate set (the pool shard in fleet mode). With every blade healthy
 // the order is exactly the pre-lifecycle one. The returned slice is pool
-// scratch, valid until the next call (coordinator-only); it is empty
-// when no blade is admittable.
+// scratch, valid until the next call; it is empty when no blade is
+// admittable.
 func (p *pool) placeOrderIn(r Request, blades []*blade, rr *int) []*blade {
 	n := len(blades)
 	rot := func() []*blade {
@@ -471,15 +308,13 @@ func (p *pool) placeOrderIn(r Request, blades []*blade, rr *int) []*blade {
 // dispatching immediately if that blade is idle. A request finding every
 // candidate queue full — or no admittable blade at all — is shed as
 // rejected (backpressure), on the lane of the blade it would have
-// preferred. The touched wheel is recorded for the lookahead
-// coordinator's O(1) horizon refresh.
+// preferred.
 func (p *pool) admitInto(r Request, order []*blade) {
 	for _, b := range order {
 		if len(b.queue) < p.cfg.MaxQueue {
 			b.queue = append(b.queue, r)
-			p.lastTouched = b.id
 			if !b.busy {
-				p.dispatch(b, p.now)
+				p.dispatch(b)
 			}
 			return
 		}
@@ -488,18 +323,14 @@ func (p *pool) admitInto(r Request, order []*blade) {
 	if len(order) > 0 {
 		first = order[0]
 	}
-	p.finish(r, outShedRejected, first, p.now)
+	p.finish(r, outShedRejected, first)
 }
 
 // admit places one request (a fresh arrival or a re-routed eviction)
 // through admitInto in policy preference order. In fleet mode the router
 // first picks the pool (consistent hashing with estimator override), and
-// exhausted candidacy is global backpressure (shed_global). Admission
-// always runs on the coordinator: in the sharded run the wheels are
-// quiescent at the barrier, so the synchronous dispatch here observes
-// exactly the state the sequential loop would.
+// exhausted candidacy is global backpressure (shed_global).
 func (p *pool) admit(r Request) {
-	p.lastTouched = -1
 	if p.fleet != nil {
 		p.admitFleet(r)
 		return
@@ -509,17 +340,16 @@ func (p *pool) admit(r Request) {
 
 // dispatch sheds queued requests that can no longer meet their deadline,
 // coalesces the head-compatible requests into one batch, picks the
-// scheduling scheme, and starts the dispatch on b at virtual time now.
-// It runs either on the coordinator (admission to an idle blade) or on
-// b's own wheel (completion-triggered redispatch), so it must only touch
-// b and immutable pool state.
-func (p *pool) dispatch(b *blade, now sim.Time) {
+// scheduling scheme, and starts the dispatch on b at p.now: on
+// admission to an idle blade, on a completion with work queued, or when
+// a stall ends.
+func (p *pool) dispatch(b *blade) {
 	// A request that cannot finish by its deadline even if dispatched
 	// alone right now is hopeless: shed it instead of wasting a blade.
 	keep := b.queue[:0]
 	for _, r := range b.queue {
-		if r.Deadline != sim.Never && now.Add(p.estOne(r)) > r.Deadline {
-			p.finish(r, outShedExpired, b, now)
+		if r.Deadline != sim.Never && p.now.Add(p.estOne(r)) > r.Deadline {
+			p.finish(r, outShedExpired, b)
 			continue
 		}
 		keep = append(keep, r)
@@ -555,7 +385,7 @@ func (p *pool) dispatch(b *blade, now sim.Time) {
 	}
 
 	s := p.cal.service(svcKey{Scheme: scheme, Tall: tall, K: len(batch)})
-	start := now
+	start := p.now
 	if !b.warm {
 		// A restarted blade comes back cold, so warmup can recur;
 		// warmupTime accumulates every charge.
@@ -582,24 +412,6 @@ func (p *pool) dispatch(b *blade, now sim.Time) {
 	if p.cfg.FullFidelity {
 		b.noteKey(svcKey{Scheme: scheme, Tall: tall, K: len(batch)})
 	}
-	p.scheduleCompletion(b)
-}
-
-// scheduleCompletion schedules b's current dispatch completion on its
-// wheel (no-op in the sequential loop, which polls earliestBusy). The
-// closure captures the dispatch generation: a kill or stall that rewrote
-// the dispatch bumps b.gen, so the stale event fires, finds a newer
-// generation, and returns without touching the ledger.
-func (p *pool) scheduleCompletion(b *blade) {
-	if b.wheel == nil {
-		return
-	}
-	gen := b.gen
-	b.wheel.At(b.done, func() {
-		if b.gen == gen {
-			p.complete(b)
-		}
-	})
 }
 
 // noteKey records k in the blade's verification set unless it is already
@@ -662,16 +474,14 @@ func (p *pool) verifyKey(blade int, k svcKey) error {
 	return nil
 }
 
-// complete retires b's in-flight batch, finishing each request as
-// served, and immediately redispatches if work is queued. In the sharded
-// run it fires as an event on b's wheel, so it derives its own time from
-// the dispatch record rather than the coordinator clock.
+// complete retires b's in-flight batch at p.now, its completion instant,
+// finishing each request as served, and immediately redispatches if work
+// is queued.
 func (p *pool) complete(b *blade) {
-	t := b.done
 	for _, r := range b.cur {
-		p.finish(r, outServed, b, t)
+		p.finish(r, outServed, b)
 	}
-	b.busyTime += t.Sub(b.start)
+	b.busyTime += p.now.Sub(b.start)
 	b.busy = false
 	b.spare = b.cur[:0]
 	b.cur = nil
@@ -679,9 +489,7 @@ func (p *pool) complete(b *blade) {
 		// First completed dispatch after a restart: warmed and proven.
 		b.health = healthUp
 	}
-	p.dispatch(b, t)
+	p.dispatch(b)
 	// An autoscale-drained blade parks once its queue is served out.
-	// maybePark touches only blade-owned state, so it is safe here on
-	// the blade's own wheel.
-	p.maybePark(b, t)
+	p.maybePark(b)
 }

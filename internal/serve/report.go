@@ -91,21 +91,17 @@ type Report struct {
 	// fleet mode (Config.Pools > 0).
 	Fleet *FleetStats `json:"fleet,omitempty"`
 
-	// Coordinator synchronization stats (sharded runs only; zero under
-	// SeqSim). Excluded from JSON: the serialized report must stay
-	// byte-identical across -seqsim, -lookahead on/off, and every
-	// -shards count — these fields describe the schedule, not the
-	// simulation outcome.
-	Epochs       uint64       `json:"-"` // epoch-barrier rounds (final drain included)
-	Barriers     uint64       `json:"-"` // finite-deadline barriers the coordinator paid
-	WindowAdmits int          `json:"-"` // arrivals admitted inside a lookahead window (no barrier)
-	BarrierWait  sim.Duration `json:"-"` // virtual idle imposed by the barrier schedule
+	// Deprecated: no effect; kept only because perfbench still reads it. Removed after ROADMAP 3a.
+	Epochs uint64 `json:"-"`
+	// Deprecated: no effect; kept only because perfbench still reads it. Removed after ROADMAP 3a.
+	Barriers uint64 `json:"-"`
+	// Deprecated: no effect; kept only because perfbench still reads it. Removed after ROADMAP 3a.
+	WindowAdmits int `json:"-"`
 
-	// Coordinator is the coordinator-lane trace (one instant per epoch
-	// barrier) and Sim the synchronization metrics snapshot; both only
-	// with Config.Instrument, both excluded from JSON.
-	Coordinator *trace.Recorder   `json:"-"`
-	Sim         *metrics.Snapshot `json:"-"`
+	// Coordinator is the coordinator-lane trace: shed instants for
+	// requests no blade held and autoscale actions. Only with
+	// Config.Instrument, excluded from JSON.
+	Coordinator *trace.Recorder `json:"-"`
 }
 
 // PoolStats is one fleet pool's share of the run.
@@ -160,15 +156,14 @@ type outcome struct {
 	finishes uint8 // terminal writes: 1 after a correct run, 0 for a lost request
 }
 
-// finish writes r's terminal outcome at virtual time t: the one place a
-// request leaves the run. b is the blade that served or lost r, nil when
-// no blade held it. A shed is marked by an instant on b's lane, else on
+// finish writes r's terminal outcome at p.now: the one place a request
+// leaves the run. b is the blade that served or lost r, nil when no
+// blade held it. A shed is marked by an instant on b's lane, else on
 // the coordinator lane, formatted only when a recorder is attached.
-// finish touches only r's record and b, so b's wheel may call it.
-func (p *pool) finish(r Request, st terminal, b *blade, t sim.Time) {
+func (p *pool) finish(r Request, st terminal, b *blade) {
 	o := &p.outcomes[r.ID]
 	o.finishes++
-	o.state, o.done, o.blade = st, t, -1
+	o.state, o.done, o.blade = st, p.now, -1
 	if b != nil {
 		o.blade = int32(b.id)
 		o.degraded = st == outServed && b.deg
@@ -177,14 +172,14 @@ func (p *pool) finish(r Request, st terminal, b *blade, t sim.Time) {
 	case st == outServed:
 	case b != nil:
 		if b.rec != nil {
-			b.rec.Instant(b.lane, t, fmt.Sprintf("%s req %d", shedLabels[st], r.ID))
+			b.rec.Instant(b.lane, p.now, fmt.Sprintf("%s req %d", shedLabels[st], r.ID))
 		}
 	case p.ctr != nil:
 		why := "no admittable blade"
 		if st == outShedGlobal {
 			why = "fleet backpressure"
 		}
-		p.ctr.Instant(coordLane, t, fmt.Sprintf("%s req %d (%s)", shedLabels[st], r.ID, why))
+		p.ctr.Instant(coordLane, p.now, fmt.Sprintf("%s req %d (%s)", shedLabels[st], r.ID, why))
 	}
 }
 
@@ -200,8 +195,8 @@ func percentile(sorted []sim.Duration, q float64) sim.Duration {
 // report sums the blades' event counters and folds the outcome records
 // with the arrival stream (reqs, indexed by Request.ID) into the ledger,
 // lateness, makespan, percentiles and per-blade and per-pool shares:
-// counts, maxes and order-insensitive percentiles, identical for either
-// event loop. A request without exactly one terminal outcome is an error.
+// counts, maxes and order-insensitive percentiles. A request without
+// exactly one terminal outcome is an error.
 func (p *pool) report(reqs []Request, offered float64) (*Report, error) {
 	rateMultiple := p.cfg.Rate
 	if p.cfg.OfferedRPS > 0 && p.cal.perBlade > 0 {
@@ -220,10 +215,6 @@ func (p *pool) report(reqs []Request, offered float64) (*Report, error) {
 		PolicyFallbacks:     p.placeFallbacks,
 		EstimatorConclusive: p.cal.Conclusive(),
 		PerBlade:            make([]BladeStats, len(p.blades)),
-		Epochs:              p.epochs,
-		Barriers:            p.barriers,
-		WindowAdmits:        p.windowAdmits,
-		BarrierWait:         p.barrierWait,
 	}
 	// Only schemes that actually dispatched appear, matching the
 	// increment-on-use map the loop historically built.
@@ -316,12 +307,6 @@ func (p *pool) report(reqs []Request, offered float64) (*Report, error) {
 	}
 	if p.cfg.Instrument {
 		r.Coordinator = p.ctr
-		reg := metrics.NewRegistry()
-		reg.Counter("sim", "epochs").Add(int64(p.epochs))
-		reg.Counter("sim", "barriers").Add(int64(p.barriers))
-		reg.Counter("sim", "barrier_wait").Add(int64(p.barrierWait))
-		reg.Counter("sim", "window_admits").Add(int64(p.windowAdmits))
-		r.Sim = reg.Snapshot()
 		for i := range r.PerBlade {
 			bs := &r.PerBlade[i]
 			reg := metrics.NewRegistry()

@@ -124,21 +124,10 @@ type Config struct {
 	// FullFidelity verification simulations; it never affects results,
 	// only wall-clock time.
 	Parallel int
-	// Shards bounds the workers driving the per-blade event wheels in the
-	// sharded run (zero selects GOMAXPROCS). Like Parallel it never
-	// affects results: the epoch-barrier protocol makes every worker
-	// count byte-identical.
+	// Deprecated: no effect; kept only because perfbench still sets it. Removed after ROADMAP 3a.
 	Shards int
-	// SeqSim selects the sequential reference event loop instead of the
-	// sharded per-blade wheels. Both produce byte-identical reports; the
-	// sequential loop exists as the determinism oracle and fallback.
+	// Deprecated: no effect; kept only because perfbench still sets it. Removed after ROADMAP 3a.
 	SeqSim bool
-	// NoLookahead disables the conservative lookahead protocol in the
-	// sharded run, restoring an epoch barrier at every distinct arrival
-	// instant. Reports are byte-identical either way; the per-arrival
-	// schedule exists as the oracle for the lookahead coordinator (and
-	// as the slow-but-obvious fallback).
-	NoLookahead bool
 	// FullFidelity proves the calibration table against the machine:
 	// after the event loop, the full machine simulation re-runs once per
 	// distinct (scheme, geometry, batch size) key the run dispatched,
@@ -289,11 +278,7 @@ func Run(cfg Config) (*Report, error) {
 	// The expected arrival span is the autoscaler's natural time unit
 	// for its default sample grid.
 	p.armAutoscale(clampGap(float64(cfg.Requests) / offered))
-	if cfg.SeqSim {
-		p.run(reqs)
-	} else if err := p.runSharded(reqs, cfg.Shards, !cfg.NoLookahead); err != nil {
-		return nil, fmt.Errorf("serve: sharded run: %w", err)
-	}
+	p.run(reqs)
 	if cfg.FullFidelity {
 		if err := p.verifyDispatched(); err != nil {
 			return nil, err

@@ -312,3 +312,26 @@ func TestCalibrationTable(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPoolEventLoop times the admission/dispatch loop alone (no
+// nested dispatch simulations): calibration is shared and the stream is
+// long, so per-arrival allocation on the placement and batching paths
+// dominates allocs/op. This is the benchmark behind the placeOrder /
+// batch-buffer hoists documented in EXPERIMENTS.md.
+func BenchmarkPoolEventLoop(b *testing.B) {
+	cal, err := sharedCal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := quickConfig()
+	cfg.Requests = 512
+	cfg.Rate = 2
+	cfg.Cal = cal
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

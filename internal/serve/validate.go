@@ -48,8 +48,6 @@ func (c Config) Validate() error {
 		return badField("RetryBackoff", c.RetryBackoff, "retry backoff cannot be negative")
 	case c.Parallel < 0:
 		return badField("Parallel", c.Parallel, "worker bound cannot be negative")
-	case c.Shards < 0:
-		return badField("Shards", c.Shards, "shard worker bound cannot be negative")
 	}
 	if math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0) {
 		return badField("Rate", c.Rate, "rate must be finite")

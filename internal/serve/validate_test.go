@@ -29,7 +29,6 @@ func TestValidateRejectsDegenerateConfigs(t *testing.T) {
 		{"negative retry budget", mod(func(c *Config) { c.RetryBudget = -1 }), "RetryBudget"},
 		{"negative retry backoff", mod(func(c *Config) { c.RetryBackoff = -1 }), "RetryBackoff"},
 		{"negative parallel", mod(func(c *Config) { c.Parallel = -4 }), "Parallel"},
-		{"negative shards", mod(func(c *Config) { c.Shards = -8 }), "Shards"},
 		{"NaN rate", mod(func(c *Config) { c.Rate = math.NaN() }), "Rate"},
 		{"infinite rate", mod(func(c *Config) { c.Rate = math.Inf(1) }), "Rate"},
 		{"negative rate", mod(func(c *Config) { c.Rate = -0.5 }), "Rate"},

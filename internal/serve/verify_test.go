@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
 	"cellport/internal/marvel"
+	"cellport/internal/sim"
 	"cellport/internal/trace"
 )
 
@@ -30,7 +32,6 @@ func firstDispatchers(t *testing.T, cfg Config) map[svcKey]int {
 	t.Helper()
 	cfg.FullFidelity = false
 	cfg.Instrument = true
-	cfg.SeqSim = true
 	rep := mustRun(t, cfg)
 	first := map[svcKey]int{}
 	for _, bs := range rep.PerBlade {
@@ -64,11 +65,10 @@ func fsText(s svc) string {
 
 // TestFullFidelityPlantedDivergence plants a wrong table entry for every
 // dispatched key, one field at a time, and requires -fullsim to fail
-// with the same error in the sequential loop and on 1 and 8 wheel
-// workers: the lowest blade that dispatched the key, the key, and the
-// measured and tabled records with a 1 fs difference visible. A wrong
-// entry for a key the run never dispatches is not checked, so that run
-// succeeds.
+// with the same error on 1 and 8 verification workers: the lowest blade
+// that dispatched the key, the key, and the measured and tabled records
+// with a 1 fs difference visible. A wrong entry for a key the run never
+// dispatches is not checked, so that run succeeds.
 func TestFullFidelityPlantedDivergence(t *testing.T) {
 	base := quickConfig()
 	base.Requests = 24
@@ -131,20 +131,16 @@ func TestFullFidelityPlantedDivergence(t *testing.T) {
 			} else if c.name != "never-dispatched" {
 				t.Fatalf("tampered run no longer dispatches %v", c.key)
 			}
-			for _, mode := range []struct {
-				name   string
-				seq    bool
-				shards int
-			}{{"seqsim", true, 0}, {"shards=1", false, 1}, {"shards=8", false, 8}} {
+			for _, par := range []int{1, 8} {
 				run := cfg
-				run.SeqSim, run.Shards = mode.seq, mode.shards
+				run.Parallel = par
 				_, err := Run(run)
 				got := ""
 				if err != nil {
 					got = err.Error()
 				}
 				if got != want {
-					t.Errorf("%s: error\n got %q\nwant %q", mode.name, got, want)
+					t.Errorf("parallel=%d: error\n got %q\nwant %q", par, got, want)
 				}
 			}
 		})
@@ -181,11 +177,8 @@ func TestFullFidelityVerifiesEachKeyOnce(t *testing.T) {
 	}
 
 	before := lookups()
-	for _, seq := range []bool{true, false} {
-		run := cfg
-		run.SeqSim = seq
-		mustRun(t, run)
-	}
+	mustRun(t, cfg)
+	mustRun(t, cfg)
 	verified := lookups() - before
 
 	before = lookups()
@@ -201,5 +194,44 @@ func TestFullFidelityVerifiesEachKeyOnce(t *testing.T) {
 	}
 	if verified != 2*direct {
 		t.Fatalf("two verified runs made %d kernel lookups, want 2 × %d (one nested run per distinct key)", verified, direct)
+	}
+}
+
+// TestFullFidelityByteIdentical checks verified-dispatch mode: re-running
+// the machine once per dispatched key after the loop must not perturb
+// the report at all.
+func TestFullFidelityByteIdentical(t *testing.T) {
+	base := quickConfig()
+	base.Cal = mustCal(t)
+	base.Requests = 24
+	golden := marshal(t, mustRun(t, base))
+
+	ff := base
+	ff.FullFidelity = true
+	if got := marshal(t, mustRun(t, ff)); !bytes.Equal(got, golden) {
+		t.Fatalf("full-fidelity diverged:\n got %s\nwant %s", got, golden)
+	}
+}
+
+// TestFullFidelityCatchesStaleCalibration poisons one calibration table
+// entry and checks verified dispatch fails the run with the blade's
+// divergence instead of silently serving from a stale table.
+func TestFullFidelityCatchesStaleCalibration(t *testing.T) {
+	poisoned := copyCal(mustCal(t))
+	k := svcKey{Scheme: SchemeJob, Tall: false, K: 1}
+	v := poisoned.services[k]
+	v.Service += sim.Microsecond
+	poisoned.services[k] = v
+
+	cfg := quickConfig()
+	cfg.Cal = poisoned
+	cfg.Requests = 16
+	cfg.FullFidelity = true
+	_, err := Run(cfg)
+	if err == nil {
+		t.Fatal("poisoned calibration served without a full-fidelity error")
+	}
+	if !strings.Contains(err.Error(), "full-fidelity") || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("unexpected error: %v", err)
 	}
 }

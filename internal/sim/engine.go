@@ -209,37 +209,6 @@ func (e *Engine) RunUntil(deadline Time) error {
 // processes are abandoned in place; the engine must not be reused afterward.
 func (e *Engine) Halt() { e.halted = true }
 
-// NextEventTime reports the timestamp of the earliest pending event, and
-// whether one exists. It is the engine's lower bound on when its state
-// can next change: no callback or process resume can fire strictly
-// before the returned time. The sharded coordinator uses this between
-// epochs to negotiate a conservative lookahead horizon (see
-// ShardedEngine.Horizon); calling it while the engine is dispatching
-// events is meaningless (the answer is already stale).
-func (e *Engine) NextEventTime() (Time, bool) {
-	best := Never
-	ok := false
-	for i := e.nowHead; i < len(e.nowq); i++ {
-		if e.nowq[i].idx == idxDead {
-			continue
-		}
-		// Lane events all sit at the time they were pushed (== now then);
-		// the engine never travels backward, so the earliest live lane
-		// entry is a valid lower bound.
-		if e.nowq[i].at < best {
-			best = e.nowq[i].at
-		}
-		ok = true
-	}
-	if len(e.queue) > 0 {
-		ok = true
-		if e.queue[0].at < best {
-			best = e.queue[0].at
-		}
-	}
-	return best, ok
-}
-
 // addProc registers a live process (O(1) slice append).
 func (e *Engine) addProc(p *Proc) {
 	p.procIdx = len(e.procs)
@@ -268,20 +237,9 @@ type BlockedProc struct {
 // while processes were still blocked, so none of them can ever resume.
 // Instead of ending the run as if it completed, Run surfaces every stuck
 // process and its wait cause.
-//
-// When the deadlocked engine was one wheel of a ShardedEngine run, the
-// shard fields identify the blocked wheel and the epoch-barrier state at
-// the first stall, so a stuck shard reads as "wheel N stalled at epoch E"
-// rather than a bare global deadlock table.
 type DeadlockError struct {
 	At      Time
 	Blocked []BlockedProc
-
-	// Sharded execution context (populated by ShardedEngine).
-	Sharded bool
-	Wheel   int    // index of the deadlocked wheel
-	Epoch   uint64 // epoch in which the wheel first stalled
-	Barrier Time   // that epoch's barrier deadline (Never for the final drain)
 }
 
 func (e *DeadlockError) Error() string {
@@ -289,13 +247,8 @@ func (e *DeadlockError) Error() string {
 	for i, b := range e.Blocked {
 		parts[i] = fmt.Sprintf("%s (blocked on %s since %s)", b.Name, b.Queue, b.Since)
 	}
-	head := fmt.Sprintf("sim: deadlock at %s", e.At)
-	if e.Sharded {
-		head = fmt.Sprintf("sim: wheel %d deadlocked at %s (stalled in epoch %d, barrier %s)",
-			e.Wheel, e.At, e.Epoch, e.Barrier)
-	}
-	return fmt.Sprintf("%s: no events pending and %d process(es) blocked: %s",
-		head, len(e.Blocked), strings.Join(parts, "; "))
+	return fmt.Sprintf("sim: deadlock at %s: no events pending and %d process(es) blocked: %s",
+		e.At, len(e.Blocked), strings.Join(parts, "; "))
 }
 
 // Blocked returns a snapshot of the currently blocked processes, sorted by

@@ -240,6 +240,25 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestUnshardedDeadlockMessageUnchanged pins the deadlock error shape:
+// the bare global report, with no event-wheel context.
+func TestUnshardedDeadlockMessageUnchanged(t *testing.T) {
+	e := NewEngine()
+	q := NewQueue("empty-mailbox")
+	e.Spawn("reader", func(p *Proc) { p.Wait(q) })
+	err := e.Run()
+	if err == nil {
+		t.Fatal("expected deadlock")
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "sim: deadlock at ") {
+		t.Fatalf("deadlock prefix changed: %s", msg)
+	}
+	if strings.Contains(msg, "wheel") {
+		t.Fatalf("deadlock report mentions wheels: %s", msg)
+	}
+}
+
 func TestNoDeadlockWhenAllDone(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("fine", func(p *Proc) { p.Sleep(Nanosecond) })
