@@ -103,8 +103,12 @@ type geomCal struct {
 // to runs that each calibrated privately.
 type Calibration struct {
 	maxBatch int
-	services map[svcKey]svc
-	geoms    map[bool]*geomCal
+	// services is the dense (geometry, scheme, k) table: see slot.
+	// Entries of a geometry the run did not calibrate stay zero.
+	services []svc
+	// geoms holds the estimator state per geometry (geomIndex); nil for
+	// a geometry the run did not calibrate.
+	geoms [numGeoms]*geomCal
 	// perBlade is the estimated per-blade capacity in requests per
 	// virtual second at full batch size under the best measured scheme.
 	perBlade float64
@@ -113,21 +117,55 @@ type Calibration struct {
 // Conclusive reports whether every calibrated geometry produced a usable
 // Eq. 3 estimate.
 func (c *Calibration) Conclusive() bool {
+	found := false
 	for _, g := range c.geoms {
+		if g == nil {
+			continue
+		}
 		if !g.Conclusive {
 			return false
 		}
+		found = true
 	}
-	return len(c.geoms) > 0
+	return found
 }
 
 // PerBladeCapacity returns the estimated per-blade throughput ceiling
 // (requests per virtual second, standard geometry, full batches).
 func (c *Calibration) PerBladeCapacity() float64 { return c.perBlade }
 
-// service returns the measured dispatch record for a key; the key set is
-// total over (scheme, seen geometry, 1..maxBatch) by construction.
-func (c *Calibration) service(k svcKey) svc { return c.services[k] }
+// numGeoms counts the frame geometries a calibration can hold: standard
+// and tall.
+const numGeoms = 2
+
+// geomIndex is a geometry's index in Calibration.geoms and the outer
+// dimension of the service table: 0 standard, 1 tall.
+func geomIndex(tall bool) int {
+	if tall {
+		return 1
+	}
+	return 0
+}
+
+// slot returns k's index in the dense service table, laid out
+// geometry-major, then scheme, then batch size k-1; -1 when k lies
+// outside the table (no such scheme, or k outside 1..maxBatch).
+func (c *Calibration) slot(k svcKey) int {
+	if k.Scheme < 0 || k.Scheme >= numSchemes || k.K < 1 || k.K > c.maxBatch {
+		return -1
+	}
+	return (geomIndex(k.Tall)*int(numSchemes)+int(k.Scheme))*c.maxBatch + k.K - 1
+}
+
+// service returns the measured dispatch record for a key: total over
+// (scheme, calibrated geometry, 1..maxBatch) by construction, and the
+// zero record for any other key.
+func (c *Calibration) service(k svcKey) svc {
+	if i := c.slot(k); i >= 0 {
+		return c.services[i]
+	}
+	return svc{}
+}
 
 // MaxBatch reports the largest batch size the table was measured at.
 func (c *Calibration) MaxBatch() int { return c.maxBatch }
@@ -139,12 +177,16 @@ func (c *Calibration) MaxBatch() int { return c.maxBatch }
 // compares these virtual-time predictions against real executions of
 // the same points.
 func (c *Calibration) MeasuredService(s Scheme, tall bool, k int) sim.Duration {
-	return c.services[svcKey{Scheme: s, Tall: tall, K: k}].Service
+	return c.service(svcKey{Scheme: s, Tall: tall, K: k}).Service
 }
 
 // EstimatedService returns the Eqs. 1-3 estimate for the same point
-// (zero when the geometry's estimator fit was inconclusive).
+// (zero when the geometry's estimator fit was inconclusive, and for a
+// point outside the table).
 func (c *Calibration) EstimatedService(s Scheme, tall bool, k int) sim.Duration {
+	if c.slot(svcKey{Scheme: s, Tall: tall, K: k}) < 0 {
+		return 0
+	}
 	return c.estService(s, tall, k)
 }
 
@@ -154,7 +196,7 @@ func (c *Calibration) EstimatedService(s Scheme, tall bool, k int) sim.Duration 
 // image i+1 with SPE work on image i, so only the first image pays both
 // serially.
 func (c *Calibration) estService(s Scheme, tall bool, k int) sim.Duration {
-	g := c.geoms[tall]
+	g := c.geoms[geomIndex(tall)]
 	if g == nil || !g.Conclusive {
 		return 0
 	}
@@ -223,8 +265,7 @@ func Calibrate(cfg Config) (*Calibration, error) {
 
 	cal := &Calibration{
 		maxBatch: cfg.MaxBatch,
-		services: map[svcKey]svc{},
-		geoms:    map[bool]*geomCal{},
+		services: make([]svc, numGeoms*int(numSchemes)*cfg.MaxBatch),
 	}
 
 	// One flat job grid: per geometry a reference run and a single-SPE
@@ -275,17 +316,17 @@ func Calibrate(cfg Config) (*Calibration, error) {
 		case 1:
 			singles[j.tall] = outs[i].ported
 		default:
-			cal.services[svcKey{Scheme: j.scheme, Tall: j.tall, K: j.k}] = measuredSvc(outs[i].ported)
+			cal.services[cal.slot(svcKey{Scheme: j.scheme, Tall: j.tall, K: j.k})] = measuredSvc(outs[i].ported)
 		}
 	}
 	for _, tall := range geoms {
-		cal.geoms[tall] = fitEstimator(refs[tall], singles[tall])
+		cal.geoms[geomIndex(tall)] = fitEstimator(refs[tall], singles[tall])
 	}
 
 	// Estimated per-blade capacity: full batches under the best measured
 	// scheme at standard geometry.
-	best := cal.services[svcKey{Scheme: SchemeJob, Tall: false, K: cfg.MaxBatch}].Service
-	if d := cal.services[svcKey{Scheme: SchemeData, Tall: false, K: cfg.MaxBatch}].Service; d < best {
+	best := cal.MeasuredService(SchemeJob, false, cfg.MaxBatch)
+	if d := cal.MeasuredService(SchemeData, false, cfg.MaxBatch); d < best {
 		best = d
 	}
 	if best > 0 {

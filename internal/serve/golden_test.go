@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cellport/internal/fault"
 	"cellport/internal/marvel"
 	"cellport/internal/sim"
+	"cellport/internal/trace"
 )
 
 // goldenTest pins one scenario's serialized report by its SHA-256: any
@@ -123,6 +125,94 @@ func TestGoldenReports(t *testing.T) {
 		}, sha256: "31282295722348396f8017b91ae027dbc7b35aae07f4360d331d65a12f338a7d"},
 	}
 	runGoldenTests(t, tests)
+}
+
+// traceDigest hashes every blade's trace, in blade order, then the
+// coordinator's: each span's lane, endpoints, kind and label and each
+// instant's lane, time and label, so a label that moves a byte changes
+// the digest.
+func traceDigest(rep *Report) string {
+	h := sha256.New()
+	write := func(name string, rec *trace.Recorder) {
+		fmt.Fprintf(h, "%s\n", name)
+		for _, sp := range rec.Spans() {
+			fmt.Fprintf(h, "S %s %d %d %c %s\n", sp.Lane, int64(sp.Start), int64(sp.End), sp.Kind, sp.Label)
+		}
+		for _, in := range rec.Instants() {
+			fmt.Fprintf(h, "I %s %d %s\n", in.Lane, int64(in.At), in.Label)
+		}
+	}
+	for _, bs := range rep.PerBlade {
+		write(fmt.Sprintf("blade %d", bs.Blade), bs.Trace)
+	}
+	write(coordLane, rep.Coordinator)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hasInstant reports whether any blade's trace holds an instant whose
+// label starts with prefix.
+func hasInstant(rep *Report, prefix string) bool {
+	for _, bs := range rep.PerBlade {
+		for _, in := range bs.Trace.Instants() {
+			if strings.HasPrefix(in.Label, prefix) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestGoldenTraces pins the per-blade and coordinator traces of the
+// instrumented runs byte for byte: batch and warmup spans, lifecycle
+// instants (including the formatted stall length), and blade and
+// coordinator shed instants. Labels are formatted only when a recorder
+// is attached, so this is what proves the uninstrumented fast path and
+// the recorded one agree on every label.
+func TestGoldenTraces(t *testing.T) {
+	instrumented := func(cfg func(t *testing.T) Config) func(t *testing.T) Config {
+		return func(t *testing.T) Config {
+			c := cfg(t)
+			c.Instrument = true
+			return c
+		}
+	}
+	tests := []goldenTest{
+		{name: "estimator", config: instrumented(quick(func(*Config) {})),
+			sha256: "38074a49c1681d0ed306930718f8d71bbf493e2542a05074ef99366409bfb595"},
+		{name: "deadlines", config: instrumented(quick(func(c *Config) { c.Rate, c.Deadline = 2, 150*sim.Millisecond })),
+			sha256: "427658dd6ed67389d74865a771bfe4e1212a545ed0d7a6f49357b26363b55464"},
+		{name: "fullsim", config: instrumented(quick(func(c *Config) { c.Requests, c.FullFidelity = 24, true })),
+			sha256: "580c48c0c26f77d20ac38f7839c42881a386106f3bc27a43f19c9cdfde2b5044"},
+		{name: "chaos", config: instrumented(func(t *testing.T) Config {
+			cfg := chaosConfig(t)
+			cfg.Faults = fault.SeededFleet(7, cfg.Blades, runSpan(t, cfg))
+			return cfg
+		}), must: func(t *testing.T, rep *Report) {
+			if !hasInstant(rep, "blade-stall ") {
+				t.Fatal("no blade-stall instant recorded")
+			}
+		}, sha256: "6ad1fdde058c3704b299e0557a483b63e29ba7d5b8f50d13f4c5ba691907c4d2"},
+		{name: "fleet-chaos-both-sheds", config: instrumented(fleetChaos(5, func(c *Config) {
+			c.Requests = 192
+			c.RetryBudget, c.RetryBackoff, c.Deadline = 1, 40*sim.Millisecond, 200*sim.Millisecond
+		})), must: func(t *testing.T, rep *Report) {
+			if rep.Fleet.ScaleDowns == 0 || len(rep.Coordinator.Instants()) == 0 {
+				t.Fatalf("%d scale-downs, %d coordinator instants; want both",
+					rep.Fleet.ScaleDowns, len(rep.Coordinator.Instants()))
+			}
+		}, sha256: "aac16932a188df79a411607d8d126cf57473d2a83b2d131dbb29027265222000"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := mustRun(t, tc.config(t))
+			if tc.must != nil {
+				tc.must(t, rep)
+			}
+			if got := traceDigest(rep); got != tc.sha256 {
+				t.Fatalf("trace digest %s, want %s", got, tc.sha256)
+			}
+		})
+	}
 }
 
 // TestGoldenSeededSweep pins a spread of arrival seeds at a light and an

@@ -7,7 +7,6 @@ import (
 
 	"cellport/internal/fault"
 	"cellport/internal/sim"
-	"cellport/internal/trace"
 )
 
 // The blade lifecycle layer (DESIGN.md §12): fleet-level fault plans
@@ -127,7 +126,9 @@ func (p *pool) applyFault(ev bladeEvent) {
 		// has nothing left to park.
 		b.restartPending = false
 		b.parkPending = false
-		trace.RecordInstant(b.tr, b.lane, p.now, "blade-crash")
+		if b.rec != nil {
+			b.rec.Instant(b.lane, p.now, "blade-crash")
+		}
 		p.killBlade(b)
 	case evDrainStart:
 		if !b.health.admittable() {
@@ -140,7 +141,9 @@ func (p *pool) applyFault(ev bladeEvent) {
 		// an autoscale drain, where firing would re-charge warmup on a
 		// blade that never restarted.
 		b.restartPending = true
-		trace.RecordInstant(b.tr, b.lane, p.now, "restart: draining")
+		if b.rec != nil {
+			b.rec.Instant(b.lane, p.now, "restart: draining")
+		}
 	case evRestartFire:
 		if b.health != healthDraining || !b.restartPending {
 			return
@@ -150,7 +153,9 @@ func (p *pool) applyFault(ev bladeEvent) {
 		b.restarts++
 		b.health = healthWarming
 		b.warm = false // warmup re-charged on the next dispatch
-		trace.RecordInstant(b.tr, b.lane, p.now, "restart: warming")
+		if b.rec != nil {
+			b.rec.Instant(b.lane, p.now, "restart: warming")
+		}
 		p.killBlade(b)
 	case evStallStart:
 		if !b.health.admittable() {
@@ -159,7 +164,9 @@ func (p *pool) applyFault(ev bladeEvent) {
 		b.stalls++
 		b.stallRestore = b.health
 		b.health = healthStalled
-		trace.RecordInstant(b.tr, b.lane, p.now, fmt.Sprintf("blade-stall %s", ev.delay))
+		if b.rec != nil {
+			b.rec.Instant(b.lane, p.now, fmt.Sprintf("blade-stall %s", ev.delay))
+		}
 		if b.busy {
 			// The in-flight dispatch finishes late by the stall length.
 			if b.start > p.now {
@@ -178,7 +185,9 @@ func (p *pool) applyFault(ev bladeEvent) {
 			// parks) instead of its pre-stall admittable state.
 			b.health = healthDraining
 		}
-		trace.RecordInstant(b.tr, b.lane, p.now, "stall-end")
+		if b.rec != nil {
+			b.rec.Instant(b.lane, p.now, "stall-end")
+		}
 		if !b.busy && len(b.queue) > 0 {
 			p.dispatch(b)
 		}
@@ -197,7 +206,9 @@ func (p *pool) maybePark(b *blade) {
 	b.parkPending = false
 	b.health = healthParked
 	b.warm = false
-	trace.RecordInstant(b.tr, b.lane, p.now, "autoscale: parked")
+	if b.rec != nil {
+		b.rec.Instant(b.lane, p.now, "autoscale: parked")
+	}
 }
 
 // killBlade evicts b's work at p.now: the in-flight batch first (in

@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cellport/internal/marvel"
 	"cellport/internal/parallel"
@@ -57,7 +58,9 @@ type blade struct {
 	// run's verification set (verifyDispatched).
 	keys []svcKey
 
-	tr  trace.Tracer
+	// rec records the blade's spans and instants when Config.Instrument
+	// is set; nil otherwise. Every label is formatted behind a rec != nil
+	// guard, so an uninstrumented run formats none.
 	rec *trace.Recorder
 }
 
@@ -132,11 +135,9 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 			id:    i,
 			lane:  fmt.Sprintf("blade%d", i),
 			spare: make([]Request, 0, cfg.MaxBatch),
-			tr:    trace.Nop{},
 		}
 		if cfg.Instrument {
 			b.rec = trace.NewRecorder()
-			b.tr = b.rec
 		}
 		p.blades = append(p.blades, b)
 	}
@@ -296,7 +297,7 @@ func (p *pool) placeOrderIn(r Request, blades []*blade, rr *int) []*blade {
 		p.placeFallbacks++
 		return rot()
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(scores[a], scores[b]) })
 	out := p.ordBuf[:len(idx)]
 	for i, j := range idx {
 		out[i] = blades[j]
@@ -391,7 +392,9 @@ func (p *pool) dispatch(b *blade) {
 		// warmupTime accumulates every charge.
 		b.warm = true
 		b.warmupTime += s.Warmup
-		b.tr.Span(b.lane, start, start.Add(s.Warmup), trace.KindIO, "warmup: model library load")
+		if b.rec != nil {
+			b.rec.Span(b.lane, start, start.Add(s.Warmup), trace.KindIO, "warmup: model library load")
+		}
 		start = start.Add(s.Warmup)
 	}
 	b.busy = true
@@ -402,12 +405,14 @@ func (p *pool) dispatch(b *blade) {
 	b.dispatches++
 	b.batchRequests += len(batch)
 	b.schemeBatches[scheme]++
-	geom := ""
-	if tall {
-		geom = " tall"
+	if b.rec != nil {
+		geom := ""
+		if tall {
+			geom = " tall"
+		}
+		b.rec.Span(b.lane, start, b.done, trace.KindCompute,
+			fmt.Sprintf("batch#%d ×%d %s%s", b.dispatches, len(batch), scheme, geom))
 	}
-	b.tr.Span(b.lane, start, b.done, trace.KindCompute,
-		fmt.Sprintf("batch#%d ×%d %s%s", b.dispatches, len(batch), scheme, geom))
 
 	if p.cfg.FullFidelity {
 		b.noteKey(svcKey{Scheme: scheme, Tall: tall, K: len(batch)})

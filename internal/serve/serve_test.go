@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -247,13 +248,15 @@ func TestServeInconclusiveFallsBack(t *testing.T) {
 	broken := &Calibration{
 		maxBatch: cal.maxBatch,
 		services: cal.services,
-		geoms:    map[bool]*geomCal{},
 		perBlade: cal.perBlade,
 	}
-	for tall, g := range cal.geoms {
+	for i, g := range cal.geoms {
+		if g == nil {
+			continue
+		}
 		gc := *g
 		gc.Conclusive = false
-		broken.geoms[tall] = &gc
+		broken.geoms[i] = &gc
 	}
 
 	cfg := quickConfig()
@@ -274,25 +277,11 @@ func TestServeInconclusiveFallsBack(t *testing.T) {
 	}
 }
 
-// TestCalibrationTable checks the measured service table is total over
-// its key grid and that warmup is geometry-invariant batch-invariant
-// one-time work.
+// TestCalibrationTable checks the per-blade capacity and that batching
+// amortizes; TestCalibrationTableTotal covers the table's key grid.
 func TestCalibrationTable(t *testing.T) {
 	cal := mustCal(t)
 	cfg := quickConfig()
-	for s := Scheme(0); s < numSchemes; s++ {
-		for _, tall := range []bool{false, true} {
-			for k := 1; k <= cfg.MaxBatch; k++ {
-				v := cal.service(svcKey{Scheme: s, Tall: tall, K: k})
-				if v.Service <= 0 || v.Warmup <= 0 {
-					t.Fatalf("missing table entry %v/%v/k=%d: %+v", s, tall, k, v)
-				}
-				if v.Degraded {
-					t.Fatalf("fault-free calibration marked degraded at %v/%v/k=%d", s, tall, k)
-				}
-			}
-		}
-	}
 	if cal.PerBladeCapacity() <= 0 {
 		t.Fatal("non-positive per-blade capacity")
 	}
@@ -310,6 +299,99 @@ func TestCalibrationTable(t *testing.T) {
 			}
 			prev = cur
 		}
+	}
+}
+
+// TestCalibrationTableTotal pins the dense service table's semantics:
+// every in-range key of a calibrated geometry reads nonzero (and, the
+// calibration being fault-free, not degraded), and every key outside the
+// calibrated range reads as the zero record — no such batch size, no
+// such scheme, or a geometry the run never calibrated.
+func TestCalibrationTableTotal(t *testing.T) {
+	full := mustCal(t)
+	stdCfg := quickConfig()
+	stdCfg.TallFrac = 0
+	std, err := Calibrate(stdCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Conclusive() || !std.Conclusive() {
+		t.Fatal("quick calibrations must be conclusive")
+	}
+	if full.geoms[geomIndex(true)] == nil || std.geoms[geomIndex(true)] != nil {
+		t.Fatal("tall frames must be calibrated exactly when TallFrac > 0")
+	}
+	type tableTest struct {
+		name string
+		cal  *Calibration
+		key  svcKey
+		zero bool
+	}
+	var tests []tableTest
+	for _, c := range []struct {
+		name string
+		cal  *Calibration
+	}{{"full", full}, {"standard-only", std}} {
+		for _, k := range calKeys(c.cal) {
+			tests = append(tests, tableTest{
+				name: fmt.Sprintf("%s/%s/tall=%v/k=%d", c.name, k.Scheme, k.Tall, k.K), cal: c.cal, key: k})
+		}
+	}
+	mb := full.MaxBatch()
+	tests = append(tests,
+		tableTest{name: "k=0", cal: full, key: svcKey{Scheme: SchemeJob, K: 0}, zero: true},
+		tableTest{name: "k=0/data", cal: full, key: svcKey{Scheme: SchemeData, K: 0}, zero: true},
+		tableTest{name: "k=maxbatch+1", cal: full, key: svcKey{Scheme: SchemeJob, Tall: true, K: mb + 1}, zero: true},
+		tableTest{name: "k=maxbatch+1/data", cal: full, key: svcKey{Scheme: SchemeData, K: mb + 1}, zero: true},
+		tableTest{name: "tall-uncalibrated", cal: std, key: svcKey{Scheme: SchemeJob, Tall: true, K: 1}, zero: true},
+		tableTest{name: "tall-uncalibrated/data", cal: std, key: svcKey{Scheme: SchemeData, Tall: true, K: mb}, zero: true},
+		tableTest{name: "scheme=numSchemes", cal: full, key: svcKey{Scheme: numSchemes, K: 1}, zero: true},
+		tableTest{name: "scheme=-1", cal: full, key: svcKey{Scheme: -1, Tall: true, K: 1}, zero: true},
+	)
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			k := tc.key
+			v := tc.cal.service(k)
+			measured := tc.cal.MeasuredService(k.Scheme, k.Tall, k.K)
+			est := tc.cal.EstimatedService(k.Scheme, k.Tall, k.K)
+			if tc.zero {
+				if v != (svc{}) || measured != 0 || est != 0 {
+					t.Fatalf("out-of-range key %+v: service %v, measured %v, estimated %v; want all zero", k, v, measured, est)
+				}
+				return
+			}
+			if v.Service <= 0 || v.Warmup <= 0 || measured != v.Service || est <= 0 {
+				t.Fatalf("in-range key %+v: service %v, measured %v, estimated %v; want nonzero", k, v, measured, est)
+			}
+			if v.Degraded {
+				t.Fatalf("fault-free calibration marked degraded at %+v", k)
+			}
+		})
+	}
+}
+
+// TestEventLoopAllocFree requires the uninstrumented serving loop to
+// allocate nothing per request or per dispatch: a routed fleet run (ring,
+// estimator override, autoscaler, shaped load) on the shared calibration
+// at N and at 4N requests may differ by at most a small constant number
+// of allocations — the arrival stream and outcome ledger are sized once
+// per run, but growing them may take a few more steps.
+func TestEventLoopAllocFree(t *testing.T) {
+	const n, slack = 256, 16
+	allocs := func(requests int) float64 {
+		cfg := fleetConfig(t)
+		cfg.Requests = requests
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(n), allocs(4*n)
+	t.Logf("%v allocations at %d requests, %v at %d", small, n, large, 4*n)
+	if large-small > slack {
+		t.Fatalf("%v allocations at %d requests, %v at %d: the loop allocates per request",
+			small, n, large, 4*n)
 	}
 }
 

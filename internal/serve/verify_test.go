@@ -3,7 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,11 +16,33 @@ import (
 // without touching the shared one.
 func copyCal(cal *Calibration) *Calibration {
 	c := *cal
-	c.services = make(map[svcKey]svc, len(cal.services))
-	for k, v := range cal.services {
-		c.services[k] = v
-	}
+	c.services = slices.Clone(cal.services)
 	return &c
+}
+
+// tamperEntry rewrites cal's table entry for k in place and returns the
+// new entry.
+func tamperEntry(cal *Calibration, k svcKey, f func(*svc)) svc {
+	v := &cal.services[cal.slot(k)]
+	f(v)
+	return *v
+}
+
+// calKeys lists every calibrated key: scheme, then geometry (standard
+// first), then batch size.
+func calKeys(cal *Calibration) []svcKey {
+	var keys []svcKey
+	for s := Scheme(0); s < numSchemes; s++ {
+		for _, tall := range []bool{false, true} {
+			if cal.geoms[geomIndex(tall)] == nil {
+				continue
+			}
+			for k := 1; k <= cal.maxBatch; k++ {
+				keys = append(keys, svcKey{Scheme: s, Tall: tall, K: k})
+			}
+		}
+	}
+	return keys
 }
 
 // firstDispatchers replays cfg with verification off and tracing on and
@@ -90,11 +112,7 @@ func TestFullFidelityPlantedDivergence(t *testing.T) {
 	}
 	base.Cal = cal
 	dispatched := firstDispatchers(t, base)
-	keys := make([]svcKey, 0, len(cal.services))
-	for k := range cal.services {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	keys := calKeys(cal)
 	var cases []tc
 	never := -1
 	for i, k := range keys {
@@ -116,9 +134,7 @@ func TestFullFidelityPlantedDivergence(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			bad := copyCal(cal)
-			v := bad.services[c.key]
-			c.tamper(&v)
-			bad.services[c.key] = v
+			v := tamperEntry(bad, c.key, c.tamper)
 			cfg := base
 			cfg.Cal = bad
 
@@ -127,7 +143,7 @@ func TestFullFidelityPlantedDivergence(t *testing.T) {
 			want := ""
 			if blade, ok := firstDispatchers(t, cfg)[c.key]; ok {
 				want = fmt.Sprintf("serve: blade %d: full-fidelity dispatch %s/tall=%v/k=%d diverged from calibration: got %s want %s",
-					blade, c.key.Scheme, c.key.Tall, c.key.K, fsText(cal.services[c.key]), fsText(v))
+					blade, c.key.Scheme, c.key.Tall, c.key.K, fsText(cal.service(c.key)), fsText(v))
 			} else if c.name != "never-dispatched" {
 				t.Fatalf("tampered run no longer dispatches %v", c.key)
 			}
@@ -145,17 +161,6 @@ func TestFullFidelityPlantedDivergence(t *testing.T) {
 			}
 		})
 	}
-}
-
-// less orders keys: scheme, then geometry, then batch size.
-func (k svcKey) less(o svcKey) bool {
-	if k.Scheme != o.Scheme {
-		return k.Scheme < o.Scheme
-	}
-	if k.Tall != o.Tall {
-		return !k.Tall
-	}
-	return k.K < o.K
 }
 
 // TestFullFidelityVerifiesEachKeyOnce counts nested simulations through
@@ -218,10 +223,7 @@ func TestFullFidelityByteIdentical(t *testing.T) {
 // divergence instead of silently serving from a stale table.
 func TestFullFidelityCatchesStaleCalibration(t *testing.T) {
 	poisoned := copyCal(mustCal(t))
-	k := svcKey{Scheme: SchemeJob, Tall: false, K: 1}
-	v := poisoned.services[k]
-	v.Service += sim.Microsecond
-	poisoned.services[k] = v
+	tamperEntry(poisoned, svcKey{Scheme: SchemeJob, Tall: false, K: 1}, func(s *svc) { s.Service += sim.Microsecond })
 
 	cfg := quickConfig()
 	cfg.Cal = poisoned
