@@ -20,12 +20,14 @@ import (
 //     kernel's own slice plan (marvel.ExecPlan — same local-store
 //     budget, halos and granularity), with the slices of one lane
 //     chained as continuations so a lane runs its slices in order;
-//   - job distribution (MultiSPE2) processes the batch one image at a
-//     time, preprocessing serially between images, with the four
-//     extraction→finalize→detection lanes racing in parallel;
-//   - data distribution (Pipelined) double-buffers the pixel block and
-//     preprocesses image i+1 while image i's lanes run — the same
-//     overlap the estimator credits the scheme with;
+//   - each image runs the scenario's marvel.Schedule, the description
+//     the simulated port runs: its launch order, whether lanes overlap,
+//     per-lane or group detection, and its pixel-buffer count. Job
+//     distribution (MultiSPE2) thus races the four
+//     extraction→finalize→detection lanes with preprocessing serial
+//     between images, and data distribution (Pipelined) double-buffers
+//     the pixel block and preprocesses image i+1 while image i's lanes
+//     run — the same overlap the estimator credits the scheme with;
 //   - the accumulators are marvel's own (marvel.NewAccumulator), so
 //     outputs are bit-exact against the host references at any worker
 //     count: parallelism is across lanes and slices of independent
@@ -138,25 +140,6 @@ func (b *Backend) takeTrace() *trace.Recorder {
 	return rec
 }
 
-// extractionLanes lists the four extraction kernels in the launch order
-// the ported schedules use (shortest first, the correlogram last).
-var extractionLanes = []marvel.KernelID{marvel.KCH, marvel.KTX, marvel.KEH, marvel.KCC}
-
-// decision evaluates a feature vector against its kernel's concept
-// model.
-func decision(ms *marvel.ModelSet, id marvel.KernelID, vec []float32) float64 {
-	switch id {
-	case marvel.KCH:
-		return ms.CH.Decision(vec)
-	case marvel.KCC:
-		return ms.CC.Decision(vec)
-	case marvel.KEH:
-		return ms.EH.Decision(vec)
-	default:
-		return ms.TX.Decision(vec)
-	}
-}
-
 // Execute implements marvel.ExecBackend: it runs the point's batch
 // graph Reps times and reports the fastest wall time together with the
 // outputs of the final rep.
@@ -165,15 +148,23 @@ func (b *Backend) Execute(p marvel.ExecPoint) (*marvel.ExecRun, error) {
 	if w.Images <= 0 || w.W <= 0 || w.H <= 0 {
 		return nil, fmt.Errorf("exec: bad workload %+v", w)
 	}
+	sched, err := p.Scenario.Schedule()
+	if err != nil {
+		return nil, err
+	}
 	ms, err := b.arts.ModelSet(w.Seed)
 	if err != nil {
 		return nil, err
 	}
 	plans := map[marvel.KernelID][]img.Slice{}
-	for _, id := range extractionLanes {
+	for _, id := range marvel.ExtractKernels {
 		if plans[id], err = marvel.ExecPlan(id, p.Variant, w.W, w.H); err != nil {
 			return nil, err
 		}
+	}
+	st := &batchState{b: b, w: w, ms: ms, plans: plans, stride: img.StrideFor(w.W)}
+	for i := 0; i < sched.Buffers; i++ {
+		st.bufs = append(st.bufs, make([]byte, st.stride*w.H))
 	}
 
 	run := &marvel.ExecRun{Workers: b.ex.Workers(), Reps: b.reps}
@@ -183,11 +174,8 @@ func (b *Backend) Execute(p marvel.ExecPoint) (*marvel.ExecRun, error) {
 		b.tracing, b.spans = b.instrument && last, nil
 		s0 := b.ex.Stats()
 		t0 := b.now(batchTrack)
-		images, err := b.runBatch(p, ms, plans)
+		images := st.run(sched)
 		wall := (b.now(batchTrack) - t0).Nanoseconds()
-		if err != nil {
-			return nil, err
-		}
 		if run.WallNS == 0 || wall < run.WallNS {
 			run.WallNS = wall
 		}
@@ -222,43 +210,24 @@ type laneOut struct {
 	score float64
 }
 
-// batchState carries one rep's buffers through the schedule drivers.
+// batchState carries one point's buffers through its reps.
 type batchState struct {
 	b      *Backend
-	p      marvel.ExecPoint
+	w      marvel.Workload
 	ms     *marvel.ModelSet
 	plans  map[marvel.KernelID][]img.Slice
 	stride int
 	bufs   [][]byte
 }
 
-// runBatch executes one rep of the point's task graph.
-func (b *Backend) runBatch(p marvel.ExecPoint, ms *marvel.ModelSet, plans map[marvel.KernelID][]img.Slice) ([]marvel.ImageResult, error) {
-	w := p.Workload
-	st := &batchState{b: b, p: p, ms: ms, plans: plans, stride: img.StrideFor(w.W)}
-	numBufs := 1
-	if p.Scenario == marvel.Pipelined {
-		numBufs = 2
-	}
-	for i := 0; i < numBufs; i++ {
-		st.bufs = append(st.bufs, make([]byte, st.stride*w.H))
-	}
-	switch p.Scenario {
-	case marvel.Pipelined:
-		return st.runPipelined()
-	default:
-		return st.runSequential()
-	}
-}
-
 // preprocess regenerates image n (the decode analog of the PPE's
 // per-image preprocessing — real per-pixel work, not a memcpy of a
-// cached frame) and stores it strided into pixel buffer buf.
-func (st *batchState) preprocess(n, buf int) {
-	w := st.p.Workload
+// cached frame) and stores it strided into pixel buffer n%len(bufs).
+func (st *batchState) preprocess(n int) {
+	w := st.w
 	t0 := st.b.now("pre")
 	dec := img.Synthesize(img.CorpusSeed(w.Seed, n), w.W, w.H)
-	dst := st.bufs[buf]
+	dst := st.bufs[n%len(st.bufs)]
 	for y := 0; y < w.H; y++ {
 		copy(dst[y*st.stride:], dec.Row(y))
 	}
@@ -271,7 +240,7 @@ func (st *batchState) preprocess(n, buf int) {
 func (st *batchState) processSlice(acc marvel.Accumulator, buf int, s img.Slice, lane string, n, si int) {
 	t0 := st.b.now(lane)
 	rows := s.TransferRows()
-	band := img.Wrap(st.bufs[buf][s.TransferY0()*st.stride:][:rows*st.stride], st.p.Workload.W, rows, st.stride)
+	band := img.Wrap(st.bufs[buf][s.TransferY0()*st.stride:][:rows*st.stride], st.w.W, rows, st.stride)
 	acc.Process(band, s.HaloTop, s.HaloTop+s.PayloadRows())
 	st.b.span(lane, t0, st.b.now(lane), trace.KindCompute, fmt.Sprintf("img%d/slice%d", n, si))
 }
@@ -302,99 +271,67 @@ func (st *batchState) extractLane(id marvel.KernelID, buf, n int) *Future[laneOu
 	})
 }
 
-// detect chains the concept detection onto a finalized lane, rounding
-// the score to float32 exactly as the SPE kernel reports it.
-func (st *batchState) detect(f *Future[laneOut], lane string, n int) *Future[laneOut] {
-	return Then(st.b.ex, f, func(o laneOut) laneOut {
-		t0 := st.b.now(lane)
-		o.score = float64(float32(decision(st.ms, o.id, o.vec)))
-		st.b.span(lane, t0, st.b.now(lane), trace.KindCompute, fmt.Sprintf("img%d/detect-%s", n, o.id))
-		return o
-	})
+// detectOn evaluates a finalized lane's concept detection on trace lane
+// lane, rounding the score to float32 exactly as the SPE kernel reports
+// it.
+func (st *batchState) detectOn(o *laneOut, lane string, n int) {
+	t0 := st.b.now(lane)
+	o.score = float64(float32(st.ms.Decision(o.id, o.vec)))
+	st.b.span(lane, t0, st.b.now(lane), trace.KindCompute, fmt.Sprintf("img%d/detect-%s", n, o.id))
 }
 
-// assemble folds lane outputs into the per-image result.
-func assemble(r *marvel.ImageResult, outs []laneOut) {
-	for _, o := range outs {
-		switch o.id {
-		case marvel.KCH:
-			r.CH = o.vec
-		case marvel.KCC:
-			r.CC = o.vec
-		case marvel.KEH:
-			r.EH = o.vec
-		default:
-			r.TX = o.vec
-		}
-		r.Scores[marvel.ScoreIndex(o.id)] = o.score
+// run executes one rep: the schedule's per-image loop as a task graph.
+// Each launched extraction is a lane future; a lane with its own detector
+// chains the detection onto itself, and a group detection runs the four
+// in launch order on one "detect" lane once every extraction is done.
+// Without overlap each lane is waited for before the next is launched.
+// With two pixel buffers the orchestrator preprocesses image n+1 while
+// image n's lanes run — the overlap the simulated Pipelined schedule (and
+// the estimator's Eq. 3 overlap term) has.
+func (st *batchState) run(sched marvel.Schedule) []marvel.ImageResult {
+	ex := st.b.ex
+	images := st.w.Images
+	out := make([]marvel.ImageResult, 0, images)
+	if sched.Buffers > 1 {
+		st.preprocess(0)
 	}
-}
-
-// runSequential drives the one-image-at-a-time schedules: SingleSPE
-// (one lane at a time), MultiSPE (lanes parallel, detections serialized
-// on one "detect" lane), and MultiSPE2 / job distribution (lanes
-// parallel, each with its own detection).
-func (st *batchState) runSequential() ([]marvel.ImageResult, error) {
-	w := st.p.Workload
-	out := make([]marvel.ImageResult, 0, w.Images)
-	for n := 0; n < w.Images; n++ {
-		st.preprocess(n, 0)
-		var outs []laneOut
-		switch st.p.Scenario {
-		case marvel.SingleSPE:
-			// No task parallelism: each lane runs to completion (including
-			// its detection) before the next lane starts.
-			for _, id := range extractionLanes {
-				outs = append(outs, st.detect(st.extractLane(id, 0, n), id.String(), n).Wait())
+	for n := 0; n < images; n++ {
+		buf := n % sched.Buffers
+		if sched.Buffers == 1 {
+			st.preprocess(n)
+		}
+		lanes := make([]*Future[laneOut], 0, len(sched.Launch))
+		for _, id := range sched.Launch {
+			f := st.extractLane(id, buf, n)
+			if sched.PerLane {
+				lane := id.String()
+				f = Then(ex, f, func(o laneOut) laneOut {
+					st.detectOn(&o, lane, n)
+					return o
+				})
 			}
-		case marvel.MultiSPE:
-			// Extractions race; the detections share one serial lane.
-			var lanes []*Future[laneOut]
-			for _, id := range extractionLanes {
-				lanes = append(lanes, st.extractLane(id, 0, n))
+			if !sched.Overlap {
+				f.Wait()
 			}
-			outs = Then(st.b.ex, WhenAll(st.b.ex, lanes), func(os []laneOut) []laneOut {
+			lanes = append(lanes, f)
+		}
+		if sched.Buffers > 1 && n+1 < images {
+			st.preprocess(n + 1)
+		}
+		all := WhenAll(ex, lanes)
+		if !sched.PerLane {
+			all = Then(ex, all, func(os []laneOut) []laneOut {
 				for i := range os {
-					t0 := st.b.now("detect")
-					os[i].score = float64(float32(decision(st.ms, os[i].id, os[i].vec)))
-					st.b.span("detect", t0, st.b.now("detect"), trace.KindCompute, fmt.Sprintf("img%d/detect-%s", n, os[i].id))
+					st.detectOn(&os[i], "detect", n)
 				}
 				return os
-			}).Wait()
-		default: // MultiSPE2: replicated detectors, one per lane
-			var lanes []*Future[laneOut]
-			for _, id := range extractionLanes {
-				lanes = append(lanes, st.detect(st.extractLane(id, 0, n), id.String(), n))
-			}
-			outs = WhenAll(st.b.ex, lanes).Wait()
+			})
 		}
 		var r marvel.ImageResult
-		assemble(&r, outs)
+		for _, o := range all.Wait() {
+			r.Put(o.id, o.vec, o.score)
+		}
 		out = append(out, r)
 	}
-	return out, nil
-}
-
-// runPipelined drives data distribution: image n's four lanes run from
-// pixel buffer n%2 while the orchestrator preprocesses image n+1 into
-// the other buffer — preprocessing overlaps SPE-side work exactly as
-// the simulated Pipelined schedule (and the estimator's Eq. 3 overlap
-// term) has it.
-func (st *batchState) runPipelined() ([]marvel.ImageResult, error) {
-	w := st.p.Workload
-	out := make([]marvel.ImageResult, 0, w.Images)
-	st.preprocess(0, 0)
-	for n := 0; n < w.Images; n++ {
-		var lanes []*Future[laneOut]
-		for _, id := range extractionLanes {
-			lanes = append(lanes, st.detect(st.extractLane(id, n%2, n), id.String(), n))
-		}
-		if n+1 < w.Images {
-			st.preprocess(n+1, (n+1)%2)
-		}
-		var r marvel.ImageResult
-		assemble(&r, WhenAll(st.b.ex, lanes).Wait())
-		out = append(out, r)
-	}
-	return out, nil
+	return out
 }

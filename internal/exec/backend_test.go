@@ -70,12 +70,17 @@ func TestBackendNeverConsultsKernelMemo(t *testing.T) {
 	}
 }
 
-// TestBackendRejectsBadWorkload pins the validation path.
+// TestBackendRejectsBadWorkload pins the validation path: a degenerate
+// workload and a scenario with no schedule are errors.
 func TestBackendRejectsBadWorkload(t *testing.T) {
 	b := NewBackend(Options{Workers: 1, Reps: 1, Artifacts: marvel.NewArtifactCache()})
 	defer b.Close()
 	if _, err := b.Execute(marvel.ExecPoint{}); err == nil {
 		t.Fatal("Execute accepted a zero workload")
+	}
+	w := marvel.Workload{Images: 1, W: 352, H: 96, Seed: 11}
+	if _, err := b.Execute(marvel.ExecPoint{Workload: w, Scenario: marvel.Pipelined + 1}); err == nil {
+		t.Fatal("Execute accepted an unknown scenario")
 	}
 }
 

@@ -80,18 +80,13 @@ func Eqns(cfg Config) (*EqnsResult, error) {
 	// is extract_i followed by its share of detection; groups become one
 	// parallel group of lane pseudo-kernels. Detection work splits by
 	// nominal operation share.
-	detShare := map[marvel.KernelID]float64{
-		marvel.KCH: detOpsShare(marvel.NumSVCH, marvel.DimCH),
-		marvel.KCC: detOpsShare(marvel.NumSVCC, marvel.DimCC),
-		marvel.KEH: detOpsShare(marvel.NumSVEH, marvel.DimEH),
-		marvel.KTX: detOpsShare(marvel.NumSVTX, marvel.DimTX),
-	}
 	lane := amdahl.Group{}
-	for _, id := range []marvel.KernelID{marvel.KCH, marvel.KCC, marvel.KEH, marvel.KTX} {
-		frac := cov[id] + cov[marvel.KCD]*detShare[id]
+	for _, id := range marvel.ExtractKernels {
+		detShare := marvel.DetectShare(id)
+		frac := cov[id] + cov[marvel.KCD]*detShare
 		// Effective lane speed-up: lane original time / lane ported time.
-		orig := cov[id] + cov[marvel.KCD]*detShare[id]
-		ported := cov[id]/speed[id] + cov[marvel.KCD]*detShare[id]/speed[marvel.KCD]
+		orig := cov[id] + cov[marvel.KCD]*detShare
+		ported := cov[id]/speed[id] + cov[marvel.KCD]*detShare/speed[marvel.KCD]
 		lane = append(lane, amdahl.Kernel{Name: id.String() + "+det", Fraction: frac, SpeedUp: orig / ported})
 	}
 	est3, err := amdahl.SpeedUpGrouped([]amdahl.Group{lane})
@@ -134,14 +129,6 @@ func Eqns(cfg Config) (*EqnsResult, error) {
 		})
 	}
 	return res, nil
-}
-
-func detOpsShare(n, dim int) float64 {
-	total := float64(marvel.NumSVCH)*(3*float64(marvel.DimCH)+25) +
-		float64(marvel.NumSVCC)*(3*float64(marvel.DimCC)+25) +
-		float64(marvel.NumSVEH)*(3*float64(marvel.DimEH)+25) +
-		float64(marvel.NumSVTX)*(3*float64(marvel.DimTX)+25)
-	return float64(n) * (3*float64(dim) + 25) / total
 }
 
 // RenderEqns prints the estimator validation.

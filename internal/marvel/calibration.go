@@ -168,6 +168,10 @@ func detectNomOps(n, dim int) float64 { return float64(n) * (3*float64(dim) + 25
 // detectNomOpsAll is the per-image nominal detection work for the §5.5
 // model library.
 func detectNomOpsAll() float64 {
-	return detectNomOps(NumSVCH, DimCH) + detectNomOps(NumSVCC, DimCC) +
-		detectNomOps(NumSVEH, DimEH) + detectNomOps(NumSVTX, DimTX)
+	var total float64
+	for _, id := range ExtractKernels {
+		k := kernelOf(id)
+		total += detectNomOps(k.numSV, k.dim)
+	}
+	return total
 }

@@ -5,7 +5,6 @@ import (
 
 	"cellport/internal/cell"
 	"cellport/internal/core"
-	"cellport/internal/features"
 	"cellport/internal/img"
 	"cellport/internal/mainmem"
 	"cellport/internal/sim"
@@ -31,15 +30,6 @@ type DataParallelResult struct {
 	Matches bool
 }
 
-// rowGranularity returns the partition alignment a kernel needs (texture
-// tiles anchor at multiples of 32 rows).
-func rowGranularity(id KernelID) int {
-	if id == KTX {
-		return features.TexTile
-	}
-	return 1
-}
-
 // splitRows partitions h rows into n contiguous bands aligned to gran.
 // Bands may be empty at the tail for degenerate n; empty bands are
 // dropped.
@@ -59,8 +49,9 @@ func splitRows(h, n, gran int) [][2]int {
 
 // RunDataParallelExtraction runs kernel id over one image of workload w,
 // split across nSPEs, and validates the merged feature against the
-// whole-image reference computation. The partial kernels serve their
-// arithmetic from arts' kernel memo; a nil arts computes inline.
+// whole-image reference computation. The frame comes from arts' frame
+// layer and the partial kernels serve their arithmetic from its kernel
+// memo; a nil arts computes both privately.
 func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mcfg *cell.Config, arts *ArtifactCache) (*DataParallelResult, error) {
 	if id == KCD {
 		return nil, fmt.Errorf("marvel: concept detection is not row-parallel")
@@ -74,8 +65,10 @@ func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mc
 	}
 	machine := cell.New(cfg)
 	defer machine.Release()
-	image := img.Synthesize(w.Seed, w.W, w.H)
-	ref := referenceFeature(id, image)
+	// Corpus frame 0, the frame a one-image run of w processes.
+	image := arts.Images(Workload{Images: 1, W: w.W, H: w.H, Seed: w.Seed})[0]
+	k := kernelOf(id)
+	ref := k.reference(image)
 
 	res := &DataParallelResult{Kernel: id, NSPEs: nSPEs, Variant: v}
 	var runErr error
@@ -93,7 +86,7 @@ func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mc
 				copy(dst[y*stride:], image.Row(y))
 			}
 
-			bands := splitRows(w.H, nSPEs, rowGranularity(id))
+			bands := splitRows(w.H, nSPEs, k.granularity)
 			ifaces := make([]*core.Interface, len(bands))
 			wraps := make([]*core.Wrapper, len(bands))
 			for i, b := range bands {
@@ -116,7 +109,7 @@ func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mc
 					return err
 				}
 			}
-			merged := kernelGeom(id).newAcc()
+			merged := k.newAcc()
 			for i := range bands {
 				code, err := ifaces[i].Wait()
 				if err != nil {
@@ -125,14 +118,14 @@ func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mc
 				if code != resOK {
 					return fmt.Errorf("marvel: partial %s[%d] returned %#x", id, i, code)
 				}
-				words := core.GetUint32s(wraps[i].Bytes("out"))[:rawWords(id)]
+				words := core.GetUint32s(wraps[i].Bytes("out"))[:k.rawWords]
 				if err := mergeRaw(id, words, merged); err != nil {
 					return err
 				}
 				// Merge cost on the PPE.
-				ctx.ComputeScalar(float64(rawWords(id))*4, "merge-raw")
+				ctx.ComputeScalar(float64(k.rawWords)*4, "merge-raw")
 			}
-			res.Feature = merged.finalize()
+			res.Feature = merged.Finalize()
 			res.Time = ctx.Now().Sub(start)
 
 			for i := range bands {
@@ -165,20 +158,4 @@ func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mc
 		}
 	}
 	return res, nil
-}
-
-// referenceFeature computes the whole-image reference vector for a kernel.
-func referenceFeature(id KernelID, im *img.RGB) []float32 {
-	switch id {
-	case KCH:
-		return features.ColorHistogram(im)
-	case KCC:
-		return features.ColorCorrelogram(im)
-	case KEH:
-		return features.EdgeHistogram(im)
-	case KTX:
-		return features.Texture(im)
-	default:
-		panic("marvel: no reference feature for " + id.String())
-	}
 }

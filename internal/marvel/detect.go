@@ -140,12 +140,8 @@ func DetectKernelSpec(v Variant) core.KernelSpec {
 		chunkRows := svChunkRows(dim)
 		rowBytes := dim * 4
 		chunkBytes := uint32(chunkRows * rowBytes)
-		buffers := 1
-		if v == Optimized {
-			buffers = 2
-		}
 		var bufs [2]ls.Addr
-		for i := 0; i < buffers; i++ {
+		for i := 0; i < v.buffers(); i++ {
 			if bufs[i], err = st.Alloc(pad16(chunkBytes), 16); err != nil {
 				return resErr
 			}

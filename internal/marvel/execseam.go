@@ -10,36 +10,12 @@ import (
 )
 
 // This file is the seam between the simulated port and the
-// real-execution backend (internal/exec): exported views of the kernel
-// accumulators and the in-kernel slice planning, plus the ExecBackend
-// hook RunPorted drives. The backend lives outside this package so
+// real-execution backend (internal/exec): the in-kernel slice planning
+// and the ExecBackend hook RunPorted drives. The backend also reads the
+// kernel accumulators (NewAccumulator) and the scenario schedules
+// (Scenario.Schedule). The backend lives outside this package so
 // marvel stays free of host-clock concerns; everything exported here is
 // deterministic.
-
-// Accumulator is the exported view of the incremental per-slice feature
-// computation every extraction kernel runs over its DMA'd bands — the
-// exact code the simulated SPE kernels execute, so anything driving it
-// over the same slice plan reproduces kernel outputs bit for bit.
-type Accumulator interface {
-	// Process folds payload rows [y0, y1) of band (band-relative
-	// coordinates) into the accumulator.
-	Process(band *img.RGB, y0, y1 int)
-	// Finalize returns the feature vector. Call once, after the last
-	// slice.
-	Finalize() []float32
-}
-
-type accExport struct{ a sliceAcc }
-
-func (e accExport) Process(b *img.RGB, y0, y1 int) { e.a.process(b, y0, y1) }
-func (e accExport) Finalize() []float32            { return e.a.finalize() }
-
-// NewAccumulator returns a fresh accumulator for an extraction kernel.
-// It panics for KCD (detection has no slice geometry), like the
-// kernel-geometry table it fronts.
-func NewAccumulator(id KernelID) Accumulator {
-	return accExport{a: kernelGeom(id).newAcc()}
-}
 
 // ExecPlan reproduces, outside the simulator, the exact halo'd slice
 // plan the simulated kernel computes for a whole-image OpRun against
@@ -63,15 +39,11 @@ func ExecPlan(id KernelID, v Variant, w, h int) ([]img.Slice, error) {
 	if _, err := st.Alloc(exHdrBytes, 16); err != nil {
 		return nil, err
 	}
-	g := kernelGeom(id)
+	k := kernelOf(id)
 	stride := img.StrideFor(w)
 	budget := sliceBudget(st.Free(), id, v, w, stride)
-	return planRange(0, h, h, budget, g.halo, g.granularity)
+	return planRange(0, h, h, budget, k.halo, k.granularity)
 }
-
-// ScoreIndex maps an extraction kernel to its concept-score slot in
-// ImageResult.Scores (CH, CC, EH, TX order).
-func ScoreIndex(id KernelID) int { return scoreIndex(id) }
 
 // CompareImageResults counts output mismatches between two per-image
 // results with the port's validation semantics: feature vectors must

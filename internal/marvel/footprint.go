@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"cellport/internal/img"
 	"cellport/internal/ls"
 )
 
@@ -37,22 +38,6 @@ type Footprint struct {
 	FreeBytes uint32
 }
 
-// extractBufferBudget mirrors the kernel's dispatch-time arithmetic:
-// given the free data bytes after loading the program, it returns the
-// per-slice row budget.
-func extractBufferBudget(id KernelID, v Variant, w, stride int, freeBytes uint32) (budgetRows, buffers int, oBytes uint32) {
-	g := kernelGeom(id)
-	buffers = 1
-	if v == Optimized {
-		buffers = 2
-	}
-	oBytes = outBytes(id)
-	perRow := stride + g.scratchRows*w
-	fixed := oBytes + 64
-	budgetRows = int(freeBytes-fixed)/(buffers*perRow) - 1
-	return budgetRows, buffers, oBytes
-}
-
 // PlanFootprint computes the LS layout for a kernel over a w×h frame.
 // It fails exactly when the kernel itself would fail to plan (frame too
 // wide, code too big, no room for one granule plus halos).
@@ -61,8 +46,8 @@ func PlanFootprint(id KernelID, v Variant, w, h int) (*Footprint, error) {
 		return nil, fmt.Errorf("marvel: detection streams models, use its chunking instead")
 	}
 	cal := Cal(id)
-	g := kernelGeom(id)
-	stride := strideFor(w)
+	k := kernelOf(id)
+	stride := img.StrideFor(w)
 	if stride > 16384 {
 		return nil, fmt.Errorf("marvel: %s row stride %d exceeds one DMA command (frame too wide)", id, stride)
 	}
@@ -74,8 +59,10 @@ func PlanFootprint(id KernelID, v Variant, w, h int) (*Footprint, error) {
 	if _, err := store.Alloc(exHdrBytes, 16); err != nil {
 		return nil, err
 	}
-	budget, buffers, oBytes := extractBufferBudget(id, v, w, stride, store.Free())
-	slices, err := planRange(0, h, h, budget, g.halo, g.granularity)
+	// The kernel's own dispatch-time arithmetic.
+	buffers, oBytes := v.buffers(), outBytes(id)
+	budget := sliceBudget(store.Free(), id, v, w, stride)
+	slices, err := planRange(0, h, h, budget, k.halo, k.granularity)
 	if err != nil {
 		return nil, fmt.Errorf("marvel: %s cannot slice a %dx%d frame: %w", id, w, h, err)
 	}
@@ -92,7 +79,7 @@ func PlanFootprint(id KernelID, v Variant, w, h int) (*Footprint, error) {
 		StackBytes:   ls.DefaultStackBytes,
 		Buffers:      buffers,
 		BufferBytes:  uint32(maxRows * stride),
-		ScratchBytes: uint32(maxRows * w * g.scratchRows),
+		ScratchBytes: uint32(maxRows * w * k.scratchRows),
 		OutBytes:     oBytes,
 		Slices:       len(slices),
 		RowsPerSlice: maxRows,
@@ -116,16 +103,13 @@ func PlanFootprint(id KernelID, v Variant, w, h int) (*Footprint, error) {
 	return fp, nil
 }
 
-// strideFor mirrors img.StrideFor without importing img here.
-func strideFor(w int) int { return (3*w + 15) &^ 15 }
-
 // RenderFootprints prints the LS budget table for all extraction kernels.
 func RenderFootprints(w io.Writer, variant Variant, width, height int) error {
 	fmt.Fprintf(w, "Local-store budget, %dx%d frame, %s kernels (LS = %d KB, stack %d KB)\n\n",
 		width, height, variant, ls.Size/1024, ls.DefaultStackBytes/1024)
 	fmt.Fprintf(w, "%-12s %8s %6s %10s %10s %7s %7s %9s %8s\n",
 		"Kernel", "code", "bufs", "buf bytes", "scratch", "slices", "rows", "peak", "free")
-	for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
+	for _, id := range ExtractKernels {
 		fp, err := PlanFootprint(id, variant, width, height)
 		if err != nil {
 			return err

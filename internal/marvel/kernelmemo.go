@@ -48,7 +48,7 @@ type kernelRun struct {
 	partial   bool
 	w, stride int
 
-	acc sliceAcc // inline path
+	acc Accumulator // inline path
 
 	memo   *ArtifactCache // memo path
 	h      hash.Hash
@@ -67,7 +67,7 @@ var bandPool sync.Pool
 func newKernelRun(memo *ArtifactCache, id KernelID, partial bool, w, stride int, slices []img.Slice) *kernelRun {
 	r := &kernelRun{id: id, partial: partial, w: w, stride: stride}
 	if memo == nil || memo.cold {
-		r.acc = kernelGeom(id).newAcc()
+		r.acc = kernelOf(id).newAcc()
 		return r
 	}
 	total := 0
@@ -106,21 +106,21 @@ func (r *kernelRun) add(band []byte, s img.Slice) {
 // memo, or computed once over the copied bands and stored.
 func (r *kernelRun) output() kernelOut {
 	if r.memo == nil {
-		return finishAcc(r.id, r.acc, r.partial)
+		return finishAcc(r.acc, r.partial)
 	}
 	key := kernelKey{id: r.id, partial: r.partial}
 	r.h.Sum(key.sum[:0])
 	// The computation never fails, and a panic in it propagates (see
 	// workcache.Cache.Do), so the error is always nil.
 	out, _ := r.memo.kernels.Do(key, func() (kernelOut, error) {
-		acc := kernelGeom(r.id).newAcc()
+		acc := kernelOf(r.id).newAcc()
 		bands, off := *r.bands, 0
 		for _, s := range r.slices {
 			n := s.TransferRows() * r.stride
 			foldBand(acc, bands[off:off+n], s, r.w, r.stride)
 			off += n
 		}
-		return finishAcc(r.id, acc, r.partial), nil
+		return finishAcc(acc, r.partial), nil
 	})
 	bandPool.Put(r.bands)
 	r.bands = nil
@@ -128,14 +128,14 @@ func (r *kernelRun) output() kernelOut {
 }
 
 // foldBand folds slice s's payload rows of band into acc.
-func foldBand(acc sliceAcc, band []byte, s img.Slice, w, stride int) {
-	acc.process(img.Wrap(band, w, s.TransferRows(), stride), s.HaloTop, s.HaloTop+s.PayloadRows())
+func foldBand(acc Accumulator, band []byte, s img.Slice, w, stride int) {
+	acc.Process(img.Wrap(band, w, s.TransferRows(), stride), s.HaloTop, s.HaloTop+s.PayloadRows())
 }
 
 // finishAcc turns a complete accumulator into the kernel's output.
-func finishAcc(id KernelID, acc sliceAcc, partial bool) kernelOut {
+func finishAcc(acc Accumulator, partial bool) kernelOut {
 	if partial {
-		return kernelOut{raw: encodeRaw(id, acc)}
+		return kernelOut{raw: encodeRaw(acc)}
 	}
-	return kernelOut{vec: acc.finalize()}
+	return kernelOut{vec: acc.Finalize()}
 }

@@ -51,54 +51,115 @@ const (
 	resErr uint32 = 0xE0000001
 )
 
-// sliceAcc is the incremental computation every extraction kernel runs
-// over DMA'd bands.
-type sliceAcc interface {
-	process(band *img.RGB, py0, py1 int)
-	finalize() []float32
+// Accumulator is the incremental per-slice feature computation every
+// extraction kernel runs over its DMA'd bands. The real-execution backend
+// drives the same accumulators over the same slice plan (ExecPlan), so it
+// reproduces kernel outputs bit for bit.
+type Accumulator interface {
+	// Process folds payload rows [y0, y1) of band (band-relative
+	// coordinates) into the accumulator.
+	Process(band *img.RGB, y0, y1 int)
+	// Finalize returns the feature vector. Call once, after the last
+	// slice.
+	Finalize() []float32
 }
 
 type histAcc struct{ a features.HistAcc }
 
-func (h *histAcc) process(b *img.RGB, y0, y1 int) { h.a.AccumulateHistogram(b, y0, y1) }
-func (h *histAcc) finalize() []float32            { return h.a.Finalize() }
+func (h *histAcc) Process(b *img.RGB, y0, y1 int) { h.a.AccumulateHistogram(b, y0, y1) }
+func (h *histAcc) Finalize() []float32            { return h.a.Finalize() }
 
 type corrAcc struct{ a features.CorrAcc }
 
-func (c *corrAcc) process(b *img.RGB, y0, y1 int) { c.a.AccumulateCorrelogram(b, y0, y1) }
-func (c *corrAcc) finalize() []float32            { return c.a.Finalize() }
+func (c *corrAcc) Process(b *img.RGB, y0, y1 int) { c.a.AccumulateCorrelogram(b, y0, y1) }
+func (c *corrAcc) Finalize() []float32            { return c.a.Finalize() }
 
 type edgeAcc struct{ a features.EdgeAcc }
 
-func (e *edgeAcc) process(b *img.RGB, y0, y1 int) { e.a.AccumulateEdge(b, y0, y1) }
-func (e *edgeAcc) finalize() []float32            { return e.a.Finalize() }
+func (e *edgeAcc) Process(b *img.RGB, y0, y1 int) { e.a.AccumulateEdge(b, y0, y1) }
+func (e *edgeAcc) Finalize() []float32            { return e.a.Finalize() }
 
 type texAcc struct{ a features.TexAcc }
 
-func (t *texAcc) process(b *img.RGB, y0, y1 int) { t.a.AccumulateTexture(b, y0, y1) }
-func (t *texAcc) finalize() []float32            { return t.a.Finalize() }
+func (t *texAcc) Process(b *img.RGB, y0, y1 int) { t.a.AccumulateTexture(b, y0, y1) }
+func (t *texAcc) Finalize() []float32            { return t.a.Finalize() }
 
-// geom describes an extraction kernel's slicing needs.
-type geom struct {
+// ExtractKernels lists the four extraction kernels in KernelID order: the
+// order the port places them on SPE0-3, runs them under SingleSPE, and
+// computes the host reference features.
+var ExtractKernels = []KernelID{KCH, KCC, KTX, KEH}
+
+// extractKernel is everything the port knows about one extraction kernel.
+type extractKernel struct {
 	halo        int // operator radius in rows
 	granularity int // payload row multiple (texture tiles)
 	scratchRows int // LS scratch bytes per buffered row, ×W (bins, gray)
-	newAcc      func() sliceAcc
+	newAcc      func() Accumulator
+	// reference is the whole-image host computation the kernel must
+	// reproduce bit for bit.
+	reference func(*img.RGB) []float32
+	dim       int    // feature dimension, also the concept model's
+	numSV     int    // the concept model's support-vector count
+	rawWords  uint32 // raw accumulator encoding size (rawacc.go)
+	// score is the kernel's slot in ImageResult.Scores, which also
+	// selects its concept model (ModelSet.bySlot).
+	score int
+	// feature selects the kernel's vector in an ImageResult.
+	feature func(*ImageResult) *[]float32
 }
 
-func kernelGeom(id KernelID) geom {
-	switch id {
-	case KCH:
-		return geom{halo: 0, granularity: 1, scratchRows: 0, newAcc: func() sliceAcc { return &histAcc{} }}
-	case KCC:
-		return geom{halo: features.CorrRadius, granularity: 1, scratchRows: 1, newAcc: func() sliceAcc { return &corrAcc{} }}
-	case KEH:
-		return geom{halo: features.EdgeRadius, granularity: 1, scratchRows: 1, newAcc: func() sliceAcc { return &edgeAcc{} }}
-	case KTX:
-		return geom{halo: 0, granularity: features.TexTile, scratchRows: 1, newAcc: func() sliceAcc { return &texAcc{} }}
-	default:
-		panic("marvel: no geometry for " + id.String())
+// extractKernels is the kernel table, indexed by KernelID.
+var extractKernels = [...]extractKernel{
+	KCH: {halo: 0, granularity: 1, scratchRows: 0,
+		newAcc:    func() Accumulator { return &histAcc{} },
+		reference: features.ColorHistogram,
+		dim:       DimCH, numSV: NumSVCH, rawWords: HistBinsU + 1, // counts + pixel total
+		score: 0, feature: func(r *ImageResult) *[]float32 { return &r.CH }},
+	KCC: {halo: features.CorrRadius, granularity: 1, scratchRows: 1,
+		newAcc:    func() Accumulator { return &corrAcc{} },
+		reference: features.ColorCorrelogram,
+		dim:       DimCC, numSV: NumSVCC, rawWords: 2 * HistBinsU, // Same + Total
+		score: 1, feature: func(r *ImageResult) *[]float32 { return &r.CC }},
+	KTX: {halo: 0, granularity: features.TexTile, scratchRows: 1,
+		newAcc:    func() Accumulator { return &texAcc{} },
+		reference: features.Texture,
+		dim:       DimTX, numSV: NumSVTX, rawWords: TexBinsU + 1, // energies + pixel total
+		score: 3, feature: func(r *ImageResult) *[]float32 { return &r.TX }},
+	KEH: {halo: features.EdgeRadius, granularity: 1, scratchRows: 1,
+		newAcc:    func() Accumulator { return &edgeAcc{} },
+		reference: features.EdgeHistogram,
+		dim:       DimEH, numSV: NumSVEH, rawWords: EdgeBinsU,
+		score: 2, feature: func(r *ImageResult) *[]float32 { return &r.EH }},
+}
+
+// kernelOf returns an extraction kernel's table entry. It panics for KCD:
+// detection has no slice geometry or feature of its own.
+func kernelOf(id KernelID) *extractKernel {
+	if id < 0 || int(id) >= len(extractKernels) {
+		panic("marvel: " + id.String() + " is not an extraction kernel")
 	}
+	return &extractKernels[id]
+}
+
+// NewAccumulator returns a fresh accumulator for an extraction kernel. It
+// panics for KCD, like every kernel-table read.
+func NewAccumulator(id KernelID) Accumulator { return kernelOf(id).newAcc() }
+
+// DetectShare is kernel id's share of the per-image concept-detection
+// work, by nominal operations: how the estimator splits detection time
+// across the four extraction lanes (the Eq. 3 lane construction of §4.2).
+func DetectShare(id KernelID) float64 {
+	k := kernelOf(id)
+	return detectNomOps(k.numSV, k.dim) / detectNomOpsAll()
+}
+
+// buffers is the variant's DMA buffer count: the optimized kernels
+// double-buffer.
+func (v Variant) buffers() int {
+	if v == Optimized {
+		return 2
+	}
+	return 1
 }
 
 // chargeExtract charges the SPU time for processing `pixels` payload
@@ -198,14 +259,9 @@ func planRange(y0, y1, h, maxRows, halo, granularity int) ([]img.Slice, error) {
 // kernel and the real-execution seam (ExecPlan) so both always compute
 // identical slice plans.
 func sliceBudget(free uint32, id KernelID, v Variant, w, stride int) int {
-	g := kernelGeom(id)
-	buffers := 1
-	if v == Optimized {
-		buffers = 2
-	}
-	perRow := stride + g.scratchRows*w
+	perRow := stride + kernelOf(id).scratchRows*w
 	fixed := outBytes(id) + 64
-	return int(free-fixed)/(buffers*perRow) - 1
+	return int(free-fixed)/(v.buffers()*perRow) - 1
 }
 
 // ExtractKernelSpec builds the SPE program for one extraction kernel: the
@@ -218,7 +274,7 @@ func sliceBudget(free uint32, id KernelID, v Variant, w, stride int) int {
 // bands the DMA delivered (kernelmemo.go); nil computes inline.
 func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelSpec {
 	cal := Cal(id)
-	g := kernelGeom(id)
+	g := kernelOf(id)
 	fn := func(ctx *spe.Context, wrapper mainmem.Addr, partial bool) uint32 {
 		st := ctx.Store()
 		hdrLS, err := st.Alloc(exHdrBytes, 16)
@@ -249,12 +305,8 @@ func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelS
 				maxRows = r
 			}
 		}
-		buffers := 1
-		if v == Optimized {
-			buffers = 2
-		}
 		var bufs [2]ls.Addr
-		for i := 0; i < buffers; i++ {
+		for i := 0; i < v.buffers(); i++ {
 			if bufs[i], err = st.Alloc(uint32(maxRows*stride), 16); err != nil {
 				return resErr
 			}

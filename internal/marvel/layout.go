@@ -38,47 +38,17 @@ const (
 // pad16 rounds n up to a multiple of 16.
 func pad16(n uint32) uint32 { return (n + 15) &^ 15 }
 
-// outDim returns the output feature dimension of an extraction kernel.
-func outDim(id KernelID) int {
-	switch id {
-	case KCH, KCC:
-		return DimCH
-	case KEH:
-		return DimEH
-	case KTX:
-		return DimTX
-	default:
-		panic("marvel: " + id.String() + " has no extraction output")
-	}
-}
-
 // outBytes returns the padded byte size of an extraction output field:
 // large enough for both the finalized feature vector and the raw
 // accumulator a partial (data-parallel) invocation emits.
 func outBytes(id KernelID) uint32 {
-	final := pad16(uint32(outDim(id)) * 4)
-	raw := pad16(rawWords(id) * 4)
+	k := kernelOf(id)
+	final := pad16(uint32(k.dim) * 4)
+	raw := pad16(k.rawWords * 4)
 	if raw > final {
 		return raw
 	}
 	return final
-}
-
-// rawWords returns the uint32 count of a kernel's raw accumulator
-// encoding (see rawacc.go).
-func rawWords(id KernelID) uint32 {
-	switch id {
-	case KCH:
-		return HistBinsU + 1 // counts + pixel total
-	case KCC:
-		return 2 * HistBinsU // Same + Total
-	case KEH:
-		return EdgeBinsU
-	case KTX:
-		return TexBinsU + 1 // energies + pixel total
-	default:
-		return 0
-	}
 }
 
 // Extraction wrapper field layout (kernel-side offset math must match

@@ -99,47 +99,48 @@ const (
 	NumSVTX = 255
 )
 
-// ModelSet holds the four precomputed concept models, both as decoded
-// (float32-rounded) SVMs for reference detection and in the flat encoding
-// placed in simulated main memory for the SPE kernel.
+// ModelSet holds the four precomputed concept models, decoded back from
+// their flat float32 encoding: PlaceModel re-encodes them into simulated
+// main memory for the SPE kernel, and reference detection sees exactly
+// the rounded data that kernel streams.
 type ModelSet struct {
 	CH, CC, EH, TX *svm.Model
-	EncCH, EncCC   []float32
-	EncEH, EncTX   []float32
 }
 
 // NewModelSet builds the deterministic synthetic model library with the
 // paper's support-vector counts.
 func NewModelSet(seed uint64) (*ModelSet, error) {
-	build := func(name string, s uint64, n, dim int, gamma float64) (*svm.Model, []float32, error) {
-		m := svm.Synthetic(name, s, n, dim, gamma)
-		enc, err := svm.Encode(m)
+	build := func(name string, s uint64, n, dim int, gamma float64) (*svm.Model, error) {
+		enc, err := svm.Encode(svm.Synthetic(name, s, n, dim, gamma))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		// Reference detection must see exactly the float32-rounded data
-		// the SPE kernel will stream, so decode back.
-		dec, err := svm.Decode(name, enc)
-		if err != nil {
-			return nil, nil, err
-		}
-		return dec, enc, nil
+		return svm.Decode(name, enc)
 	}
 	ms := &ModelSet{}
 	var err error
-	if ms.CH, ms.EncCH, err = build("concept-ch", seed+1, NumSVCH, DimCH, 4.0); err != nil {
+	if ms.CH, err = build("concept-ch", seed+1, NumSVCH, DimCH, 4.0); err != nil {
 		return nil, err
 	}
-	if ms.CC, ms.EncCC, err = build("concept-cc", seed+2, NumSVCC, DimCC, 4.0); err != nil {
+	if ms.CC, err = build("concept-cc", seed+2, NumSVCC, DimCC, 4.0); err != nil {
 		return nil, err
 	}
-	if ms.EH, ms.EncEH, err = build("concept-eh", seed+3, NumSVEH, DimEH, 4.0); err != nil {
+	if ms.EH, err = build("concept-eh", seed+3, NumSVEH, DimEH, 4.0); err != nil {
 		return nil, err
 	}
-	if ms.TX, ms.EncTX, err = build("concept-tx", seed+4, NumSVTX, DimTX, 4.0); err != nil {
+	if ms.TX, err = build("concept-tx", seed+4, NumSVTX, DimTX, 4.0); err != nil {
 		return nil, err
 	}
 	return ms, nil
+}
+
+// bySlot returns the models in score-slot order, the library's own order.
+func (ms *ModelSet) bySlot() [4]*svm.Model { return [4]*svm.Model{ms.CH, ms.CC, ms.EH, ms.TX} }
+
+// Decision evaluates a feature vector against extraction kernel id's
+// concept model.
+func (ms *ModelSet) Decision(id KernelID, feature []float32) float64 {
+	return ms.bySlot()[kernelOf(id).score].Decision(feature)
 }
 
 // ImageResult carries the real outputs computed for one image.
@@ -149,12 +150,19 @@ type ImageResult struct {
 	Scores [4]float64
 }
 
+// Put stores extraction kernel id's feature vector and concept score.
+func (r *ImageResult) Put(id KernelID, feature []float32, score float64) {
+	k := kernelOf(id)
+	*k.feature(r) = feature
+	r.Scores[k.score] = score
+}
+
 // Detect runs the four concept detections on extracted features.
 func (ms *ModelSet) Detect(r *ImageResult) {
-	r.Scores[0] = ms.CH.Decision(r.CH)
-	r.Scores[1] = ms.CC.Decision(r.CC)
-	r.Scores[2] = ms.EH.Decision(r.EH)
-	r.Scores[3] = ms.TX.Decision(r.TX)
+	for _, id := range ExtractKernels {
+		k := kernelOf(id)
+		r.Scores[k.score] = ms.Decision(id, *k.feature(r))
+	}
 }
 
 // MarshalText renders kernel IDs by name in JSON map keys.

@@ -345,3 +345,40 @@ func TestPipelinedSingleImage(t *testing.T) {
 		t.Fatalf("validation: %d mismatches", res.ValidationErrors)
 	}
 }
+
+// TestCompareImageResultsScores pins the score half of the validation
+// semantics: a score matches only when the reference, rounded to float32
+// as the kernel reports it, equals the ported score exactly, so a NaN on
+// either side is always a mismatch.
+func TestCompareImageResultsScores(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name     string
+		ref, got float64
+		want     int
+	}{
+		{"equal", 1, 1, 0},
+		{"equal after float32 rounding", 1 + 1e-12, 1, 0},
+		{"different", 1.5, 1, 1},
+		{"NaN in reference", nan, 1, 1},
+		{"NaN in ported", 1, nan, 1},
+		{"NaN on both sides", nan, nan, 1},
+	}
+	for _, c := range cases {
+		var ref, got ImageResult
+		ref.Scores[2], got.Scores[2] = c.ref, c.got
+		if n := CompareImageResults(&ref, &got); n != c.want {
+			t.Errorf("%s: %d mismatches, want %d", c.name, n, c.want)
+		}
+	}
+}
+
+// TestRunPortedUnknownScenario checks that a scenario with no schedule is
+// an error, not a run of some other schedule.
+func TestRunPortedUnknownScenario(t *testing.T) {
+	for _, sc := range []Scenario{-1, Pipelined + 1} {
+		if _, err := RunPorted(PortedConfig{Workload: testWorkload(1), Scenario: sc, MachineConfig: testMachineConfig()}); err == nil {
+			t.Errorf("RunPorted accepted scenario %d", int(sc))
+		}
+	}
+}

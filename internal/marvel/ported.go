@@ -3,12 +3,10 @@ package marvel
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"cellport/internal/cell"
 	"cellport/internal/core"
 	"cellport/internal/fault"
-	"cellport/internal/features"
 	"cellport/internal/img"
 	"cellport/internal/mainmem"
 	"cellport/internal/metrics"
@@ -56,6 +54,44 @@ func (s Scenario) String() string {
 	default:
 		return "pipelined"
 	}
+}
+
+// Schedule is what a scenario runs per image, the one description both
+// the simulated port (portedMain) and the real-execution backend drive
+// their per-image loop from.
+type Schedule struct {
+	// Launch is the extraction launch order.
+	Launch []KernelID
+	// Overlap launches every extraction before collecting any; without
+	// it each extraction runs to completion before the next is launched.
+	Overlap bool
+	// PerLane gives each extraction its own detector, handed its feature
+	// as soon as the extraction finishes. Without it one detector runs
+	// the four detections in launch order after the whole extraction
+	// group.
+	PerLane bool
+	// Buffers is the pixel-buffer count. With two, preprocessing of image
+	// n+1 overlaps the kernels of image n.
+	Buffers int
+}
+
+// parallelLaunch orders the overlapped extractions by expected completion
+// (shortest first, the correlogram last).
+var parallelLaunch = []KernelID{KCH, KTX, KEH, KCC}
+
+var schedules = [...]Schedule{
+	SingleSPE: {Launch: ExtractKernels, Buffers: 1},
+	MultiSPE:  {Launch: parallelLaunch, Overlap: true, Buffers: 1},
+	MultiSPE2: {Launch: parallelLaunch, Overlap: true, PerLane: true, Buffers: 1},
+	Pipelined: {Launch: parallelLaunch, Overlap: true, PerLane: true, Buffers: 2},
+}
+
+// Schedule returns the scenario's per-image schedule.
+func (s Scenario) Schedule() (Schedule, error) {
+	if s < 0 || int(s) >= len(schedules) {
+		return Schedule{}, fmt.Errorf("marvel: unknown scenario %d", int(s))
+	}
+	return schedules[s], nil
 }
 
 // PortedConfig configures a ported-application run.
@@ -140,25 +176,6 @@ type PortedResult struct {
 	Exec *ExecRun `json:"-"`
 }
 
-// extractOrder lists extraction kernels in expected-completion order for
-// the parallel scenarios (shortest first, the correlogram last).
-var extractOrder = []KernelID{KCH, KTX, KEH, KCC}
-
-// detModelOf maps an extraction kernel to its concept model index in
-// ImageResult.Scores.
-func scoreIndex(id KernelID) int {
-	switch id {
-	case KCH:
-		return 0
-	case KCC:
-		return 1
-	case KEH:
-		return 2
-	default:
-		return 3
-	}
-}
-
 // RunPorted executes the ported MARVEL application on a simulated Cell.
 // With an execution backend configured, the same point then runs for
 // real and the measured run rides along on the result.
@@ -166,6 +183,10 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	w := cfg.Workload
 	if w.Images <= 0 {
 		return nil, fmt.Errorf("%w (Workload.Images = %d)", ErrEmptyWorkload, w.Images)
+	}
+	sched, err := cfg.Scenario.Schedule()
+	if err != nil {
+		return nil, err
 	}
 	mcfg := cell.DefaultConfig()
 	if cfg.MachineConfig != nil {
@@ -200,7 +221,7 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	var runErr error
 	var ppeBusy sim.Duration
 	elapsed, err := machine.RunMain("marvel", func(ctx *cell.Context) {
-		runErr = portedMain(ctx, cfg, inj, images, ms, ref, res)
+		runErr = portedMain(ctx, cfg, sched, inj, images, ms, ref, res)
 		ppeBusy = ctx.BusyTime()
 	})
 	if err != nil {
@@ -256,8 +277,9 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	return res, nil
 }
 
-// portedMain is the PPE main application after porting (Listing 4 shape).
-func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images []*img.RGB, ms *ModelSet, ref *ReferenceResult, res *PortedResult) error {
+// portedMain is the PPE main application after porting (Listing 4 shape):
+// one-time setup, then one loop over the images that runs sched.
+func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.Injector, images []*img.RGB, ms *ModelSet, ref *ReferenceResult, res *PortedResult) error {
 	mem := ctx.Memory()
 	w := cfg.Workload
 	pixels := float64(w.W * w.H)
@@ -267,35 +289,14 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images
 	start := ctx.Now()
 	ctx.DiskRead(ModelFileBytes, "load-models")
 	ctx.ComputeScalar(ModelParseOps, "parse-models")
-	type placed struct {
-		pm  *PlacedModel
-		dim int
-		n   int
-	}
-	models := map[KernelID]placed{}
-	place := func(id KernelID, m *PlacedModel, err error) error {
+	var models [4]*PlacedModel // by score slot, placed in that order
+	for slot, m := range ms.bySlot() {
+		pm, err := PlaceModel(mem, m)
 		if err != nil {
 			return err
 		}
-		ctx.MemStream(float64(m.Bytes()), "place-model")
-		models[id] = placed{pm: m, dim: m.Dim, n: m.NumSV}
-		return nil
-	}
-	pm, err := PlaceModel(mem, ms.CH)
-	if err := place(KCH, pm, err); err != nil {
-		return err
-	}
-	pm, err = PlaceModel(mem, ms.CC)
-	if err := place(KCC, pm, err); err != nil {
-		return err
-	}
-	pm, err = PlaceModel(mem, ms.EH)
-	if err := place(KEH, pm, err); err != nil {
-		return err
-	}
-	pm, err = PlaceModel(mem, ms.TX)
-	if err := place(KTX, pm, err); err != nil {
-		return err
+		ctx.MemStream(float64(pm.Bytes()), "place-model")
+		models[slot] = pm
 	}
 
 	// PPE fallback closures for graceful degradation: each reproduces its
@@ -312,17 +313,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images
 				return resErr
 			}
 			im := img.Wrap(mem.Bytes(pixEA, uint32(stride*ih)), iw, ih, stride)
-			var vec []float32
-			switch id {
-			case KCH:
-				vec = features.ColorHistogram(im)
-			case KCC:
-				vec = features.ColorCorrelogram(im)
-			case KEH:
-				vec = features.EdgeHistogram(im)
-			default:
-				vec = features.Texture(im)
-			}
+			vec := kernelOf(id).reference(im)
 			cal := Cal(id)
 			ctx.ComputeBranches(cal.NomBranchesPerPixel*pixels, -1, id.String()+"-ppe")
 			ctx.ComputeScalar(cal.NomOpsPerPixel*pixels*cal.HostOpsMult, id.String()+"-ppe")
@@ -337,12 +328,11 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images
 		if dim <= 0 || numSV <= 0 {
 			return resErr
 		}
-		// Locate the placed model by effective address; the match is
-		// unique, so map order does not matter.
+		// Locate the placed model by effective address.
 		var model *PlacedModel
-		for _, p := range models {
-			if p.pm.EA == modelEA {
-				model = p.pm
+		for _, pm := range models {
+			if pm.EA == modelEA {
+				model = pm
 				break
 			}
 		}
@@ -362,365 +352,221 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images
 		return resOK
 	}
 
-	// Kernel placement: extraction kernels on SPE0-3; detection on SPE4
-	// (SingleSPE, MultiSPE) or replicated on SPE4-7 (MultiSPE2). Under
+	// One lane per extraction kernel, indexed by KernelID: its kernel, its
+	// detector, one extraction wrapper per pixel buffer and its detection
+	// wrapper.
+	type lane struct {
+		extract, detect *kern
+		ex              []*core.Wrapper
+		dt              *core.Wrapper
+	}
+	var lanes [len(extractKernels)]lane
+
+	// Kernel placement: extraction kernels on SPE0-3; detection on SPE4,
+	// or replicated on SPE4-7 when every lane has its own detector. Under
 	// supervision, SPEs beyond the planned set form the redispatch pool.
 	sup := newSupervisor(ctx, inj, cfg.Watchdog)
-	switch cfg.Scenario {
-	case MultiSPE2, Pipelined:
-		sup.reserve(0, 1, 2, 3, 4, 5, 6, 7)
-	default:
-		sup.reserve(0, 1, 2, 3, 4)
+	planned := []int{0, 1, 2, 3, 4}
+	if sched.PerLane {
+		planned = append(planned, 5, 6, 7)
 	}
-	extract := map[KernelID]*kern{}
-	for i, id := range []KernelID{KCH, KCC, KTX, KEH} {
+	sup.reserve(planned...)
+	for i, id := range ExtractKernels {
 		k, err := sup.open(i, ExtractKernelSpec(id, cfg.Variant, cfg.artifacts()), extractFallback(id))
 		if err != nil {
 			return err
 		}
-		extract[id] = k
+		lanes[id].extract = k
 	}
-	detect := map[KernelID]*kern{}
-	switch cfg.Scenario {
-	case MultiSPE2, Pipelined:
-		for i, id := range []KernelID{KCH, KCC, KTX, KEH} {
+	var detectors []*kern
+	for i, id := range ExtractKernels {
+		if sched.PerLane || i == 0 {
 			k, err := sup.open(4+i, DetectKernelSpec(cfg.Variant), detectFallback)
 			if err != nil {
 				return err
 			}
-			detect[id] = k
+			detectors = append(detectors, k)
 		}
-	default:
-		k, err := sup.open(4, DetectKernelSpec(cfg.Variant), detectFallback)
-		if err != nil {
-			return err
-		}
-		for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
-			detect[id] = k
-		}
+		lanes[id].detect = detectors[len(detectors)-1]
 	}
 	res.OneTime = ctx.Now().Sub(start)
 
-	// Persistent wrappers and pixel blocks, reused per image. The
-	// pipelined schedule double-buffers the pixel block (and the
-	// extraction wrappers pointing at it) so preprocessing of image i+1
-	// can overlap SPE processing of image i.
+	// Persistent wrappers and pixel blocks, reused per image: one pixel
+	// block, and one extraction wrapper per kernel pointing at it, per
+	// pixel buffer.
 	stride := img.StrideFor(w.W)
 	pixBytes := uint32(stride * w.H)
-	numBufs := 1
-	if cfg.Scenario == Pipelined {
-		numBufs = 2
-	}
-	pixEAs := make([]mainmem.Addr, numBufs)
-	exWraps := make([]map[KernelID]*core.Wrapper, numBufs)
-	for b := 0; b < numBufs; b++ {
+	pixEAs := make([]mainmem.Addr, sched.Buffers)
+	for b := range pixEAs {
 		ea, err := mem.Alloc(pixBytes, mainmem.AlignCacheLine)
 		if err != nil {
 			return err
 		}
 		pixEAs[b] = ea
-		exWraps[b] = map[KernelID]*core.Wrapper{}
-		for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
+		for _, id := range ExtractKernels {
 			ew, err := core.NewWrapper(mem, extractFields(id)...)
 			if err != nil {
 				return err
 			}
 			fillExtractHeader(ew, w.W, w.H, stride, ea, 0, w.H)
-			exWraps[b][id] = ew
+			lanes[id].ex = append(lanes[id].ex, ew)
 		}
 	}
-	exWrap := exWraps[0]
-	dtWrap := map[KernelID]*core.Wrapper{}
-	for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
-		p := models[id]
-		dw, err := core.NewWrapper(mem, detectFields(p.dim)...)
+	for _, id := range ExtractKernels {
+		pm := models[kernelOf(id).score]
+		dw, err := core.NewWrapper(mem, detectFields(pm.Dim)...)
 		if err != nil {
 			return err
 		}
-		fillDetectHeader(dw, p.dim, p.n, p.pm.EA, 0)
-		dtWrap[id] = dw
+		fillDetectHeader(dw, pm.Dim, pm.NumSV, pm.EA, 0)
+		lanes[id].dt = dw
 	}
 
-	readFeatureSet := func(set map[KernelID]*core.Wrapper, id KernelID) []float32 {
-		return set[id].Float32s("out", outDim(id))
-	}
-	readFeature := func(id KernelID) []float32 { return readFeatureSet(exWrap, id) }
-	feedDetectorSet := func(set map[KernelID]*core.Wrapper, id KernelID) {
-		// FILL the detection wrapper from the extraction output (the
-		// Listing-4 "put data back / wrap again" step).
-		vec := readFeatureSet(set, id)
-		dtWrap[id].SetFloat32s("feature", vec)
-		ctx.MemStream(float64(len(vec)*4*2), "copy-feature")
-	}
-	feedDetector := func(id KernelID) { feedDetectorSet(exWrap, id) }
-	readScore := func(id KernelID) float64 {
-		return float64(dtWrap[id].Float32s("score", 1)[0])
-	}
-	// preprocessInto reads and decodes one image into pixel block b: the
-	// PPE-side preprocessing of §5.1.
-	preprocessInto := func(im *img.RGB, b int) {
+	// preprocess reads and decodes image n into pixel buffer n%Buffers:
+	// the PPE-side preprocessing of §5.1.
+	preprocess := func(n int) {
 		ctx.DiskRead(CompressedImageBytes, "read-image")
 		ctx.ComputeScalar(DecodeOpsPerPixel*pixels, "decode-image")
 		// The decode's store pass writes straight into the aligned pixel
 		// block; no extra streaming charge beyond the decode ops (the
 		// original code also wrote its framebuffer during decode).
-		dst := mem.Bytes(pixEAs[b], pixBytes)
+		dst := mem.Bytes(pixEAs[n%sched.Buffers], pixBytes)
 		for y := 0; y < w.H; y++ {
-			copy(dst[y*stride:], im.Row(y))
+			copy(dst[y*stride:], images[n].Row(y))
 		}
 	}
-
-	if cfg.Scenario == Pipelined {
-		if err := runPipelined(ctx, images, exWraps, dtWrap, extract, detect,
-			preprocessInto, feedDetectorSet, readFeatureSet, readScore, ref, res); err != nil {
+	// feed FILLs a lane's detection wrapper from its extraction output in
+	// pixel buffer b (the Listing-4 "put data back / wrap again" step).
+	feed := func(id KernelID, b int) {
+		vec := lanes[id].ex[b].Float32s("out", kernelOf(id).dim)
+		lanes[id].dt.SetFloat32s("feature", vec)
+		ctx.MemStream(float64(len(vec)*4*2), "copy-feature")
+	}
+	// invoke is the Listing-3 round trip, its PPE-observed time added to
+	// KernelTime under kid.
+	invoke := func(kid KernelID, k *kern, wrapper *core.Wrapper) error {
+		t0 := ctx.Now()
+		code, err := k.SendAndWait(OpRun, wrapper.Addr())
+		if err := kernelResult(k, code, err); err != nil {
 			return err
 		}
-	} else {
-		// --- per-image pipeline, sequential schedules ------------------
-		if err := runSequentialScenarios(ctx, cfg, images, exWrap, dtWrap, extract, detect,
-			preprocessInto, feedDetector, readFeature, readScore, ref, res); err != nil {
-			return err
+		res.KernelTime[kid] += ctx.Now().Sub(t0)
+		return nil
+	}
+
+	// --- per image: the one schedule loop ---------------------------
+	if sched.Buffers > 1 {
+		preprocess(0)
+	}
+	for n := range images {
+		b := n % sched.Buffers
+		if sched.Buffers == 1 {
+			preprocess(n)
+		}
+		for _, id := range sched.Launch {
+			l := &lanes[id]
+			var err error
+			if sched.Overlap {
+				err = l.extract.Send(OpRun, l.ex[b].Addr())
+			} else {
+				err = invoke(id, l.extract, l.ex[b])
+			}
+			if err != nil {
+				return err
+			}
+		}
+		if sched.Buffers > 1 && n+1 < len(images) {
+			preprocess(n + 1)
+		}
+		for _, id := range sched.Launch {
+			l := &lanes[id]
+			if sched.Overlap {
+				code, err := l.extract.Wait()
+				if err := kernelResult(l.extract, code, err); err != nil {
+					return err
+				}
+			}
+			if sched.PerLane {
+				feed(id, b)
+				if err := l.detect.Send(OpRun, l.dt.Addr()); err != nil {
+					return err
+				}
+			}
+		}
+		for _, id := range sched.Launch {
+			l := &lanes[id]
+			if sched.PerLane {
+				code, err := l.detect.Wait()
+				if err := kernelResult(l.detect, code, err); err != nil {
+					return err
+				}
+				continue
+			}
+			feed(id, b)
+			if err := invoke(KCD, l.detect, l.dt); err != nil {
+				return err
+			}
+		}
+
+		var r ImageResult
+		for _, id := range ExtractKernels {
+			l := &lanes[id]
+			r.Put(id, l.ex[b].Float32s("out", kernelOf(id).dim), float64(l.dt.Float32s("score", 1)[0]))
+		}
+		res.Images = append(res.Images, r)
+		if ref != nil {
+			res.ValidationErrors += compareImage(&ref.Images[n], &r)
 		}
 	}
 
 	// Tear down: close interfaces (sends OpExit), free wrappers.
-	for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
-		if err := extract[id].Close(); err != nil {
+	for _, id := range ExtractKernels {
+		if err := lanes[id].extract.Close(); err != nil {
 			return err
 		}
 	}
-	closed := map[*kern]bool{}
-	for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
-		k := detect[id]
-		if !closed[k] {
-			if err := k.Close(); err != nil {
-				return err
-			}
-			closed[k] = true
+	for _, k := range detectors {
+		if err := k.Close(); err != nil {
+			return err
 		}
 	}
-	for b := 0; b < numBufs; b++ {
-		for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
-			if err := exWraps[b][id].Free(); err != nil {
+	for b, ea := range pixEAs {
+		for _, id := range ExtractKernels {
+			if err := lanes[id].ex[b].Free(); err != nil {
 				return err
 			}
 		}
-		if err := mem.Free(pixEAs[b]); err != nil {
+		if err := mem.Free(ea); err != nil {
 			return err
 		}
 	}
-	for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
-		if err := dtWrap[id].Free(); err != nil {
+	for _, id := range ExtractKernels {
+		if err := lanes[id].dt.Free(); err != nil {
 			return err
 		}
-		if err := models[id].pm.Free(mem); err != nil {
+		if err := models[kernelOf(id).score].Free(mem); err != nil {
 			return err
 		}
 	}
 	return mem.CheckLeaks()
 }
 
-// runSequentialScenarios executes the paper's three schedules (one image
-// fully processed before the next one is touched).
-func runSequentialScenarios(
-	ctx *cell.Context,
-	cfg PortedConfig,
-	images []*img.RGB,
-	exWrap, dtWrap map[KernelID]*core.Wrapper,
-	extract, detect map[KernelID]*kern,
-	preprocessInto func(*img.RGB, int),
-	feedDetector func(KernelID),
-	readFeature func(KernelID) []float32,
-	readScore func(KernelID) float64,
-	ref *ReferenceResult,
-	res *PortedResult,
-) error {
-	for n, im := range images {
-		preprocessInto(im, 0)
-
-		var r ImageResult
-		invoke := func(id KernelID, k *kern, wrapper mainmem.Addr) error {
-			t0 := ctx.Now()
-			code, err := k.SendAndWait(OpRun, wrapper)
-			if err != nil {
-				return err
-			}
-			if code != resOK {
-				return fmt.Errorf("marvel: %s returned %#x", id, code)
-			}
-			res.KernelTime[id] += ctx.Now().Sub(t0)
-			return nil
-		}
-
-		switch cfg.Scenario {
-		case SingleSPE:
-			for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
-				if err := invoke(id, extract[id], exWrap[id].Addr()); err != nil {
-					return err
-				}
-			}
-			for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
-				feedDetector(id)
-				if err := invoke(KCD, detect[id], dtWrap[id].Addr()); err != nil {
-					return err
-				}
-			}
-		case MultiSPE:
-			// Fig. 4(c) with strict group order: the extraction group runs
-			// in parallel; once it completes, the detections run
-			// sequentially on the shared detector SPE ("the groups ... are
-			// still executed sequentially").
-			for _, id := range extractOrder {
-				if err := extract[id].Send(OpRun, exWrap[id].Addr()); err != nil {
-					return err
-				}
-			}
-			for _, id := range extractOrder {
-				code, err := extract[id].Wait()
-				if err != nil {
-					return err
-				}
-				if code != resOK {
-					return fmt.Errorf("marvel: %s returned %#x", id, code)
-				}
-			}
-			for _, id := range extractOrder {
-				feedDetector(id)
-				if err := invoke(KCD, detect[id], dtWrap[id].Addr()); err != nil {
-					return err
-				}
-			}
-		case MultiSPE2:
-			// Replicated detectors: each extraction is immediately followed
-			// by its own detection on its paired SPE, overlapping with the
-			// remaining extractions.
-			for _, id := range extractOrder {
-				if err := extract[id].Send(OpRun, exWrap[id].Addr()); err != nil {
-					return err
-				}
-			}
-			var inFlight []KernelID
-			for _, id := range extractOrder {
-				code, err := extract[id].Wait()
-				if err != nil {
-					return err
-				}
-				if code != resOK {
-					return fmt.Errorf("marvel: %s returned %#x", id, code)
-				}
-				feedDetector(id)
-				if err := detect[id].Send(OpRun, dtWrap[id].Addr()); err != nil {
-					return err
-				}
-				inFlight = append(inFlight, id)
-			}
-			for _, id := range inFlight {
-				code, err := detect[id].Wait()
-				if err != nil {
-					return err
-				}
-				if code != resOK {
-					return fmt.Errorf("marvel: detect(%s) returned %#x", id, code)
-				}
-			}
-		}
-
-		r.CH = readFeature(KCH)
-		r.CC = readFeature(KCC)
-		r.EH = readFeature(KEH)
-		r.TX = readFeature(KTX)
-		for _, id := range []KernelID{KCH, KCC, KEH, KTX} {
-			r.Scores[scoreIndex(id)] = readScore(id)
-		}
-		res.Images = append(res.Images, r)
-
-		if ref != nil {
-			res.ValidationErrors += compareImage(&ref.Images[n], &r)
-		}
+// kernelResult turns a kernel completion into an error: a transport error
+// as is, a non-OK result code naming the kernel.
+func kernelResult(k *kern, code uint32, err error) error {
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-// runPipelined executes the extension schedule: while the SPEs extract
-// and detect image i (from pixel-buffer set i%2), the PPE preprocesses
-// image i+1 into the other set. Detections use the replicated detectors
-// (SPE4-7), so each extraction is followed by its own detection as in
-// MultiSPE2.
-func runPipelined(
-	ctx *cell.Context,
-	images []*img.RGB,
-	exWraps []map[KernelID]*core.Wrapper,
-	dtWrap map[KernelID]*core.Wrapper,
-	extract, detect map[KernelID]*kern,
-	preprocessInto func(*img.RGB, int),
-	feedDetectorSet func(map[KernelID]*core.Wrapper, KernelID),
-	readFeatureSet func(map[KernelID]*core.Wrapper, KernelID) []float32,
-	readScore func(KernelID) float64,
-	ref *ReferenceResult,
-	res *PortedResult,
-) error {
-	if len(images) == 0 {
-		return nil
-	}
-	preprocessInto(images[0], 0)
-	for n := range images {
-		set := exWraps[n%2]
-		// Launch all four extractions on image n.
-		for _, id := range extractOrder {
-			if err := extract[id].Send(OpRun, set[id].Addr()); err != nil {
-				return err
-			}
-		}
-		// Overlap: preprocess image n+1 into the other buffer while the
-		// SPEs work.
-		if n+1 < len(images) {
-			preprocessInto(images[n+1], (n+1)%2)
-		}
-		// Collect extractions, hand each feature to its own detector.
-		var inFlight []KernelID
-		for _, id := range extractOrder {
-			code, err := extract[id].Wait()
-			if err != nil {
-				return err
-			}
-			if code != resOK {
-				return fmt.Errorf("marvel: %s returned %#x", id, code)
-			}
-			feedDetectorSet(set, id)
-			if err := detect[id].Send(OpRun, dtWrap[id].Addr()); err != nil {
-				return err
-			}
-			inFlight = append(inFlight, id)
-		}
-		for _, id := range inFlight {
-			code, err := detect[id].Wait()
-			if err != nil {
-				return err
-			}
-			if code != resOK {
-				return fmt.Errorf("marvel: detect(%s) returned %#x", id, code)
-			}
-		}
-
-		var r ImageResult
-		r.CH = readFeatureSet(set, KCH)
-		r.CC = readFeatureSet(set, KCC)
-		r.EH = readFeatureSet(set, KEH)
-		r.TX = readFeatureSet(set, KTX)
-		for _, id := range []KernelID{KCH, KCC, KEH, KTX} {
-			r.Scores[scoreIndex(id)] = readScore(id)
-		}
-		res.Images = append(res.Images, r)
-		if ref != nil {
-			res.ValidationErrors += compareImage(&ref.Images[n], &r)
-		}
+	if code != resOK {
+		return fmt.Errorf("marvel: %s returned %#x", k.Name(), code)
 	}
 	return nil
 }
 
 // compareImage counts mismatches between reference and ported outputs.
 // Feature vectors must match bit-for-bit; scores must match after
-// float32 rounding (the kernel reports a float32).
+// float32 rounding (the kernel reports a float32), and a NaN on either
+// side never matches.
 func compareImage(ref, got *ImageResult) int {
 	bad := 0
 	cmpVec := func(a, b []float32) {
@@ -741,9 +587,7 @@ func compareImage(ref, got *ImageResult) int {
 	cmpVec(ref.TX, got.TX)
 	for i := range ref.Scores {
 		if float64(float32(ref.Scores[i])) != got.Scores[i] {
-			if math.Abs(float64(float32(ref.Scores[i]))-got.Scores[i]) > 0 {
-				bad++
-			}
+			bad++
 		}
 	}
 	return bad

@@ -26,7 +26,7 @@ const (
 )
 
 // encodeRaw serializes an accumulator into words (the kernel side).
-func encodeRaw(id KernelID, acc sliceAcc) []uint32 {
+func encodeRaw(acc Accumulator) []uint32 {
 	switch a := acc.(type) {
 	case *histAcc:
 		out := make([]uint32, 0, HistBinsU+1)
@@ -62,8 +62,8 @@ func encodeRaw(id KernelID, acc sliceAcc) []uint32 {
 
 // mergeRaw folds one partial result into the merger accumulator
 // (the PPE side).
-func mergeRaw(id KernelID, words []uint32, into sliceAcc) error {
-	if want := rawWords(id); uint32(len(words)) != want {
+func mergeRaw(id KernelID, words []uint32, into Accumulator) error {
+	if want := kernelOf(id).rawWords; uint32(len(words)) != want {
 		return fmt.Errorf("marvel: raw %s payload has %d words, want %d", id, len(words), want)
 	}
 	switch a := into.(type) {

@@ -2,7 +2,6 @@ package marvel
 
 import (
 	"cellport/internal/cost"
-	"cellport/internal/features"
 	"cellport/internal/img"
 	"cellport/internal/profile"
 	"cellport/internal/sim"
@@ -49,12 +48,12 @@ func RunReference(host *cost.Model, w Workload, ms *ModelSet) *ReferenceResult {
 // hostFeatures computes one frame's four reference feature vectors; the
 // detection scores are left for runReference, which owns the model set.
 func hostFeatures(im *img.RGB) ImageResult {
-	return ImageResult{
-		CH: features.ColorHistogram(im),
-		CC: features.ColorCorrelogram(im),
-		TX: features.Texture(im),
-		EH: features.EdgeHistogram(im),
+	var r ImageResult
+	for _, id := range ExtractKernels {
+		k := kernelOf(id)
+		*k.feature(&r) = k.reference(im)
 	}
+	return r
 }
 
 // refKernels are the reference pipeline's kernels in charge order, with

@@ -234,17 +234,6 @@ func (c *Calibration) estBest(tall bool, k int) (Scheme, sim.Duration, bool) {
 	return best, min, true
 }
 
-// detOpsShare apportions the detection kernel's time across the four
-// feature lanes by nominal operation count (the Eq. 3 lane construction
-// of §4.2).
-func detOpsShare(n, dim int) float64 {
-	total := float64(marvel.NumSVCH)*(3*float64(marvel.DimCH)+25) +
-		float64(marvel.NumSVCC)*(3*float64(marvel.DimCC)+25) +
-		float64(marvel.NumSVEH)*(3*float64(marvel.DimEH)+25) +
-		float64(marvel.NumSVTX)*(3*float64(marvel.DimTX)+25)
-	return float64(n) * (3*float64(dim) + 25) / total
-}
-
 // Calibrate measures the dispatch service table (every scheme × geometry
 // × batch size the loop can request) and fits the Eqs. 1-3 estimator
 // from a PPE reference run and a single-SPE ported run per geometry. All
@@ -354,16 +343,11 @@ func fitEstimator(ref *marvel.ReferenceResult, single *marvel.PortedResult) *geo
 	if g.NonKernel < 0 {
 		g.NonKernel = 0
 	}
-	detShare := map[marvel.KernelID]float64{
-		marvel.KCH: detOpsShare(marvel.NumSVCH, marvel.DimCH),
-		marvel.KCC: detOpsShare(marvel.NumSVCC, marvel.DimCC),
-		marvel.KEH: detOpsShare(marvel.NumSVEH, marvel.DimEH),
-		marvel.KTX: detOpsShare(marvel.NumSVTX, marvel.DimTX),
-	}
 	lane := amdahl.Group{}
-	for _, id := range []marvel.KernelID{marvel.KCH, marvel.KCC, marvel.KEH, marvel.KTX} {
-		frac := cov[id] + cov[marvel.KCD]*detShare[id]
-		ported := cov[id]/speed[id] + cov[marvel.KCD]*detShare[id]/speed[marvel.KCD]
+	for _, id := range marvel.ExtractKernels {
+		detShare := marvel.DetectShare(id)
+		frac := cov[id] + cov[marvel.KCD]*detShare
+		ported := cov[id]/speed[id] + cov[marvel.KCD]*detShare/speed[marvel.KCD]
 		if frac <= 0 || ported <= 0 {
 			return g
 		}
