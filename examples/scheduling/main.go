@@ -35,7 +35,8 @@ func main() {
 		rec *trace.Recorder
 	}
 	results := map[marvel.Scenario]result{}
-	for _, scen := range []marvel.Scenario{marvel.SingleSPE, marvel.MultiSPE, marvel.MultiSPE2} {
+	scenarios := []marvel.Scenario{marvel.SingleSPE, marvel.MultiSPE, marvel.MultiSPE2}
+	for _, scen := range scenarios {
 		mcfg := cell.DefaultConfig()
 		mcfg.MemorySize = 64 << 20
 		rec := trace.NewRecorder()
@@ -53,42 +54,30 @@ func main() {
 	}
 
 	// Amdahl estimates from measured per-kernel data (SingleSPE gives
-	// clean non-overlapping round trips).
+	// clean non-overlapping round trips); each scenario's schedule says
+	// which equation applies.
 	single := results[marvel.SingleSPE].res
-	var kernels []cellport.EstKernel
+	speed := map[marvel.KernelID]float64{}
 	for _, id := range marvel.KernelIDs {
-		kernels = append(kernels, cellport.EstKernel{
-			Name:     id.String(),
-			Fraction: cov[id],
-			SpeedUp:  ref.KernelTime[id].Seconds() / single.KernelTime[id].Seconds(),
-		})
+		speed[id] = ref.KernelTime[id].Seconds() / single.KernelTime[id].Seconds()
 	}
-	est2, err := cellport.EstimateSequential(kernels)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var extracts, detects cellport.EstGroup
-	for _, k := range kernels {
-		if k.Name == marvel.KCD.String() {
-			detects = append(detects, k)
-		} else {
-			extracts = append(extracts, k)
-		}
-	}
-	est3, err := cellport.EstimateGrouped([]cellport.EstGroup{extracts, detects})
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	fmt.Println("Amdahl estimates (from measured kernel coverage + speed-ups) vs measured:")
-	fmt.Printf("  %-12s Eq.2 estimate %6.2fx   measured %6.2fx\n",
-		marvel.SingleSPE, est2, ref.PerImage.Seconds()/single.PerImage.Seconds())
-	fmt.Printf("  %-12s Eq.3 estimate %6.2fx   measured %6.2fx\n",
-		marvel.MultiSPE, est3,
-		ref.PerImage.Seconds()/results[marvel.MultiSPE].res.PerImage.Seconds())
-	fmt.Printf("  %-12s               %8s   measured %6.2fx\n",
-		marvel.MultiSPE2, "",
-		ref.PerImage.Seconds()/results[marvel.MultiSPE2].res.PerImage.Seconds())
+	for _, scen := range scenarios {
+		sched, err := scen.Schedule()
+		if err != nil {
+			log.Fatal(err)
+		}
+		groups, err := sched.Groups(cov, speed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		est, err := cellport.EstimateGrouped(groups)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %-12s estimate %6.2fx   measured %6.2fx\n",
+			scen, est, ref.PerImage.Seconds()/results[scen].res.PerImage.Seconds())
+	}
 
 	fmt.Println("\nworth-it check (§4.2): pushing one kernel from 10x to 100x when it")
 	fmt.Println("covers 10% of the application:")
@@ -96,7 +85,7 @@ func main() {
 	e100, _ := cellport.EstimateSpeedUp1(cellport.EstKernel{Name: "k", Fraction: 0.1, SpeedUp: 100})
 	fmt.Printf("  Sapp(10x) = %.4f, Sapp(100x) = %.4f — not worth the effort\n", e10, e100)
 
-	for _, scen := range []marvel.Scenario{marvel.SingleSPE, marvel.MultiSPE, marvel.MultiSPE2} {
+	for _, scen := range scenarios {
 		fmt.Printf("\nschedule, %s — per-image window, one-time setup clipped\n", scen)
 		fmt.Printf("(C=compute D=dma-wait I=io; PPE lane includes preprocessing):\n")
 		r := results[scen]

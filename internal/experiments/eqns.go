@@ -48,85 +48,47 @@ func Eqns(cfg Config) (*EqnsResult, error) {
 	}
 	cov := ref.KernelCoverage()
 	speed := map[marvel.KernelID]float64{}
-	var kernels []amdahl.Kernel
 	for _, id := range marvel.KernelIDs {
 		speed[id] = ref.KernelTime[id].Seconds() / single.KernelTime[id].Seconds()
-		kernels = append(kernels, amdahl.Kernel{
-			Name: id.String(), Fraction: cov[id], SpeedUp: speed[id],
-		})
 	}
 
-	// Scenario 1 — Eq. 2, all kernels sequential.
-	est1, err := amdahl.SpeedUpSequential(kernels)
-	if err != nil {
-		return nil, err
-	}
-	// Scenario 2 — Eq. 3: the four extractions in parallel, detection as
-	// its own sequential group.
-	var extracts amdahl.Group
-	var detects amdahl.Group
-	for _, k := range kernels {
-		if k.Name == marvel.KCD.String() {
-			detects = append(detects, k)
-		} else {
-			extracts = append(extracts, k)
-		}
-	}
-	est2, err := amdahl.SpeedUpGrouped([]amdahl.Group{extracts, detects})
-	if err != nil {
-		return nil, err
-	}
-	// Scenario 3 — extraction+detection pipelines per feature: each lane
-	// is extract_i followed by its share of detection; groups become one
-	// parallel group of lane pseudo-kernels. Detection work splits by
-	// nominal operation share.
-	lane := amdahl.Group{}
-	for _, id := range marvel.ExtractKernels {
-		detShare := marvel.DetectShare(id)
-		frac := cov[id] + cov[marvel.KCD]*detShare
-		// Effective lane speed-up: lane original time / lane ported time.
-		orig := cov[id] + cov[marvel.KCD]*detShare
-		ported := cov[id]/speed[id] + cov[marvel.KCD]*detShare/speed[marvel.KCD]
-		lane = append(lane, amdahl.Kernel{Name: id.String() + "+det", Fraction: frac, SpeedUp: orig / ported})
-	}
-	est3, err := amdahl.SpeedUpGrouped([]amdahl.Group{lane})
-	if err != nil {
-		return nil, err
-	}
-
-	// Measurements: per-image application speed-up over the PPE. The two
-	// parallel-scenario runs are independent simulations, so they go
-	// through the worker pool.
+	// Each row's estimate is Eq. 2 or 3 over its schedule's groups; its
+	// measurement the per-image application speed-up over the PPE. The
+	// two parallel-scenario runs are independent simulations, so the rows
+	// go through the worker pool.
 	scenarios := []struct {
 		name string
 		s    marvel.Scenario
-		est  float64
 	}{
-		{"scenario1/single-SPE (Eq.2)", marvel.SingleSPE, est1},
-		{"scenario2/multi-SPE (Eq.3)", marvel.MultiSPE, est2},
-		{"scenario3/multi-SPE2 (Eq.3 lanes)", marvel.MultiSPE2, est3},
+		{"scenario1/single-SPE (Eq.2)", marvel.SingleSPE},
+		{"scenario2/multi-SPE (Eq.3)", marvel.MultiSPE},
+		{"scenario3/multi-SPE2 (Eq.3 lanes)", marvel.MultiSPE2},
 	}
-	measured, err := parallel.RunIndexed(cfg.Parallel, len(scenarios), func(i int) (float64, error) {
-		if scenarios[i].s == marvel.SingleSPE {
-			return ref.PerImage.Seconds() / single.PerImage.Seconds(), nil
-		}
-		ported, err := cfg.runPorted(fmt.Sprintf("eqns/%s/n=1", scenarios[i].s), cfg.ported(cfg.Workload(1), scenarios[i].s, marvel.Optimized))
+	res.Scenarios, err = parallel.RunIndexed(cfg.Parallel, len(scenarios), func(i int) (ScenarioCheck, error) {
+		sc := scenarios[i]
+		sched, err := sc.s.Schedule()
 		if err != nil {
-			return 0, err
+			return ScenarioCheck{}, err
 		}
-		return ref.PerImage.Seconds() / ported.PerImage.Seconds(), nil
+		groups, err := sched.Groups(cov, speed)
+		if err != nil {
+			return ScenarioCheck{}, err
+		}
+		est, err := amdahl.SpeedUpGrouped(groups)
+		if err != nil {
+			return ScenarioCheck{}, err
+		}
+		run := single
+		if sc.s != marvel.SingleSPE {
+			if run, err = cfg.runPorted(fmt.Sprintf("eqns/%s/n=1", sc.s), cfg.ported(cfg.Workload(1), sc.s, marvel.Optimized)); err != nil {
+				return ScenarioCheck{}, err
+			}
+		}
+		m := ref.PerImage.Seconds() / run.PerImage.Seconds()
+		return ScenarioCheck{Name: sc.name, Estimate: est, Measured: m, ErrorFrac: math.Abs(est-m) / m}, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for i, sc := range scenarios {
-		m := measured[i]
-		res.Scenarios = append(res.Scenarios, ScenarioCheck{
-			Name:      sc.name,
-			Estimate:  sc.est,
-			Measured:  m,
-			ErrorFrac: math.Abs(sc.est-m) / m,
-		})
 	}
 	return res, nil
 }

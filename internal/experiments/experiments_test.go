@@ -83,14 +83,15 @@ func TestEstimatorErrorsUnderTwoPercent(t *testing.T) {
 	}
 	// Scenario ordering: parallel beats sequential; replication only
 	// marginally beats the shared detector.
-	if len(r.Scenarios) == 3 {
-		s1, s2, s3 := r.Scenarios[0].Measured, r.Scenarios[1].Measured, r.Scenarios[2].Measured
-		if !(s1 < s2 && s2 <= s3) {
-			t.Errorf("scenario ordering broken: %.2f %.2f %.2f", s1, s2, s3)
-		}
-		if (s3-s2)/s2 > 0.10 {
-			t.Errorf("multi-SPE2 gain %.1f%% implausibly large (paper: ~2%%)", (s3-s2)/s2*100)
-		}
+	if len(r.Scenarios) != 3 {
+		t.Fatalf("%d scenario rows, want 3", len(r.Scenarios))
+	}
+	s1, s2, s3 := r.Scenarios[0].Measured, r.Scenarios[1].Measured, r.Scenarios[2].Measured
+	if !(s1 < s2 && s2 <= s3) {
+		t.Errorf("scenario ordering broken: %.2f %.2f %.2f", s1, s2, s3)
+	}
+	if (s3-s2)/s2 > 0.10 {
+		t.Errorf("multi-SPE2 gain %.1f%% implausibly large (paper: ~2%%)", (s3-s2)/s2*100)
 	}
 }
 

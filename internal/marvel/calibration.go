@@ -65,14 +65,16 @@ type kernelCal struct {
 	SliceOverheadCycles float64
 }
 
-var calibration = map[KernelID]kernelCal{
+// calibration holds each kernel's record, indexed by KernelID (KCD
+// included).
+var calibration = [numKernels]kernelCal{
 	KCH: {
 		NomOpsPerPixel:      features.HistOpsPerPixel,      // 38
 		NomBranchesPerPixel: features.HistBranchesPerPixel, // 7
 		// PPE time target 4.92 ms/image (8% of 61.5 ms): float HSV
 		// conversion with divisions in the original code.
 		HostOpsMult: 2.45,
-		// Table 1: 53.67× ⇒ ~3.5 cycles/px ⇒ 16-bit lanes at eff 0.68.
+		// Table 1: 53.67×, on 16-bit lanes.
 		OptWidth: cost.Bits16,
 		OptEff:   0.74,
 		// §5.3: 26.41× already before optimization — the histogram inner
@@ -90,8 +92,8 @@ var calibration = map[KernelID]kernelCal{
 		// CC is the calibration anchor: HostOpsMult 1.0 ⇒ 33.2 ms on the
 		// PPE = 54% of the per-image budget.
 		HostOpsMult: 1.0,
-		// Table 1: 52.23× ⇒ ~24 cycles/px ⇒ byte lanes at eff 0.80 (the
-		// window compare-and-count is ideal 16-way byte SIMD).
+		// Table 1: 52.23×, on byte lanes (the window compare-and-count is
+		// ideal 16-way byte SIMD).
 		OptWidth: cost.Bits8,
 		OptEff:   0.81,
 		// §5.3: 0.43× — the straight C port ran *slower* than the PPE:
@@ -107,9 +109,8 @@ var calibration = map[KernelID]kernelCal{
 		NomBranchesPerPixel: features.TexBranchesPerPixel, // 4
 		// PPE target 3.69 ms (6%): float wavelet filters in the original.
 		HostOpsMult: 3.9,
-		// Table 1: 15.99× ⇒ ~8.7 cycles/px ⇒ 32-bit lanes at eff 0.26
-		// (strided column passes defeat wide SIMD — the paper's weakest
-		// kernel).
+		// Table 1: 15.99×, on 32-bit lanes (strided column passes defeat
+		// wide SIMD — the paper's weakest kernel).
 		OptWidth: cost.Bits32,
 		OptEff:   0.254,
 		// Not measured in §5.3; assigned: scalar port, moderate branches.
@@ -150,9 +151,6 @@ var calibration = map[KernelID]kernelCal{
 		SliceOverheadCycles: 500,
 	},
 }
-
-// Cal returns the calibration record for a kernel.
-func Cal(k KernelID) kernelCal { return calibration[k] }
 
 // NaiveMispredict is the misprediction rate charged to naive kernels
 // (static prediction on data-dependent branches).

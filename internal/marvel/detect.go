@@ -78,7 +78,7 @@ func svChunkRows(dim int) int {
 // evaluating the real SVM decision function exactly as the reference
 // does.
 func DetectKernelSpec(v Variant) core.KernelSpec {
-	cal := Cal(KCD)
+	cal := calibration[KCD]
 	fn := func(ctx *spe.Context, wrapper mainmem.Addr) uint32 {
 		st := ctx.Store()
 		hdrLS, err := st.Alloc(hdrBytes, 16)

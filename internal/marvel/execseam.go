@@ -33,7 +33,7 @@ func ExecPlan(id KernelID, v Variant, w, h int) ([]img.Slice, error) {
 		return nil, fmt.Errorf("marvel: ExecPlan: bad geometry %dx%d", w, h)
 	}
 	st := ls.New()
-	if err := st.LoadProgram(Cal(id).CodeBytes); err != nil {
+	if err := st.LoadProgram(calibration[id].CodeBytes); err != nil {
 		return nil, err
 	}
 	if _, err := st.Alloc(exHdrBytes, 16); err != nil {

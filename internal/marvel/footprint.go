@@ -45,7 +45,7 @@ func PlanFootprint(id KernelID, v Variant, w, h int) (*Footprint, error) {
 	if id == KCD {
 		return nil, fmt.Errorf("marvel: detection streams models, use its chunking instead")
 	}
-	cal := Cal(id)
+	cal := calibration[id]
 	k := kernelOf(id)
 	stride := img.StrideFor(w)
 	if stride > 16384 {

@@ -145,10 +145,10 @@ func kernelOf(id KernelID) *extractKernel {
 // panics for KCD, like every kernel-table read.
 func NewAccumulator(id KernelID) Accumulator { return kernelOf(id).newAcc() }
 
-// DetectShare is kernel id's share of the per-image concept-detection
-// work, by nominal operations: how the estimator splits detection time
+// detectShare is kernel id's share of the per-image concept-detection
+// work, by nominal operations: how Schedule.Groups splits detection time
 // across the four extraction lanes (the Eq. 3 lane construction of §4.2).
-func DetectShare(id KernelID) float64 {
+func detectShare(id KernelID) float64 {
 	k := kernelOf(id)
 	return detectNomOps(k.numSV, k.dim) / detectNomOpsAll()
 }
@@ -165,7 +165,7 @@ func (v Variant) buffers() int {
 // chargeExtract charges the SPU time for processing `pixels` payload
 // pixels under the given variant's calibration.
 func chargeExtract(ctx *spe.Context, id KernelID, v Variant, pixels float64) {
-	cal := Cal(id)
+	cal := calibration[id]
 	label := id.String()
 	switch v {
 	case Optimized:
@@ -273,7 +273,7 @@ func sliceBudget(free uint32, id KernelID, v Variant, w, stride int) int {
 // memo serves the feature arithmetic from its kernel layer, keyed by the
 // bands the DMA delivered (kernelmemo.go); nil computes inline.
 func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelSpec {
-	cal := Cal(id)
+	cal := calibration[id]
 	g := kernelOf(id)
 	fn := func(ctx *spe.Context, wrapper mainmem.Addr, partial bool) uint32 {
 		st := ctx.Store()

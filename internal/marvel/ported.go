@@ -314,7 +314,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 			}
 			im := img.Wrap(mem.Bytes(pixEA, uint32(stride*ih)), iw, ih, stride)
 			vec := kernelOf(id).reference(im)
-			cal := Cal(id)
+			cal := calibration[id]
 			ctx.ComputeBranches(cal.NomBranchesPerPixel*pixels, -1, id.String()+"-ppe")
 			ctx.ComputeScalar(cal.NomOpsPerPixel*pixels*cal.HostOpsMult, id.String()+"-ppe")
 			core.PutFloat32s(mem.Bytes(wrapper+mainmem.Addr(extractOutOff()), uint32(len(vec)*4)), vec)
@@ -341,7 +341,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 		}
 		feature := core.GetFloat32s(mem.Bytes(wrapper+mainmem.Addr(detectFeatureOff()), uint32(dim)*4))
 		sum := model.refModel.Decision(feature)
-		ctx.ComputeScalar(detectNomOps(numSV, dim)*Cal(KCD).HostOpsMult, "detect-ppe")
+		ctx.ComputeScalar(detectNomOps(numSV, dim)*calibration[KCD].HostOpsMult, "detect-ppe")
 		sb := mem.Bytes(wrapper+mainmem.Addr(detectScoreOff(dim)), scoreBytes)
 		core.PutFloat32s(sb[:4], []float32{float32(sum)})
 		class := uint32(0)

@@ -103,7 +103,7 @@ func runReference(host *cost.Model, w Workload, ms *ModelSet, frame func(i int) 
 		r := frame(i)
 		ms.Detect(&r)
 		for _, k := range refKernels {
-			cal := Cal(k.id)
+			cal := calibration[k.id]
 			prof.Enter(k.class, k.method)
 			start := clk.now
 			var nomOps float64

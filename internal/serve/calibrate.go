@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 
-	"cellport/internal/amdahl"
 	"cellport/internal/marvel"
 	"cellport/internal/parallel"
 	"cellport/internal/sim"
@@ -79,17 +78,12 @@ func (s svc) String() string {
 
 // geomCal holds one frame geometry's estimator inputs and outputs.
 type geomCal struct {
-	// RefPerImage is the PPE reference per-image processing time.
-	RefPerImage sim.Duration
 	// NonKernel is the per-image PPE time outside the five kernels
 	// (preprocessing, glue) — the part no SPE scheme can remove.
 	NonKernel sim.Duration
-	// LaneMax is the slowest extraction+detection lane's estimated SPE
-	// time, from the Eq. 3 lane construction.
+	// LaneMax is the estimated per-image SPE time of the job-distribution
+	// schedule: the slowest extraction+detection lane.
 	LaneMax sim.Duration
-	// EstSpeedUp is the Eq. 3 whole-application speed-up estimate for the
-	// job-distribution scheme.
-	EstSpeedUp float64
 	// Conclusive reports whether the estimate is usable (valid kernel
 	// fractions and speed-ups); inconclusive geometries make the policy
 	// fall back to round-robin.
@@ -225,9 +219,10 @@ func (c *Calibration) estBest(tall bool, k int) (Scheme, sim.Duration, bool) {
 	if data < job {
 		min, max, best = data, job, SchemeData
 	}
-	// Within 0.5% the Eq. 3 estimate cannot distinguish the schemes (the
-	// estimate's own error against the measured table is an order of
-	// magnitude smaller, so this margin is conservative).
+	// Estimates within 0.5% of each other count as a tie: the margin is a
+	// resolution floor between the two schemes' estimates, not a bound on
+	// the estimate's error against the measured table (perfbench's
+	// est_error_pct reads 1.3-2%).
 	if float64(max-min) < 0.005*float64(min) {
 		return SchemeJob, job, false
 	}
@@ -326,41 +321,38 @@ func Calibrate(cfg Config) (*Calibration, error) {
 
 // fitEstimator builds one geometry's Eq. 3 lane estimate from the
 // measured kernel coverage (reference run) and kernel speed-ups
-// (single-SPE round trips), exactly the §4.2 procedure.
+// (single-SPE round trips), exactly the §4.2 procedure: the
+// job-distribution schedule's groups, each costing its slowest member.
+// A builder error or a non-positive estimate leaves it inconclusive.
 func fitEstimator(ref *marvel.ReferenceResult, single *marvel.PortedResult) *geomCal {
-	g := &geomCal{RefPerImage: ref.PerImage}
-	cov := ref.KernelCoverage()
+	g := &geomCal{}
 	speed := map[marvel.KernelID]float64{}
 	var kernelSum sim.Duration
 	for _, id := range marvel.KernelIDs {
-		if single.KernelTime[id] <= 0 {
-			return g // no usable speed-up: inconclusive
-		}
 		speed[id] = ref.KernelTime[id].Seconds() / single.KernelTime[id].Seconds()
 		kernelSum += ref.KernelTime[id]
 	}
-	g.NonKernel = ref.PerImage - kernelSum
-	if g.NonKernel < 0 {
-		g.NonKernel = 0
-	}
-	lane := amdahl.Group{}
-	for _, id := range marvel.ExtractKernels {
-		detShare := marvel.DetectShare(id)
-		frac := cov[id] + cov[marvel.KCD]*detShare
-		ported := cov[id]/speed[id] + cov[marvel.KCD]*detShare/speed[marvel.KCD]
-		if frac <= 0 || ported <= 0 {
-			return g
-		}
-		lane = append(lane, amdahl.Kernel{Name: id.String() + "+det", Fraction: frac, SpeedUp: frac / ported})
-		if t := sim.FromSeconds(ported * ref.PerImage.Seconds()); t > g.LaneMax {
-			g.LaneMax = t
-		}
-	}
-	est, err := amdahl.SpeedUpGrouped([]amdahl.Group{lane})
-	if err != nil || est <= 0 {
+	g.NonKernel = max(ref.PerImage-kernelSum, 0)
+	sched, err := SchemeJob.scenario().Schedule()
+	if err != nil {
 		return g
 	}
-	g.EstSpeedUp = est
+	groups, err := sched.Groups(ref.KernelCoverage(), speed)
+	if err != nil {
+		return g
+	}
+	var lanes float64
+	for _, grp := range groups {
+		slowest := 0.0
+		for _, k := range grp {
+			slowest = max(slowest, k.Fraction/k.SpeedUp)
+		}
+		lanes += slowest
+	}
+	if !(lanes > 0) {
+		return g // a NaN member (a zero-coverage lane) lands here too
+	}
+	g.LaneMax = sim.FromSeconds(lanes * ref.PerImage.Seconds())
 	g.Conclusive = true
 	return g
 }
