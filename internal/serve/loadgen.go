@@ -228,25 +228,41 @@ func (m RateModel) resolve(seed uint64, n int, ratePerSec float64) resolvedModel
 	return r
 }
 
-// rate is the instantaneous offered rate at virtual time t, as a
-// multiple of the base rate. Flash windows repeat each period, so a
-// multi-day run sees its flash crowds daily at the same phase. The
-// result is clamped at zero: an amplitude above 1 (rejected by
-// Validate, but this layer must not rely on its callers) would
-// otherwise drive the diurnal trough negative, and a negative thinning
-// probability in arrivalsShaped silently accepts every candidate —
-// inverting the intended load shape instead of failing loudly.
-func (r *resolvedModel) rate(t sim.Time) float64 {
-	phase := sim.Duration(t) % r.period
+// phase is t's offset into its diurnal period. Flash windows repeat
+// each period, so a multi-day run sees its flash crowds daily at the
+// same phase.
+func (r *resolvedModel) phase(t sim.Time) sim.Duration {
+	return sim.Duration(t) % r.period
+}
+
+// flashAt reports whether phase lies inside a flash window. The starts
+// are sorted, so the scan stops at the first start past phase.
+func (r *resolvedModel) flashAt(phase sim.Duration) bool {
+	for _, s := range r.starts {
+		if phase < sim.Duration(s) {
+			return false
+		}
+		if phase < sim.Duration(s)+r.flashLen {
+			return true
+		}
+	}
+	return false
+}
+
+// rate is the instantaneous offered rate at a phase, as a multiple of
+// the base rate; flash is the phase's flashAt result. The rate is
+// clamped at zero: an amplitude above 1 (rejected by Validate, but this
+// layer must not rely on its callers) would otherwise drive the diurnal
+// trough negative, and a negative thinning probability in
+// arrivalsShaped silently accepts every candidate — inverting the
+// intended load shape instead of failing loudly.
+func (r *resolvedModel) rate(phase sim.Duration, flash bool) float64 {
 	mult := 1.0
 	if r.DiurnalAmp > 0 {
 		mult *= 1 + r.DiurnalAmp*math.Sin(2*math.Pi*float64(phase)/float64(r.period))
 	}
-	for _, s := range r.starts {
-		if d := sim.Duration(t) % r.period; d >= sim.Duration(s) && d < sim.Duration(s)+r.flashLen {
-			mult *= r.FlashFactor
-			break
-		}
+	if flash {
+		mult *= r.FlashFactor
 	}
 	if mult < 0 {
 		mult = 0
@@ -273,6 +289,13 @@ func arrivalsShaped(seed uint64, n int, ratePerSec, burst, tallFrac float64, dea
 	}
 	m := model.resolve(seed, n, ratePerSec)
 	peak := m.peak()
+	// Squeeze bounds on rate(t)/peak (DESIGN.md §13): every rate is at
+	// least max(0, 1−A), and outside the flash windows at most 1+A.
+	// Rounding is monotone, so the bounds hold for the computed
+	// quotient too, and a draw outside [lo, hi) is decided exactly
+	// without evaluating the sinusoid.
+	lo := math.Max(0, 1-m.DiurnalAmp) / peak
+	hi := (1 + m.DiurnalAmp) / peak
 	rng := splitmix64(seed)
 	out := make([]Request, 0, n)
 	t := sim.Time(0)
@@ -280,8 +303,12 @@ func arrivalsShaped(seed uint64, n int, ratePerSec, burst, tallFrac float64, dea
 		t = nextArrivalTime(t, rng.exp(ratePerSec*peak/burst))
 		// Thin: one uniform draw per candidate burst event, consumed
 		// whether or not the event survives, keeping the stream aligned.
-		if rng.float() >= m.rate(t)/peak {
-			continue
+		if u := rng.float(); u >= lo {
+			phase := m.phase(t)
+			flash := m.flashAt(phase)
+			if !flash && u >= hi || u >= m.rate(phase, flash)/peak {
+				continue
+			}
 		}
 		for i, size := 0, burstSize(&rng, burst, n); i < size && len(out) < n; i++ {
 			out = append(out, makeRequest(&rng, len(out), t, tallFrac, deadline))

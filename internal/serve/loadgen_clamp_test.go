@@ -49,7 +49,7 @@ func TestRateClampsAtZero(t *testing.T) {
 	sawZero := false
 	for i := 0; i <= 1024; i++ {
 		tm := sim.Time(float64(m.period) * float64(i) / 1024)
-		r := m.rate(tm)
+		r := rateAtTime(&m, tm)
 		if r < 0 {
 			t.Fatalf("rate(%d) = %v < 0 with DiurnalAmp 1.5", tm, r)
 		}
@@ -64,7 +64,7 @@ func TestRateClampsAtZero(t *testing.T) {
 	m = RateModel{DiurnalAmp: 1}.resolve(7, 1000, 100)
 	for i := 0; i <= 1024; i++ {
 		tm := sim.Time(float64(m.period) * float64(i) / 1024)
-		if r := m.rate(tm); r < 0 {
+		if r := rateAtTime(&m, tm); r < 0 {
 			t.Fatalf("rate(%d) = %v < 0 with DiurnalAmp 1", tm, r)
 		}
 	}
@@ -77,4 +77,10 @@ func TestShapedStreamSurvivesOverAmp(t *testing.T) {
 	const n = 256
 	reqs := arrivalsShaped(7, n, 50, 1, 0.25, 0, &RateModel{DiurnalAmp: 1.5})
 	checkStream(t, reqs, n)
+}
+
+// rateAtTime is the model's instantaneous rate at virtual time t.
+func rateAtTime(m *resolvedModel, t sim.Time) float64 {
+	phase := m.phase(t)
+	return m.rate(phase, m.flashAt(phase))
 }

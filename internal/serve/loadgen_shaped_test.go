@@ -175,7 +175,7 @@ func TestRateModelResolve(t *testing.T) {
 	peak := r.peak()
 	for i := 0; i < 256; i++ {
 		at := sim.Time(float64(r.period) * float64(i) / 256)
-		if got := r.rate(at); got < 0 || got > peak+1e-9 {
+		if got := rateAtTime(&r, at); got < 0 || got > peak+1e-9 {
 			t.Fatalf("rate(%d) = %g escapes [0, peak=%g]", at, got, peak)
 		}
 	}
