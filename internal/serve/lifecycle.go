@@ -231,6 +231,7 @@ func (p *pool) killBlade(b *blade) {
 		p.reroute(b, r)
 	}
 	b.queue = b.queue[:0]
+	b.backlog = 0
 }
 
 // reroute sends one evicted request back through admission after an

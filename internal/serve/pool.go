@@ -30,6 +30,11 @@ type blade struct {
 	cur   []Request
 	deg   bool // current dispatch runs degraded (supervised recovery)
 
+	// backlog is the sum of estOne over queue, kept in step at every
+	// queue change (admitInto, dispatch, killBlade) so bladeScore is
+	// O(1). Run fails if a blade ends with a queue or a backlog.
+	backlog sim.Duration
+
 	// Lifecycle state (DESIGN.md §12). health gates admission;
 	// stallRestore remembers the state a transient stall must restore.
 	health       health
@@ -75,6 +80,13 @@ type pool struct {
 	blades   []*blade
 	rr       int
 	now      sim.Time
+
+	// Per-run estimator constants, resolved once from cal in newPool:
+	// whether the Eq. 3 estimate is usable, estOne per geometry
+	// (geomIndex), and the warmup a cold blade's score charges.
+	conclusive bool
+	estOnes    [numGeoms]sim.Duration
+	coldWarmup sim.Duration
 
 	// fleet is the multi-pool routing/autoscaling layer (DESIGN.md §13);
 	// nil selects the classic single-pool admission path. In fleet mode
@@ -126,6 +138,16 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 		ordBuf:   make([]*blade, total),
 		scoreBuf: make([]sim.Duration, total),
 		idxBuf:   make([]int, total),
+
+		conclusive: cal.Conclusive(),
+		coldWarmup: cal.service(svcKey{Scheme: SchemeJob, Tall: false, K: 1}).Warmup,
+	}
+	for _, tall := range []bool{false, true} {
+		est := cal.estService(SchemeJob, tall, 1)
+		if est <= 0 {
+			est = cal.service(svcKey{Scheme: SchemeJob, Tall: tall, K: 1}).Service
+		}
+		p.estOnes[geomIndex(tall)] = est
 	}
 	if cfg.Instrument {
 		p.ctr = trace.NewRecorder()
@@ -220,11 +242,9 @@ func (p *pool) earliestBusy() *blade {
 // dispatch), used to score queue backlogs and deadline feasibility. When
 // the Eq. 3 estimate is inconclusive it falls back to the measured
 // single-request service, which the calibration table always has.
+// newPool resolves both geometries once.
 func (p *pool) estOne(r Request) sim.Duration {
-	if est := p.cal.estService(SchemeJob, r.Tall, 1); est > 0 {
-		return est
-	}
-	return p.cal.service(svcKey{Scheme: SchemeJob, Tall: r.Tall, K: 1}).Service
+	return p.estOnes[geomIndex(r.Tall)]
 }
 
 // bladeScore is the estimator's finish frontier for one blade: the
@@ -232,15 +252,12 @@ func (p *pool) estOne(r Request) sim.Duration {
 // plus the estimated backlog of its queue. Both the per-pool placement
 // order and the fleet router's frontier comparison rank by it.
 func (p *pool) bladeScore(b *blade) sim.Duration {
-	var s sim.Duration
+	s := b.backlog
 	if b.busy {
 		s += b.done.Sub(p.now)
 	}
 	if !b.warm {
-		s += p.cal.service(svcKey{Scheme: SchemeJob, Tall: false, K: 1}).Warmup
-	}
-	for _, q := range b.queue {
-		s += p.estOne(q)
+		s += p.coldWarmup
 	}
 	return s
 }
@@ -267,7 +284,7 @@ func (p *pool) placeOrderIn(r Request, blades []*blade, rr *int) []*blade {
 		*rr = (*rr + 1) % n
 		return out
 	}
-	if p.cfg.Policy == PolicyRoundRobin || !p.cal.Conclusive() {
+	if p.cfg.Policy == PolicyRoundRobin || !p.conclusive {
 		return rot()
 	}
 	scores := p.scoreBuf[:n]
@@ -314,6 +331,7 @@ func (p *pool) admitInto(r Request, order []*blade) {
 	for _, b := range order {
 		if len(b.queue) < p.cfg.MaxQueue {
 			b.queue = append(b.queue, r)
+			b.backlog += p.estOne(r)
 			if !b.busy {
 				p.dispatch(b)
 			}
@@ -350,6 +368,7 @@ func (p *pool) dispatch(b *blade) {
 	keep := b.queue[:0]
 	for _, r := range b.queue {
 		if r.Deadline != sim.Never && p.now.Add(p.estOne(r)) > r.Deadline {
+			b.backlog -= p.estOne(r)
 			p.finish(r, outShedExpired, b)
 			continue
 		}
@@ -375,9 +394,10 @@ func (p *pool) dispatch(b *blade) {
 		}
 	}
 	b.queue = rest
+	b.backlog -= sim.Duration(len(batch)) * p.estOnes[geomIndex(tall)]
 
 	scheme := SchemeJob
-	if p.cfg.Policy == PolicyEstimator && p.cal.Conclusive() {
+	if p.cfg.Policy == PolicyEstimator && p.conclusive {
 		if s, _, ok := p.cal.estBest(tall, len(batch)); ok {
 			scheme = s
 		} else {

@@ -196,7 +196,8 @@ func percentile(sorted []sim.Duration, q float64) sim.Duration {
 // with the arrival stream (reqs, indexed by Request.ID) into the ledger,
 // lateness, makespan, percentiles and per-blade and per-pool shares:
 // counts, maxes and order-insensitive percentiles. A request without
-// exactly one terminal outcome is an error.
+// exactly one terminal outcome is an error, and so is a blade left with
+// a queue or a non-zero backlog.
 func (p *pool) report(reqs []Request, offered float64) (*Report, error) {
 	rateMultiple := p.cfg.Rate
 	if p.cfg.OfferedRPS > 0 && p.cal.perBlade > 0 {
@@ -221,6 +222,10 @@ func (p *pool) report(reqs []Request, offered float64) (*Report, error) {
 	r.SchemeBatches = map[string]int{}
 	var batchRequests int
 	for i, b := range p.blades {
+		if len(b.queue) > 0 || b.backlog != 0 {
+			return nil, fmt.Errorf("serve: blade %d ends the run with %d queued requests and backlog %v, want none",
+				b.id, len(b.queue), b.backlog)
+		}
 		r.PerBlade[i] = BladeStats{
 			Blade:      b.id,
 			Health:     b.health.String(),

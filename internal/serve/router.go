@@ -125,7 +125,7 @@ func (p *pool) routePool(r Request) *poolShard {
 	if hashed == nil {
 		return nil
 	}
-	if p.cfg.Policy != PolicyEstimator || !p.cal.Conclusive() {
+	if p.cfg.Policy != PolicyEstimator || !p.conclusive {
 		return hashed
 	}
 	var best *poolShard

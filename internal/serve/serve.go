@@ -230,7 +230,8 @@ func (c Config) RacePointConfig(s Scheme, tall bool, k int) marvel.PortedConfig 
 // Run executes one serve run: validate and default the config,
 // calibrate (or reuse cfg.Cal), generate the seeded arrival stream, play
 // the admission/dispatch event loop to completion, and fold the report.
-// A request without exactly one terminal outcome fails the run.
+// A request without exactly one terminal outcome fails the run, and so
+// does a blade that ends it with a queue or a backlog.
 func Run(cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
