@@ -75,3 +75,14 @@ func TestArrivalsDeadlinesOffsetArrival(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkArrivalsShaped times generating one fleet-shaped stream:
+// 80k requests under diurnal amplitude 0.6 with two 3× flash crowds,
+// the stream each fleet-ladder rung serves.
+func BenchmarkArrivalsShaped(b *testing.B) {
+	model := &RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		arrivalsShaped(7, 80_000, 1000, 1, 0.25, 2*sim.Millisecond, model)
+	}
+}

@@ -367,8 +367,8 @@ func (p *pool) dispatch(b *blade) {
 	// alone right now is hopeless: shed it instead of wasting a blade.
 	keep := b.queue[:0]
 	for _, r := range b.queue {
-		if r.Deadline != sim.Never && p.now.Add(p.estOne(r)) > r.Deadline {
-			b.backlog -= p.estOne(r)
+		if est := p.estOne(r); r.Deadline != sim.Never && p.now.Add(est) > r.Deadline {
+			b.backlog -= est
 			p.finish(r, outShedExpired, b)
 			continue
 		}

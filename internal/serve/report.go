@@ -214,7 +214,7 @@ func (p *pool) report(reqs []Request, offered float64) (*Report, error) {
 		RateMultiple:        rateMultiple,
 		Deadline:            p.deadline,
 		PolicyFallbacks:     p.placeFallbacks,
-		EstimatorConclusive: p.cal.Conclusive(),
+		EstimatorConclusive: p.conclusive,
 		PerBlade:            make([]BladeStats, len(p.blades)),
 	}
 	// Only schemes that actually dispatched appear, matching the
