@@ -27,7 +27,9 @@ type Config struct {
 	MFC        mfc.Config
 	PPEModel   *cost.Model
 	SPEModel   *cost.Model
-	Tracer     trace.Tracer
+	// Tracer, when non-nil, records the machine's activity spans and
+	// fault instants. A nil recorder is untraced: no label is formatted.
+	Tracer *trace.Recorder
 	// Metrics, when non-nil, receives the machine's instrumentation
 	// (per-SPE time split, MFC histograms, EIB shares; see
 	// HarvestMetrics). The nil path hands nil-safe handles to every
@@ -64,16 +66,13 @@ type Machine struct {
 	Bus    *eib.Bus
 	Memory *mainmem.Memory
 	SPEs   []*spe.SPE
-	tracer trace.Tracer
+	tracer *trace.Recorder
 }
 
 // New builds a machine from the configuration.
 func New(cfg Config) *Machine {
 	if cfg.NumSPEs <= 0 {
 		panic("cell: need at least one SPE")
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = trace.Nop{}
 	}
 	e := sim.NewEngine()
 	bus := eib.New(e, cfg.Bus)
@@ -116,7 +115,7 @@ func (m *Machine) InjectFaults(inj *fault.Injector) {
 		mfcLane := fmt.Sprintf("MFC%d", i)
 		s.Store.SetAllocFault(func(size, align uint32) error {
 			if inj.AllocFault(i) {
-				trace.RecordInstant(m.tracer, speLane, m.Engine.Now(), "fault: ls-overflow")
+				m.tracer.Instant(speLane, m.Engine.Now(), "fault: ls-overflow")
 				return fmt.Errorf("%w: injected soft overflow (%d B, align %d)",
 					ls.ErrLocalStoreOverflow, size, align)
 			}
@@ -125,10 +124,10 @@ func (m *Machine) InjectFaults(inj *fault.Injector) {
 		s.MFC.SetFaultHook(func() mfc.FaultAction {
 			switch inj.DMAAction(i) {
 			case fault.ActDrop:
-				trace.RecordInstant(m.tracer, mfcLane, m.Engine.Now(), "fault: dma-drop")
+				m.tracer.Instant(mfcLane, m.Engine.Now(), "fault: dma-drop")
 				return mfc.FaultDrop
 			case fault.ActCorrupt:
-				trace.RecordInstant(m.tracer, mfcLane, m.Engine.Now(), "fault: dma-corrupt")
+				m.tracer.Instant(mfcLane, m.Engine.Now(), "fault: dma-corrupt")
 				return mfc.FaultCorrupt
 			default:
 				return mfc.FaultNone
@@ -137,7 +136,7 @@ func (m *Machine) InjectFaults(inj *fault.Injector) {
 		delay := func() sim.Duration {
 			d := inj.MboxDelay(i)
 			if d > 0 {
-				trace.RecordInstant(m.tracer, speLane, m.Engine.Now(), "fault: mbox-stall")
+				m.tracer.Instant(speLane, m.Engine.Now(), "fault: mbox-stall")
 			}
 			return d
 		}

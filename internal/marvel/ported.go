@@ -264,9 +264,7 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 		}
 		res.Metrics = reg.Snapshot()
 	}
-	if rec, ok := mcfg.Tracer.(*trace.Recorder); ok {
-		res.Trace = rec
-	}
+	res.Trace = mcfg.Tracer
 	if cfg.Exec != nil {
 		run, err := cfg.Exec.Execute(ExecPoint{Workload: cfg.Workload, Scenario: cfg.Scenario, Variant: cfg.Variant})
 		if err != nil {

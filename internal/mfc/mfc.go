@@ -95,18 +95,19 @@ type MFC struct {
 	listCmds  uint64
 	peakQueue int
 
-	// Optional observability (nil when uninstrumented). tracer lanes carry
-	// one span per DMA command, from bus start to completion; histogram
-	// handles are nil-safe, so the uninstrumented path pays one branch.
-	tracer    trace.Tracer
+	// Optional observability, nil when uninstrumented. The tracer records
+	// one span per DMA command on lane, from bus start to completion. The
+	// recorder and the histogram handles are nil-safe, so the
+	// uninstrumented path pays one branch in each.
+	tracer    *trace.Recorder
 	lane      string
 	sizeHist  *metrics.Histogram
 	depthHist *metrics.Histogram
 }
 
-// SetTracer installs (or clears, with nil) a tracer; each DMA command
+// SetTracer installs (or clears, with nil) a recorder; each DMA command
 // emits one KindDMA span on the given lane covering its bus time.
-func (m *MFC) SetTracer(t trace.Tracer, lane string) {
+func (m *MFC) SetTracer(t *trace.Recorder, lane string) {
 	m.tracer = t
 	m.lane = lane
 }
@@ -439,11 +440,9 @@ func (m *MFC) listCmd(p *sim.Proc, lsa ls.Addr, list []ListElement, tag int, get
 	return nil
 }
 
-// span emits one DMA span on the MFC's lane, if a tracer is installed.
+// span emits one DMA span on the MFC's lane; an untraced MFC discards it.
 func (m *MFC) span(start sim.Time, label string) {
-	if m.tracer != nil {
-		m.tracer.Span(m.lane, start, m.engine.Now(), trace.KindDMA, label)
-	}
+	m.tracer.Span(m.lane, start, m.engine.Now(), trace.KindDMA, label)
 }
 
 func (m *MFC) finish(tag int) {

@@ -159,9 +159,7 @@ func (p *pool) autoscaleTick() {
 	}
 	if acted {
 		s.window = s.window[:0]
-		if p.ctr != nil {
-			p.ctr.Instant(coordLane, p.now, "autoscale action")
-		}
+		p.ctr.Instant(coordLane, p.now, "autoscale action")
 	}
 	if a := f.activeCount(); a < f.activeMin {
 		f.activeMin = a

@@ -126,9 +126,7 @@ func (p *pool) applyFault(ev bladeEvent) {
 		// has nothing left to park.
 		b.restartPending = false
 		b.parkPending = false
-		if b.rec != nil {
-			b.rec.Instant(b.lane, p.now, "blade-crash")
-		}
+		b.rec.Instant(b.lane, p.now, "blade-crash")
 		p.killBlade(b)
 	case evDrainStart:
 		if !b.health.admittable() {
@@ -141,9 +139,7 @@ func (p *pool) applyFault(ev bladeEvent) {
 		// an autoscale drain, where firing would re-charge warmup on a
 		// blade that never restarted.
 		b.restartPending = true
-		if b.rec != nil {
-			b.rec.Instant(b.lane, p.now, "restart: draining")
-		}
+		b.rec.Instant(b.lane, p.now, "restart: draining")
 	case evRestartFire:
 		if b.health != healthDraining || !b.restartPending {
 			return
@@ -153,9 +149,7 @@ func (p *pool) applyFault(ev bladeEvent) {
 		b.restarts++
 		b.health = healthWarming
 		b.warm = false // warmup re-charged on the next dispatch
-		if b.rec != nil {
-			b.rec.Instant(b.lane, p.now, "restart: warming")
-		}
+		b.rec.Instant(b.lane, p.now, "restart: warming")
 		p.killBlade(b)
 	case evStallStart:
 		if !b.health.admittable() {
@@ -185,9 +179,7 @@ func (p *pool) applyFault(ev bladeEvent) {
 			// parks) instead of its pre-stall admittable state.
 			b.health = healthDraining
 		}
-		if b.rec != nil {
-			b.rec.Instant(b.lane, p.now, "stall-end")
-		}
+		b.rec.Instant(b.lane, p.now, "stall-end")
 		if !b.busy && len(b.queue) > 0 {
 			p.dispatch(b)
 		}
@@ -206,9 +198,7 @@ func (p *pool) maybePark(b *blade) {
 	b.parkPending = false
 	b.health = healthParked
 	b.warm = false
-	if b.rec != nil {
-		b.rec.Instant(b.lane, p.now, "autoscale: parked")
-	}
+	b.rec.Instant(b.lane, p.now, "autoscale: parked")
 }
 
 // killBlade evicts b's work at p.now: the in-flight batch first (in

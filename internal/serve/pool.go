@@ -64,8 +64,8 @@ type blade struct {
 	keys []svcKey
 
 	// rec records the blade's spans and instants when Config.Instrument
-	// is set; nil otherwise. Every label is formatted behind a rec != nil
-	// guard, so an uninstrumented run formats none.
+	// is set; nil otherwise. A formatted label is built only behind a
+	// rec != nil guard, so an uninstrumented run formats none.
 	rec *trace.Recorder
 }
 
@@ -412,9 +412,7 @@ func (p *pool) dispatch(b *blade) {
 		// warmupTime accumulates every charge.
 		b.warm = true
 		b.warmupTime += s.Warmup
-		if b.rec != nil {
-			b.rec.Span(b.lane, start, start.Add(s.Warmup), trace.KindIO, "warmup: model library load")
-		}
+		b.rec.Span(b.lane, start, start.Add(s.Warmup), trace.KindIO, "warmup: model library load")
 		start = start.Add(s.Warmup)
 	}
 	b.busy = true

@@ -172,6 +172,9 @@ func (c Config) withDefaults() Config {
 			c.Frame.Seed = def.Seed
 		}
 	}
+	if c.Artifacts == nil {
+		c.Artifacts = marvel.SharedArtifacts()
+	}
 	if c.MachineConfig == nil {
 		mc := cell.DefaultConfig()
 		mc.MemorySize = 64 << 20 // one blade's local share, not the default desktop 256 MB

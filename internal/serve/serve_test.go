@@ -63,6 +63,18 @@ func marshal(t *testing.T, rep *Report) []byte {
 	return b
 }
 
+// TestDefaultsResolveSharedArtifacts pins the documented nil default: a
+// calibration's reference run and its ported runs share one cache.
+func TestDefaultsResolveSharedArtifacts(t *testing.T) {
+	if got := (Config{}).withDefaults().Artifacts; got != marvel.SharedArtifacts() {
+		t.Fatalf("nil Artifacts resolves to %p, want the shared cache %p", got, marvel.SharedArtifacts())
+	}
+	own := marvel.NewArtifactCache()
+	if got := (Config{Artifacts: own}).withDefaults().Artifacts; got != own {
+		t.Fatal("an explicit cache was replaced")
+	}
+}
+
 // TestServeDeterminism is the tentpole guarantee: the serialized report
 // is a pure function of (Config, seed) — byte-identical across repeated
 // runs, across calibration parallelism, across a shared vs private

@@ -40,7 +40,8 @@ type SPE struct {
 	id     int
 	engine *sim.Engine
 	model  *cost.Model
-	tracer trace.Tracer
+	tracer *trace.Recorder // nil when untraced
+	lane   string          // "SPE<id>", the trace lane
 
 	Store       *ls.LocalStore
 	MFC         *mfc.MFC
@@ -62,10 +63,7 @@ type SPE struct {
 }
 
 // New builds an SPE attached to the shared bus and main memory.
-func New(e *sim.Engine, id int, bus *eib.Bus, mem *mainmem.Memory, model *cost.Model, mfcCfg mfc.Config, tracer trace.Tracer) *SPE {
-	if tracer == nil {
-		tracer = trace.Nop{}
-	}
+func New(e *sim.Engine, id int, bus *eib.Bus, mem *mainmem.Memory, model *cost.Model, mfcCfg mfc.Config, tracer *trace.Recorder) *SPE {
 	store := ls.New()
 	name := fmt.Sprintf("SPE%d", id)
 	return &SPE{
@@ -73,6 +71,7 @@ func New(e *sim.Engine, id int, bus *eib.Bus, mem *mainmem.Memory, model *cost.M
 		engine:      e,
 		model:       model,
 		tracer:      tracer,
+		lane:        name,
 		Store:       store,
 		MFC:         mfc.New(e, bus, mem, store, eib.SPEPort(id), mfcCfg),
 		InMbox:      mbox.NewMailbox(e, name+" in-mbox", mbox.InboundDepth),
@@ -118,7 +117,7 @@ func (s *SPE) Fail(reason string) {
 	}
 	s.failed = true
 	s.failReason = reason
-	trace.RecordInstant(s.tracer, fmt.Sprintf("SPE%d", s.id), s.engine.Now(), "fail: "+reason)
+	s.tracer.Instant(s.lane, s.engine.Now(), "fail: "+reason)
 	if s.proc != nil {
 		s.proc.Kill()
 		s.proc = nil
@@ -195,7 +194,7 @@ func (c *Context) charge(d sim.Duration, label string) {
 	start := c.p.Now()
 	c.p.Sleep(d)
 	c.spe.busyTime += d
-	c.spe.tracer.Span(fmt.Sprintf("SPE%d", c.spe.id), start, c.p.Now(), trace.KindCompute, label)
+	c.spe.tracer.Span(c.spe.lane, start, c.p.Now(), trace.KindCompute, label)
 }
 
 // ComputeScalar charges time for n scalar operations on the SPU.
@@ -279,7 +278,7 @@ func (c *Context) WaitTag(tag int) {
 	c.spe.MFC.WaitTag(c.p, tag)
 	if d := c.p.Now().Sub(start); d > 0 {
 		c.spe.dmaWait += d
-		c.spe.tracer.Span(fmt.Sprintf("SPE%d", c.spe.id), start, c.p.Now(), trace.KindDMA, "tag-wait")
+		c.spe.tracer.Span(c.spe.lane, start, c.p.Now(), trace.KindDMA, "tag-wait")
 	}
 }
 

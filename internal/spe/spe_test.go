@@ -244,18 +244,67 @@ func TestSignalRegisters(t *testing.T) {
 	}
 }
 
-func TestNilTracerDefaultsToNop(t *testing.T) {
+// untracedAllocs runs a program on an untraced SPE that measures, with
+// testing.AllocsPerRun, the allocations of one call to op, and returns
+// that count with the SPE. Measuring inside the program keeps the build,
+// the spawn and the engine's start out of the count.
+func untracedAllocs(t *testing.T, op func(ctx *Context, buf ls.Addr, ea mainmem.Addr)) (float64, *SPE) {
+	t.Helper()
 	e := sim.NewEngine()
 	bus := eib.New(e, eib.DefaultConfig())
 	mem := mainmem.New(1 << 20)
+	ea := mem.MustAlloc(4096, 128)
 	s := New(e, 0, bus, mem, cost.NewSPE(), mfc.DefaultConfig(), nil)
+	var allocs float64
 	if err := s.Load(Program{Name: "n", CodeBytes: 128, Main: func(ctx *Context) {
-		ctx.ComputeCycles(10, "ok")
+		buf := ctx.Store().MustAlloc(4096, 128)
+		allocs = testing.AllocsPerRun(20, func() { op(ctx, buf, ea) })
 	}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	return allocs, s
+}
+
+// TestNilTracerIsAllocationFree runs SPEs with a nil recorder: the programs
+// run, and neither a compute charge nor a tag wait allocates (the lane name
+// is built once, in New).
+func TestNilTracerIsAllocationFree(t *testing.T) {
+	charges := func(n int) func(*Context, ls.Addr, mainmem.Addr) {
+		return func(ctx *Context, _ ls.Addr, _ mainmem.Addr) {
+			for i := 0; i < n; i++ {
+				ctx.ComputeCycles(10, "ok")
+			}
+		}
+	}
+	few, _ := untracedAllocs(t, charges(10))
+	many, s := untracedAllocs(t, charges(1010))
+	if s.BusyTime() <= 0 {
+		t.Fatal("untraced charges recorded no busy time")
+	}
+	if few != many {
+		t.Errorf("untraced charges allocate: %v allocs for 10 charges, %v for 1010", few, many)
+	}
+
+	// A DMA allocates on its own, so WaitTag is priced against WaitTagMask,
+	// which traces nothing, over the same transfer.
+	waits := func(wait func(*Context)) func(*Context, ls.Addr, mainmem.Addr) {
+		return func(ctx *Context, buf ls.Addr, ea mainmem.Addr) {
+			if err := ctx.Get(buf, ea, 4096, 0); err != nil {
+				t.Error(err)
+			}
+			wait(ctx)
+		}
+	}
+	masked, _ := untracedAllocs(t, waits(func(ctx *Context) { ctx.WaitTagMask(1 << 0) }))
+	tagged, s := untracedAllocs(t, waits(func(ctx *Context) { ctx.WaitTag(0) }))
+	if s.DMAWait() <= 0 {
+		t.Fatal("untraced tag waits recorded no DMA wait")
+	}
+	if tagged != masked {
+		t.Errorf("untraced tag waits allocate: %v allocs per transfer with WaitTag, %v with WaitTagMask", tagged, masked)
 	}
 }
 

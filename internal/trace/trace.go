@@ -24,35 +24,9 @@ const (
 	KindIO      Kind = 'I'
 )
 
-// Tracer receives activity spans. Implementations must be cheap; they run
-// inside the simulation.
-type Tracer interface {
-	Span(lane string, start, end sim.Time, kind Kind, label string)
-}
-
-// InstantRecorder is implemented by tracers that also accept point events
-// (fault injections, watchdog kills). It is optional so existing Tracer
-// implementations keep working; use RecordInstant to deliver an instant to
-// any tracer.
-type InstantRecorder interface {
-	Instant(lane string, at sim.Time, label string)
-}
-
-// RecordInstant delivers a point event to t if it supports instants, and
-// discards it otherwise.
-func RecordInstant(t Tracer, lane string, at sim.Time, label string) {
-	if ir, ok := t.(InstantRecorder); ok {
-		ir.Instant(lane, at, label)
-	}
-}
-
-// Nop discards all spans.
-type Nop struct{}
-
-// Span implements Tracer.
-func (Nop) Span(string, sim.Time, sim.Time, Kind, string) {}
-
-// Recorder accumulates spans for later rendering and accounting.
+// Recorder accumulates spans for later rendering and accounting. It is
+// the one tracer type: a nil *Recorder means untraced, and its Span and
+// Instant return at once, so callers pass it unguarded.
 type Recorder struct {
 	spans    []Span
 	instants []Instant
@@ -77,19 +51,26 @@ type Instant struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Span implements Tracer. A span whose end precedes its start is clipped
-// to zero length at its start: a reversed interval is a recording bug, and
-// inventing activity over the reversed window (the old swap behaviour)
-// would corrupt BusyTime accounting and the rendered schedule.
+// Span records one activity interval; a nil recorder discards it. A span
+// whose end precedes its start is clipped to zero length at its start: a
+// reversed interval is a recording bug, and inventing activity over the
+// reversed window (the old swap behaviour) would corrupt BusyTime
+// accounting and the rendered schedule.
 func (r *Recorder) Span(lane string, start, end sim.Time, kind Kind, label string) {
+	if r == nil {
+		return
+	}
 	if end < start {
 		end = start
 	}
 	r.spans = append(r.spans, Span{Lane: lane, Start: start, End: end, Kind: kind, Label: label})
 }
 
-// Instant implements InstantRecorder.
+// Instant records one point event; a nil recorder discards it.
 func (r *Recorder) Instant(lane string, at sim.Time, label string) {
+	if r == nil {
+		return
+	}
 	r.instants = append(r.instants, Instant{Lane: lane, At: at, Label: label})
 }
 

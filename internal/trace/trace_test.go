@@ -7,9 +7,10 @@ import (
 	"cellport/internal/sim"
 )
 
-func TestNopDiscards(t *testing.T) {
-	var n Nop
-	n.Span("x", 0, 10, KindCompute, "ok") // must not panic
+func TestNilRecorderDiscards(t *testing.T) {
+	var r *Recorder
+	r.Span("x", 0, 10, KindCompute, "ok") // must not panic
+	r.Instant("x", 5, "ok")
 }
 
 func TestRecorderAccumulates(t *testing.T) {
@@ -72,9 +73,8 @@ func TestGanttZeroDuration(t *testing.T) {
 
 func TestInstantsRecordedAndClipped(t *testing.T) {
 	r := NewRecorder()
-	RecordInstant(r, "SPE1", sim.Time(30), "fault: dma-drop")
-	RecordInstant(r, "SPE2", sim.Time(500), "fault: mbox-stall")
-	RecordInstant(Nop{}, "SPE1", sim.Time(30), "discarded") // must not panic
+	r.Instant("SPE1", sim.Time(30), "fault: dma-drop")
+	r.Instant("SPE2", sim.Time(500), "fault: mbox-stall")
 	if got := len(r.Instants()); got != 2 {
 		t.Fatalf("instants = %d, want 2", got)
 	}
