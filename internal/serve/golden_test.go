@@ -70,9 +70,11 @@ func fleetChaos(seed uint64, mut func(*Config)) func(t *testing.T) Config {
 // oracles used to compare across event loops: both policies, overload,
 // finite deadlines, an armed machine-fault plan, -fullsim, blade chaos,
 // the routed fleet and fleet chaos (one schedule reaching both lifecycle
-// shed reasons). The digests were taken before the sharded engine was
+// shed reasons), and a fleet that drains in a trough and scales back up
+// at the next peak. The digests were taken before the sharded engine was
 // deleted, from its loop and the sequential one, which agreed on every
-// scenario.
+// scenario; fleet-scale-up's was taken before the autoscaler's tuning
+// fields became constants.
 func TestGoldenReports(t *testing.T) {
 	tests := []goldenTest{
 		{name: "estimator", config: quick(func(*Config) {}),
@@ -123,6 +125,19 @@ func TestGoldenReports(t *testing.T) {
 					rep.ShedRerouted, rep.ShedExhausted, rep.Fleet.ScaleDowns)
 			}
 		}, sha256: "31282295722348396f8017b91ae027dbc7b35aae07f4360d331d65a12f338a7d"},
+		{name: "fleet-scale-up", config: func(t *testing.T) Config {
+			// Two diurnal days at half the fleet's capacity: the first
+			// trough drains pools, the second peak brings one back.
+			cfg := fleetConfig(t)
+			cfg.Rate = 0.5
+			offered := cfg.Rate * cfg.Cal.perBlade * float64(cfg.Pools*cfg.Blades)
+			cfg.Load.Period = sim.FromSeconds(float64(cfg.Requests) / offered / 2)
+			return cfg
+		}, must: func(t *testing.T, rep *Report) {
+			if rep.Fleet.ScaleUps == 0 || rep.Fleet.ScaleDowns == 0 {
+				t.Fatalf("%d scale-ups, %d scale-downs; want both", rep.Fleet.ScaleUps, rep.Fleet.ScaleDowns)
+			}
+		}, sha256: "af2482f9f98336e98793501fc263e05a64fe9c3312df5ae8f4742dce6eeaf69d"},
 	}
 	runGoldenTests(t, tests)
 }

@@ -149,3 +149,119 @@ func TestLifecycleTransitionEdges(t *testing.T) {
 		})
 	}
 }
+
+// TestActivatePoolEdges pins the scale-up side of the autoscaler
+// (DESIGN.md §13) directly against activatePool on a quiescent 4-pool
+// fleet: drainPool first takes the highest-index pools out of routing
+// (their idle blades park at once, losing warmth), then each case puts
+// the drained blades in a state a real run can leave them in and scales
+// up. Every case checks pool 3, the first one drained. A parked blade
+// comes back through warming, still cold; a blade caught mid-drain
+// resumes as up with its warmth; a stalled blade only loses its park
+// flag; a pool with no revivable blade is passed over.
+func TestActivatePoolEdges(t *testing.T) {
+	cases := []struct {
+		name   string
+		drains int                      // drainPool calls before the scale-up
+		prep   func(pools []*poolShard) // state injection on the drained pools
+
+		wantActivated   bool // pool 3 is back in routing
+		wantHealth      health
+		wantWarm        bool
+		wantParkPending bool
+	}{
+		{
+			name:          "parked blade warms up cold",
+			drains:        1,
+			wantActivated: true, wantHealth: healthWarming,
+		},
+		{
+			name:   "draining blade resumes up without a warmup recharge",
+			drains: 1,
+			prep: func(pools []*poolShard) {
+				for _, b := range pools[3].blades {
+					b.health, b.warm, b.parkPending = healthDraining, true, true
+				}
+			},
+			wantActivated: true, wantHealth: healthUp, wantWarm: true,
+		},
+		{
+			name:   "stalled blade loses its park flag",
+			drains: 1,
+			prep: func(pools []*poolShard) {
+				for _, b := range pools[3].blades {
+					b.health, b.stallRestore, b.warm, b.parkPending = healthStalled, healthUp, true, true
+				}
+			},
+			wantActivated: true, wantHealth: healthStalled, wantWarm: true,
+		},
+		{
+			// Pool 2 is the lowest-index inactive pool, so only its
+			// dead blades send the scale-up on to pool 3.
+			name:   "pool of down blades is skipped",
+			drains: 2,
+			prep: func(pools []*poolShard) {
+				for _, b := range pools[2].blades {
+					b.health = healthDown
+				}
+			},
+			wantActivated: true, wantHealth: healthWarming,
+		},
+		{
+			name:   "no revivable pool activates nothing",
+			drains: 1,
+			prep: func(pools []*poolShard) {
+				for _, b := range pools[3].blades {
+					b.health = healthDown
+				}
+			},
+			wantHealth: healthDown,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fleetConfig(t).withDefaults()
+			p := newPool(cfg, cfg.Cal, 0)
+			f := p.fleet
+			// A mid-run fleet: every blade already warmed by a dispatch.
+			for _, b := range p.blades {
+				b.warm = true
+			}
+			for i := 0; i < tc.drains; i++ {
+				if !p.drainPool() {
+					t.Fatalf("drain %d found no active pool", i)
+				}
+			}
+			if tc.prep != nil {
+				tc.prep(f.pools)
+			}
+			if got := p.activatePool(); got != tc.wantActivated {
+				t.Fatalf("activatePool = %v, want %v", got, tc.wantActivated)
+			}
+			wantUps := 0
+			if tc.wantActivated {
+				wantUps = 1
+			}
+			if f.scaleUps != wantUps {
+				t.Errorf("scaleUps = %d, want %d", f.scaleUps, wantUps)
+			}
+			if got, want := f.activeCount(), len(f.pools)-tc.drains+wantUps; got != want {
+				t.Errorf("active pools = %d, want %d", got, want)
+			}
+			if f.pools[3].active != tc.wantActivated {
+				t.Errorf("pool 3 active = %v, want %v", f.pools[3].active, tc.wantActivated)
+			}
+			for _, b := range f.pools[3].blades {
+				if b.health != tc.wantHealth {
+					t.Errorf("blade %d health = %v, want %v", b.id, b.health, tc.wantHealth)
+				}
+				if b.warm != tc.wantWarm {
+					t.Errorf("blade %d warm = %v, want %v (warmup recharge audit)", b.id, b.warm, tc.wantWarm)
+				}
+				if b.parkPending != tc.wantParkPending {
+					t.Errorf("blade %d parkPending = %v, want %v", b.id, b.parkPending, tc.wantParkPending)
+				}
+			}
+		})
+	}
+}
