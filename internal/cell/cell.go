@@ -1,7 +1,7 @@
 // Package cell assembles the simulated Cell Broadband Engine: one PPE,
 // eight SPEs (configurable), the EIB, and main memory, and provides the
 // PPE-side programming interface the paper's SPEInterface stub builds on
-// (the libspe analogs: loading SPE programs, mailbox access, signals).
+// (the libspe analogs: loading SPE programs and mailbox access).
 package cell
 
 import (
@@ -360,18 +360,6 @@ func (c *Context) WaitOutIntrMbox(i int) uint32 {
 	s.OutIntrMbox.WaitNotEmpty(c.p)
 	c.charge(c.machine.cfg.MboxAccessCost, trace.KindCompute, "mbox-intr-read")
 	return s.OutIntrMbox.Read(c.p)
-}
-
-// SendSignal1 writes SPE i's signal-notification register 1.
-func (c *Context) SendSignal1(i int, v uint32) {
-	c.charge(c.machine.cfg.MboxAccessCost, trace.KindCompute, "signal")
-	c.machine.SPE(i).Signal1.Send(v)
-}
-
-// SendSignal2 writes SPE i's signal-notification register 2.
-func (c *Context) SendSignal2(i int, v uint32) {
-	c.charge(c.machine.cfg.MboxAccessCost, trace.KindCompute, "signal")
-	c.machine.SPE(i).Signal2.Send(v)
 }
 
 // WaitSPE blocks until SPE i's program returns.

@@ -222,35 +222,6 @@ func TestLoadRejectsDoubleLoad(t *testing.T) {
 	}
 }
 
-func TestSignalPath(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MemorySize = 16 << 20
-	m := New(cfg)
-	var got uint32
-	prog := spe.Program{
-		Name:      "sigwait",
-		CodeBytes: 2048,
-		Main: func(ctx *spe.Context) {
-			got = ctx.ReadSignal1()
-			ctx.WriteOutMbox(0)
-		},
-	}
-	_, err := m.RunMain("driver", func(ctx *Context) {
-		if err := ctx.LoadSPE(2, prog); err != nil {
-			t.Error(err)
-			return
-		}
-		ctx.SendSignal1(2, 0xBEEF)
-		ctx.PollOutMbox(2)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0xBEEF {
-		t.Fatalf("signal = %#x, want 0xBEEF", got)
-	}
-}
-
 func TestTracerReceivesSpans(t *testing.T) {
 	cfg := DefaultConfig()
 	rec := trace.NewRecorder()

@@ -66,27 +66,9 @@ func (m CompletionMode) String() string {
 	return "polling"
 }
 
-// DeliveryMode selects the PPE→SPE command channel (§3.4: "typically,
-// this channel is based on the use of mailboxes or signals").
-type DeliveryMode int
-
-// Delivery modes.
-const (
-	// MailboxDelivery writes opcode and address to the 4-deep inbound
-	// mailbox (Listing 3).
-	MailboxDelivery DeliveryMode = iota
-	// SignalDelivery writes the opcode to signal-notification register 1
-	// and the wrapper address to register 2 (both in overwrite mode for
-	// this protocol: one command in flight per kernel).
-	SignalDelivery
-)
-
-func (d DeliveryMode) String() string {
-	if d == SignalDelivery {
-		return "signals"
-	}
-	return "mailbox"
-}
+// dispatchCycles is the dispatcher's SPU overhead per invocation: the
+// two inbound mailbox reads, the opcode switch and the result write.
+const dispatchCycles = 60
 
 // KernelFunc is one function of an SPE kernel. It receives the SPE
 // execution context and the main-memory address of the kernel's data
@@ -104,11 +86,6 @@ type KernelSpec struct {
 	Functions map[Opcode]KernelFunc
 	// Mode selects polling or interrupt completion.
 	Mode CompletionMode
-	// Delivery selects the command channel (mailbox or signals).
-	Delivery DeliveryMode
-	// DispatchCycles is SPU overhead per invocation (mailbox reads, the
-	// switch, mailbox write). Zero selects a 60-cycle default.
-	DispatchCycles float64
 }
 
 // BuildProgram instantiates the Listing-1 dispatcher for the spec.
@@ -124,31 +101,17 @@ func BuildProgram(spec KernelSpec) (spe.Program, error) {
 			return spe.Program{}, fmt.Errorf("core: kernel %q registers reserved opcode OpExit", spec.Name)
 		}
 	}
-	dispatch := spec.DispatchCycles
-	if dispatch <= 0 {
-		dispatch = 60
-	}
 	return spe.Program{
 		Name:      spec.Name,
 		CodeBytes: spec.CodeBytes,
 		Main: func(ctx *spe.Context) {
 			for {
-				var op Opcode
-				var addr mainmem.Addr
-				if spec.Delivery == SignalDelivery {
-					op = Opcode(ctx.ReadSignal1())
-					if op == OpExit {
-						return
-					}
-					addr = mainmem.Addr(ctx.ReadSignal2())
-				} else {
-					op = Opcode(ctx.ReadInMbox())
-					if op == OpExit {
-						return
-					}
-					addr = mainmem.Addr(ctx.ReadInMbox())
+				op := Opcode(ctx.ReadInMbox())
+				if op == OpExit {
+					return
 				}
-				ctx.ComputeCycles(dispatch, "dispatch")
+				addr := mainmem.Addr(ctx.ReadInMbox())
+				ctx.ComputeCycles(dispatchCycles, "dispatch")
 				var result uint32
 				if fn, ok := spec.Functions[op]; ok {
 					// Each invocation starts from a clean data region, as a
@@ -231,13 +194,8 @@ func (i *Interface) Send(op Opcode, wrapper mainmem.Addr) error {
 	if op == OpExit {
 		return fmt.Errorf("core: %s: OpExit must be sent via Close", i.spec.Name)
 	}
-	if i.spec.Delivery == SignalDelivery {
-		i.ctx.SendSignal1(i.speID, uint32(op))
-		i.ctx.SendSignal2(i.speID, uint32(wrapper))
-	} else {
-		i.ctx.WriteInMbox(i.speID, uint32(op))
-		i.ctx.WriteInMbox(i.speID, uint32(wrapper))
-	}
+	i.ctx.WriteInMbox(i.speID, uint32(op))
+	i.ctx.WriteInMbox(i.speID, uint32(wrapper))
 	i.inFlight = true
 	return nil
 }
@@ -285,11 +243,7 @@ func (i *Interface) Close() error {
 			return fmt.Errorf("core: %s: draining before close: %w", i.spec.Name, err)
 		}
 	}
-	if i.spec.Delivery == SignalDelivery {
-		i.ctx.SendSignal1(i.speID, uint32(OpExit))
-	} else {
-		i.ctx.WriteInMbox(i.speID, uint32(OpExit))
-	}
+	i.ctx.WriteInMbox(i.speID, uint32(OpExit))
 	i.ctx.WaitSPE(i.speID)
 	i.open = false
 	return nil

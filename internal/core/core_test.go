@@ -444,50 +444,3 @@ func TestWaitTimeout(t *testing.T) {
 		})
 	}
 }
-
-func TestSignalDelivery(t *testing.T) {
-	// §3.4's alternative command channel: opcode via signal register 1,
-	// wrapper address via register 2. Both completion modes still work.
-	for _, mode := range []CompletionMode{Polling, Interrupt} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			spec := arithKernel(mode)
-			spec.Delivery = SignalDelivery
-			runOnCell(t, func(ctx *cell.Context) {
-				iface, err := Open(ctx, 0, spec)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				w, err := NewWrapper(ctx.Memory(),
-					WrapperField{"in", 4}, WrapperField{"out", 4})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for i := uint32(1); i <= 3; i++ {
-					w.SetUint32("in", i)
-					if _, err := iface.SendAndWait(opDouble, w.Addr()); err != nil {
-						t.Error(err)
-						return
-					}
-					if got := w.Uint32("out"); got != 2*i {
-						t.Errorf("double(%d) = %d via signals", i, got)
-					}
-				}
-				if err := iface.Close(); err != nil {
-					t.Error(err)
-				}
-				if err := w.Free(); err != nil {
-					t.Error(err)
-				}
-			})
-		})
-	}
-}
-
-func TestDeliveryModeString(t *testing.T) {
-	if MailboxDelivery.String() != "mailbox" || SignalDelivery.String() != "signals" {
-		t.Fatal("delivery mode strings wrong")
-	}
-}

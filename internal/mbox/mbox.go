@@ -1,8 +1,8 @@
 // Package mbox models the Cell's PPE↔SPE small-message hardware: per-SPE
 // mailboxes (a 4-entry inbound FIFO written by the PPE, a 1-entry outbound
-// FIFO and a 1-entry outbound-interrupt FIFO written by the SPU) and the
-// two 32-bit signal-notification registers. These are the channels the
-// paper's SendAndWait protocol (§3.5, Listing 3) is built on.
+// FIFO and a 1-entry outbound-interrupt FIFO written by the SPU). These are
+// the channels the paper's SendAndWait protocol (§3.5, Listing 3) is built
+// on.
 package mbox
 
 import (
@@ -144,58 +144,6 @@ func (m *Mailbox) Reads() uint64 { return m.reads }
 
 // Peak reports the occupancy high-water mark over the mailbox's lifetime.
 func (m *Mailbox) Peak() int { return m.peak }
-
-// SignalMode selects how concurrent writes to a signal register combine.
-type SignalMode int
-
-// Signal register modes (hardware-configurable per register).
-const (
-	// SignalOR accumulates set bits across writers.
-	SignalOR SignalMode = iota
-	// SignalOverwrite keeps only the last written value.
-	SignalOverwrite
-)
-
-// Signal is one SPU signal-notification register: a 32-bit value readable
-// (and cleared) by the SPU, writable by other elements.
-type Signal struct {
-	engine  *sim.Engine
-	name    string
-	mode    SignalMode
-	value   uint32
-	pending bool
-	notZero *sim.Queue
-}
-
-// NewSignal returns a signal register in the given mode.
-func NewSignal(e *sim.Engine, name string, mode SignalMode) *Signal {
-	return &Signal{engine: e, name: name, mode: mode, notZero: sim.NewQueue(name + " signal")}
-}
-
-// Send writes v into the register (OR or overwrite per mode) and wakes a
-// blocked reader.
-func (s *Signal) Send(v uint32) {
-	if s.mode == SignalOR && s.pending {
-		s.value |= v
-	} else {
-		s.value = v
-	}
-	s.pending = true
-	s.notZero.WakeAll(s.engine)
-}
-
-// Read blocks until a signal is pending, then returns and clears it
-// (read-and-clear channel semantics).
-func (s *Signal) Read(p *sim.Proc) uint32 {
-	p.WaitFor(s.notZero, func() bool { return s.pending })
-	v := s.value
-	s.value = 0
-	s.pending = false
-	return v
-}
-
-// Peek reports the pending value without clearing.
-func (s *Signal) Peek() (uint32, bool) { return s.value, s.pending }
 
 // WaitNotEmptyTimeout blocks until the mailbox has an entry or d of
 // virtual time passes; it reports whether an entry is available.

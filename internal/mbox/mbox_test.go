@@ -118,71 +118,6 @@ func TestWaitNotEmptyDoesNotConsume(t *testing.T) {
 	}
 }
 
-func TestSignalORMode(t *testing.T) {
-	e := sim.NewEngine()
-	s := NewSignal(e, "sig", SignalOR)
-	var got uint32
-	e.Spawn("spu", func(p *sim.Proc) {
-		p.Sleep(10 * sim.Nanosecond)
-		got = s.Read(p)
-	})
-	e.Spawn("ppe", func(p *sim.Proc) {
-		s.Send(0b01)
-		p.Sleep(sim.Nanosecond)
-		s.Send(0b10)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 0b11 {
-		t.Fatalf("OR-mode signal = %#b, want 0b11", got)
-	}
-}
-
-func TestSignalOverwriteMode(t *testing.T) {
-	e := sim.NewEngine()
-	s := NewSignal(e, "sig", SignalOverwrite)
-	var got uint32
-	e.Spawn("spu", func(p *sim.Proc) {
-		p.Sleep(10 * sim.Nanosecond)
-		got = s.Read(p)
-	})
-	e.Spawn("ppe", func(p *sim.Proc) {
-		s.Send(1)
-		p.Sleep(sim.Nanosecond)
-		s.Send(2)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
-		t.Fatalf("overwrite-mode signal = %d, want 2", got)
-	}
-}
-
-func TestSignalReadClears(t *testing.T) {
-	e := sim.NewEngine()
-	s := NewSignal(e, "sig", SignalOR)
-	var second uint32
-	e.Spawn("spu", func(p *sim.Proc) {
-		s.Send(7)
-		if v := s.Read(p); v != 7 {
-			t.Errorf("first read = %d, want 7", v)
-		}
-		if _, pending := s.Peek(); pending {
-			t.Error("signal should be clear after read")
-		}
-		s.Send(9)
-		second = s.Read(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if second != 9 {
-		t.Fatalf("second read = %d, want 9 (no stale OR)", second)
-	}
-}
-
 // Property: for any write sequence, a single reader drains values in
 // exactly the written order, regardless of FIFO capacity pressure.
 func TestPropMailboxPreservesOrder(t *testing.T) {

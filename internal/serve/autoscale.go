@@ -16,82 +16,51 @@ import (
 // pure function of the virtual history and fleet runs stay
 // byte-identical at any worker count.
 
-// Autoscale configures the fleet autoscaler. The zero value of each
-// field selects its documented default; the struct itself is opt-in
-// (Config.Autoscale nil runs a static fleet).
-type Autoscale struct {
-	// Interval is the virtual time between load samples (zero selects
-	// 1/16 of the expected arrival span, so a default run takes ~16
-	// samples).
-	Interval sim.Duration
-	// Window is how many consecutive samples are averaged before a
-	// decision (default 3). The window refills from empty after every
-	// scale action, giving the fleet time to absorb the change.
-	Window int
-	// High is the mean load above which a pool is activated (default 1:
-	// the active blades hold roughly a full queue's worth of estimated
-	// work each).
-	High float64
-	// Low is the mean load below which a pool is drained (default 0.25).
-	Low float64
-	// MinPools/MaxPools bound the active pool count (defaults 1 and
-	// Config.Pools).
-	MinPools int
-	// MaxPools caps scale-up (default Config.Pools).
-	MaxPools int
-}
+// Autoscale arms the fleet autoscaler (Config.Autoscale nil runs a
+// static fleet). It has no settings: the policy is the fixed constants
+// below.
+type Autoscale struct{}
 
-// autoscaler is the armed controller: resolved config, the tick grid,
-// and the sliding sample window.
+// The autoscaler's fixed policy. A sample is taken every 1/16 of the
+// expected arrival span (so a run takes ~16 samples); the last
+// scaleWindow samples are averaged before a decision, and the window
+// refills from empty after every scale action, giving the fleet time to
+// absorb the change. A mean load above scaleHigh activates a pool (the
+// active blades hold roughly a full queue's worth of estimated work
+// each); a mean below scaleLow drains one. The active count stays
+// between one pool and every pool.
+const (
+	scaleSamples = 16
+	scaleWindow  = 3
+	scaleHigh    = 1.0
+	scaleLow     = 0.25
+)
+
+// autoscaler is the armed controller: the tick grid and the sliding
+// sample window.
 type autoscaler struct {
-	cfg      Autoscale
 	interval sim.Duration
 	next     sim.Time
 	window   []float64
-	samples  int // lifetime samples taken (diagnostic)
 }
 
 // armAutoscale arms the controller on the fleet. span is the expected
-// arrival span of the stream, the natural unit for the default sample
-// interval. No-op outside fleet mode or without an Autoscale config.
+// arrival span of the stream, the unit of the sample interval. No-op
+// outside fleet mode or without an Autoscale config.
 func (p *pool) armAutoscale(span sim.Duration) {
 	if p.fleet == nil || p.cfg.Autoscale == nil {
 		return
 	}
-	a := *p.cfg.Autoscale
-	if a.Window <= 0 {
-		a.Window = 3
-	}
-	if a.High <= 0 {
-		a.High = 1
-	}
-	if a.Low <= 0 {
-		a.Low = 0.25
-	}
-	pools := len(p.fleet.pools)
-	if a.MinPools <= 0 {
-		a.MinPools = 1
-	}
-	if a.MinPools > pools {
-		a.MinPools = pools
-	}
-	if a.MaxPools <= 0 || a.MaxPools > pools {
-		a.MaxPools = pools
-	}
-	interval := a.Interval
-	if interval <= 0 {
-		interval = span / 16
-	}
+	interval := span / scaleSamples
 	if interval <= 0 {
 		// Degenerate span (sub-femtosecond): fall back to a fixed grid
 		// rather than a zero interval that would never advance the tick.
 		interval = sim.Millisecond
 	}
 	p.fleet.scaler = &autoscaler{
-		cfg:      a,
 		interval: interval,
 		next:     sim.Time(0).Add(interval),
-		window:   make([]float64, 0, a.Window),
+		window:   make([]float64, 0, scaleWindow),
 	}
 }
 
@@ -118,7 +87,7 @@ func (p *pool) fleetLoad() float64 {
 		}
 	}
 	if blades == 0 {
-		return 2 * p.fleet.scaler.cfg.High
+		return 2 * scaleHigh
 	}
 	unit := p.estOne(Request{})
 	if unit <= 0 {
@@ -134,14 +103,13 @@ func (p *pool) fleetLoad() float64 {
 func (p *pool) autoscaleTick() {
 	f := p.fleet
 	s := f.scaler
-	s.samples++
 	s.next = p.now.Add(s.interval)
 	s.window = append(s.window, p.fleetLoad())
-	if len(s.window) > s.cfg.Window {
+	if len(s.window) > scaleWindow {
 		copy(s.window, s.window[1:])
 		s.window = s.window[:len(s.window)-1]
 	}
-	if len(s.window) < s.cfg.Window {
+	if len(s.window) < scaleWindow {
 		return
 	}
 	var sum float64
@@ -152,9 +120,9 @@ func (p *pool) autoscaleTick() {
 	active := f.activeCount()
 	acted := false
 	switch {
-	case avg > s.cfg.High && active < s.cfg.MaxPools:
+	case avg > scaleHigh && active < len(f.pools):
 		acted = p.activatePool()
-	case avg < s.cfg.Low && active > s.cfg.MinPools:
+	case avg < scaleLow && active > 1:
 		acted = p.drainPool()
 	}
 	if acted {

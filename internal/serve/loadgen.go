@@ -169,12 +169,13 @@ type RateModel struct {
 	// FlashCount is how many flash-crowd windows each period carries.
 	FlashCount int
 	// FlashFactor multiplies the instantaneous rate inside a flash
-	// window; values ≤ 1 disable the flashes.
+	// window; values ≤ 1 disable the flashes. Each window lasts
+	// flashFrac of the period.
 	FlashFactor float64
-	// FlashFrac is each flash window's length as a fraction of the
-	// period (zero selects 1/16).
-	FlashFrac float64
 }
+
+// flashFrac is each flash window's length as a fraction of the period.
+const flashFrac = 1.0 / 16
 
 // active reports whether the model shapes the stream at all; an inactive
 // model yields the exact homogeneous arrivals() stream.
@@ -201,9 +202,6 @@ func (m RateModel) resolve(seed uint64, n int, ratePerSec float64) resolvedModel
 		r.FlashFactor = 1
 		r.FlashCount = 0
 	}
-	if r.FlashFrac <= 0 {
-		r.FlashFrac = 1.0 / 16
-	}
 	r.period = m.Period
 	if r.period <= 0 {
 		r.period = clampGap(float64(n) / ratePerSec)
@@ -211,7 +209,7 @@ func (m RateModel) resolve(seed uint64, n int, ratePerSec float64) resolvedModel
 	if r.period <= 0 {
 		r.period = sim.Second
 	}
-	r.flashLen = sim.Duration(float64(r.period) * r.FlashFrac)
+	r.flashLen = sim.Duration(float64(r.period) * flashFrac)
 	if r.FlashCount > 0 {
 		frng := splitmix64(seed ^ flashSeedSalt)
 		r.starts = make([]sim.Time, r.FlashCount)

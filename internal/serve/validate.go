@@ -75,11 +75,6 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.Autoscale != nil {
-		if err := c.Autoscale.validate(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -93,36 +88,8 @@ func (m *RateModel) validate() error {
 	if math.IsNaN(m.FlashFactor) || math.IsInf(m.FlashFactor, 0) || m.FlashFactor < 0 {
 		return badField("Load.FlashFactor", m.FlashFactor, "flash factor must be finite and non-negative")
 	}
-	if math.IsNaN(m.FlashFrac) || m.FlashFrac < 0 || m.FlashFrac > 1 {
-		return badField("Load.FlashFrac", m.FlashFrac, "flash-window fraction must lie in [0, 1]")
-	}
 	if m.Period < 0 {
 		return badField("Load.Period", m.Period, "diurnal period cannot be negative")
-	}
-	return nil
-}
-
-func (a *Autoscale) validate() error {
-	if a.Interval < 0 {
-		return badField("Autoscale.Interval", a.Interval, "sample interval cannot be negative")
-	}
-	if a.Window < 0 {
-		return badField("Autoscale.Window", a.Window, "sample window cannot be negative")
-	}
-	if math.IsNaN(a.High) || math.IsInf(a.High, 0) || a.High < 0 {
-		return badField("Autoscale.High", a.High, "scale-up threshold must be finite and non-negative")
-	}
-	if math.IsNaN(a.Low) || math.IsInf(a.Low, 0) || a.Low < 0 {
-		return badField("Autoscale.Low", a.Low, "scale-down threshold must be finite and non-negative")
-	}
-	if a.High > 0 && a.Low > 0 && a.Low >= a.High {
-		return badField("Autoscale.Low", a.Low, "scale-down threshold must lie below the scale-up threshold")
-	}
-	if a.MinPools < 0 || a.MaxPools < 0 {
-		return badField("Autoscale.MinPools", a.MinPools, "pool bounds cannot be negative")
-	}
-	if a.MinPools > 0 && a.MaxPools > 0 && a.MinPools > a.MaxPools {
-		return badField("Autoscale.MinPools", a.MinPools, "MinPools cannot exceed MaxPools")
 	}
 	return nil
 }

@@ -1,8 +1,8 @@
 // Package spe models a Synergistic Processing Element: an SPU executing a
 // loaded program against its 256 KB local store, with an MFC for DMA, the
-// three hardware mailboxes and two signal registers (§2). Programs are Go
-// functions that perform their real computation on local-store bytes and
-// charge virtual time through the Context's cost-model methods.
+// three hardware mailboxes (§2). Programs are Go functions that perform
+// their real computation on local-store bytes and charge virtual time
+// through the Context's cost-model methods.
 package spe
 
 import (
@@ -48,8 +48,6 @@ type SPE struct {
 	InMbox      *mbox.Mailbox // PPE -> SPU, 4 entries
 	OutMbox     *mbox.Mailbox // SPU -> PPE, 1 entry, polled
 	OutIntrMbox *mbox.Mailbox // SPU -> PPE, 1 entry, interrupting
-	Signal1     *mbox.Signal
-	Signal2     *mbox.Signal
 
 	running    bool
 	program    string
@@ -77,8 +75,6 @@ func New(e *sim.Engine, id int, bus *eib.Bus, mem *mainmem.Memory, model *cost.M
 		InMbox:      mbox.NewMailbox(e, name+" in-mbox", mbox.InboundDepth),
 		OutMbox:     mbox.NewMailbox(e, name+" out-mbox", mbox.OutboundDepth),
 		OutIntrMbox: mbox.NewMailbox(e, name+" out-intr-mbox", mbox.OutboundDepth),
-		Signal1:     mbox.NewSignal(e, name+" sig1", mbox.SignalOR),
-		Signal2:     mbox.NewSignal(e, name+" sig2", mbox.SignalOR),
 		doneQ:       sim.NewQueue(name + " done"),
 	}
 }
@@ -219,7 +215,7 @@ func (c *Context) ComputeCycles(cycles float64, label string) {
 	c.charge(c.spe.model.CyclesToDuration(cycles), label)
 }
 
-// --- mailboxes and signals --------------------------------------------
+// --- mailboxes --------------------------------------------------------
 
 // ReadInMbox blocks until the PPE writes a word (spu_read_in_mbox).
 func (c *Context) ReadInMbox() uint32 {
@@ -236,12 +232,6 @@ func (c *Context) WriteOutMbox(v uint32) { c.spe.OutMbox.Write(c.p, v) }
 // WriteOutIntrMbox posts a word to the interrupting outbound mailbox
 // (spu_write_out_intr_mbox).
 func (c *Context) WriteOutIntrMbox(v uint32) { c.spe.OutIntrMbox.Write(c.p, v) }
-
-// ReadSignal1 blocks for and clears signal-notification register 1.
-func (c *Context) ReadSignal1() uint32 { return c.spe.Signal1.Read(c.p) }
-
-// ReadSignal2 blocks for and clears signal-notification register 2.
-func (c *Context) ReadSignal2() uint32 { return c.spe.Signal2.Read(c.p) }
 
 // --- DMA ---------------------------------------------------------------
 

@@ -221,29 +221,6 @@ func TestWaitStoppedAndReload(t *testing.T) {
 	}
 }
 
-func TestSignalRegisters(t *testing.T) {
-	r := newRig()
-	var s1, s2 uint32
-	if err := r.s.Load(Program{Name: "sig", CodeBytes: 256, Main: func(ctx *Context) {
-		s1 = ctx.ReadSignal1()
-		s2 = ctx.ReadSignal2()
-		ctx.WriteOutIntrMbox(1)
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	r.e.Spawn("ppe", func(p *sim.Proc) {
-		r.s.Signal1.Send(0xA)
-		r.s.Signal2.Send(0xB)
-		r.s.OutIntrMbox.Read(p)
-	})
-	if err := r.e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s1 != 0xA || s2 != 0xB {
-		t.Fatalf("signals = %#x/%#x", s1, s2)
-	}
-}
-
 // untracedAllocs runs a program on an untraced SPE that measures, with
 // testing.AllocsPerRun, the allocations of one call to op, and returns
 // that count with the SPE. Measuring inside the program keeps the build,
