@@ -72,7 +72,6 @@ type Engine struct {
 	free    []*event // recycled event structs
 	procs   []*Proc  // all live (not yet terminated) processes
 	ready   chan signal
-	halted  bool
 
 	// EventCount is the total number of events dispatched so far.
 	EventCount uint64
@@ -146,16 +145,11 @@ func (e *Engine) cancel(ev *event) {
 	}
 }
 
-// Run dispatches events until the queue is empty or the engine is halted.
-// It returns an error if live processes remain blocked with no pending
-// events (a simulated deadlock), listing the stuck processes.
-func (e *Engine) Run() error { return e.RunUntil(Never) }
-
-// RunUntil dispatches events with timestamp <= deadline. Reaching the
-// deadline with work left is not an error; an empty queue with blocked
-// processes is.
-func (e *Engine) RunUntil(deadline Time) error {
-	for !e.halted {
+// Run dispatches events until the queue is empty. It returns an error if
+// live processes remain blocked with no pending events (a simulated
+// deadlock), listing the stuck processes.
+func (e *Engine) Run() error {
+	for {
 		// Skip tombstoned lane entries.
 		for e.nowHead < len(e.nowq) && e.nowq[e.nowHead].idx == idxDead {
 			e.recycle(e.nowq[e.nowHead])
@@ -169,9 +163,6 @@ func (e *Engine) RunUntil(deadline Time) error {
 			nw := e.nowq[e.nowHead]
 			if len(e.queue) == 0 || e.queue[0].at > nw.at ||
 				(e.queue[0].at == nw.at && e.queue[0].seq > nw.seq) {
-				if nw.at > deadline {
-					return nil
-				}
 				ev = nw
 				e.nowq[e.nowHead] = nil
 				e.nowHead++
@@ -184,9 +175,6 @@ func (e *Engine) RunUntil(deadline Time) error {
 		if ev == nil {
 			if len(e.queue) == 0 {
 				return e.checkQuiescent()
-			}
-			if e.queue[0].at > deadline {
-				return nil
 			}
 			ev = heap.Pop(&e.queue).(*event)
 		}
@@ -202,12 +190,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 		}
 		e.recycle(ev)
 	}
-	return nil
 }
-
-// Halt stops the engine after the current event completes. Remaining
-// processes are abandoned in place; the engine must not be reused afterward.
-func (e *Engine) Halt() { e.halted = true }
 
 // addProc registers a live process (O(1) slice append).
 func (e *Engine) addProc(p *Proc) {

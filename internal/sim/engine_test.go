@@ -267,38 +267,6 @@ func TestNoDeadlockWhenAllDone(t *testing.T) {
 	}
 }
 
-func TestRunUntilStopsAtDeadline(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(Time(10), func() { fired++ })
-	e.At(Time(20), func() { fired++ })
-	if err := e.RunUntil(Time(15)); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2 after Run", fired)
-	}
-}
-
-func TestHalt(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(Time(1), func() { fired++; e.Halt() })
-	e.At(Time(2), func() { fired++ })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d after Halt, want 1", fired)
-	}
-}
-
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	e := NewEngine()
 	sem := NewSemaphore(e, "units", 2)
