@@ -19,7 +19,7 @@ const (
 	// before declaring the SPE dead.
 	DefaultWatchdog = 50 * sim.Millisecond
 	// retryBackoff is the base delay before re-dispatching a failed
-	// invocation; attempt k (1-based) waits backoffDelay(retryBackoff, k).
+	// invocation; attempt k (1-based) waits BackoffDelay(retryBackoff, k).
 	retryBackoff = 100 * sim.Microsecond
 	// maxRetries bounds same-invocation retries for retryable result codes.
 	maxRetries = 3
@@ -31,11 +31,13 @@ const (
 	maxBackoffShift = 16
 )
 
-// backoffDelay returns the delay before retry number attempt (1-based:
+// BackoffDelay returns the delay before retry number attempt (1-based:
 // the first retry waits the base delay). Attempts below 1 are treated as
 // the first retry, and the doubling saturates at maxBackoffShift so the
-// delay can never overflow sim.Duration.
-func backoffDelay(base sim.Duration, attempt int) sim.Duration {
+// delay can never overflow sim.Duration. It is the one backoff law: the
+// supervision loop's kernel retries and the serving fleet's re-routes of
+// evicted requests both wait by it.
+func BackoffDelay(base sim.Duration, attempt int) sim.Duration {
 	shift := attempt - 1
 	if shift < 0 {
 		shift = 0
@@ -295,7 +297,7 @@ func (k *kern) Wait() (uint32, error) {
 			if s.rep != nil {
 				s.rep.Retries++
 			}
-			d := backoffDelay(s.backoff, k.attempts)
+			d := BackoffDelay(s.backoff, k.attempts)
 			if s.rep != nil {
 				s.rep.BackoffTime += d
 			}

@@ -22,18 +22,20 @@ func TestBackoffDelayTable(t *testing.T) {
 		{attempt: 1, want: base},  // first retry: base, not base<<-1 or zero
 		{attempt: 2, want: base << 1},
 		{attempt: 3, want: base << 2},
+		{attempt: 4, want: base << 3},
 		{attempt: maxBackoffShift + 1, want: base << maxBackoffShift},
 		{attempt: maxBackoffShift + 2, want: base << maxBackoffShift}, // saturated
-		{attempt: 64, want: base << maxBackoffShift},                  // would overflow uncapped
+		{attempt: 40, want: base << maxBackoffShift},
+		{attempt: 64, want: base << maxBackoffShift}, // would overflow uncapped
 		{attempt: 1 << 20, want: base << maxBackoffShift},
 	}
 	for _, tc := range cases {
-		got := backoffDelay(base, tc.attempt)
+		got := BackoffDelay(base, tc.attempt)
 		if got != tc.want {
-			t.Errorf("backoffDelay(base, %d) = %v, want %v", tc.attempt, got, tc.want)
+			t.Errorf("BackoffDelay(base, %d) = %v, want %v", tc.attempt, got, tc.want)
 		}
 		if got <= 0 {
-			t.Errorf("backoffDelay(base, %d) = %v: non-positive delay would skip the sleep", tc.attempt, got)
+			t.Errorf("BackoffDelay(base, %d) = %v: non-positive delay would skip the sleep", tc.attempt, got)
 		}
 	}
 }

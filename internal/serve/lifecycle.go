@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"cellport/internal/fault"
+	"cellport/internal/marvel"
 	"cellport/internal/sim"
 )
 
@@ -225,17 +226,18 @@ func (p *pool) killBlade(b *blade) {
 }
 
 // reroute sends one evicted request back through admission after an
-// exponential virtual-time backoff, unless its retry budget is exhausted
-// (shed as exhausted) or the backoff alone already overshoots its
-// deadline (shed as rerouted — it died in transit). Sheds are attributed
-// to the blade that lost the request.
+// exponential virtual-time backoff (marvel.BackoffDelay, the supervision
+// loop's law), unless its retry budget is exhausted (shed as exhausted)
+// or the backoff alone already overshoots its deadline (shed as rerouted
+// — it died in transit). Sheds are attributed to the blade that lost the
+// request.
 func (p *pool) reroute(b *blade, r Request) {
 	r.Attempts++
 	if r.Attempts > p.cfg.RetryBudget {
 		p.finish(r, outShedExhausted, b)
 		return
 	}
-	at := p.now.Add(rerouteBackoff(p.cfg.RetryBackoff, r.Attempts))
+	at := p.now.Add(marvel.BackoffDelay(p.cfg.RetryBackoff, r.Attempts))
 	if r.Deadline != sim.Never && at > r.Deadline {
 		p.finish(r, outShedRerouted, b)
 		return
@@ -243,20 +245,6 @@ func (p *pool) reroute(b *blade, r Request) {
 	b.rerouted++
 	p.rerouteSeq++
 	heap.Push(&p.reroutes, rerouteEntry{at: at, seq: p.rerouteSeq, req: r})
-}
-
-// rerouteBackoff mirrors the marvel supervision loop's backoffDelay:
-// attempt k (1-based) waits base << (k-1), saturating at 16 doublings so
-// the shift can never overflow.
-func rerouteBackoff(base sim.Duration, attempt int) sim.Duration {
-	shift := attempt - 1
-	if shift < 0 {
-		shift = 0
-	}
-	if shift > 16 {
-		shift = 16
-	}
-	return base << shift
 }
 
 // rerouteEntry is one re-routed request waiting out its backoff. The

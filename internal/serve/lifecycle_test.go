@@ -222,24 +222,6 @@ func TestBladeStallDelaysInFlight(t *testing.T) {
 	}
 }
 
-// TestRerouteBackoffMirrorsSupervision pins the backoff law to the
-// supervision loop's: base << (attempt-1), saturating at 16 doublings.
-func TestRerouteBackoffMirrorsSupervision(t *testing.T) {
-	base := 100 * sim.Microsecond
-	cases := []struct {
-		attempt int
-		want    sim.Duration
-	}{
-		{1, base}, {2, 2 * base}, {3, 4 * base}, {4, 8 * base},
-		{17, base << 16}, {40, base << 16}, {0, base},
-	}
-	for _, c := range cases {
-		if got := rerouteBackoff(base, c.attempt); got != c.want {
-			t.Errorf("rerouteBackoff(attempt=%d) = %v, want %v", c.attempt, got, c.want)
-		}
-	}
-}
-
 // TestRetryBudgetExhaustion: with every blade crashing there is nowhere
 // left to run; every outstanding request must drain through the re-route
 // machinery into an attributed shed, and the run must terminate.
