@@ -247,7 +247,8 @@ func untracedAllocs(t *testing.T, op func(ctx *Context, buf ls.Addr, ea mainmem.
 
 // TestNilTracerIsAllocationFree runs SPEs with a nil recorder: the programs
 // run, and neither a compute charge nor a tag wait allocates (the lane name
-// is built once, in New).
+// is built once, in New). Under -race only the runs are checked: the race
+// runtime's own allocations make the counts unequal.
 func TestNilTracerIsAllocationFree(t *testing.T) {
 	charges := func(n int) func(*Context, ls.Addr, mainmem.Addr) {
 		return func(ctx *Context, _ ls.Addr, _ mainmem.Addr) {
@@ -261,7 +262,7 @@ func TestNilTracerIsAllocationFree(t *testing.T) {
 	if s.BusyTime() <= 0 {
 		t.Fatal("untraced charges recorded no busy time")
 	}
-	if few != many {
+	if few != many && !raceEnabled {
 		t.Errorf("untraced charges allocate: %v allocs for 10 charges, %v for 1010", few, many)
 	}
 
@@ -280,7 +281,7 @@ func TestNilTracerIsAllocationFree(t *testing.T) {
 	if s.DMAWait() <= 0 {
 		t.Fatal("untraced tag waits recorded no DMA wait")
 	}
-	if tagged != masked {
+	if tagged != masked && !raceEnabled {
 		t.Errorf("untraced tag waits allocate: %v allocs per transfer with WaitTag, %v with WaitTagMask", tagged, masked)
 	}
 }
