@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -128,12 +131,35 @@ func replayTrace(t *testing.T, seed int64) ([]string, uint64) {
 	return log, e.EventCount
 }
 
+// replayDigests pins replayTrace per seed: the SHA-256 of the dispatch
+// log (one entry per line) and the final EventCount. Runs that agree with
+// each other but dispatch in a different order than the engine always has
+// fail here.
+var replayDigests = [8]struct {
+	sha256 string
+	events uint64
+}{
+	{"ea288edf0eade1016109afd806888120df263b40e003d33f932da3d955f6c151", 136},
+	{"79b3abae9e7f95abf726d3b1d6853ca053fc2c0f31c0578ca84343928fefd3df", 137},
+	{"78e884618cd1e8912c05a3a423e8985d24c853f5998d77dbc9ecc2202c467e91", 137},
+	{"46030c55d4b50d6aa5df1276ea830b25ff3a45964f257f2dc7ed291588b439c1", 139},
+	{"03dcfa017f0278603b609e49e86db021724a74aa364bce440498f8193dd2611f", 136},
+	{"e7a5c0bc59e7b5bca09cc29a0199f449ba3cb7c763a76306e96b1fa7db546b90", 135},
+	{"c9aa6b35d0a16042d9c67bda4adf6d7e877dabeaee226a7f09d9c18dab2ac366", 152},
+	{"d7109af87271c05865ce1e700d952671a326b378a98cd9aab83bf7d43a4d5b3c", 140},
+}
+
 // TestReplayIdenticalEventOrder is the determinism invariant behind the
 // engine fast paths: same inputs ⇒ identical dispatch order and event
-// count, across repeated runs and many seeds.
+// count, across repeated runs and many seeds, and equal to the pinned
+// digests.
 func TestReplayIdenticalEventOrder(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		first, count := replayTrace(t, seed)
+		sum := sha256.Sum256([]byte(strings.Join(first, "\n")))
+		if got, want := hex.EncodeToString(sum[:]), replayDigests[seed]; got != want.sha256 || count != want.events {
+			t.Errorf("seed %d: digest %s with %d events, want %s with %d", seed, got, count, want.sha256, want.events)
+		}
 		for rep := 0; rep < 3; rep++ {
 			got, gotCount := replayTrace(t, seed)
 			if gotCount != count {
