@@ -150,7 +150,7 @@ func (m *Machine) InjectFaults(inj *fault.Injector) {
 		}
 		f := f
 		s := m.SPEs[f.SPE]
-		m.Engine.Schedule(f.At, func() {
+		m.Engine.At(f.At, func() {
 			if !s.Failed() {
 				s.Fail("injected crash")
 				inj.NoteCrash(f)

@@ -142,10 +142,10 @@ func runChurn(t *testing.T, seed uint64, forceFull bool) churnOutcome {
 			src, dst = Port(r.intn(3)), SPEPort(r.intn(8))
 		}
 		size := int64(r.next()%(1<<26)) + 1
-		start := sim.FromSeconds(float64(r.next()%1000) * 1e-4)
+		at := sim.FromSeconds(float64(r.next()%1000) * 1e-4)
 		e.Spawn(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			p.SleepUntil(sim.Time(0).Add(start))
-			b.Start(src, dst, size, nil).Wait(p)
+			p.Sleep(at)
+			start(b, src, dst, size, nil).Wait(p)
 			out.completions[i] = p.Now()
 		})
 	}
@@ -196,11 +196,11 @@ func TestActiveTransfersBookkeeping(t *testing.T) {
 		// Three staggered transfers on the shared memory port: sizes chosen
 		// so they finish strictly in reverse start order is impossible —
 		// equal shares mean the smallest remaining finishes first.
-		t1 := b.Start(PortMemory, SPEPort(0), 25_600_000, nil) // 1 ms alone
-		snap()                                                 // 1
-		t2 := b.Start(PortMemory, SPEPort(1), 51_200_000, nil)
+		t1 := start(b, PortMemory, SPEPort(0), 25_600_000, nil) // 1 ms alone
+		snap()                                                  // 1
+		t2 := start(b, PortMemory, SPEPort(1), 51_200_000, nil)
 		snap() // 2
-		t3 := b.Start(PortMemory, SPEPort(2), 76_800_000, nil)
+		t3 := start(b, PortMemory, SPEPort(2), 76_800_000, nil)
 		snap() // 3
 		t1.Wait(p)
 		snap() // 2
@@ -235,9 +235,9 @@ func TestPortLoadTracksActiveFlows(t *testing.T) {
 	e := sim.NewEngine()
 	b := New(e, DefaultConfig())
 	e.Spawn("driver", func(p *sim.Proc) {
-		a := b.Start(PortMemory, SPEPort(0), 1<<20, nil)
-		c := b.Start(PortMemory, SPEPort(1), 1<<20, nil)
-		lb := b.Start(SPEPort(2), SPEPort(2), 1<<20, nil) // loop-back
+		a := start(b, PortMemory, SPEPort(0), 1<<20, nil)
+		c := start(b, PortMemory, SPEPort(1), 1<<20, nil)
+		lb := start(b, SPEPort(2), SPEPort(2), 1<<20, nil) // loop-back
 		if got := b.portLoad[PortMemory]; got != 2 {
 			t.Errorf("memory port load = %d, want 2", got)
 		}

@@ -98,16 +98,16 @@ type Bus struct {
 	reallocFull uint64
 }
 
-// Transfer is one in-flight bulk data movement.
+// Transfer is one in-flight bulk data movement. It reports completion
+// only through its onDone callback.
 type Transfer struct {
 	src, dst  Port
 	remaining float64
 	rate      float64 // bytes/s under the current allocation
 	idx       int     // slot in bus.active
-	done      *sim.Queue
 	finished  bool
-	aborted   bool
-	timer     *sim.Timer
+	timer     sim.Timer // pending completion; the zero Timer when none
+	fire      func()    // t.onTimer, bound once so re-arming allocates nothing
 	bus       *Bus
 	onDone    func()
 }
@@ -126,55 +126,34 @@ func New(e *sim.Engine, cfg Config) *Bus {
 }
 
 // Start begins moving size bytes from src to dst and returns the transfer
-// handle. onDone, if non-nil, runs at completion time (before waiters are
-// woken). Zero-size transfers complete immediately.
+// handle. onDone, if non-nil, runs at completion time. Zero-size transfers
+// complete immediately, inside Start.
 func (b *Bus) Start(src, dst Port, size int64, onDone func()) *Transfer {
-	t := &Transfer{
-		src: src, dst: dst,
-		remaining: float64(size),
-		done:      sim.NewQueue(fmt.Sprintf("eib %v->%v", src, dst)),
-		bus:       b,
-		onDone:    onDone,
-	}
+	t := &Transfer{src: src, dst: dst, remaining: float64(size), bus: b, onDone: onDone}
 	b.transfers++
 	if size <= 0 {
 		t.complete()
 		return t
 	}
+	t.fire = t.onTimer
 	b.advance()
 	b.addActive(t)
 	b.reallocate()
 	return t
 }
 
-// Wait blocks p until the transfer completes.
-func (t *Transfer) Wait(p *sim.Proc) {
-	p.WaitFor(t.done, func() bool { return t.finished })
-}
-
-// Done reports whether the transfer has completed.
-func (t *Transfer) Done() bool { return t.finished }
-
-// Aborted reports whether the transfer was torn down by Abort.
-func (t *Transfer) Aborted() bool { return t.aborted }
-
-// Abort tears down an in-flight transfer: it stops consuming bandwidth,
-// its completion callback never runs, and waiters are released (they can
-// check Aborted). Aborting a finished transfer is a no-op.
+// Abort tears down an in-flight transfer: it stops consuming bandwidth
+// and its completion callback never runs. Aborting a finished transfer is
+// a no-op.
 func (t *Transfer) Abort() {
 	if t.finished {
 		return
 	}
 	b := t.bus
 	b.advance()
-	if t.timer != nil {
-		t.timer.Cancel()
-		t.timer = nil
-	}
+	t.timer.Cancel()
 	b.removeActive(t)
-	t.aborted = true
 	t.finished = true // deliberately skips onDone: the data never arrived
-	t.done.WakeAll(b.engine)
 	b.reallocate()
 }
 
@@ -183,7 +162,6 @@ func (t *Transfer) complete() {
 	if t.onDone != nil {
 		t.onDone()
 	}
-	t.done.WakeAll(t.bus.engine)
 }
 
 func (b *Bus) addActive(t *Transfer) {
@@ -384,7 +362,7 @@ func maxMinRates(flows []*Transfer, cfg Config) []float64 {
 // scheduled ETA is still the completion time (and keeping the original
 // timer avoids re-deriving it through another division).
 func (t *Transfer) setRate(rate float64) {
-	if t.rate == rate && t.timer != nil {
+	if t.rate == rate && t.timer != (sim.Timer{}) {
 		return
 	}
 	t.rate = rate
@@ -392,30 +370,31 @@ func (t *Transfer) setRate(rate float64) {
 }
 
 func (t *Transfer) reschedule() {
-	b := t.bus
-	if t.timer != nil {
-		t.timer.Cancel()
-		t.timer = nil
-	}
+	t.timer.Cancel()
+	t.timer = sim.Timer{}
 	if t.rate <= 0 {
 		return // starved; will be rescheduled at the next reallocation
 	}
-	eta := b.engine.Now().Add(sim.FromSeconds(t.remaining / t.rate))
-	t.timer = b.engine.Schedule(eta, func() {
-		t.timer = nil
-		b.advance()
-		// Guard against float residue: treat sub-byte remainders as done.
-		if t.remaining > 0.5 {
-			t.reschedule()
-			return
-		}
-		b.bytesMoved += t.remaining
-		b.creditPorts(t, t.remaining)
-		t.remaining = 0
-		b.removeActive(t)
-		t.complete()
-		b.reallocate()
-	})
+	e := t.bus.engine
+	t.timer = e.At(e.Now().Add(sim.FromSeconds(t.remaining/t.rate)), t.fire)
+}
+
+// onTimer runs at the predicted completion time.
+func (t *Transfer) onTimer() {
+	b := t.bus
+	t.timer = sim.Timer{}
+	b.advance()
+	// Guard against float residue: treat sub-byte remainders as done.
+	if t.remaining > 0.5 {
+		t.reschedule()
+		return
+	}
+	b.bytesMoved += t.remaining
+	b.creditPorts(t, t.remaining)
+	t.remaining = 0
+	b.removeActive(t)
+	t.complete()
+	b.reallocate()
 }
 
 // ActiveTransfers reports the number of in-flight transfers.

@@ -21,7 +21,7 @@ func TestSingleTransferPortLimited(t *testing.T) {
 	b := New(e, DefaultConfig())
 	var finished sim.Time
 	e.Spawn("dma", func(p *sim.Proc) {
-		tr := b.Start(PortMemory, SPEPort(0), 25_600_000_000, nil) // 1 s at port bw
+		tr := start(b, PortMemory, SPEPort(0), 25_600_000_000, nil) // 1 s at port bw
 		tr.Wait(p)
 		finished = p.Now()
 	})
@@ -36,9 +36,10 @@ func TestZeroSizeCompletesInstantly(t *testing.T) {
 	b := New(e, DefaultConfig())
 	done := false
 	e.Spawn("dma", func(p *sim.Proc) {
-		tr := b.Start(PortMemory, SPEPort(0), 0, nil)
-		if !tr.Done() {
-			t.Error("zero-size transfer should be done immediately")
+		delivered := false
+		tr := start(b, PortMemory, SPEPort(0), 0, func() { delivered = true })
+		if !delivered {
+			t.Error("zero-size transfer should complete inside Start")
 		}
 		tr.Wait(p) // must not block
 		done = true
@@ -58,7 +59,7 @@ func TestMemoryPortIsSharedBottleneck(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		i := i
 		e.Spawn(fmt.Sprintf("spe%d", i), func(p *sim.Proc) {
-			tr := b.Start(PortMemory, SPEPort(i), 3_200_000_000, nil)
+			tr := start(b, PortMemory, SPEPort(i), 3_200_000_000, nil)
 			tr.Wait(p)
 			last = p.Now()
 		})
@@ -80,7 +81,7 @@ func TestDisjointTransfersDontInterfere(t *testing.T) {
 		name := fmt.Sprintf("t%d", i)
 		pr := pr
 		e.Spawn(name, func(p *sim.Proc) {
-			tr := b.Start(pr[0], pr[1], 25_600_000_000, nil)
+			tr := start(b, pr[0], pr[1], 25_600_000_000, nil)
 			tr.Wait(p)
 			times[name] = p.Now().Seconds()
 		})
@@ -102,10 +103,10 @@ func TestLateArrivalSpeedsUpAfterFirstFinishes(t *testing.T) {
 	b := New(e, DefaultConfig())
 	var t2done sim.Time
 	e.Spawn("a", func(p *sim.Proc) {
-		b.Start(PortMemory, SPEPort(0), 12_800_000_000, nil).Wait(p)
+		start(b, PortMemory, SPEPort(0), 12_800_000_000, nil).Wait(p)
 	})
 	e.Spawn("b", func(p *sim.Proc) {
-		tr := b.Start(PortMemory, SPEPort(1), 25_600_000_000, nil)
+		tr := start(b, PortMemory, SPEPort(1), 25_600_000_000, nil)
 		tr.Wait(p)
 		t2done = p.Now()
 	})
@@ -126,7 +127,7 @@ func TestFabricAggregateLimits(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		i := i
 		e.Spawn(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			tr := b.Start(SPEPort(2*i), SPEPort(2*i+1), 20_480_000_000, nil)
+			tr := start(b, SPEPort(2*i), SPEPort(2*i+1), 20_480_000_000, nil)
 			tr.Wait(p)
 			last = p.Now()
 		})
@@ -142,7 +143,7 @@ func TestOnDoneRunsBeforeWaiters(t *testing.T) {
 	b := New(e, DefaultConfig())
 	var order []string
 	e.Spawn("dma", func(p *sim.Proc) {
-		tr := b.Start(PortMemory, SPEPort(0), 1024, func() { order = append(order, "onDone") })
+		tr := start(b, PortMemory, SPEPort(0), 1024, func() { order = append(order, "onDone") })
 		tr.Wait(p)
 		order = append(order, "waiter")
 	})
@@ -156,8 +157,8 @@ func TestStatsAccumulate(t *testing.T) {
 	e := sim.NewEngine()
 	b := New(e, DefaultConfig())
 	e.Spawn("dma", func(p *sim.Proc) {
-		b.Start(PortMemory, SPEPort(0), 1_000_000, nil).Wait(p)
-		b.Start(SPEPort(0), PortMemory, 2_000_000, nil).Wait(p)
+		start(b, PortMemory, SPEPort(0), 1_000_000, nil).Wait(p)
+		start(b, SPEPort(0), PortMemory, 2_000_000, nil).Wait(p)
 	})
 	run(t, e)
 	if b.Transfers() != 2 {
@@ -188,9 +189,9 @@ func TestPropConservationAndBounds(t *testing.T) {
 			i := i
 			lower := float64(size) / b.Config().PortBandwidth
 			e.Spawn(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-				start := p.Now()
-				b.Start(PortMemory, SPEPort(i), size, nil).Wait(p)
-				if p.Now().Sub(start).Seconds() < lower-1e-12 {
+				t0 := p.Now()
+				start(b, PortMemory, SPEPort(i), size, nil).Wait(p)
+				if p.Now().Sub(t0).Seconds() < lower-1e-12 {
 					ok = false
 				}
 			})

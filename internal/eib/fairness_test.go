@@ -19,7 +19,7 @@ func TestEqualFlowsFinishTogether(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		i := i
 		e.Spawn(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			b.Start(PortMemory, SPEPort(i), 1<<24, nil).Wait(p)
+			start(b, PortMemory, SPEPort(i), 1<<24, nil).Wait(p)
 			done = append(done, p.Now())
 		})
 	}
@@ -42,11 +42,11 @@ func TestSmallFlowNotStarvedByLargeOnes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		e.Spawn(fmt.Sprintf("big%d", i), func(p *sim.Proc) {
-			b.Start(PortMemory, SPEPort(i), 1<<30, nil).Wait(p)
+			start(b, PortMemory, SPEPort(i), 1<<30, nil).Wait(p)
 		})
 	}
 	e.Spawn("small", func(p *sim.Proc) {
-		b.Start(PortMemory, SPEPort(7), 64*1024, nil).Wait(p)
+		start(b, PortMemory, SPEPort(7), 64*1024, nil).Wait(p)
 		small = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -73,7 +73,7 @@ func TestPropAggregateBandwidthCap(t *testing.T) {
 			total += float64(size)
 			i := i
 			e.Spawn(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-				b.Start(SPEPort(2*i), SPEPort(2*i+1), size, nil).Wait(p)
+				start(b, SPEPort(2*i), SPEPort(2*i+1), size, nil).Wait(p)
 				if p.Now() > last {
 					last = p.Now()
 				}

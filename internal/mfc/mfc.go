@@ -85,7 +85,7 @@ type MFC struct {
 	// startTimers and inflight track pending startup timers and in-flight
 	// bus transfers so Abort can tear them down. Slices (not maps) keep
 	// teardown order deterministic.
-	startTimers []*sim.Timer
+	startTimers []sim.Timer
 	inflight    []*eib.Transfer
 
 	// Stats
@@ -144,18 +144,7 @@ func (m *MFC) corrupt(b []byte) {
 	m.xferErr = true
 }
 
-// scheduleStart arms the post-issue startup timer, tracked so Abort can
-// cancel DMA commands that have not yet reached the bus.
-func (m *MFC) scheduleStart(fn func()) {
-	var t *sim.Timer
-	t = m.engine.Schedule(m.engine.Now().Add(m.cfg.StartupLatency), func() {
-		m.removeTimer(t)
-		fn()
-	})
-	m.startTimers = append(m.startTimers, t)
-}
-
-func (m *MFC) removeTimer(t *sim.Timer) {
+func (m *MFC) removeTimer(t sim.Timer) {
 	for i, x := range m.startTimers {
 		if x == t {
 			m.startTimers = append(m.startTimers[:i], m.startTimers[i+1:]...)
@@ -254,89 +243,36 @@ func checkTag(tag int) error {
 	return nil
 }
 
-// Get enqueues a main-memory -> local-store transfer under the given tag.
-// The calling process pays the issue cost and blocks only if the command
-// queue is full. Data lands in the LS when the tag completes.
-func (m *MFC) Get(p *sim.Proc, lsa ls.Addr, ea mainmem.Addr, size uint32, tag int) error {
+// checkSingle validates a Get or Put.
+func (m *MFC) checkSingle(lsa ls.Addr, ea mainmem.Addr, size uint32, tag int) error {
 	if err := checkTransfer(lsa, ea, size); err != nil {
 		return err
 	}
 	if err := checkTag(tag); err != nil {
 		return err
 	}
-	if err := m.checkBounds(lsa, ea, size); err != nil {
+	return m.checkBounds(lsa, ea, size)
+}
+
+// Get enqueues a main-memory -> local-store transfer under the given tag.
+// The calling process pays the issue cost and blocks only if the command
+// queue is full. Data lands in the LS when the tag completes.
+func (m *MFC) Get(p *sim.Proc, lsa ls.Addr, ea mainmem.Addr, size uint32, tag int) error {
+	if err := m.checkSingle(lsa, ea, size, tag); err != nil {
 		return err
 	}
-	// Validate both windows now so errors surface at the issue site.
-	dst := m.store.Bytes(lsa, size)
-	src := m.mem.Bytes(ea, size)
-	p.Sleep(m.cfg.IssueCost)
-	m.slots.Acquire(p)
-	m.noteQueueDepth()
-	m.tagPending[tag]++
-	m.commands++
-	m.sizeHist.Observe(int64(size))
-	act := m.sampleFault()
-	if act == FaultDrop {
-		return nil // the command is lost; its tag never completes
-	}
-	m.scheduleStart(func() {
-		t0 := m.engine.Now()
-		var tr *eib.Transfer
-		tr = m.bus.Start(eib.PortMemory, m.port, int64(size), func() {
-			m.untrack(tr)
-			copy(dst, src)
-			if act == FaultCorrupt {
-				m.corrupt(dst)
-			}
-			m.bytesIn += uint64(size)
-			m.span(t0, "get")
-			m.finish(tag)
-		})
-		m.track(tr)
-	})
+	m.issue(p, tag, getCmd, []piece{{dst: m.store.Bytes(lsa, size), src: m.mem.Bytes(ea, size)}})
 	return nil
 }
 
 // Put enqueues a local-store -> main-memory transfer under the given tag.
 // The LS bytes are snapshotted at issue time (see package comment).
 func (m *MFC) Put(p *sim.Proc, lsa ls.Addr, ea mainmem.Addr, size uint32, tag int) error {
-	if err := checkTransfer(lsa, ea, size); err != nil {
-		return err
-	}
-	if err := checkTag(tag); err != nil {
-		return err
-	}
-	if err := m.checkBounds(lsa, ea, size); err != nil {
+	if err := m.checkSingle(lsa, ea, size, tag); err != nil {
 		return err
 	}
 	snapshot := append([]byte(nil), m.store.Bytes(lsa, size)...)
-	dst := m.mem.Bytes(ea, size)
-	p.Sleep(m.cfg.IssueCost)
-	m.slots.Acquire(p)
-	m.noteQueueDepth()
-	m.tagPending[tag]++
-	m.commands++
-	m.sizeHist.Observe(int64(size))
-	act := m.sampleFault()
-	if act == FaultDrop {
-		return nil // the command is lost; its tag never completes
-	}
-	m.scheduleStart(func() {
-		t0 := m.engine.Now()
-		var tr *eib.Transfer
-		tr = m.bus.Start(m.port, eib.PortMemory, int64(size), func() {
-			m.untrack(tr)
-			copy(dst, snapshot)
-			if act == FaultCorrupt {
-				m.corrupt(dst)
-			}
-			m.bytesOut += uint64(size)
-			m.span(t0, "put")
-			m.finish(tag)
-		})
-		m.track(tr)
-	})
+	m.issue(p, tag, putCmd, []piece{{dst: m.mem.Bytes(ea, size), src: snapshot}})
 	return nil
 }
 
@@ -345,99 +281,133 @@ func (m *MFC) Put(p *sim.Proc, lsa ls.Addr, ea mainmem.Addr, size uint32, tag in
 // and one queue slot — the reason DMA lists beat strings of individual
 // gets for many small pieces (§4.1).
 func (m *MFC) GetList(p *sim.Proc, lsa ls.Addr, list []ListElement, tag int) error {
-	return m.listCmd(p, lsa, list, tag, true)
+	pieces, err := m.listPieces(lsa, list, tag, true)
+	if err != nil {
+		return err
+	}
+	m.issue(p, tag, getListCmd, pieces)
+	return nil
 }
 
 // PutList enqueues a DMA-list (scatter) command from consecutive LS space.
 func (m *MFC) PutList(p *sim.Proc, lsa ls.Addr, list []ListElement, tag int) error {
-	return m.listCmd(p, lsa, list, tag, false)
-}
-
-func (m *MFC) listCmd(p *sim.Proc, lsa ls.Addr, list []ListElement, tag int, get bool) error {
-	if len(list) == 0 {
-		return fmt.Errorf("mfc: empty DMA list")
-	}
-	if len(list) > MaxListElements {
-		return fmt.Errorf("mfc: DMA list has %d elements, max %d", len(list), MaxListElements)
-	}
-	if err := checkTag(tag); err != nil {
+	pieces, err := m.listPieces(lsa, list, tag, false)
+	if err != nil {
 		return err
 	}
-	cursor := lsa
-	type piece struct {
-		dst, src []byte
-		size     uint32
+	m.issue(p, tag, putListCmd, pieces)
+	return nil
+}
+
+// listPieces validates a DMA list and resolves its elements to pieces; a
+// put snapshots each element's LS bytes.
+func (m *MFC) listPieces(lsa ls.Addr, list []ListElement, tag int, get bool) ([]piece, error) {
+	if len(list) == 0 {
+		return nil, fmt.Errorf("mfc: empty DMA list")
 	}
+	if len(list) > MaxListElements {
+		return nil, fmt.Errorf("mfc: DMA list has %d elements, max %d", len(list), MaxListElements)
+	}
+	if err := checkTag(tag); err != nil {
+		return nil, err
+	}
+	cursor := lsa
 	pieces := make([]piece, 0, len(list))
 	for i, el := range list {
 		if err := checkTransfer(cursor, el.EA, el.Size); err != nil {
-			return fmt.Errorf("mfc: list element %d: %w", i, err)
+			return nil, fmt.Errorf("mfc: list element %d: %w", i, err)
 		}
 		if err := m.checkBounds(cursor, el.EA, el.Size); err != nil {
-			return fmt.Errorf("mfc: list element %d: %w", i, err)
+			return nil, fmt.Errorf("mfc: list element %d: %w", i, err)
 		}
 		lsb := m.store.Bytes(cursor, el.Size)
 		mb := m.mem.Bytes(el.EA, el.Size)
 		if get {
-			pieces = append(pieces, piece{dst: lsb, src: mb, size: el.Size})
+			pieces = append(pieces, piece{dst: lsb, src: mb})
 		} else {
-			pieces = append(pieces, piece{dst: mb, src: append([]byte(nil), lsb...), size: el.Size})
+			pieces = append(pieces, piece{dst: mb, src: append([]byte(nil), lsb...)})
 		}
 		cursor = ls.Addr(uint32(cursor) + el.Size)
 	}
+	return pieces, nil
+}
+
+// piece is one contiguous run of a DMA command: src is copied to dst when
+// the run's bus transfer completes.
+type piece struct{ dst, src []byte }
+
+// command is a DMA command kind: the direction picks the bus ports and the
+// byte counter, and the label names the command's trace span.
+type command struct {
+	label     string
+	get, list bool
+}
+
+var (
+	getCmd     = command{label: "get", get: true}
+	putCmd     = command{label: "put"}
+	getListCmd = command{label: "get-list", get: true, list: true}
+	putListCmd = command{label: "put-list", list: true}
+)
+
+// issue runs one validated command. The calling process pays the issue
+// cost and takes a queue slot, and the fault hook is sampled once. After
+// the startup latency the pieces stream serially on the bus; the tag
+// completes when the last one lands, and one span covers them all.
+func (m *MFC) issue(p *sim.Proc, tag int, cmd command, pieces []piece) {
 	p.Sleep(m.cfg.IssueCost)
 	m.slots.Acquire(p)
 	m.noteQueueDepth()
 	m.tagPending[tag]++
 	m.commands++
-	m.listCmds++
+	if cmd.list {
+		m.listCmds++
+	}
 	for _, pc := range pieces {
-		m.sizeHist.Observe(int64(pc.size))
+		m.sizeHist.Observe(int64(len(pc.dst)))
 	}
 	act := m.sampleFault()
 	if act == FaultDrop {
-		return nil // the command is lost; its tag never completes
+		return // the command is lost; its tag never completes
 	}
-	label := "get-list"
-	if !get {
-		label = "put-list"
+	src, dst := eib.PortMemory, m.port
+	if !cmd.get {
+		src, dst = dst, src
 	}
-	// Elements stream serially on the bus under a single startup latency;
-	// one span covers the whole list.
 	var t0 sim.Time
-	var runElement func(i int)
-	runElement = func(i int) {
+	var run func(i int)
+	run = func(i int) {
 		pc := pieces[i]
-		src, dst := eib.PortMemory, m.port
-		if !get {
-			src, dst = m.port, eib.PortMemory
-		}
 		var tr *eib.Transfer
-		tr = m.bus.Start(src, dst, int64(pc.size), func() {
+		tr = m.bus.Start(src, dst, int64(len(pc.dst)), func() {
 			m.untrack(tr)
 			copy(pc.dst, pc.src)
 			if act == FaultCorrupt {
 				m.corrupt(pc.dst)
 			}
-			if get {
-				m.bytesIn += uint64(pc.size)
+			if cmd.get {
+				m.bytesIn += uint64(len(pc.dst))
 			} else {
-				m.bytesOut += uint64(pc.size)
+				m.bytesOut += uint64(len(pc.dst))
 			}
 			if i+1 < len(pieces) {
-				runElement(i + 1)
+				run(i + 1)
 				return
 			}
-			m.span(t0, label)
+			m.span(t0, cmd.label)
 			m.finish(tag)
 		})
 		m.track(tr)
 	}
-	m.scheduleStart(func() {
+	// The startup timer is tracked so Abort can cancel a command that has
+	// not reached the bus yet.
+	var start sim.Timer
+	start = m.engine.At(m.engine.Now().Add(m.cfg.StartupLatency), func() {
+		m.removeTimer(start)
 		t0 = m.engine.Now()
-		runElement(0)
+		run(0)
 	})
-	return nil
+	m.startTimers = append(m.startTimers, start)
 }
 
 // span emits one DMA span on the MFC's lane; an untraced MFC discards it.

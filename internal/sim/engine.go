@@ -88,8 +88,9 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // At schedules fn to run at absolute virtual time t (not before the current
-// time). Callbacks run in scheduling order among events with equal time.
-func (e *Engine) At(t Time, fn func()) {
+// time) and returns a handle that can cancel it. Callbacks run in
+// scheduling order among events with equal time.
+func (e *Engine) At(t Time, fn func()) Timer {
 	if t < e.now {
 		t = e.now
 	}
@@ -97,10 +98,11 @@ func (e *Engine) At(t Time, fn func()) {
 	ev.at = t
 	ev.fn = fn
 	e.push(ev)
+	return Timer{engine: e, ev: ev, seq: ev.seq}
 }
 
 // After schedules fn to run d after the current virtual time.
-func (e *Engine) After(d Duration, fn func()) { e.At(e.now.Add(d), fn) }
+func (e *Engine) After(d Duration, fn func()) Timer { return e.At(e.now.Add(d), fn) }
 
 // alloc takes an event from the free list (or the heap allocator). Callers
 // fill at/fn/proc and hand it to push, which owns seq assignment.

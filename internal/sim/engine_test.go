@@ -294,21 +294,6 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	}
 }
 
-func TestSemaphoreTryAcquire(t *testing.T) {
-	e := NewEngine()
-	sem := NewSemaphore(e, "try", 1)
-	if !sem.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if sem.TryAcquire() {
-		t.Fatal("second TryAcquire should fail")
-	}
-	sem.Release()
-	if !sem.TryAcquire() {
-		t.Fatal("TryAcquire after Release failed")
-	}
-}
-
 func TestSemaphoreOverReleasePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -157,16 +157,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.wake = nil
 }
 
-// SleepUntil advances the process's virtual time to t (no-op if t has
-// passed).
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.engine.now {
-		p.Yield()
-		return
-	}
-	p.Sleep(t.Sub(p.engine.now))
-}
-
 // Yield reschedules the process at the current instant, behind events
 // already pending at this time.
 func (p *Proc) Yield() { p.Sleep(0) }
@@ -262,7 +252,7 @@ func (p *Proc) WaitFor(q *Queue, pred func() bool) {
 func (p *Proc) WaitForTimeout(q *Queue, d Duration, pred func() bool) bool {
 	deadline := p.engine.now.Add(d)
 	expired := false
-	timer := p.engine.Schedule(deadline, func() {
+	timer := p.engine.At(deadline, func() {
 		expired = true
 		// Resume the process only if it is actually blocked on this
 		// queue; otherwise it is running and will observe `expired` at

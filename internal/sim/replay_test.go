@@ -42,15 +42,9 @@ func TestNowLaneTimerCancel(t *testing.T) {
 	fired := false
 	laterRan := false
 	e.At(Time(3), func() {
-		tm := e.Schedule(e.Now(), func() { fired = true }) // lane-resident
-		if !tm.Active() {
-			t.Error("timer should be pending")
-		}
+		tm := e.At(e.Now(), func() { fired = true }) // lane-resident
 		tm.Cancel()
-		if tm.Active() {
-			t.Error("cancelled timer still active")
-		}
-		e.Schedule(e.Now(), func() { laterRan = true })
+		e.At(e.Now(), func() { laterRan = true })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -63,25 +57,26 @@ func TestNowLaneTimerCancel(t *testing.T) {
 	}
 }
 
-// TestTimerRearmFromCallback re-arms a timer from its own callback; the
-// recycled event must not corrupt the new arming.
+// TestTimerRearmFromCallback arms the next timer from a firing timer's own
+// callback; the event still being dispatched must not be handed to the
+// new arming.
 func TestTimerRearmFromCallback(t *testing.T) {
 	e := NewEngine()
 	var fires []Time
-	var tm *Timer
-	tm = e.Schedule(Time(2), func() {
+	var fire func()
+	fire = func() {
 		fires = append(fires, e.Now())
 		if len(fires) < 3 {
-			tm.Reschedule(e.Now().Add(2))
+			e.After(2, fire)
 		}
-	})
+	}
+	e.At(Time(2), fire)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if want := []Time{2, 4, 6}; !reflect.DeepEqual(fires, want) {
 		t.Fatalf("fires = %v, want %v", fires, want)
 	}
-	_ = tm
 }
 
 // replayTrace runs a randomized workload mixing every scheduling primitive —
@@ -110,7 +105,7 @@ func replayTrace(t *testing.T, seed int64) ([]string, uint64) {
 				case 2:
 					q.WakeOne(e)
 				case 3:
-					tm := e.Schedule(p.Now().Add(delay), func() {
+					tm := e.At(p.Now().Add(delay), func() {
 						log = append(log, name+":timer@"+e.Now().String())
 					})
 					if delay%2 == 0 {

@@ -21,22 +21,10 @@ func NewSemaphore(e *Engine, name string, units int) *Semaphore {
 // Available reports the number of free units.
 func (s *Semaphore) Available() int { return s.avail }
 
-// Cap reports the total number of units.
-func (s *Semaphore) Cap() int { return s.cap }
-
 // Acquire takes one unit, blocking in virtual time until one is free.
 func (s *Semaphore) Acquire(p *Proc) {
 	p.WaitFor(s.q, func() bool { return s.avail > 0 })
 	s.avail--
-}
-
-// TryAcquire takes a unit without blocking; it reports whether it succeeded.
-func (s *Semaphore) TryAcquire() bool {
-	if s.avail == 0 {
-		return false
-	}
-	s.avail--
-	return true
 }
 
 // Release returns one unit and wakes a blocked acquirer, if any.

@@ -1,63 +1,19 @@
 package sim
 
-// Timer is a handle to a scheduled callback that can be cancelled or
-// rescheduled before it fires. It is the building block for models that
-// must revise a predicted completion time when conditions change (e.g. the
-// EIB bandwidth-sharing model reschedules transfer completions whenever a
-// transfer starts or ends).
+// Timer is the handle At and After return for a scheduled callback. It is
+// a value: it names the event and the sequence number the event was
+// pushed with, so once the event fires (and its struct is recycled for a
+// later arming) the handle no longer matches and Cancel does nothing.
 type Timer struct {
 	engine *Engine
 	ev     *event
-	fn     func()
-}
-
-// Schedule registers fn to run at absolute time t and returns a handle.
-func (e *Engine) Schedule(t Time, fn func()) *Timer {
-	if t < e.now {
-		t = e.now
-	}
-	tm := &Timer{engine: e, fn: fn}
-	tm.arm(t)
-	return tm
-}
-
-// arm allocates and pushes the timer's event at time t. The wrapper drops
-// the handle's reference before running fn, so the dispatched event can be
-// recycled safely even if fn re-arms the timer.
-func (t *Timer) arm(at Time) {
-	ev := t.engine.alloc()
-	ev.at = at
-	ev.fn = func() { t.ev = nil; t.fn() }
-	t.ev = ev
-	t.engine.push(ev)
+	seq    uint64
 }
 
 // Cancel removes the pending callback. Cancelling a fired or already
-// cancelled timer is a no-op.
-func (t *Timer) Cancel() {
-	if t.ev != nil {
+// cancelled timer, or the zero Timer, is a no-op.
+func (t Timer) Cancel() {
+	if t.ev != nil && t.ev.seq == t.seq {
 		t.engine.cancel(t.ev)
-		t.ev = nil
 	}
-}
-
-// Reschedule moves the pending callback to a new time (or re-arms a fired
-// timer with the original callback).
-func (t *Timer) Reschedule(at Time) {
-	t.Cancel()
-	if at < t.engine.now {
-		at = t.engine.now
-	}
-	t.arm(at)
-}
-
-// Active reports whether the callback is still pending.
-func (t *Timer) Active() bool { return t.ev != nil }
-
-// When returns the pending fire time, or Never if inactive.
-func (t *Timer) When() Time {
-	if t.ev == nil {
-		return Never
-	}
-	return t.ev.at
 }

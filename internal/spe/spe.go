@@ -100,9 +100,6 @@ func (s *SPE) MboxWait() sim.Duration { return s.mboxWait }
 // Failed reports whether the SPE has crashed.
 func (s *SPE) Failed() bool { return s.failed }
 
-// FailReason returns why the SPE crashed (empty while healthy).
-func (s *SPE) FailReason() string { return s.failReason }
-
 // Fail crashes the SPE: the running program (if any) is killed at its next
 // scheduling point, queued and in-flight DMA is aborted, and the SPE
 // refuses all further program loads. Waiters on WaitStopped are released.
