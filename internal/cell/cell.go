@@ -90,10 +90,15 @@ func New(cfg Config) *Machine {
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// Release returns pooled resources (the main-memory backing store) for
-// reuse by a future New. The machine must not be used afterwards.
-// Optional: an unreleased machine is simply garbage-collected.
-func (m *Machine) Release() { m.Memory.Release() }
+// Release returns pooled resources (the main-memory and local-store
+// backing stores) for reuse by a future New. The machine must not be used
+// afterwards. Optional: an unreleased machine is simply garbage-collected.
+func (m *Machine) Release() {
+	m.Memory.Release()
+	for _, s := range m.SPEs {
+		s.Store.Release()
+	}
+}
 
 // SPE returns SPE i.
 func (m *Machine) SPE(i int) *spe.SPE {

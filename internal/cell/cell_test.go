@@ -286,3 +286,14 @@ func TestParallelSPEsOverlap(t *testing.T) {
 		t.Fatalf("parallel SPEs took %v, want about 1s", d)
 	}
 }
+
+// BenchmarkMachineBuild prices building and releasing a default machine:
+// with main memory and every local store recycled through the backing
+// pool, a build re-zeroes only what the previous machine touched.
+func BenchmarkMachineBuild(b *testing.B) {
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(cfg).Release()
+	}
+}

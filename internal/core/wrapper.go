@@ -137,9 +137,14 @@ func PutFloat32s(b []byte, vals []float32) {
 	}
 }
 
-// GetFloat32s decodes len(b)/4 float32 values from b.
-func GetFloat32s(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
+// GetFloat32s decodes len(b)/4 float32 values from b into a new slice.
+func GetFloat32s(b []byte) []float32 { return DecodeFloat32s(make([]float32, len(b)/4), b) }
+
+// DecodeFloat32s decodes len(b)/4 float32 values from b into dst, which
+// must hold them, and returns dst[:len(b)/4]. Kernels decode into scratch
+// they reuse, so a streamed chunk costs no allocation.
+func DecodeFloat32s(dst []float32, b []byte) []float32 {
+	out := dst[:len(b)/4]
 	for i := range out {
 		out[i] = math.Float32frombits(ByteOrder.Uint32(b[i*4:]))
 	}
@@ -153,9 +158,13 @@ func PutUint32s(b []byte, vals []uint32) {
 	}
 }
 
-// GetUint32s decodes len(b)/4 uint32 values from b.
-func GetUint32s(b []byte) []uint32 {
-	out := make([]uint32, len(b)/4)
+// GetUint32s decodes len(b)/4 uint32 values from b into a new slice.
+func GetUint32s(b []byte) []uint32 { return DecodeUint32s(make([]uint32, len(b)/4), b) }
+
+// DecodeUint32s decodes len(b)/4 uint32 values from b into dst, which must
+// hold them, and returns dst[:len(b)/4].
+func DecodeUint32s(dst []uint32, b []byte) []uint32 {
+	out := dst[:len(b)/4]
 	for i := range out {
 		out[i] = ByteOrder.Uint32(b[i*4:])
 	}

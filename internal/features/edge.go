@@ -6,7 +6,6 @@ import "cellport/internal/img"
 // halo row per side.
 const (
 	EdgeRadius  = 1
-	edgeAngles  = 8
 	edgeMags    = 8
 	sobelMaxMag = 2040 // max |gx|+|gy| for 8-bit input
 )
@@ -29,7 +28,9 @@ type EdgeAcc struct {
 // reference-vs-optimized property test).
 func (a *EdgeAcc) AccumulateEdge(band *img.RGB, py0, py1 int) {
 	w, h := band.W, band.H
-	gray := band.Gray()
+	plane := grayPlane(band)
+	defer grayPool.Put(plane)
+	gray := *plane
 	at := func(x, y int) int {
 		if x < 0 {
 			x = 0

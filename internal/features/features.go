@@ -15,7 +15,11 @@
 // invariant and is enforced by property tests.
 package features
 
-import "cellport/internal/img"
+import (
+	"sync"
+
+	"cellport/internal/img"
+)
 
 // Feature vector dimensions.
 const (
@@ -23,6 +27,22 @@ const (
 	EdgeBins = 64           // 8 gradient octants × 8 magnitude levels
 	TexBins  = 10           // 3 Haar levels × {LH,HL,HH} + final LL
 )
+
+// grayPool recycles the luma planes the edge and texture accumulators
+// convert each band into; kernels run concurrently in calibration workers
+// and in the executor.
+var grayPool sync.Pool // holds *[]byte
+
+// grayPlane converts band to luma in a pooled plane. The caller returns
+// the plane to grayPool when done with it.
+func grayPlane(band *img.RGB) *[]byte {
+	p, _ := grayPool.Get().(*[]byte)
+	if p == nil {
+		p = new([]byte)
+	}
+	*p = band.Gray(*p)
+	return p
+}
 
 // normalize converts counts to a unit-sum float32 vector (all-zero counts
 // yield the zero vector).

@@ -26,7 +26,7 @@ func accumulateHistogramReference(a *HistAcc, im *img.RGB, y0, y1 int) {
 // accumulateEdgeReference is the original uniformly clamped Sobel scan.
 func accumulateEdgeReference(a *EdgeAcc, band *img.RGB, py0, py1 int) {
 	w, h := band.W, band.H
-	gray := band.Gray()
+	gray := band.Gray(nil)
 	at := func(x, y int) int {
 		if x < 0 {
 			x = 0
@@ -110,7 +110,7 @@ func haarTileReference(a *TexAcc, t *[TexTile][TexTile]int32) {
 // load + column-major Haar).
 func accumulateTextureReference(a *TexAcc, band *img.RGB, py0, py1 int) {
 	w := band.W
-	gray := band.Gray()
+	gray := band.Gray(nil)
 	var tile [TexTile][TexTile]int32
 	for ty := py0; ty < py1; ty += TexTile {
 		for tx := 0; tx < w; tx += TexTile {

@@ -25,7 +25,9 @@ type TexAcc struct {
 // needed; py0 must be tile-aligned relative to the image unless it is 0).
 func (a *TexAcc) AccumulateTexture(band *img.RGB, py0, py1 int) {
 	w := band.W
-	gray := band.Gray()
+	plane := grayPlane(band)
+	defer grayPool.Put(plane)
+	gray := *plane
 	var tile [TexTile][TexTile]int32
 	for ty := py0; ty < py1; ty += TexTile {
 		for tx := 0; tx < w; tx += TexTile {

@@ -79,21 +79,22 @@ func (im *RGB) Clone() *RGB {
 }
 
 // Gray converts to 8-bit luma with the integer BT.601 weights
-// (77R + 150G + 29B) >> 8, returning one row of w bytes per image row
-// (stride w).
-func (im *RGB) Gray() []byte {
-	out := make([]byte, im.W*im.H)
+// (77R + 150G + 29B) >> 8, one row of W bytes per image row (stride W),
+// into dst and returns it. dst is grown when it holds fewer than W×H
+// bytes, so a caller that keeps its plane converts without allocating.
+func (im *RGB) Gray(dst []byte) []byte {
+	w, n := im.W, im.W*im.H
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	dst = dst[:n]
 	for y := 0; y < im.H; y++ {
-		row := im.Pix[y*im.Stride:]
-		for x := 0; x < im.W; x++ {
-			r, g, b := int(row[3*x]), int(row[3*x+1]), int(row[3*x+2])
-			out[y*im.W+x] = byte((77*r + 150*g + 29*b) >> 8)
+		src := im.Pix[y*im.Stride : y*im.Stride+3*w]
+		out := dst[y*w : y*w+w]
+		for x := range out {
+			p := src[3*x : 3*x+3 : 3*x+3]
+			out[x] = byte((77*int(p[0]) + 150*int(p[1]) + 29*int(p[2])) >> 8)
 		}
 	}
-	return out
-}
-
-// GrayAt computes the luma of a single pixel with the same weights.
-func GrayAt(r, g, b byte) byte {
-	return byte((77*int(r) + 150*int(g) + 29*int(b)) >> 8)
+	return dst
 }

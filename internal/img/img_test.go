@@ -47,16 +47,28 @@ func TestWrapValidation(t *testing.T) {
 	Wrap(make([]byte, 10), 4, 4, StrideFor(4))
 }
 
+// TestGrayMatchesGrayAt checks Gray against the per-pixel BT.601 luma
+// formula, and that a plane large enough is reused.
 func TestGrayMatchesGrayAt(t *testing.T) {
 	im := Synthesize(3, 33, 17)
-	g := im.Gray()
+	// A short, dirty destination must be grown and fully overwritten.
+	g := im.Gray([]byte{0xFF, 0xFF})
+	if len(g) != im.W*im.H {
+		t.Fatalf("gray plane holds %d bytes, want %d", len(g), im.W*im.H)
+	}
 	for y := 0; y < im.H; y++ {
 		for x := 0; x < im.W; x++ {
 			r, gg, b := im.At(x, y)
-			if g[y*im.W+x] != GrayAt(r, gg, b) {
-				t.Fatalf("gray mismatch at %d,%d", x, y)
+			want := byte((77*int(r) + 150*int(gg) + 29*int(b)) >> 8)
+			if g[y*im.W+x] != want {
+				t.Fatalf("gray mismatch at %d,%d: %d, want %d", x, y, g[y*im.W+x], want)
 			}
 		}
+	}
+	// Reusing the plane for a smaller image converts in place.
+	small := Synthesize(4, 8, 8)
+	if g2 := small.Gray(g); &g2[0] != &g[0] || len(g2) != 64 {
+		t.Fatal("a large enough plane was not reused")
 	}
 }
 

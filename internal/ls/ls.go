@@ -7,6 +7,8 @@ package ls
 import (
 	"errors"
 	"fmt"
+
+	"cellport/internal/backing"
 )
 
 // ErrLocalStoreOverflow is the typed sentinel wrapped by every
@@ -26,10 +28,10 @@ type Addr uint32
 // LocalStore is one SPE's local memory with a code region at the bottom, a
 // bump-allocated data region above it, and a stack reservation at the top.
 type LocalStore struct {
-	data  []byte
-	code  uint32 // bytes reserved for the program image, from address 0
-	brk   uint32 // next free data address
-	stack uint32 // bytes reserved at the top
+	store backing.Store // pooled; see Release
+	code  uint32        // bytes reserved for the program image, from address 0
+	brk   uint32        // next free data address
+	stack uint32        // bytes reserved at the top
 	peak  uint32
 	// fault, when set, is consulted before every Alloc; a non-nil return
 	// fails that allocation (deterministic soft-overflow injection).
@@ -39,10 +41,18 @@ type LocalStore struct {
 // SetAllocFault installs (or clears, with nil) the allocation fault hook.
 func (l *LocalStore) SetAllocFault(h func(size, align uint32) error) { l.fault = h }
 
-// New returns an empty local store with the default stack reservation.
+// New returns an empty, all-zero local store with the default stack
+// reservation. Its memory comes from the pool internal/backing shares
+// with main memory: a store released by an earlier machine is re-zeroed
+// only up to the highest byte Bytes ever handed out.
 func New() *LocalStore {
-	return &LocalStore{data: make([]byte, Size), stack: DefaultStackBytes}
+	return &LocalStore{store: backing.New(Size), stack: DefaultStackBytes}
 }
+
+// Release returns the store's memory to the pool for a future New. The
+// store must not be used afterwards: Bytes panics. Calling Release is
+// optional, and a second call is a no-op.
+func (l *LocalStore) Release() { l.store.Release() }
 
 // LoadProgram reserves the bottom of the LS for a program image of the
 // given size, resetting any data allocations. It fails if the image plus
@@ -115,9 +125,5 @@ func (l *LocalStore) Peak() uint32 { return l.peak }
 // Bytes returns a mutable bounds-checked view of n bytes at addr. Access
 // to the stack region is allowed (it is memory like any other).
 func (l *LocalStore) Bytes(addr Addr, n uint32) []byte {
-	end := uint64(addr) + uint64(n)
-	if end > Size {
-		panic(fmt.Sprintf("ls: access [%#x,%#x) beyond %d B local store", uint32(addr), end, Size))
-	}
-	return l.data[addr:end:end]
+	return l.store.View("ls", uint32(addr), n)
 }

@@ -1,6 +1,7 @@
 package ls
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,4 +114,77 @@ func TestPropBumpAllocator(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecycledStoreIsFresh: a store built after a Release must read all
+// zero, even where its pooled predecessor wrote into the code, data and
+// stack regions, and its allocator must start over.
+func TestRecycledStoreIsFresh(t *testing.T) {
+	// sync.Pool may drop a released store (the race detector drops some on
+	// purpose), so repeat until one is observed to come back.
+	for try := 0; try < 100; try++ {
+		l := New()
+		if err := l.LoadProgram(16 * 1024); err != nil {
+			t.Fatal(err)
+		}
+		data := l.MustAlloc(4096, 128)
+		for _, r := range []struct {
+			addr Addr
+			n    uint32
+		}{
+			{0, 64},                        // code
+			{data, 4096},                   // data
+			{Size - DefaultStackBytes, 64}, // bottom of the stack
+			{Size - 16, 16},                // top of the stack
+		} {
+			b := l.Bytes(r.addr, r.n)
+			for i := range b {
+				b[i] = 0xA5
+			}
+		}
+		first := &l.Bytes(0, 1)[0]
+		l.Release()
+
+		f := New()
+		all := f.Bytes(0, Size)
+		for a, v := range all {
+			if v != 0 {
+				t.Fatalf("byte %#x reads %#x, want 0", a, v)
+			}
+		}
+		if f.Used() != 0 || f.Peak() != 0 || f.CodeBytes() != 0 || f.Free() != Size-DefaultStackBytes {
+			t.Fatalf("allocator state not fresh: used %d peak %d code %d free %d",
+				f.Used(), f.Peak(), f.CodeBytes(), f.Free())
+		}
+		recycled := &all[0] == first
+		f.Release()
+		if recycled {
+			return
+		}
+	}
+	t.Fatal("no released store came back from the pool in 100 tries")
+}
+
+// TestBytesAfterReleasePanics: a released store's memory may already
+// belong to another SPE, so any access must fail loudly, and a second
+// Release must not put the memory in the pool twice.
+func TestBytesAfterReleasePanics(t *testing.T) {
+	l := New()
+	l.Release()
+	l.Release()
+	a, b := New(), New()
+	a.Bytes(0, 1)[0] = 1
+	if b.Bytes(0, 1)[0] != 0 {
+		t.Fatal("a double Release let two stores share one memory")
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Bytes after Release did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "ls: use after Release") {
+			t.Fatalf("panic %q does not diagnose the released store", msg)
+		}
+	}()
+	l.Bytes(0, 1)
 }

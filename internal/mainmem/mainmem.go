@@ -12,7 +12,8 @@ package mainmem
 import (
 	"fmt"
 	"sort"
-	"sync"
+
+	"cellport/internal/backing"
 )
 
 // Addr is an effective address in main memory.
@@ -27,14 +28,9 @@ const (
 
 // Memory is a flat main memory with an aligned first-fit allocator.
 type Memory struct {
-	data  []byte
+	store backing.Store   // pooled; see Release
 	free  []span          // sorted by base, coalesced
 	alloc map[Addr]uint32 // base -> size of live allocations
-
-	// touched is the high-water mark of Bytes views handed out; on
-	// Release only [0, touched) needs re-zeroing for the next New to see
-	// an all-zero memory.
-	touched uint32
 
 	// Stats
 	allocated   uint32
@@ -47,18 +43,6 @@ type span struct {
 	size uint32
 }
 
-// Building a Memory is dominated by zeroing the backing store (256 MB
-// for the default machine) — a cost every simulated machine in a
-// multi-point sweep pays. Release recycles the store through this pool;
-// New re-zeroes only the prefix a previous machine actually touched, so
-// a recycled Memory is indistinguishable from a fresh one.
-var bufPool sync.Pool // holds *pooledBuf
-
-type pooledBuf struct {
-	data    []byte
-	touched uint32
-}
-
 // New returns a memory of the given size in bytes. Address 0 is reserved
 // (kept unallocatable) so that 0 can serve as a null address in wrappers.
 func New(size uint32) *Memory {
@@ -66,52 +50,31 @@ func New(size uint32) *Memory {
 		panic("mainmem: memory too small")
 	}
 	return &Memory{
-		data:  newData(size),
+		store: backing.New(size),
 		free:  []span{{base: AlignCacheLine, size: size - AlignCacheLine}},
 		alloc: make(map[Addr]uint32),
 	}
 }
 
-func newData(size uint32) []byte {
-	if v := bufPool.Get(); v != nil {
-		b := v.(*pooledBuf)
-		if uint32(len(b.data)) == size {
-			clear(b.data[:b.touched])
-			return b.data
-		}
-		// Wrong size: drop it and allocate fresh.
-	}
-	return make([]byte, size)
-}
-
-// Release returns the backing store to a process-wide pool for reuse by
-// a future New. The Memory must not be used afterwards (Alloc and Bytes
-// panic). Calling Release is optional — an unreleased store is simply
-// garbage-collected.
-//
-// Release is idempotent: a second Release (e.g. Machine.Release after a
-// caller already released the memory directly) is a no-op. Without the
-// guard the same backing store would enter the pool twice and two
-// subsequent News would alias one array — silent cross-run corruption.
-func (m *Memory) Release() {
-	if m.data == nil {
-		return
-	}
-	bufPool.Put(&pooledBuf{data: m.data, touched: m.touched})
-	m.data = nil
-}
+// Release returns the backing store to the process-wide pool
+// (internal/backing) for reuse by a future New. The Memory must not be
+// used afterwards (Alloc and Bytes panic). Calling Release is optional —
+// an unreleased store is simply garbage-collected. Release is idempotent:
+// a second Release (e.g. Machine.Release after a caller already released
+// the memory directly) is a no-op.
+func (m *Memory) Release() { m.store.Release() }
 
 // checkLive panics with a clear diagnosis when the memory was released;
 // the backing store may already belong to another Memory, so any further
 // use would corrupt an unrelated run.
 func (m *Memory) checkLive() {
-	if m.data == nil {
+	if !m.store.Live() {
 		panic("mainmem: use after Release")
 	}
 }
 
 // Size returns the total memory size.
-func (m *Memory) Size() uint32 { return uint32(len(m.data)) }
+func (m *Memory) Size() uint32 { return m.store.Len() }
 
 // Allocated returns the number of live allocated bytes.
 func (m *Memory) Allocated() uint32 { return m.allocated }
@@ -160,7 +123,7 @@ func (m *Memory) MustAlloc(size, align uint32) Addr {
 	a, err := m.Alloc(size, align)
 	if err != nil {
 		panic(fmt.Sprintf("mainmem: MustAlloc(%d B, align %d) with %d B live of %d B total: %v",
-			size, align, m.allocated, len(m.data), err))
+			size, align, m.allocated, m.Size(), err))
 	}
 	return a
 }
@@ -201,15 +164,7 @@ func (m *Memory) coalesce() {
 // Bytes returns a mutable view of n bytes at addr, bounds-checked against
 // the whole memory (not against allocation boundaries, as on hardware).
 func (m *Memory) Bytes(addr Addr, n uint32) []byte {
-	m.checkLive()
-	end := uint64(addr) + uint64(n)
-	if end > uint64(len(m.data)) {
-		panic(fmt.Sprintf("mainmem: access [%#x,%#x) beyond memory size %#x", uint32(addr), end, len(m.data)))
-	}
-	if uint32(end) > m.touched {
-		m.touched = uint32(end)
-	}
-	return m.data[addr:end:end]
+	return m.store.View("mainmem", uint32(addr), n)
 }
 
 // CheckLeaks returns an error naming live allocations; test helpers use it

@@ -156,9 +156,6 @@ var calibration = [numKernels]kernelCal{
 // (static prediction on data-dependent branches).
 const NaiveMispredict = 0.30
 
-// OptMispredict is the rate after branch removal and hinting (§4.1).
-const OptMispredict = 0.02
-
 // detectNomOps returns nominal operations for evaluating a model with n
 // support vectors of dimension dim (mirrors svm.Model.DetectOps).
 func detectNomOps(n, dim int) float64 { return float64(n) * (3*float64(dim) + 25) }

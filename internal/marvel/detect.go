@@ -2,6 +2,7 @@ package marvel
 
 import (
 	"fmt"
+	"sync"
 
 	"cellport/internal/core"
 	"cellport/internal/cost"
@@ -28,12 +29,10 @@ type PlacedModel struct {
 	refModel *svm.Model
 }
 
-// PlaceModel writes the encoded model into main memory.
-func PlaceModel(mem *mainmem.Memory, m *svm.Model) (*PlacedModel, error) {
-	enc, err := svm.Encode(m)
-	if err != nil {
-		return nil, err
-	}
+// PlaceModel writes the model in ms's score slot into main memory,
+// copying the encoding the ModelSet keeps beside it.
+func PlaceModel(mem *mainmem.Memory, ms *ModelSet, slot int) (*PlacedModel, error) {
+	m, enc := ms.bySlot()[slot], ms.images[slot]
 	n, dim := len(m.SupportVectors), m.Dim()
 	coeffBytes := pad16(uint32(n) * 4)
 	svBytes := uint32(n*dim) * 4
@@ -42,9 +41,9 @@ func PlaceModel(mem *mainmem.Memory, m *svm.Model) (*PlacedModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("marvel: placing model %q: %w", m.Concept, err)
 	}
-	core.PutFloat32s(mem.Bytes(ea, hdrBytes), enc[:4])
-	core.PutFloat32s(mem.Bytes(ea+hdrBytes, uint32(n)*4), enc[4:4+n])
-	core.PutFloat32s(mem.Bytes(ea+hdrBytes+mainmem.Addr(coeffBytes), svBytes), enc[4+n:])
+	copy(mem.Bytes(ea, hdrBytes), enc)
+	copy(mem.Bytes(ea+hdrBytes, uint32(n)*4), enc[hdrBytes:])
+	copy(mem.Bytes(ea+hdrBytes+mainmem.Addr(coeffBytes), svBytes), enc[hdrBytes+4*n:])
 	return &PlacedModel{
 		EA: ea, NumSV: n, Dim: dim,
 		svOff: hdrBytes + coeffBytes, total: total, refModel: m,
@@ -72,6 +71,21 @@ func svChunkRows(dim int) int {
 	return k
 }
 
+// detectScratch recycles the detection kernel's decode scratch across
+// invocations; calibration workers run kernels concurrently.
+var detectScratch sync.Pool // holds *[]float32
+
+// getDetectScratch returns pooled scratch of at least n float32s.
+func getDetectScratch(n int) *[]float32 {
+	p, _ := detectScratch.Get().(*[]float32)
+	if p == nil || cap(*p) < n {
+		b := make([]float32, n)
+		return &b
+	}
+	*p = (*p)[:n]
+	return p
+}
+
 // DetectKernelSpec builds the concept-detection SPE kernel: it DMAs the
 // feature vector, then streams the model's coefficient block and support
 // vectors from main memory (double-buffered in the optimized variant),
@@ -89,7 +103,8 @@ func DetectKernelSpec(v Variant) core.KernelSpec {
 			return resErr
 		}
 		ctx.WaitTag(0)
-		hdr := core.GetUint32s(st.Bytes(hdrLS, hdrBytes))
+		var hdrWords [hdrBytes / 4]uint32
+		hdr := core.DecodeUint32s(hdrWords[:], st.Bytes(hdrLS, hdrBytes))
 		dim, numSV := int(hdr[0]), int(hdr[1])
 		modelEA := mainmem.Addr(hdr[2])
 		if dim <= 0 || numSV <= 0 {
@@ -124,7 +139,8 @@ func DetectKernelSpec(v Variant) core.KernelSpec {
 		}
 		ctx.WaitTag(0)
 
-		mh := core.GetFloat32s(st.Bytes(mHdrLS, hdrBytes))
+		var mhWords [hdrBytes / 4]float32
+		mh := core.DecodeFloat32s(mhWords[:], st.Bytes(mHdrLS, hdrBytes))
 		if int(mh[0]) != numSV || int(mh[1]) != dim {
 			return resErr
 		}
@@ -133,12 +149,15 @@ func DetectKernelSpec(v Variant) core.KernelSpec {
 		if gamma > 0 {
 			kern = svm.RBF{Gamma: gamma}
 		}
-		feature := core.GetFloat32s(st.Bytes(featLS, uint32(dim)*4))
-		coeffs := core.GetFloat32s(st.Bytes(coeffLS, uint32(numSV)*4))
-
-		// Stream support vectors in chunks.
+		// Stream support vectors in chunks. The feature, the coefficients
+		// and each chunk decode into one pooled scratch slice.
 		chunkRows := svChunkRows(dim)
 		rowBytes := dim * 4
+		scratch := getDetectScratch(dim + numSV + chunkRows*dim)
+		defer detectScratch.Put(scratch)
+		feature := core.DecodeFloat32s(*scratch, st.Bytes(featLS, uint32(dim)*4))
+		coeffs := core.DecodeFloat32s((*scratch)[dim:], st.Bytes(coeffLS, uint32(numSV)*4))
+		chunk := (*scratch)[dim+numSV:]
 		chunkBytes := uint32(chunkRows * rowBytes)
 		var bufs [2]ls.Addr
 		for i := 0; i < v.buffers(); i++ {
@@ -163,7 +182,7 @@ func DetectKernelSpec(v Variant) core.KernelSpec {
 		sum := bias
 		process := func(i, tag int) {
 			_, _, rows := chunkOf(i)
-			data := core.GetFloat32s(st.Bytes(bufs[tag], uint32(rows*rowBytes)))
+			data := core.DecodeFloat32s(chunk, st.Bytes(bufs[tag], uint32(rows*rowBytes)))
 			base := i * chunkRows
 			for r := 0; r < rows; r++ {
 				sv := data[r*dim : (r+1)*dim]

@@ -33,6 +33,7 @@ func ExecPlan(id KernelID, v Variant, w, h int) ([]img.Slice, error) {
 		return nil, fmt.Errorf("marvel: ExecPlan: bad geometry %dx%d", w, h)
 	}
 	st := ls.New()
+	defer st.Release()
 	if err := st.LoadProgram(calibration[id].CodeBytes); err != nil {
 		return nil, err
 	}

@@ -101,7 +101,7 @@ func TestDetectKernelRejectsCorruptHeaders(t *testing.T) {
 	}
 	_, err = m.RunMain("detfail", func(ctx *cell.Context) {
 		mem := ctx.Memory()
-		pm, err := PlaceModel(mem, ms.TX)
+		pm, err := PlaceModel(mem, ms, 3)
 		if err != nil {
 			t.Error(err)
 			return

@@ -52,6 +52,7 @@ func PlanFootprint(id KernelID, v Variant, w, h int) (*Footprint, error) {
 		return nil, fmt.Errorf("marvel: %s row stride %d exceeds one DMA command (frame too wide)", id, stride)
 	}
 	store := ls.New()
+	defer store.Release()
 	if err := store.LoadProgram(cal.CodeBytes); err != nil {
 		return nil, fmt.Errorf("marvel: %s image does not fit: %w", id, err)
 	}

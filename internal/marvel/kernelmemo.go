@@ -1,9 +1,8 @@
 package marvel
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"hash"
+	"hash/maphash"
 	"sync"
 
 	"cellport/internal/img"
@@ -21,14 +20,19 @@ import (
 
 // kernelKey identifies one extraction kernel invocation's functional
 // output: the kernel, whether it emits raw accumulator words
-// (OpRunPartial) or the finalized vector (OpRun), and a SHA-256 over every
-// slice's geometry and local-store band bytes. A corrupted DMA payload
-// therefore changes the key.
+// (OpRunPartial) or the finalized vector (OpRun), and two independently
+// seeded 64-bit maphash sums over every slice's geometry and local-store
+// band bytes. A corrupted DMA payload therefore changes the key. The
+// seeds are drawn once per process, and the memo never leaves the
+// process, so nothing depends on the sums' values.
 type kernelKey struct {
 	id      KernelID
 	partial bool
-	sum     [sha256.Size]byte
+	sum     [2]uint64
 }
+
+// keySeeds seed the key's two sums.
+var keySeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
 
 // kernelOut is one kernel invocation's output, shared and read-only: the
 // finalized feature vector (OpRun) or the raw accumulator words
@@ -51,7 +55,7 @@ type kernelRun struct {
 	acc Accumulator // inline path
 
 	memo   *ArtifactCache // memo path
-	h      hash.Hash
+	h      [2]maphash.Hash
 	bands  *[]byte // from bandPool, returned by output
 	slices []img.Slice
 }
@@ -75,7 +79,9 @@ func newKernelRun(memo *ArtifactCache, id KernelID, partial bool, w, stride int,
 		total += s.TransferRows() * stride
 	}
 	r.memo = memo
-	r.h = sha256.New()
+	for i := range r.h {
+		r.h[i].SetSeed(keySeeds[i])
+	}
 	r.bands, _ = bandPool.Get().(*[]byte)
 	if r.bands == nil || cap(*r.bands) < total {
 		b := make([]byte, 0, total)
@@ -96,8 +102,10 @@ func (r *kernelRun) add(band []byte, s img.Slice) {
 	for i, v := range []int{r.w, r.stride, s.TransferRows(), s.HaloTop, s.PayloadRows()} {
 		binary.LittleEndian.PutUint32(g[4*i:], uint32(v))
 	}
-	r.h.Write(g[:])
-	r.h.Write(band)
+	for i := range r.h {
+		r.h[i].Write(g[:])
+		r.h[i].Write(band)
+	}
 	*r.bands = append(*r.bands, band...)
 	r.slices = append(r.slices, s)
 }
@@ -108,8 +116,7 @@ func (r *kernelRun) output() kernelOut {
 	if r.memo == nil {
 		return finishAcc(r.acc, r.partial)
 	}
-	key := kernelKey{id: r.id, partial: r.partial}
-	r.h.Sum(key.sum[:0])
+	key := kernelKey{id: r.id, partial: r.partial, sum: [2]uint64{r.h[0].Sum64(), r.h[1].Sum64()}}
 	// The computation never fails, and a panic in it propagates (see
 	// workcache.Cache.Do), so the error is always nil.
 	out, _ := r.memo.kernels.Do(key, func() (kernelOut, error) {

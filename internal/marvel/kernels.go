@@ -285,7 +285,8 @@ func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelS
 			return resErr
 		}
 		ctx.WaitTag(0)
-		hdr := core.GetUint32s(st.Bytes(hdrLS, exHdrBytes))
+		var hdrWords [exHdrBytes / 4]uint32
+		hdr := core.DecodeUint32s(hdrWords[:], st.Bytes(hdrLS, exHdrBytes))
 		w, h, stride, pixEA := int(hdr[0]), int(hdr[1]), int(hdr[2]), mainmem.Addr(hdr[3])
 		y0, y1 := int(hdr[4]), int(hdr[5])
 		if w <= 0 || h <= 0 || stride < 3*w || y0 < 0 || y1 > h || y0 >= y1 {

@@ -73,9 +73,8 @@ func detectFields(dim int) []core.WrapperField {
 }
 
 // Kernel-side detection offsets.
-func detectFeatureOff() uint32         { return hdrBytes }
-func detectScoreOff(dim int) uint32    { return hdrBytes + pad16(uint32(dim)*4) }
-func detectWrapperBytes(dim int) int64 { return int64(detectScoreOff(dim)) + scoreBytes }
+func detectFeatureOff() uint32      { return hdrBytes }
+func detectScoreOff(dim int) uint32 { return hdrBytes + pad16(uint32(dim)*4) }
 
 // fillExtractHeader writes the extraction header fields for a payload row
 // range [y0, y1).

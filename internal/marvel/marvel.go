@@ -19,6 +19,7 @@ package marvel
 import (
 	"fmt"
 
+	"cellport/internal/core"
 	"cellport/internal/img"
 	"cellport/internal/svm"
 )
@@ -100,35 +101,39 @@ const (
 )
 
 // ModelSet holds the four precomputed concept models, decoded back from
-// their flat float32 encoding: PlaceModel re-encodes them into simulated
-// main memory for the SPE kernel, and reference detection sees exactly
-// the rounded data that kernel streams.
+// their flat float32 encoding, so reference detection sees exactly the
+// rounded data the SPE kernel streams. Beside each model it keeps that
+// encoding as the big-endian bytes PlaceModel copies into simulated main
+// memory, so placing a model never re-encodes it.
 type ModelSet struct {
 	CH, CC, EH, TX *svm.Model
+	images         [4][]byte // by score slot
 }
 
 // NewModelSet builds the deterministic synthetic model library with the
 // paper's support-vector counts.
 func NewModelSet(seed uint64) (*ModelSet, error) {
-	build := func(name string, s uint64, n, dim int, gamma float64) (*svm.Model, error) {
-		enc, err := svm.Encode(svm.Synthetic(name, s, n, dim, gamma))
+	ms := &ModelSet{}
+	build := func(slot int, name string, n, dim int) (*svm.Model, error) {
+		enc, err := svm.Encode(svm.Synthetic(name, seed+uint64(slot)+1, n, dim, 4.0))
 		if err != nil {
 			return nil, err
 		}
+		ms.images[slot] = make([]byte, 4*len(enc))
+		core.PutFloat32s(ms.images[slot], enc)
 		return svm.Decode(name, enc)
 	}
-	ms := &ModelSet{}
 	var err error
-	if ms.CH, err = build("concept-ch", seed+1, NumSVCH, DimCH, 4.0); err != nil {
+	if ms.CH, err = build(0, "concept-ch", NumSVCH, DimCH); err != nil {
 		return nil, err
 	}
-	if ms.CC, err = build("concept-cc", seed+2, NumSVCC, DimCC, 4.0); err != nil {
+	if ms.CC, err = build(1, "concept-cc", NumSVCC, DimCC); err != nil {
 		return nil, err
 	}
-	if ms.EH, err = build("concept-eh", seed+3, NumSVEH, DimEH, 4.0); err != nil {
+	if ms.EH, err = build(2, "concept-eh", NumSVEH, DimEH); err != nil {
 		return nil, err
 	}
-	if ms.TX, err = build("concept-tx", seed+4, NumSVTX, DimTX, 4.0); err != nil {
+	if ms.TX, err = build(3, "concept-tx", NumSVTX, DimTX); err != nil {
 		return nil, err
 	}
 	return ms, nil

@@ -288,8 +288,8 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 	ctx.DiskRead(ModelFileBytes, "load-models")
 	ctx.ComputeScalar(ModelParseOps, "parse-models")
 	var models [4]*PlacedModel // by score slot, placed in that order
-	for slot, m := range ms.bySlot() {
-		pm, err := PlaceModel(mem, m)
+	for slot := range models {
+		pm, err := PlaceModel(mem, ms, slot)
 		if err != nil {
 			return err
 		}
