@@ -2,6 +2,7 @@ package cell
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -284,6 +285,53 @@ func TestParallelSPEsOverlap(t *testing.T) {
 	}
 	if d.Seconds() > 1.01 {
 		t.Fatalf("parallel SPEs took %v, want about 1s", d)
+	}
+}
+
+// TestRunMainPanicError: a panic in an SPE program's Main fails the run
+// instead of the host program. RunMain returns an error naming the
+// process, the panic value and the stack where it was raised; the PPE
+// driver still blocked on the SPE is unwound; and no host goroutine is
+// left behind.
+func TestRunMainPanicError(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	cfg := DefaultConfig()
+	cfg.MemorySize = 16 << 20
+	m := New(cfg)
+	defer m.Release()
+	boom := spe.Program{
+		Name:      "boom",
+		CodeBytes: 2048,
+		Main: func(ctx *spe.Context) {
+			ctx.ComputeScalar(1000, "before")
+			panic("spu exploded")
+		},
+	}
+	driverUnwound := false
+	_, err := m.RunMain("driver", func(ctx *Context) {
+		defer func() { driverUnwound = true }()
+		if err := ctx.LoadSPE(0, boom); err != nil {
+			t.Error(err)
+			return
+		}
+		ctx.WaitSPE(0)
+		t.Error("driver returned from WaitSPE on a panicked SPE")
+	})
+	if err == nil {
+		t.Fatal("RunMain returned nil for a panicking SPE program")
+	}
+	for _, want := range []string{"SPE0:boom", "spu exploded", "TestRunMainPanicError"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not name %q:\n%v", want, err)
+		}
+	}
+	if !driverUnwound {
+		t.Error("the blocked PPE driver was not unwound")
+	}
+	// A goroutine from the previous test may still be exiting, so the
+	// count may drop below the baseline; it must not rise above it.
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("goroutines after the failed run = %d, want at most the baseline %d", n, baseline)
 	}
 }
 

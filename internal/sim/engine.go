@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -25,33 +24,67 @@ const (
 	idxDead    = -3 // cancelled while in the now lane; skipped on drain
 )
 
+// eventHeap is a binary min-heap of events by (at, seq); each event's idx
+// tracks its slot so cancel can remove it.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].idx = i
 	h[j].idx = j
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
+
+func (h eventHeap) up(j int) {
+	for i := (j - 1) / 2; j > 0 && h.less(j, i); i = (j - 1) / 2 {
+		h.swap(i, j)
+		j = i
+	}
 }
-func (h *eventHeap) Pop() any {
+
+// down sifts slot i0 toward the leaves of h[:n] and reports whether it moved.
+func (h eventHeap) down(i0, n int) bool {
+	i := i0
+	for j := 2*i + 1; j < n; j = 2*i + 1 {
+		if j+1 < n && h.less(j+1, j) {
+			j++
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *eventHeap) push(ev *event) {
+	ev.idx = len(*h)
+	*h = append(*h, ev)
+	h.up(ev.idx)
+}
+
+// remove takes the event at slot i out of the heap.
+func (h *eventHeap) remove(i int) *event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = idxPopped
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	if n != i {
+		old.swap(i, n)
+		if !old.down(i, n) {
+			old.up(i)
+		}
+	}
+	ev := old[n]
+	old[n] = nil
+	ev.idx = idxPopped
+	*h = old[:n]
+	return ev
 }
 
 // Engine is a deterministic discrete-event simulator.
@@ -63,7 +96,7 @@ type Engine struct {
 	queue eventHeap
 	// nowq is the same-timestamp fast lane: events scheduled at exactly
 	// the current time bypass the heap and run in FIFO (= seq) order.
-	// Wake-at-now (WakeOne, Yield, Spawn) is the dominant scheduling
+	// Wake-at-now (WakeOne, Sleep(0), Spawn) is the dominant scheduling
 	// pattern, so this skips the O(log n) sift for most events. Dispatch
 	// merges the lane head with the heap top by (at, seq), preserving the
 	// exact total order a pure heap would produce.
@@ -71,18 +104,13 @@ type Engine struct {
 	nowHead int
 	free    []*event // recycled event structs
 	procs   []*Proc  // all live (not yet terminated) processes
-	ready   chan signal
 
 	// EventCount is the total number of events dispatched so far.
 	EventCount uint64
 }
 
-type signal struct{}
-
 // NewEngine returns an empty engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{ready: make(chan signal)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -130,13 +158,13 @@ func (e *Engine) push(ev *event) {
 		e.nowq = append(e.nowq, ev)
 		return
 	}
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 func (e *Engine) cancel(ev *event) {
 	switch {
 	case ev.idx >= 0:
-		heap.Remove(&e.queue, ev.idx)
+		e.queue.remove(ev.idx)
 		e.recycle(ev)
 	case ev.idx == idxNowLane:
 		// Still referenced by the lane slice: tombstone it; the dispatch
@@ -149,7 +177,9 @@ func (e *Engine) cancel(ev *event) {
 
 // Run dispatches events until the queue is empty. It returns an error if
 // live processes remain blocked with no pending events (a simulated
-// deadlock), listing the stuck processes.
+// deadlock), listing the stuck processes, or if a process body panics,
+// naming the process, the panic value and its stack. Either way every
+// live process is unwound before Run returns.
 func (e *Engine) Run() error {
 	for {
 		// Skip tombstoned lane entries.
@@ -176,9 +206,11 @@ func (e *Engine) Run() error {
 		}
 		if ev == nil {
 			if len(e.queue) == 0 {
-				return e.checkQuiescent()
+				err := e.checkQuiescent()
+				e.stopAll()
+				return err
 			}
-			ev = heap.Pop(&e.queue).(*event)
+			ev = e.queue.remove(0)
 		}
 		if ev.at > e.now {
 			e.now = ev.at
@@ -188,7 +220,11 @@ func (e *Engine) Run() error {
 		case ev.fn != nil:
 			ev.fn()
 		case ev.proc != nil:
-			e.resume(ev.proc)
+			if err := e.resume(ev.proc); err != nil {
+				e.recycle(ev)
+				e.stopAll()
+				return err
+			}
 		}
 		e.recycle(ev)
 	}
@@ -236,14 +272,17 @@ func (e *DeadlockError) Error() string {
 		e.At, len(e.Blocked), strings.Join(parts, "; "))
 }
 
-// Blocked returns a snapshot of the currently blocked processes, sorted by
-// name then queue for deterministic reporting.
-func (e *Engine) Blocked() []BlockedProc {
+// checkQuiescent reports a DeadlockError when blocked processes can never
+// resume, listing them sorted by name then queue.
+func (e *Engine) checkQuiescent() error {
 	var stuck []BlockedProc
 	for _, p := range e.procs {
 		if p.state == procBlocked {
-			stuck = append(stuck, BlockedProc{Name: p.name, Queue: p.blockedOn, Since: p.blockedSince})
+			stuck = append(stuck, BlockedProc{Name: p.name, Queue: p.waitingIn.name, Since: p.blockedSince})
 		}
+	}
+	if len(stuck) == 0 {
+		return nil
 	}
 	sort.Slice(stuck, func(i, j int) bool {
 		if stuck[i].Name != stuck[j].Name {
@@ -251,25 +290,31 @@ func (e *Engine) Blocked() []BlockedProc {
 		}
 		return stuck[i].Queue < stuck[j].Queue
 	})
-	return stuck
-}
-
-// checkQuiescent reports a DeadlockError when blocked processes can never
-// resume.
-func (e *Engine) checkQuiescent() error {
-	stuck := e.Blocked()
-	if len(stuck) == 0 {
-		return nil
-	}
 	return &DeadlockError{At: e.now, Blocked: stuck}
 }
 
-// resume hands control to p until it yields back.
-func (e *Engine) resume(p *Proc) {
+// resume runs p until it yields back or ends, and returns the error of a
+// panic in its body.
+func (e *Engine) resume(p *Proc) error {
 	if p.state == procDone {
-		return
+		return nil
 	}
 	p.state = procRunning
-	p.resume <- signal{}
-	<-e.ready
+	p.next()
+	return p.err
+}
+
+// stopAll unwinds every live process. A suspended one unwinds from its
+// yield point, running its deferred functions, and leaves e.procs as it
+// ends; stopping one that never started runs nothing, so it is dropped
+// here.
+func (e *Engine) stopAll() {
+	for len(e.procs) > 0 {
+		p := e.procs[len(e.procs)-1]
+		p.stop()
+		if p.state != procDone {
+			p.state = procDone
+			e.removeProc(p)
+		}
+	}
 }

@@ -102,18 +102,6 @@ func TestProcSleepAdvancesTime(t *testing.T) {
 	}
 }
 
-func TestSpawnAt(t *testing.T) {
-	e := NewEngine()
-	var started Time
-	e.SpawnAt(Time(42), "late", func(p *Proc) { started = p.Now() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if started != Time(42) {
-		t.Fatalf("started at %v, want 42", started)
-	}
-}
-
 func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 	run := func() []string {
 		e := NewEngine()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -30,11 +31,11 @@ func TestKillBlockedProc(t *testing.T) {
 	if !unwound {
 		t.Error("killed process did not run its deferred functions")
 	}
-	if q.Len() != 0 {
-		t.Errorf("queue still holds %d waiter(s)", q.Len())
+	if len(q.waiters) != 0 {
+		t.Errorf("queue still holds %d waiter(s)", len(q.waiters))
 	}
-	if !victim.Killed() {
-		t.Error("Killed() = false after Kill")
+	if !victim.killed {
+		t.Error("killed = false after Kill")
 	}
 }
 
@@ -96,7 +97,7 @@ func TestKillSleepingProc(t *testing.T) {
 func TestKillUnstartedProc(t *testing.T) {
 	e := NewEngine()
 	var ran bool
-	victim := e.SpawnAt(Time(Millisecond), "late", func(p *Proc) { ran = true })
+	victim := e.Spawn("late", func(p *Proc) { ran = true })
 	victim.Kill()
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -137,20 +138,37 @@ func TestKillIdempotent(t *testing.T) {
 
 // TestDeadlockErrorTyped: an event-queue-empty-with-blocked-processes run
 // surfaces a *DeadlockError carrying every stuck process, its wait queue
-// (the wait cause), and when it blocked.
+// (the wait cause), and when it blocked. Before Run returns, every stuck
+// process is unwound: its deferred functions run and nothing of it is
+// left running on the host.
 func TestDeadlockErrorTyped(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	e := NewEngine()
 	qa := NewQueue("orphan-a")
 	qb := NewQueue("orphan-b")
+	unwound := map[string]bool{}
 	e.Spawn("stuck-2", func(p *Proc) {
+		defer func() { unwound["stuck-2"] = true }()
 		p.Sleep(2 * Microsecond)
 		p.Wait(qb)
 	})
 	e.Spawn("stuck-1", func(p *Proc) {
+		defer func() { unwound["stuck-1"] = true }()
 		p.Sleep(Microsecond)
 		p.Wait(qa)
 	})
 	err := e.Run()
+	if !unwound["stuck-1"] || !unwound["stuck-2"] {
+		t.Errorf("deferred functions run after the deadlock: %v, want both stuck processes", unwound)
+	}
+	// A goroutine from the previous test may still be exiting, so the
+	// count may drop below the baseline; it must not rise above it.
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("goroutines after the deadlock = %d, want at most the baseline %d", n, baseline)
+	}
+	if len(qa.waiters)+len(qb.waiters) != 0 {
+		t.Errorf("unwound processes still wait on their queues: %d, %d", len(qa.waiters), len(qb.waiters))
+	}
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("Run error %T (%v), want *DeadlockError", err, err)

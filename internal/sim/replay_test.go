@@ -101,7 +101,7 @@ func replayTrace(t *testing.T, seed int64) ([]string, uint64) {
 				case 0:
 					p.Sleep(delay)
 				case 1:
-					p.Yield() // fast lane
+					p.Sleep(0) // fast lane
 				case 2:
 					q.WakeOne(e)
 				case 3:
@@ -112,7 +112,7 @@ func replayTrace(t *testing.T, seed int64) ([]string, uint64) {
 						tm.Cancel()
 					}
 				case 4:
-					p.WaitForTimeout(q, 5*Nanosecond, func() bool { return q.Len() > 2 })
+					p.WaitForTimeout(q, 5*Nanosecond, func() bool { return len(q.waiters) > 2 })
 				case 5:
 					e.After(0, func() { q.WakeAll(e) }) // lane callback
 				}
@@ -306,8 +306,8 @@ func TestQueueReuseAfterTimedOutWaiter(t *testing.T) {
 	}
 	e.Spawn("waker", func(p *Proc) {
 		p.Sleep(20 * Nanosecond)
-		if q.Len() != 2 {
-			t.Errorf("queue len = %d after timeout removal, want 2", q.Len())
+		if len(q.waiters) != 2 {
+			t.Errorf("queue len = %d after timeout removal, want 2", len(q.waiters))
 		}
 		q.WakeOne(e)
 		q.WakeOne(e)

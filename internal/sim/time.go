@@ -12,7 +12,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is an absolute virtual timestamp in femtoseconds.
@@ -42,12 +41,6 @@ const Never Time = math.MaxInt64
 
 // Seconds reports the timestamp as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Std converts a virtual duration to a time.Duration (nanosecond
-// granularity, rounding half away from zero).
-func (d Duration) Std() time.Duration {
-	return time.Duration((int64(d) + int64(Nanosecond)/2) / int64(Nanosecond))
-}
 
 // Seconds reports the duration as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
