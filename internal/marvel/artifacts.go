@@ -2,6 +2,7 @@ package marvel
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"cellport/internal/cost"
 	"cellport/internal/img"
@@ -16,10 +17,10 @@ import (
 // the workcache singleflight.
 //
 // A frame entry holds the synthesized pixels and, from the first Reference
-// that needs them, the frame's host reference features, so a ported run
-// without Validate never pays for host extraction. Frames are keyed per
-// frame, not per workload: batches 1..k together synthesize and extract k
-// frames, not k(k+1)/2. References are not cached; each Reference folds
+// or validated ported run that needs them, the frame's host reference
+// features, so a ported run without Validate never pays for host
+// extraction. Frames are keyed per frame, not per workload: batches 1..k
+// together synthesize and extract k frames, not k(k+1)/2. References are not cached; each Reference folds
 // its virtual-time charges and concept detection over the cached frames.
 //
 // All returned values are shared across callers and goroutines and MUST
@@ -36,6 +37,11 @@ type ArtifactCache struct {
 	models  workcache.Cache[uint64, *ModelSet]
 	kernels workcache.Cache[kernelKey, kernelOut]
 
+	// prefetched is the kernel memo's skip index: the frames whose
+	// whole-frame kernel outputs a run already prefetched (kernelmemo.go).
+	prefetchMu sync.Mutex
+	prefetched map[prefetchKey]struct{}
+
 	// cold disables the kernel memo (NewColdArtifactCache).
 	cold bool
 }
@@ -48,17 +54,43 @@ type frameKey struct {
 	Seed uint64
 }
 
-// frame is one corpus frame's entry: its pixels, and its host reference
-// features, extracted by the first features call.
-type frame struct {
-	im   *img.RGB
-	once sync.Once
-	host ImageResult
+// frameKeyOf returns the key of frame i of workload w.
+func frameKeyOf(w Workload, i int) frameKey {
+	return frameKey{W: w.W, H: w.H, Seed: img.CorpusSeed(w.Seed, i)}
 }
 
+// frame is one corpus frame's entry: its pixels, and its host reference
+// feature vectors by KernelID, each extracted once, by the first caller
+// that needs it.
+type frame struct {
+	im   *img.RGB
+	host [len(extractKernels)]hostFeature
+}
+
+// hostFeature is one kernel's host reference vector of a frame.
+type hostFeature struct {
+	once  sync.Once
+	vec   []float32
+	ready atomic.Bool // vec is set
+}
+
+// feature returns kernel id's host reference vector of the frame.
+func (f *frame) feature(id KernelID) []float32 {
+	h := &f.host[id]
+	h.once.Do(func() {
+		h.vec = kernelOf(id).reference(f.im)
+		h.ready.Store(true)
+	})
+	return h.vec
+}
+
+// features returns the frame's four host reference vectors.
 func (f *frame) features() ImageResult {
-	f.once.Do(func() { f.host = hostFeatures(f.im) })
-	return f.host
+	var r ImageResult
+	for _, id := range ExtractKernels {
+		*kernelOf(id).feature(&r) = f.feature(id)
+	}
+	return r
 }
 
 // sharedArtifacts is the process-wide cache used when a config neither
@@ -93,11 +125,34 @@ func NewColdArtifactCache() *ArtifactCache { return &ArtifactCache{cold: true} }
 
 // frame returns corpus frame i of workload w, synthesizing it on first use.
 func (c *ArtifactCache) frame(w Workload, i int) *frame {
-	seed := img.CorpusSeed(w.Seed, i)
-	f, _ := c.frames.Do(frameKey{W: w.W, H: w.H, Seed: seed}, func() (*frame, error) {
-		return &frame{im: img.Synthesize(seed, w.W, w.H)}, nil
+	k := frameKeyOf(w, i)
+	f, _ := c.frames.Do(k, func() (*frame, error) {
+		return &frame{im: img.Synthesize(k.Seed, w.W, w.H)}, nil
 	})
 	return f
+}
+
+// framesOf returns the workload's frame entries: the cached ones, or,
+// for a nil cache, private ones (newFrames).
+func (c *ArtifactCache) framesOf(w Workload) []*frame {
+	if c == nil {
+		return newFrames(w)
+	}
+	frames := make([]*frame, w.Images)
+	for i := range frames {
+		frames[i] = c.frame(w, i)
+	}
+	return frames
+}
+
+// newFrames returns private frame entries over freshly generated images.
+func newFrames(w Workload) []*frame {
+	images := w.Generate()
+	frames := make([]*frame, len(images))
+	for i, im := range images {
+		frames[i] = &frame{im: im}
+	}
+	return frames
 }
 
 // Images returns the workload's frames, shared and read-only.
@@ -157,8 +212,8 @@ func (c *ArtifactCache) KernelStats() (hits, misses uint64) {
 	return c.kernels.Stats()
 }
 
-// Flush drops all cached artifacts and memoized kernel outputs
-// (cold-path calibration, tests).
+// Flush drops all cached artifacts, memoized kernel outputs and the
+// prefetch skip index (cold-path calibration, tests).
 func (c *ArtifactCache) Flush() {
 	if c == nil {
 		return
@@ -166,4 +221,7 @@ func (c *ArtifactCache) Flush() {
 	c.frames.Flush()
 	c.models.Flush()
 	c.kernels.Flush()
+	c.prefetchMu.Lock()
+	c.prefetched = nil
+	c.prefetchMu.Unlock()
 }

@@ -71,7 +71,7 @@ func TestArtifactCacheImagesComputeNoFeatures(t *testing.T) {
 	w := testWorkload(2)
 	extracted := func() (n int) {
 		for i := 0; i < w.Images; i++ {
-			if c.frame(w, i).host.CH != nil {
+			if c.frame(w, i).host[KCH].ready.Load() {
 				n++
 			}
 		}

@@ -110,16 +110,21 @@ func (r *kernelRun) add(band []byte, s img.Slice) {
 	r.slices = append(r.slices, s)
 }
 
+// key is the memo key of the bands added so far.
+func (r *kernelRun) key() kernelKey {
+	return kernelKey{id: r.id, partial: r.partial, sum: [2]uint64{r.h[0].Sum64(), r.h[1].Sum64()}}
+}
+
 // output returns the invocation's result: computed inline, found in the
-// memo, or computed once over the copied bands and stored.
-func (r *kernelRun) output() kernelOut {
+// memo, or computed once over the copied bands and stored. The
+// computation itself never fails, but one that panicked in another
+// goroutine (a prefetch helper) hands its waiters an error and no
+// output, which the caller must not use.
+func (r *kernelRun) output() (kernelOut, error) {
 	if r.memo == nil {
-		return finishAcc(r.acc, r.partial)
+		return finishAcc(r.acc, r.partial), nil
 	}
-	key := kernelKey{id: r.id, partial: r.partial, sum: [2]uint64{r.h[0].Sum64(), r.h[1].Sum64()}}
-	// The computation never fails, and a panic in it propagates (see
-	// workcache.Cache.Do), so the error is always nil.
-	out, _ := r.memo.kernels.Do(key, func() (kernelOut, error) {
+	out, err := r.memo.kernels.Do(r.key(), func() (kernelOut, error) {
 		acc := kernelOf(r.id).newAcc()
 		bands, off := *r.bands, 0
 		for _, s := range r.slices {
@@ -131,7 +136,7 @@ func (r *kernelRun) output() kernelOut {
 	})
 	bandPool.Put(r.bands)
 	r.bands = nil
-	return out
+	return out, err
 }
 
 // foldBand folds slice s's payload rows of band into acc.
@@ -145,4 +150,83 @@ func finishAcc(acc Accumulator, partial bool) kernelOut {
 		return kernelOut{raw: encodeRaw(acc)}
 	}
 	return kernelOut{vec: acc.Finalize()}
+}
+
+// Memo prefetch. A whole-frame OpRun's bands are rows of the frame
+// exactly as the PPE decoded them into the pixel block (stride
+// img.StrideFor, zero padding), sliced by the plan ExecPlan reproduces,
+// so its memo entry can be computed from the cached frame before the
+// simulation reaches it. RunPorted hands these computations to helper
+// goroutines; the event loop's lookup of the same key then hits, or
+// joins the in-flight computation. The key is the content either way,
+// so who computes an entry changes nothing but the wall time.
+
+// prefetchKey names one frame's whole-frame OpRun of one kernel variant
+// in the skip index.
+type prefetchKey struct {
+	id    KernelID
+	v     Variant
+	frame frameKey
+}
+
+// claimPrefetch records k in the skip index and reports whether it was
+// new. The index is a hint, never a memo key: a claimed frame whose
+// entry is missing (a failed helper, a differing plan) only makes the
+// event loop compute it inline.
+func (c *ArtifactCache) claimPrefetch(k prefetchKey) bool {
+	c.prefetchMu.Lock()
+	defer c.prefetchMu.Unlock()
+	if _, ok := c.prefetched[k]; ok {
+		return false
+	}
+	if c.prefetched == nil {
+		c.prefetched = make(map[prefetchKey]struct{})
+	}
+	c.prefetched[k] = struct{}{}
+	return true
+}
+
+// prefetchJobs lists the memo computations of the whole-frame OpRun
+// invocations sched makes over workload w's frames, in the order the
+// event loop reaches them (by image, then by sched.Launch), skipping
+// every frame the skip index already holds. A nil or cold cache has no
+// memo to fill.
+func (c *ArtifactCache) prefetchJobs(w Workload, sched Schedule, v Variant, frames []*frame) []func() error {
+	if c == nil || c.cold {
+		return nil
+	}
+	var jobs []func() error
+	var plans [len(extractKernels)][]img.Slice
+	for n, f := range frames {
+		for _, id := range sched.Launch {
+			if !c.claimPrefetch(prefetchKey{id: id, v: v, frame: frameKeyOf(w, n)}) {
+				continue
+			}
+			if plans[id] == nil {
+				s, err := ExecPlan(id, v, w.W, w.H)
+				if err != nil {
+					continue // the kernel fails the same plan in the run
+				}
+				plans[id] = s
+			}
+			im, slices := f.im, plans[id]
+			jobs = append(jobs, func() error {
+				_, err := frameRun(c, id, im, slices).output()
+				return err
+			})
+		}
+	}
+	return jobs
+}
+
+// frameRun gathers kernel id's whole-frame OpRun over im by the given
+// slice plan: each band is the slice's transferred rows of im.Pix, the
+// bytes the DMA delivers to the local store.
+func frameRun(c *ArtifactCache, id KernelID, im *img.RGB, slices []img.Slice) *kernelRun {
+	r := newKernelRun(c, id, false, im.W, im.Stride, slices)
+	for _, s := range slices {
+		y0 := s.TransferY0()
+		r.add(im.Pix[y0*im.Stride:(y0+s.TransferRows())*im.Stride], s)
+	}
+	return r
 }

@@ -359,7 +359,10 @@ func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelS
 			}
 		}
 
-		out := run.output()
+		out, err := run.output()
+		if err != nil {
+			return resErr
+		}
 		if partial {
 			ctx.ComputeScalar(float64(len(out.raw))*3, id.String()+"-emit-raw")
 			core.PutUint32s(st.Bytes(outLS, uint32(len(out.raw)*4)), out.raw)

@@ -10,6 +10,7 @@ import (
 	"cellport/internal/img"
 	"cellport/internal/mainmem"
 	"cellport/internal/metrics"
+	"cellport/internal/parallel"
 	"cellport/internal/sim"
 	"cellport/internal/trace"
 )
@@ -177,6 +178,8 @@ type PortedResult struct {
 }
 
 // RunPorted executes the ported MARVEL application on a simulated Cell.
+// The run's pure host arithmetic (hostJobs) runs on helper goroutines
+// beside the event loop, joined before the simulated result is final.
 // With an execution backend configured, the same point then runs for
 // real and the measured run rides along on the result.
 func RunPorted(cfg PortedConfig) (*PortedResult, error) {
@@ -192,21 +195,16 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	if cfg.MachineConfig != nil {
 		mcfg = *cfg.MachineConfig
 	}
-	machine := cell.New(mcfg)
-	defer machine.Release()
 	arts := cfg.artifacts()
-	images := arts.Images(w)
+	frames := arts.framesOf(w)
 	ms, err := arts.ModelSet(w.Seed)
 	if err != nil {
 		return nil, err
 	}
-	var ref *ReferenceResult
-	if cfg.Validate {
-		ref, err = arts.Reference(mcfg.PPEModel, w)
-		if err != nil {
-			return nil, err
-		}
-	}
+	helpers := startHelpers(cfg.hostJobs(arts, sched, frames))
+	defer helpers.wait()
+	machine := cell.New(mcfg)
+	defer machine.Release()
 
 	res := &PortedResult{
 		Scenario:   cfg.Scenario,
@@ -221,17 +219,27 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	var runErr error
 	var ppeBusy sim.Duration
 	elapsed, err := machine.RunMain("marvel", func(ctx *cell.Context) {
-		runErr = portedMain(ctx, cfg, sched, inj, images, ms, ref, res)
+		runErr = portedMain(ctx, cfg, sched, inj, frames, ms, res)
 		ppeBusy = ctx.BusyTime()
 	})
+	// A failed helper is the root cause of any kernel that joined it.
+	if herr := helpers.wait(); herr != nil {
+		return nil, fmt.Errorf("marvel: host helper: %w", herr)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("marvel: simulation: %w", err)
 	}
 	if runErr != nil {
 		return nil, runErr
 	}
+	if cfg.Validate {
+		ref := runReference(mcfg.PPEModel, w, ms, func(i int) ImageResult { return frames[i].features() })
+		for n := range res.Images {
+			res.ValidationErrors += compareImage(&ref.Images[n], &res.Images[n])
+		}
+	}
 	res.Total = elapsed
-	if n := len(images); n > 0 {
+	if n := len(frames); n > 0 {
 		res.PerImage = (res.Total - res.OneTime) / sim.Duration(n)
 		for id := range res.KernelTime {
 			res.KernelTime[id] /= sim.Duration(n)
@@ -275,9 +283,65 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	return res, nil
 }
 
+// hostJobs lists the run's pure host arithmetic for the helpers to do
+// while the event loop runs: the kernel memo entries the kernels will
+// look up, then the validation oracle's features. An armed fault plan
+// can stop a kernel before its lookup, so it runs without the prefetch,
+// keeping memo misses equal to the distinct inputs the kernels saw. A
+// warm cache lists nothing.
+func (cfg *PortedConfig) hostJobs(arts *ArtifactCache, sched Schedule, frames []*frame) []func() error {
+	var jobs []func() error
+	if cfg.Faults.Empty() {
+		jobs = arts.prefetchJobs(cfg.Workload, sched, cfg.Variant, frames)
+	}
+	if cfg.Validate {
+		for _, f := range frames {
+			for _, id := range ExtractKernels {
+				if !f.host[id].ready.Load() {
+					jobs = append(jobs, func() error { f.feature(id); return nil })
+				}
+			}
+		}
+	}
+	return jobs
+}
+
+// helpers is a ported run's helper pool: one parallel.RunIndexed over its
+// host jobs, GOMAXPROCS wide, running beside the event loop.
+type helpers struct {
+	done chan struct{}
+	err  error
+}
+
+// startHelpers starts the pool, or nothing for no jobs (a warm cache).
+func startHelpers(jobs []func() error) *helpers {
+	if len(jobs) == 0 {
+		return nil
+	}
+	h := &helpers{done: make(chan struct{})}
+	go func() {
+		defer close(h.done)
+		_, h.err = parallel.RunIndexed(0, len(jobs), func(i int) (struct{}, error) {
+			return struct{}{}, jobs[i]()
+		})
+	}()
+	return h
+}
+
+// wait joins the pool and returns its lowest-index job error, a panic
+// included. Every exit path of RunPorted waits, so no helper outlives the
+// run or shares the CPU with a real-execution backend.
+func (h *helpers) wait() error {
+	if h == nil {
+		return nil
+	}
+	<-h.done
+	return h.err
+}
+
 // portedMain is the PPE main application after porting (Listing 4 shape):
 // one-time setup, then one loop over the images that runs sched.
-func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.Injector, images []*img.RGB, ms *ModelSet, ref *ReferenceResult, res *PortedResult) error {
+func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.Injector, frames []*frame, ms *ModelSet, res *PortedResult) error {
 	mem := ctx.Memory()
 	w := cfg.Workload
 	pixels := float64(w.W * w.H)
@@ -430,7 +494,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 		// original code also wrote its framebuffer during decode).
 		dst := mem.Bytes(pixEAs[n%sched.Buffers], pixBytes)
 		for y := 0; y < w.H; y++ {
-			copy(dst[y*stride:], images[n].Row(y))
+			copy(dst[y*stride:], frames[n].im.Row(y))
 		}
 	}
 	// feed FILLs a lane's detection wrapper from its extraction output in
@@ -456,7 +520,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 	if sched.Buffers > 1 {
 		preprocess(0)
 	}
-	for n := range images {
+	for n := range frames {
 		b := n % sched.Buffers
 		if sched.Buffers == 1 {
 			preprocess(n)
@@ -473,7 +537,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 				return err
 			}
 		}
-		if sched.Buffers > 1 && n+1 < len(images) {
+		if sched.Buffers > 1 && n+1 < len(frames) {
 			preprocess(n + 1)
 		}
 		for _, id := range sched.Launch {
@@ -512,9 +576,6 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 			r.Put(id, l.ex[b].Float32s("out", kernelOf(id).dim), float64(l.dt.Float32s("score", 1)[0]))
 		}
 		res.Images = append(res.Images, r)
-		if ref != nil {
-			res.ValidationErrors += compareImage(&ref.Images[n], &r)
-		}
 	}
 
 	// Tear down: close interfaces (sends OpExit), free wrappers.

@@ -2,7 +2,6 @@ package marvel
 
 import (
 	"cellport/internal/cost"
-	"cellport/internal/img"
 	"cellport/internal/profile"
 	"cellport/internal/sim"
 )
@@ -41,19 +40,8 @@ func (c *hostClock) charge(d sim.Duration) { c.now = c.now.Add(d) }
 // cost model. It computes every frame inline and is the oracle for the
 // ArtifactCache's per-frame layer.
 func RunReference(host *cost.Model, w Workload, ms *ModelSet) *ReferenceResult {
-	images := w.Generate()
-	return runReference(host, w, ms, func(i int) ImageResult { return hostFeatures(images[i]) })
-}
-
-// hostFeatures computes one frame's four reference feature vectors; the
-// detection scores are left for runReference, which owns the model set.
-func hostFeatures(im *img.RGB) ImageResult {
-	var r ImageResult
-	for _, id := range ExtractKernels {
-		k := kernelOf(id)
-		*k.feature(&r) = k.reference(im)
-	}
-	return r
+	frames := newFrames(w)
+	return runReference(host, w, ms, func(i int) ImageResult { return frames[i].features() })
 }
 
 // refKernels are the reference pipeline's kernels in charge order, with
@@ -70,8 +58,8 @@ var refKernels = [...]struct {
 }
 
 // runReference folds the reference run's virtual-time charges and concept
-// detection over frame(i), frame i's host features (hostFeatures of
-// w.Generate()[i]), so an ArtifactCache can feed features shared across
+// detection over frame(i), frame i's host features (the reference vectors
+// of w.Generate()[i]), so an ArtifactCache can feed features shared across
 // workloads instead of recomputing them. Host arithmetic is virtual-time
 // free, so where it happens does not move any charge.
 func runReference(host *cost.Model, w Workload, ms *ModelSet, frame func(i int) ImageResult) *ReferenceResult {

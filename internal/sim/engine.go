@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 )
@@ -177,10 +178,19 @@ func (e *Engine) cancel(ev *event) {
 
 // Run dispatches events until the queue is empty. It returns an error if
 // live processes remain blocked with no pending events (a simulated
-// deadlock), listing the stuck processes, or if a process body panics,
-// naming the process, the panic value and its stack. Either way every
-// live process is unwound before Run returns.
-func (e *Engine) Run() error {
+// deadlock), listing the stuck processes, or if a process body or an
+// event callback panics, naming the process or the instant, the panic
+// value and its stack. Either way every live process is unwound before
+// Run returns.
+func (e *Engine) Run() (err error) {
+	// A callback panics on the engine's own stack, so one recover covers
+	// every event of the run; the stack is captured before it unwinds.
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sim: event callback at %s panicked: %v\n%s", e.now, r, debug.Stack())
+			e.stopAll()
+		}
+	}()
 	for {
 		// Skip tombstoned lane entries.
 		for e.nowHead < len(e.nowq) && e.nowq[e.nowHead].idx == idxDead {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -186,5 +187,34 @@ func TestDeadlockErrorTyped(t *testing.T) {
 	}
 	if dl.At != Time(2*Microsecond) {
 		t.Errorf("At = %s", dl.At)
+	}
+}
+
+// TestRunCallbackPanicError: a panic in an engine callback (an At/After
+// completion, not a process body) comes back from Run as an error naming
+// the panic value, with every live process unwound and no coroutine
+// left parked on the host.
+func TestRunCallbackPanicError(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := NewEngine()
+	q := NewQueue("never-signaled")
+	var unwound bool
+	e.Spawn("waiter", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Wait(q)
+	})
+	e.After(Microsecond, func() { panic("completion boom") })
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), "completion boom") || !strings.Contains(err.Error(), "goroutine") {
+		t.Fatalf("Run error = %v, want the callback's panic value and stack", err)
+	}
+	if !unwound {
+		t.Error("the blocked process was not unwound")
+	}
+	if len(e.procs) != 0 {
+		t.Errorf("%d processes still live after the panic", len(e.procs))
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("goroutines after the panic = %d, want at most the baseline %d", n, baseline)
 	}
 }
