@@ -43,6 +43,9 @@ func main() {
 	}
 
 	w := marvel.Workload{Images: *images, W: *width, H: *height, Seed: *seed}
+	if err := w.Check(); err != nil {
+		log.Fatal(err)
+	}
 	ms, err := marvel.NewModelSet(w.Seed)
 	if err != nil {
 		log.Fatal(err)

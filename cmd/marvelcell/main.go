@@ -56,6 +56,9 @@ func main() {
 	}
 
 	w := marvel.Workload{Images: *images, W: *width, H: *height, Seed: *seed}
+	if err := w.Check(); err != nil {
+		log.Fatal(err)
+	}
 	if *footprint {
 		if err := marvel.RenderFootprints(os.Stdout, vr, w.W, w.H); err != nil {
 			log.Fatal(err)

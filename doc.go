@@ -27,18 +27,11 @@
 //
 // This package is the façade over the building blocks in internal/; the
 // bundled case study and experiment harness live in internal/marvel and
-// internal/experiments and are exercised by the cmd/ tools and examples/.
+// internal/experiments and are exercised by the cmd/ tools.
 //
-// Quick start — port a kernel to a simulated SPE:
-//
-//	m := cellport.NewMachine(cellport.DefaultConfig())
-//	m.RunMain("app", func(ctx *cellport.PPEContext) {
-//	    iface, _ := cellport.Open(ctx, 0, cellport.KernelSpec{ ... })
-//	    defer iface.Close()
-//	    w, _ := cellport.NewWrapper(ctx.Memory(),
-//	        cellport.WrapperField{Name: "in", Size: 1024},
-//	        cellport.WrapperField{Name: "out", Size: 1024})
-//	    defer w.Free()
-//	    iface.SendAndWait(1, w.Addr())
-//	})
+// The package's Example functions are the runnable, output-checked
+// documentation: Example_portKernel is the porting recipe in its shortest
+// form, Example_quickstart ports a dot product step by step,
+// Example_imageFilter is §3.4's sliced filter with halo rows, and
+// ExampleEstimateSpeedUp1 is §4.2's worth-it check.
 package cellport

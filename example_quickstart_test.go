@@ -1,14 +1,4 @@
-// Quickstart: port one compute kernel to a simulated SPE with the
-// cellport framework, following the paper's recipe (§3.3–§3.5):
-//
-//  1. wrap the data the kernel needs into an aligned main-memory block,
-//  2. build the kernel from the dispatcher template (Listing 1),
-//  3. open an SPEInterface stub and keep the SPE idling between calls,
-//  4. invoke it with SendAndWait — command word, wrapper address, result.
-//
-// The kernel here computes a dot product over two float32 vectors it DMAs
-// from the wrapper.
-package main
+package cellport_test
 
 import (
 	"fmt"
@@ -18,7 +8,8 @@ import (
 	"cellport/internal/core"
 )
 
-const n = 1024 // floats per vector
+// dotLen is the number of floats per vector.
+const dotLen = 1024
 
 func dotKernel() cellport.KernelSpec {
 	return cellport.KernelSpec{
@@ -27,7 +18,7 @@ func dotKernel() cellport.KernelSpec {
 		Functions: map[cellport.Opcode]cellport.KernelFunc{
 			1: func(ctx *cellport.SPEContext, wrapper cellport.Addr) uint32 {
 				st := ctx.Store()
-				bytes := uint32(n * 4)
+				bytes := uint32(dotLen * 4)
 				a := st.MustAlloc(bytes, 16)
 				b := st.MustAlloc(bytes, 16)
 				out := st.MustAlloc(16, 16)
@@ -44,7 +35,7 @@ func dotKernel() cellport.KernelSpec {
 					sum += float64(va[i]) * float64(vb[i])
 				}
 				// Charge the virtual time: 2 fp32 ops per element, 4-wide SIMD.
-				ctx.ComputeSIMD(2*n, 32, 0.8, "dot")
+				ctx.ComputeSIMD(2*dotLen, 32, 0.8, "dot")
 				core.PutFloat32s(st.Bytes(out, 4), []float32{float32(sum)})
 				if ctx.Put(out, wrapper+cellport.Addr(2*bytes), 16, 1) != nil {
 					return 1
@@ -56,7 +47,17 @@ func dotKernel() cellport.KernelSpec {
 	}
 }
 
-func main() {
+// Example_quickstart ports one compute kernel to a simulated SPE with the
+// cellport framework, following the paper's recipe (§3.3–§3.5):
+//
+//  1. wrap the data the kernel needs into an aligned main-memory block,
+//  2. build the kernel from the dispatcher template (Listing 1),
+//  3. open an SPEInterface stub and keep the SPE idling between calls,
+//  4. invoke it with SendAndWait — command word, wrapper address, result.
+//
+// The kernel here computes a dot product over two float32 vectors it DMAs
+// from the wrapper.
+func Example_quickstart() {
 	cfg := cellport.DefaultConfig()
 	cfg.MemorySize = 16 << 20
 	m := cellport.NewMachine(cfg)
@@ -65,8 +66,8 @@ func main() {
 		// Step 1: the data wrapper — fields padded to quadwords so every
 		// field is independently DMA-able.
 		w, err := cellport.NewWrapper(ctx.Memory(),
-			cellport.WrapperField{Name: "a", Size: n * 4},
-			cellport.WrapperField{Name: "b", Size: n * 4},
+			cellport.WrapperField{Name: "a", Size: dotLen * 4},
+			cellport.WrapperField{Name: "b", Size: dotLen * 4},
 			cellport.WrapperField{Name: "dot", Size: 16},
 		)
 		if err != nil {
@@ -77,10 +78,10 @@ func main() {
 				log.Fatal(err)
 			}
 		}()
-		va, vb := make([]float32, n), make([]float32, n)
+		va, vb := make([]float32, dotLen), make([]float32, dotLen)
 		for i := range va {
-			va[i] = float32(i) / n
-			vb[i] = float32(n-i) / n
+			va[i] = float32(i) / dotLen
+			vb[i] = float32(dotLen-i) / dotLen
 		}
 		w.SetFloat32s("a", va)
 		w.SetFloat32s("b", vb)
@@ -117,4 +118,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("total virtual time: %v\n", elapsed)
+	// Output:
+	// call 0: dot = 170.666504   round trip 950ns
+	// call 1: dot = 170.666504   round trip 950ns
+	// call 2: dot = 170.666504   round trip 950ns
+	// host reference: 170.666504
+	// total virtual time: 2.9us
 }

@@ -124,40 +124,3 @@ func UpperBound(kernels []Kernel) float64 {
 	}
 	return 1 / (1 - covered)
 }
-
-// WorthIt compares the application-level gain of improving one kernel's
-// speed-up from 'from' to 'to' while the other kernels stay fixed (the
-// §4.2 effort question). It returns the two application speed-ups and
-// their ratio.
-func WorthIt(kernels []Kernel, name string, from, to float64) (before, after, gain float64, err error) {
-	mk := func(s float64) ([]Kernel, error) {
-		out := make([]Kernel, len(kernels))
-		found := false
-		for i, k := range kernels {
-			if k.Name == name {
-				k.SpeedUp = s
-				found = true
-			}
-			out[i] = k
-		}
-		if !found {
-			return nil, fmt.Errorf("amdahl: no kernel named %q", name)
-		}
-		return out, nil
-	}
-	ks, err := mk(from)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if before, err = SpeedUpSequential(ks); err != nil {
-		return 0, 0, 0, err
-	}
-	ks, err = mk(to)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if after, err = SpeedUpSequential(ks); err != nil {
-		return 0, 0, 0, err
-	}
-	return before, after, after / before, nil
-}

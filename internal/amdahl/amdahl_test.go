@@ -122,23 +122,6 @@ func TestUpperBound(t *testing.T) {
 	}
 }
 
-func TestWorthIt(t *testing.T) {
-	ks := []Kernel{{Name: "k", Fraction: 0.10, SpeedUp: 10}}
-	before, after, gain, err := WorthIt(ks, "k", 10, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(before, 1.0989, 0.0001) || !almost(after, 1.1098, 0.0001) {
-		t.Fatalf("WorthIt = %.4f -> %.4f", before, after)
-	}
-	if gain > 1.02 {
-		t.Fatalf("gain %.4f should be marginal — the paper's point", gain)
-	}
-	if _, _, _, err := WorthIt(ks, "missing", 1, 2); err == nil {
-		t.Fatal("unknown kernel name should fail")
-	}
-}
-
 // Property: Eq. 2 results are bounded by 1 <= S <= UpperBound when every
 // kernel speed-up is >= 1.
 func TestPropEq2Bounds(t *testing.T) {

@@ -3,9 +3,9 @@
 // every SPE local store (256 KB each). Building a memory is dominated by
 // zeroing its array, a cost every simulated machine in a multi-point sweep
 // would otherwise pay again. A Store records the high-water mark of the
-// views it hands out; Release returns the array to a pool keyed by size,
-// and the next New of that size re-zeroes only the marked prefix, so a
-// recycled Store is indistinguishable from a fresh one.
+// views it hands out; Release returns the array to a free list keyed by
+// size, and the next New of that size re-zeroes only the marked prefix,
+// so a recycled Store is indistinguishable from a fresh one.
 package backing
 
 import (
@@ -19,17 +19,15 @@ type buf struct {
 	touched uint32
 }
 
-// pools maps an array size to the *sync.Pool of released bufs of that
-// size, so main memories and local stores never evict each other.
-var pools sync.Map
-
-func poolFor(size uint32) *sync.Pool {
-	if p, ok := pools.Load(size); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := pools.LoadOrStore(size, new(sync.Pool))
-	return p.(*sync.Pool)
-}
+// free holds the released bufs of each size, so main memories and local
+// stores never evict each other. Unlike a sync.Pool, a garbage collection
+// does not empty it, so a sweep does not re-allocate and re-zero a main
+// memory after every few collections. It never holds more arrays of a
+// size than were live at once, so it needs no bound.
+var (
+	freeMu sync.Mutex
+	free   = map[uint32][]*buf{}
+)
 
 // Store is a zero-initialised byte array that tracks how far it has been
 // written. The zero Store is released.
@@ -40,12 +38,18 @@ type Store struct {
 // New returns an all-zero store of size bytes, recycled from the pool
 // when a released one of that size is available.
 func New(size uint32) Store {
-	if v := poolFor(size).Get(); v != nil {
-		b := v.(*buf)
+	freeMu.Lock()
+	list := free[size]
+	if n := len(list); n > 0 {
+		b := list[n-1]
+		list[n-1] = nil
+		free[size] = list[:n-1]
+		freeMu.Unlock()
 		clear(b.data[:b.touched])
 		b.touched = 0
 		return Store{b: b}
 	}
+	freeMu.Unlock()
 	return Store{b: &buf{data: make([]byte, size)}}
 }
 
@@ -57,7 +61,10 @@ func (s *Store) Release() {
 	if s.b == nil {
 		return
 	}
-	poolFor(uint32(len(s.b.data))).Put(s.b)
+	size := uint32(len(s.b.data))
+	freeMu.Lock()
+	free[size] = append(free[size], s.b)
+	freeMu.Unlock()
 	s.b = nil
 }
 

@@ -1,6 +1,7 @@
 package backing
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -20,6 +21,27 @@ func TestSizesDoNotMix(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("byte %d reads %#x, want 0", i, v)
 		}
+	}
+}
+
+// TestReleasedArraySurvivesGC: a released array stays on the free list
+// through garbage collections, so the next New of its size reuses it
+// instead of allocating and zeroing a fresh one.
+func TestReleasedArraySurvivesGC(t *testing.T) {
+	const size = 3 << 10 // no other test uses this size
+	s := New(size)
+	s.View("t", 0, size)[size-1] = 7
+	want := &s.View("t", 0, 1)[0]
+	s.Release()
+	runtime.GC()
+	runtime.GC()
+	again := New(size)
+	defer again.Release()
+	if got := &again.View("t", 0, 1)[0]; got != want {
+		t.Fatal("New after two GCs allocated a fresh array instead of reusing the released one")
+	}
+	if v := again.View("t", size-1, 1)[0]; v != 0 {
+		t.Fatalf("recycled array reads %#x at its last byte, want 0", v)
 	}
 }
 

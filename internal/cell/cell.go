@@ -285,11 +285,6 @@ func (c *Context) ComputeBranches(n, rate float64, label string) {
 	c.charge(c.machine.cfg.PPEModel.Branches(n, rate), trace.KindCompute, label)
 }
 
-// ComputeCycles charges raw PPE cycles.
-func (c *Context) ComputeCycles(cycles float64, label string) {
-	c.charge(c.machine.cfg.PPEModel.CyclesToDuration(cycles), trace.KindCompute, label)
-}
-
 // DiskRead charges a file read of n bytes (image/model loading).
 func (c *Context) DiskRead(bytes float64, label string) {
 	c.charge(c.machine.cfg.PPEModel.DiskRead(bytes), trace.KindIO, label)

@@ -144,8 +144,6 @@ type Interface struct {
 	spec     KernelSpec
 	open     bool
 	inFlight bool
-
-	invocations uint64
 }
 
 // Open loads the kernel on the given SPE and returns the stub
@@ -177,9 +175,6 @@ func (i *Interface) Abandon() {
 
 // SPE returns the SPE index the kernel is scheduled on.
 func (i *Interface) SPE() int { return i.speID }
-
-// Invocations reports how many kernel calls completed.
-func (i *Interface) Invocations() uint64 { return i.invocations }
 
 // Send issues a kernel invocation without waiting: it writes the opcode
 // and the wrapper address to the SPE's inbound mailbox. Exactly one
@@ -213,7 +208,6 @@ func (i *Interface) Wait() (uint32, error) {
 		result = i.ctx.PollOutMbox(i.speID)
 	}
 	i.inFlight = false
-	i.invocations++
 	if result == ResultUnknownOpcode {
 		return result, fmt.Errorf("core: %s: kernel reported unknown opcode", i.spec.Name)
 	}
@@ -228,9 +222,6 @@ func (i *Interface) SendAndWait(op Opcode, wrapper mainmem.Addr) (uint32, error)
 	}
 	return i.Wait()
 }
-
-// InFlight reports whether an invocation is outstanding.
-func (i *Interface) InFlight() bool { return i.inFlight }
 
 // Close sends OpExit and waits for the SPE program to return
 // (thread_close). The SPE becomes free for another kernel.
@@ -266,7 +257,6 @@ func (i *Interface) WaitTimeout(d sim.Duration) (result uint32, ok bool, err err
 		return 0, false, nil
 	}
 	i.inFlight = false
-	i.invocations++
 	if result == ResultUnknownOpcode {
 		return result, true, fmt.Errorf("core: %s: kernel reported unknown opcode", i.spec.Name)
 	}

@@ -72,7 +72,7 @@ func TestSendAndWaitBothModes(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				w.SetUint32("in", 21)
+				ByteOrder.PutUint32(w.Bytes("in"), 21)
 				if _, err := iface.SendAndWait(opDouble, w.Addr()); err != nil {
 					t.Error(err)
 					return
@@ -80,16 +80,13 @@ func TestSendAndWaitBothModes(t *testing.T) {
 				if got := w.Uint32("out"); got != 42 {
 					t.Errorf("double(21) = %d, want 42", got)
 				}
-				w.SetUint32("in", 9)
+				ByteOrder.PutUint32(w.Bytes("in"), 9)
 				if _, err := iface.SendAndWait(opSquare, w.Addr()); err != nil {
 					t.Error(err)
 					return
 				}
 				if got := w.Uint32("out"); got != 81 {
 					t.Errorf("square(9) = %d, want 81", got)
-				}
-				if iface.Invocations() != 2 {
-					t.Errorf("invocations = %d, want 2", iface.Invocations())
 				}
 				if err := w.Free(); err != nil {
 					t.Error(err)
@@ -136,7 +133,7 @@ func TestSendWaitSplitEnablesParallelism(t *testing.T) {
 		if err := b.Send(1, 0); err != nil {
 			t.Error(err)
 		}
-		if !a.InFlight() {
+		if !a.inFlight {
 			t.Error("a should be in flight")
 		}
 		if _, err := a.Wait(); err != nil {
@@ -217,7 +214,7 @@ func TestCloseDrainsInFlight(t *testing.T) {
 			return
 		}
 		w, _ := NewWrapper(ctx.Memory(), WrapperField{"in", 4}, WrapperField{"out", 4})
-		w.SetUint32("in", 5)
+		ByteOrder.PutUint32(w.Bytes("in"), 5)
 		if err := iface.Send(opDouble, w.Addr()); err != nil {
 			t.Error(err)
 		}
@@ -430,7 +427,7 @@ func TestWaitTimeout(t *testing.T) {
 				if _, ok, err := iface.WaitTimeout(sim.Microsecond); ok || err != nil {
 					t.Errorf("1us wait: ok=%v err=%v, want timeout", ok, err)
 				}
-				if !iface.InFlight() {
+				if !iface.inFlight {
 					t.Error("invocation should remain in flight after timeout")
 				}
 				res, ok, err := iface.WaitTimeout(100 * sim.Microsecond)

@@ -94,9 +94,6 @@ func (w *Wrapper) Bytes(name string) []byte {
 	return w.mem.Bytes(w.FieldAddr(name), w.FieldSize(name))
 }
 
-// SetUint32 stores v into a (>=4-byte) field.
-func (w *Wrapper) SetUint32(name string, v uint32) { ByteOrder.PutUint32(w.Bytes(name), v) }
-
 // Uint32 loads the first word of a field.
 func (w *Wrapper) Uint32(name string) uint32 { return ByteOrder.Uint32(w.Bytes(name)) }
 

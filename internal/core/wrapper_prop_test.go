@@ -48,7 +48,7 @@ func TestPropWrapperLayout(t *testing.T) {
 		if err := w.Free(); err != nil {
 			return false
 		}
-		return mem.Allocated() == 0
+		return mem.CheckLeaks() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -122,8 +122,3 @@ func (m *Model) MemStream(bytes float64) sim.Duration {
 	}
 	return sim.Duration(math.Round(bytes / m.MemBandwidth * float64(sim.Second)))
 }
-
-// ScalarThroughput reports sustained scalar ops/second — the quantity the
-// paper's §5.2 host ratios (PPE 2.5× slower than Laptop, 3.2× slower than
-// Desktop) are expressed against.
-func (m *Model) ScalarThroughput() float64 { return m.ClockHz * m.ScalarIPC }

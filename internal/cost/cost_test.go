@@ -8,12 +8,15 @@ import (
 	"cellport/internal/sim"
 )
 
+// TestScalarThroughputRatios pins sustained scalar ops/second (clock times
+// scalar IPC) against the paper's §5.2 host ratios.
 func TestScalarThroughputRatios(t *testing.T) {
 	ppe, desk, lap := NewPPE(), NewDesktop(), NewLaptop()
-	if r := desk.ScalarThroughput() / ppe.ScalarThroughput(); math.Abs(r-3.2) > 0.01 {
+	ops := func(m *Model) float64 { return m.ClockHz * m.ScalarIPC }
+	if r := ops(desk) / ops(ppe); math.Abs(r-3.2) > 0.01 {
 		t.Errorf("Desktop/PPE = %.3f, want 3.2 (paper §5.2)", r)
 	}
-	if r := lap.ScalarThroughput() / ppe.ScalarThroughput(); math.Abs(r-2.5) > 0.01 {
+	if r := ops(lap) / ops(ppe); math.Abs(r-2.5) > 0.01 {
 		t.Errorf("Laptop/PPE = %.3f, want 2.5 (paper §5.2)", r)
 	}
 }

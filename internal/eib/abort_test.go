@@ -35,8 +35,8 @@ func TestAbortReleasesWaiterSkipsOnDone(t *testing.T) {
 	if delivered {
 		t.Error("onDone ran for an aborted transfer")
 	}
-	if b.ActiveTransfers() != 0 {
-		t.Errorf("%d transfers still active after abort", b.ActiveTransfers())
+	if len(b.active) != 0 {
+		t.Errorf("%d transfers still active after abort", len(b.active))
 	}
 }
 
@@ -47,7 +47,7 @@ func TestAbortReleasesWaiterSkipsOnDone(t *testing.T) {
 func TestAbortFreesBandwidthForSurvivors(t *testing.T) {
 	e := sim.NewEngine()
 	b := New(e, DefaultConfig())
-	bw := b.Config().PortBandwidth
+	bw := b.cfg.PortBandwidth
 	size := int64(bw) // 1 s alone at port bw
 	var victim *flow
 	var survivorDone sim.Time
@@ -93,9 +93,9 @@ func TestAbortIdempotentAndAfterDone(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("onDone ran %d times, want 1", delivered)
 	}
-	if b.ActiveTransfers() != 0 || b.BytesMoved() != 1024 {
+	if len(b.active) != 0 || b.BytesMoved() != 1024 {
 		t.Fatalf("after aborting a finished transfer: %d active, %v bytes moved, want 0 and 1024",
-			b.ActiveTransfers(), b.BytesMoved())
+			len(b.active), b.BytesMoved())
 	}
 }
 

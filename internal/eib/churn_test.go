@@ -152,8 +152,8 @@ func runChurn(t *testing.T, seed uint64, forceFull bool) churnOutcome {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if b.ActiveTransfers() != 0 {
-		t.Fatalf("%d transfers still active after quiescence", b.ActiveTransfers())
+	if len(b.active) != 0 {
+		t.Fatalf("%d transfers still active after quiescence", len(b.active))
 	}
 	out.bytesMoved = b.BytesMoved()
 	out.events = e.EventCount
@@ -181,7 +181,7 @@ func TestChurnIncrementalMatchesFullSolver(t *testing.T) {
 	}
 }
 
-// TestActiveTransfersBookkeeping pins the ActiveTransfers counter through
+// TestActiveTransfersBookkeeping pins the active-transfer count through
 // a start/finish interleaving: it must rise with each start, fall with
 // each completion, and the per-port load counts must drain to empty.
 func TestActiveTransfersBookkeeping(t *testing.T) {
@@ -189,7 +189,7 @@ func TestActiveTransfersBookkeeping(t *testing.T) {
 	b := New(e, DefaultConfig())
 
 	var observed []int
-	snap := func() { observed = append(observed, b.ActiveTransfers()) }
+	snap := func() { observed = append(observed, len(b.active)) }
 
 	e.Spawn("driver", func(p *sim.Proc) {
 		snap() // 0
@@ -218,7 +218,7 @@ func TestActiveTransfersBookkeeping(t *testing.T) {
 	}
 	for i := range want {
 		if observed[i] != want[i] {
-			t.Fatalf("ActiveTransfers sequence %v, want %v", observed, want)
+			t.Fatalf("active-transfer sequence %v, want %v", observed, want)
 		}
 	}
 	if len(b.portLoad) != 0 {

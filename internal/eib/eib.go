@@ -397,9 +397,6 @@ func (t *Transfer) onTimer() {
 	b.reallocate()
 }
 
-// ActiveTransfers reports the number of in-flight transfers.
-func (b *Bus) ActiveTransfers() int { return len(b.active) }
-
 // BytesMoved reports total bytes delivered so far.
 func (b *Bus) BytesMoved() float64 { return b.bytesMoved }
 
@@ -429,6 +426,3 @@ func (b *Bus) PortFlows() map[Port]uint64 {
 func (b *Bus) Reallocs() (total, fast, full uint64) {
 	return b.reallocs, b.reallocFast, b.reallocFull
 }
-
-// Config returns the bus configuration.
-func (b *Bus) Config() Config { return b.cfg }

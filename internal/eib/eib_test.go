@@ -167,8 +167,8 @@ func TestStatsAccumulate(t *testing.T) {
 	if math.Abs(b.BytesMoved()-3_000_000) > 1 {
 		t.Fatalf("BytesMoved = %v, want 3e6", b.BytesMoved())
 	}
-	if b.ActiveTransfers() != 0 {
-		t.Fatalf("ActiveTransfers = %d, want 0", b.ActiveTransfers())
+	if len(b.active) != 0 {
+		t.Fatalf("active transfers = %d, want 0", len(b.active))
 	}
 }
 
@@ -187,7 +187,7 @@ func TestPropConservationAndBounds(t *testing.T) {
 			size := int64(s%(1<<24)) + 1
 			total += float64(size)
 			i := i
-			lower := float64(size) / b.Config().PortBandwidth
+			lower := float64(size) / b.cfg.PortBandwidth
 			e.Spawn(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
 				t0 := p.Now()
 				start(b, PortMemory, SPEPort(i), size, nil).Wait(p)

@@ -145,8 +145,8 @@ func (b *Backend) takeTrace() *trace.Recorder {
 // outputs of the final rep.
 func (b *Backend) Execute(p marvel.ExecPoint) (*marvel.ExecRun, error) {
 	w := p.Workload
-	if w.Images <= 0 || w.W <= 0 || w.H <= 0 {
-		return nil, fmt.Errorf("exec: bad workload %+v", w)
+	if err := w.Check(); err != nil {
+		return nil, err
 	}
 	sched, err := p.Scenario.Schedule()
 	if err != nil {

@@ -134,8 +134,13 @@ func TestBackendInstrumentation(t *testing.T) {
 			if run.Trace == nil || run.Metrics == nil {
 				t.Fatal("instrumented run returned no trace or metrics")
 			}
-			if got := run.Metrics.Components(); len(got) != 1 || got[0] != "exec" {
-				t.Fatalf("exec metrics components = %v, want [exec] only (clock domains must not mix)", got)
+			if len(run.Metrics.Samples) == 0 {
+				t.Fatal("instrumented run recorded no metrics")
+			}
+			for _, sm := range run.Metrics.Samples {
+				if sm.Component != "exec" {
+					t.Fatalf("exec metric %s/%s outside the exec component (clock domains must not mix)", sm.Component, sm.Name)
+				}
 			}
 			if len(run.Trace.Spans()) == 0 {
 				t.Fatal("instrumented run recorded no spans")

@@ -61,9 +61,10 @@ func TestFutureChain(t *testing.T) {
 func TestThenOnCompletedFuture(t *testing.T) {
 	e := New(1)
 	defer e.Close()
-	f := Done(10)
+	f := Go(e, func() int { return 10 })
+	f.Wait()
 	if got := Then(e, f, func(v int) int { return v + 1 }).Wait(); got != 11 {
-		t.Fatalf("Then on Done future = %d, want 11", got)
+		t.Fatalf("Then on completed future = %d, want 11", got)
 	}
 }
 
@@ -102,7 +103,8 @@ func TestWhenAllEmpty(t *testing.T) {
 func TestDoubleCompletePanics(t *testing.T) {
 	e := New(1)
 	defer e.Close()
-	f := Done(1)
+	f := Go(e, func() int { return 1 })
+	f.Wait()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("completing a future twice did not panic")

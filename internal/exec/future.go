@@ -26,15 +26,6 @@ func newFuture[T any]() *Future[T] {
 	return &Future[T]{ch: make(chan struct{})}
 }
 
-// Done returns an already-completed future holding v.
-func Done[T any](v T) *Future[T] {
-	f := newFuture[T]()
-	f.val = v
-	f.done = true
-	close(f.ch)
-	return f
-}
-
 // Go submits fn to the pool and returns the future of its result.
 func Go[T any](e *Executor, fn func() T) *Future[T] {
 	f := newFuture[T]()

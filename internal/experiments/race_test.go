@@ -139,9 +139,10 @@ func TestRaceDeterministicHalf(t *testing.T) {
 		case strings.HasPrefix(r.Label, trace.DomainSim):
 			sims++
 			if r.Metrics != nil {
-				for _, comp := range r.Metrics.Components() {
-					if comp == "exec" {
+				for _, sm := range r.Metrics.Samples {
+					if sm.Component == "exec" {
 						t.Errorf("sim run %q carries exec-domain metrics", r.Label)
+						break
 					}
 				}
 			}
@@ -151,8 +152,14 @@ func TestRaceDeterministicHalf(t *testing.T) {
 				t.Errorf("exec run %q carries no metrics", r.Label)
 				continue
 			}
-			if got := r.Metrics.Components(); len(got) != 1 || got[0] != "exec" {
-				t.Errorf("exec run %q metrics components = %v, want [exec] only", r.Label, got)
+			if len(r.Metrics.Samples) == 0 {
+				t.Errorf("exec run %q carries no metrics", r.Label)
+			}
+			for _, sm := range r.Metrics.Samples {
+				if sm.Component != "exec" {
+					t.Errorf("exec run %q carries %s/%s, want the exec component only", r.Label, sm.Component, sm.Name)
+					break
+				}
 			}
 		default:
 			t.Errorf("artifact label %q carries no clock-domain prefix", r.Label)

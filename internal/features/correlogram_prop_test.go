@@ -49,6 +49,11 @@ func accumulateCorrelogramReference(a *CorrAcc, band *img.RGB, py0, py1 int) {
 	}
 }
 
+// rows returns a zero-copy view of rows [y0, y1) of im.
+func rows(im *img.RGB, y0, y1 int) *img.RGB {
+	return img.Wrap(im.Pix[y0*im.Stride:y1*im.Stride], im.W, y1-y0, im.Stride)
+}
+
 // haloBands splits image rows [0, h) at the given interior cut points
 // and returns each payload as a band carrying up to CorrRadius halo rows
 // per side (clamped at the image bounds), with its payload range inside
@@ -58,7 +63,7 @@ func haloBands(im *img.RGB, cuts []int) (bands []*img.RGB, payloads [][2]int) {
 	for i := 0; i+1 < len(edges); i++ {
 		y0, y1 := edges[i], edges[i+1]
 		top, bot := max(y0-CorrRadius, 0), min(y1+CorrRadius, im.H)
-		bands = append(bands, im.Rows(top, bot))
+		bands = append(bands, rows(im, top, bot))
 		payloads = append(payloads, [2]int{y0 - top, y1 - top})
 	}
 	return bands, payloads
@@ -205,7 +210,7 @@ func TestCorrelogramConcurrentMatchesSequential(t *testing.T) {
 	for i, band := range bands {
 		jobs = append(jobs, job{band, payloads[i][0], payloads[i][1]})
 	}
-	jobs = append(jobs, job{big.Rows(100, 120), CorrRadius, 20 - CorrRadius})
+	jobs = append(jobs, job{rows(big, 100, 120), CorrRadius, 20 - CorrRadius})
 
 	want := make([]CorrAcc, len(jobs))
 	for i, j := range jobs {

@@ -114,7 +114,7 @@ func TestCorrelogramSliceDecomposition(t *testing.T) {
 		}
 		var acc CorrAcc
 		for _, s := range slices {
-			band := im.Rows(s.TransferY0(), s.TransferY1())
+			band := rows(im, s.TransferY0(), s.TransferY1())
 			acc.AccumulateCorrelogram(band, s.HaloTop, s.HaloTop+s.PayloadRows())
 		}
 		return vecEqual(full, acc.Finalize(), 0)
@@ -130,8 +130,8 @@ func TestCorrelogramInsufficientHaloDiffers(t *testing.T) {
 	im := img.Synthesize(11, 40, 64)
 	full := ColorCorrelogram(im)
 	var acc CorrAcc
-	acc.AccumulateCorrelogram(im.Rows(0, 32), 0, 32)
-	acc.AccumulateCorrelogram(im.Rows(32, 64), 0, 32)
+	acc.AccumulateCorrelogram(rows(im, 0, 32), 0, 32)
+	acc.AccumulateCorrelogram(rows(im, 32, 64), 0, 32)
 	if vecEqual(full, acc.Finalize(), 1e-12) {
 		t.Fatal("halo-free slicing accidentally matched; test image too uniform")
 	}
@@ -199,7 +199,7 @@ func TestEdgeSliceDecomposition(t *testing.T) {
 		}
 		var acc EdgeAcc
 		for _, s := range slices {
-			band := im.Rows(s.TransferY0(), s.TransferY1())
+			band := rows(im, s.TransferY0(), s.TransferY1())
 			acc.AccumulateEdge(band, s.HaloTop, s.HaloTop+s.PayloadRows())
 		}
 		return vecEqual(full, acc.Finalize(), 0)
@@ -250,7 +250,7 @@ func TestTextureTileAlignedSliceDecomposition(t *testing.T) {
 		}
 		var acc TexAcc
 		for _, s := range slices {
-			band := im.Rows(s.TransferY0(), s.TransferY1())
+			band := rows(im, s.TransferY0(), s.TransferY1())
 			acc.AccumulateTexture(band, 0, band.H)
 		}
 		return vecEqual(full, acc.Finalize(), 0)

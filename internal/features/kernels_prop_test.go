@@ -251,7 +251,7 @@ func TestEdgeMatchesReference(t *testing.T) {
 				if y1+haloBot > h {
 					haloBot = h - y1
 				}
-				band := im.Rows(y0-haloTop, y1+haloBot)
+				band := rows(im, y0-haloTop, y1+haloBot)
 				banded.AccumulateEdge(band, haloTop, haloTop+(y1-y0))
 				accumulateEdgeReference(&bandedRef, band, haloTop, haloTop+(y1-y0))
 			}
@@ -281,7 +281,7 @@ func TestTextureMatchesReference(t *testing.T) {
 			split := TexTile * (1 + rng.Intn((im.H-1)/TexTile))
 			var banded TexAcc
 			for _, b := range [][2]int{{0, split}, {split, im.H}} {
-				band := im.Rows(b[0], b[1])
+				band := rows(im, b[0], b[1])
 				banded.AccumulateTexture(band, 0, band.H)
 			}
 			if banded != ref {

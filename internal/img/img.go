@@ -60,14 +60,6 @@ func (im *RGB) Row(y int) []byte {
 	return im.Pix[off : off+3*im.W]
 }
 
-// Rows returns a zero-copy sub-image of rows [y0, y1).
-func (im *RGB) Rows(y0, y1 int) *RGB {
-	if y0 < 0 || y1 > im.H || y0 >= y1 {
-		panic(fmt.Sprintf("img: bad row range [%d,%d) of %d", y0, y1, im.H))
-	}
-	return &RGB{W: im.W, H: y1 - y0, Stride: im.Stride, Pix: im.Pix[y0*im.Stride : y1*im.Stride]}
-}
-
 // Bytes returns the total backing size in bytes.
 func (im *RGB) Bytes() int { return im.H * im.Stride }
 

@@ -26,18 +26,6 @@ func TestSetAtRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRowsSubImageSharesBacking(t *testing.T) {
-	im := New(8, 8)
-	sub := im.Rows(2, 5)
-	if sub.H != 3 || sub.W != 8 {
-		t.Fatalf("sub dims %dx%d", sub.W, sub.H)
-	}
-	sub.Set(0, 0, 9, 9, 9)
-	if r, _, _ := im.At(0, 2); r != 9 {
-		t.Fatal("sub-image writes must alias parent")
-	}
-}
-
 func TestWrapValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

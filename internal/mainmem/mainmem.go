@@ -19,12 +19,9 @@ import (
 // Addr is an effective address in main memory.
 type Addr uint32
 
-// Quadword alignment required by the paper's wrapper rule; DMA of >=16
-// bytes performs best at 128-byte alignment.
-const (
-	AlignQuadword  = 16
-	AlignCacheLine = 128
-)
+// AlignCacheLine is the 128-byte alignment at which DMA of >=16 bytes
+// performs best.
+const AlignCacheLine = 128
 
 // Memory is a flat main memory with an aligned first-fit allocator.
 type Memory struct {
@@ -75,9 +72,6 @@ func (m *Memory) checkLive() {
 
 // Size returns the total memory size.
 func (m *Memory) Size() uint32 { return m.store.Len() }
-
-// Allocated returns the number of live allocated bytes.
-func (m *Memory) Allocated() uint32 { return m.allocated }
 
 // PeakAllocated returns the high-water mark of live bytes.
 func (m *Memory) PeakAllocated() uint32 { return m.peak }
@@ -181,10 +175,6 @@ func (m *Memory) CheckLeaks() error {
 	return fmt.Errorf("mainmem: %d allocation(s) leaked, first at %#x (%d bytes)",
 		len(addrs), uint32(addrs[0]), m.alloc[addrs[0]])
 }
-
-// FreeSpans returns the number of free spans (exposed for fragmentation
-// tests).
-func (m *Memory) FreeSpans() int { return len(m.free) }
 
 // Allocations returns the cumulative number of successful allocations.
 func (m *Memory) Allocations() uint64 { return m.allocations }

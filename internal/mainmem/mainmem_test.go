@@ -82,11 +82,11 @@ func TestCoalescingRestoresSpan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.FreeSpans(); got != 1 {
-		t.Fatalf("after freeing everything, FreeSpans = %d, want 1", got)
+	if got := len(m.free); got != 1 {
+		t.Fatalf("after freeing everything, free spans = %d, want 1", got)
 	}
-	if m.Allocated() != 0 {
-		t.Fatalf("Allocated = %d, want 0", m.Allocated())
+	if m.allocated != 0 {
+		t.Fatalf("allocated = %d, want 0", m.allocated)
 	}
 	if err := m.CheckLeaks(); err != nil {
 		t.Fatalf("unexpected leak report: %v", err)
@@ -182,7 +182,7 @@ func TestPropAllocatorInvariant(t *testing.T) {
 				return false
 			}
 		}
-		return m.FreeSpans() == 1 && m.Allocated() == 0
+		return len(m.free) == 1 && m.allocated == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -256,5 +256,5 @@ func TestAllocAfterReleasePanics(t *testing.T) {
 			t.Fatal("Alloc after Release did not panic")
 		}
 	}()
-	m.Alloc(64, AlignQuadword) //nolint:errcheck // panics before returning
+	m.Alloc(64, 16) //nolint:errcheck // panics before returning
 }

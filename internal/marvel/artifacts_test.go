@@ -205,6 +205,23 @@ func TestRunPortedEmptyWorkload(t *testing.T) {
 	}
 }
 
+// TestRunPortedBadFrame: a frame without pixels is an error, not a panic
+// in the image allocator.
+func TestRunPortedBadFrame(t *testing.T) {
+	for _, dims := range [][2]int{{0, 240}, {-5, 240}, {352, 0}, {352, -1}} {
+		w := Workload{Images: 1, W: dims[0], H: dims[1], Seed: 1}
+		_, err := RunPorted(PortedConfig{
+			Workload:      w,
+			Scenario:      SingleSPE,
+			Variant:       Optimized,
+			MachineConfig: testMachineConfig(),
+		})
+		if err == nil || errors.Is(err, ErrEmptyWorkload) {
+			t.Errorf("%dx%d frame: err = %v, want an invalid-frame error", w.W, w.H, err)
+		}
+	}
+}
+
 // TestPortedCacheOnOffIdentical asserts the acceptance criterion: a run
 // through the shared-artifact path and a cold NoCache run produce
 // byte-identical feature outputs, identical virtual times, and the same
@@ -292,8 +309,8 @@ func sameReference(got, want *ReferenceResult) string {
 		return "PerImage"
 	case !reflect.DeepEqual(got.Images, want.Images):
 		return "Images"
-	case got.Profile.Total() != want.Profile.Total():
-		return "Profile.Total"
+	case got.Profile.Report() != want.Profile.Report():
+		return "Profile.Report"
 	case !reflect.DeepEqual(got.Profile.Flat(), want.Profile.Flat()):
 		return "Profile.Flat"
 	case !reflect.DeepEqual(got.Profile.Edges(), want.Profile.Edges()):

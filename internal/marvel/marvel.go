@@ -17,6 +17,7 @@
 package marvel
 
 import (
+	"errors"
 	"fmt"
 
 	"cellport/internal/core"
@@ -63,6 +64,24 @@ type Workload struct {
 	Images int
 	W, H   int
 	Seed   uint64
+}
+
+// ErrEmptyWorkload is returned by Workload.Check, and so by RunPorted,
+// when the workload has no images: the per-image averages (PerImage,
+// KernelTime) would be meaningless and the schedules have nothing to
+// execute.
+var ErrEmptyWorkload = errors.New("marvel: workload has no images")
+
+// Check reports a workload no run can execute: no images (wrapping
+// ErrEmptyWorkload) or a frame without pixels.
+func (w Workload) Check() error {
+	if w.Images <= 0 {
+		return fmt.Errorf("%w (Workload.Images = %d)", ErrEmptyWorkload, w.Images)
+	}
+	if w.W <= 0 || w.H <= 0 {
+		return fmt.Errorf("marvel: invalid frame %dx%d", w.W, w.H)
+	}
+	return nil
 }
 
 // DefaultWorkload returns the paper's configuration for n images.

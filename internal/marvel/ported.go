@@ -1,7 +1,6 @@
 package marvel
 
 import (
-	"errors"
 	"fmt"
 
 	"cellport/internal/cell"
@@ -128,11 +127,6 @@ type PortedConfig struct {
 	Exec ExecBackend
 }
 
-// ErrEmptyWorkload is returned by RunPorted when the workload has no
-// images: the per-image averages (PerImage, KernelTime) would be
-// meaningless and the schedules have nothing to execute.
-var ErrEmptyWorkload = errors.New("marvel: workload has no images")
-
 // artifacts resolves the cache a run should use (ResolveArtifacts).
 func (cfg *PortedConfig) artifacts() *ArtifactCache {
 	return ResolveArtifacts(cfg.Artifacts, cfg.NoCache)
@@ -184,8 +178,8 @@ type PortedResult struct {
 // real and the measured run rides along on the result.
 func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	w := cfg.Workload
-	if w.Images <= 0 {
-		return nil, fmt.Errorf("%w (Workload.Images = %d)", ErrEmptyWorkload, w.Images)
+	if err := w.Check(); err != nil {
+		return nil, err
 	}
 	sched, err := cfg.Scenario.Schedule()
 	if err != nil {

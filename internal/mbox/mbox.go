@@ -37,7 +37,6 @@ type Mailbox struct {
 	writeDelay func() sim.Duration
 
 	writes uint64
-	reads  uint64
 	peak   int // occupancy high-water mark
 }
 
@@ -58,14 +57,8 @@ func NewMailbox(e *sim.Engine, name string, capacity int) *Mailbox {
 	}
 }
 
-// Name returns the mailbox label.
-func (m *Mailbox) Name() string { return m.name }
-
 // Count reports the number of queued entries (the spe_stat_* analog).
 func (m *Mailbox) Count() int { return len(m.fifo) }
-
-// Space reports the number of free entries.
-func (m *Mailbox) Space() int { return m.capacity - len(m.fifo) }
 
 // Write enqueues v, blocking the calling process until space is available.
 func (m *Mailbox) Write(p *sim.Proc, v uint32) {
@@ -100,11 +93,6 @@ func (m *Mailbox) notePeak() {
 	}
 }
 
-// TryWrite enqueues v without blocking; it reports whether it succeeded.
-func (m *Mailbox) TryWrite(v uint32) bool {
-	return m.WriteNonBlocking(v) == nil
-}
-
 // Read dequeues the oldest entry, blocking the calling process until one
 // is available.
 func (m *Mailbox) Read(p *sim.Proc) uint32 {
@@ -112,22 +100,8 @@ func (m *Mailbox) Read(p *sim.Proc) uint32 {
 	v := m.fifo[0]
 	copy(m.fifo, m.fifo[1:])
 	m.fifo = m.fifo[:len(m.fifo)-1]
-	m.reads++
 	m.notFull.WakeAll(m.engine)
 	return v
-}
-
-// TryRead dequeues without blocking.
-func (m *Mailbox) TryRead() (uint32, bool) {
-	if len(m.fifo) == 0 {
-		return 0, false
-	}
-	v := m.fifo[0]
-	copy(m.fifo, m.fifo[1:])
-	m.fifo = m.fifo[:len(m.fifo)-1]
-	m.reads++
-	m.notFull.WakeAll(m.engine)
-	return v, true
 }
 
 // WaitNotEmpty blocks until the mailbox has at least one entry without
@@ -138,9 +112,6 @@ func (m *Mailbox) WaitNotEmpty(p *sim.Proc) {
 
 // Writes reports the cumulative number of successful writes.
 func (m *Mailbox) Writes() uint64 { return m.writes }
-
-// Reads reports the cumulative number of successful reads.
-func (m *Mailbox) Reads() uint64 { return m.reads }
 
 // Peak reports the occupancy high-water mark over the mailbox's lifetime.
 func (m *Mailbox) Peak() int { return m.peak }

@@ -29,8 +29,8 @@ func TestMailboxFIFO(t *testing.T) {
 	if !reflect.DeepEqual(got, []uint32{10, 20, 30}) {
 		t.Fatalf("got %v, want FIFO order", got)
 	}
-	if m.Writes() != 3 || m.Reads() != 3 {
-		t.Fatalf("stats writes=%d reads=%d, want 3/3", m.Writes(), m.Reads())
+	if m.Writes() != 3 || m.Count() != 0 {
+		t.Fatalf("stats writes=%d count=%d, want 3/0", m.Writes(), m.Count())
 	}
 }
 
@@ -74,27 +74,6 @@ func TestMailboxReaderBlocksWhenEmpty(t *testing.T) {
 	}
 	if readAt != sim.Time(9*sim.Nanosecond) || val != 77 {
 		t.Fatalf("read %d at %v, want 77 at 9ns", val, readAt)
-	}
-}
-
-func TestTryWriteTryRead(t *testing.T) {
-	e := sim.NewEngine()
-	m := NewMailbox(e, "x", 1)
-	if _, ok := m.TryRead(); ok {
-		t.Fatal("TryRead on empty should fail")
-	}
-	if !m.TryWrite(5) {
-		t.Fatal("TryWrite on empty should succeed")
-	}
-	if m.TryWrite(6) {
-		t.Fatal("TryWrite on full should fail")
-	}
-	if m.Count() != 1 || m.Space() != 0 {
-		t.Fatalf("Count=%d Space=%d, want 1/0", m.Count(), m.Space())
-	}
-	v, ok := m.TryRead()
-	if !ok || v != 5 {
-		t.Fatalf("TryRead = %d,%v want 5,true", v, ok)
 	}
 }
 

@@ -20,9 +20,7 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -44,9 +42,6 @@ func (c *Counter) Add(n int64) {
 		c.v += n
 	}
 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
 
 // Value reports the current count (0 for a nil counter).
 func (c *Counter) Value() int64 {
@@ -190,6 +185,13 @@ func (r *Registry) Histogram(component, name string, bounds []int64) *Histogram 
 }
 
 // Sample is one metric's value in a snapshot.
+//
+// Component namespaces the metric and doubles as its clock domain:
+// simulator registries use machine components ("ppe", "spe",
+// "supervisor", ...) whose time-valued metrics are virtual femtoseconds,
+// while the real-execution backend puts all its wall-clock counters under
+// the single "exec" component. A snapshot should live entirely in one
+// domain.
 type Sample struct {
 	Component string `json:"component"`
 	Name      string `json:"name"`
@@ -246,66 +248,6 @@ func (s *Snapshot) sort() {
 	})
 }
 
-// Diff returns a snapshot holding this snapshot's deltas over prev:
-// counter values and histogram counts subtract; gauges keep their current
-// value (a gauge is a level, not a rate). Metrics absent from prev pass
-// through unchanged. A nil prev returns a copy of s.
-func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
-	if s == nil {
-		return nil
-	}
-	base := map[key]Sample{}
-	if prev != nil {
-		for _, p := range prev.Samples {
-			base[key{p.Component, p.Name + "\x00" + p.Type}] = p
-		}
-	}
-	out := &Snapshot{Samples: make([]Sample, 0, len(s.Samples))}
-	for _, cur := range s.Samples {
-		d := cur
-		d.Bounds = append([]int64(nil), cur.Bounds...)
-		d.Counts = append([]int64(nil), cur.Counts...)
-		if p, ok := base[key{cur.Component, cur.Name + "\x00" + cur.Type}]; ok {
-			switch cur.Type {
-			case "counter":
-				d.Value -= p.Value
-			case "histogram":
-				d.Value -= p.Value
-				d.Sum -= p.Sum
-				for i := range d.Counts {
-					if i < len(p.Counts) {
-						d.Counts[i] -= p.Counts[i]
-					}
-				}
-			}
-		}
-		out.Samples = append(out.Samples, d)
-	}
-	out.sort()
-	return out
-}
-
-// Components returns the sorted set of component names present in the
-// snapshot. Metric keys are namespaced by component, and the namespaces
-// double as clock domains: simulator registries use machine components
-// ("ppe", "spe", "supervisor", ...) whose time-valued metrics are
-// virtual femtoseconds, while the real-execution backend puts all its
-// wall-clock counters under the single "exec" component. A snapshot
-// should live entirely in one domain; tests assert that with this
-// accessor.
-func (s *Snapshot) Components() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, sm := range s.Samples {
-		if !seen[sm.Component] {
-			seen[sm.Component] = true
-			out = append(out, sm.Component)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Get returns the sample for (component, name, type), if present.
 func (s *Snapshot) Get(component, name, typ string) (Sample, bool) {
 	for _, sm := range s.Samples {
@@ -314,11 +256,4 @@ func (s *Snapshot) Get(component, name, typ string) (Sample, bool) {
 		}
 	}
 	return Sample{}, false
-}
-
-// WriteJSON serializes the snapshot as indented, deterministic JSON.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

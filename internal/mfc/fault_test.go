@@ -42,8 +42,8 @@ func TestFaultDropHangsTagAbortReleases(t *testing.T) {
 	_ = spu
 	e.Spawn("supervisor", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)
-		if r.m.TagPending(3) != 1 {
-			t.Errorf("TagPending(3) = %d after drop, want 1 (hung)", r.m.TagPending(3))
+		if r.m.tagPending[3] != 1 {
+			t.Errorf("tag 3 pending = %d after drop, want 1 (hung)", r.m.tagPending[3])
 		}
 		r.m.Abort()
 	})
@@ -51,8 +51,8 @@ func TestFaultDropHangsTagAbortReleases(t *testing.T) {
 	if !released {
 		t.Fatal("Abort did not release the tag waiter")
 	}
-	if r.m.TagPending(3) != 0 {
-		t.Errorf("TagPending(3) = %d after Abort, want 0", r.m.TagPending(3))
+	if r.m.tagPending[3] != 0 {
+		t.Errorf("tag 3 pending = %d after Abort, want 0", r.m.tagPending[3])
 	}
 	// The dropped get never moved data.
 	if got := r.st.Bytes(0x1000, 64); got[0] == 'x' {
@@ -143,8 +143,8 @@ func TestBoundsFaultIsErrorNotPanic(t *testing.T) {
 		}
 	})
 	r.run(t)
-	if r.m.TagPending(0) != 0 {
-		t.Errorf("rejected commands left TagPending = %d", r.m.TagPending(0))
+	if r.m.tagPending[0] != 0 {
+		t.Errorf("rejected commands left tag 0 pending = %d", r.m.tagPending[0])
 	}
 }
 

@@ -429,9 +429,6 @@ func (m *MFC) noteQueueDepth() {
 	m.depthHist.Observe(int64(d))
 }
 
-// TagPending reports outstanding commands under a tag.
-func (m *MFC) TagPending(tag int) int { return m.tagPending[tag] }
-
 // WaitTag blocks until every command issued under tag has completed
 // (the mfc_write_tag_mask / mfc_read_tag_status_all idiom).
 func (m *MFC) WaitTag(p *sim.Proc, tag int) {

@@ -48,7 +48,7 @@ func TestGetMovesBytes(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if r.m.TagPending(3) != 1 {
+		if r.m.tagPending[3] != 1 {
 			t.Error("tag 3 should have one pending command")
 		}
 		r.m.WaitTag(p, 3)
@@ -183,11 +183,11 @@ func TestWaitTagMaskSelective(t *testing.T) {
 			t.Error(err)
 		}
 		r.m.WaitTagMask(p, 1<<1) // only tag 1
-		if r.m.TagPending(1) != 0 {
+		if r.m.tagPending[1] != 0 {
 			t.Error("tag 1 should be complete")
 		}
 		r.m.WaitAll(p)
-		if r.m.TagPending(2) != 0 {
+		if r.m.tagPending[2] != 0 {
 			t.Error("tag 2 should be complete after WaitAll")
 		}
 	})

@@ -123,9 +123,6 @@ func (p *Profiler) Exit() {
 	}
 }
 
-// Total returns the observed span from first Enter to last top-level Exit.
-func (p *Profiler) Total() sim.Duration { return p.total }
-
 // Line is one row of the flat profile.
 type Line struct {
 	Name     string
@@ -171,21 +168,6 @@ func (p *Profiler) Edges() []Edge {
 		return out[i].Caller+out[i].Callee < out[j].Caller+out[j].Callee
 	})
 	return out
-}
-
-// CoverageOf sums the self coverage of methods matching the class name.
-func (p *Profiler) CoverageOf(classes ...string) float64 {
-	want := map[string]bool{}
-	for _, c := range classes {
-		want[c] = true
-	}
-	cov := 0.0
-	for _, l := range p.Flat() {
-		if want[l.Class] {
-			cov += l.Coverage
-		}
-	}
-	return cov
 }
 
 // Report renders a gprof-style flat profile.

@@ -24,8 +24,8 @@ func TestFlatProfileSelfVsCum(t *testing.T) {
 	clk.advance(10 * sim.Millisecond)
 	p.Exit()
 
-	if p.Total() != 100*sim.Millisecond {
-		t.Fatalf("total = %v", p.Total())
+	if p.total != 100*sim.Millisecond {
+		t.Fatalf("total = %v", p.total)
 	}
 	flat := p.Flat()
 	if len(flat) != 2 {
@@ -92,25 +92,6 @@ func TestEdgesAttributed(t *testing.T) {
 	e := edges[0]
 	if e.Caller != "A::main" || e.Callee != "B::work" || e.Calls != 3 || e.Time != 15*sim.Millisecond {
 		t.Fatalf("edge = %+v", e)
-	}
-}
-
-func TestCoverageOf(t *testing.T) {
-	clk := &fakeClock{}
-	p := New(clk.fn())
-	p.Enter("App", "main")
-	p.Enter("CH", "extract")
-	clk.advance(30 * sim.Millisecond)
-	p.Exit()
-	p.Enter("EH", "extract")
-	clk.advance(70 * sim.Millisecond)
-	p.Exit()
-	p.Exit()
-	if got := p.CoverageOf("CH", "EH"); got < 0.999 {
-		t.Fatalf("coverage = %v", got)
-	}
-	if got := p.CoverageOf("CH"); got < 0.29 || got > 0.31 {
-		t.Fatalf("CH coverage = %v", got)
 	}
 }
 

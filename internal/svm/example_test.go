@@ -1,12 +1,4 @@
-// Training: MARVEL's "short training phase" (§5.1) — build concept models
-// from labeled examples, then use them for detection, with both available
-// classification methods (SVM via SMO, and kNN, §5.1's alternatives).
-//
-// The flow: extract color histograms from two synthetic image families
-// ("bright scenes" vs "dark scenes"), train an SVM on them, verify it
-// separates held-out images, encode the model to the flat format the SPE
-// detection kernel streams, and confirm the decoded model agrees.
-package main
+package svm_test
 
 import (
 	"fmt"
@@ -42,10 +34,15 @@ func lift(v byte) byte {
 	return byte(n)
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("training: ")
-
+// ExampleTrain is MARVEL's "short training phase" (§5.1) — build concept models
+// from labeled examples, then use them for detection, with both available
+// classification methods (SVM via SMO, and kNN, §5.1's alternatives).
+//
+// The flow: extract color histograms from two synthetic image families
+// ("bright scenes" vs "dark scenes"), train an SVM on them, verify it
+// separates held-out images, encode the model to the flat format the SPE
+// detection kernel streams, and confirm the decoded model agrees.
+func ExampleTrain() {
 	// 1. Extract features from labeled examples.
 	var x [][]float32
 	var y []int
@@ -106,4 +103,11 @@ func main() {
 	fmt.Printf("encoded model: %d float32 words (%.1f KB)\n", len(enc), float64(len(enc))*4/1024)
 	fmt.Printf("decision original %+.5f vs decoded %+.5f\n", model.Decision(probe), dec.Decision(probe))
 	fmt.Println("model ready for PlaceModel + the ConceptDet SPE kernel")
+	// Output:
+	// training set: 24 examples, dim 166 (166-bin HSV histogram)
+	// SMO converged: 24 support vectors, bias -0.0185
+	// held-out accuracy: SVM 13/16, kNN 12/16
+	// encoded model: 4012 float32 words (15.7 KB)
+	// decision original +0.01537 vs decoded +0.01537
+	// model ready for PlaceModel + the ConceptDet SPE kernel
 }

@@ -45,8 +45,8 @@ func TestErrorDoesNotPoisonUnrelatedKeys(t *testing.T) {
 	if n := failures.Load(); n != 0 {
 		t.Fatalf("%d lookups got a wrong result: the failing key leaked into its neighbours", n)
 	}
-	if c.Len() != keys {
-		t.Fatalf("Len = %d, want %d (error entries are cached too)", c.Len(), keys)
+	if len(c.entries) != keys {
+		t.Fatalf("entries = %d, want %d (error entries are cached too)", len(c.entries), keys)
 	}
 }
 

@@ -86,13 +86,6 @@ func (c *Cache[K, V]) Do(key K, compute func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// Len reports the number of cached keys (including in-flight ones).
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Stats reports lookups that found an entry (hits, including waits on an
 // in-flight computation) and lookups that computed (misses). Both are
 // counted when the lookup is admitted, not when it completes, so under

@@ -26,8 +26,8 @@ func TestDoComputesOnceAndShares(t *testing.T) {
 	if hits, misses := c.Stats(); hits != 4 || misses != 1 {
 		t.Fatalf("stats = %d hits / %d misses, want 4/1", hits, misses)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if len(c.entries) != 1 {
+		t.Fatalf("entries = %d, want 1", len(c.entries))
 	}
 }
 
@@ -95,8 +95,8 @@ func TestDistinctKeysComputeIndependently(t *testing.T) {
 			t.Fatalf("Do(%d) = %d, %v", k, v, err)
 		}
 	}
-	if c.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", c.Len())
+	if len(c.entries) != 10 {
+		t.Fatalf("entries = %d, want 10", len(c.entries))
 	}
 }
 
