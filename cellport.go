@@ -16,8 +16,8 @@ import (
 // Machine is a simulated Cell Broadband Engine.
 type Machine = cell.Machine
 
-// Config describes a machine instance (core counts, memory size, bus and
-// MFC parameters, cost models, tracer).
+// Config describes a machine instance (core counts, memory size, bus
+// parameters, the PPE cost model, PPE polling period, tracer).
 type Config = cell.Config
 
 // PPEContext is the PPE-side execution environment handed to the main

@@ -24,9 +24,7 @@ type Config struct {
 	NumSPEs    int
 	MemorySize uint32
 	Bus        eib.Config
-	MFC        mfc.Config
 	PPEModel   *cost.Model
-	SPEModel   *cost.Model
 	// Tracer, when non-nil, records the machine's activity spans and
 	// fault instants. A nil recorder is untraced: no label is formatted.
 	Tracer *trace.Recorder
@@ -37,9 +35,6 @@ type Config struct {
 	// — instrumentation never adds engine events or virtual time either
 	// way, keeping the replay fingerprint (EventCount) identical.
 	Metrics *metrics.Registry
-	// MboxAccessCost is PPE time per MMIO mailbox access; mailbox reads
-	// and writes from the PPE cross the bus and are not cheap.
-	MboxAccessCost sim.Duration
 	// PollInterval is the PPE's polling period in SendAndWait-style busy
 	// loops (spe_stat_out_mbox spin).
 	PollInterval sim.Duration
@@ -48,16 +43,20 @@ type Config struct {
 // DefaultConfig returns a standard 8-SPE, 256 MB machine.
 func DefaultConfig() Config {
 	return Config{
-		NumSPEs:        8,
-		MemorySize:     256 << 20,
-		Bus:            eib.DefaultConfig(),
-		MFC:            mfc.DefaultConfig(),
-		PPEModel:       cost.NewPPE(),
-		SPEModel:       cost.NewSPE(),
-		MboxAccessCost: 50 * sim.Nanosecond,
-		PollInterval:   250 * sim.Nanosecond,
+		NumSPEs:      8,
+		MemorySize:   256 << 20,
+		Bus:          eib.DefaultConfig(),
+		PPEModel:     cost.NewPPE(),
+		PollInterval: 250 * sim.Nanosecond,
 	}
 }
+
+// mboxAccessCost is PPE time per MMIO mailbox access; mailbox reads and
+// writes from the PPE cross the bus and are not cheap.
+const mboxAccessCost = 50 * sim.Nanosecond
+
+// speModel is every SPE's cost model, shared read-only by all machines.
+var speModel = cost.NewSPE()
 
 // Machine is a simulated Cell B.E.
 type Machine struct {
@@ -79,7 +78,7 @@ func New(cfg Config) *Machine {
 	mem := mainmem.New(cfg.MemorySize)
 	m := &Machine{cfg: cfg, Engine: e, Bus: bus, Memory: mem, tracer: cfg.Tracer}
 	for i := 0; i < cfg.NumSPEs; i++ {
-		s := spe.New(e, i, bus, mem, cfg.SPEModel, cfg.MFC, cfg.Tracer)
+		s := spe.New(e, i, bus, mem, speModel, cfg.Tracer)
 		s.MFC.SetTracer(cfg.Tracer, fmt.Sprintf("MFC%d", i))
 		s.MFC.SetMetrics(cfg.Metrics, fmt.Sprintf("mfc%d", i))
 		m.SPEs = append(m.SPEs, s)
@@ -315,21 +314,21 @@ func (c *Context) LoadSPE(i int, prog spe.Program) error {
 // WriteInMbox writes a word into SPE i's inbound mailbox, blocking while
 // full (spe_write_in_mbox).
 func (c *Context) WriteInMbox(i int, v uint32) {
-	c.charge(c.machine.cfg.MboxAccessCost, trace.KindCompute, "mbox-write")
+	c.charge(mboxAccessCost, trace.KindCompute, "mbox-write")
 	c.machine.SPE(i).InMbox.Write(c.p, v)
 }
 
 // StatOutMbox reports queued entries in SPE i's outbound mailbox
 // (spe_stat_out_mbox); each probe costs an MMIO access.
 func (c *Context) StatOutMbox(i int) int {
-	c.charge(c.machine.cfg.MboxAccessCost, trace.KindCompute, "mbox-stat")
+	c.charge(mboxAccessCost, trace.KindCompute, "mbox-stat")
 	return c.machine.SPE(i).OutMbox.Count()
 }
 
 // ReadOutMbox pops SPE i's outbound mailbox, blocking until a value is
 // present (read after a successful poll never blocks).
 func (c *Context) ReadOutMbox(i int) uint32 {
-	c.charge(c.machine.cfg.MboxAccessCost, trace.KindCompute, "mbox-read")
+	c.charge(mboxAccessCost, trace.KindCompute, "mbox-read")
 	return c.machine.SPE(i).OutMbox.Read(c.p)
 }
 
@@ -358,7 +357,7 @@ func (c *Context) PollOutMbox(i int) uint32 {
 func (c *Context) WaitOutIntrMbox(i int) uint32 {
 	s := c.machine.SPE(i)
 	s.OutIntrMbox.WaitNotEmpty(c.p)
-	c.charge(c.machine.cfg.MboxAccessCost, trace.KindCompute, "mbox-intr-read")
+	c.charge(mboxAccessCost, trace.KindCompute, "mbox-intr-read")
 	return s.OutIntrMbox.Read(c.p)
 }
 
@@ -389,6 +388,6 @@ func (c *Context) WaitOutIntrMboxTimeout(i int, timeout sim.Duration) (v uint32,
 	if !s.OutIntrMbox.WaitNotEmptyTimeout(c.p, timeout) {
 		return 0, false
 	}
-	c.charge(c.machine.cfg.MboxAccessCost, trace.KindCompute, "mbox-intr-read")
+	c.charge(mboxAccessCost, trace.KindCompute, "mbox-intr-read")
 	return s.OutIntrMbox.Read(c.p), true
 }

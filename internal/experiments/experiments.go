@@ -116,26 +116,6 @@ func MachineConfig() *cell.Config {
 	return &cfg
 }
 
-// PaperTable1 holds the published Table 1 values.
-var PaperTable1 = map[marvel.KernelID]struct {
-	SpeedUp  float64
-	Coverage float64
-}{
-	marvel.KCH: {53.67, 0.08},
-	marvel.KCC: {52.23, 0.54},
-	marvel.KTX: {15.99, 0.06},
-	marvel.KEH: {65.94, 0.28},
-	marvel.KCD: {10.80, 0.02},
-}
-
-// PaperNaive holds the §5.3 pre-optimization speed-ups (only three were
-// measured).
-var PaperNaive = map[marvel.KernelID]float64{
-	marvel.KCH: 26.41,
-	marvel.KCC: 0.43,
-	marvel.KEH: 3.85,
-}
-
 // Table1Row is one row of the regenerated Table 1.
 type Table1Row struct {
 	Kernel        marvel.KernelID
@@ -181,7 +161,7 @@ func Table1(cfg Config) ([]Table1Row, error) {
 	cov := ref.KernelCoverage()
 	var rows []Table1Row
 	for _, id := range marvel.KernelIDs {
-		p := PaperTable1[id]
+		p := id.Paper()
 		rows = append(rows, Table1Row{
 			Kernel:        id,
 			PPETime:       ref.KernelTime[id],
@@ -225,7 +205,7 @@ func NaiveSpeedups(cfg Config) ([]NaiveRow, error) {
 		rows = append(rows, NaiveRow{
 			Kernel:       id,
 			SpeedUp:      ref.KernelTime[id].Seconds() / ported.KernelTime[id].Seconds(),
-			PaperSpeedUp: PaperNaive[id],
+			PaperSpeedUp: id.Paper().Naive,
 		})
 	}
 	return rows, nil

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"cellport/internal/cost"
 	"cellport/internal/marvel"
@@ -77,7 +78,11 @@ func RenderProfile(w io.Writer, r *ProfileResult) {
 		r.SetSize, r.CoverageSet*100)
 	fmt.Fprintf(w, "one-time overhead share of a 1-image PPE run:            %5.1f%%  (paper ~60%%)\n\n",
 		r.OneTimeFracPPE*100)
-	fmt.Fprintf(w, "per-kernel coverage of per-image processing (paper 8/54/6/28/2%%):\n")
+	paper := make([]string, len(marvel.KernelIDs))
+	for i, id := range marvel.KernelIDs {
+		paper[i] = fmt.Sprintf("%.0f", id.Paper().Coverage*100)
+	}
+	fmt.Fprintf(w, "per-kernel coverage of per-image processing (paper %s%%):\n", strings.Join(paper, "/"))
 	for _, id := range marvel.KernelIDs {
 		fmt.Fprintf(w, "  %-12s %5.1f%%\n", id, r.PerKernel[id]*100)
 	}

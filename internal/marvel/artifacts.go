@@ -37,11 +37,6 @@ type ArtifactCache struct {
 	models  workcache.Cache[uint64, *ModelSet]
 	kernels workcache.Cache[kernelKey, kernelOut]
 
-	// prefetched is the kernel memo's skip index: the frames whose
-	// whole-frame kernel outputs a run already prefetched (kernelmemo.go).
-	prefetchMu sync.Mutex
-	prefetched map[prefetchKey]struct{}
-
 	// cold disables the kernel memo (NewColdArtifactCache).
 	cold bool
 }
@@ -59,12 +54,15 @@ func frameKeyOf(w Workload, i int) frameKey {
 	return frameKey{W: w.W, H: w.H, Seed: img.CorpusSeed(w.Seed, i)}
 }
 
-// frame is one corpus frame's entry: its pixels, and its host reference
+// frame is one corpus frame's entry: its pixels, its host reference
 // feature vectors by KernelID, each extracted once, by the first caller
-// that needs it.
+// that needs it, and the kernel memo's prefetch skip index.
 type frame struct {
 	im   *img.RGB
-	host [len(extractKernels)]hostFeature
+	host [numExtract]hostFeature
+	// prefetched marks, by Variant and KernelID, the whole-frame OpRun
+	// outputs a run already listed for prefetch (kernelmemo.go).
+	prefetched [Optimized + 1][numExtract]atomic.Bool
 }
 
 // hostFeature is one kernel's host reference vector of a frame.
@@ -212,8 +210,9 @@ func (c *ArtifactCache) KernelStats() (hits, misses uint64) {
 	return c.kernels.Stats()
 }
 
-// Flush drops all cached artifacts, memoized kernel outputs and the
-// prefetch skip index (cold-path calibration, tests).
+// Flush drops all cached artifacts and memoized kernel outputs; the
+// prefetch skip index goes with the frames (cold-path calibration,
+// tests).
 func (c *ArtifactCache) Flush() {
 	if c == nil {
 		return
@@ -221,7 +220,4 @@ func (c *ArtifactCache) Flush() {
 	c.frames.Flush()
 	c.models.Flush()
 	c.kernels.Flush()
-	c.prefetchMu.Lock()
-	c.prefetched = nil
-	c.prefetchMu.Unlock()
 }

@@ -1,6 +1,7 @@
 package marvel
 
 import (
+	"io"
 	"testing"
 
 	"cellport/internal/sim"
@@ -155,6 +156,18 @@ func TestPlanFootprintMatchesKernelBehaviour(t *testing.T) {
 	}
 	if _, err := PlanFootprint(KCD, Optimized, 352, 240); err == nil {
 		t.Error("planner should reject the detection kernel")
+	}
+	// A frame without pixels fails the planner with the error ExecPlan
+	// gives, not with a divide by zero in the budget arithmetic.
+	for _, g := range [][2]int{{0, 240}, {352, 0}} {
+		_, perr := PlanFootprint(KCC, Optimized, g[0], g[1])
+		_, eerr := ExecPlan(KCC, Optimized, g[0], g[1])
+		if perr == nil || eerr == nil || perr.Error() != eerr.Error() {
+			t.Errorf("%dx%d frame: PlanFootprint error %v, ExecPlan error %v, want one error", g[0], g[1], perr, eerr)
+		}
+		if err := RenderFootprints(io.Discard, Optimized, g[0], g[1]); err == nil {
+			t.Errorf("%dx%d frame: RenderFootprints succeeded", g[0], g[1])
+		}
 	}
 	fp, err := PlanFootprint(KCC, Optimized, 352, 96)
 	if err != nil {

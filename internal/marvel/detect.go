@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"cellport/internal/core"
-	"cellport/internal/cost"
 	"cellport/internal/ls"
 	"cellport/internal/mainmem"
 	"cellport/internal/spe"
@@ -32,7 +31,7 @@ type PlacedModel struct {
 // PlaceModel writes the model in ms's score slot into main memory,
 // copying the encoding the ModelSet keeps beside it.
 func PlaceModel(mem *mainmem.Memory, ms *ModelSet, slot int) (*PlacedModel, error) {
-	m, enc := ms.bySlot()[slot], ms.images[slot]
+	m, enc := ms.slots[slot].model, ms.slots[slot].enc
 	n, dim := len(m.SupportVectors), m.Dim()
 	coeffBytes := pad16(uint32(n) * 4)
 	svBytes := uint32(n*dim) * 4
@@ -92,7 +91,7 @@ func getDetectScratch(n int) *[]float32 {
 // evaluating the real SVM decision function exactly as the reference
 // does.
 func DetectKernelSpec(v Variant) core.KernelSpec {
-	cal := calibration[KCD]
+	cal := &kernels[KCD]
 	fn := func(ctx *spe.Context, wrapper mainmem.Addr) uint32 {
 		st := ctx.Store()
 		hdrLS, err := st.Alloc(hdrBytes, 16)
@@ -191,7 +190,7 @@ func DetectKernelSpec(v Variant) core.KernelSpec {
 			nomOps := detectNomOps(rows, dim)
 			switch v {
 			case Optimized:
-				ctx.ComputeSIMD(nomOps, cost.Bits32, cal.OptEff, "detect")
+				ctx.ComputeSIMD(nomOps, cal.OptWidth, cal.OptEff, "detect")
 			default:
 				ctx.ComputeCycles(nomOps/(ctx.Model().ScalarIPC*cal.NaiveEff), "detect")
 				ctx.ComputeBranches(float64(rows)*3, NaiveMispredict, "detect")

@@ -6,6 +6,7 @@ import (
 	"cellport/internal/img"
 	"cellport/internal/ls"
 	"cellport/internal/metrics"
+	"cellport/internal/mfc"
 	"cellport/internal/trace"
 )
 
@@ -19,31 +20,44 @@ import (
 
 // ExecPlan reproduces, outside the simulator, the exact halo'd slice
 // plan the simulated kernel computes for a whole-image OpRun against
-// its local store: a fresh LS image with the kernel's program loaded
-// and the wrapper header allocated, then the same per-row budget
-// arithmetic (sliceBudget) and the same planner (planRange). The
-// real-execution backend streams bands by this plan so its memory
-// traversal — slice extents, halos, double-buffer reuse — matches what
-// the simulator charged for.
+// its local store (planKernel). The real-execution backend streams
+// bands by this plan so its memory traversal — slice extents, halos,
+// double-buffer reuse — matches what the simulator charged for.
 func ExecPlan(id KernelID, v Variant, w, h int) ([]img.Slice, error) {
-	if id == KCD {
-		return nil, fmt.Errorf("marvel: ExecPlan: %s has no slice geometry", id)
-	}
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("marvel: ExecPlan: bad geometry %dx%d", w, h)
-	}
 	st := ls.New()
 	defer st.Release()
-	if err := st.LoadProgram(calibration[id].CodeBytes); err != nil {
-		return nil, err
+	return planKernel(st, id, v, w, h)
+}
+
+// planKernel replays on st, a fresh local store, kernel id's
+// dispatch-time planning for a whole-image OpRun over a w×h frame: the
+// kernel's program loaded and the wrapper header allocated, then the
+// kernel's per-row budget arithmetic (sliceBudget) and planner
+// (planRange). It fails exactly when the kernel would fail to plan or to
+// DMA a row, and rejects a frame without pixels before any arithmetic.
+func planKernel(st *ls.LocalStore, id KernelID, v Variant, w, h int) ([]img.Slice, error) {
+	if id == KCD {
+		return nil, fmt.Errorf("marvel: %s streams models and has no slice geometry", id)
+	}
+	if w <= 0 || h <= 0 {
+		return nil, fmt.Errorf("marvel: %s: bad geometry %dx%d", id, w, h)
+	}
+	k := kernelOf(id)
+	stride := img.StrideFor(w)
+	if stride > mfc.MaxTransfer {
+		return nil, fmt.Errorf("marvel: %s row stride %d exceeds one DMA command (frame too wide)", id, stride)
+	}
+	if err := st.LoadProgram(k.CodeBytes); err != nil {
+		return nil, fmt.Errorf("marvel: %s image does not fit: %w", id, err)
 	}
 	if _, err := st.Alloc(exHdrBytes, 16); err != nil {
 		return nil, err
 	}
-	k := kernelOf(id)
-	stride := img.StrideFor(w)
-	budget := sliceBudget(st.Free(), id, v, w, stride)
-	return planRange(0, h, h, budget, k.halo, k.granularity)
+	slices, err := planRange(0, h, h, sliceBudget(st.Free(), id, v, w, stride), k.halo, k.granularity)
+	if err != nil {
+		return nil, fmt.Errorf("marvel: %s cannot slice a %dx%d frame: %w", id, w, h, err)
+	}
+	return slices, nil
 }
 
 // CompareImageResults counts output mismatches between two per-image

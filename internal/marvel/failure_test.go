@@ -112,21 +112,21 @@ func TestDetectKernelRejectsCorruptHeaders(t *testing.T) {
 			return
 		}
 		// Case 1: zero dim.
-		w1, _ := core.NewWrapper(mem, detectFields(DimTX)...)
+		w1, _ := core.NewWrapper(mem, detectFields(kernelOf(KTX).dim)...)
 		fillDetectHeader(w1, 0, pm.NumSV, pm.EA, 0)
 		if res, _ := iface.SendAndWait(OpRun, w1.Addr()); res != resErr {
 			t.Errorf("zero dim: result %#x", res)
 		}
 		// Case 2: SV count disagrees with the placed model's own header.
-		w2, _ := core.NewWrapper(mem, detectFields(DimTX)...)
-		fillDetectHeader(w2, DimTX, pm.NumSV+1, pm.EA, 0)
+		w2, _ := core.NewWrapper(mem, detectFields(kernelOf(KTX).dim)...)
+		fillDetectHeader(w2, kernelOf(KTX).dim, pm.NumSV+1, pm.EA, 0)
 		if res, _ := iface.SendAndWait(OpRun, w2.Addr()); res != resErr {
 			t.Errorf("SV mismatch: result %#x", res)
 		}
 		// Case 3: a correct header still works on the same warm kernel.
-		w3, _ := core.NewWrapper(mem, detectFields(DimTX)...)
-		fillDetectHeader(w3, DimTX, pm.NumSV, pm.EA, 0)
-		feat := make([]float32, DimTX)
+		w3, _ := core.NewWrapper(mem, detectFields(kernelOf(KTX).dim)...)
+		fillDetectHeader(w3, kernelOf(KTX).dim, pm.NumSV, pm.EA, 0)
+		feat := make([]float32, kernelOf(KTX).dim)
 		for i := range feat {
 			feat[i] = 0.1
 		}

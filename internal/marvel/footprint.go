@@ -42,31 +42,15 @@ type Footprint struct {
 // It fails exactly when the kernel itself would fail to plan (frame too
 // wide, code too big, no room for one granule plus halos).
 func PlanFootprint(id KernelID, v Variant, w, h int) (*Footprint, error) {
-	if id == KCD {
-		return nil, fmt.Errorf("marvel: detection streams models, use its chunking instead")
-	}
-	cal := calibration[id]
-	k := kernelOf(id)
-	stride := img.StrideFor(w)
-	if stride > 16384 {
-		return nil, fmt.Errorf("marvel: %s row stride %d exceeds one DMA command (frame too wide)", id, stride)
-	}
 	store := ls.New()
 	defer store.Release()
-	if err := store.LoadProgram(cal.CodeBytes); err != nil {
-		return nil, fmt.Errorf("marvel: %s image does not fit: %w", id, err)
-	}
-	// The kernel allocates the header first.
-	if _, err := store.Alloc(exHdrBytes, 16); err != nil {
+	slices, err := planKernel(store, id, v, w, h)
+	if err != nil {
 		return nil, err
 	}
-	// The kernel's own dispatch-time arithmetic.
+	k := kernelOf(id)
+	stride := img.StrideFor(w)
 	buffers, oBytes := v.buffers(), outBytes(id)
-	budget := sliceBudget(store.Free(), id, v, w, stride)
-	slices, err := planRange(0, h, h, budget, k.halo, k.granularity)
-	if err != nil {
-		return nil, fmt.Errorf("marvel: %s cannot slice a %dx%d frame: %w", id, w, h, err)
-	}
 	maxRows := 0
 	for _, s := range slices {
 		if r := s.TransferRows(); r > maxRows {
@@ -76,7 +60,7 @@ func PlanFootprint(id KernelID, v Variant, w, h int) (*Footprint, error) {
 	fp := &Footprint{
 		Kernel:       id,
 		Variant:      v,
-		CodeBytes:    cal.CodeBytes,
+		CodeBytes:    k.CodeBytes,
 		StackBytes:   ls.DefaultStackBytes,
 		Buffers:      buffers,
 		BufferBytes:  uint32(maxRows * stride),

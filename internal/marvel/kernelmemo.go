@@ -161,45 +161,22 @@ func finishAcc(acc Accumulator, partial bool) kernelOut {
 // joins the in-flight computation. The key is the content either way,
 // so who computes an entry changes nothing but the wall time.
 
-// prefetchKey names one frame's whole-frame OpRun of one kernel variant
-// in the skip index.
-type prefetchKey struct {
-	id    KernelID
-	v     Variant
-	frame frameKey
-}
-
-// claimPrefetch records k in the skip index and reports whether it was
-// new. The index is a hint, never a memo key: a claimed frame whose
-// entry is missing (a failed helper, a differing plan) only makes the
-// event loop compute it inline.
-func (c *ArtifactCache) claimPrefetch(k prefetchKey) bool {
-	c.prefetchMu.Lock()
-	defer c.prefetchMu.Unlock()
-	if _, ok := c.prefetched[k]; ok {
-		return false
-	}
-	if c.prefetched == nil {
-		c.prefetched = make(map[prefetchKey]struct{})
-	}
-	c.prefetched[k] = struct{}{}
-	return true
-}
-
 // prefetchJobs lists the memo computations of the whole-frame OpRun
 // invocations sched makes over workload w's frames, in the order the
 // event loop reaches them (by image, then by sched.Launch), skipping
-// every frame the skip index already holds. A nil or cold cache has no
-// memo to fill.
+// every frame the skip index already holds. The index is a hint, never a
+// memo key: a claimed frame whose entry is missing (a failed helper, a
+// differing plan) only makes the event loop compute it inline. A nil or
+// cold cache has no memo to fill.
 func (c *ArtifactCache) prefetchJobs(w Workload, sched Schedule, v Variant, frames []*frame) []func() error {
 	if c == nil || c.cold {
 		return nil
 	}
 	var jobs []func() error
-	var plans [len(extractKernels)][]img.Slice
-	for n, f := range frames {
+	var plans [numExtract][]img.Slice
+	for _, f := range frames {
 		for _, id := range sched.Launch {
-			if !c.claimPrefetch(prefetchKey{id: id, v: v, frame: frameKeyOf(w, n)}) {
+			if !f.prefetched[v][id].CompareAndSwap(false, true) {
 				continue
 			}
 			if plans[id] == nil {

@@ -89,58 +89,6 @@ func (t *texAcc) Finalize() []float32            { return t.a.Finalize() }
 // computes the host reference features.
 var ExtractKernels = []KernelID{KCH, KCC, KTX, KEH}
 
-// extractKernel is everything the port knows about one extraction kernel.
-type extractKernel struct {
-	halo        int // operator radius in rows
-	granularity int // payload row multiple (texture tiles)
-	scratchRows int // LS scratch bytes per buffered row, ×W (bins, gray)
-	newAcc      func() Accumulator
-	// reference is the whole-image host computation the kernel must
-	// reproduce bit for bit.
-	reference func(*img.RGB) []float32
-	dim       int    // feature dimension, also the concept model's
-	numSV     int    // the concept model's support-vector count
-	rawWords  uint32 // raw accumulator encoding size (rawacc.go)
-	// score is the kernel's slot in ImageResult.Scores, which also
-	// selects its concept model (ModelSet.bySlot).
-	score int
-	// feature selects the kernel's vector in an ImageResult.
-	feature func(*ImageResult) *[]float32
-}
-
-// extractKernels is the kernel table, indexed by KernelID.
-var extractKernels = [...]extractKernel{
-	KCH: {halo: 0, granularity: 1, scratchRows: 0,
-		newAcc:    func() Accumulator { return &histAcc{} },
-		reference: features.ColorHistogram,
-		dim:       DimCH, numSV: NumSVCH, rawWords: HistBinsU + 1, // counts + pixel total
-		score: 0, feature: func(r *ImageResult) *[]float32 { return &r.CH }},
-	KCC: {halo: features.CorrRadius, granularity: 1, scratchRows: 1,
-		newAcc:    func() Accumulator { return &corrAcc{} },
-		reference: features.ColorCorrelogram,
-		dim:       DimCC, numSV: NumSVCC, rawWords: 2 * HistBinsU, // Same + Total
-		score: 1, feature: func(r *ImageResult) *[]float32 { return &r.CC }},
-	KTX: {halo: 0, granularity: features.TexTile, scratchRows: 1,
-		newAcc:    func() Accumulator { return &texAcc{} },
-		reference: features.Texture,
-		dim:       DimTX, numSV: NumSVTX, rawWords: TexBinsU + 1, // energies + pixel total
-		score: 3, feature: func(r *ImageResult) *[]float32 { return &r.TX }},
-	KEH: {halo: features.EdgeRadius, granularity: 1, scratchRows: 1,
-		newAcc:    func() Accumulator { return &edgeAcc{} },
-		reference: features.EdgeHistogram,
-		dim:       DimEH, numSV: NumSVEH, rawWords: EdgeBinsU,
-		score: 2, feature: func(r *ImageResult) *[]float32 { return &r.EH }},
-}
-
-// kernelOf returns an extraction kernel's table entry. It panics for KCD:
-// detection has no slice geometry or feature of its own.
-func kernelOf(id KernelID) *extractKernel {
-	if id < 0 || int(id) >= len(extractKernels) {
-		panic("marvel: " + id.String() + " is not an extraction kernel")
-	}
-	return &extractKernels[id]
-}
-
 // NewAccumulator returns a fresh accumulator for an extraction kernel. It
 // panics for KCD, like every kernel-table read.
 func NewAccumulator(id KernelID) Accumulator { return kernelOf(id).newAcc() }
@@ -165,7 +113,7 @@ func (v Variant) buffers() int {
 // chargeExtract charges the SPU time for processing `pixels` payload
 // pixels under the given variant's calibration.
 func chargeExtract(ctx *spe.Context, id KernelID, v Variant, pixels float64) {
-	cal := calibration[id]
+	cal := kernelOf(id)
 	label := id.String()
 	switch v {
 	case Optimized:
@@ -273,7 +221,6 @@ func sliceBudget(free uint32, id KernelID, v Variant, w, stride int) int {
 // memo serves the feature arithmetic from its kernel layer, keyed by the
 // bands the DMA delivered (kernelmemo.go); nil computes inline.
 func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelSpec {
-	cal := calibration[id]
 	g := kernelOf(id)
 	fn := func(ctx *spe.Context, wrapper mainmem.Addr, partial bool) uint32 {
 		st := ctx.Store()
@@ -378,7 +325,7 @@ func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelS
 	}
 	return core.KernelSpec{
 		Name:      fmt.Sprintf("%s-%s", id, v),
-		CodeBytes: cal.CodeBytes,
+		CodeBytes: g.CodeBytes,
 		Mode:      core.Polling,
 		Functions: map[core.Opcode]core.KernelFunc{
 			OpRun: func(ctx *spe.Context, wrapper mainmem.Addr) uint32 {

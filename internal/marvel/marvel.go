@@ -38,25 +38,11 @@ const (
 	numKernels
 )
 
+// numExtract counts the extraction kernels, KCH through KEH.
+const numExtract = int(KCD)
+
 // KernelIDs lists all kernels in order.
 var KernelIDs = []KernelID{KCH, KCC, KTX, KEH, KCD}
-
-func (k KernelID) String() string {
-	switch k {
-	case KCH:
-		return "CHExtract"
-	case KCC:
-		return "CCExtract"
-	case KTX:
-		return "TXExtract"
-	case KEH:
-		return "EHExtract"
-	case KCD:
-		return "ConceptDet"
-	default:
-		return fmt.Sprintf("Kernel(%d)", int(k))
-	}
-}
 
 // Workload describes an experiment input: n synthetic images of the
 // paper's 352×240 frame size by default.
@@ -106,65 +92,42 @@ const (
 	ModelParseOps  = 2_000_000
 )
 
-// Feature dimensions and §5.5 support-vector counts per feature model.
-const (
-	DimCH = 166
-	DimCC = 166
-	DimEH = 64
-	DimTX = 10
-
-	NumSVCH = 186
-	NumSVCC = 225
-	NumSVEH = 210
-	NumSVTX = 255
-)
-
-// ModelSet holds the four precomputed concept models, decoded back from
-// their flat float32 encoding, so reference detection sees exactly the
-// rounded data the SPE kernel streams. Beside each model it keeps that
-// encoding as the big-endian bytes PlaceModel copies into simulated main
-// memory, so placing a model never re-encodes it.
+// ModelSet holds the four precomputed concept models by score slot,
+// decoded back from their flat float32 encoding, so reference detection
+// sees exactly the rounded data the SPE kernel streams. Beside each model
+// it keeps that encoding as the big-endian bytes PlaceModel copies into
+// simulated main memory, so placing a model never re-encodes it.
 type ModelSet struct {
-	CH, CC, EH, TX *svm.Model
-	images         [4][]byte // by score slot
+	slots [numExtract]struct {
+		model *svm.Model
+		enc   []byte
+	}
 }
 
 // NewModelSet builds the deterministic synthetic model library with the
-// paper's support-vector counts.
+// paper's support-vector counts, one model per extraction kernel's row.
 func NewModelSet(seed uint64) (*ModelSet, error) {
 	ms := &ModelSet{}
-	build := func(slot int, name string, n, dim int) (*svm.Model, error) {
-		enc, err := svm.Encode(svm.Synthetic(name, seed+uint64(slot)+1, n, dim, 4.0))
+	for _, id := range ExtractKernels {
+		k := kernelOf(id)
+		enc, err := svm.Encode(svm.Synthetic(k.model, seed+uint64(k.score)+1, k.numSV, k.dim, 4.0))
 		if err != nil {
 			return nil, err
 		}
-		ms.images[slot] = make([]byte, 4*len(enc))
-		core.PutFloat32s(ms.images[slot], enc)
-		return svm.Decode(name, enc)
-	}
-	var err error
-	if ms.CH, err = build(0, "concept-ch", NumSVCH, DimCH); err != nil {
-		return nil, err
-	}
-	if ms.CC, err = build(1, "concept-cc", NumSVCC, DimCC); err != nil {
-		return nil, err
-	}
-	if ms.EH, err = build(2, "concept-eh", NumSVEH, DimEH); err != nil {
-		return nil, err
-	}
-	if ms.TX, err = build(3, "concept-tx", NumSVTX, DimTX); err != nil {
-		return nil, err
+		slot := &ms.slots[k.score]
+		slot.enc = make([]byte, 4*len(enc))
+		core.PutFloat32s(slot.enc, enc)
+		if slot.model, err = svm.Decode(k.model, enc); err != nil {
+			return nil, err
+		}
 	}
 	return ms, nil
 }
 
-// bySlot returns the models in score-slot order, the library's own order.
-func (ms *ModelSet) bySlot() [4]*svm.Model { return [4]*svm.Model{ms.CH, ms.CC, ms.EH, ms.TX} }
-
 // Decision evaluates a feature vector against extraction kernel id's
 // concept model.
 func (ms *ModelSet) Decision(id KernelID, feature []float32) float64 {
-	return ms.bySlot()[kernelOf(id).score].Decision(feature)
+	return ms.slots[kernelOf(id).score].model.Decision(feature)
 }
 
 // ImageResult carries the real outputs computed for one image.

@@ -27,19 +27,12 @@ func TestModelSetShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		n, dim int
-		got    int
-		gotDim int
-	}{
-		{NumSVCH, DimCH, len(ms.CH.SupportVectors), ms.CH.Dim()},
-		{NumSVCC, DimCC, len(ms.CC.SupportVectors), ms.CC.Dim()},
-		{NumSVEH, DimEH, len(ms.EH.SupportVectors), ms.EH.Dim()},
-		{NumSVTX, DimTX, len(ms.TX.SupportVectors), ms.TX.Dim()},
-	}
-	for i, c := range cases {
-		if c.got != c.n || c.gotDim != c.dim {
-			t.Errorf("model %d: %dx%d, want %dx%d", i, c.got, c.gotDim, c.n, c.dim)
+	// §5.5: support-vector count × feature dimension per concept model.
+	want := map[KernelID][2]int{KCH: {186, 166}, KCC: {225, 166}, KEH: {210, 64}, KTX: {255, 10}}
+	for id, w := range want {
+		m := ms.slots[kernelOf(id).score].model
+		if n, dim := len(m.SupportVectors), m.Dim(); n != w[0] || dim != w[1] {
+			t.Errorf("%s model: %dx%d, want %dx%d", id, n, dim, w[0], w[1])
 		}
 	}
 }
@@ -273,7 +266,7 @@ func TestPortedDeterministic(t *testing.T) {
 }
 
 func TestSVChunkRowsAlignment(t *testing.T) {
-	for _, dim := range []int{DimCH, DimEH, DimTX, 7, 33, 100} {
+	for _, dim := range []int{kernelOf(KCH).dim, kernelOf(KEH).dim, kernelOf(KTX).dim, 7, 33, 100} {
 		k := svChunkRows(dim)
 		if k < 1 {
 			t.Fatalf("dim %d: k=%d", dim, k)

@@ -345,7 +345,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 	start := ctx.Now()
 	ctx.DiskRead(ModelFileBytes, "load-models")
 	ctx.ComputeScalar(ModelParseOps, "parse-models")
-	var models [4]*PlacedModel // by score slot, placed in that order
+	var models [numExtract]*PlacedModel // by score slot, placed in that order
 	for slot := range models {
 		pm, err := PlaceModel(mem, ms, slot)
 		if err != nil {
@@ -369,10 +369,10 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 				return resErr
 			}
 			im := img.Wrap(mem.Bytes(pixEA, uint32(stride*ih)), iw, ih, stride)
-			vec := kernelOf(id).reference(im)
-			cal := calibration[id]
-			ctx.ComputeBranches(cal.NomBranchesPerPixel*pixels, -1, id.String()+"-ppe")
-			ctx.ComputeScalar(cal.NomOpsPerPixel*pixels*cal.HostOpsMult, id.String()+"-ppe")
+			k := kernelOf(id)
+			vec := k.reference(im)
+			ctx.ComputeBranches(k.NomBranchesPerPixel*pixels, -1, id.String()+"-ppe")
+			ctx.ComputeScalar(k.NomOpsPerPixel*pixels*k.HostOpsMult, id.String()+"-ppe")
 			core.PutFloat32s(mem.Bytes(wrapper+mainmem.Addr(extractOutOff()), uint32(len(vec)*4)), vec)
 			return resOK
 		}
@@ -397,7 +397,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 		}
 		feature := core.GetFloat32s(mem.Bytes(wrapper+mainmem.Addr(detectFeatureOff()), uint32(dim)*4))
 		sum := model.refModel.Decision(feature)
-		ctx.ComputeScalar(detectNomOps(numSV, dim)*calibration[KCD].HostOpsMult, "detect-ppe")
+		ctx.ComputeScalar(detectNomOps(numSV, dim)*kernels[KCD].HostOpsMult, "detect-ppe")
 		sb := mem.Bytes(wrapper+mainmem.Addr(detectScoreOff(dim)), scoreBytes)
 		core.PutFloat32s(sb[:4], []float32{float32(sum)})
 		class := uint32(0)
@@ -416,7 +416,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 		ex              []*core.Wrapper
 		dt              *core.Wrapper
 	}
-	var lanes [len(extractKernels)]lane
+	var lanes [numExtract]lane
 
 	// Kernel placement: extraction kernels on SPE0-3; detection on SPE4,
 	// or replicated on SPE4-7 when every lane has its own detector. Under
@@ -634,10 +634,10 @@ func compareImage(ref, got *ImageResult) int {
 			}
 		}
 	}
-	cmpVec(ref.CH, got.CH)
-	cmpVec(ref.CC, got.CC)
-	cmpVec(ref.EH, got.EH)
-	cmpVec(ref.TX, got.TX)
+	for _, id := range ExtractKernels {
+		f := kernelOf(id).feature
+		cmpVec(*f(ref), *f(got))
+	}
 	for i := range ref.Scores {
 		if float64(float32(ref.Scores[i])) != got.Scores[i] {
 			bad++

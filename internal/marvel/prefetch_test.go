@@ -40,7 +40,7 @@ func TestPrefetchCoversEveryInvocation(t *testing.T) {
 				if misses != want {
 					t.Errorf("misses = %d, want %d (one per kernel and frame)", misses, want)
 				}
-				if jobs := uint64(len(arts.prefetched)); jobs != misses {
+				if jobs := prefetchClaims(arts, cfg); jobs != misses {
 					t.Errorf("%d prefetch jobs for %d misses", jobs, misses)
 				}
 				if hits != misses {
@@ -65,6 +65,20 @@ func TestPrefetchCoversEveryInvocation(t *testing.T) {
 			})
 		}
 	}
+}
+
+// prefetchClaims counts the skip-index entries cfg's frames hold for its
+// variant: one per prefetch job a run listed.
+func prefetchClaims(arts *ArtifactCache, cfg PortedConfig) uint64 {
+	var n uint64
+	for _, f := range arts.framesOf(cfg.Workload) {
+		for id := range f.prefetched[cfg.Variant] {
+			if f.prefetched[cfg.Variant][id].Load() {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestPrefetchDMACorruptRecomputes checks that a memo warmed by prefetch
@@ -121,9 +135,9 @@ func TestKernelMemoJoinedPanicError(t *testing.T) {
 	frames := arts.framesOf(w)
 	// Claim every frame in the skip index so the run prefetches nothing
 	// and only the event loop looks the key up.
-	for n := range frames {
+	for _, f := range frames {
 		for _, id := range ExtractKernels {
-			arts.claimPrefetch(prefetchKey{id: id, v: cfg.Variant, frame: frameKeyOf(w, n)})
+			f.prefetched[cfg.Variant][id].Store(true)
 		}
 	}
 	slices, err := ExecPlan(KCH, cfg.Variant, w.W, w.H)

@@ -44,19 +44,6 @@ func RunReference(host *cost.Model, w Workload, ms *ModelSet) *ReferenceResult {
 	return runReference(host, w, ms, func(i int) ImageResult { return frames[i].features() })
 }
 
-// refKernels are the reference pipeline's kernels in charge order, with
-// the profiler names they are recorded under.
-var refKernels = [...]struct {
-	id            KernelID
-	class, method string
-}{
-	{KCH, "ColorHistogram", "extract"},
-	{KCC, "ColorCorrelogram", "extract"},
-	{KTX, "Texture", "extract"},
-	{KEH, "EdgeHistogram", "extract"},
-	{KCD, "ConceptDetect", "detect"},
-}
-
 // runReference folds the reference run's virtual-time charges and concept
 // detection over frame(i), frame i's host features (the reference vectors
 // of w.Generate()[i]), so an ArtifactCache can feed features shared across
@@ -90,19 +77,19 @@ func runReference(host *cost.Model, w Workload, ms *ModelSet, frame func(i int) 
 
 		r := frame(i)
 		ms.Detect(&r)
-		for _, k := range refKernels {
-			cal := calibration[k.id]
+		for _, id := range KernelIDs {
+			k := &kernels[id]
 			prof.Enter(k.class, k.method)
 			start := clk.now
 			var nomOps float64
-			if k.id == KCD {
+			if id == KCD {
 				nomOps = detectNomOpsAll()
 			} else {
-				nomOps = cal.NomOpsPerPixel * pixels
-				clk.charge(host.Branches(cal.NomBranchesPerPixel*pixels, -1))
+				nomOps = k.NomOpsPerPixel * pixels
+				clk.charge(host.Branches(k.NomBranchesPerPixel*pixels, -1))
 			}
-			clk.charge(host.ScalarOps(nomOps * cal.HostOpsMult))
-			res.KernelTime[k.id] += clk.now.Sub(start)
+			clk.charge(host.ScalarOps(nomOps * k.HostOpsMult))
+			res.KernelTime[id] += clk.now.Sub(start)
 			prof.Exit()
 		}
 		res.Images = append(res.Images, r)

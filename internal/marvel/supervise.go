@@ -57,12 +57,10 @@ type fallbackFunc func(wrapper mainmem.Addr) uint32
 // which SPEs are occupied, which have been lost, and the recovery
 // counters surfaced through the fault report.
 type supervisor struct {
-	ctx        *cell.Context
-	inj        *fault.Injector
-	rep        *fault.Report
-	watchdog   sim.Duration
-	backoff    sim.Duration
-	maxRetries int
+	ctx      *cell.Context
+	inj      *fault.Injector
+	rep      *fault.Report // inj's report; nil exactly when inj is
+	watchdog sim.Duration
 	// used marks SPEs occupied by a kernel (or dead); rehoming scans for
 	// the first free healthy SPE, so spare SPEs form a redispatch pool.
 	used []bool
@@ -77,13 +75,11 @@ func newSupervisor(ctx *cell.Context, inj *fault.Injector, watchdog sim.Duration
 		watchdog = DefaultWatchdog
 	}
 	s := &supervisor{
-		ctx:        ctx,
-		inj:        inj,
-		watchdog:   watchdog,
-		backoff:    retryBackoff,
-		maxRetries: maxRetries,
-		used:       make([]bool, ctx.Machine().Config().NumSPEs),
-		lost:       map[int]bool{},
+		ctx:      ctx,
+		inj:      inj,
+		watchdog: watchdog,
+		used:     make([]bool, ctx.Machine().Config().NumSPEs),
+		lost:     map[int]bool{},
 	}
 	if inj != nil {
 		s.rep = inj.Report()
@@ -119,9 +115,7 @@ func (s *supervisor) noteLost(i int) {
 		return
 	}
 	s.lost[i] = true
-	if s.rep != nil {
-		s.rep.SPEsLost = append(s.rep.SPEsLost, i)
-	}
+	s.rep.SPEsLost = append(s.rep.SPEsLost, i)
 }
 
 // kern is a supervised kernel endpoint: a core.Interface plus the state
@@ -188,9 +182,7 @@ func (k *kern) rehome() error {
 		}
 		s.used[i] = true
 		k.iface = iface
-		if s.rep != nil {
-			s.rep.Redispatches++
-		}
+		s.rep.Redispatches++
 		return nil
 	}
 	k.iface = nil
@@ -225,14 +217,10 @@ func (k *kern) dispatch() error {
 // charging the time to the degraded-mode accounting.
 func (k *kern) runFallback() {
 	s := k.sup
-	if s.rep != nil {
-		s.rep.Fallbacks++
-	}
+	s.rep.Fallbacks++
 	start := s.ctx.Now()
 	k.code = k.fallback(k.addr)
-	if s.rep != nil {
-		s.rep.DegradedTime += s.ctx.Now().Sub(start)
-	}
+	s.rep.DegradedTime += s.ctx.Now().Sub(start)
 	k.done = true
 }
 
@@ -277,9 +265,7 @@ func (k *kern) Wait() (uint32, error) {
 			// Watchdog expired: the SPE is hung (crashed mid-invocation or
 			// lost a DMA). Kill it first — a killed SPE can never deliver a
 			// duplicate result after the invocation is re-dispatched.
-			if s.rep != nil {
-				s.rep.WatchdogTimeouts++
-			}
+			s.rep.WatchdogTimeouts++
 			s.failSPE(k.iface.SPE(), "watchdog timeout")
 			k.iface.Abandon()
 			k.iface = nil
@@ -289,18 +275,14 @@ func (k *kern) Wait() (uint32, error) {
 			continue
 		}
 		if result == resErr || result == core.ResultDMAFault {
-			if k.attempts >= s.maxRetries {
+			if k.attempts >= maxRetries {
 				k.pending = false
 				return result, nil
 			}
 			k.attempts++
-			if s.rep != nil {
-				s.rep.Retries++
-			}
-			d := BackoffDelay(s.backoff, k.attempts)
-			if s.rep != nil {
-				s.rep.BackoffTime += d
-			}
+			s.rep.Retries++
+			d := BackoffDelay(retryBackoff, k.attempts)
+			s.rep.BackoffTime += d
 			s.ctx.Sleep(d)
 			if err := k.dispatch(); err != nil {
 				return 0, err

@@ -1,0 +1,267 @@
+package marvel
+
+import (
+	"fmt"
+
+	"cellport/internal/cost"
+	"cellport/internal/features"
+	"cellport/internal/img"
+)
+
+// The kernel table: everything the port knows about each of the five
+// §5.2 kernels, one row per KernelID (KCD included), and the paper's
+// published numbers each row is fitted to.
+//
+// Everything the paper MEASURES but does not derive is a calibration
+// field of a row, fitted to the row's paper target. Structural behaviour
+// (DMA time, slice counts, mailbox round trips, schedule overlap) is
+// computed by the simulator; the calibration sets per-kernel effective
+// throughput.
+//
+// Derivation sketch: the features package defines nominal per-pixel
+// operation counts for the *integer* algorithm each kernel uses after
+// porting. The original C++ runs costlier code on the hosts —
+// floating-point HSV conversion (CH), float atan2 per pixel (EH), cache
+// misses on the window walk (CC), pointer-heavy model evaluation (CD) —
+// captured as HostOpsMult, which fits the PPE per-kernel times to the
+// §5.2 coverage split. Host machines then differ only through their
+// sustained scalar throughput, which reproduces the 2.5×/3.2× host
+// ratios automatically.
+//
+// The optimized SPE variant runs the nominal ops SIMDized at OptWidth
+// with efficiency OptEff, which fits the Table 1 speed-up
+// (cycles/px = nominalOps / (peakOpsPerCycle × eff)). The naive variant
+// models the first functional port: single-buffered DMA, mostly scalar
+// code with static-prediction branch stalls; NaiveEff fits the §5.3
+// speed-up where the paper measured one, and is assigned where it did
+// not.
+
+// Target is a kernel's published numbers.
+type Target struct {
+	// SpeedUp is the Table 1 optimized SPE-vs-PPE speed-up.
+	SpeedUp float64
+	// Coverage is the §5.2 share of per-image PPE processing time.
+	Coverage float64
+	// Naive is the §5.3 speed-up before SPE-specific optimization, 0
+	// where the paper did not measure one.
+	Naive float64
+}
+
+// kernelRow is one kernel's table row.
+type kernelRow struct {
+	name string // KernelID.String
+	// class and method name the kernel's call in the reference profile
+	// (§3.2).
+	class, method string
+	paper         Target
+
+	// Calibration. NomOpsPerPixel / NomBranchesPerPixel: the ported
+	// integer algorithm (from the features package; detection uses
+	// per-SV counts instead).
+	NomOpsPerPixel      float64
+	NomBranchesPerPixel float64
+	// HostOpsMult scales nominal ops to the original C++ implementation's
+	// cost on scalar hosts (PPE, Desktop, Laptop).
+	HostOpsMult float64
+	// Optimized SPE variant: SIMD width and efficiency.
+	OptWidth cost.Width
+	OptEff   float64
+	// Naive SPE variant: if NaiveSIMD, the first port already vectorized
+	// (compiler-friendly inner loop); otherwise scalar. NaiveEff applies
+	// to the respective peak (SIMD lane rate or scalar IPC).
+	NaiveSIMD  bool
+	NaiveWidth cost.Width
+	NaiveEff   float64
+	// CodeBytes is the kernel's program-image footprint in the LS.
+	CodeBytes uint32
+	// SliceOverheadCycles is fixed SPU work per processed slice (loop
+	// setup, address arithmetic, bookkeeping).
+	SliceOverheadCycles float64
+
+	// Extraction kernels only (zero for KCD; read them via kernelOf).
+	halo        int // operator radius in rows
+	granularity int // payload row multiple (texture tiles)
+	scratchRows int // LS scratch bytes per buffered row, ×W (bins, gray)
+	newAcc      func() Accumulator
+	// reference is the whole-image host computation the kernel must
+	// reproduce bit for bit.
+	reference func(*img.RGB) []float32
+	rawWords  uint32 // raw accumulator encoding size (rawacc.go)
+	// feature selects the kernel's vector in an ImageResult.
+	feature func(*ImageResult) *[]float32
+
+	// The kernel's §5.5 concept model: its name, its dimension (also the
+	// feature's) and its support-vector count. score is the model's slot
+	// in ModelSet and in ImageResult.Scores.
+	model      string
+	dim, numSV int
+	score      int
+}
+
+// kernels is the kernel table, indexed by KernelID.
+var kernels = [numKernels]kernelRow{
+	KCH: {
+		name: "CHExtract", class: "ColorHistogram", method: "extract",
+		paper: Target{SpeedUp: 53.67, Coverage: 0.08, Naive: 26.41},
+
+		NomOpsPerPixel:      features.HistOpsPerPixel,      // 38
+		NomBranchesPerPixel: features.HistBranchesPerPixel, // 7
+		// Fits §5.2 coverage: float HSV conversion with divisions in the
+		// original code.
+		HostOpsMult: 2.45,
+		// Fits Table 1, on 16-bit lanes.
+		OptWidth: cost.Bits16,
+		OptEff:   0.74,
+		// Fits §5.3: fast already before optimization — the histogram
+		// inner loop auto-vectorized in the first port (it is a pure
+		// per-pixel map), it just lacked multibuffering and unrolling.
+		NaiveSIMD:           true,
+		NaiveWidth:          cost.Bits16,
+		NaiveEff:            0.34,
+		CodeBytes:           24 * 1024,
+		SliceOverheadCycles: 300,
+
+		halo: 0, granularity: 1, scratchRows: 0,
+		newAcc:    func() Accumulator { return &histAcc{} },
+		reference: features.ColorHistogram,
+		rawWords:  HistBinsU + 1, // counts + pixel total
+		feature:   func(r *ImageResult) *[]float32 { return &r.CH },
+		model:     "concept-ch", dim: 166, numSV: 186, score: 0,
+	},
+	KCC: {
+		name: "CCExtract", class: "ColorCorrelogram", method: "extract",
+		paper: Target{SpeedUp: 52.23, Coverage: 0.54, Naive: 0.43},
+
+		NomOpsPerPixel:      features.CorrOpsPerPixel,      // 616
+		NomBranchesPerPixel: features.CorrBranchesPerPixel, // 24
+		// CC is the calibration anchor: HostOpsMult 1.0 fits its §5.2
+		// coverage of the per-image budget.
+		HostOpsMult: 1.0,
+		// Fits Table 1, on byte lanes (the window compare-and-count is
+		// ideal 16-way byte SIMD).
+		OptWidth: cost.Bits8,
+		OptEff:   0.81,
+		// Fits §5.3: the straight C port ran *slower* than the PPE:
+		// scalar compares on a branchy window walk with 18-cycle static
+		// mispredictions.
+		NaiveSIMD:           false,
+		NaiveEff:            0.62,
+		CodeBytes:           48 * 1024,
+		SliceOverheadCycles: 400,
+
+		halo: features.CorrRadius, granularity: 1, scratchRows: 1,
+		newAcc:    func() Accumulator { return &corrAcc{} },
+		reference: features.ColorCorrelogram,
+		rawWords:  2 * HistBinsU, // Same + Total
+		feature:   func(r *ImageResult) *[]float32 { return &r.CC },
+		model:     "concept-cc", dim: 166, numSV: 225, score: 1,
+	},
+	KTX: {
+		name: "TXExtract", class: "Texture", method: "extract",
+		paper: Target{SpeedUp: 15.99, Coverage: 0.06},
+
+		NomOpsPerPixel:      features.TexOpsPerPixel,      // 18
+		NomBranchesPerPixel: features.TexBranchesPerPixel, // 4
+		// Fits §5.2 coverage: float wavelet filters in the original.
+		HostOpsMult: 3.9,
+		// Fits Table 1, on 32-bit lanes (strided column passes defeat
+		// wide SIMD — the paper's weakest kernel).
+		OptWidth: cost.Bits32,
+		OptEff:   0.254,
+		// Not measured in §5.3; assigned: scalar port, moderate branches.
+		NaiveSIMD:           false,
+		NaiveEff:            0.70,
+		CodeBytes:           40 * 1024,
+		SliceOverheadCycles: 350,
+
+		halo: 0, granularity: features.TexTile, scratchRows: 1,
+		newAcc:    func() Accumulator { return &texAcc{} },
+		reference: features.Texture,
+		rawWords:  TexBinsU + 1, // energies + pixel total
+		feature:   func(r *ImageResult) *[]float32 { return &r.TX },
+		model:     "concept-tx", dim: 10, numSV: 255, score: 3,
+	},
+	KEH: {
+		name: "EHExtract", class: "EdgeHistogram", method: "extract",
+		paper: Target{SpeedUp: 65.94, Coverage: 0.28, Naive: 3.85},
+
+		NomOpsPerPixel:      features.EdgeOpsPerPixel,      // 39
+		NomBranchesPerPixel: features.EdgeBranchesPerPixel, // 9
+		// Fits §5.2 coverage: the original computes a float atan2 and
+		// sqrt per pixel.
+		HostOpsMult: 8.3,
+		// Fits Table 1 at ~9.9 cycles/px: 16-bit lanes at eff 0.25 (the
+		// big win is dropping atan2 for octant compares).
+		OptWidth: cost.Bits16,
+		OptEff:   0.25,
+		// Fits §5.3: the scalar port already beat the PPE because the
+		// integer rewrite removed atan2.
+		NaiveSIMD:           false,
+		NaiveEff:            0.84,
+		CodeBytes:           36 * 1024,
+		SliceOverheadCycles: 300,
+
+		halo: features.EdgeRadius, granularity: 1, scratchRows: 1,
+		newAcc:    func() Accumulator { return &edgeAcc{} },
+		reference: features.EdgeHistogram,
+		rawWords:  EdgeBinsU,
+		feature:   func(r *ImageResult) *[]float32 { return &r.EH },
+		model:     "concept-eh", dim: 64, numSV: 210, score: 2,
+	},
+	KCD: {
+		name: "ConceptDet", class: "ConceptDetect", method: "detect",
+		paper: Target{SpeedUp: 10.80, Coverage: 0.02},
+
+		// Detection cost is per support vector: 3*dim+25 nominal ops
+		// (see svm.Model.DetectOps); per-pixel fields unused.
+		HostOpsMult: 7.2, // fits §5.2 coverage: virtual calls + exp()
+		// Fits Table 1: fp32 4-wide at low efficiency (dot products
+		// short, exp scalar).
+		OptWidth: cost.Bits32,
+		OptEff:   0.104,
+		// Not measured in §5.3; assigned: scalar float port.
+		NaiveSIMD:           false,
+		NaiveEff:            0.55,
+		CodeBytes:           32 * 1024,
+		SliceOverheadCycles: 500,
+	},
+}
+
+func (k KernelID) String() string {
+	if k < 0 || k >= numKernels {
+		return fmt.Sprintf("Kernel(%d)", int(k))
+	}
+	return kernels[k].name
+}
+
+// Paper returns the kernel's published numbers, the targets its
+// calibration is fitted to.
+func (k KernelID) Paper() Target { return kernels[k].paper }
+
+// kernelOf returns an extraction kernel's row. It panics for KCD, whose
+// row has no slice geometry, feature or concept model of its own.
+func kernelOf(id KernelID) *kernelRow {
+	if id < 0 || id >= KCD {
+		panic("marvel: " + id.String() + " is not an extraction kernel")
+	}
+	return &kernels[id]
+}
+
+// NaiveMispredict is the misprediction rate charged to naive kernels
+// (static prediction on data-dependent branches).
+const NaiveMispredict = 0.30
+
+// detectNomOps returns nominal operations for evaluating a model with n
+// support vectors of dimension dim (mirrors svm.Model.DetectOps).
+func detectNomOps(n, dim int) float64 { return float64(n) * (3*float64(dim) + 25) }
+
+// detectNomOpsAll is the per-image nominal detection work for the §5.5
+// model library.
+func detectNomOpsAll() float64 {
+	var total float64
+	for _, id := range ExtractKernels {
+		k := kernelOf(id)
+		total += detectNomOps(k.numSV, k.dim)
+	}
+	return total
+}

@@ -29,24 +29,16 @@ const (
 	MaxListElements = 2048
 )
 
-// Config sets MFC timing parameters.
-type Config struct {
-	// IssueCost is SPU time consumed writing the command to the MFC
+// Timing, in line with published Cell DMA measurements (~100 ns
+// small-transfer latency).
+const (
+	// issueCost is SPU time consumed writing the command to the MFC
 	// channels (a few channel writes).
-	IssueCost sim.Duration
-	// StartupLatency is the time from command issue to first data on the
+	issueCost = 10 * sim.Nanosecond
+	// startupLatency is the time from command issue to first data on the
 	// bus (address translation, EIB arbitration).
-	StartupLatency sim.Duration
-}
-
-// DefaultConfig returns latencies in line with published Cell DMA
-// measurements (~100 ns small-transfer latency).
-func DefaultConfig() Config {
-	return Config{
-		IssueCost:      10 * sim.Nanosecond,
-		StartupLatency: 90 * sim.Nanosecond,
-	}
-}
+	startupLatency = 90 * sim.Nanosecond
+)
 
 // FaultAction is the injected-fault verdict for one DMA command.
 type FaultAction int
@@ -70,7 +62,6 @@ type MFC struct {
 	mem    *mainmem.Memory
 	store  *ls.LocalStore
 	port   eib.Port
-	cfg    Config
 
 	slots      *sim.Semaphore
 	tagPending [NumTags]int
@@ -184,9 +175,9 @@ func (m *MFC) Abort() {
 }
 
 // New creates an MFC bound to one SPE's local store and bus port.
-func New(e *sim.Engine, bus *eib.Bus, mem *mainmem.Memory, store *ls.LocalStore, port eib.Port, cfg Config) *MFC {
+func New(e *sim.Engine, bus *eib.Bus, mem *mainmem.Memory, store *ls.LocalStore, port eib.Port) *MFC {
 	return &MFC{
-		engine: e, bus: bus, mem: mem, store: store, port: port, cfg: cfg,
+		engine: e, bus: bus, mem: mem, store: store, port: port,
 		slots:   sim.NewSemaphore(e, fmt.Sprintf("%v MFC queue", port), QueueDepth),
 		tagWait: sim.NewQueue(fmt.Sprintf("%v tag-group", port)),
 	}
@@ -355,7 +346,7 @@ var (
 // the startup latency the pieces stream serially on the bus; the tag
 // completes when the last one lands, and one span covers them all.
 func (m *MFC) issue(p *sim.Proc, tag int, cmd command, pieces []piece) {
-	p.Sleep(m.cfg.IssueCost)
+	p.Sleep(issueCost)
 	m.slots.Acquire(p)
 	m.noteQueueDepth()
 	m.tagPending[tag]++
@@ -402,7 +393,7 @@ func (m *MFC) issue(p *sim.Proc, tag int, cmd command, pieces []piece) {
 	// The startup timer is tracked so Abort can cancel a command that has
 	// not reached the bus yet.
 	var start sim.Timer
-	start = m.engine.At(m.engine.Now().Add(m.cfg.StartupLatency), func() {
+	start = m.engine.At(m.engine.Now().Add(startupLatency), func() {
 		m.removeTimer(start)
 		t0 = m.engine.Now()
 		run(0)

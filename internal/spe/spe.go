@@ -61,7 +61,7 @@ type SPE struct {
 }
 
 // New builds an SPE attached to the shared bus and main memory.
-func New(e *sim.Engine, id int, bus *eib.Bus, mem *mainmem.Memory, model *cost.Model, mfcCfg mfc.Config, tracer *trace.Recorder) *SPE {
+func New(e *sim.Engine, id int, bus *eib.Bus, mem *mainmem.Memory, model *cost.Model, tracer *trace.Recorder) *SPE {
 	store := ls.New()
 	name := fmt.Sprintf("SPE%d", id)
 	return &SPE{
@@ -71,7 +71,7 @@ func New(e *sim.Engine, id int, bus *eib.Bus, mem *mainmem.Memory, model *cost.M
 		tracer:      tracer,
 		lane:        name,
 		Store:       store,
-		MFC:         mfc.New(e, bus, mem, store, eib.SPEPort(id), mfcCfg),
+		MFC:         mfc.New(e, bus, mem, store, eib.SPEPort(id)),
 		InMbox:      mbox.NewMailbox(e, name+" in-mbox", mbox.InboundDepth),
 		OutMbox:     mbox.NewMailbox(e, name+" out-mbox", mbox.OutboundDepth),
 		OutIntrMbox: mbox.NewMailbox(e, name+" out-intr-mbox", mbox.OutboundDepth),

@@ -26,7 +26,7 @@ func newRig() *rig {
 	bus := eib.New(e, eib.DefaultConfig())
 	mem := mainmem.New(8 << 20)
 	rec := trace.NewRecorder()
-	s := New(e, 3, bus, mem, cost.NewSPE(), mfc.DefaultConfig(), rec)
+	s := New(e, 3, bus, mem, cost.NewSPE(), rec)
 	return &rig{e: e, bus: bus, mem: mem, s: s, rec: rec}
 }
 
@@ -231,7 +231,7 @@ func untracedAllocs(t *testing.T, op func(ctx *Context, buf ls.Addr, ea mainmem.
 	bus := eib.New(e, eib.DefaultConfig())
 	mem := mainmem.New(1 << 20)
 	ea := mem.MustAlloc(4096, 128)
-	s := New(e, 0, bus, mem, cost.NewSPE(), mfc.DefaultConfig(), nil)
+	s := New(e, 0, bus, mem, cost.NewSPE(), nil)
 	var allocs float64
 	if err := s.Load(Program{Name: "n", CodeBytes: 128, Main: func(ctx *Context) {
 		buf := ctx.Store().MustAlloc(4096, 128)
