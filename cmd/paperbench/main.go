@@ -15,8 +15,8 @@
 //	                             # crash/stall/drain, re-routing vs baseline
 //	paperbench -exp fleet        # fleet-scale serving: routed blade pools +
 //	                             # autoscaler vs a static single pool
-//	paperbench -exp race         # run every calibration point for real on the
-//	                             # work-stealing executor and report the
+//	paperbench -exp race         # run every calibration point for real, one
+//	                             # goroutine per lane, and report the
 //	                             # estimator's error vs the wall clock
 //	paperbench -quick            # reduced frames/sets for a fast pass
 //	paperbench -parallel 4       # worker pool for independent runs
@@ -35,7 +35,7 @@
 //	paperbench -burst 3          # serve: mean arrival burst size
 //	paperbench -fullsim          # serve: re-simulate the machine once per
 //	                             # dispatched key; fail on calibration divergence
-//	paperbench -workers 2        # race: executor pool width (0 = GOMAXPROCS;
+//	paperbench -workers 2        # race: lanes computing at once (0 = GOMAXPROCS;
 //	                             # wall times move, sim/est results never do)
 //	paperbench -reps 3           # race: real-execution repetitions per point
 //	                             # (fastest wall time wins)
@@ -169,7 +169,7 @@ func parseFlags(args []string, errw io.Writer) (*options, int) {
 	fs.IntVar(&o.pools, "pools", 4, "fleet: number of routed blade pools (each of -blades blades)")
 	fs.BoolVar(&o.autoscale, "autoscale", true, "fleet: arm the virtual-time autoscaler (-autoscale=false for a static fleet)")
 	fs.BoolVar(&o.flash, "flash", true, "fleet: add seeded flash-crowd windows to the diurnal load model")
-	fs.IntVar(&o.workers, "workers", 0, "race: executor pool width for real execution (0 = GOMAXPROCS; never affects simulated results)")
+	fs.IntVar(&o.workers, "workers", 0, "race: lanes computing at once in real execution (0 = GOMAXPROCS; never affects simulated results)")
 	fs.IntVar(&o.reps, "reps", 0, "race: real-execution repetitions per point, fastest wall time wins (default 3)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this path")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof allocation profile of the run to this path")

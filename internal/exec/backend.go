@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -12,40 +14,22 @@ import (
 	"cellport/internal/trace"
 )
 
-// Backend runs MARVEL batch points for real on the work-stealing pool,
-// as a marvel.ExecBackend. The task graph mirrors what the simulator
-// charges for, structurally:
-//
-//   - each extraction kernel's image traversal follows the simulated
-//     kernel's own slice plan (marvel.ExecPlan — same local-store
-//     budget, halos and granularity), with the slices of one lane
-//     chained as continuations so a lane runs its slices in order;
-//   - each image runs the scenario's marvel.Schedule, the description
-//     the simulated port runs: its launch order, whether lanes overlap,
-//     per-lane or group detection, and its pixel-buffer count. Job
-//     distribution (MultiSPE2) thus races the four
-//     extraction→finalize→detection lanes with preprocessing serial
-//     between images, and data distribution (Pipelined) double-buffers
-//     the pixel block and preprocesses image i+1 while image i's lanes
-//     run — the same overlap the estimator credits the scheme with;
-//   - the accumulators are marvel's own (marvel.NewAccumulator), so
-//     outputs are bit-exact against the host references at any worker
-//     count: parallelism is across lanes and slices of independent
-//     accumulators, never inside one.
-//
-// Everything it measures is host wall clock; nothing here touches
-// virtual time except to encode trace timestamps via trace.WallNanos.
+// Backend runs MARVEL batch points for real, as a marvel.ExecBackend.
+// Each launched lane is one goroutine, and at most Workers of them
+// compute at once. A kernel follows the simulated kernel's slice plan
+// (marvel.ExecPlan), and each image runs the scenario's marvel.Schedule:
+// its launch order, lane overlap, per-lane or group detection and
+// pixel-buffer count. The accumulators are marvel's own, so outputs are
+// bit-exact against the host references at any width. A lane that
+// panics does not kill the process: Execute returns the panic as an
+// error naming the lane and the image. Everything Backend measures is
+// host wall clock, encoded in traces via trace.WallNanos.
 type Backend struct {
-	ex         *Executor
-	arts       *marvel.ArtifactCache
-	reps       int
-	instrument bool
-	now        func(track string) time.Duration
+	o  Options
+	ex *Executor
 
-	// traceMu serializes span recording: lanes finish concurrently. The
-	// spans of the instrumented rep are sorted before they reach the
-	// trace.Recorder, so the recorded order never depends on which lane
-	// finished first.
+	// traceMu guards spans: lanes record concurrently. The instrumented
+	// rep's spans are sorted before they reach the trace.Recorder.
 	traceMu sync.Mutex
 	tracing bool
 	spans   []trace.Span
@@ -53,56 +37,42 @@ type Backend struct {
 
 // Options configures a Backend.
 type Options struct {
-	// Workers is the pool width (<= 0 selects GOMAXPROCS).
+	// Workers is how many lanes may compute at once (<= 0 selects
+	// GOMAXPROCS).
 	Workers int
-	// Reps is how many times Execute runs each point's graph, keeping
+	// Reps is how many times Execute runs each point's batch, keeping
 	// the fastest wall time (default 3). Outputs come from the last rep.
 	Reps int
-	// Artifacts supplies the model set and host references; nil computes
-	// privately.
+	// Artifacts supplies the model set; nil computes privately.
 	Artifacts *marvel.ArtifactCache
 	// Instrument records wall-clock spans and "exec" metrics on each
 	// returned run.
 	Instrument bool
 	// Now overrides the wall clock (elapsed time since an arbitrary
-	// epoch), read for one trace track at a time: the batch track
-	// ("batch", the orchestrator's wall measurement), "pre", a kernel
-	// lane, or "detect". Reads on one track never overlap, but different
-	// tracks are read concurrently (under Pipelined the orchestrator
-	// preprocesses while the lanes run), so Now must be safe for
-	// concurrent use. Tests inject a deterministic per-track clock; nil
-	// selects the host monotonic clock for every track.
+	// epoch). It is read per trace track: "batch" (Execute's wall
+	// measurement), "pre", a kernel lane, or "detect". Reads on one track
+	// never overlap, but tracks are read concurrently, so Now must be
+	// safe for concurrent use. Nil selects the host monotonic clock.
 	Now func(track string) time.Duration
 }
 
-// NewBackend starts a backend and its worker pool; Close releases the
-// workers.
+// NewBackend returns a backend; Close waits for the lanes it started.
 func NewBackend(o Options) *Backend {
-	b := &Backend{
-		ex:         New(o.Workers),
-		arts:       o.Artifacts,
-		reps:       o.Reps,
-		instrument: o.Instrument,
-		now:        o.Now,
+	if o.Reps <= 0 {
+		o.Reps = 3
 	}
-	if b.reps <= 0 {
-		b.reps = 3
-	}
-	if b.now == nil {
+	if o.Now == nil {
 		start := time.Now()
-		b.now = func(string) time.Duration { return time.Since(start) }
+		o.Now = func(string) time.Duration { return time.Since(start) }
 	}
-	return b
+	return &Backend{o: o, ex: New(o.Workers)}
 }
 
-// Close stops the worker pool after draining.
+// Close waits until every lane the backend started has returned.
 func (b *Backend) Close() { b.ex.Close() }
 
-// Workers reports the pool width.
+// Workers reports how many lanes may compute at once.
 func (b *Backend) Workers() int { return b.ex.Workers() }
-
-// batchTrack is the clock track of Execute's per-rep wall measurement.
-const batchTrack = "batch"
 
 // span records one wall-clock span when instrumenting the current rep.
 func (b *Backend) span(lane string, start, end time.Duration, kind trace.Kind, label string) {
@@ -120,18 +90,9 @@ func (b *Backend) span(lane string, start, end time.Duration, kind trace.Kind, l
 func (b *Backend) takeTrace() *trace.Recorder {
 	spans := b.spans
 	b.tracing, b.spans = false, nil
-	sort.Slice(spans, func(i, j int) bool {
-		x, y := spans[i], spans[j]
-		switch {
-		case x.Start != y.Start:
-			return x.Start < y.Start
-		case x.End != y.End:
-			return x.End < y.End
-		case x.Lane != y.Lane:
-			return x.Lane < y.Lane
-		default:
-			return x.Label < y.Label
-		}
+	slices.SortFunc(spans, func(x, y trace.Span) int {
+		return cmp.Or(cmp.Compare(x.Start, y.Start), cmp.Compare(x.End, y.End),
+			strings.Compare(x.Lane, y.Lane), strings.Compare(x.Label, y.Label))
 	})
 	rec := trace.NewRecorder()
 	for _, s := range spans {
@@ -141,7 +102,7 @@ func (b *Backend) takeTrace() *trace.Recorder {
 }
 
 // Execute implements marvel.ExecBackend: it runs the point's batch
-// graph Reps times and reports the fastest wall time together with the
+// Reps times and reports the fastest wall time together with the
 // outputs of the final rep.
 func (b *Backend) Execute(p marvel.ExecPoint) (*marvel.ExecRun, error) {
 	w := p.Workload
@@ -152,7 +113,7 @@ func (b *Backend) Execute(p marvel.ExecPoint) (*marvel.ExecRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	ms, err := b.arts.ModelSet(w.Seed)
+	ms, err := b.o.Artifacts.ModelSet(w.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -167,33 +128,24 @@ func (b *Backend) Execute(p marvel.ExecPoint) (*marvel.ExecRun, error) {
 		st.bufs = append(st.bufs, make([]byte, st.stride*w.H))
 	}
 
-	run := &marvel.ExecRun{Workers: b.ex.Workers(), Reps: b.reps}
-	var reg *metrics.Registry
-	for rep := 0; rep < b.reps; rep++ {
-		last := rep == b.reps-1
-		b.tracing, b.spans = b.instrument && last, nil
-		s0 := b.ex.Stats()
-		t0 := b.now(batchTrack)
-		images := st.run(sched)
-		wall := (b.now(batchTrack) - t0).Nanoseconds()
+	run := &marvel.ExecRun{Workers: b.ex.Workers(), Reps: b.o.Reps}
+	for rep := 0; rep < b.o.Reps; rep++ {
+		b.tracing, b.spans = b.o.Instrument && rep == b.o.Reps-1, nil
+		t0 := b.o.Now("batch")
+		images, err := st.run(sched)
+		if err != nil {
+			return nil, err
+		}
+		wall := (b.o.Now("batch") - t0).Nanoseconds()
 		if run.WallNS == 0 || wall < run.WallNS {
 			run.WallNS = wall
 		}
-		if last {
-			s1 := b.ex.Stats()
-			run.Images = images
-			run.Tasks = s1.Ran - s0.Ran
-			run.Steals = s1.Steals - s0.Steals
-			run.Stolen = s1.Stolen - s0.Stolen
-		}
+		run.Images = images
 	}
-	if b.instrument {
+	if b.o.Instrument {
 		run.Trace = b.takeTrace()
-		reg = metrics.NewRegistry()
+		reg := metrics.NewRegistry()
 		reg.Counter("exec", "wall_ns").Add(run.WallNS)
-		reg.Counter("exec", "tasks").Add(int64(run.Tasks))
-		reg.Counter("exec", "steals").Add(int64(run.Steals))
-		reg.Counter("exec", "stolen").Add(int64(run.Stolen))
 		reg.Gauge("exec", "workers").Set(int64(run.Workers))
 		reg.Gauge("exec", "reps").Set(int64(run.Reps))
 		run.Metrics = reg.Snapshot()
@@ -201,9 +153,7 @@ func (b *Backend) Execute(p marvel.ExecPoint) (*marvel.ExecRun, error) {
 	return run, nil
 }
 
-// laneOut is one extraction lane's result: the finalized feature vector
-// and (when the lane chain includes detection) the float32-rounded
-// concept score.
+// laneOut is one lane's feature vector and float32-rounded score.
 type laneOut struct {
 	id    marvel.KernelID
 	vec   []float32
@@ -224,72 +174,51 @@ type batchState struct {
 // per-image preprocessing — real per-pixel work, not a memcpy of a
 // cached frame) and stores it strided into pixel buffer n%len(bufs).
 func (st *batchState) preprocess(n int) {
-	w := st.w
-	t0 := st.b.now("pre")
-	dec := img.Synthesize(img.CorpusSeed(w.Seed, n), w.W, w.H)
+	t0 := st.b.o.Now("pre")
+	dec := img.Synthesize(img.CorpusSeed(st.w.Seed, n), st.w.W, st.w.H)
 	dst := st.bufs[n%len(st.bufs)]
-	for y := 0; y < w.H; y++ {
+	for y := 0; y < st.w.H; y++ {
 		copy(dst[y*st.stride:], dec.Row(y))
 	}
-	st.b.span("pre", t0, st.b.now("pre"), trace.KindIO, fmt.Sprintf("img%d", n))
+	st.b.span("pre", t0, st.b.o.Now("pre"), trace.KindIO, fmt.Sprintf("img%d", n))
 }
 
-// processSlice runs one slice of a lane: wrap the band in the pixel
-// buffer (the analog of the kernel's view of its DMA'd local-store
-// band) and fold its payload rows into the accumulator.
-func (st *batchState) processSlice(acc marvel.Accumulator, buf int, s img.Slice, lane string, n, si int) {
-	t0 := st.b.now(lane)
-	rows := s.TransferRows()
-	band := img.Wrap(st.bufs[buf][s.TransferY0()*st.stride:][:rows*st.stride], st.w.W, rows, st.stride)
-	acc.Process(band, s.HaloTop, s.HaloTop+s.PayloadRows())
-	st.b.span(lane, t0, st.b.now(lane), trace.KindCompute, fmt.Sprintf("img%d/slice%d", n, si))
-}
-
-// extractLane builds one kernel's slice chain over pixel buffer buf for
-// image n: slice i+1 is a continuation of slice i (so the lane stays on
-// one worker unless stolen), ending in finalize.
-func (st *batchState) extractLane(id marvel.KernelID, buf, n int) *Future[laneOut] {
-	slices := st.plans[id]
+// lane runs kernel id's lane of image n over pixel buffer buf. Each
+// slice wraps its band of the buffer (the analog of the kernel's DMA'd
+// local-store band) and folds its payload rows into the accumulator;
+// then the lane finalizes and, with perLane, detects.
+func (st *batchState) lane(id marvel.KernelID, buf, n int, perLane bool) laneOut {
 	acc := marvel.NewAccumulator(id)
 	lane := id.String()
-	f := Go(st.b.ex, func() struct{} {
-		st.processSlice(acc, buf, slices[0], lane, n, 0)
-		return struct{}{}
-	})
-	for si := 1; si < len(slices); si++ {
-		si := si
-		f = Then(st.b.ex, f, func(struct{}) struct{} {
-			st.processSlice(acc, buf, slices[si], lane, n, si)
-			return struct{}{}
-		})
+	for si, s := range st.plans[id] {
+		t0 := st.b.o.Now(lane)
+		rows := s.TransferRows()
+		band := img.Wrap(st.bufs[buf][s.TransferY0()*st.stride:][:rows*st.stride], st.w.W, rows, st.stride)
+		acc.Process(band, s.HaloTop, s.HaloTop+s.PayloadRows())
+		st.b.span(lane, t0, st.b.o.Now(lane), trace.KindCompute, fmt.Sprintf("img%d/slice%d", n, si))
 	}
-	return Then(st.b.ex, f, func(struct{}) laneOut {
-		t0 := st.b.now(lane)
-		vec := acc.Finalize()
-		st.b.span(lane, t0, st.b.now(lane), trace.KindCompute, fmt.Sprintf("img%d/finalize", n))
-		return laneOut{id: id, vec: vec}
-	})
+	t0 := st.b.o.Now(lane)
+	o := laneOut{id: id, vec: acc.Finalize()}
+	st.b.span(lane, t0, st.b.o.Now(lane), trace.KindCompute, fmt.Sprintf("img%d/finalize", n))
+	if perLane {
+		st.detect(&o, lane, n)
+	}
+	return o
 }
 
-// detectOn evaluates a finalized lane's concept detection on trace lane
-// lane, rounding the score to float32 exactly as the SPE kernel reports
-// it.
-func (st *batchState) detectOn(o *laneOut, lane string, n int) {
-	t0 := st.b.now(lane)
+// detect scores a finalized lane on trace lane lane, rounding the score
+// to float32 exactly as the SPE kernel reports it.
+func (st *batchState) detect(o *laneOut, lane string, n int) {
+	t0 := st.b.o.Now(lane)
 	o.score = float64(float32(st.ms.Decision(o.id, o.vec)))
-	st.b.span(lane, t0, st.b.now(lane), trace.KindCompute, fmt.Sprintf("img%d/detect-%s", n, o.id))
+	st.b.span(lane, t0, st.b.o.Now(lane), trace.KindCompute, fmt.Sprintf("img%d/detect-%s", n, o.id))
 }
 
-// run executes one rep: the schedule's per-image loop as a task graph.
-// Each launched extraction is a lane future; a lane with its own detector
-// chains the detection onto itself, and a group detection runs the four
-// in launch order on one "detect" lane once every extraction is done.
-// Without overlap each lane is waited for before the next is launched.
-// With two pixel buffers the orchestrator preprocesses image n+1 while
-// image n's lanes run — the overlap the simulated Pipelined schedule (and
-// the estimator's Eq. 3 overlap term) has.
-func (st *batchState) run(sched marvel.Schedule) []marvel.ImageResult {
-	ex := st.b.ex
+// run executes one rep of the schedule's per-image loop. Each lane is
+// one Go task, waited for before the next without overlap; after the
+// WhenAll join a group detection runs on the "detect" lane. With two
+// buffers, image n+1 is preprocessed while image n's lanes run.
+func (st *batchState) run(sched marvel.Schedule) ([]marvel.ImageResult, error) {
 	images := st.w.Images
 	out := make([]marvel.ImageResult, 0, images)
 	if sched.Buffers > 1 {
@@ -302,14 +231,7 @@ func (st *batchState) run(sched marvel.Schedule) []marvel.ImageResult {
 		}
 		lanes := make([]*Future[laneOut], 0, len(sched.Launch))
 		for _, id := range sched.Launch {
-			f := st.extractLane(id, buf, n)
-			if sched.PerLane {
-				lane := id.String()
-				f = Then(ex, f, func(o laneOut) laneOut {
-					st.detectOn(&o, lane, n)
-					return o
-				})
-			}
+			f := Go(st.b.ex, func() laneOut { return st.lane(id, buf, n, sched.PerLane) })
 			if !sched.Overlap {
 				f.Wait()
 			}
@@ -318,20 +240,20 @@ func (st *batchState) run(sched marvel.Schedule) []marvel.ImageResult {
 		if sched.Buffers > 1 && n+1 < images {
 			st.preprocess(n + 1)
 		}
-		all := WhenAll(ex, lanes)
-		if !sched.PerLane {
-			all = Then(ex, all, func(os []laneOut) []laneOut {
-				for i := range os {
-					st.detectOn(&os[i], "detect", n)
-				}
-				return os
-			})
+		all := WhenAll(st.b.ex, lanes)
+		if err := all.Err(); err != nil {
+			i := slices.IndexFunc(lanes, func(f *Future[laneOut]) bool { return f.Err() != nil })
+			return nil, fmt.Errorf("exec: %s img%d: %w", sched.Launch[i], n, err)
 		}
+		outs := all.Wait()
 		var r marvel.ImageResult
-		for _, o := range all.Wait() {
-			r.Put(o.id, o.vec, o.score)
+		for i := range outs {
+			if !sched.PerLane {
+				st.detect(&outs[i], "detect", n)
+			}
+			r.Put(outs[i].id, outs[i].vec, outs[i].score)
 		}
 		out = append(out, r)
 	}
-	return out
+	return out, nil
 }

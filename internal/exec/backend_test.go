@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -145,8 +146,15 @@ func TestBackendInstrumentation(t *testing.T) {
 			if len(run.Trace.Spans()) == 0 {
 				t.Fatal("instrumented run recorded no spans")
 			}
-			if run.Tasks == 0 {
-				t.Fatal("run counted no tasks")
+			sched, _ := marvel.Pipelined.Schedule()
+			lanes := map[string]int{}
+			for _, s := range run.Trace.Spans() {
+				lanes[s.Lane]++
+			}
+			for _, id := range sched.Launch {
+				if lanes[id.String()] == 0 {
+					t.Fatalf("launched lane %s recorded no spans", id)
+				}
 			}
 			// Deterministic clock: a second identical execute must
 			// produce the identical span list.
@@ -165,5 +173,50 @@ func TestBackendInstrumentation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExecutePanicError checks that a panicking lane comes back from
+// Execute as an error naming the lane and the image, instead of killing
+// the process, and that no lane goroutine outlives Close. The panic is
+// planted through the clock the lane reads.
+func TestExecutePanicError(t *testing.T) {
+	arts := marvel.NewArtifactCache()
+	w := marvel.Workload{Images: 2, W: 352, H: 96, Seed: 11}
+	base := runtime.NumGoroutine()
+	track := marvel.KCC.String()
+	for _, sc := range []marvel.Scenario{marvel.SingleSPE, marvel.MultiSPE, marvel.MultiSPE2, marvel.Pipelined} {
+		b := NewBackend(Options{
+			Workers:   2,
+			Reps:      1,
+			Artifacts: arts,
+			Now: func(tr string) time.Duration {
+				if tr == track {
+					panic("boom")
+				}
+				return 0
+			},
+		})
+		_, err := b.Execute(marvel.ExecPoint{Workload: w, Scenario: sc, Variant: marvel.Optimized})
+		want := "exec: " + track + " img0: panic: boom"
+		if err == nil || err.Error() != want {
+			t.Errorf("%v: Execute error = %v, want %q", sc, err, want)
+		}
+		closed := make(chan struct{})
+		go func() { b.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: Close did not return after a lane panicked", sc)
+		}
+	}
+	// Goroutines exit after signalling; give them a moment before the
+	// one-sided check.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Close, %d before Execute", n, base)
 	}
 }

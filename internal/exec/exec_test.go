@@ -1,7 +1,8 @@
 package exec
 
 import (
-	"sync"
+	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,15 +12,15 @@ func TestExecutorDrainsOnClose(t *testing.T) {
 	e := New(4)
 	var ran atomic.Int64
 	for i := 0; i < 500; i++ {
-		e.spawn(nil, func(w *worker) { ran.Add(1) })
+		f := Go(e, func() int { ran.Add(1); return i })
+		Then(e, f, func(int) int { ran.Add(1); return 0 })
 	}
 	e.Close()
-	if got := ran.Load(); got != 500 {
-		t.Fatalf("ran %d of 500 tasks after Close", got)
+	if got := ran.Load(); got != 1000 {
+		t.Fatalf("ran %d of 1000 tasks after Close", got)
 	}
-	s := e.Stats()
-	if s.Spawned != s.Ran {
-		t.Fatalf("spawned %d != ran %d", s.Spawned, s.Ran)
+	if s := e.Stats(); s.Ran != 1000 {
+		t.Fatalf("Stats().Ran = %d, want the 1000 tasks started", s.Ran)
 	}
 }
 
@@ -29,17 +30,6 @@ func TestWorkersDefaultsToGOMAXPROCS(t *testing.T) {
 	if e.Workers() <= 0 {
 		t.Fatalf("Workers() = %d, want > 0", e.Workers())
 	}
-}
-
-func TestSubmitAfterClosePanics(t *testing.T) {
-	e := New(1)
-	e.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("spawn on a closed executor did not panic")
-		}
-	}()
-	e.spawn(nil, func(w *worker) {})
 }
 
 func TestFutureChain(t *testing.T) {
@@ -100,168 +90,48 @@ func TestWhenAllEmpty(t *testing.T) {
 	}
 }
 
-func TestDoubleCompletePanics(t *testing.T) {
-	e := New(1)
-	defer e.Close()
-	f := Go(e, func() int { return 1 })
-	f.Wait()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("completing a future twice did not panic")
-		}
-	}()
-	f.complete(e, nil, 2)
-}
-
-// TestStealRebalances parks a long backlog on one worker's deque and
-// checks that siblings steal it: the backlog's tasks are slow enough
-// that the owner alone could not finish within the test's patience, and
-// every task still runs.
-func TestStealRebalances(t *testing.T) {
-	e := New(4)
-	var ran atomic.Int64
-	const n = 512
-	var release sync.WaitGroup
-	release.Add(1)
-	e.spawn(nil, func(w *worker) {
-		for i := 0; i < n; i++ {
-			e.spawn(w, func(*worker) {
-				time.Sleep(50 * time.Microsecond)
-				ran.Add(1)
-			})
-		}
-		release.Done()
-	})
-	release.Wait()
-	e.Close()
-	if got := ran.Load(); got != n {
-		t.Fatalf("ran %d of %d backlog tasks", got, n)
-	}
-	if s := e.Stats(); s.Steals == 0 {
-		t.Fatalf("no steals over a %d-task single-worker backlog: %+v", n, s)
-	}
-}
-
-// TestStealStorm is the deque's concurrency stress: every worker floods
-// its own deque while every other worker steals from it, under the race
-// detector in CI. Correctness criterion: nothing lost, nothing doubled.
-func TestStealStorm(t *testing.T) {
-	const (
-		spawners = 8
-		perSpawn = 2000
-	)
-	e := New(spawners)
-	var ran atomic.Int64
-	var release sync.WaitGroup
-	release.Add(spawners)
-	for s := 0; s < spawners; s++ {
-		e.spawn(nil, func(w *worker) {
-			for i := 0; i < perSpawn; i++ {
-				e.spawn(w, func(*worker) { ran.Add(1) })
-			}
-			release.Done()
-		})
-	}
-	release.Wait()
-	e.Close()
-	if got, want := ran.Load(), int64(spawners*perSpawn); got != want {
-		t.Fatalf("ran %d of %d tasks under steal storm", got, want)
-	}
-	if s := e.Stats(); s.Spawned != s.Ran {
-		t.Fatalf("spawned %d != ran %d", s.Spawned, s.Ran)
-	}
-}
-
-// TestContinuationRunsOnPool asserts a Then continuation runs on a pool
-// worker (w != nil), i.e. the locality path, not the caller.
-func TestContinuationRunsOnPool(t *testing.T) {
+// TestPanicBecomesError checks that a panicking task fails its future
+// instead of the process: Then skips its function and carries the
+// error on, and WhenAll reports the first failed input in input order.
+func TestPanicBecomesError(t *testing.T) {
 	e := New(2)
 	defer e.Close()
-	onPool := Then(e, Go(e, func() int { return 1 }), func(int) bool { return true })
-	if !onPool.Wait() {
-		t.Fatal("continuation did not run")
+	ok := Go(e, func() int { return 1 })
+	bad := Go(e, func() int { panic("boom") })
+	worse := Go(e, func() int { panic("bang") })
+	if err := bad.Err(); err == nil || !strings.Contains(err.Error(), "panic: boom") {
+		t.Fatalf("panicking task's error = %v, want panic: boom", err)
 	}
-	s := e.Stats()
-	if s.Spawned < 2 {
-		t.Fatalf("expected both task and continuation spawned, stats %+v", s)
+	var ran atomic.Bool
+	next := Then(e, bad, func(int) int { ran.Store(true); return 2 })
+	if err := next.Err(); !errors.Is(err, bad.Err()) || ran.Load() {
+		t.Fatalf("Then after a failed input: err %v, fn ran %v; want the input's error and no run", err, ran.Load())
+	}
+	if err := WhenAll(e, []*Future[int]{ok, worse, bad}).Err(); err != worse.Err() {
+		t.Fatalf("WhenAll error = %v, want the first failed input's %v", err, worse.Err())
+	}
+	if err := ok.Err(); err != nil {
+		t.Fatalf("healthy task failed: %v", err)
 	}
 }
 
-// FuzzDeque drives the deque against a reference slice model with an
-// arbitrary op sequence: push, owner pop (must be LIFO), and steal-half
-// (must take exactly ceil(n/2) oldest tasks, in age order).
-func FuzzDeque(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 2, 1, 1})
-	f.Add([]byte{0, 1, 2, 0, 0, 0, 0, 2, 2, 1})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		var d, thief deque
-		var model, thiefModel []int
-		next := 0
-		// Task identity: each pushed task records its id when run.
-		var popped []int
-		push := func(id int) task {
-			return func(*worker) { popped = append(popped, id) }
-		}
-		run := func(tk task) int {
-			popped = popped[:0]
-			tk(nil)
-			if len(popped) != 1 {
-				t.Fatalf("task ran %d times", len(popped))
+// TestWidthBound checks that no more than Workers tasks run at once.
+func TestWidthBound(t *testing.T) {
+	const width = 3
+	e := New(width)
+	var running, peak atomic.Int64
+	for i := 0; i < 64; i++ {
+		Go(e, func() int {
+			n := running.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
 			}
-			return popped[0]
-		}
-		for _, op := range ops {
-			switch op % 3 {
-			case 0: // owner push
-				d.push(push(next))
-				model = append(model, next)
-				next++
-			case 1: // owner pop: LIFO from the model's tail
-				tk, ok := d.pop()
-				if ok != (len(model) > 0) {
-					t.Fatalf("pop ok=%v with model size %d", ok, len(model))
-				}
-				if !ok {
-					continue
-				}
-				want := model[len(model)-1]
-				model = model[:len(model)-1]
-				if got := run(tk); got != want {
-					t.Fatalf("pop = task %d, want %d (LIFO violated)", got, want)
-				}
-			case 2: // steal: ceil(n/2) oldest, age order preserved
-				n := len(model)
-				got := d.stealHalf(&thief)
-				want := (n + 1) / 2
-				if got != want {
-					t.Fatalf("stealHalf moved %d of %d, want %d", got, n, want)
-				}
-				thiefModel = append(thiefModel, model[:want]...)
-				model = append([]int(nil), model[want:]...)
-			}
-			if d.size() != len(model) || thief.size() != len(thiefModel) {
-				t.Fatalf("sizes (%d, %d) diverged from model (%d, %d)",
-					d.size(), thief.size(), len(model), len(thiefModel))
-			}
-		}
-		// Drain both deques and check full content equality in pop order.
-		for i := len(model) - 1; i >= 0; i-- {
-			tk, ok := d.pop()
-			if !ok {
-				t.Fatalf("victim deque exhausted with %d model tasks left", i+1)
-			}
-			if got := run(tk); got != model[i] {
-				t.Fatalf("victim drain = %d, want %d", got, model[i])
-			}
-		}
-		for i := len(thiefModel) - 1; i >= 0; i-- {
-			tk, ok := thief.pop()
-			if !ok {
-				t.Fatalf("thief deque exhausted with %d model tasks left", i+1)
-			}
-			if got := run(tk); got != thiefModel[i] {
-				t.Fatalf("thief drain = %d, want %d", got, thiefModel[i])
-			}
-		}
-	})
+			time.Sleep(50 * time.Microsecond)
+			running.Add(-1)
+			return 0
+		})
+	}
+	e.Close()
+	if p := peak.Load(); p > width {
+		t.Fatalf("%d tasks ran at once on a width-%d executor", p, width)
+	}
 }

@@ -1,16 +1,16 @@
-// Package exec is the real-execution substrate: a bounded work-stealing
-// goroutine pool running task graphs expressed as futures with
-// continuation chaining (the HPX-style model argued for in "Closing the
-// Performance Gap with Modern C++"). The simulator predicts; this
-// package actually runs the MARVEL kernels — with the same slicing,
-// buffering depth and placement the simulator models — so `paperbench
+// Package exec actually runs the MARVEL kernels, with the slicing,
+// buffering depth and placement the simulator models, so `paperbench
 // -exp race` can report estimator error against measured wall clock.
 //
-// Everything here runs in the host's wall-clock domain. Virtual time
-// (sim.Time as simulated femtoseconds) never appears in this package;
-// when an execution trace and a simulation trace share one Chrome-trace
-// artifact they are kept on separate `exec/*` vs `sim/*` tracks (see
-// DESIGN.md §14).
+// Lanes are goroutines: each extraction lane of an image runs on its
+// own, and an Executor of width W lets at most W of them compute at
+// once, the way the PPE hands independent lanes to SPEs. Go's runtime
+// already is the work-stealing scheduler of lightweight threads that
+// "Closing the Performance Gap with Modern C++" builds its futures on,
+// so the package adds only the width bound and futures that carry a
+// value or an error: a panicking task fails its future, not the
+// process. Everything here runs in the host's wall-clock domain and
+// never touches virtual time (DESIGN.md §14).
 package exec
 
 import (
@@ -19,193 +19,53 @@ import (
 	"sync/atomic"
 )
 
-// task is one unit of work. It receives the worker running it so
-// continuations it spawns can land on that worker's own deque.
-type task func(w *worker)
-
-// Executor is a bounded work-stealing pool. Tasks submitted from
-// outside (Go, or a continuation attached to an already-completed
-// future) enter a shared injection queue; tasks spawned by a running
-// task go to that worker's own deque. Idle workers first drain their
-// own deque, then steal half of a sibling's, then take from the
-// injection queue, and only then park.
+// Executor bounds how many tasks compute at once. Each task is its own
+// goroutine that holds one of W slots while it runs, so launching never
+// blocks the caller.
 type Executor struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	inject   []task
-	closed   bool
-	sleeping int
-
-	workers []*worker
-	wg      sync.WaitGroup
-
-	spawned atomic.Uint64
-	ran     atomic.Uint64
-	steals  atomic.Uint64
-	stolen  atomic.Uint64
+	slots chan struct{}
+	wg    sync.WaitGroup
+	ran   atomic.Uint64
 }
 
-type worker struct {
-	e  *Executor
-	id int
-	dq deque
-}
-
-// New starts a pool of the given width; workers <= 0 selects
-// runtime.GOMAXPROCS(0). Close must be called to stop the workers.
+// New returns an executor of the given width; workers <= 0 selects
+// runtime.GOMAXPROCS(0).
 func New(workers int) *Executor {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Executor{}
-	e.cond = sync.NewCond(&e.mu)
-	for i := 0; i < workers; i++ {
-		e.workers = append(e.workers, &worker{e: e, id: i})
-	}
-	for _, w := range e.workers {
-		e.wg.Add(1)
-		go w.loop()
-	}
-	return e
+	return &Executor{slots: make(chan struct{}, workers)}
 }
 
-// Workers reports the pool width.
-func (e *Executor) Workers() int { return len(e.workers) }
+// Workers reports the width.
+func (e *Executor) Workers() int { return cap(e.slots) }
 
-// Stats is a snapshot of the pool's lifetime counters.
+// Stats is a snapshot of the executor's lifetime counters.
 type Stats struct {
-	Workers int
-	// Spawned counts tasks submitted; Ran counts tasks completed.
-	Spawned, Ran uint64
-	// Steals counts successful steal operations; Stolen counts the tasks
-	// they moved (each steal takes half the victim's queue).
-	Steals, Stolen uint64
+	// Ran counts finished tasks, panicked ones included.
+	Ran uint64
+	// Steals is always 0. Its only reader is perfbench's
+	// exec.steals_per_task row, and it goes with that row.
+	Steals uint64
 }
 
-// Stats returns the current counter snapshot. Counters are monotonic,
-// so two snapshots bracket the work between them.
+// Stats returns the current counter snapshot.
 func (e *Executor) Stats() Stats {
-	return Stats{
-		Workers: len(e.workers),
-		Spawned: e.spawned.Load(),
-		Ran:     e.ran.Load(),
-		Steals:  e.steals.Load(),
-		Stolen:  e.stolen.Load(),
-	}
+	return Stats{Ran: e.ran.Load()}
 }
 
-// Close shuts the pool down after draining: workers finish every task
-// already submitted (and everything those tasks transitively spawn onto
-// their own deques), then exit. Submitting from outside the pool after
-// Close panics.
-func (e *Executor) Close() {
-	e.mu.Lock()
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	e.wg.Wait()
-}
+// Close waits for every task started so far and every task those
+// release through Then.
+func (e *Executor) Close() { e.wg.Wait() }
 
-// spawn schedules t. From inside a task (w != nil) it lands on the
-// running worker's own deque — the locality path continuations take.
-// External submissions go to the shared injection queue under the pool
-// lock.
-func (e *Executor) spawn(w *worker, t task) {
-	e.spawned.Add(1)
-	if w != nil {
-		w.dq.push(t)
-		// A sibling may be parked while this worker's deque grows; wake
-		// one so it can steal.
-		e.mu.Lock()
-		if e.sleeping > 0 {
-			e.cond.Signal()
-		}
-		e.mu.Unlock()
-		return
-	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		panic("exec: task submitted to a closed executor")
-	}
-	e.inject = append(e.inject, t)
-	e.cond.Signal()
-	e.mu.Unlock()
-}
-
-// loop is one worker's scheduling loop. A worker only parks when its
-// own deque, every sibling's deque, and the injection queue are all
-// empty at the instant it checks under the pool lock; every submission
-// signals the condvar, so no task can be stranded with all workers
-// asleep.
-func (w *worker) loop() {
-	e := w.e
-	defer e.wg.Done()
-	for {
-		if t, ok := w.dq.pop(); ok {
-			w.run(t)
-			continue
-		}
-		if w.steal() {
-			continue
-		}
-		e.mu.Lock()
-		if n := len(e.inject); n > 0 {
-			t := e.inject[0]
-			e.inject[0] = nil
-			e.inject = e.inject[1:]
-			e.mu.Unlock()
-			w.run(t)
-			continue
-		}
-		if e.closed && w.idle() {
-			e.mu.Unlock()
-			return
-		}
-		// Re-check sibling deques under the lock: a sibling may have
-		// pushed between our steal scan and here, and its signal may have
-		// fired before we started waiting.
-		if !w.idle() {
-			e.mu.Unlock()
-			continue
-		}
-		e.sleeping++
-		e.cond.Wait()
-		e.sleeping--
-		e.mu.Unlock()
-	}
-}
-
-func (w *worker) run(t task) {
-	t(w)
-	w.e.ran.Add(1)
-}
-
-// steal scans siblings round-robin from the worker's right neighbour
-// and takes half of the first non-empty deque found.
-func (w *worker) steal() bool {
-	peers := w.e.workers
-	n := len(peers)
-	for i := 1; i < n; i++ {
-		v := peers[(w.id+i)%n]
-		if got := v.dq.stealHalf(&w.dq); got > 0 {
-			w.e.steals.Add(1)
-			w.e.stolen.Add(uint64(got))
-			return true
-		}
-	}
-	return false
-}
-
-// idle reports whether every deque in the pool is empty. Called with
-// the pool lock held before parking or exiting; deque sizes are read
-// under their own locks, which is enough because every push is followed
-// by a signal under the pool lock.
-func (w *worker) idle() bool {
-	for _, p := range w.e.workers {
-		if p.dq.size() > 0 {
-			return false
-		}
-	}
-	return true
+// launch runs task on its own goroutine once a slot is free.
+func (e *Executor) launch(task func()) {
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		e.slots <- struct{}{}
+		task()
+		<-e.slots
+		e.ran.Add(1)
+	}()
 }

@@ -1,107 +1,120 @@
 package exec
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
-// Future is a single-assignment result cell with continuation chaining:
-// work attached with Then runs on the pool as soon as the value is
-// ready, scheduled onto the deque of the worker that produced it (the
-// value is the continuation's working set, and that worker's cache just
-// wrote it). Only code outside the pool should block in Wait; a task
-// that needs a future's value must chain on it instead, so no worker is
-// ever parked inside a task.
+// Future is a single-assignment result: a value, or the error of the
+// task that computes it.
 type Future[T any] struct {
-	mu    sync.Mutex
-	done  bool
-	val   T
-	conts []task
-	// ch is closed exactly once, after val is written; Wait blocks on it
-	// and the close orders the write before any reader.
-	ch chan struct{}
+	done chan struct{} // closed once val and err are set
+	val  T
+	err  error
+	mu   sync.Mutex
+	next []func() // run by complete
 }
 
-func newFuture[T any]() *Future[T] {
-	return &Future[T]{ch: make(chan struct{})}
-}
+func newFuture[T any]() *Future[T] { return &Future[T]{done: make(chan struct{})} }
 
-// Go submits fn to the pool and returns the future of its result.
+// Go runs fn as a task and returns the future of its result. A panic in
+// fn becomes the future's error.
 func Go[T any](e *Executor, fn func() T) *Future[T] {
 	f := newFuture[T]()
-	e.spawn(nil, func(w *worker) { f.complete(e, w, fn()) })
+	e.launch(func() { f.complete(try(fn)) })
 	return f
 }
 
-// Then chains fn as a continuation of f: it runs on the pool once f
-// completes, receiving f's value, and its own result is again a future.
+// Then runs fn on f's value as a task launched only once f completes,
+// so a waiting chain holds no slot. If f failed, fn does not run and
+// the result carries f's error.
 func Then[T, U any](e *Executor, f *Future[T], fn func(T) U) *Future[U] {
 	out := newFuture[U]()
-	f.addCont(e, func(w *worker) { out.complete(e, w, fn(f.val)) })
+	f.whenDone(func() {
+		if f.err != nil {
+			out.complete(*new(U), f.err)
+			return
+		}
+		e.launch(func() { out.complete(try(func() U { return fn(f.val) })) })
+	})
 	return out
 }
 
-// WhenAll resolves once every input future has, with the values in
-// input order. The returned future completes on the worker that
-// finished the last input; an empty input resolves immediately.
-func WhenAll[T any](e *Executor, fs []*Future[T]) *Future[[]T] {
+// WhenAll resolves once every input has, with their values in input
+// order and the error of the first failed input, if any. It takes no
+// slot; an empty input resolves at once.
+func WhenAll[T any](_ *Executor, fs []*Future[T]) *Future[[]T] {
 	out := newFuture[[]T]()
 	if len(fs) == 0 {
-		out.complete(e, nil, nil)
+		out.complete(nil, nil)
 		return out
 	}
 	var pending atomic.Int64
 	pending.Store(int64(len(fs)))
 	for _, f := range fs {
-		f.addCont(e, func(w *worker) {
-			if pending.Add(-1) == 0 {
-				vals := make([]T, len(fs))
-				for i, g := range fs {
-					vals[i] = g.val
-				}
-				out.complete(e, w, vals)
+		f.whenDone(func() {
+			if pending.Add(-1) > 0 {
+				return
 			}
+			vals := make([]T, len(fs))
+			var err error
+			for i, g := range fs {
+				vals[i] = g.val
+				if err == nil {
+					err = g.err
+				}
+			}
+			out.complete(vals, err)
 		})
 	}
 	return out
 }
 
-// Wait blocks until the future completes and returns its value. Call it
-// only from outside the pool (the orchestrator); tasks chain with Then.
+// Wait blocks until f completes and returns its value (zero if it
+// failed). Call it outside tasks: a waiting task holds its slot.
 func (f *Future[T]) Wait() T {
-	<-f.ch
+	<-f.done
 	return f.val
 }
 
-// complete assigns the value and schedules the registered continuations
-// on w's deque (nil w = the injection queue). Completing twice is a
-// programming error and panics.
-func (f *Future[T]) complete(e *Executor, w *worker, v T) {
+// Err blocks until f completes and returns its error.
+func (f *Future[T]) Err() error {
+	<-f.done
+	return f.err
+}
+
+// try runs fn and returns a panic in it as an error.
+func try[T any](fn func() T) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return fn(), nil
+}
+
+func (f *Future[T]) complete(v T, err error) {
 	f.mu.Lock()
-	if f.done {
-		f.mu.Unlock()
-		panic("exec: future completed twice")
-	}
-	f.val = v
-	f.done = true
-	conts := f.conts
-	f.conts = nil
-	close(f.ch)
+	f.val, f.err = v, err
+	close(f.done)
+	next := f.next
 	f.mu.Unlock()
-	for _, c := range conts {
-		e.spawn(w, c)
+	for _, fn := range next {
+		fn()
 	}
 }
 
-// addCont registers t to run after completion; if the future is already
-// complete the task is submitted immediately.
-func (f *Future[T]) addCont(e *Executor, t task) {
+// whenDone runs fn once f completes: at once if it has, otherwise on
+// the goroutine that completes it.
+func (f *Future[T]) whenDone(fn func()) {
 	f.mu.Lock()
-	if !f.done {
-		f.conts = append(f.conts, t)
+	select {
+	case <-f.done:
 		f.mu.Unlock()
-		return
+		fn()
+	default:
+		f.next = append(f.next, fn)
+		f.mu.Unlock()
 	}
-	f.mu.Unlock()
-	e.spawn(nil, t)
 }

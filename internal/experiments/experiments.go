@@ -58,7 +58,7 @@ type Config struct {
 	Serve ServeConfig
 	// Race sizes the estimator-race experiment (-exp race): the same
 	// calibration points the serving layer measures, each also executed
-	// for real on the work-stealing backend.
+	// for real, one goroutine per lane (internal/exec).
 	Race RaceConfig
 	// Fleet sizes the fleet-scale serving experiment (-exp fleet); the
 	// per-pool blade count and stream come from Serve.

@@ -16,8 +16,8 @@ import (
 // simulator begs: how wrong is it? Every (scheme × geometry × batch)
 // point the serving layer calibrates is run twice — once through the
 // virtual-time simulation (the exact run that fills the calibration
-// table) and once for real on the work-stealing executor, with the same
-// slice plans, buffering depth and task-graph shape. The report carries
+// table) and once for real with its lanes as goroutines, with the same
+// slice plans, buffering depth and lane schedule. The report carries
 // per-point relative error between the simulated and measured batch
 // speedups, and — the paper's Fig. 7 criterion — whether the simulator
 // ranks job vs data distribution the same way the real execution does.
@@ -30,9 +30,10 @@ import (
 
 // RaceConfig sizes the real-execution half of the race.
 type RaceConfig struct {
-	// Workers is the executor pool width (<= 0 selects GOMAXPROCS).
+	// Workers is how many lanes may compute at once (<= 0 selects
+	// GOMAXPROCS).
 	Workers int
-	// Reps is how many times each point's task graph runs for real; the
+	// Reps is how many times each point's batch runs for real; the
 	// fastest wall time wins (0 selects 3).
 	Reps int
 }
@@ -63,8 +64,6 @@ type RacePoint struct {
 	// measured batch-coalescing speedup k × wall(k=1)/wall(k); RelErr is
 	// |SimSpeedup − Speedup| / Speedup.
 	WallNS  int64   `json:"measured_wall_ns"`
-	Tasks   uint64  `json:"measured_tasks"`
-	Steals  uint64  `json:"measured_steals"`
 	Speedup float64 `json:"measured_speedup"`
 	RelErr  float64 `json:"measured_rel_err"`
 }
@@ -194,8 +193,6 @@ func RaceExp(cfg Config) (*RaceResult, error) {
 					EstService: cal.EstimatedService(s, tall, k),
 					Mismatches: mism,
 					WallNS:     er.WallNS,
-					Tasks:      er.Tasks,
-					Steals:     er.Steals,
 				}
 				p.TableMatch = p.SimService == cal.MeasuredService(s, tall, k)
 				wall[key] = p.WallNS

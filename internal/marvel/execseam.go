@@ -77,25 +77,20 @@ type ExecPoint struct {
 }
 
 // ExecRun reports one real execution of a point. Every field in the
-// wall-clock domain (WallNS and the scheduler counters) is
-// host-dependent; Images is deterministic (and bit-exact against the
-// host references at any worker count). Trace and Metrics mirror
+// wall-clock domain (the measured_ keys) is host-dependent; Images is
+// deterministic (and bit-exact against the host references at any
+// worker count). Trace and Metrics mirror
 // PortedResult's instrumentation fields and are excluded from JSON for
 // the same fingerprint-neutrality reason — but note their clock domain:
 // exec trace timestamps are wall nanoseconds, never virtual time.
 type ExecRun struct {
-	// Workers is the pool width that ran the task graph; Reps is how
-	// many times the graph was run (WallNS keeps the fastest).
+	// Workers is how many lanes could compute at once; Reps is how many
+	// times the batch was run (WallNS keeps the fastest).
 	Workers int `json:"measured_workers"`
 	Reps    int `json:"measured_reps"`
-	// WallNS is the best-of-reps wall-clock time for the batch graph in
-	// host nanoseconds.
+	// WallNS is the best-of-reps wall-clock time for the batch in host
+	// nanoseconds.
 	WallNS int64 `json:"measured_wall_ns"`
-	// Tasks, Steals and Stolen are the executor's counters over the last
-	// rep (tasks completed, successful steal operations, tasks moved).
-	Tasks  uint64 `json:"measured_tasks"`
-	Steals uint64 `json:"measured_steals"`
-	Stolen uint64 `json:"measured_stolen"`
 	// Images holds the outputs computed by the real kernels.
 	Images []ImageResult `json:"-"`
 	// Trace holds wall-clock spans when the backend instruments
