@@ -28,12 +28,11 @@ type Config struct {
 	// Tracer, when non-nil, records the machine's activity spans and
 	// fault instants. A nil recorder is untraced: no label is formatted.
 	Tracer *trace.Recorder
-	// Metrics, when non-nil, receives the machine's instrumentation
-	// (per-SPE time split, MFC histograms, EIB shares; see
-	// HarvestMetrics). The nil path hands nil-safe handles to every
-	// component, so an unobserved machine takes its exact unobserved path
-	// — instrumentation never adds engine events or virtual time either
-	// way, keeping the replay fingerprint (EventCount) identical.
+	// Metrics, when non-nil, is filled after the run with the machine's
+	// counters (per-SPE time split, MFC histograms, EIB shares; see
+	// HarvestMetrics). The components keep those counters either way, so
+	// a registry never changes the run: no engine event, no virtual time,
+	// the same replay fingerprint (EventCount).
 	Metrics *metrics.Registry
 	// PollInterval is the PPE's polling period in SendAndWait-style busy
 	// loops (spe_stat_out_mbox spin).
@@ -80,7 +79,6 @@ func New(cfg Config) *Machine {
 	for i := 0; i < cfg.NumSPEs; i++ {
 		s := spe.New(e, i, bus, mem, speModel, cfg.Tracer)
 		s.MFC.SetTracer(cfg.Tracer, fmt.Sprintf("MFC%d", i))
-		s.MFC.SetMetrics(cfg.Metrics, fmt.Sprintf("mfc%d", i))
 		m.SPEs = append(m.SPEs, s)
 	}
 	return m
@@ -163,59 +161,54 @@ func (m *Machine) InjectFaults(inj *fault.Injector) {
 	}
 }
 
-// HarvestMetrics copies the machine's accumulated statistics into the
-// configured registry: per-SPE time split (compute / DMA wait / mailbox
-// wait / idle over total, in femtoseconds), local-store and mailbox
-// high-water marks, per-MFC command and byte counts, per-port EIB
-// delivered bytes and flow counts, and the bus reallocation split. A
-// no-op without a registry. Harvesting reads completed counters only —
-// it schedules nothing and charges no virtual time, so it cannot perturb
+// HarvestMetrics copies the machine's accumulated statistics into reg:
+// per-SPE time split (compute / DMA wait / mailbox wait / idle over
+// total, in femtoseconds), local-store and mailbox high-water marks,
+// per-MFC command and byte counts and DMA size and queue-depth
+// histograms, per-port EIB delivered bytes and flow counts, and the bus
+// reallocation split. Harvesting reads completed counters only — it
+// schedules nothing and charges no virtual time, so it cannot perturb
 // the replay fingerprint.
-func (m *Machine) HarvestMetrics(total sim.Duration) {
-	reg := m.cfg.Metrics
-	if reg == nil {
-		return
-	}
+func (m *Machine) HarvestMetrics(reg *metrics.Registry, total sim.Duration) {
 	for i, s := range m.SPEs {
 		comp := fmt.Sprintf("spe%d", i)
-		reg.Counter(comp, "compute_fs").Add(int64(s.BusyTime()))
-		reg.Counter(comp, "dma_wait_fs").Add(int64(s.DMAWait()))
-		reg.Counter(comp, "mbox_wait_fs").Add(int64(s.MboxWait()))
-		if idle := total - s.BusyTime() - s.DMAWait() - s.MboxWait(); idle > 0 {
-			reg.Counter(comp, "idle_fs").Add(int64(idle))
-		} else {
-			reg.Counter(comp, "idle_fs") // register at zero for stable dumps
-		}
-		reg.Gauge(comp, "ls_peak_bytes").SetMax(int64(s.Store.Peak()))
-		reg.Gauge(comp, "in_mbox_peak").SetMax(int64(s.InMbox.Peak()))
-		reg.Gauge(comp, "out_mbox_peak").SetMax(int64(s.OutMbox.Peak()))
-		reg.Gauge(comp, "out_intr_mbox_peak").SetMax(int64(s.OutIntrMbox.Peak()))
-		reg.Counter(comp, "mbox_writes").Add(int64(s.InMbox.Writes() + s.OutMbox.Writes() + s.OutIntrMbox.Writes()))
+		reg.Counter(comp, "compute_fs", int64(s.BusyTime()))
+		reg.Counter(comp, "dma_wait_fs", int64(s.DMAWait()))
+		reg.Counter(comp, "mbox_wait_fs", int64(s.MboxWait()))
+		reg.Counter(comp, "idle_fs", int64(max(total-s.BusyTime()-s.DMAWait()-s.MboxWait(), 0)))
+		reg.Gauge(comp, "ls_peak_bytes", int64(s.Store.Peak()))
+		reg.Gauge(comp, "in_mbox_peak", int64(s.InMbox.Peak()))
+		reg.Gauge(comp, "out_mbox_peak", int64(s.OutMbox.Peak()))
+		reg.Gauge(comp, "out_intr_mbox_peak", int64(s.OutIntrMbox.Peak()))
+		reg.Counter(comp, "mbox_writes", int64(s.InMbox.Writes()+s.OutMbox.Writes()+s.OutIntrMbox.Writes()))
 
 		st := s.MFC.Stats()
 		mcomp := fmt.Sprintf("mfc%d", i)
-		reg.Counter(mcomp, "commands").Add(int64(st.Commands))
-		reg.Counter(mcomp, "list_commands").Add(int64(st.ListCommands))
-		reg.Counter(mcomp, "bytes_in").Add(int64(st.BytesIn))
-		reg.Counter(mcomp, "bytes_out").Add(int64(st.BytesOut))
-		reg.Gauge(mcomp, "queue_peak").SetMax(int64(st.PeakQueue))
+		reg.Counter(mcomp, "commands", int64(st.Commands))
+		reg.Counter(mcomp, "list_commands", int64(st.ListCommands))
+		reg.Counter(mcomp, "bytes_in", int64(st.BytesIn))
+		reg.Counter(mcomp, "bytes_out", int64(st.BytesOut))
+		reg.Gauge(mcomp, "queue_peak", int64(st.PeakQueue))
+		size, depth := s.MFC.Histograms()
+		reg.Histogram(mcomp, "dma_size_bytes", size)
+		reg.Histogram(mcomp, "queue_depth", depth)
 	}
 
-	reg.Counter("eib", "bytes_moved").Add(int64(m.Bus.BytesMoved()))
-	reg.Counter("eib", "transfers").Add(int64(m.Bus.Transfers()))
+	reg.Counter("eib", "bytes_moved", int64(m.Bus.BytesMoved()))
+	reg.Counter("eib", "transfers", int64(m.Bus.Transfers()))
 	reallocs, fast, full := m.Bus.Reallocs()
-	reg.Counter("eib", "realloc_total").Add(int64(reallocs))
-	reg.Counter("eib", "realloc_fast_path").Add(int64(fast))
-	reg.Counter("eib", "realloc_full_waterfill").Add(int64(full))
+	reg.Counter("eib", "realloc_total", int64(reallocs))
+	reg.Counter("eib", "realloc_fast_path", int64(fast))
+	reg.Counter("eib", "realloc_full_waterfill", int64(full))
 	for port, bytes := range m.Bus.PortBytes() {
-		reg.Counter("eib", "port_bytes_"+port.String()).Add(int64(bytes))
+		reg.Counter("eib", "port_bytes_"+port.String(), int64(bytes))
 	}
 	for port, flows := range m.Bus.PortFlows() {
-		reg.Counter("eib", "port_flows_"+port.String()).Add(int64(flows))
+		reg.Counter("eib", "port_flows_"+port.String(), int64(flows))
 	}
 
-	reg.Gauge("mem", "peak_bytes").SetMax(int64(m.Memory.PeakAllocated()))
-	reg.Counter("mem", "allocations").Add(int64(m.Memory.Allocations()))
+	reg.Gauge("mem", "peak_bytes", int64(m.Memory.PeakAllocated()))
+	reg.Counter("mem", "allocations", int64(m.Memory.Allocations()))
 }
 
 // RunMain spawns the PPE main program and runs the simulation to

@@ -20,10 +20,11 @@ import (
 // (marvel.ExecPlan), and each image runs the scenario's marvel.Schedule:
 // its launch order, lane overlap, per-lane or group detection and
 // pixel-buffer count. The accumulators are marvel's own, so outputs are
-// bit-exact against the host references at any width. A lane that
-// panics does not kill the process: Execute returns the panic as an
-// error naming the lane and the image. Everything Backend measures is
-// host wall clock, encoded in traces via trace.WallNanos.
+// bit-exact against the host references at any width. A panic, on a
+// lane or on the orchestrator, does not kill the process: Execute
+// returns it as an error naming the track and the image. Everything
+// Backend measures is host wall clock, encoded in traces via
+// trace.WallNanos.
 type Backend struct {
 	o  Options
 	ex *Executor
@@ -74,14 +75,15 @@ func (b *Backend) Close() { b.ex.Close() }
 // Workers reports how many lanes may compute at once.
 func (b *Backend) Workers() int { return b.ex.Workers() }
 
-// span records one wall-clock span when instrumenting the current rep.
-func (b *Backend) span(lane string, start, end time.Duration, kind trace.Kind, label string) {
+// span records one wall-clock span when instrumenting the current rep;
+// only then does it format the label.
+func (b *Backend) span(lane string, start, end time.Duration, kind trace.Kind, label func() string) {
 	if !b.tracing {
 		return
 	}
 	b.traceMu.Lock()
 	b.spans = append(b.spans, trace.Span{Lane: lane, Start: trace.WallNanos(start.Nanoseconds()),
-		End: trace.WallNanos(end.Nanoseconds()), Kind: kind, Label: label})
+		End: trace.WallNanos(end.Nanoseconds()), Kind: kind, Label: label()})
 	b.traceMu.Unlock()
 }
 
@@ -145,9 +147,9 @@ func (b *Backend) Execute(p marvel.ExecPoint) (*marvel.ExecRun, error) {
 	if b.o.Instrument {
 		run.Trace = b.takeTrace()
 		reg := metrics.NewRegistry()
-		reg.Counter("exec", "wall_ns").Add(run.WallNS)
-		reg.Gauge("exec", "workers").Set(int64(run.Workers))
-		reg.Gauge("exec", "reps").Set(int64(run.Reps))
+		reg.Counter("exec", "wall_ns", run.WallNS)
+		reg.Gauge("exec", "workers", int64(run.Workers))
+		reg.Gauge("exec", "reps", int64(run.Reps))
 		run.Metrics = reg.Snapshot()
 	}
 	return run, nil
@@ -180,7 +182,7 @@ func (st *batchState) preprocess(n int) {
 	for y := 0; y < st.w.H; y++ {
 		copy(dst[y*st.stride:], dec.Row(y))
 	}
-	st.b.span("pre", t0, st.b.o.Now("pre"), trace.KindIO, fmt.Sprintf("img%d", n))
+	st.b.span("pre", t0, st.b.o.Now("pre"), trace.KindIO, func() string { return fmt.Sprintf("img%d", n) })
 }
 
 // lane runs kernel id's lane of image n over pixel buffer buf. Each
@@ -195,11 +197,11 @@ func (st *batchState) lane(id marvel.KernelID, buf, n int, perLane bool) laneOut
 		rows := s.TransferRows()
 		band := img.Wrap(st.bufs[buf][s.TransferY0()*st.stride:][:rows*st.stride], st.w.W, rows, st.stride)
 		acc.Process(band, s.HaloTop, s.HaloTop+s.PayloadRows())
-		st.b.span(lane, t0, st.b.o.Now(lane), trace.KindCompute, fmt.Sprintf("img%d/slice%d", n, si))
+		st.b.span(lane, t0, st.b.o.Now(lane), trace.KindCompute, func() string { return fmt.Sprintf("img%d/slice%d", n, si) })
 	}
 	t0 := st.b.o.Now(lane)
 	o := laneOut{id: id, vec: acc.Finalize()}
-	st.b.span(lane, t0, st.b.o.Now(lane), trace.KindCompute, fmt.Sprintf("img%d/finalize", n))
+	st.b.span(lane, t0, st.b.o.Now(lane), trace.KindCompute, func() string { return fmt.Sprintf("img%d/finalize", n) })
 	if perLane {
 		st.detect(&o, lane, n)
 	}
@@ -211,25 +213,40 @@ func (st *batchState) lane(id marvel.KernelID, buf, n int, perLane bool) laneOut
 func (st *batchState) detect(o *laneOut, lane string, n int) {
 	t0 := st.b.o.Now(lane)
 	o.score = float64(float32(st.ms.Decision(o.id, o.vec)))
-	st.b.span(lane, t0, st.b.o.Now(lane), trace.KindCompute, fmt.Sprintf("img%d/detect-%s", n, o.id))
+	st.b.span(lane, t0, st.b.o.Now(lane), trace.KindCompute, func() string { return fmt.Sprintf("img%d/detect-%s", n, o.id) })
 }
 
 // run executes one rep of the schedule's per-image loop. Each lane is
 // one Go task, waited for before the next without overlap; after the
 // WhenAll join a group detection runs on the "detect" lane. With two
-// buffers, image n+1 is preprocessed while image n's lanes run.
-func (st *batchState) run(sched marvel.Schedule) ([]marvel.ImageResult, error) {
+// buffers, image n+1 is preprocessed while image n's lanes run. A panic
+// on the orchestrator (preprocessing or group detection) comes back,
+// once the image's launched lanes have returned, as an error naming its
+// track and image.
+func (st *batchState) run(sched marvel.Schedule) (out []marvel.ImageResult, err error) {
+	var lanes []*Future[laneOut]
+	track, at := "pre", 0 // the orchestrator's current step
+	defer func() {
+		if v := recover(); v != nil {
+			WhenAll(st.b.ex, lanes).Wait()
+			out, err = nil, fmt.Errorf("exec: %s img%d: panic: %v", track, at, v)
+		}
+	}()
+	pre := func(n int) {
+		track, at = "pre", n
+		st.preprocess(n)
+	}
 	images := st.w.Images
-	out := make([]marvel.ImageResult, 0, images)
+	out = make([]marvel.ImageResult, 0, images)
 	if sched.Buffers > 1 {
-		st.preprocess(0)
+		pre(0)
 	}
 	for n := 0; n < images; n++ {
 		buf := n % sched.Buffers
 		if sched.Buffers == 1 {
-			st.preprocess(n)
+			pre(n)
 		}
-		lanes := make([]*Future[laneOut], 0, len(sched.Launch))
+		lanes = make([]*Future[laneOut], 0, len(sched.Launch))
 		for _, id := range sched.Launch {
 			f := Go(st.b.ex, func() laneOut { return st.lane(id, buf, n, sched.PerLane) })
 			if !sched.Overlap {
@@ -238,7 +255,7 @@ func (st *batchState) run(sched marvel.Schedule) ([]marvel.ImageResult, error) {
 			lanes = append(lanes, f)
 		}
 		if sched.Buffers > 1 && n+1 < images {
-			st.preprocess(n + 1)
+			pre(n + 1)
 		}
 		all := WhenAll(st.b.ex, lanes)
 		if err := all.Err(); err != nil {
@@ -246,6 +263,7 @@ func (st *batchState) run(sched marvel.Schedule) ([]marvel.ImageResult, error) {
 			return nil, fmt.Errorf("exec: %s img%d: %w", sched.Launch[i], n, err)
 		}
 		outs := all.Wait()
+		track, at = "detect", n
 		var r marvel.ImageResult
 		for i := range outs {
 			if !sched.PerLane {

@@ -176,38 +176,49 @@ func TestBackendInstrumentation(t *testing.T) {
 	}
 }
 
-// TestExecutePanicError checks that a panicking lane comes back from
-// Execute as an error naming the lane and the image, instead of killing
-// the process, and that no lane goroutine outlives Close. The panic is
-// planted through the clock the lane reads.
+// TestExecutePanicError checks that a panic comes back from Execute as
+// an error naming the track and the image, instead of killing the
+// process, and that no lane goroutine outlives Close. The panic is
+// planted through the clock the track reads: a kernel lane's, the
+// orchestrator's preprocessing, or its group detection (the "detect"
+// track exists only in the scenarios that detect after the join).
 func TestExecutePanicError(t *testing.T) {
 	arts := marvel.NewArtifactCache()
 	w := marvel.Workload{Images: 2, W: 352, H: 96, Seed: 11}
 	base := runtime.NumGoroutine()
-	track := marvel.KCC.String()
-	for _, sc := range []marvel.Scenario{marvel.SingleSPE, marvel.MultiSPE, marvel.MultiSPE2, marvel.Pipelined} {
-		b := NewBackend(Options{
-			Workers:   2,
-			Reps:      1,
-			Artifacts: arts,
-			Now: func(tr string) time.Duration {
-				if tr == track {
-					panic("boom")
-				}
-				return 0
-			},
-		})
-		_, err := b.Execute(marvel.ExecPoint{Workload: w, Scenario: sc, Variant: marvel.Optimized})
-		want := "exec: " + track + " img0: panic: boom"
-		if err == nil || err.Error() != want {
-			t.Errorf("%v: Execute error = %v, want %q", sc, err, want)
-		}
-		closed := make(chan struct{})
-		go func() { b.Close(); close(closed) }()
-		select {
-		case <-closed:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%v: Close did not return after a lane panicked", sc)
+	all := []marvel.Scenario{marvel.SingleSPE, marvel.MultiSPE, marvel.MultiSPE2, marvel.Pipelined}
+	for _, tc := range []struct {
+		track     string
+		scenarios []marvel.Scenario
+	}{
+		{marvel.KCC.String(), all},
+		{"pre", all},
+		{"detect", []marvel.Scenario{marvel.SingleSPE, marvel.MultiSPE}},
+	} {
+		for _, sc := range tc.scenarios {
+			b := NewBackend(Options{
+				Workers:   2,
+				Reps:      1,
+				Artifacts: arts,
+				Now: func(tr string) time.Duration {
+					if tr == tc.track {
+						panic("boom")
+					}
+					return 0
+				},
+			})
+			_, err := b.Execute(marvel.ExecPoint{Workload: w, Scenario: sc, Variant: marvel.Optimized})
+			want := "exec: " + tc.track + " img0: panic: boom"
+			if err == nil || err.Error() != want {
+				t.Errorf("%s/%v: Execute error = %v, want %q", tc.track, sc, err, want)
+			}
+			closed := make(chan struct{})
+			go func() { b.Close(); close(closed) }()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s/%v: Close did not return after a panic", tc.track, sc)
+			}
 		}
 	}
 	// Goroutines exit after signalling; give them a moment before the
@@ -218,5 +229,27 @@ func TestExecutePanicError(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after Close, %d before Execute", n, base)
+	}
+}
+
+// TestUntracedExecuteAllocs prices one untraced Execute: a run without
+// Instrument formats no span label. A 1-image 352x240 MultiSPE2 point
+// allocates 83 objects; formatting every slice, finalize and detect
+// label up front adds 25.
+func TestUntracedExecuteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	b := NewBackend(Options{Workers: 2, Reps: 1, Artifacts: marvel.NewArtifactCache()})
+	defer b.Close()
+	p := marvel.ExecPoint{Workload: marvel.Workload{Images: 1, W: 352, H: 240, Seed: 11},
+		Scenario: marvel.MultiSPE2, Variant: marvel.Optimized}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := b.Execute(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 83 {
+		t.Fatalf("untraced Execute allocated %.0f objects, want <= 83", allocs)
 	}
 }

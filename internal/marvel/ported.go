@@ -250,19 +250,19 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	// counters, after the engine has stopped — it cannot affect the replay
 	// fingerprint captured above.
 	if reg := mcfg.Metrics; reg != nil {
-		machine.HarvestMetrics(elapsed)
-		reg.Counter("ppe", "busy_fs").Add(int64(ppeBusy))
+		machine.HarvestMetrics(reg, elapsed)
+		reg.Counter("ppe", "busy_fs", int64(ppeBusy))
 		if res.Faults != nil {
 			rep := res.Faults
-			reg.Counter("supervisor", "faults_planned").Add(int64(rep.Planned))
-			reg.Counter("supervisor", "faults_injected").Add(int64(len(rep.Injected)))
-			reg.Counter("supervisor", "retries").Add(int64(rep.Retries))
-			reg.Counter("supervisor", "redispatches").Add(int64(rep.Redispatches))
-			reg.Counter("supervisor", "fallbacks").Add(int64(rep.Fallbacks))
-			reg.Counter("supervisor", "watchdog_timeouts").Add(int64(rep.WatchdogTimeouts))
-			reg.Counter("supervisor", "spes_lost").Add(int64(len(rep.SPEsLost)))
-			reg.Counter("supervisor", "backoff_fs").Add(int64(rep.BackoffTime))
-			reg.Counter("supervisor", "degraded_fs").Add(int64(rep.DegradedTime))
+			reg.Counter("supervisor", "faults_planned", int64(rep.Planned))
+			reg.Counter("supervisor", "faults_injected", int64(len(rep.Injected)))
+			reg.Counter("supervisor", "retries", int64(rep.Retries))
+			reg.Counter("supervisor", "redispatches", int64(rep.Redispatches))
+			reg.Counter("supervisor", "fallbacks", int64(rep.Fallbacks))
+			reg.Counter("supervisor", "watchdog_timeouts", int64(rep.WatchdogTimeouts))
+			reg.Counter("supervisor", "spes_lost", int64(len(rep.SPEsLost)))
+			reg.Counter("supervisor", "backoff_fs", int64(rep.BackoffTime))
+			reg.Counter("supervisor", "degraded_fs", int64(rep.DegradedTime))
 		}
 		res.Metrics = reg.Snapshot()
 	}

@@ -85,30 +85,25 @@ type MFC struct {
 	bytesOut  uint64 // LS -> main memory
 	listCmds  uint64
 	peakQueue int
+	sizeHist  metrics.Histogram // bytes per bus piece
+	depthHist metrics.Histogram // queue depth at each command issue
 
-	// Optional observability, nil when uninstrumented. The tracer records
-	// one span per DMA command on lane, from bus start to completion. The
-	// recorder and the histogram handles are nil-safe, so the
-	// uninstrumented path pays one branch in each.
-	tracer    *trace.Recorder
-	lane      string
-	sizeHist  *metrics.Histogram
-	depthHist *metrics.Histogram
+	// Optional tracing, nil when untraced: one span per DMA command on
+	// lane, from bus start to completion.
+	tracer *trace.Recorder
+	lane   string
 }
+
+var (
+	dmaSizeBounds    = []int64{128, 1024, 4096, 16384}
+	queueDepthBounds = []int64{1, 2, 4, 8, 16}
+)
 
 // SetTracer installs (or clears, with nil) a recorder; each DMA command
 // emits one KindDMA span on the given lane covering its bus time.
 func (m *MFC) SetTracer(t *trace.Recorder, lane string) {
 	m.tracer = t
 	m.lane = lane
-}
-
-// SetMetrics registers the MFC's histograms under component: transfer
-// sizes in bytes and queue depth sampled at each command issue. A nil
-// registry yields nil-safe no-op handles.
-func (m *MFC) SetMetrics(reg *metrics.Registry, component string) {
-	m.sizeHist = reg.Histogram(component, "dma_size_bytes", []int64{128, 1024, 4096, 16384})
-	m.depthHist = reg.Histogram(component, "queue_depth", []int64{1, 2, 4, 8, 16})
 }
 
 // SetFaultHook installs (or clears, with nil) the per-command fault hook.
@@ -178,8 +173,10 @@ func (m *MFC) Abort() {
 func New(e *sim.Engine, bus *eib.Bus, mem *mainmem.Memory, store *ls.LocalStore, port eib.Port) *MFC {
 	return &MFC{
 		engine: e, bus: bus, mem: mem, store: store, port: port,
-		slots:   sim.NewSemaphore(e, fmt.Sprintf("%v MFC queue", port), QueueDepth),
-		tagWait: sim.NewQueue(fmt.Sprintf("%v tag-group", port)),
+		slots:     sim.NewSemaphore(e, fmt.Sprintf("%v MFC queue", port), QueueDepth),
+		tagWait:   sim.NewQueue(fmt.Sprintf("%v tag-group", port)),
+		sizeHist:  metrics.Histogram{Bounds: dmaSizeBounds},
+		depthHist: metrics.Histogram{Bounds: queueDepthBounds},
 	}
 }
 
@@ -460,4 +457,9 @@ func (m *MFC) Stats() Stats {
 		BytesOut:     m.bytesOut,
 		PeakQueue:    m.peakQueue,
 	}
+}
+
+// Histograms returns the transfer-size and queue-depth histograms.
+func (m *MFC) Histograms() (size, depth metrics.Histogram) {
+	return m.sizeHist, m.depthHist
 }

@@ -314,24 +314,17 @@ func (p *pool) report(reqs []Request, offered float64) (*Report, error) {
 		r.Coordinator = p.ctr
 		for i := range r.PerBlade {
 			bs := &r.PerBlade[i]
-			reg := metrics.NewRegistry()
-			for _, c := range []struct {
-				name string
-				v    int64
-			}{
-				{"dispatches", int64(bs.Dispatches)},
-				{"requests", int64(bs.Requests)},
-				{"busy_fs", int64(bs.Busy)},
-				{"warmup_fs", int64(bs.Warmup)},
-				{"crashes", int64(bs.Crashes)},
-				{"restarts", int64(bs.Restarts)},
-				{"stalls", int64(bs.Stalls)},
-				{"rerouted", int64(bs.Rerouted)},
-				{"shed_rerouted", int64(bs.ShedRerouted)},
-				{"shed_exhausted", int64(bs.ShedExhausted)},
-			} {
-				reg.Counter(p.blades[i].lane, c.name).Add(c.v)
-			}
+			reg, lane := metrics.NewRegistry(), p.blades[i].lane
+			reg.Counter(lane, "dispatches", int64(bs.Dispatches))
+			reg.Counter(lane, "requests", int64(bs.Requests))
+			reg.Counter(lane, "busy_fs", int64(bs.Busy))
+			reg.Counter(lane, "warmup_fs", int64(bs.Warmup))
+			reg.Counter(lane, "crashes", int64(bs.Crashes))
+			reg.Counter(lane, "restarts", int64(bs.Restarts))
+			reg.Counter(lane, "stalls", int64(bs.Stalls))
+			reg.Counter(lane, "rerouted", int64(bs.Rerouted))
+			reg.Counter(lane, "shed_rerouted", int64(bs.ShedRerouted))
+			reg.Counter(lane, "shed_exhausted", int64(bs.ShedExhausted))
 			bs.Metrics = reg.Snapshot()
 		}
 	}
