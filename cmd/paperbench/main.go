@@ -1,33 +1,23 @@
 // Command paperbench regenerates every quantitative artifact of the
 // paper's evaluation and prints paper-vs-measured comparisons:
 //
-//	paperbench -exp all          # everything (default)
-//	paperbench -exp table1       # Table 1: kernel speed-ups + coverage
-//	paperbench -exp fig6         # Figure 6: kernel times on 4 targets
-//	paperbench -exp fig7         # Figure 7: app speed-ups, 1/10/50 images
-//	paperbench -exp eqns         # §4.2 estimator validation
-//	paperbench -exp profile      # §5.2 profiling reproduction
-//	paperbench -exp naive        # §5.3 pre-optimization speed-ups
-//	paperbench -exp hosts        # §5.2 reference-machine ratios
-//	paperbench -exp faults       # fault injection + self-healing runtime
-//	paperbench -exp serve        # multi-blade serving layer, estimator vs RR
-//	paperbench -exp chaos        # blade lifecycle: seeded rolling restarts,
-//	                             # crash/stall/drain, re-routing vs baseline
-//	paperbench -exp fleet        # fleet-scale serving: routed blade pools +
-//	                             # autoscaler vs a static single pool
-//	paperbench -exp race         # run every calibration point for real, one
-//	                             # goroutine per lane, and report the
-//	                             # estimator's error vs the wall clock
+//	paperbench -exp all          # every experiment, in table order (default)
+//	paperbench -exp fig7         # one experiment: -help lists the names,
+//	                             # experiments.All defines each one, and
+//	                             # EXPERIMENTS.md quotes the paper's
+//	                             # tables and figures as they print
 //	paperbench -quick            # reduced frames/sets for a fast pass
 //	paperbench -parallel 4       # worker pool for independent runs
 //	paperbench -nocache          # recompute artifacts per run (cold path)
 //	paperbench -json out.json    # machine-readable sidecar ("-" = stdout)
 //	paperbench -trace out.json   # Chrome trace (load at ui.perfetto.dev)
 //	paperbench -metrics m.json   # flat per-run metrics dump
-//	paperbench -faults <spec>    # explicit fault plan (-exp faults|serve|chaos)
+//	paperbench -faults <spec>    # explicit fault plan (-exp faults|serve|chaos|fleet)
 //	                             # (e.g. "crash:spe=0,at=5ms;blade-crash:blade=1,at=2s")
-//	paperbench -faultseed 7      # seed-derived fault plan (-exp faults|serve|chaos)
-//	paperbench -watchdog 250ms   # supervision watchdog override (-exp faults|serve|chaos)
+//	paperbench -faultseed 7      # seed-derived fault plan
+//	                             # (-exp faults|serve|chaos|fleet)
+//	paperbench -watchdog 250ms   # supervision watchdog override
+//	                             # (-exp faults|serve|chaos|fleet)
 //	paperbench -rate 2.5         # serve: offered load, × estimated capacity
 //	paperbench -blades 4         # serve: blade-pool size
 //	paperbench -deadline 250     # serve: per-request deadline, virtual ms (<0 = none)
@@ -95,14 +85,17 @@ type jsonEntry struct {
 	Data   any     `json:"data"`
 }
 
-// experimentNames lists every -exp value, in execution order.
-var experimentNames = []string{
-	"table1", "naive", "fig6", "fig7", "eqns", "profile", "hosts",
-	"scaling", "pipeline", "overhead", "faults", "serve", "chaos", "fleet",
-	"race",
+// expChoices lists every -exp value: "all", then the rows of
+// experiments.All in execution order.
+func expChoices() string {
+	names := []string{"all"}
+	for _, e := range experiments.All {
+		names = append(names, e.Name)
+	}
+	return strings.Join(names, "|")
 }
 
-const usageHint = "usage: paperbench [-exp all|table1|naive|fig6|fig7|eqns|profile|hosts|scaling|pipeline|overhead|faults|serve|chaos|fleet|race] [-quick] [-parallel N] [-json F] [-trace F] [-metrics F] (run with -help for all flags)"
+var usageHint = "usage: paperbench [-exp " + expChoices() + "] [-quick] [-parallel N] [-json F] [-trace F] [-metrics F] (run with -help for all flags)"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -149,19 +142,19 @@ func parseFlags(args []string, errw io.Writer) (*options, int) {
 	o := &options{}
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	fs.SetOutput(errw)
-	fs.StringVar(&o.exp, "exp", "all", "experiment: all|table1|fig6|fig7|eqns|profile|naive|hosts|scaling|pipeline|overhead|faults|serve|chaos|fleet|race")
+	fs.StringVar(&o.exp, "exp", "all", "experiment: "+expChoices())
 	fs.BoolVar(&o.quick, "quick", false, "reduced frame size and image sets")
 	fs.StringVar(&o.jsonPath, "json", "", "write machine-readable results to this path (\"-\" for stdout)")
 	fs.Uint64Var(&o.seed, "seed", 20070710, "workload seed")
 	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size for independent runs (0 = GOMAXPROCS, 1 = sequential)")
 	fs.BoolVar(&o.nocache, "nocache", false, "recompute workload artifacts for every run (cold-path calibration)")
-	fs.StringVar(&o.faultSpec, "faults", "", "explicit fault plan for -exp faults|serve|chaos (kind:spe=N,...;... — see internal/fault)")
-	fs.Uint64Var(&o.faultSeed, "faultseed", 0, "seed for a derived fault plan when -faults is empty (0 = seed 1; -exp faults|serve|chaos)")
-	fs.StringVar(&o.watchdog, "watchdog", "", "supervision watchdog timeout override, fault duration grammar e.g. 250ms (-exp faults|serve|chaos)")
+	fs.StringVar(&o.faultSpec, "faults", "", "explicit fault plan for -exp faults|serve|chaos|fleet (kind:spe=N,...;... — see internal/fault)")
+	fs.Uint64Var(&o.faultSeed, "faultseed", 0, "seed for a derived fault plan when -faults is empty (0 = seed 1; -exp faults|serve|chaos|fleet)")
+	fs.StringVar(&o.watchdog, "watchdog", "", "supervision watchdog timeout override, fault duration grammar e.g. 250ms (-exp faults|serve|chaos|fleet)")
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace (Perfetto-loadable) of every instrumented run to this path")
 	fs.StringVar(&o.metricsPath, "metrics", "", "write per-run metrics JSON to this path")
 	fs.Float64Var(&o.rate, "rate", 0, "serve: offered load as a multiple of estimated pool capacity (default 2)")
-	fs.IntVar(&o.blades, "blades", 0, "serve: number of simulated Cell blades (default 3)")
+	fs.IntVar(&o.blades, "blades", 0, "serve: number of simulated Cell blades (default 3; 8 for -exp chaos)")
 	fs.Float64Var(&o.deadline, "deadline", 0, "serve: per-request deadline in virtual ms (0 = automatic, negative = none)")
 	fs.Uint64Var(&o.serveSeed, "servesed", 0, "serve: arrival-stream seed (default 7)")
 	fs.Float64Var(&o.burst, "burst", 0, "serve: mean arrival burst size (default 2)")
@@ -189,17 +182,8 @@ func parseFlags(args []string, errw io.Writer) (*options, int) {
 // validate rejects inconsistent flag combinations before anything runs.
 // It returns an error message, or "" when the options are usable.
 func (o *options) validate() string {
-	if o.exp != "all" {
-		known := false
-		for _, name := range experimentNames {
-			if o.exp == name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Sprintf("unknown experiment %q", o.exp)
-		}
+	if _, ok := experiments.Find(o.exp); !ok && o.exp != "all" {
+		return fmt.Sprintf("unknown experiment %q", o.exp)
 	}
 	if o.parallel < 0 {
 		return fmt.Sprintf("-parallel must be >= 0, got %d", o.parallel)
@@ -393,175 +377,32 @@ func runExperiments(o *options, out, errw io.Writer) int {
 	if o.tracePath != "" || o.metricsPath != "" {
 		cfg.Collect = &experiments.Collector{}
 	}
-	tables := o.jsonPath != "-" // "-" routes JSON to stdout instead of tables
+	w := out
+	if o.jsonPath == "-" { // "-" routes JSON to stdout instead of tables
+		w = io.Discard
+	}
 	jsonDoc := map[string]jsonEntry{}
 	start := time.Now()
-	failed := false
-	usageErr := false
-
-	runExp := func(name string, fn func() (any, error)) {
-		if failed || (o.exp != "all" && o.exp != name) {
-			return
+	for _, e := range experiments.All {
+		if o.exp != "all" && o.exp != e.Name {
+			continue
 		}
-		if tables {
-			fmt.Fprintf(out, "==== %s ", name)
-			for i := len(name); i < 68; i++ {
-				fmt.Fprint(out, "=")
-			}
-			fmt.Fprintln(out)
-		}
+		fmt.Fprintf(w, "==== %s %s\n", e.Name, strings.Repeat("=", 68-len(e.Name)))
 		t0 := time.Now()
-		data, err := fn()
+		data, err := e.Run(cfg, w)
 		if err != nil {
-			fmt.Fprintf(errw, "paperbench: %s: %v\n", name, err)
+			fmt.Fprintf(errw, "paperbench: %s: %v\n", e.Name, err)
 			// A degenerate serve configuration is a usage error, not a
 			// failed run: exit 2 with the hint, matching flag validation.
 			var ce *serve.ConfigError
 			if errors.As(err, &ce) {
 				fmt.Fprintln(errw, usageHint)
-				usageErr = true
+				return 2
 			}
-			failed = true
-			return
+			return 1
 		}
-		jsonDoc[name] = jsonEntry{WallMS: float64(time.Since(t0).Microseconds()) / 1000, Data: data}
-		if tables {
-			fmt.Fprintln(out)
-		}
-	}
-
-	render := func(draw func()) {
-		if tables {
-			draw()
-		}
-	}
-
-	runExp("table1", func() (any, error) {
-		rows, err := experiments.Table1(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderTable1(out, rows) })
-		return rows, nil
-	})
-	runExp("naive", func() (any, error) {
-		rows, err := experiments.NaiveSpeedups(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderNaive(out, rows) })
-		return rows, nil
-	})
-	runExp("fig6", func() (any, error) {
-		rows, err := experiments.Fig6(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderFig6(out, rows) })
-		return rows, nil
-	})
-	runExp("fig7", func() (any, error) {
-		r, err := experiments.Fig7(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderFig7(out, r) })
-		return r, nil
-	})
-	runExp("eqns", func() (any, error) {
-		r, err := experiments.Eqns(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderEqns(out, r) })
-		return r, nil
-	})
-	runExp("profile", func() (any, error) {
-		r, err := experiments.ProfileExp(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderProfile(out, r) })
-		return r, nil
-	})
-	runExp("hosts", func() (any, error) {
-		r, err := experiments.HostsExp(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderHosts(out, r) })
-		return r, nil
-	})
-	runExp("scaling", func() (any, error) {
-		rows, err := experiments.Scaling(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderScaling(out, rows) })
-		return rows, nil
-	})
-	runExp("pipeline", func() (any, error) {
-		rows, err := experiments.Pipeline(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderPipeline(out, rows) })
-		return rows, nil
-	})
-	runExp("overhead", func() (any, error) {
-		rows, err := experiments.Overhead(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderOverhead(out, rows) })
-		return rows, nil
-	})
-	runExp("faults", func() (any, error) {
-		r, err := experiments.FaultsExp(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderFaults(out, r) })
-		return r, nil
-	})
-	runExp("serve", func() (any, error) {
-		r, err := experiments.ServeExp(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderServe(out, r) })
-		return r, nil
-	})
-	runExp("chaos", func() (any, error) {
-		r, err := experiments.ChaosExp(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderChaos(out, r) })
-		return r, nil
-	})
-	runExp("fleet", func() (any, error) {
-		r, err := experiments.FleetExp(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderFleet(out, r) })
-		return r, nil
-	})
-	runExp("race", func() (any, error) {
-		r, err := experiments.RaceExp(cfg)
-		if err != nil {
-			return nil, err
-		}
-		render(func() { experiments.RenderRace(out, r) })
-		return r, nil
-	})
-
-	if failed {
-		if usageErr {
-			return 2
-		}
-		return 1
+		jsonDoc[e.Name] = jsonEntry{WallMS: float64(time.Since(t0).Microseconds()) / 1000, Data: data}
+		fmt.Fprintln(w)
 	}
 
 	if o.tracePath != "" {

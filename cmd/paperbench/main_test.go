@@ -157,20 +157,33 @@ func TestRunServeQuick(t *testing.T) {
 	}
 }
 
-// TestRunRejectsDegenerateServeConfig checks a degenerate serve value
-// that only the library-level Config.Validate can catch (a sub-unity
-// -burst) exits 2 with the usage hint instead of reporting a failed run.
+// TestRunRejectsDegenerateServeConfig checks that serve values only the
+// library-level Config.Validate catches (a negative rate, burst or blade
+// count, a sub-unity burst) exit 2 with the field named and the usage
+// hint, instead of running on a default or reporting a failed run. Only
+// zero selects a default.
 func TestRunRejectsDegenerateServeConfig(t *testing.T) {
-	var out, errw bytes.Buffer
-	args := []string{"-quick", "-exp", "serve", "-burst", "0.5"}
-	if status := run(args, &out, &errw); status != 2 {
-		t.Fatalf("status %d, want 2 (stderr: %s)", status, errw.String())
-	}
-	if !strings.Contains(errw.String(), "Burst") {
-		t.Fatalf("stderr does not name the rejected field: %s", errw.String())
-	}
-	if !strings.Contains(errw.String(), usageHint) {
-		t.Fatalf("stderr missing usage hint: %s", errw.String())
+	for _, tc := range []struct {
+		flag, value, field string
+	}{
+		{"-rate", "-1", "Rate"},
+		{"-burst", "-3", "Burst"},
+		{"-blades", "-2", "Blades"},
+		{"-burst", "0.5", "Burst"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			var out, errw bytes.Buffer
+			args := []string{"-quick", "-exp", "serve", tc.flag, tc.value}
+			if status := run(args, &out, &errw); status != 2 {
+				t.Fatalf("status %d, want 2 (stderr: %s)", status, errw.String())
+			}
+			if !strings.Contains(errw.String(), "Config."+tc.field) {
+				t.Fatalf("stderr does not name the rejected field %s: %s", tc.field, errw.String())
+			}
+			if !strings.Contains(errw.String(), usageHint) {
+				t.Fatalf("stderr missing usage hint: %s", errw.String())
+			}
+		})
 	}
 }
 

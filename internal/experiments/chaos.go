@@ -42,7 +42,7 @@ type ChaosResult struct {
 // arrival stream — against a baseline carrying only the plan's
 // machine-level subset.
 func ChaosExp(cfg Config) (*ChaosResult, error) {
-	if cfg.Serve.Blades <= 0 {
+	if cfg.Serve.Blades == 0 {
 		cfg.Serve.Blades = 8
 	}
 	base, err := cfg.serveBase()

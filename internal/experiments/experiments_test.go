@@ -245,20 +245,6 @@ func TestScalingExperiment(t *testing.T) {
 	}
 }
 
-func TestRenderTable1Golden(t *testing.T) {
-	rows := []Table1Row{{
-		Kernel: marvel.KCH, PPETime: 5128200, SPETime: 96200,
-		SpeedUp: 53.31, Coverage: 0.083, PaperSpeedUp: 53.67, PaperCoverage: 0.08,
-	}}
-	var sb strings.Builder
-	RenderTable1(&sb, rows)
-	for _, needle := range []string{"CHExtract", "53.31", "53.67", "8.3%"} {
-		if !strings.Contains(sb.String(), needle) {
-			t.Errorf("table rendering missing %q:\n%s", needle, sb.String())
-		}
-	}
-}
-
 func TestPipelineExperiment(t *testing.T) {
 	rows, err := Pipeline(quickCfg())
 	if err != nil {

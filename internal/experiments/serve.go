@@ -11,7 +11,8 @@ import (
 )
 
 // ServeConfig sizes the serving-layer experiment (paperbench -exp serve).
-// Zero values select the defaults noted on each field.
+// Zero values select the defaults noted on each field; a negative value
+// reaches serve.Config.Validate and is rejected there.
 type ServeConfig struct {
 	// Blades is the blade-pool size (default 3).
 	Blades int
@@ -39,13 +40,13 @@ type ServeResult struct {
 // serves the same stream).
 func (c Config) serveBase() (serve.Config, error) {
 	sc := c.Serve
-	if sc.Blades <= 0 {
+	if sc.Blades == 0 {
 		sc.Blades = 3
 	}
-	if sc.Rate <= 0 {
+	if sc.Rate == 0 {
 		sc.Rate = 2
 	}
-	if sc.Burst <= 0 {
+	if sc.Burst == 0 {
 		sc.Burst = 2
 	}
 	if sc.Seed == 0 {

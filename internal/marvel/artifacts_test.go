@@ -267,7 +267,7 @@ func TestPortedCacheOnOffIdentical(t *testing.T) {
 				t.Fatalf("%v: image result counts differ", scen)
 			}
 			for i := range a.Images {
-				if compareImage(&a.Images[i], &got.Images[i]) != 0 {
+				if CompareImageResults(&a.Images[i], &got.Images[i]) != 0 {
 					t.Fatalf("%v image %d: feature outputs differ cache-on vs cache-off", scen, i)
 				}
 			}

@@ -60,13 +60,6 @@ func planKernel(st *ls.LocalStore, id KernelID, v Variant, w, h int) ([]img.Slic
 	return slices, nil
 }
 
-// CompareImageResults counts output mismatches between two per-image
-// results with the port's validation semantics: feature vectors must
-// match bit for bit, scores after float32 rounding. Exported for the
-// real-execution harness, which validates executed outputs against the
-// retained host references.
-func CompareImageResults(ref, got *ImageResult) int { return compareImage(ref, got) }
-
 // ExecPoint identifies one real-execution batch: the workload (k images
 // of one geometry), the scheduling scenario, and the kernel variant —
 // the same triple that configures a simulated dispatch.

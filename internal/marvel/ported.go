@@ -229,7 +229,7 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	if cfg.Validate {
 		ref := runReference(mcfg.PPEModel, w, ms, func(i int) ImageResult { return frames[i].features() })
 		for n := range res.Images {
-			res.ValidationErrors += compareImage(&ref.Images[n], &res.Images[n])
+			res.ValidationErrors += CompareImageResults(&ref.Images[n], &res.Images[n])
 		}
 	}
 	res.Total = elapsed
@@ -616,11 +616,12 @@ func kernelResult(k *kern, code uint32, err error) error {
 	return nil
 }
 
-// compareImage counts mismatches between reference and ported outputs.
-// Feature vectors must match bit-for-bit; scores must match after
-// float32 rounding (the kernel reports a float32), and a NaN on either
-// side never matches.
-func compareImage(ref, got *ImageResult) int {
+// CompareImageResults counts output mismatches between two per-image
+// results with the port's validation semantics. Feature vectors must
+// match bit-for-bit; scores must match after float32 rounding (the
+// kernel reports a float32), and a NaN on either side never matches.
+// The real-execution harness validates executed outputs with it too.
+func CompareImageResults(ref, got *ImageResult) int {
 	bad := 0
 	cmpVec := func(a, b []float32) {
 		if len(a) != len(b) {
