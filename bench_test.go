@@ -209,7 +209,8 @@ func BenchmarkFig7GridNoCache(b *testing.B) {
 // each kernel output is computed once and shared across the
 // parallel.RunIndexed workers and across sweeps (the process-lifetime
 // behavior paperbench gets by default); each reference is folded over
-// them per point. NoCache recomputes everything at every point. One warm-up
+// them per point. NoCache gives every point its own cold cache, so each
+// recomputes its frames and every kernel. One warm-up
 // sweep runs before the timer in both variants, so Cached measures the
 // steady state. Outputs are byte-identical either way
 // (TestPortedCacheOnOffIdentical).
@@ -237,11 +238,10 @@ func benchSweepGrid(b *testing.B, nocache bool) {
 				Variant:       g.v,
 				Validate:      true,
 				MachineConfig: benchMachine(),
+				Artifacts:     arts,
 			}
 			if nocache {
-				pc.NoCache = true
-			} else {
-				pc.Artifacts = arts
+				pc.Artifacts = marvel.NewColdArtifactCache()
 			}
 			return marvel.RunPorted(pc)
 		})
@@ -265,30 +265,31 @@ func BenchmarkSweepGridNoCache(b *testing.B) { benchSweepGrid(b, true) }
 // every iteration simulates one full-size frame no earlier iteration has
 // seen, so each kernel's entry is computed once, by a prefetch helper,
 // and hashed twice, by the helper and by the event loop. The NoCache
-// variant computes inline and is the reference. The cache is flushed
-// after each iteration so it does not grow with b.N; hit_share reports
-// the memo's hits over lookups (0.5 by construction: every event-loop
-// lookup finds its prefetched entry).
+// variant runs on a cold cache, computes inline and is the reference.
+// Each iteration gets a fresh cache so the cache does not grow with b.N;
+// hit_share reports the memo's hits over lookups (0.5 by construction:
+// every event-loop lookup finds its prefetched entry).
 func benchDistinctFrames(b *testing.B, nocache bool) {
-	arts := marvel.NewArtifactCache()
+	var hits, misses uint64
 	for i := 0; i < b.N; i++ {
+		arts := marvel.NewArtifactCache()
+		if nocache {
+			arts = marvel.NewColdArtifactCache()
+		}
 		pc := marvel.PortedConfig{
 			Workload:      marvel.Workload{Images: 1, W: 352, H: 240, Seed: uint64(i) + 1},
 			Scenario:      marvel.SingleSPE,
 			Variant:       marvel.Optimized,
 			MachineConfig: benchMachine(),
-		}
-		if nocache {
-			pc.NoCache = true
-		} else {
-			pc.Artifacts = arts
+			Artifacts:     arts,
 		}
 		if _, err := marvel.RunPorted(pc); err != nil {
 			b.Fatal(err)
 		}
-		arts.Flush()
+		h, m := arts.KernelStats()
+		hits, misses = hits+h, misses+m
 	}
-	if hits, misses := arts.KernelStats(); hits+misses > 0 {
+	if hits+misses > 0 {
 		b.ReportMetric(float64(hits)/float64(hits+misses), "hit_share")
 	}
 }
@@ -364,7 +365,7 @@ func BenchmarkAblationPollVsInterrupt(b *testing.B) {
 
 func benchDataParallel(b *testing.B, id marvel.KernelID, n int) {
 	w := benchWorkload(1)
-	res, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, benchMachine(), nil)
+	res, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, benchMachine(), marvel.NewColdArtifactCache())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -374,7 +375,7 @@ func benchDataParallel(b *testing.B, id marvel.KernelID, n int) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, benchMachine(), nil); err != nil {
+			if _, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, benchMachine(), marvel.NewColdArtifactCache()); err != nil {
 				b.Error(err)
 				return
 			}

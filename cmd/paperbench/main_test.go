@@ -161,19 +161,25 @@ func TestRunServeQuick(t *testing.T) {
 // library-level Config.Validate catches (a negative rate, burst or blade
 // count, a sub-unity burst) exit 2 with the field named and the usage
 // hint, instead of running on a default or reporting a failed run. Only
-// zero selects a default.
+// zero selects a default. The fleet experiment names the flag's field
+// too, not the OfferedRPS it derives from the rate.
 func TestRunRejectsDegenerateServeConfig(t *testing.T) {
 	for _, tc := range []struct {
-		flag, value, field string
+		exp, flag, value, field string
 	}{
-		{"-rate", "-1", "Rate"},
-		{"-burst", "-3", "Burst"},
-		{"-blades", "-2", "Blades"},
-		{"-burst", "0.5", "Burst"},
+		{"serve", "-rate", "-1", "Rate"},
+		{"serve", "-burst", "-3", "Burst"},
+		{"serve", "-blades", "-2", "Blades"},
+		{"serve", "-burst", "0.5", "Burst"},
+		{"fleet", "-rate", "-1", "Rate"},
 	} {
-		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+		name := tc.flag + "=" + tc.value
+		if tc.exp != "serve" {
+			name = tc.exp + "/" + name
+		}
+		t.Run(name, func(t *testing.T) {
 			var out, errw bytes.Buffer
-			args := []string{"-quick", "-exp", "serve", tc.flag, tc.value}
+			args := []string{"-quick", "-exp", tc.exp, tc.flag, tc.value}
 			if status := run(args, &out, &errw); status != 2 {
 				t.Fatalf("status %d, want 2 (stderr: %s)", status, errw.String())
 			}

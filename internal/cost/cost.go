@@ -9,7 +9,8 @@
 // throughput is clock × (ops issued per cycle at a given width) × an
 // efficiency factor supplied by the kernel. Anything the paper measures but
 // does not derive (per-kernel SIMD efficiency, per-kernel PPE cache
-// behaviour) is calibrated in internal/marvel/calibration.go, not here.
+// behaviour) is calibrated per kernel in the kernel table,
+// internal/marvel/table.go, not here.
 package cost
 
 import (

@@ -14,7 +14,7 @@ import (
 	"cellport/internal/trace"
 )
 
-// Backend runs MARVEL batch points for real, as a marvel.ExecBackend.
+// Backend runs MARVEL batch points for real.
 // Each launched lane is one goroutine, and at most Workers of them
 // compute at once. A kernel follows the simulated kernel's slice plan
 // (marvel.ExecPlan), and each image runs the scenario's marvel.Schedule:
@@ -44,7 +44,8 @@ type Options struct {
 	// Reps is how many times Execute runs each point's batch, keeping
 	// the fastest wall time (default 3). Outputs come from the last rep.
 	Reps int
-	// Artifacts supplies the model set; nil computes privately.
+	// Artifacts supplies the model set; nil means
+	// marvel.SharedArtifacts().
 	Artifacts *marvel.ArtifactCache
 	// Instrument records wall-clock spans and "exec" metrics on each
 	// returned run.
@@ -62,6 +63,7 @@ func NewBackend(o Options) *Backend {
 	if o.Reps <= 0 {
 		o.Reps = 3
 	}
+	o.Artifacts = cmp.Or(o.Artifacts, marvel.SharedArtifacts())
 	if o.Now == nil {
 		start := time.Now()
 		o.Now = func(string) time.Duration { return time.Since(start) }
@@ -103,9 +105,8 @@ func (b *Backend) takeTrace() *trace.Recorder {
 	return rec
 }
 
-// Execute implements marvel.ExecBackend: it runs the point's batch
-// Reps times and reports the fastest wall time together with the
-// outputs of the final rep.
+// Execute runs the point's batch Reps times and reports the fastest
+// wall time together with the outputs of the final rep.
 func (b *Backend) Execute(p marvel.ExecPoint) (*marvel.ExecRun, error) {
 	w := p.Workload
 	if err := w.Check(); err != nil {

@@ -33,9 +33,10 @@ type Config struct {
 	// path. Virtual-time results are identical at any setting; only host
 	// wall time changes.
 	Parallel int
-	// NoCache forces every run to recompute its workload artifacts
-	// (frames, model sets, kernel outputs) instead of sharing them through
-	// the process-wide cache — the paperbench -nocache calibration path.
+	// NoCache gives every run a fresh cold cache
+	// (marvel.NewColdArtifactCache) instead of the process-wide one: each
+	// run recomputes its frames and model set and every kernel inline —
+	// the paperbench -nocache oracle.
 	NoCache bool
 	// Artifacts, when non-nil, overrides the artifact cache used by all
 	// runs of this configuration (takes precedence over NoCache).
@@ -69,10 +70,17 @@ type Config struct {
 	FullSim bool
 }
 
-// artifacts resolves the cache for this configuration's runs
-// (marvel.ResolveArtifacts).
+// artifacts returns the cache for one run of this configuration: the
+// explicit Artifacts, else under NoCache a fresh cold cache per call,
+// else the process-wide shared cache.
 func (c Config) artifacts() *marvel.ArtifactCache {
-	return marvel.ResolveArtifacts(c.Artifacts, c.NoCache)
+	switch {
+	case c.Artifacts != nil:
+		return c.Artifacts
+	case c.NoCache:
+		return marvel.NewColdArtifactCache()
+	}
+	return marvel.SharedArtifacts()
 }
 
 // ported builds a PortedConfig carrying this configuration's machine and
@@ -84,8 +92,7 @@ func (c Config) ported(w marvel.Workload, s marvel.Scenario, v marvel.Variant) m
 		Scenario:      s,
 		Variant:       v,
 		MachineConfig: MachineConfig(),
-		Artifacts:     c.Artifacts,
-		NoCache:       c.NoCache,
+		Artifacts:     c.artifacts(),
 	}
 }
 

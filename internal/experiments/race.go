@@ -113,8 +113,8 @@ func raceGeomName(tall bool) string {
 const rankingMargin = 0.05
 
 // RaceExp runs the estimator race: calibrate the serving layer's service
-// table, then re-run every calibration point with the real-execution
-// backend attached and score the simulator against the wall clock.
+// table, then re-run every calibration point, execute it for real on the
+// backend, and score the simulator against the wall clock.
 func RaceExp(cfg Config) (*RaceResult, error) {
 	base, err := cfg.serveBase()
 	if err != nil {
@@ -124,13 +124,9 @@ func RaceExp(cfg Config) (*RaceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	reps := cfg.Race.Reps
-	if reps <= 0 {
-		reps = 3
-	}
 	backend := exec.NewBackend(exec.Options{
 		Workers:    cfg.Race.Workers,
-		Reps:       reps,
+		Reps:       cfg.Race.Reps,
 		Artifacts:  base.Artifacts,
 		Instrument: cfg.Collect != nil,
 	})
@@ -141,7 +137,6 @@ func RaceExp(cfg Config) (*RaceResult, error) {
 		AllTableMatch: true,
 		AllBitExact:   true,
 		Workers:       backend.Workers(),
-		Reps:          reps,
 	}
 	// wall / simSvc indexed by [tall][scheme][k] for speedup and ranking
 	// lookups; k is iterated ascending so k=1 is always present first.
@@ -157,16 +152,16 @@ func RaceExp(cfg Config) (*RaceResult, error) {
 		for _, s := range []serve.Scheme{serve.SchemeJob, serve.SchemeData} {
 			for k := 1; k <= cal.MaxBatch(); k++ {
 				pc := base.RacePointConfig(s, tall, k)
-				pc.Exec = backend
 				label := fmt.Sprintf("race/%s/%s/k%d", s, raceGeomName(tall), k)
 				rp, err := cfg.runPorted(trace.DomainSim+label, pc)
 				if err != nil {
 					return nil, fmt.Errorf("race point %s: %w", label, err)
 				}
-				er := rp.Exec
-				if er == nil {
-					return nil, fmt.Errorf("race point %s: backend returned no run", label)
+				er, err := backend.Execute(marvel.ExecPoint{Workload: pc.Workload, Scenario: pc.Scenario, Variant: pc.Variant})
+				if err != nil {
+					return nil, fmt.Errorf("race point %s: exec backend: %w", label, err)
 				}
+				res.Reps = er.Reps
 				if cfg.Collect != nil {
 					cfg.Collect.AddArtifacts(trace.DomainExec+label, er.Trace, er.Metrics)
 				}

@@ -62,6 +62,7 @@ func (c Config) serveBase() (serve.Config, error) {
 		Frame:         frame,
 		Variant:       marvel.Optimized,
 		MachineConfig: MachineConfig(),
+		Artifacts:     c.artifacts(),
 		Watchdog:      c.Watchdog,
 		Parallel:      c.Parallel,
 		FullFidelity:  c.FullSim,
@@ -77,12 +78,6 @@ func (c Config) serveBase() (serve.Config, error) {
 		base.Deadline = sim.FromSeconds(sc.DeadlineMS / 1000)
 	case sc.DeadlineMS < 0:
 		base.Deadline = -1
-	}
-	// The serving layer threads its cache straight into every calibration
-	// simulation; the cold path gets a private cache per invocation
-	// instead of the process-wide one, with its kernel memo off.
-	if base.Artifacts = c.artifacts(); base.Artifacts == nil {
-		base.Artifacts = marvel.NewColdArtifactCache()
 	}
 	if c.FaultSpec != "" {
 		plan, err := fault.Parse(c.FaultSpec)

@@ -28,10 +28,9 @@ import (
 // or copied into simulated memory), feature vectors are only compared
 // against, and kernel outputs are only copied into the local store.
 //
-// A nil *ArtifactCache is valid and means "no caching": every accessor
-// computes a private artifact (Reference runs the inline RunReference
-// oracle) and every simulated kernel computes inline, which is the
-// isolation path for calibration runs and cache-sensitivity tests.
+// A cache lives as long as the object: nothing is ever evicted. The
+// cache-off path is a cold cache (NewColdArtifactCache), not a nil one:
+// every exported entry that takes a cache reads nil as SharedArtifacts().
 type ArtifactCache struct {
 	frames  workcache.Cache[frameKey, *frame]
 	models  workcache.Cache[uint64, *ModelSet]
@@ -91,34 +90,22 @@ func (f *frame) features() ImageResult {
 	return r
 }
 
-// sharedArtifacts is the process-wide cache used when a config neither
-// disables caching nor supplies its own instance. Repeated sweeps within
-// one process (successive paperbench experiments, repeated benchmark
-// iterations) reuse its entries.
+// sharedArtifacts is the process-wide cache used when a caller supplies
+// none. Repeated sweeps within one process (successive paperbench
+// experiments, repeated benchmark iterations) reuse its entries.
 var sharedArtifacts ArtifactCache
 
 // SharedArtifacts returns the process-wide artifact cache.
 func SharedArtifacts() *ArtifactCache { return &sharedArtifacts }
 
-// ResolveArtifacts is the one cache-resolution rule every config follows:
-// an explicit instance wins, noCache yields nil (compute privately), and
-// the default is the process-wide shared cache.
-func ResolveArtifacts(explicit *ArtifactCache, noCache bool) *ArtifactCache {
-	if explicit != nil || noCache {
-		return explicit
-	}
-	return SharedArtifacts()
-}
-
 // NewArtifactCache returns an empty private cache, for callers that want
 // sharing within one sweep but isolation from the rest of the process.
 func NewArtifactCache() *ArtifactCache { return &ArtifactCache{} }
 
-// NewColdArtifactCache returns a private cache for a cold-path run that
-// needs one cache object to thread through its calibration (the serving
-// experiments under paperbench -nocache): frames and models are shared
-// within the run, while every simulated kernel computes inline as under a
-// nil cache, so the run stays an oracle for the kernel memo.
+// NewColdArtifactCache returns a private cache for a cold-path run
+// (paperbench -nocache, cache-sensitivity tests): frames and models are
+// shared within this one cache object, while every simulated kernel
+// computes inline, so the run stays an oracle for the kernel memo.
 func NewColdArtifactCache() *ArtifactCache { return &ArtifactCache{cold: true} }
 
 // frame returns corpus frame i of workload w, synthesizing it on first use.
@@ -130,12 +117,8 @@ func (c *ArtifactCache) frame(w Workload, i int) *frame {
 	return f
 }
 
-// framesOf returns the workload's frame entries: the cached ones, or,
-// for a nil cache, private ones (newFrames).
+// framesOf returns the workload's cached frame entries.
 func (c *ArtifactCache) framesOf(w Workload) []*frame {
-	if c == nil {
-		return newFrames(w)
-	}
 	frames := make([]*frame, w.Images)
 	for i := range frames {
 		frames[i] = c.frame(w, i)
@@ -155,9 +138,6 @@ func newFrames(w Workload) []*frame {
 
 // Images returns the workload's frames, shared and read-only.
 func (c *ArtifactCache) Images(w Workload) []*img.RGB {
-	if c == nil {
-		return w.Generate()
-	}
 	images := make([]*img.RGB, w.Images)
 	for i := range images {
 		images[i] = c.frame(w, i).im
@@ -168,9 +148,6 @@ func (c *ArtifactCache) Images(w Workload) []*img.RGB {
 // ModelSet returns the synthetic model library for seed, shared and
 // read-only.
 func (c *ArtifactCache) ModelSet(seed uint64) (*ModelSet, error) {
-	if c == nil {
-		return NewModelSet(seed)
-	}
 	return c.models.Do(seed, func() (*ModelSet, error) {
 		return NewModelSet(seed)
 	})
@@ -184,17 +161,11 @@ func (c *ArtifactCache) Reference(host *cost.Model, w Workload) (*ReferenceResul
 	if err != nil {
 		return nil, err
 	}
-	if c == nil {
-		return RunReference(host, w, ms), nil
-	}
 	return runReference(host, w, ms, func(i int) ImageResult { return c.frame(w, i).features() }), nil
 }
 
 // Stats reports cumulative (hits, misses) over the frame and model layers.
 func (c *ArtifactCache) Stats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
 	fh, fm := c.frames.Stats()
 	mh, mm := c.models.Stats()
 	return fh + mh, fm + mm
@@ -204,20 +175,5 @@ func (c *ArtifactCache) Stats() (hits, misses uint64) {
 // equal the number of distinct kernel inputs simulated, so they are
 // deterministic for a given set of runs at any parallelism.
 func (c *ArtifactCache) KernelStats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
 	return c.kernels.Stats()
-}
-
-// Flush drops all cached artifacts and memoized kernel outputs; the
-// prefetch skip index goes with the frames (cold-path calibration,
-// tests).
-func (c *ArtifactCache) Flush() {
-	if c == nil {
-		return
-	}
-	c.frames.Flush()
-	c.models.Flush()
-	c.kernels.Flush()
 }

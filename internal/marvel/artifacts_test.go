@@ -101,23 +101,33 @@ func TestArtifactCacheImagesComputeNoFeatures(t *testing.T) {
 	}
 }
 
-func TestArtifactCacheNilIsColdPath(t *testing.T) {
-	var c *ArtifactCache
+// TestArtifactCacheColdPath: a cold cache keeps its frames and model set
+// for the object's lifetime, shares them with no other cache, and folds
+// the same reference as the RunReference oracle.
+func TestArtifactCacheColdPath(t *testing.T) {
+	c := NewColdArtifactCache()
 	w := testWorkload(1)
-	if a, b := c.Images(w), c.Images(w); a[0] == b[0] {
-		t.Fatal("nil cache must regenerate images per call")
+	if a, b := c.Images(w), c.Images(w); a[0] != b[0] {
+		t.Fatal("a cold cache must keep its frames within the object")
+	}
+	if c.Images(w)[0] == NewColdArtifactCache().Images(w)[0] {
+		t.Fatal("two cold caches must not share frames")
 	}
 	ref, err := c.Reference(cost.NewPPE(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Host != "PPE" || len(ref.Images) != 1 {
-		t.Fatalf("nil-cache reference malformed: host %q, %d images", ref.Host, len(ref.Images))
+	ms, err := NewModelSet(w.Seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatalf("nil cache stats = %d/%d, want 0/0", h, m)
+	if f := sameReference(ref, RunReference(cost.NewPPE(), w, ms)); f != "" {
+		t.Fatalf("cold-cache reference differs from RunReference in %s", f)
 	}
-	c.Flush() // must not panic
+	// One frame and one model set, each computed once.
+	if _, m := c.Stats(); m != 2 {
+		t.Fatalf("cold cache misses = %d, want 2", m)
+	}
 }
 
 // TestArtifactCacheMatchesUncached is the tentpole identity check on the
@@ -223,7 +233,7 @@ func TestRunPortedBadFrame(t *testing.T) {
 }
 
 // TestPortedCacheOnOffIdentical asserts the acceptance criterion: a run
-// through the shared-artifact path and a cold NoCache run produce
+// through a warm artifact cache and a run on a cold cache produce
 // byte-identical feature outputs, identical virtual times, and the same
 // EventCount replay fingerprint.
 func TestPortedCacheOnOffIdentical(t *testing.T) {
@@ -238,7 +248,7 @@ func TestPortedCacheOnOffIdentical(t *testing.T) {
 		warm := base
 		warm.Artifacts = NewArtifactCache()
 		cold := base
-		cold.NoCache = true
+		cold.Artifacts = NewColdArtifactCache()
 
 		a, err := RunPorted(warm)
 		if err != nil {
@@ -251,7 +261,7 @@ func TestPortedCacheOnOffIdentical(t *testing.T) {
 		}
 		b, err := RunPorted(cold)
 		if err != nil {
-			t.Fatalf("%v nocache: %v", scen, err)
+			t.Fatalf("%v cold: %v", scen, err)
 		}
 		for _, got := range []*PortedResult{a2, b} {
 			if got.Total != a.Total || got.OneTime != a.OneTime || got.PerImage != a.PerImage {
@@ -320,7 +330,7 @@ func sameReference(got, want *ReferenceResult) string {
 }
 
 // TestArtifactCacheFrameLayer: references folded over the shared
-// per-frame layer equal the nil-cache RunReference oracle field for
+// per-frame layer equal the RunReference oracle field for
 // field, whichever order the batches arrive in, and each distinct frame
 // is extracted exactly once, under both host models.
 func TestArtifactCacheFrameLayer(t *testing.T) {
@@ -331,14 +341,13 @@ func TestArtifactCacheFrameLayer(t *testing.T) {
 		w    Workload
 	}
 	want := make(map[refKey]*ReferenceResult)
-	var nilCache *ArtifactCache
+	ms, err := NewModelSet(grid[0].Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, host := range hosts {
 		for _, w := range grid {
-			ref, err := nilCache.Reference(host, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[refKey{host.Name, w}] = ref
+			want[refKey{host.Name, w}] = RunReference(host, w, ms)
 		}
 	}
 	check := func(t *testing.T, c *ArtifactCache, host *cost.Model, w Workload) {
@@ -348,7 +357,7 @@ func TestArtifactCacheFrameLayer(t *testing.T) {
 			return
 		}
 		if f := sameReference(got, want[refKey{host.Name, w}]); f != "" {
-			t.Errorf("%s %+v: %s differs from the nil-cache reference", host.Name, w, f)
+			t.Errorf("%s %+v: %s differs from the RunReference oracle", host.Name, w, f)
 		}
 	}
 	orders := map[string]func(t *testing.T, c *ArtifactCache){

@@ -1,6 +1,7 @@
 package marvel
 
 import (
+	"cmp"
 	"fmt"
 
 	"cellport/internal/cell"
@@ -51,8 +52,9 @@ func splitRows(h, n, gran int) [][2]int {
 // split across nSPEs, and validates the merged feature against the
 // whole-image reference computation. The frame comes from arts' frame
 // layer and the partial kernels serve their arithmetic from its kernel
-// memo; a nil arts computes both privately.
+// memo; nil means SharedArtifacts().
 func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mcfg *cell.Config, arts *ArtifactCache) (*DataParallelResult, error) {
+	arts = cmp.Or(arts, SharedArtifacts())
 	if id == KCD {
 		return nil, fmt.Errorf("marvel: concept detection is not row-parallel")
 	}

@@ -12,11 +12,11 @@ import (
 
 // This file is the seam between the simulated port and the
 // real-execution backend (internal/exec): the in-kernel slice planning
-// and the ExecBackend hook RunPorted drives. The backend also reads the
-// kernel accumulators (NewAccumulator) and the scenario schedules
-// (Scenario.Schedule). The backend lives outside this package so
-// marvel stays free of host-clock concerns; everything exported here is
-// deterministic.
+// and the point and run types the backend's Execute takes and returns.
+// The backend also reads the kernel accumulators (NewAccumulator) and the
+// scenario schedules (Scenario.Schedule). The backend lives outside this
+// package so marvel stays free of host-clock concerns; everything
+// exported here is deterministic.
 
 // ExecPlan reproduces, outside the simulator, the exact halo'd slice
 // plan the simulated kernel computes for a whole-image OpRun against
@@ -92,12 +92,4 @@ type ExecRun struct {
 	// Metrics is the backend's snapshot (all keys under the "exec"
 	// component) when instrumenting.
 	Metrics *metrics.Snapshot `json:"-"`
-}
-
-// ExecBackend runs a point's kernels for real. Implementations live
-// outside this package (internal/exec); RunPorted drives the configured
-// backend after the simulation finishes, attaching the run to
-// PortedResult.Exec.
-type ExecBackend interface {
-	Execute(p ExecPoint) (*ExecRun, error)
 }

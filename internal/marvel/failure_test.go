@@ -47,7 +47,7 @@ func runFailureCase(t *testing.T, spec core.KernelSpec, fill func(mem *mainmem.M
 }
 
 func TestExtractKernelRejectsZeroWidth(t *testing.T) {
-	res := runFailureCase(t, ExtractKernelSpec(KCH, Optimized, nil), func(mem *mainmem.Memory, w *core.Wrapper) {
+	res := runFailureCase(t, ExtractKernelSpec(KCH, Optimized, NewColdArtifactCache()), func(mem *mainmem.Memory, w *core.Wrapper) {
 		pix := mem.MustAlloc(1024, 128)
 		fillExtractHeader(w, 0, 10, 48, pix, 0, 10)
 	})
@@ -57,7 +57,7 @@ func TestExtractKernelRejectsZeroWidth(t *testing.T) {
 }
 
 func TestExtractKernelRejectsBadStride(t *testing.T) {
-	res := runFailureCase(t, ExtractKernelSpec(KCH, Optimized, nil), func(mem *mainmem.Memory, w *core.Wrapper) {
+	res := runFailureCase(t, ExtractKernelSpec(KCH, Optimized, NewColdArtifactCache()), func(mem *mainmem.Memory, w *core.Wrapper) {
 		pix := mem.MustAlloc(1024, 128)
 		fillExtractHeader(w, 32, 8, 32 /* < 3*W */, pix, 0, 8)
 	})
@@ -68,7 +68,7 @@ func TestExtractKernelRejectsBadStride(t *testing.T) {
 
 func TestExtractKernelRejectsBadRowRange(t *testing.T) {
 	for _, rng := range [][2]int{{5, 5}, {8, 4}, {0, 99}} {
-		res := runFailureCase(t, ExtractKernelSpec(KEH, Optimized, nil), func(mem *mainmem.Memory, w *core.Wrapper) {
+		res := runFailureCase(t, ExtractKernelSpec(KEH, Optimized, NewColdArtifactCache()), func(mem *mainmem.Memory, w *core.Wrapper) {
 			pix := mem.MustAlloc(32*1024, 128)
 			fillExtractHeader(w, 32, 8, 96, pix, rng[0], rng[1])
 		})
@@ -81,7 +81,7 @@ func TestExtractKernelRejectsBadRowRange(t *testing.T) {
 func TestExtractKernelRejectsOversizedStride(t *testing.T) {
 	// A row wider than one DMA command (16 KB) cannot be fetched by the
 	// row-sliced kernels; the kernel must fail cleanly.
-	res := runFailureCase(t, ExtractKernelSpec(KCH, Optimized, nil), func(mem *mainmem.Memory, w *core.Wrapper) {
+	res := runFailureCase(t, ExtractKernelSpec(KCH, Optimized, NewColdArtifactCache()), func(mem *mainmem.Memory, w *core.Wrapper) {
 		pix := mem.MustAlloc(20<<20, 128)
 		// 5600 px * 3 B = 16800 B stride > 16384.
 		fillExtractHeader(w, 5600, 4, 16800, pix, 0, 4)
@@ -160,7 +160,7 @@ func TestKernelSurvivesRepeatedFailures(t *testing.T) {
 	m := cell.New(cfg)
 	_, err := m.RunMain("loop", func(ctx *cell.Context) {
 		mem := ctx.Memory()
-		iface, err := core.Open(ctx, 0, ExtractKernelSpec(KCH, Naive, nil))
+		iface, err := core.Open(ctx, 0, ExtractKernelSpec(KCH, Naive, NewColdArtifactCache()))
 		if err != nil {
 			t.Error(err)
 			return

@@ -18,7 +18,7 @@ func faultCfg(n int) PortedConfig {
 		Variant:       Optimized,
 		Validate:      true,
 		MachineConfig: testMachineConfig(),
-		NoCache:       true,
+		Artifacts:     NewColdArtifactCache(),
 	}
 }
 

@@ -43,8 +43,8 @@ type kernelOut struct {
 }
 
 // kernelRun gathers one kernel invocation's bands and produces its
-// output. Without a memo it folds each band into the accumulator as the
-// band arrives (the inline oracle path); with one it hashes and copies
+// output. On a cold cache it folds each band into the accumulator as the
+// band arrives (the inline oracle path); otherwise it hashes and copies
 // each band, and runs the same accumulator over the copies only when the
 // key misses.
 type kernelRun struct {
@@ -66,11 +66,11 @@ type kernelRun struct {
 var bandPool sync.Pool
 
 // newKernelRun starts an invocation of kernel id over the planned slices
-// of a w-pixel-wide image with the given row stride. A nil or cold memo
-// selects the inline path.
+// of a w-pixel-wide image with the given row stride. A cold memo selects
+// the inline path.
 func newKernelRun(memo *ArtifactCache, id KernelID, partial bool, w, stride int, slices []img.Slice) *kernelRun {
 	r := &kernelRun{id: id, partial: partial, w: w, stride: stride}
-	if memo == nil || memo.cold {
+	if memo.cold {
 		r.acc = kernelOf(id).newAcc()
 		return r
 	}
@@ -166,10 +166,10 @@ func finishAcc(acc Accumulator, partial bool) kernelOut {
 // event loop reaches them (by image, then by sched.Launch), skipping
 // every frame the skip index already holds. The index is a hint, never a
 // memo key: a claimed frame whose entry is missing (a failed helper, a
-// differing plan) only makes the event loop compute it inline. A nil or
-// cold cache has no memo to fill.
+// differing plan) only makes the event loop compute it inline. A cold
+// cache has no memo to fill.
 func (c *ArtifactCache) prefetchJobs(w Workload, sched Schedule, v Variant, frames []*frame) []func() error {
-	if c == nil || c.cold {
+	if c.cold {
 		return nil
 	}
 	var jobs []func() error

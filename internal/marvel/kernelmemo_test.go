@@ -27,7 +27,7 @@ func corruptFired(res *PortedResult) bool {
 }
 
 // TestKernelMemoMatchesInline checks that the kernel memo is invisible in
-// every result: a NoCache run (kernels computed inline), a cold-memo run
+// every result: a cold-cache run (kernels computed inline), a cold-memo run
 // and a warm-memo run of the same config produce deeply equal
 // PortedResults — outputs, EventCount, KernelTime, Total/OneTime, fault
 // report — for every scenario × variant, with and without a seeded
@@ -46,7 +46,7 @@ func TestKernelMemoMatchesInline(t *testing.T) {
 						Validate:      true,
 						MachineConfig: testMachineConfig(),
 						Faults:        plan,
-						NoCache:       true,
+						Artifacts:     NewColdArtifactCache(),
 					}
 					inline := mustRun(t, cfg)
 
@@ -89,7 +89,7 @@ func TestKernelMemoMatchesInline(t *testing.T) {
 // corrupted transfer: the corrupted band hashes to a key the clean run
 // never stored, so the kernel recomputes over the corrupted bytes, the
 // MFC's latched error still trips supervision, and the fault report
-// equals the NoCache run's.
+// equals the cold-cache run's.
 func TestKernelMemoDMACorruptFault(t *testing.T) {
 	cfg := PortedConfig{
 		Workload:      testWorkload(1),
@@ -112,7 +112,7 @@ func TestKernelMemoDMACorruptFault(t *testing.T) {
 	memo := mustRun(t, cfg)
 	_, misses := cfg.Artifacts.KernelStats()
 
-	cfg.Artifacts, cfg.NoCache = nil, true
+	cfg.Artifacts = NewColdArtifactCache()
 	inline := mustRun(t, cfg)
 
 	if !corruptFired(inline) || inline.Faults.Retries == 0 {
@@ -122,10 +122,10 @@ func TestKernelMemoDMACorruptFault(t *testing.T) {
 		t.Fatal("corrupted run hit the warm memo: the key ignores the delivered bytes")
 	}
 	if !reflect.DeepEqual(memo.Faults, inline.Faults) {
-		t.Fatalf("fault report differs from the NoCache run:\n got %+v\nwant %+v", memo.Faults, inline.Faults)
+		t.Fatalf("fault report differs from the cold-cache run:\n got %+v\nwant %+v", memo.Faults, inline.Faults)
 	}
 	if !reflect.DeepEqual(memo, inline) {
-		t.Fatal("corrupted run's result differs from the NoCache run")
+		t.Fatal("corrupted run's result differs from the cold-cache run")
 	}
 }
 
@@ -136,7 +136,7 @@ func TestKernelMemoDataParallel(t *testing.T) {
 	w := testWorkload(1)
 	for _, id := range []KernelID{KCH, KCC, KEH, KTX} {
 		for _, n := range []int{1, 3} {
-			inline, err := RunDataParallelExtraction(id, n, w, Optimized, testMachineConfig(), nil)
+			inline, err := RunDataParallelExtraction(id, n, w, Optimized, testMachineConfig(), NewColdArtifactCache())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,25 +157,6 @@ func TestKernelMemoDataParallel(t *testing.T) {
 				t.Errorf("%v/%d: merged feature does not match the reference", id, n)
 			}
 		}
-	}
-}
-
-// TestKernelMemoFlush checks that Flush empties the kernel layer: the
-// same run after a Flush computes every kernel again.
-func TestKernelMemoFlush(t *testing.T) {
-	cfg := PortedConfig{
-		Workload:      testWorkload(1),
-		Scenario:      MultiSPE,
-		Variant:       Optimized,
-		MachineConfig: testMachineConfig(),
-		Artifacts:     NewArtifactCache(),
-	}
-	mustRun(t, cfg)
-	_, first := cfg.Artifacts.KernelStats()
-	cfg.Artifacts.Flush()
-	mustRun(t, cfg)
-	if _, misses := cfg.Artifacts.KernelStats(); misses != 2*first {
-		t.Fatalf("misses after Flush = %d, want %d (every kernel recomputed)", misses, 2*first)
 	}
 }
 

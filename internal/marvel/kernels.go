@@ -1,6 +1,7 @@
 package marvel
 
 import (
+	"cmp"
 	"fmt"
 
 	"cellport/internal/core"
@@ -217,10 +218,12 @@ func sliceBudget(free uint32, id KernelID, v Variant, w, stride int) int {
 // halo'd slices against its local-store budget, streams the image through
 // one (naive) or two (optimized) buffers, runs the real incremental
 // feature computation, and DMAs the result back — the finalized feature
-// vector for OpRun, the raw accumulator words for OpRunPartial. A non-nil
-// memo serves the feature arithmetic from its kernel layer, keyed by the
-// bands the DMA delivered (kernelmemo.go); nil computes inline.
+// vector for OpRun, the raw accumulator words for OpRunPartial. The memo
+// serves the feature arithmetic from its kernel layer, keyed by the bands
+// the DMA delivered (kernelmemo.go); a cold memo computes inline, and nil
+// means SharedArtifacts().
 func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelSpec {
+	memo = cmp.Or(memo, SharedArtifacts())
 	g := kernelOf(id)
 	fn := func(ctx *spe.Context, wrapper mainmem.Addr, partial bool) uint32 {
 		st := ctx.Store()

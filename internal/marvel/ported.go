@@ -1,6 +1,7 @@
 package marvel
 
 import (
+	"cmp"
 	"fmt"
 
 	"cellport/internal/cell"
@@ -105,12 +106,9 @@ type PortedConfig struct {
 	// MachineConfig overrides the default machine when non-nil.
 	MachineConfig *cell.Config
 	// Artifacts selects the cache used for the frames, the model set and
-	// the kernel memo. Nil means the process-wide SharedArtifacts cache,
-	// unless NoCache is set (ResolveArtifacts).
+	// the kernel memo. Nil means the process-wide SharedArtifacts cache;
+	// a NewColdArtifactCache computes every kernel inline.
 	Artifacts *ArtifactCache
-	// NoCache forces cold-path behaviour: every artifact is recomputed
-	// privately for this run. Ignored when Artifacts is non-nil.
-	NoCache bool
 	// Faults, when non-empty, arms deterministic fault injection and the
 	// self-healing supervision loop. A nil or empty plan leaves every
 	// fault hook uninstalled: the run is byte-identical to one without
@@ -119,17 +117,6 @@ type PortedConfig struct {
 	// Watchdog overrides the supervision watchdog timeout (zero selects
 	// DefaultWatchdog). Only consulted when Faults is armed.
 	Watchdog sim.Duration
-	// Exec, when non-nil, additionally runs the point's kernels for real
-	// on the execution backend after the simulation finishes, attaching
-	// the measured run to PortedResult.Exec. The simulated half is
-	// untouched: virtual-time results are byte-identical with or without
-	// a backend.
-	Exec ExecBackend
-}
-
-// artifacts resolves the cache a run should use (ResolveArtifacts).
-func (cfg *PortedConfig) artifacts() *ArtifactCache {
-	return ResolveArtifacts(cfg.Artifacts, cfg.NoCache)
 }
 
 // PortedResult reports a ported run.
@@ -165,17 +152,11 @@ type PortedResult struct {
 	// Metrics is the end-of-run snapshot when the machine was configured
 	// with a registry. Excluded from JSON for the same reason.
 	Metrics *metrics.Snapshot `json:"-"`
-	// Exec is the real-execution run when the config carried a backend
-	// (wall-clock domain). Excluded from JSON so -json artifacts are
-	// byte-identical whether or not a backend raced the simulation.
-	Exec *ExecRun `json:"-"`
 }
 
 // RunPorted executes the ported MARVEL application on a simulated Cell.
 // The run's pure host arithmetic (hostJobs) runs on helper goroutines
 // beside the event loop, joined before the simulated result is final.
-// With an execution backend configured, the same point then runs for
-// real and the measured run rides along on the result.
 func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	w := cfg.Workload
 	if err := w.Check(); err != nil {
@@ -189,7 +170,8 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	if cfg.MachineConfig != nil {
 		mcfg = *cfg.MachineConfig
 	}
-	arts := cfg.artifacts()
+	cfg.Artifacts = cmp.Or(cfg.Artifacts, SharedArtifacts())
+	arts := cfg.Artifacts
 	frames := arts.framesOf(w)
 	ms, err := arts.ModelSet(w.Seed)
 	if err != nil {
@@ -267,13 +249,6 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 		res.Metrics = reg.Snapshot()
 	}
 	res.Trace = mcfg.Tracer
-	if cfg.Exec != nil {
-		run, err := cfg.Exec.Execute(ExecPoint{Workload: cfg.Workload, Scenario: cfg.Scenario, Variant: cfg.Variant})
-		if err != nil {
-			return nil, fmt.Errorf("marvel: exec backend: %w", err)
-		}
-		res.Exec = run
-	}
 	return res, nil
 }
 
@@ -428,7 +403,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 	}
 	sup.reserve(planned...)
 	for i, id := range ExtractKernels {
-		k, err := sup.open(i, ExtractKernelSpec(id, cfg.Variant, cfg.artifacts()), extractFallback(id))
+		k, err := sup.open(i, ExtractKernelSpec(id, cfg.Variant, cfg.Artifacts), extractFallback(id))
 		if err != nil {
 			return err
 		}

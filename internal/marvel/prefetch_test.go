@@ -84,7 +84,7 @@ func prefetchClaims(arts *ArtifactCache, cfg PortedConfig) uint64 {
 // TestPrefetchDMACorruptRecomputes checks that a memo warmed by prefetch
 // cannot mask a corrupted transfer: the corrupted band hashes to a key no
 // clean run stored, so that invocation misses and recomputes from the
-// bytes it was delivered, and the run equals the NoCache run.
+// bytes it was delivered, and the run equals the cold-cache run.
 func TestPrefetchDMACorruptRecomputes(t *testing.T) {
 	cfg := PortedConfig{
 		Workload:      testWorkload(2),
@@ -108,13 +108,13 @@ func TestPrefetchDMACorruptRecomputes(t *testing.T) {
 	if _, misses := cfg.Artifacts.KernelStats(); misses != clean+1 {
 		t.Errorf("misses after the corrupted run = %d, want %d (the corrupted invocation only)", misses, clean+1)
 	}
-	cfg.Artifacts, cfg.NoCache = nil, true
+	cfg.Artifacts = NewColdArtifactCache()
 	inline := mustRun(t, cfg)
 	if !corruptFired(inline) {
 		t.Fatal("the plan corrupted no transfer")
 	}
 	if !reflect.DeepEqual(memo, inline) {
-		t.Fatalf("corrupted run differs from the NoCache run:\n got %+v\nwant %+v", memo, inline)
+		t.Fatalf("corrupted run differs from the cold-cache run:\n got %+v\nwant %+v", memo, inline)
 	}
 }
 

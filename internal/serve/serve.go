@@ -223,9 +223,9 @@ func (c Config) portedConfig(scen marvel.Scenario, tall bool, k int, withFaults 
 // RacePointConfig exposes one calibration point's simulation config
 // with the config's defaults applied: exactly the PortedConfig the
 // (scheme, geometry, batch) service point of Calibrate measures. The
-// estimator-race harness re-runs these points with an execution backend
-// attached, so the simulated half of a race is the same run — byte for
-// byte — that produced the calibration table.
+// estimator-race harness re-runs these points and then executes each for
+// real, so the simulated half of a race is the same run — byte for byte
+// — that produced the calibration table.
 func (c Config) RacePointConfig(s Scheme, tall bool, k int) marvel.PortedConfig {
 	return c.withDefaults().portedConfig(s.scenario(), tall, k, true)
 }

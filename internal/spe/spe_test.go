@@ -100,9 +100,14 @@ func TestComputeAccounting(t *testing.T) {
 		t.Fatalf("busy = %v, want %v", got, want)
 	}
 	// Compute spans must be traced on the SPE3 lane.
-	busy := r.rec.BusyTime(trace.KindCompute)
-	if busy["SPE3"] != want {
-		t.Fatalf("traced busy = %v, want %v", busy["SPE3"], want)
+	var traced sim.Duration
+	for _, s := range r.rec.Spans() {
+		if s.Lane == "SPE3" && s.Kind == trace.KindCompute {
+			traced += s.End.Sub(s.Start)
+		}
+	}
+	if traced != want {
+		t.Fatalf("traced busy = %v, want %v", traced, want)
 	}
 }
 

@@ -54,7 +54,7 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // Span records one activity interval; a nil recorder discards it. A span
 // whose end precedes its start is clipped to zero length at its start: a
 // reversed interval is a recording bug, and inventing activity over the
-// reversed window (the old swap behaviour) would corrupt BusyTime
+// reversed window (the old swap behaviour) would corrupt busy-time
 // accounting and the rendered schedule.
 func (r *Recorder) Span(lane string, start, end sim.Time, kind Kind, label string) {
 	if r == nil {
@@ -79,43 +79,6 @@ func (r *Recorder) Spans() []Span { return r.spans }
 
 // Instants returns all recorded point events in recording order.
 func (r *Recorder) Instants() []Instant { return r.instants }
-
-// BusyTime sums span durations of the given kind per lane.
-func (r *Recorder) BusyTime(kind Kind) map[string]sim.Duration {
-	out := map[string]sim.Duration{}
-	for _, s := range r.spans {
-		if s.Kind == kind {
-			out[s.Lane] += s.End.Sub(s.Start)
-		}
-	}
-	return out
-}
-
-// Clip returns a new recorder holding only the parts of spans (and the
-// instants) that fall inside [start, end] — useful to zoom a Gantt chart
-// into one phase (e.g. past an application's one-time setup).
-func (r *Recorder) Clip(start, end sim.Time) *Recorder {
-	out := NewRecorder()
-	for _, s := range r.spans {
-		if s.End <= start || s.Start >= end {
-			continue
-		}
-		c := s
-		if c.Start < start {
-			c.Start = start
-		}
-		if c.End > end {
-			c.End = end
-		}
-		out.spans = append(out.spans, c)
-	}
-	for _, i := range r.instants {
-		if i.At >= start && i.At <= end {
-			out.instants = append(out.instants, i)
-		}
-	}
-	return out
-}
 
 // Lanes returns the sorted set of lane names.
 func (r *Recorder) Lanes() []string {

@@ -74,14 +74,6 @@ func TestRetryAfterErrorPinned(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("compute ran %d times after an error, want 1 (no retry-recompute)", n)
 	}
-	// Flush is the sanctioned retry path.
-	c.Flush()
-	if _, err := c.Do("k", compute); err == nil {
-		t.Fatal("post-flush compute reported success")
-	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("compute ran %d times across a Flush, want 2", n)
-	}
 }
 
 // TestConcurrentErrorSingleflight: many goroutines hitting one failing

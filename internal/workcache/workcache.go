@@ -19,8 +19,9 @@ import (
 // the panic itself propagates in the computing goroutine.
 var errPanicked = errors.New("workcache: in-flight computation panicked")
 
-// Cache memoizes compute(key) results. The zero value is ready to use.
-// A Cache must not be copied after first use.
+// Cache memoizes compute(key) results for as long as the Cache lives;
+// nothing is evicted. The zero value is ready to use. A Cache must not be
+// copied after first use.
 type Cache[K comparable, V any] struct {
 	mu      sync.Mutex
 	entries map[K]*entry[V]
@@ -28,8 +29,7 @@ type Cache[K comparable, V any] struct {
 	// hits and misses are counted at lookup admission, while mu is held:
 	// a waiter blocked on an in-flight entry has already been counted, so
 	// hits+misses always equals the number of Do calls that have passed
-	// admission, even while computations are still in flight and across
-	// Flush (which can otherwise orphan an old entry's waiters).
+	// admission, even while computations are still in flight.
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
@@ -69,13 +69,7 @@ func (c *Cache[K, V]) Do(key K, compute func() (V, error)) (V, error) {
 		if !done { // compute panicked: unpoison the key, release waiters
 			e.err = errPanicked
 			c.mu.Lock()
-			// Only drop the slot if it is still ours: a Flush during the
-			// in-flight compute may already have cleared it, and a newer
-			// requester may have installed a fresh entry under the same key
-			// that must not be torn down by the old computation.
-			if cur, ok := c.entries[key]; ok && cur == e {
-				delete(c.entries, key)
-			}
+			delete(c.entries, key)
 			c.mu.Unlock()
 			close(e.ready)
 		}
@@ -92,15 +86,4 @@ func (c *Cache[K, V]) Do(key K, compute func() (V, error)) (V, error) {
 // concurrency hits+misses always equals the number of admitted Do calls.
 func (c *Cache[K, V]) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
-}
-
-// Flush drops every cached entry. In-flight computations still complete
-// for their already-admitted waiters (who receive the old value), while
-// requesters arriving after the Flush install fresh entries and
-// recompute. Intended for tests and cold-path calibration; not for
-// steady-state use.
-func (c *Cache[K, V]) Flush() {
-	c.mu.Lock()
-	c.entries = nil
-	c.mu.Unlock()
 }
