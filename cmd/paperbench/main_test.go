@@ -161,8 +161,9 @@ func TestRunServeQuick(t *testing.T) {
 // library-level Config.Validate catches (a negative rate, burst or blade
 // count, a sub-unity burst) exit 2 with the field named and the usage
 // hint, instead of running on a default or reporting a failed run. Only
-// zero selects a default. The fleet experiment names the flag's field
-// too, not the OfferedRPS it derives from the rate.
+// zero selects a default. The chaos and fleet experiments name the
+// flag's field too (fleet's, not the OfferedRPS it derives from the
+// rate).
 func TestRunRejectsDegenerateServeConfig(t *testing.T) {
 	for _, tc := range []struct {
 		exp, flag, value, field string
@@ -171,6 +172,7 @@ func TestRunRejectsDegenerateServeConfig(t *testing.T) {
 		{"serve", "-burst", "-3", "Burst"},
 		{"serve", "-blades", "-2", "Blades"},
 		{"serve", "-burst", "0.5", "Burst"},
+		{"chaos", "-rate", "-1", "Rate"},
 		{"fleet", "-rate", "-1", "Rate"},
 	} {
 		name := tc.flag + "=" + tc.value

@@ -54,11 +54,6 @@ func FleetExp(cfg Config) (*FleetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Validate before calibrating: past this point Rate is folded into
-	// OfferedRPS, which a bad rate would then be reported as.
-	if err := base.Validate(); err != nil {
-		return nil, err
-	}
 	if base.Cal, err = serve.Calibrate(base); err != nil {
 		return nil, err
 	}

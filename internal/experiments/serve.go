@@ -35,9 +35,9 @@ type ServeResult struct {
 	RoundRobin *serve.Report `json:"round_robin"`
 }
 
-// serveBase assembles the serve.Config for this experiment configuration
-// (shared with the benchmark harness and tests so every entry point
-// serves the same stream).
+// serveBase assembles and validates the serve.Config for this experiment
+// configuration (shared with the benchmark harness and tests so every
+// entry point serves the same stream).
 func (c Config) serveBase() (serve.Config, error) {
 	sc := c.Serve
 	if sc.Blades == 0 {
@@ -87,6 +87,13 @@ func (c Config) serveBase() (serve.Config, error) {
 		base.Faults = plan
 	} else if c.FaultSeed != 0 {
 		base.Faults = fault.Seeded(c.FaultSeed, base.MachineConfig.NumSPEs)
+	}
+	// Validate before any caller calibrates: a bad config costs no
+	// calibration, and the error names the field the caller set (fleet
+	// later folds Rate into OfferedRPS, which a bad rate would then be
+	// reported as).
+	if err := base.Validate(); err != nil {
+		return serve.Config{}, err
 	}
 	return base, nil
 }

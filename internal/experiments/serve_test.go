@@ -97,3 +97,33 @@ func TestServeExpCollectsPerBlade(t *testing.T) {
 		t.Fatalf("metrics JSON missing blade entry: %s", mbuf.String())
 	}
 }
+
+// TestServeExpsValidateBeforeCalibrating runs each experiment built on
+// serveBase with a negative rate: each must fail naming Config.Rate, the
+// field the caller set, before it calibrates, so the explicit cold cache
+// sees no frame or model lookup.
+func TestServeExpsValidateBeforeCalibrating(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(Config) error
+	}{
+		{"serve", func(c Config) error { _, err := ServeExp(c); return err }},
+		{"chaos", func(c Config) error { _, err := ChaosExp(c); return err }},
+		{"fleet", func(c Config) error { _, err := FleetExp(c); return err }},
+		{"race", func(c Config) error { _, err := RaceExp(c); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := serveTestConfig(1)
+			cache := marvel.NewColdArtifactCache()
+			cfg.Artifacts = cache
+			cfg.Serve.Rate = -1
+			err := tc.run(cfg)
+			if err == nil || !strings.Contains(err.Error(), "Config.Rate") {
+				t.Fatalf("error %v, want one naming Config.Rate", err)
+			}
+			if hits, misses := cache.Stats(); hits != 0 || misses != 0 {
+				t.Fatalf("cache read %d hits, %d misses: the experiment calibrated before validating", hits, misses)
+			}
+		})
+	}
+}

@@ -263,6 +263,37 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	}
 }
 
+// TestSynthesizeTinyFrames renders every frame from 1×1 to 4×4: the
+// scene divides the frame size by 3 (rectangles) and 6 (discs), so the
+// narrow and short ones draw from empty ranges, which must yield 0
+// rather than divide by zero.
+func TestSynthesizeTinyFrames(t *testing.T) {
+	for w := 1; w <= 4; w++ {
+		for h := 1; h <= 4; h++ {
+			a, b := Synthesize(42, w, h), Synthesize(42, w, h)
+			if a.W != w || a.H != h || !bytes.Equal(a.Pix, b.Pix) {
+				t.Fatalf("%dx%d: got a %dx%d frame, or two different ones", w, h, a.W, a.H)
+			}
+		}
+	}
+}
+
+// TestPRNGIntnEmptyRange checks that intn over an empty range returns 0
+// and still advances the stream by one draw, and that a non-empty range
+// reduces that draw as before.
+func TestPRNGIntnEmptyRange(t *testing.T) {
+	for _, n := range []int{-1, 0, 1, 7} {
+		a, b := newPRNG(9), newPRNG(9)
+		want := 0
+		if v := b.next(); n > 0 {
+			want = int(v % uint64(n))
+		}
+		if got := a.intn(n); got != want || a.s != b.s {
+			t.Fatalf("intn(%d) = %d, state %x; want %d, state %x", n, got, a.s, want, b.s)
+		}
+	}
+}
+
 func TestCorpusDistinct(t *testing.T) {
 	imgs := Corpus(1, 5, 32, 24)
 	if len(imgs) != 5 {

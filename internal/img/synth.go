@@ -24,8 +24,10 @@ func (p *prng) next() uint64 {
 	return p.s * 0x2545F4914F6CDD1D
 }
 
-// intn returns a value in [0, n).
-func (p *prng) intn(n int) int { return int(p.next() % uint64(n)) }
+// intn returns a value in [0, n), or 0 when n <= 0 (a frame narrower or
+// shorter than the scene's divisors). It draws once either way, so the
+// draws after it do not depend on n.
+func (p *prng) intn(n int) int { return int(p.next() % uint64(max(n, 1))) }
 
 // byteVal returns a value in [0, 256).
 func (p *prng) byteVal() byte { return byte(p.next()) }

@@ -36,7 +36,7 @@ func TestBladeBacklogTracksQueue(t *testing.T) {
 		t.Helper()
 		r := Request{ID: id, Arrival: p.now, Tall: tall, Deadline: deadline}
 		id++
-		p.admitInto(r, p.blades)
+		p.admitInto(r, p.blades, &p.rr)
 		check(fmt.Sprintf("admit %d", r.ID))
 	}
 	complete := func(step string) {

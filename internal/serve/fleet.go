@@ -15,6 +15,8 @@ package serve
 // Routing, scaling, and the ring are pure functions of the virtual
 // history, so fleet runs stay byte-identical at any -parallel.
 
+import "cellport/internal/sim"
+
 // poolShard is one pool of the fleet: a contiguous pool-major slice of
 // the run's blades plus the pool-local admission rotation.
 type poolShard struct {
@@ -23,6 +25,10 @@ type poolShard struct {
 	rr     int
 	active bool
 	routed int // arrivals and re-admissions the router sent here
+
+	// Router scratch, set by routePool for the request being routed.
+	frontier sim.Duration
+	room     bool
 }
 
 // fleetState is the router + autoscaler layer over the pool's blades.
@@ -30,8 +36,6 @@ type fleetState struct {
 	pools  []*poolShard
 	ring   []ringEntry
 	scaler *autoscaler
-
-	visited []bool // ring-walk scratch, one slot per pool
 
 	overrides  int // estimator frontier overrides of the hash placement
 	scaleUps   int
@@ -44,7 +48,6 @@ func newFleet(p *pool) *fleetState {
 	n := p.cfg.Pools
 	f := &fleetState{
 		pools:     make([]*poolShard, n),
-		visited:   make([]bool, n),
 		activeMin: n,
 	}
 	for i := range f.pools {
@@ -69,22 +72,8 @@ func (f *fleetState) activeCount() int {
 	return n
 }
 
-// poolHasRoom reports whether pl can take one more request: it is active
-// and some admittable blade has queue space. Router candidacy predicate.
-func (p *pool) poolHasRoom(pl *poolShard) bool {
-	if !pl.active {
-		return false
-	}
-	for _, b := range pl.blades {
-		if b.health.admittable() && len(b.queue) < p.cfg.MaxQueue {
-			return true
-		}
-	}
-	return false
-}
-
 // admitFleet is fleet-mode admission: route to a pool, then place within
-// it through the normal per-pool policy order. The router guarantees the
+// it through the normal per-pool policy. The router guarantees the
 // chosen pool has room, so the inner admission cannot fail; its
 // defensive shed keeps the ledger conserved even if that invariant ever
 // broke.
@@ -95,5 +84,5 @@ func (p *pool) admitFleet(r Request) {
 		return
 	}
 	pl.routed++
-	p.admitInto(r, p.placeOrderIn(r, pl.blades, &pl.rr))
+	p.admitInto(r, pl.blades, &pl.rr)
 }

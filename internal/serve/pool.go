@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"cellport/internal/marvel"
 	"cellport/internal/parallel"
@@ -112,11 +110,6 @@ type pool struct {
 	// held, autoscale actions) when Config.Instrument is set; nil
 	// otherwise.
 	ctr *trace.Recorder
-
-	// placeOrderIn scratch, hoisted out of the admission hot path.
-	ordBuf   []*blade
-	scoreBuf []sim.Duration
-	idxBuf   []int
 }
 
 // coordLane is the trace lane carrying pool-wide events, distinct from
@@ -135,9 +128,6 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 		cal:      cal,
 		deadline: deadline,
 		outcomes: make([]outcome, cfg.Requests),
-		ordBuf:   make([]*blade, total),
-		scoreBuf: make([]sim.Duration, total),
-		idxBuf:   make([]int, total),
 
 		conclusive: cal.Conclusive(),
 		coldWarmup: cal.service(svcKey{Scheme: SchemeJob, Tall: false, K: 1}).Warmup,
@@ -249,8 +239,8 @@ func (p *pool) estOne(r Request) sim.Duration {
 
 // bladeScore is the estimator's finish frontier for one blade: the
 // remaining in-flight work, plus warmup for a cold or restarted blade,
-// plus the estimated backlog of its queue. Both the per-pool placement
-// order and the fleet router's frontier comparison rank by it.
+// plus the estimated backlog of its queue. Both per-pool placement and
+// the fleet router's frontier comparison rank by it.
 func (p *pool) bladeScore(b *blade) sim.Duration {
 	s := b.backlog
 	if b.busy {
@@ -262,99 +252,86 @@ func (p *pool) bladeScore(b *blade) sim.Duration {
 	return s
 }
 
-// placeOrderIn ranks the admittable blades of one candidate set for
-// admitting r — lifecycle health is the circuit breaker: draining,
-// stalled, parked, and dead blades never appear in the order. The
-// estimator policy orders by earliest estimated finish (bladeScore); the
-// round-robin policy — and the estimator when its scores cannot separate
-// the blades — uses plain rotation over rr, which belongs to the
+// place picks, in one pass over a candidate set, the blade an admission
+// goes to (pick: nil when every admittable queue is full) and the blade
+// it prefers (first: the one a rejection is charged to; nil when no
+// blade is admittable). Lifecycle health is the circuit breaker:
+// draining, stalled, parked, and dead blades are never candidates. The
+// estimator policy prefers the least (bladeScore, index); the
+// round-robin policy — and the estimator when its scores cannot
+// separate the admittable blades — rotates over rr, which belongs to the
 // candidate set (the pool shard in fleet mode). With every blade healthy
-// the order is exactly the pre-lifecycle one. The returned slice is pool
-// scratch, valid until the next call; it is empty when no blade is
-// admittable.
-func (p *pool) placeOrderIn(r Request, blades []*blade, rr *int) []*blade {
-	n := len(blades)
-	rot := func() []*blade {
-		out := p.ordBuf[:0]
-		for i := 0; i < n; i++ {
-			if b := blades[(*rr+i)%n]; b.health.admittable() {
-				out = append(out, b)
+// the choice is exactly the pre-lifecycle one.
+func (p *pool) place(blades []*blade, rr *int) (pick, first *blade) {
+	if p.cfg.Policy != PolicyRoundRobin && p.conclusive {
+		var min, max, pickScore sim.Duration
+		for _, b := range blades {
+			if !b.health.admittable() {
+				continue
+			}
+			s := p.bladeScore(b)
+			switch {
+			case first == nil:
+				first, min, max = b, s, s
+			case s < min:
+				first, min = b, s
+			case s > max:
+				max = s
+			}
+			if len(b.queue) < p.cfg.MaxQueue && (pick == nil || s < pickScore) {
+				pick, pickScore = b, s
 			}
 		}
-		*rr = (*rr + 1) % n
-		return out
-	}
-	if p.cfg.Policy == PolicyRoundRobin || !p.conclusive {
-		return rot()
-	}
-	scores := p.scoreBuf[:n]
-	idx := p.idxBuf[:0]
-	for i, b := range blades {
-		if !b.health.admittable() {
-			continue
+		if first == nil || min != max {
+			return pick, first
 		}
-		scores[i] = p.bladeScore(b)
-		idx = append(idx, i)
-	}
-	if len(idx) == 0 {
-		return p.ordBuf[:0]
-	}
-	min, max := scores[idx[0]], scores[idx[0]]
-	for _, i := range idx[1:] {
-		if scores[i] < min {
-			min = scores[i]
-		}
-		if scores[i] > max {
-			max = scores[i]
-		}
-	}
-	if min == max {
 		// All admittable blades look identical to the estimator:
 		// inconclusive, so rotate to avoid piling onto the lowest index.
 		p.placeFallbacks++
-		return rot()
+		pick, first = nil, nil
 	}
-	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(scores[a], scores[b]) })
-	out := p.ordBuf[:len(idx)]
-	for i, j := range idx {
-		out[i] = blades[j]
-	}
-	return out
-}
-
-// admitInto places r on the first blade of order with queue room,
-// dispatching immediately if that blade is idle. A request finding every
-// candidate queue full — or no admittable blade at all — is shed as
-// rejected (backpressure), on the lane of the blade it would have
-// preferred.
-func (p *pool) admitInto(r Request, order []*blade) {
-	for _, b := range order {
-		if len(b.queue) < p.cfg.MaxQueue {
-			b.queue = append(b.queue, r)
-			b.backlog += p.estOne(r)
-			if !b.busy {
-				p.dispatch(b)
+	n := len(blades)
+	for i := 0; i < n && pick == nil; i++ {
+		if b := blades[(*rr+i)%n]; b.health.admittable() {
+			if first == nil {
+				first = b
 			}
-			return
+			if len(b.queue) < p.cfg.MaxQueue {
+				pick = b
+			}
 		}
 	}
-	var first *blade
-	if len(order) > 0 {
-		first = order[0]
+	*rr = (*rr + 1) % n
+	return pick, first
+}
+
+// admitInto places r on the blade place picks from blades, dispatching
+// immediately if that blade is idle. A request finding every candidate
+// queue full — or no admittable blade at all — is shed as rejected
+// (backpressure), on the lane of the blade it would have preferred.
+func (p *pool) admitInto(r Request, blades []*blade, rr *int) {
+	b, first := p.place(blades, rr)
+	if b == nil {
+		p.finish(r, outShedRejected, first)
+		return
 	}
-	p.finish(r, outShedRejected, first)
+	b.queue = append(b.queue, r)
+	b.backlog += p.estOne(r)
+	if !b.busy {
+		p.dispatch(b)
+	}
 }
 
 // admit places one request (a fresh arrival or a re-routed eviction)
-// through admitInto in policy preference order. In fleet mode the router
-// first picks the pool (consistent hashing with estimator override), and
-// exhausted candidacy is global backpressure (shed_global).
+// through admitInto. In fleet mode the router first picks the pool
+// (consistent hashing with estimator override), and exhausted candidacy
+// is global backpressure (shed_global).
 func (p *pool) admit(r Request) {
 	if p.fleet != nil {
 		p.admitFleet(r)
 		return
 	}
-	p.admitInto(r, p.placeOrderIn(r, p.blades, &p.rr))
+	p.admitInto(r, p.blades, &p.rr)
 }
 
 // dispatch sheds queued requests that can no longer meet their deadline,

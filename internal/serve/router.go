@@ -72,24 +72,13 @@ func (f *fleetState) rebuildRing() {
 }
 
 // lookup walks the ring clockwise from key and returns the first pool
-// satisfying ok, or nil when no pool on the ring does. Each pool is
-// evaluated at most once per walk.
-func (f *fleetState) lookup(key uint64, ok func(*poolShard) bool) *poolShard {
+// with room (routePool sets poolShard.room), or nil when no pool on the
+// ring has any.
+func (f *fleetState) lookup(key uint64) *poolShard {
 	n := len(f.ring)
-	if n == 0 {
-		return nil
-	}
-	for i := range f.visited {
-		f.visited[i] = false
-	}
 	start := sort.Search(n, func(i int) bool { return f.ring[i].hash >= key })
 	for i := 0; i < n; i++ {
-		e := f.ring[(start+i)%n]
-		if f.visited[e.pool] {
-			continue
-		}
-		f.visited[e.pool] = true
-		if pl := f.pools[e.pool]; ok(pl) {
+		if pl := f.pools[f.ring[(start+i)%n].pool]; pl.room {
 			return pl
 		}
 	}
@@ -117,42 +106,29 @@ func (p *pool) poolFrontier(pl *poolShard) (sim.Duration, bool) {
 // with room, overridden toward the earliest-frontier pool when the
 // estimator is conclusive and the gap exceeds half the request's own
 // service estimate (hysteresis — ties and small imbalances stay on the
-// hash placement, keeping routing stable). Returns nil under global
-// backpressure: no active pool has any admittable blade with queue room.
+// hash placement, keeping routing stable). One pass computes every
+// pool's frontier and room; a pool has room when it is active and some
+// admittable blade has queue space. Returns nil under global
+// backpressure: no active pool has room.
 func (p *pool) routePool(r Request) *poolShard {
 	f := p.fleet
-	hashed := f.lookup(requestKey(r), p.hasRoomFn())
-	if hashed == nil {
-		return nil
-	}
-	if p.cfg.Policy != PolicyEstimator || !p.conclusive {
-		return hashed
-	}
 	var best *poolShard
-	var bestFrontier sim.Duration
 	for _, pl := range f.pools {
-		if !p.poolHasRoom(pl) {
-			continue
+		pl.frontier, pl.room = 0, false
+		if pl.active {
+			pl.frontier, pl.room = p.poolFrontier(pl)
 		}
-		if s, ok := p.poolFrontier(pl); ok && (best == nil || s < bestFrontier) {
-			best, bestFrontier = pl, s
+		if pl.room && (best == nil || pl.frontier < best.frontier) {
+			best = pl
 		}
 	}
-	if best == nil || best == hashed {
+	hashed := f.lookup(requestKey(r))
+	if hashed == nil || best == hashed || p.cfg.Policy != PolicyEstimator || !p.conclusive {
 		return hashed
 	}
-	hashedFrontier, ok := p.poolFrontier(hashed)
-	if !ok {
-		return hashed
-	}
-	if hashedFrontier-bestFrontier > p.estOne(r)/2 {
+	if hashed.frontier-best.frontier > p.estOne(r)/2 {
 		f.overrides++
 		return best
 	}
 	return hashed
-}
-
-// hasRoomFn adapts poolHasRoom to the ring-walk predicate.
-func (p *pool) hasRoomFn() func(*poolShard) bool {
-	return func(pl *poolShard) bool { return p.poolHasRoom(pl) }
 }

@@ -410,22 +410,28 @@ func TestEventLoopAllocFree(t *testing.T) {
 // BenchmarkPoolEventLoop times the admission/dispatch loop alone (no
 // nested dispatch simulations): calibration is shared and the stream is
 // long, so per-arrival allocation on the placement and batching paths
-// dominates allocs/op. This is the benchmark behind the placeOrder /
-// batch-buffer hoists documented in EXPERIMENTS.md.
+// dominates allocs/op. The 3-blade case is the quick configuration; 16
+// blades is perfbench's verified-serve width, where placement's per-blade
+// pass dominates. This is the benchmark behind the placement and
+// batch-buffer changes documented in EXPERIMENTS.md X4.
 func BenchmarkPoolEventLoop(b *testing.B) {
 	cal, err := sharedCal()
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := quickConfig()
-	cfg.Requests = 512
-	cfg.Rate = 2
-	cfg.Cal = cal
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, blades := range []int{3, 16} {
+		b.Run(fmt.Sprintf("blades=%d", blades), func(b *testing.B) {
+			cfg := quickConfig()
+			cfg.Blades = blades
+			cfg.Requests = 512
+			cfg.Rate = 2
+			cfg.Cal = cal
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
