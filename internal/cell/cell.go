@@ -240,14 +240,8 @@ func (c *Context) Machine() *Machine { return c.machine }
 // Now returns the current virtual time.
 func (c *Context) Now() sim.Time { return c.p.Now() }
 
-// Proc exposes the underlying simulated process.
-func (c *Context) Proc() *sim.Proc { return c.p }
-
 // Memory returns main memory (the PPE has direct load/store access).
 func (c *Context) Memory() *mainmem.Memory { return c.machine.Memory }
-
-// Model returns the PPE cost model.
-func (c *Context) Model() *cost.Model { return c.machine.cfg.PPEModel }
 
 // BusyTime reports accumulated PPE compute+IO time for this context.
 func (c *Context) BusyTime() sim.Duration { return c.busy }
@@ -267,11 +261,6 @@ func (c *Context) ComputeScalar(n float64, label string) {
 	c.charge(c.machine.cfg.PPEModel.ScalarOps(n), trace.KindCompute, label)
 }
 
-// ComputeSIMD charges n element-ops through the PPE's VMX unit.
-func (c *Context) ComputeSIMD(n float64, w cost.Width, eff float64, label string) {
-	c.charge(c.machine.cfg.PPEModel.SIMDOps(n, w, eff), trace.KindCompute, label)
-}
-
 // ComputeBranches charges branch misprediction stalls.
 func (c *Context) ComputeBranches(n, rate float64, label string) {
 	c.charge(c.machine.cfg.PPEModel.Branches(n, rate), trace.KindCompute, label)
@@ -285,13 +274,6 @@ func (c *Context) DiskRead(bytes float64, label string) {
 // MemStream charges streaming n bytes through the PPE cache hierarchy.
 func (c *Context) MemStream(bytes float64, label string) {
 	c.charge(c.machine.cfg.PPEModel.MemStream(bytes), trace.KindCompute, label)
-}
-
-// Go spawns an auxiliary PPE thread sharing the machine.
-func (c *Context) Go(name string, body func(ctx *Context)) {
-	c.machine.Engine.Spawn("PPE:"+name, func(p *sim.Proc) {
-		body(&Context{machine: c.machine, p: p})
-	})
 }
 
 // Sleep advances virtual time without charging busy accounting.

@@ -159,13 +159,6 @@ func Open(ctx *cell.Context, speID int, spec KernelSpec) (*Interface, error) {
 	return &Interface{ctx: ctx, speID: speID, spec: spec, open: true}, nil
 }
 
-// Name returns the kernel name.
-func (i *Interface) Name() string { return i.spec.Name }
-
-// Spec returns the kernel spec (so a supervisor can reopen the kernel on
-// another SPE).
-func (i *Interface) Spec() KernelSpec { return i.spec }
-
 // Abandon marks the interface closed without the OpExit handshake, for
 // SPEs that have crashed and can no longer answer mailbox traffic.
 func (i *Interface) Abandon() {

@@ -77,7 +77,7 @@ func TestSendAndWaitBothModes(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got := w.Uint32("out"); got != 42 {
+				if got := ByteOrder.Uint32(w.Bytes("out")); got != 42 {
 					t.Errorf("double(21) = %d, want 42", got)
 				}
 				ByteOrder.PutUint32(w.Bytes("in"), 9)
@@ -85,7 +85,7 @@ func TestSendAndWaitBothModes(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got := w.Uint32("out"); got != 81 {
+				if got := ByteOrder.Uint32(w.Bytes("out")); got != 81 {
 					t.Errorf("square(9) = %d, want 81", got)
 				}
 				if err := w.Free(); err != nil {
@@ -221,7 +221,7 @@ func TestCloseDrainsInFlight(t *testing.T) {
 		if err := iface.Close(); err != nil {
 			t.Error(err)
 		}
-		if got := w.Uint32("out"); got != 10 {
+		if got := ByteOrder.Uint32(w.Bytes("out")); got != 10 {
 			t.Errorf("drained result = %d, want 10", got)
 		}
 		if err := w.Free(); err != nil {
@@ -318,8 +318,8 @@ func TestWrapperLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Size() != 16+112+32 {
-		t.Fatalf("size = %d, want 160", w.Size())
+	if w.size != 16+112+32 {
+		t.Fatalf("size = %d, want 160", w.size)
 	}
 	if uint32(w.Addr())%mainmem.AlignCacheLine != 0 {
 		t.Fatalf("wrapper base %#x not cache-line aligned", uint32(w.Addr()))

@@ -68,9 +68,6 @@ func NewWrapper(mem *mainmem.Memory, fields ...WrapperField) (*Wrapper, error) {
 // through the mailbox to the kernel.
 func (w *Wrapper) Addr() mainmem.Addr { return w.base }
 
-// Size returns the wrapper size in bytes (a multiple of 16).
-func (w *Wrapper) Size() uint32 { return w.size }
-
 // FieldAddr returns the main-memory address of a field.
 func (w *Wrapper) FieldAddr(name string) mainmem.Addr {
 	off, ok := w.offsets[name]
@@ -93,9 +90,6 @@ func (w *Wrapper) FieldSize(name string) uint32 {
 func (w *Wrapper) Bytes(name string) []byte {
 	return w.mem.Bytes(w.FieldAddr(name), w.FieldSize(name))
 }
-
-// Uint32 loads the first word of a field.
-func (w *Wrapper) Uint32(name string) uint32 { return ByteOrder.Uint32(w.Bytes(name)) }
 
 // SetFloat32s stores a []float32 into a field (which must be large enough).
 func (w *Wrapper) SetFloat32s(name string, vals []float32) {

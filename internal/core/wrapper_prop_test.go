@@ -40,7 +40,7 @@ func TestPropWrapperLayout(t *testing.T) {
 			if w.FieldSize(fl.Name) != fl.Size {
 				return false
 			}
-			if addr+fl.Size > uint32(w.Addr())+w.Size() {
+			if addr+fl.Size > uint32(w.Addr())+w.size {
 				return false
 			}
 			prevEnd = addr + fl.Size

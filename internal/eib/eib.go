@@ -245,6 +245,13 @@ func (b *Bus) reallocate() {
 		}
 		return
 	}
+	// No port run reaches this fallback: every MFC transfer crosses
+	// PortMemory, so some port carries every flow and the shared-
+	// bottleneck closed form always applies (marvel's
+	// TestPortedMatchesReferenceExactly pins it). The waterfill stays for
+	// mixed flow sets with no port common to all: perfbench's eib.Bus
+	// churn row starts SPE↔SPE and PPE/IO→SPE transfers, and
+	// churn_test.go checks the closed forms against it.
 	b.reallocFull++
 	rates := maxMinRates(b.active, b.cfg)
 	for i, t := range b.active {

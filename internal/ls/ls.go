@@ -68,9 +68,6 @@ func (l *LocalStore) LoadProgram(codeBytes uint32) error {
 	return nil
 }
 
-// CodeBytes reports the loaded program image size.
-func (l *LocalStore) CodeBytes() uint32 { return l.code }
-
 // Alloc reserves size bytes aligned to align (power of two) in the data
 // region. Allocation is bump-only; Reset releases everything, matching the
 // static-buffer discipline of real SPE kernels.

@@ -152,9 +152,9 @@ func TestRecycledStoreIsFresh(t *testing.T) {
 				t.Fatalf("byte %#x reads %#x, want 0", a, v)
 			}
 		}
-		if f.Used() != 0 || f.Peak() != 0 || f.CodeBytes() != 0 || f.Free() != Size-DefaultStackBytes {
+		if f.Used() != 0 || f.Peak() != 0 || f.code != 0 || f.Free() != Size-DefaultStackBytes {
 			t.Fatalf("allocator state not fresh: used %d peak %d code %d free %d",
-				f.Used(), f.Peak(), f.CodeBytes(), f.Free())
+				f.Used(), f.Peak(), f.code, f.Free())
 		}
 		recycled := &all[0] == first
 		f.Release()

@@ -6,6 +6,7 @@ import (
 
 	"cellport/internal/cell"
 	"cellport/internal/cost"
+	"cellport/internal/metrics"
 	"cellport/internal/profile"
 	"cellport/internal/sim"
 )
@@ -171,23 +172,36 @@ func TestProfilerSeesKernelClasses(t *testing.T) {
 	}
 }
 
+// TestPortedMatchesReferenceExactly also pins why the bus's general
+// water-filling solver never runs in a port: every MFC transfer crosses
+// main memory's port, so each reallocation is a closed form. A DMA path
+// between two local stores, running beside main-memory transfers,
+// reaches the waterfill and fails here.
 func TestPortedMatchesReferenceExactly(t *testing.T) {
 	// The paper's functional invariant: the port must keep the
 	// application's outputs identical at every step.
 	for _, variant := range []Variant{Naive, Optimized} {
-		for _, scen := range []Scenario{SingleSPE, MultiSPE, MultiSPE2} {
+		for scen := Scenario(0); int(scen) < len(schedules); scen++ {
+			mc := testMachineConfig()
+			mc.Metrics = metrics.NewRegistry()
 			res, err := RunPorted(PortedConfig{
 				Workload:      testWorkload(2),
 				Scenario:      scen,
 				Variant:       variant,
 				Validate:      true,
-				MachineConfig: testMachineConfig(),
+				MachineConfig: mc,
 			})
 			if err != nil {
 				t.Fatalf("%v/%v: %v", variant, scen, err)
 			}
 			if res.ValidationErrors != 0 {
 				t.Errorf("%v/%v: %d validation mismatches", variant, scen, res.ValidationErrors)
+			}
+			fast, _ := res.Metrics.Get("eib", "realloc_fast_path", "counter")
+			full, ok := res.Metrics.Get("eib", "realloc_full_waterfill", "counter")
+			if !ok || full.Value != 0 || fast.Value == 0 {
+				t.Errorf("%v/%v: eib reallocations fast %d, full waterfill %d (harvested %v); want fast > 0, full 0",
+					variant, scen, fast.Value, full.Value, ok)
 			}
 		}
 	}

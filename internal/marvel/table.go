@@ -213,7 +213,7 @@ var kernels = [numKernels]kernelRow{
 		paper: Target{SpeedUp: 10.80, Coverage: 0.02},
 
 		// Detection cost is per support vector: 3*dim+25 nominal ops
-		// (see svm.Model.DetectOps); per-pixel fields unused.
+		// (see detectNomOps); per-pixel fields unused.
 		HostOpsMult: 7.2, // fits §5.2 coverage: virtual calls + exp()
 		// Fits Table 1: fp32 4-wide at low efficiency (dot products
 		// short, exp scalar).
@@ -252,7 +252,8 @@ func kernelOf(id KernelID) *kernelRow {
 const NaiveMispredict = 0.30
 
 // detectNomOps returns nominal operations for evaluating a model with n
-// support vectors of dimension dim (mirrors svm.Model.DetectOps).
+// support vectors of dimension dim: per support vector, dim
+// subtract/multiply/accumulate steps plus the kernel's exponential.
 func detectNomOps(n, dim int) float64 { return float64(n) * (3*float64(dim) + 25) }
 
 // detectNomOpsAll is the per-image nominal detection work for the §5.5

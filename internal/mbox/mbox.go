@@ -5,23 +5,13 @@
 // on.
 package mbox
 
-import (
-	"errors"
-	"fmt"
-
-	"cellport/internal/sim"
-)
+import "cellport/internal/sim"
 
 // Capacities of the hardware FIFOs.
 const (
 	InboundDepth  = 4
 	OutboundDepth = 1
 )
-
-// ErrMailboxFull is the typed sentinel reported by WriteNonBlocking on a
-// full FIFO, so callers can distinguish capacity pressure from protocol
-// bugs.
-var ErrMailboxFull = errors.New("mbox: mailbox full")
 
 // Mailbox is a fixed-capacity 32-bit FIFO with blocking semantics on both
 // sides, in virtual time.
@@ -72,19 +62,6 @@ func (m *Mailbox) Write(p *sim.Proc, v uint32) {
 	m.writes++
 	m.notePeak()
 	m.notEmpty.WakeAll(m.engine)
-}
-
-// WriteNonBlocking enqueues v if space is available, or fails with a
-// wrapped ErrMailboxFull.
-func (m *Mailbox) WriteNonBlocking(v uint32) error {
-	if len(m.fifo) >= m.capacity {
-		return fmt.Errorf("%s (%d/%d entries): %w", m.name, len(m.fifo), m.capacity, ErrMailboxFull)
-	}
-	m.fifo = append(m.fifo, v)
-	m.writes++
-	m.notePeak()
-	m.notEmpty.WakeAll(m.engine)
-	return nil
 }
 
 func (m *Mailbox) notePeak() {

@@ -50,26 +50,6 @@ func TestWriterStallOnCrashedReader(t *testing.T) {
 	}
 }
 
-// TestWriteNonBlockingFullFault pins the typed sentinel on the
-// capacity edge: depth writes succeed, the depth+1st fails with
-// ErrMailboxFull and does not enqueue.
-func TestWriteNonBlockingFullFault(t *testing.T) {
-	e := sim.NewEngine()
-	m := NewMailbox(e, "in", InboundDepth)
-	for i := uint32(0); i < uint32(InboundDepth); i++ {
-		if err := m.WriteNonBlocking(i); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	err := m.WriteNonBlocking(99)
-	if !errors.Is(err, ErrMailboxFull) {
-		t.Fatalf("overflow write err = %v, want ErrMailboxFull", err)
-	}
-	if m.Count() != InboundDepth || m.Writes() != uint64(InboundDepth) {
-		t.Errorf("failed write mutated the FIFO: count=%d writes=%d", m.Count(), m.Writes())
-	}
-}
-
 // TestWriteDelayStallsInVirtualTime: an installed write-delay hook (the
 // mbox-stall fault) pushes the write later in virtual time but keeps the
 // data path intact.

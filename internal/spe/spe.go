@@ -79,15 +79,6 @@ func New(e *sim.Engine, id int, bus *eib.Bus, mem *mainmem.Memory, model *cost.M
 	}
 }
 
-// ID returns the SPE index.
-func (s *SPE) ID() int { return s.id }
-
-// Model returns the SPU cost model.
-func (s *SPE) Model() *cost.Model { return s.model }
-
-// Running reports whether a program is executing.
-func (s *SPE) Running() bool { return s.running }
-
 // BusyTime reports accumulated compute time.
 func (s *SPE) BusyTime() sim.Duration { return s.busyTime }
 
@@ -161,15 +152,6 @@ type Context struct {
 	spe *SPE
 	p   *sim.Proc
 }
-
-// ID returns the hosting SPE's index.
-func (c *Context) ID() int { return c.spe.id }
-
-// Now returns the current virtual time.
-func (c *Context) Now() sim.Time { return c.p.Now() }
-
-// Proc exposes the underlying simulated process (for advanced waiting).
-func (c *Context) Proc() *sim.Proc { return c.p }
 
 // Store returns the SPE's local store.
 func (c *Context) Store() *ls.LocalStore { return c.spe.Store }

@@ -38,7 +38,7 @@ func TestLoadValidation(t *testing.T) {
 	if err := r.s.Load(Program{Name: "big", CodeBytes: ls.Size, Main: func(*Context) {}}); err == nil {
 		t.Error("oversized image accepted")
 	}
-	if r.s.Running() {
+	if r.s.running {
 		t.Error("failed loads must not mark the SPE running")
 	}
 }
@@ -50,8 +50,8 @@ func TestContextIdentity(t *testing.T) {
 		Name:      "id",
 		CodeBytes: 1024,
 		Main: func(ctx *Context) {
-			if ctx.ID() != 3 {
-				t.Errorf("ID = %d, want 3", ctx.ID())
+			if ctx.spe.id != 3 {
+				t.Errorf("ID = %d, want 3", ctx.spe.id)
 			}
 			if ctx.Model().Name != "SPE" {
 				t.Errorf("model = %s", ctx.Model().Name)
@@ -59,7 +59,7 @@ func TestContextIdentity(t *testing.T) {
 			if ctx.Store() != r.s.Store {
 				t.Error("Store mismatch")
 			}
-			if ctx.Proc() == nil {
+			if ctx.p == nil {
 				t.Error("nil proc")
 			}
 			done = true
@@ -211,7 +211,7 @@ func TestWaitStoppedAndReload(t *testing.T) {
 	}
 	r.e.Spawn("waiter", func(p *sim.Proc) {
 		r.s.WaitStopped(p)
-		if r.s.Running() {
+		if r.s.running {
 			t.Error("still running after WaitStopped")
 		}
 		if err := r.s.Load(prog); err != nil {

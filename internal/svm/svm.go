@@ -1,8 +1,10 @@
-// Package svm implements the statistical classifier MARVEL's concept
-// detection uses (§5.1): support vector machines with RBF or linear
-// kernels, a deterministic SMO trainer (the "short training phase" that
-// produces the precomputed models), and a flat float32 model encoding so
-// models can live in simulated main memory and be DMA'd to SPE kernels.
+// Package svm holds the statistical classifier MARVEL's concept detection
+// uses (§5.1): support vector machines with RBF or linear kernels, the
+// deterministic synthetic models (Synthetic) that stand in for the
+// paper's precomputed concept models, and a flat float32 model encoding
+// so models can live in simulated main memory and be DMA'd to SPE
+// kernels. The models' shapes are the ones §5.5 reports; their values
+// are seeded, not fitted to data.
 package svm
 
 import (
@@ -45,7 +47,7 @@ func (Linear) Eval(a, b []float32) float64 {
 
 func (Linear) String() string { return "linear" }
 
-// Model is a trained (or synthesized) SVM for one semantic concept.
+// Model is a precomputed SVM for one semantic concept.
 type Model struct {
 	// Concept names the semantic concept this model detects.
 	Concept string
@@ -100,14 +102,4 @@ func (m *Model) Decision(x []float32) float64 {
 		s += m.Coeffs[i] * m.Kernel.Eval(sv, x)
 	}
 	return s
-}
-
-// Classify reports whether x is detected as the concept (f(x) > 0).
-func (m *Model) Classify(x []float32) bool { return m.Decision(x) > 0 }
-
-// DetectOps returns the nominal operation count of one decision-function
-// evaluation: per support vector, dim subtract/multiply/accumulate steps
-// plus the kernel's exponential.
-func (m *Model) DetectOps() float64 {
-	return float64(len(m.SupportVectors)) * (3*float64(m.Dim()) + 25)
 }

@@ -64,77 +64,6 @@ func TestDecisionDimCheckPanics(t *testing.T) {
 	m.Decision([]float32{1})
 }
 
-// separableSet builds two well-separated 2-D clusters.
-func separableSet() (x [][]float32, y []int) {
-	offsets := [][2]float32{{0, 0}, {0.1, 0}, {0, 0.1}, {0.1, 0.1}, {0.05, 0.05}}
-	for _, o := range offsets {
-		x = append(x, []float32{o[0], o[1]})
-		y = append(y, -1)
-		x = append(x, []float32{o[0] + 3, o[1] + 3})
-		y = append(y, 1)
-	}
-	return
-}
-
-func TestTrainSeparatesClusters(t *testing.T) {
-	x, y := separableSet()
-	for _, k := range []Kernel{Linear{}, RBF{Gamma: 1.0}} {
-		m, err := Train("sep", x, y, k, DefaultTrainConfig())
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		for i := range x {
-			pred := 1
-			if !m.Classify(x[i]) {
-				pred = -1
-			}
-			if pred != y[i] {
-				t.Errorf("%v: sample %d misclassified (decision %v, want class %d)",
-					k, i, m.Decision(x[i]), y[i])
-			}
-		}
-	}
-}
-
-func TestTrainDeterministic(t *testing.T) {
-	x, y := separableSet()
-	a, err := Train("d", x, y, RBF{Gamma: 1}, DefaultTrainConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Train("d", x, y, RBF{Gamma: 1}, DefaultTrainConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.SupportVectors) != len(b.SupportVectors) || a.Bias != b.Bias {
-		t.Fatal("training is not deterministic")
-	}
-}
-
-func TestTrainRejectsBadInput(t *testing.T) {
-	x, y := separableSet()
-	if _, err := Train("b", nil, nil, Linear{}, DefaultTrainConfig()); err == nil {
-		t.Error("empty set should fail")
-	}
-	badY := append([]int(nil), y...)
-	badY[0] = 0
-	if _, err := Train("b", x, badY, Linear{}, DefaultTrainConfig()); err == nil {
-		t.Error("label 0 should fail")
-	}
-	oneClass := make([]int, len(y))
-	for i := range oneClass {
-		oneClass[i] = 1
-	}
-	if _, err := Train("b", x, oneClass, Linear{}, DefaultTrainConfig()); err == nil {
-		t.Error("single-class set should fail")
-	}
-	cfg := DefaultTrainConfig()
-	cfg.C = 0
-	if _, err := Train("b", x, y, Linear{}, cfg); err == nil {
-		t.Error("C=0 should fail")
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m := Synthetic("roundtrip", 7, 12, 166, 2.5)
 	enc, err := Encode(m)
@@ -194,14 +123,6 @@ func TestSyntheticShape(t *testing.T) {
 	m2 := Synthetic("concept", 42, 225, 166, 4)
 	if m.Bias != m2.Bias || m.Coeffs[3] != m2.Coeffs[3] {
 		t.Fatal("synthetic models not deterministic")
-	}
-}
-
-func TestDetectOps(t *testing.T) {
-	m := Synthetic("c", 1, 100, 166, 1)
-	want := 100.0 * (3*166 + 25)
-	if got := m.DetectOps(); got != want {
-		t.Fatalf("DetectOps = %v, want %v", got, want)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package workcache provides a concurrency-safe memoization table with
 // singleflight semantics, used to share expensive deterministic workload
-// artifacts (generated image sets, trained model libraries, reference
+// artifacts (generated image sets, synthetic model libraries, reference
 // runs) across the many independent simulation points of an experiment
 // sweep. The first goroutine to request a key computes the value while
 // holding a per-key latch; concurrent requesters for the same key block
