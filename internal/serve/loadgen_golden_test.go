@@ -10,10 +10,11 @@ import (
 	"cellport/internal/sim"
 )
 
-// TestGoldenArrivals pins the shaped arrival streams by SHA-256. Each
+// TestGoldenArrivals pins the arrival streams by SHA-256. Each
 // subtest digests, for seeds 0–39, every field of every request of a
 // 5000-request stream at 1000 requests per virtual second, a quarter of
-// them tall, with a 2 ms deadline. The grid covers the fleet shape
+// them tall, with a 2 ms deadline. The grid covers the homogeneous
+// stream (nil model), the fleet shape
 // (diurnal amplitude 0.6 with two 3× flashes), a shallow, a full and an
 // over-unity amplitude (the trough clamp), flash crowds without a
 // diurnal term, and a short period that wraps the stream over about a
@@ -29,16 +30,19 @@ func TestGoldenArrivals(t *testing.T) {
 	)
 	models := []struct {
 		name  string
-		model RateModel
+		model *RateModel
 	}{
-		{"fleet", RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3}},
-		{"amp0.3", RateModel{DiurnalAmp: 0.3}},
-		{"amp1", RateModel{DiurnalAmp: 1}},
-		{"amp1.5", RateModel{DiurnalAmp: 1.5}},
-		{"flash-only", RateModel{FlashCount: 3, FlashFactor: 4}},
-		{"short-period", RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3, Period: 50 * sim.Millisecond}},
+		{"homogeneous", nil},
+		{"fleet", &RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3}},
+		{"amp0.3", &RateModel{DiurnalAmp: 0.3}},
+		{"amp1", &RateModel{DiurnalAmp: 1}},
+		{"amp1.5", &RateModel{DiurnalAmp: 1.5}},
+		{"flash-only", &RateModel{FlashCount: 3, FlashFactor: 4}},
+		{"short-period", &RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3, Period: 50 * sim.Millisecond}},
 	}
 	golden := map[string]string{
+		"homogeneous/burst1":  "f868352d0083abf1c70984d4c88962b0acc0a6532d715996d770249f90da0cc2",
+		"homogeneous/burst4":  "7ca54b788fb5be6e777593e1d140f230ef721ab4fafc1e2992c3ee9fb5e62d01",
 		"fleet/burst1":        "cd59ff0e681d5d7f47cb90388bdd8e54adef2a14fce4f91b73c7ece833c9ec08",
 		"fleet/burst4":        "2464bb7b172fc8bb03cffa380f9ed88b622d4f0c46ec27a1f221ad13c9cd74bd",
 		"amp0.3/burst1":       "2e979f8182edc27783ca1c7ac87b1b1700e7d9bb1731205a91b7cbea078420fb",
@@ -60,9 +64,9 @@ func TestGoldenArrivals(t *testing.T) {
 				h := sha256.New()
 				var rec [33]byte
 				for seed := uint64(0); seed < seeds; seed++ {
-					reqs := arrivalsShaped(seed, requests, rate, burst, tallFrac, deadline, &m)
+					reqs := arrivalsShaped(seed, requests, rate, burst, tallFrac, deadline, m)
 					checkStream(t, reqs, requests)
-					if m.Period > 0 && reqs[requests-1].Arrival < sim.Time(50*m.Period) {
+					if m != nil && m.Period > 0 && reqs[requests-1].Arrival < sim.Time(50*m.Period) {
 						t.Fatalf("seed %d: stream ends at %v, inside 50 periods of %v", seed, reqs[requests-1].Arrival, m.Period)
 					}
 					for _, r := range reqs {
