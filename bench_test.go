@@ -22,7 +22,11 @@ import (
 
 // benchCfg shares the experiment package's workload sizing (Quick frames
 // keep benches fast while preserving full-width DMA rows).
-var benchCfg = experiments.Config{Quick: true, Seed: 13}
+var benchCfg = func() experiments.Config {
+	cfg := experiments.DefaultConfig()
+	cfg.Quick, cfg.Seed = true, 13
+	return cfg
+}()
 
 func benchWorkload(n int) marvel.Workload { return benchCfg.Workload(n) }
 
@@ -307,7 +311,7 @@ func BenchmarkFig7MultiSPE2_4(b *testing.B) { benchScenario(b, marvel.MultiSPE2,
 // --- §4.2: estimator -------------------------------------------------------
 
 func BenchmarkEqnsEstimator(b *testing.B) {
-	cfg := experiments.Config{Quick: true, Seed: 13}
+	cfg := benchCfg
 	var res *experiments.EqnsResult
 	var err error
 	for i := 0; i < b.N; i++ {

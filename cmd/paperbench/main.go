@@ -20,16 +20,16 @@
 //	                             # (-exp faults|serve|chaos|fleet)
 //	paperbench -rate 2.5         # serve: offered load, × estimated capacity
 //	paperbench -blades 4         # serve: blade-pool size
-//	paperbench -deadline 250     # serve: per-request deadline, virtual ms (<0 = none)
-//	paperbench -servesed 7       # serve: arrival-stream seed
+//	paperbench -deadline 250     # serve: per-request deadline, virtual ms
+//	paperbench -servesed 9       # serve: arrival-stream seed
 //	paperbench -burst 3          # serve: mean arrival burst size
 //	paperbench -fullsim          # serve: re-simulate the machine once per
 //	                             # dispatched key; fail on calibration divergence
-//	paperbench -workers 2        # race: lanes computing at once (0 = GOMAXPROCS;
-//	                             # wall times move, sim/est results never do)
-//	paperbench -reps 3           # race: real-execution repetitions per point
+//	paperbench -workers 2        # race: lanes computing at once (wall times
+//	                             # move, sim/est results never do)
+//	paperbench -reps 5           # race: real-execution repetitions per point
 //	                             # (fastest wall time wins)
-//	paperbench -pools 4          # fleet: number of routed blade pools
+//	paperbench -pools 6          # fleet: number of routed blade pools
 //	paperbench -autoscale=false  # fleet: disarm the virtual-time autoscaler
 //	paperbench -flash=false      # fleet: drop the flash-crowd windows (keep
 //	                             # the diurnal sinusoid)
@@ -39,8 +39,14 @@
 //	                             # (-nocache and -parallel carry into each run)
 //	paperbench -bench-dir D      # target directory for -bench-refresh
 //
-// Independent simulation runs fan out over -parallel workers (default:
-// GOMAXPROCS); virtual-time results are identical at any setting. The
+// Each flag that sizes a run binds one field of
+// experiments.DefaultConfig(), which holds its default: a run without
+// flags is exactly that Config, and -help prints every default. A zero
+// -rate, -burst or -servesed is rejected rather than read as a default;
+// a zero -blades keeps selecting the experiment's own blade count.
+//
+// Independent simulation runs fan out over -parallel workers;
+// virtual-time results are identical at any setting. The
 // -json file records per-experiment host wall time alongside the
 // virtual-time data, so successive checkouts can track a perf trajectory.
 //
@@ -73,7 +79,6 @@ import (
 	"cellport/internal/experiments"
 	"cellport/internal/fault"
 	"cellport/internal/serve"
-	"cellport/internal/sim"
 )
 
 // jsonEntry is one experiment's machine-readable record. WallMS
@@ -101,69 +106,55 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// options is the parsed command line.
+// options is the parsed command line: cfg is the experiments.Config the
+// run uses, every flag that sizes a run bound straight into it, and the
+// other fields are the command's own switches.
 type options struct {
+	cfg         experiments.Config
 	exp         string
-	quick       bool
 	jsonPath    string
-	seed        uint64
-	parallel    int
-	nocache     bool
-	faultSpec   string
-	faultSeed   uint64
-	watchdog    string
+	watchdog    string // parsed into cfg.Watchdog by validate
 	tracePath   string
 	metricsPath string
-	rate        float64
-	blades      int
-	deadline    float64
-	serveSeed   uint64
-	burst       float64
-	fullSim     bool
-	pools       int
-	autoscale   bool
-	flash       bool
-	workers     int
-	reps        int
 	cpuProfile  string
 	memProfile  string
 	benchFresh  bool
 	benchDir    string
 
-	// watchdogDur is -watchdog parsed by validate (fault.ParseDuration).
-	watchdogDur sim.Duration
-
 	set map[string]bool // flags explicitly given on the command line
 }
 
-// parseFlags parses args; flag errors (including -help) return nil and
-// the exit status to use.
+// parseFlags parses args over experiments.DefaultConfig(), so each
+// flag's default is the field it binds and -help prints it; flag errors
+// (including -help) return nil and the exit status to use.
 func parseFlags(args []string, errw io.Writer) (*options, int) {
-	o := &options{}
+	o := &options{cfg: experiments.DefaultConfig()}
+	c := &o.cfg
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	fs.StringVar(&o.exp, "exp", "all", "experiment: "+expChoices())
-	fs.BoolVar(&o.quick, "quick", false, "reduced frame size and image sets")
+	fs.BoolVar(&c.Quick, "quick", c.Quick, "reduced frame size and image sets")
 	fs.StringVar(&o.jsonPath, "json", "", "write machine-readable results to this path (\"-\" for stdout)")
-	fs.Uint64Var(&o.seed, "seed", 20070710, "workload seed")
-	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size for independent runs (0 = GOMAXPROCS, 1 = sequential)")
-	fs.BoolVar(&o.nocache, "nocache", false, "recompute workload artifacts for every run (cold-path calibration)")
-	fs.StringVar(&o.faultSpec, "faults", "", "explicit fault plan for -exp faults|serve|chaos|fleet (kind:spe=N,...;... — see internal/fault)")
-	fs.Uint64Var(&o.faultSeed, "faultseed", 0, "seed for a derived fault plan when -faults is empty (0 = seed 1; -exp faults|serve|chaos|fleet)")
+	fs.Uint64Var(&c.Seed, "seed", c.Seed, "workload seed")
+	fs.IntVar(&c.Parallel, "parallel", c.Parallel, "worker pool size for independent runs (0 = GOMAXPROCS, 1 = sequential)")
+	fs.BoolVar(&c.NoCache, "nocache", c.NoCache, "recompute workload artifacts for every run (cold-path calibration)")
+	fs.StringVar(&c.FaultSpec, "faults", c.FaultSpec, "explicit fault plan for -exp faults|serve|chaos|fleet (kind:spe=N,...;... — see internal/fault)")
+	fs.Uint64Var(&c.FaultSeed, "faultseed", c.FaultSeed, "seed for a derived fault plan when -faults is empty (0 = seed 1; -exp faults|serve|chaos|fleet)")
 	fs.StringVar(&o.watchdog, "watchdog", "", "supervision watchdog timeout override, fault duration grammar e.g. 250ms (-exp faults|serve|chaos|fleet)")
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace (Perfetto-loadable) of every instrumented run to this path")
 	fs.StringVar(&o.metricsPath, "metrics", "", "write per-run metrics JSON to this path")
-	fs.Float64Var(&o.rate, "rate", 0, "serve: offered load as a multiple of estimated pool capacity (default 2)")
-	fs.IntVar(&o.blades, "blades", 0, "serve: number of simulated Cell blades (default 3; 8 for -exp chaos)")
-	fs.Float64Var(&o.deadline, "deadline", 0, "serve: per-request deadline in virtual ms (0 = automatic, negative = none)")
-	fs.Uint64Var(&o.serveSeed, "servesed", 0, "serve: arrival-stream seed (default 7)")
-	fs.Float64Var(&o.burst, "burst", 0, "serve: mean arrival burst size (default 2)")
-	fs.BoolVar(&o.fullSim, "fullsim", false, "serve: re-simulate the full machine once per distinct dispatched key (verified dispatch)")
-	fs.IntVar(&o.pools, "pools", 4, "fleet: number of routed blade pools (each of -blades blades)")
-	fs.BoolVar(&o.autoscale, "autoscale", true, "fleet: arm the virtual-time autoscaler (-autoscale=false for a static fleet)")
-	fs.BoolVar(&o.flash, "flash", true, "fleet: add seeded flash-crowd windows to the diurnal load model")
-	fs.IntVar(&o.workers, "workers", 0, "race: lanes computing at once in real execution (0 = GOMAXPROCS; never affects simulated results)")
-	fs.IntVar(&o.reps, "reps", 0, "race: real-execution repetitions per point, fastest wall time wins (default 3)")
+	fs.Float64Var(&c.Serve.Rate, "rate", c.Serve.Rate, "serve: offered load as a multiple of estimated pool capacity")
+	fs.IntVar(&c.Serve.Blades, "blades", c.Serve.Blades, fmt.Sprintf("serve: number of simulated Cell blades (0 = %d; %d for -exp chaos)",
+		experiments.ServeBlades, experiments.ChaosBlades))
+	fs.Float64Var(&c.Serve.DeadlineMS, "deadline", c.Serve.DeadlineMS, "serve: per-request deadline in virtual ms (0 = automatic, negative = none)")
+	fs.Uint64Var(&c.Serve.Seed, "servesed", c.Serve.Seed, "serve: arrival-stream seed")
+	fs.Float64Var(&c.Serve.Burst, "burst", c.Serve.Burst, "serve: mean arrival burst size")
+	fs.BoolVar(&c.FullSim, "fullsim", c.FullSim, "serve: re-simulate the full machine once per distinct dispatched key (verified dispatch)")
+	fs.IntVar(&c.Fleet.Pools, "pools", c.Fleet.Pools, "fleet: number of routed blade pools (each of -blades blades)")
+	fs.BoolVar(&c.Fleet.Autoscale, "autoscale", c.Fleet.Autoscale, "fleet: arm the virtual-time autoscaler (-autoscale=false for a static fleet)")
+	fs.BoolVar(&c.Fleet.Flash, "flash", c.Fleet.Flash, "fleet: add seeded flash-crowd windows to the diurnal load model")
+	fs.IntVar(&c.Race.Workers, "workers", c.Race.Workers, "race: lanes computing at once in real execution (0 = GOMAXPROCS; never affects simulated results)")
+	fs.IntVar(&c.Race.Reps, "reps", c.Race.Reps, "race: real-execution repetitions per point, fastest wall time wins")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this path")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof allocation profile of the run to this path")
 	fs.BoolVar(&o.benchFresh, "bench-refresh", false, "regenerate the committed benchmark baselines (BENCH_serve.json, BENCH_sweep.json, BENCH_fleet.json, BENCH_race.json); -nocache and -parallel carry into every run")
@@ -185,8 +176,8 @@ func (o *options) validate() string {
 	if _, ok := experiments.Find(o.exp); !ok && o.exp != "all" {
 		return fmt.Sprintf("unknown experiment %q", o.exp)
 	}
-	if o.parallel < 0 {
-		return fmt.Sprintf("-parallel must be >= 0, got %d", o.parallel)
+	if o.cfg.Parallel < 0 {
+		return fmt.Sprintf("-parallel must be >= 0, got %d", o.cfg.Parallel)
 	}
 	expSelects := func(names ...string) bool {
 		if o.exp == "all" {
@@ -219,14 +210,27 @@ func (o *options) validate() string {
 			return fmt.Sprintf("-%s only applies to -exp race, not -exp %s", f, o.exp)
 		}
 	}
-	if o.pools < 1 {
-		return fmt.Sprintf("-pools must be >= 1, got %d", o.pools)
+	if o.cfg.Fleet.Pools < 1 {
+		return fmt.Sprintf("-pools must be >= 1, got %d", o.cfg.Fleet.Pools)
 	}
-	if o.workers < 0 {
-		return fmt.Sprintf("-workers must be >= 0, got %d", o.workers)
+	if o.cfg.Race.Workers < 0 {
+		return fmt.Sprintf("-workers must be >= 0, got %d", o.cfg.Race.Workers)
 	}
-	if o.reps < 0 {
-		return fmt.Sprintf("-reps must be >= 0, got %d", o.reps)
+	if o.cfg.Race.Reps < 0 {
+		return fmt.Sprintf("-reps must be >= 0, got %d", o.cfg.Race.Reps)
+	}
+	// A zero here would select no default: the defaults are the flags'
+	// own, and the serving layer would read a zero burst as 1, not 2.
+	for _, f := range []struct {
+		name string
+		zero bool
+	}{{"rate", o.cfg.Serve.Rate == 0}, {"burst", o.cfg.Serve.Burst == 0}, {"servesed", o.cfg.Serve.Seed == 0}} {
+		if f.zero {
+			return fmt.Sprintf("-%s must be nonzero (omit it for the default)", f.name)
+		}
+	}
+	if _, err := o.cfg.Serve.Deadline(); err != nil {
+		return fmt.Sprintf("bad -deadline: %v", err)
 	}
 	if o.set["watchdog"] {
 		d, err := fault.ParseDuration(o.watchdog)
@@ -236,7 +240,7 @@ func (o *options) validate() string {
 		if d <= 0 {
 			return fmt.Sprintf("-watchdog must be positive, got %q", o.watchdog)
 		}
-		o.watchdogDur = d
+		o.cfg.Watchdog = d
 	}
 	if o.benchFresh {
 		// The refresh runs a fixed invocation matrix. Only the global mode
@@ -272,10 +276,10 @@ var refreshForwarded = map[string]bool{"nocache": true, "parallel": true}
 func (o *options) benchRefreshArgs() [][]string {
 	var mode []string
 	if o.set["nocache"] {
-		mode = append(mode, fmt.Sprintf("-nocache=%t", o.nocache))
+		mode = append(mode, fmt.Sprintf("-nocache=%t", o.cfg.NoCache))
 	}
 	if o.set["parallel"] {
-		mode = append(mode, "-parallel", strconv.Itoa(o.parallel))
+		mode = append(mode, "-parallel", strconv.Itoa(o.cfg.Parallel))
 	}
 	dir := o.benchDir
 	subs := [][]string{
@@ -354,26 +358,7 @@ func run(args []string, out, errw io.Writer) int {
 }
 
 func runExperiments(o *options, out, errw io.Writer) int {
-	cfg := experiments.Config{Quick: o.quick, Seed: o.seed, Parallel: o.parallel, NoCache: o.nocache,
-		FaultSpec: o.faultSpec, FaultSeed: o.faultSeed, Watchdog: o.watchdogDur,
-		Serve: experiments.ServeConfig{
-			Blades:     o.blades,
-			Rate:       o.rate,
-			Burst:      o.burst,
-			DeadlineMS: o.deadline,
-			Seed:       o.serveSeed,
-		},
-		Fleet: experiments.FleetConfig{
-			Pools:     o.pools,
-			Autoscale: o.autoscale,
-			Flash:     o.flash,
-		},
-		Race: experiments.RaceConfig{
-			Workers: o.workers,
-			Reps:    o.reps,
-		},
-		FullSim: o.fullSim,
-	}
+	cfg := o.cfg
 	if o.tracePath != "" || o.metricsPath != "" {
 		cfg.Collect = &experiments.Collector{}
 	}
@@ -432,10 +417,10 @@ func runExperiments(o *options, out, errw io.Writer) int {
 		TotalWallMS float64              `json:"total_wall_ms"`
 		Experiments map[string]jsonEntry `json:"experiments"`
 	}{TotalWallMS: float64(time.Since(start).Microseconds()) / 1000, Experiments: jsonDoc}
-	doc.Config.Quick = o.quick
-	doc.Config.Seed = o.seed
-	doc.Config.Parallel = o.parallel
-	doc.Config.NoCache = o.nocache
+	doc.Config.Quick = cfg.Quick
+	doc.Config.Seed = cfg.Seed
+	doc.Config.Parallel = cfg.Parallel
+	doc.Config.NoCache = cfg.NoCache
 	doc.Config.MaxProcs = runtime.GOMAXPROCS(0)
 
 	writeDoc := func(w io.Writer) error {

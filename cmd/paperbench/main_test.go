@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"cellport/internal/experiments"
 )
 
 // TestFlagValidationMatrix pins the CLI contract: inconsistent flag
@@ -67,6 +71,17 @@ func TestFlagValidationMatrix(t *testing.T) {
 		{"bench-refresh alone", []string{"-bench-refresh", "-bench-dir", "fresh"}, -1, ""},
 		{"profiles with any exp", []string{"-exp", "eqns", "-cpuprofile", "cpu.pb", "-memprofile", "mem.pb"}, -1, ""},
 		{"plain quick eqns", []string{"-quick", "-exp", "eqns"}, -1, ""},
+		{"deadline NaN", []string{"-exp", "serve", "-deadline", "NaN"}, 2, "bad -deadline"},
+		{"deadline Inf", []string{"-exp", "serve", "-deadline", "Inf"}, 2, "bad -deadline"},
+		{"deadline -Inf", []string{"-exp", "serve", "-deadline", "-Inf"}, 2, "bad -deadline"},
+		{"deadline overflowing", []string{"-exp", "serve", "-deadline", "1e300"}, 2, "bad -deadline"},
+		{"deadline an hour", []string{"-exp", "serve", "-deadline", "3.6e6"}, 2, "bad -deadline"},
+		{"deadline ten minutes", []string{"-exp", "serve", "-deadline", "6e5"}, -1, ""},
+		{"zero rate", []string{"-exp", "fleet", "-rate", "0"}, 2, "-rate must be nonzero"},
+		{"zero burst", []string{"-exp", "serve", "-burst", "0"}, 2, "-burst must be nonzero"},
+		{"zero servesed", []string{"-exp", "chaos", "-servesed", "0"}, 2, "-servesed must be nonzero"},
+		{"zero blades", []string{"-exp", "chaos", "-blades", "0"}, -1, ""},
+		{"zero reps and workers", []string{"-exp", "race", "-reps", "0", "-workers", "0"}, -1, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,6 +111,56 @@ func TestFlagValidationMatrix(t *testing.T) {
 				t.Fatalf("validate rejected %v: %s", tc.args, msg)
 			}
 		})
+	}
+}
+
+// TestNoFlagsParseToDefaultConfig checks experiments.DefaultConfig() is
+// the one source of run defaults: a command line without flags parses
+// to it field by field.
+func TestNoFlagsParseToDefaultConfig(t *testing.T) {
+	o, _ := parseFlags(nil, io.Discard)
+	if o == nil || o.validate() != "" {
+		t.Fatal("an empty command line was rejected")
+	}
+	got, want := reflect.ValueOf(o.cfg), reflect.ValueOf(experiments.DefaultConfig())
+	for i := 0; i < got.NumField(); i++ {
+		if g, w := got.Field(i).Interface(), want.Field(i).Interface(); !reflect.DeepEqual(g, w) {
+			t.Errorf("Config.%s parses to %+v, DefaultConfig has %+v", got.Type().Field(i).Name, g, w)
+		}
+	}
+}
+
+// TestDefaultFleetIsTheCLIFleet checks FleetExp on a quick
+// DefaultConfig() is the run `paperbench -quick -exp fleet` prints: the
+// autoscaled flash-crowd fleet, which drains at least one pool.
+func TestDefaultFleetIsTheCLIFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full serve calibration")
+	}
+	cfg := experiments.DefaultConfig()
+	cfg.Quick = true
+	res, err := experiments.FleetExp(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fleet.Fleet == nil || res.Fleet.Fleet.ScaleDowns < 1 {
+		t.Fatalf("the default fleet never scaled down: %+v", res.Fleet.Fleet)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonPath := filepath.Join(t.TempDir(), "fleet.json")
+	var out, errw bytes.Buffer
+	if status := run([]string{"-quick", "-exp", "fleet", "-json", jsonPath}, &out, &errw); status != 0 {
+		t.Fatalf("status %d, stderr: %s", status, errw.String())
+	}
+	var got bytes.Buffer
+	if err := json.Compact(&got, experimentData(t, readFileT(t, jsonPath))["fleet"]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("paperbench -quick -exp fleet data differs from FleetExp(DefaultConfig()):\n got %s\nwant %s", got.Bytes(), want)
 	}
 }
 
@@ -404,9 +469,9 @@ func TestBenchRefreshForwardsModeFlags(t *testing.T) {
 			if so == nil || so.validate() != "" {
 				t.Fatalf("%v: sub-invocation %v rejected: %s", tc.args, sub, errw.String())
 			}
-			if so.nocache != tc.nocache || so.parallel != tc.parallel {
+			if so.cfg.NoCache != tc.nocache || so.cfg.Parallel != tc.parallel {
 				t.Errorf("%v: sub-invocation %v runs nocache=%t parallel=%d, want %t, %d",
-					tc.args, sub, so.nocache, so.parallel, tc.nocache, tc.parallel)
+					tc.args, sub, so.cfg.NoCache, so.cfg.Parallel, tc.nocache, tc.parallel)
 			}
 		}
 	}

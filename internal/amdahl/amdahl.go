@@ -86,23 +86,17 @@ func SpeedUpGrouped(groups []Group) (float64, error) {
 	if len(groups) == 0 {
 		return 0, fmt.Errorf("amdahl: no groups")
 	}
-	var covered, residual float64
 	for gi, g := range groups {
 		if len(g) == 0 {
 			return 0, fmt.Errorf("amdahl: group %d is empty", gi)
 		}
-		groupMax := 0.0
 		for _, k := range g {
 			if err := k.validate(); err != nil {
 				return 0, err
 			}
-			covered += k.Fraction
-			if t := k.Fraction / k.SpeedUp; t > groupMax {
-				groupMax = t
-			}
 		}
-		residual += groupMax
 	}
+	covered, residual := GroupedTerms(groups)
 	if covered > 1+1e-9 {
 		return 0, fmt.Errorf("amdahl: kernel fractions sum to %v > 1", covered)
 	}
@@ -110,6 +104,22 @@ func SpeedUpGrouped(groups []Group) (float64, error) {
 		covered = 1
 	}
 	return 1 / ((1 - covered) + residual), nil
+}
+
+// GroupedTerms returns the two sums of Eq. 3: covered is ΣKfr and
+// residual is Σ_groups max_k (Kfr_k/Kspeedup_k), the groups' share of
+// the original run time. It validates nothing, so a NaN term (a kernel
+// without coverage, whose speed-up is 0/0) makes residual NaN.
+func GroupedTerms(groups []Group) (covered, residual float64) {
+	for _, g := range groups {
+		groupMax := 0.0
+		for _, k := range g {
+			covered += k.Fraction
+			groupMax = max(groupMax, k.Fraction/k.SpeedUp)
+		}
+		residual += groupMax
+	}
+	return covered, residual
 }
 
 // UpperBound returns the asymptotic speed-up limit for the given total

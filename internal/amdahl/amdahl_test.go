@@ -178,3 +178,26 @@ func TestPropMergingGroupsMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGroupedTermsMatchEq3 checks SpeedUpGrouped is 1/((1-covered) +
+// residual) over GroupedTerms bit for bit, and that GroupedTerms carries
+// a NaN member into the residual instead of skipping it.
+func TestGroupedTermsMatchEq3(t *testing.T) {
+	groups := []Group{
+		{{Name: "a", Fraction: 0.2, SpeedUp: 4}, {Name: "b", Fraction: 0.1, SpeedUp: 1.5}},
+		{{Name: "c", Fraction: 0.3, SpeedUp: 10}},
+	}
+	covered, residual := GroupedTerms(groups)
+	a, b, c := groups[0][0], groups[0][1], groups[1][0]
+	if covered != a.Fraction+b.Fraction+c.Fraction || residual != b.Fraction/b.SpeedUp+c.Fraction/c.SpeedUp {
+		t.Fatalf("GroupedTerms = (%v, %v)", covered, residual)
+	}
+	s, err := SpeedUpGrouped(groups)
+	if err != nil || s != 1/((1-covered)+residual) {
+		t.Fatalf("SpeedUpGrouped = %v, %v; want %v", s, err, 1/((1-covered)+residual))
+	}
+	groups[0][0].SpeedUp = math.NaN()
+	if _, residual := GroupedTerms(groups); !math.IsNaN(residual) {
+		t.Fatalf("a NaN member left residual %v", residual)
+	}
+}

@@ -42,7 +42,8 @@ type Options struct {
 	// GOMAXPROCS).
 	Workers int
 	// Reps is how many times Execute runs each point's batch, keeping
-	// the fastest wall time (default 3). Outputs come from the last rep.
+	// the fastest wall time (<= 0 selects DefaultReps). Outputs come from
+	// the last rep.
 	Reps int
 	// Artifacts supplies the model set; nil means
 	// marvel.SharedArtifacts().
@@ -58,10 +59,13 @@ type Options struct {
 	Now func(track string) time.Duration
 }
 
+// DefaultReps is the repetition count Options.Reps <= 0 selects.
+const DefaultReps = 3
+
 // NewBackend returns a backend; Close waits for the lanes it started.
 func NewBackend(o Options) *Backend {
 	if o.Reps <= 0 {
-		o.Reps = 3
+		o.Reps = DefaultReps
 	}
 	o.Artifacts = cmp.Or(o.Artifacts, marvel.SharedArtifacts())
 	if o.Now == nil {

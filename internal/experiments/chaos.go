@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
@@ -36,15 +37,13 @@ type ChaosResult struct {
 }
 
 // ChaosExp runs the fleet self-healing experiment: the serve scenario
-// (default 8 blades) under a deterministic blade-lifecycle schedule —
-// the caller's -faults plan if it names blade-level faults, otherwise a
-// seeded rolling-restart schedule (fault.SeededFleet) spanning the
-// arrival stream — against a baseline carrying only the plan's
-// machine-level subset.
+// (on ChaosBlades unless Serve.Blades is set) under a deterministic
+// blade-lifecycle schedule — the caller's -faults plan if it names
+// blade-level faults, otherwise a seeded rolling-restart schedule
+// (fault.SeededFleet) spanning the arrival stream — against a baseline
+// carrying only the plan's machine-level subset.
 func ChaosExp(cfg Config) (*ChaosResult, error) {
-	if cfg.Serve.Blades == 0 {
-		cfg.Serve.Blades = 8
-	}
+	cfg.Serve.Blades = cmp.Or(cfg.Serve.Blades, ChaosBlades)
 	base, err := cfg.serveBase()
 	if err != nil {
 		return nil, err

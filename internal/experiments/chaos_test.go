@@ -16,13 +16,8 @@ func TestChaosExpDeterminism(t *testing.T) {
 	cache := marvel.NewArtifactCache()
 	measure := func(parallel int) *ChaosResult {
 		t.Helper()
-		cfg := Config{
-			Quick:     true,
-			Seed:      20070710,
-			Parallel:  parallel,
-			Artifacts: cache,
-			Serve:     ServeConfig{Blades: 2, Seed: 7},
-		}
+		cfg := serveTestConfig(parallel)
+		cfg.Artifacts = cache
 		res, err := ChaosExp(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -68,14 +63,8 @@ func TestChaosExpDeterminism(t *testing.T) {
 // takes precedence over the seeded schedule (Seed stays 0) and still
 // produces a conserving, reproducible run.
 func TestChaosExpExplicitPlan(t *testing.T) {
-	cfg := Config{
-		Quick:     true,
-		Seed:      20070710,
-		Parallel:  4,
-		Artifacts: marvel.NewArtifactCache(),
-		Serve:     ServeConfig{Blades: 2, Seed: 7},
-		FaultSpec: "blade-crash:blade=1,at=5ms",
-	}
+	cfg := serveTestConfig(4)
+	cfg.FaultSpec = "blade-crash:blade=1,at=5ms"
 	res, err := ChaosExp(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 
 	"cellport/internal/cell"
 	"cellport/internal/cost"
+	"cellport/internal/exec"
 	"cellport/internal/marvel"
 	"cellport/internal/parallel"
 	"cellport/internal/sim"
@@ -96,8 +97,17 @@ func (c Config) ported(w marvel.Workload, s marvel.Scenario, v marvel.Variant) m
 	}
 }
 
-// DefaultConfig is the paper-faithful configuration.
-func DefaultConfig() Config { return Config{Seed: 20070710} }
+// DefaultConfig is the paper-faithful configuration and the one home of
+// the run defaults: paperbench binds each flag to its field here, so a
+// run without flags is this Config and -help prints these values.
+func DefaultConfig() Config {
+	return Config{
+		Seed:  20070710,
+		Serve: ServeConfig{Rate: 2, Burst: 2, Seed: 7},
+		Fleet: FleetConfig{Pools: 4, Autoscale: true, Flash: true},
+		Race:  RaceConfig{Reps: exec.DefaultReps},
+	}
+}
 
 // Workload sizes an n-image run under this configuration. It is the
 // single source of frame geometry for experiments and benchmarks.

@@ -11,7 +11,11 @@ import (
 // quickCfg runs the experiments at reduced size; the shape checks below
 // hold at any size, and TestPaperNumbersFullSize pins the headline
 // numbers at the paper's frame size.
-func quickCfg() Config { return Config{Quick: true, Seed: 7} }
+func quickCfg() Config {
+	cfg := DefaultConfig()
+	cfg.Quick, cfg.Seed = true, 7
+	return cfg
+}
 
 func relErr(got, want float64) float64 { return math.Abs(got-want) / want }
 

@@ -8,16 +8,15 @@ import (
 )
 
 // FleetConfig sizes the fleet-scale serving experiment (paperbench
-// -exp fleet). Zero values select the defaults noted on each field.
+// -exp fleet). DefaultConfig holds its defaults.
 type FleetConfig struct {
-	// Pools is the number of blade pools (default 4); each pool holds
+	// Pools is the number of blade pools, at least 1; each pool holds
 	// the serve experiment's blade count.
 	Pools int
-	// Autoscale arms the virtual-time autoscaler (paperbench default:
-	// on).
+	// Autoscale arms the virtual-time autoscaler.
 	Autoscale bool
 	// Flash adds seeded flash-crowd windows on top of the diurnal
-	// sinusoid (paperbench default: on).
+	// sinusoid.
 	Flash bool
 }
 
@@ -47,8 +46,8 @@ type FleetResult struct {
 // static single-pool run on the identical absolute-rate stream.
 func FleetExp(cfg Config) (*FleetResult, error) {
 	fc := cfg.Fleet
-	if fc.Pools <= 0 {
-		fc.Pools = 4
+	if fc.Pools < 1 {
+		return nil, &serve.ConfigError{Field: "Fleet.Pools", Value: fc.Pools, Reason: "a fleet needs at least one pool"}
 	}
 	base, err := cfg.serveBase()
 	if err != nil {

@@ -17,14 +17,9 @@ func TestFleetExpDeterminism(t *testing.T) {
 	cache := marvel.NewArtifactCache()
 	measure := func(parallel int) *FleetResult {
 		t.Helper()
-		cfg := Config{
-			Quick:     true,
-			Seed:      20070710,
-			Parallel:  parallel,
-			Artifacts: cache,
-			Serve:     ServeConfig{Blades: 2, Seed: 7, Rate: 1.5},
-			Fleet:     FleetConfig{Pools: 4, Autoscale: true, Flash: true},
-		}
+		cfg := serveTestConfig(parallel)
+		cfg.Artifacts = cache
+		cfg.Serve.Rate = 1.5
 		res, err := FleetExp(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -84,14 +79,9 @@ func TestFleetExpDeterminism(t *testing.T) {
 // scale actions) and -flash off drops the flash windows from the model
 // while the experiment still runs end to end.
 func TestFleetExpStatic(t *testing.T) {
-	cfg := Config{
-		Quick:     true,
-		Seed:      20070710,
-		Parallel:  4,
-		Artifacts: marvel.NewArtifactCache(),
-		Serve:     ServeConfig{Blades: 2, Seed: 7, Rate: 1.5},
-		Fleet:     FleetConfig{Pools: 3},
-	}
+	cfg := serveTestConfig(4)
+	cfg.Serve.Rate = 1.5
+	cfg.Fleet = FleetConfig{Pools: 3}
 	res, err := FleetExp(cfg)
 	if err != nil {
 		t.Fatal(err)

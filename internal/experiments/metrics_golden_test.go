@@ -28,7 +28,8 @@ func TestGoldenMetrics(t *testing.T) {
 			"6def9d9097369d232f0eb3aab094a16451778cba882c77bb268e316a921ba9fc"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Quick: true, Seed: 20070710, FaultSeed: tc.seed, Collect: &Collector{}}
+			cfg := DefaultConfig()
+			cfg.Quick, cfg.FaultSeed, cfg.Collect = true, tc.seed, &Collector{}
 			if err := tc.run(cfg); err != nil {
 				t.Fatal(err)
 			}

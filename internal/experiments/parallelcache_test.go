@@ -33,7 +33,8 @@ func TestParallelSharedCacheDeterminism(t *testing.T) {
 			measure := func(parallel int) outcome {
 				t.Helper()
 				cache := marvel.NewArtifactCache()
-				cfg := Config{Quick: true, Seed: 20070710, Parallel: parallel, Artifacts: cache}
+				cfg := DefaultConfig()
+				cfg.Quick, cfg.Parallel, cfg.Artifacts = true, parallel, cache
 				res, err := tc.run(cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -34,7 +34,7 @@ type RaceConfig struct {
 	// GOMAXPROCS).
 	Workers int
 	// Reps is how many times each point's batch runs for real; the
-	// fastest wall time wins (0 selects 3).
+	// fastest wall time wins (<= 0 selects exec.DefaultReps).
 	Reps int
 }
 

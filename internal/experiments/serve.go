@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"math"
 
 	"cellport/internal/fault"
 	"cellport/internal/marvel"
@@ -11,21 +13,44 @@ import (
 )
 
 // ServeConfig sizes the serving-layer experiment (paperbench -exp serve).
-// Zero values select the defaults noted on each field; a negative value
-// reaches serve.Config.Validate and is rejected there.
+// DefaultConfig holds its defaults; a value outside what serve.Config
+// accepts is rejected by serve.Config.Validate.
 type ServeConfig struct {
-	// Blades is the blade-pool size (default 3).
+	// Blades is the blade-pool size; 0 selects the experiment's own
+	// count (ServeBlades, or ChaosBlades for the chaos experiment).
 	Blades int
 	// Rate is the offered load as a multiple of the pool's estimated
-	// capacity (default 2: overload).
+	// capacity; it must be positive.
 	Rate float64
-	// Burst is the mean arrival burst size (default 2).
+	// Burst is the mean arrival burst size.
 	Burst float64
 	// DeadlineMS is the per-request virtual deadline in milliseconds:
 	// 0 selects the automatic deadline, negative disables deadlines.
 	DeadlineMS float64
-	// Seed drives the arrival stream (default 7).
+	// Seed drives the arrival stream.
 	Seed uint64
+}
+
+// The blade counts a zero ServeConfig.Blades selects: ServeBlades per
+// pool in the serve, fleet and race experiments, ChaosBlades in chaos.
+const ServeBlades, ChaosBlades = 3, 8
+
+// Deadline converts DeadlineMS to serve.Config.Deadline (0 automatic,
+// negative none). Arrival stamps stop at half the int64 femtosecond
+// range, so a deadline must be finite and at most a quarter of it
+// (about 38 minutes) to add to any of them; else it is a ConfigError.
+func (sc ServeConfig) Deadline() (sim.Duration, error) {
+	const limit = sim.Duration(math.MaxInt64 / 4)
+	switch ms := sc.DeadlineMS; {
+	case math.IsInf(ms, -1) || !(ms/1000 <= limit.Seconds()):
+		return 0, &serve.ConfigError{Field: "Serve.DeadlineMS", Value: ms,
+			Reason: fmt.Sprintf("deadline must be finite and at most %.0f ms", limit.Seconds()*1000)}
+	case ms > 0:
+		return sim.FromSeconds(ms / 1000), nil
+	case ms < 0:
+		return -1, nil
+	}
+	return 0, nil
 }
 
 // ServeResult compares the two admission policies over one shared
@@ -40,25 +65,21 @@ type ServeResult struct {
 // entry point serves the same stream).
 func (c Config) serveBase() (serve.Config, error) {
 	sc := c.Serve
-	if sc.Blades == 0 {
-		sc.Blades = 3
+	if sc.Rate == 0 { // fleet and chaos divide by it; serve.Config would read its own default
+		return serve.Config{}, &serve.ConfigError{Field: "Serve.Rate", Value: 0.0, Reason: "offered-load multiple must be positive"}
 	}
-	if sc.Rate == 0 {
-		sc.Rate = 2
-	}
-	if sc.Burst == 0 {
-		sc.Burst = 2
-	}
-	if sc.Seed == 0 {
-		sc.Seed = 7
+	deadline, err := sc.Deadline()
+	if err != nil {
+		return serve.Config{}, err
 	}
 	frame := c.Workload(1)
 	base := serve.Config{
-		Blades:        sc.Blades,
+		Blades:        cmp.Or(sc.Blades, ServeBlades),
 		Rate:          sc.Rate,
 		Burst:         sc.Burst,
 		TallFrac:      0.25,
 		Seed:          sc.Seed,
+		Deadline:      deadline,
 		Frame:         frame,
 		Variant:       marvel.Optimized,
 		MachineConfig: MachineConfig(),
@@ -72,12 +93,6 @@ func (c Config) serveBase() (serve.Config, error) {
 		base.Requests, base.MaxBatch, base.MaxQueue = 64, 3, 6
 	} else {
 		base.Requests, base.MaxBatch, base.MaxQueue = 256, 4, 8
-	}
-	switch {
-	case sc.DeadlineMS > 0:
-		base.Deadline = sim.FromSeconds(sc.DeadlineMS / 1000)
-	case sc.DeadlineMS < 0:
-		base.Deadline = -1
 	}
 	if c.FaultSpec != "" {
 		plan, err := fault.Parse(c.FaultSpec)

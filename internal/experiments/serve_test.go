@@ -3,20 +3,20 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
 	"cellport/internal/marvel"
 )
 
+// serveTestConfig is the quick default serve run on two blades, with a
+// private artifact cache.
 func serveTestConfig(parallel int) Config {
-	return Config{
-		Quick:     true,
-		Seed:      20070710,
-		Parallel:  parallel,
-		Artifacts: marvel.NewArtifactCache(),
-		Serve:     ServeConfig{Blades: 2, Seed: 7},
-	}
+	cfg := DefaultConfig()
+	cfg.Quick, cfg.Parallel, cfg.Artifacts = true, parallel, marvel.NewArtifactCache()
+	cfg.Serve.Blades = 2
+	return cfg
 }
 
 // TestServeExpParallelDeterminism pins the acceptance criterion for the
@@ -95,6 +95,35 @@ func TestServeExpCollectsPerBlade(t *testing.T) {
 	}
 	if !strings.Contains(mbuf.String(), `"serve/estimator/blade0"`) {
 		t.Fatalf("metrics JSON missing blade entry: %s", mbuf.String())
+	}
+}
+
+// TestServeExpRejectsUnrepresentableDeadline checks a DeadlineMS the
+// femtosecond conversion cannot hold is an error naming the field, not a
+// run with deadlines silently off or automatic.
+func TestServeExpRejectsUnrepresentableDeadline(t *testing.T) {
+	for _, ms := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, 3.6e6} {
+		cfg := serveTestConfig(1)
+		cfg.Serve.DeadlineMS = ms
+		if _, err := ServeExp(cfg); err == nil || !strings.Contains(err.Error(), "Config.Serve.DeadlineMS") {
+			t.Errorf("DeadlineMS %v: error %v, want one naming Config.Serve.DeadlineMS", ms, err)
+		}
+	}
+}
+
+// TestZeroIsNoServeDefault checks a zero Serve.Rate or Fleet.Pools is an
+// error naming the field: DefaultConfig holds their defaults, and fleet
+// and chaos divide by both.
+func TestZeroIsNoServeDefault(t *testing.T) {
+	cfg := serveTestConfig(1)
+	cfg.Serve.Rate = 0
+	if _, err := ChaosExp(cfg); err == nil || !strings.Contains(err.Error(), "Config.Serve.Rate") {
+		t.Errorf("zero rate: error %v, want one naming Config.Serve.Rate", err)
+	}
+	cfg = serveTestConfig(1)
+	cfg.Fleet.Pools = 0
+	if _, err := FleetExp(cfg); err == nil || !strings.Contains(err.Error(), "Config.Fleet.Pools") {
+		t.Errorf("zero pools: error %v, want one naming Config.Fleet.Pools", err)
 	}
 }
 

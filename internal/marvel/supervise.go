@@ -18,11 +18,11 @@ const (
 	// DefaultWatchdog bounds how long the PPE waits for a kernel result
 	// before declaring the SPE dead.
 	DefaultWatchdog = 50 * sim.Millisecond
-	// retryBackoff is the base delay before re-dispatching a failed
-	// invocation; attempt k (1-based) waits BackoffDelay(retryBackoff, k).
-	retryBackoff = 100 * sim.Microsecond
-	// maxRetries bounds same-invocation retries for retryable result codes.
-	maxRetries = 3
+	// RetryBackoff is the base delay before re-dispatching a failed
+	// invocation; attempt k (1-based) waits BackoffDelay(RetryBackoff, k).
+	RetryBackoff = 100 * sim.Microsecond
+	// MaxRetries bounds same-invocation retries for retryable result codes.
+	MaxRetries = 3
 	// maxBackoffShift caps the exponential backoff doubling: beyond 16
 	// doublings the delay saturates (100 µs << 16 ≈ 6.5 s of virtual
 	// time). Uncapped, a misconfigured retry bound past attempt 63 would
@@ -275,13 +275,13 @@ func (k *kern) Wait() (uint32, error) {
 			continue
 		}
 		if result == resErr || result == core.ResultDMAFault {
-			if k.attempts >= maxRetries {
+			if k.attempts >= MaxRetries {
 				k.pending = false
 				return result, nil
 			}
 			k.attempts++
 			s.rep.Retries++
-			d := BackoffDelay(retryBackoff, k.attempts)
+			d := BackoffDelay(RetryBackoff, k.attempts)
 			s.rep.BackoffTime += d
 			s.ctx.Sleep(d)
 			if err := k.dispatch(); err != nil {

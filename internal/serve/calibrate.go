@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 
+	"cellport/internal/amdahl"
 	"cellport/internal/marvel"
 	"cellport/internal/parallel"
 	"cellport/internal/sim"
@@ -341,14 +342,7 @@ func fitEstimator(ref *marvel.ReferenceResult, single *marvel.PortedResult) *geo
 	if err != nil {
 		return g
 	}
-	var lanes float64
-	for _, grp := range groups {
-		slowest := 0.0
-		for _, k := range grp {
-			slowest = max(slowest, k.Fraction/k.SpeedUp)
-		}
-		lanes += slowest
-	}
+	_, lanes := amdahl.GroupedTerms(groups)
 	if !(lanes > 0) {
 		return g // a NaN member (a zero-coverage lane) lands here too
 	}

@@ -92,27 +92,6 @@ func (r *splitmix64) exp(rate float64) sim.Duration {
 	return clampGap(-math.Log1p(-r.float()) / rate)
 }
 
-// arrivals generates the stream: n requests at an average of ratePerSec
-// requests per virtual second. Burstiness burst >= 1 groups arrivals into
-// bursts whose size is geometric with mean burst (burst = 1 degenerates
-// to a plain Poisson process); the burst-event rate is scaled down by the
-// mean burst size so the offered load stays ratePerSec.
-func arrivals(seed uint64, n int, ratePerSec, burst, tallFrac float64, deadline sim.Duration) []Request {
-	if burst < 1 {
-		burst = 1
-	}
-	rng := splitmix64(seed)
-	out := make([]Request, 0, n)
-	t := sim.Time(0)
-	for len(out) < n {
-		t = nextArrivalTime(t, rng.exp(ratePerSec/burst))
-		for i, size := 0, burstSize(&rng, burst, n); i < size && len(out) < n; i++ {
-			out = append(out, makeRequest(&rng, len(out), t, tallFrac, deadline))
-		}
-	}
-	return out
-}
-
 // nextArrivalTime advances the stream clock by one bounded gap, capping
 // the absolute timestamp so the stream is monotone non-decreasing all
 // the way to the clamp ceiling (never overflowing, never reaching the
@@ -178,7 +157,7 @@ type RateModel struct {
 const flashFrac = 1.0 / 16
 
 // active reports whether the model shapes the stream at all; an inactive
-// model yields the exact homogeneous arrivals() stream.
+// model yields the homogeneous stream.
 func (m *RateModel) active() bool {
 	return m != nil && (m.DiurnalAmp > 0 || (m.FlashCount > 0 && m.FlashFactor > 1))
 }
@@ -273,27 +252,34 @@ func (r *resolvedModel) peak() float64 {
 	return (1 + r.DiurnalAmp) * r.FlashFactor
 }
 
-// arrivalsShaped generates a non-homogeneous arrival stream by thinning:
+// arrivalsShaped generates the arrival stream: n requests at an average
+// of ratePerSec requests per virtual second, shaped by model. Burstiness
+// burst >= 1 groups arrivals into bursts whose size is geometric with
+// mean burst (burst = 1 degenerates to a plain Poisson process); the
+// burst-event rate is scaled down by the mean burst size so the offered
+// load stays ratePerSec. An active model shapes the stream by thinning:
 // burst events are drawn at the peak rate and accepted with probability
 // rate(t)/peak, so the accepted process has exactly the shaped intensity
 // while remaining a pure function of the seed. A nil or inactive model
-// yields the exact arrivals() stream, byte for byte.
+// draws no thinning variate and uses peak 1: the homogeneous stream.
 func arrivalsShaped(seed uint64, n int, ratePerSec, burst, tallFrac float64, deadline sim.Duration, model *RateModel) []Request {
-	if !model.active() {
-		return arrivals(seed, n, ratePerSec, burst, tallFrac, deadline)
-	}
 	if burst < 1 {
 		burst = 1
 	}
-	m := model.resolve(seed, n, ratePerSec)
-	peak := m.peak()
-	// Squeeze bounds on rate(t)/peak (DESIGN.md §13): every rate is at
-	// least max(0, 1−A), and outside the flash windows at most 1+A.
-	// Rounding is monotone, so the bounds hold for the computed
-	// quotient too, and a draw outside [lo, hi) is decided exactly
-	// without evaluating the sinusoid.
-	lo := math.Max(0, 1-m.DiurnalAmp) / peak
-	hi := (1 + m.DiurnalAmp) / peak
+	shaped := model.active()
+	var m resolvedModel
+	peak, lo, hi := 1.0, 1.0, 1.0
+	if shaped {
+		m = model.resolve(seed, n, ratePerSec)
+		peak = m.peak()
+		// Squeeze bounds on rate(t)/peak (DESIGN.md §13): every rate is
+		// at least max(0, 1−A), and outside the flash windows at most
+		// 1+A. Rounding is monotone, so the bounds hold for the computed
+		// quotient too, and a draw outside [lo, hi) is decided exactly
+		// without evaluating the sinusoid.
+		lo = math.Max(0, 1-m.DiurnalAmp) / peak
+		hi = (1 + m.DiurnalAmp) / peak
+	}
 	rng := splitmix64(seed)
 	out := make([]Request, 0, n)
 	t := sim.Time(0)
@@ -301,11 +287,13 @@ func arrivalsShaped(seed uint64, n int, ratePerSec, burst, tallFrac float64, dea
 		t = nextArrivalTime(t, rng.exp(ratePerSec*peak/burst))
 		// Thin: one uniform draw per candidate burst event, consumed
 		// whether or not the event survives, keeping the stream aligned.
-		if u := rng.float(); u >= lo {
-			phase := m.phase(t)
-			flash := m.flashAt(phase)
-			if !flash && u >= hi || u >= m.rate(phase, flash)/peak {
-				continue
+		if shaped {
+			if u := rng.float(); u >= lo {
+				phase := m.phase(t)
+				flash := m.flashAt(phase)
+				if !flash && u >= hi || u >= m.rate(phase, flash)/peak {
+					continue
+				}
 			}
 		}
 		for i, size := 0, burstSize(&rng, burst, n); i < size && len(out) < n; i++ {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -76,13 +77,13 @@ func TestClampGapBoundary(t *testing.T) {
 // terminate with a well-formed monotone stream.
 func TestArrivalsExtremeRates(t *testing.T) {
 	for _, rate := range []float64{1e-300, 5e-324, 1e300} {
-		reqs := arrivals(7, 32, rate, 1, 0.25, 0)
+		reqs := arrivalsShaped(7, 32, rate, 1, 0.25, 0, nil)
 		checkStream(t, reqs, 32)
 	}
 	// The tiny-rate stream saturates at the arrival ceiling rather than
 	// wrapping negative: the tail of a fully clamped stream sits at the
 	// cap exactly.
-	reqs := arrivals(7, 32, 1e-300, 1, 0.25, 0)
+	reqs := arrivalsShaped(7, 32, 1e-300, 1, 0.25, 0, nil)
 	if last := reqs[len(reqs)-1].Arrival; last != maxArrival {
 		t.Fatalf("fully clamped stream tail = %d, want the ceiling %d", last, maxArrival)
 	}
@@ -105,13 +106,13 @@ func TestBurstSizeTerminates(t *testing.T) {
 		}
 	}
 	// An end-to-end huge-burst stream terminates and stays well formed.
-	checkStream(t, arrivals(11, 48, 2, math.MaxFloat64, 0.25, 0), 48)
+	checkStream(t, arrivalsShaped(11, 48, 2, math.MaxFloat64, 0.25, 0, nil), 48)
 }
 
 // TestArrivalsDeadlineUnderClamp checks deadline arithmetic on a
 // clamped arrival never collides with the no-deadline sentinel.
 func TestArrivalsDeadlineUnderClamp(t *testing.T) {
-	reqs := arrivals(7, 16, 1e-300, 1, 0, 250*sim.Millisecond)
+	reqs := arrivalsShaped(7, 16, 1e-300, 1, 0, 250*sim.Millisecond, nil)
 	for i, r := range reqs {
 		if r.Deadline == sim.Never {
 			t.Fatalf("request %d lost its deadline", i)
@@ -124,8 +125,8 @@ func TestArrivalsDeadlineUnderClamp(t *testing.T) {
 
 // TestShapedStreamInvariants: the thinned non-homogeneous stream obeys
 // the same structural invariants as the homogeneous one, is a pure
-// function of its seed, and an inactive model reproduces arrivals()
-// byte for byte.
+// function of its seed, and an inactive model reproduces the pinned
+// homogeneous stream byte for byte.
 func TestShapedStreamInvariants(t *testing.T) {
 	model := &RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3}
 	a := arrivalsShaped(7, 96, 2, 2, 0.25, 0, model)
@@ -139,11 +140,13 @@ func TestShapedStreamInvariants(t *testing.T) {
 	}
 
 	// Inactive models — nil, zeroed, and flashes disabled by factor ≤ 1 —
-	// all fall back to the exact homogeneous stream.
-	plain := arrivals(7, 96, 2, 2, 0.25, 0)
+	// all yield the homogeneous stream TestGoldenArrivals pins.
 	for _, m := range []*RateModel{nil, {}, {FlashCount: 3, FlashFactor: 1}} {
-		if got := arrivalsShaped(7, 96, 2, 2, 0.25, 0, m); !reflect.DeepEqual(got, plain) {
-			t.Fatalf("inactive model %+v diverged from arrivals()", m)
+		for _, burst := range []float64{1, 4} {
+			want := goldenArrivals[fmt.Sprintf("homogeneous/burst%v", burst)]
+			if got := arrivalsDigest(t, m, burst); got != want {
+				t.Fatalf("inactive model %+v at burst %v: digest %s, want the homogeneous %s", m, burst, got, want)
+			}
 		}
 	}
 

@@ -8,12 +8,12 @@ import (
 )
 
 func TestArrivalsDeterministic(t *testing.T) {
-	a := arrivals(42, 200, 100, 3, 0.25, 50*sim.Millisecond)
-	b := arrivals(42, 200, 100, 3, 0.25, 50*sim.Millisecond)
+	a := arrivalsShaped(42, 200, 100, 3, 0.25, 50*sim.Millisecond, nil)
+	b := arrivalsShaped(42, 200, 100, 3, 0.25, 50*sim.Millisecond, nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different arrival streams")
 	}
-	c := arrivals(43, 200, 100, 3, 0.25, 50*sim.Millisecond)
+	c := arrivalsShaped(43, 200, 100, 3, 0.25, 50*sim.Millisecond, nil)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical arrival streams")
 	}
@@ -22,7 +22,7 @@ func TestArrivalsDeterministic(t *testing.T) {
 func TestArrivalsShape(t *testing.T) {
 	const n = 2000
 	const rate = 100.0
-	reqs := arrivals(7, n, rate, 1, 0.25, 0)
+	reqs := arrivalsShaped(7, n, rate, 1, 0.25, 0, nil)
 	last := sim.Time(0)
 	tall := 0
 	for i, r := range reqs {
@@ -52,7 +52,7 @@ func TestArrivalsShape(t *testing.T) {
 }
 
 func TestArrivalsBurstsShareTimestamps(t *testing.T) {
-	reqs := arrivals(7, 500, 100, 4, 0, 0)
+	reqs := arrivalsShaped(7, 500, 100, 4, 0, 0, nil)
 	shared := 0
 	for i := 1; i < len(reqs); i++ {
 		if reqs[i].Arrival == reqs[i-1].Arrival {
@@ -69,7 +69,7 @@ func TestArrivalsBurstsShareTimestamps(t *testing.T) {
 
 func TestArrivalsDeadlinesOffsetArrival(t *testing.T) {
 	d := 80 * sim.Millisecond
-	for _, r := range arrivals(3, 50, 100, 2, 0.5, d) {
+	for _, r := range arrivalsShaped(3, 50, 100, 2, 0.5, d, nil) {
 		if r.Deadline != r.Arrival.Add(d) {
 			t.Fatalf("request %d deadline %v, want arrival+%v", r.ID, r.Deadline, d)
 		}

@@ -112,13 +112,13 @@ type Config struct {
 	// Watchdog overrides the supervision watchdog (only with Faults).
 	Watchdog sim.Duration
 	// RetryBudget bounds how many times one request may be re-routed
-	// after losing its blade before being shed as exhausted (default 3,
-	// mirroring the supervision loop's retry bound).
+	// after losing its blade before being shed as exhausted (default
+	// marvel.MaxRetries, the supervision loop's retry bound).
 	RetryBudget int
 	// RetryBackoff is the base virtual-time backoff a re-routed request
 	// waits before re-entering admission; attempt k waits
-	// RetryBackoff << (k-1), saturating at 16 doublings (default 100µs,
-	// mirroring the supervision loop's backoff).
+	// RetryBackoff << (k-1), saturating at 16 doublings (default
+	// marvel.RetryBackoff, the supervision loop's backoff).
 	RetryBackoff sim.Duration
 	// Parallel bounds the worker pool used for calibration and
 	// FullFidelity verification simulations; it never affects results,
@@ -181,10 +181,10 @@ func (c Config) withDefaults() Config {
 		c.MachineConfig = &mc
 	}
 	if c.RetryBudget <= 0 {
-		c.RetryBudget = 3
+		c.RetryBudget = marvel.MaxRetries
 	}
 	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * sim.Microsecond
+		c.RetryBackoff = marvel.RetryBackoff
 	}
 	return c
 }

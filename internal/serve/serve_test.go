@@ -435,3 +435,22 @@ func BenchmarkPoolEventLoop(b *testing.B) {
 		})
 	}
 }
+
+// TestFitEstimatorZeroCoverageLane checks a kernel the reference run
+// spent no time in leaves its geometry inconclusive: that lane's
+// Kfr/Kspeed-up is 0/0, and the Eq. 3 residual must carry the NaN.
+func TestFitEstimatorZeroCoverageLane(t *testing.T) {
+	ref := &marvel.ReferenceResult{PerImage: 10 * sim.Millisecond, KernelTime: map[marvel.KernelID]sim.Duration{}}
+	single := &marvel.PortedResult{KernelTime: map[marvel.KernelID]sim.Duration{}}
+	for _, id := range marvel.KernelIDs {
+		ref.KernelTime[id] = sim.Millisecond
+		single.KernelTime[id] = 100 * sim.Microsecond
+	}
+	if g := fitEstimator(ref, single); !g.Conclusive || g.LaneMax <= 0 {
+		t.Fatalf("fully covered kernels left the estimate inconclusive: %+v", g)
+	}
+	ref.KernelTime[marvel.KCH] = 0
+	if g := fitEstimator(ref, single); g.Conclusive {
+		t.Fatalf("a zero-coverage lane still gave a conclusive estimate: %+v", g)
+	}
+}
