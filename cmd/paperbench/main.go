@@ -139,7 +139,7 @@ func parseFlags(args []string, errw io.Writer) (*options, int) {
 	fs.IntVar(&c.Parallel, "parallel", c.Parallel, "worker pool size for independent runs (0 = GOMAXPROCS, 1 = sequential)")
 	fs.BoolVar(&c.NoCache, "nocache", c.NoCache, "recompute workload artifacts for every run (cold-path calibration)")
 	fs.StringVar(&c.FaultSpec, "faults", c.FaultSpec, "explicit fault plan for -exp faults|serve|chaos|fleet (kind:spe=N,...;... — see internal/fault)")
-	fs.Uint64Var(&c.FaultSeed, "faultseed", c.FaultSeed, "seed for a derived fault plan when -faults is empty (0 = seed 1; -exp faults|serve|chaos|fleet)")
+	fs.Uint64Var(&c.FaultSeed, "faultseed", c.FaultSeed, "seed for a derived fault plan when -faults is empty (-exp faults|serve|chaos|fleet; 0 = seed 1 for faults and chaos, no fault plan for serve and fleet)")
 	fs.StringVar(&o.watchdog, "watchdog", "", "supervision watchdog timeout override, fault duration grammar e.g. 250ms (-exp faults|serve|chaos|fleet)")
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace (Perfetto-loadable) of every instrumented run to this path")
 	fs.StringVar(&o.metricsPath, "metrics", "", "write per-run metrics JSON to this path")

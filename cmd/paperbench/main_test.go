@@ -77,6 +77,8 @@ func TestFlagValidationMatrix(t *testing.T) {
 		{"deadline overflowing", []string{"-exp", "serve", "-deadline", "1e300"}, 2, "bad -deadline"},
 		{"deadline an hour", []string{"-exp", "serve", "-deadline", "3.6e6"}, 2, "bad -deadline"},
 		{"deadline ten minutes", []string{"-exp", "serve", "-deadline", "6e5"}, -1, ""},
+		{"deadline rounding to 0fs", []string{"-exp", "serve", "-deadline", "1e-13"}, 2, "bad -deadline"},
+		{"deadline of 1fs", []string{"-exp", "serve", "-deadline", "1e-12"}, -1, ""},
 		{"zero rate", []string{"-exp", "fleet", "-rate", "0"}, 2, "-rate must be nonzero"},
 		{"zero burst", []string{"-exp", "serve", "-burst", "0"}, 2, "-burst must be nonzero"},
 		{"zero servesed", []string{"-exp", "chaos", "-servesed", "0"}, 2, "-servesed must be nonzero"},
@@ -177,6 +179,31 @@ func TestRunRejectsBeforeExecuting(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("rejected invocation still produced output: %s", out.String())
+	}
+}
+
+// TestServeFaultSeedZeroIsFaultFree checks -faultseed's documented rule
+// for serve: 0 arms no fault plan, so the run prints exactly what the run
+// without the flag prints, while seed 1 (faults' and chaos' reading of 0)
+// prints something else.
+func TestServeFaultSeedZeroIsFaultFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full serve calibration")
+	}
+	outputs := map[string]string{}
+	for _, extra := range [][]string{nil, {"-faultseed", "0"}, {"-faultseed", "1"}} {
+		var out, errw bytes.Buffer
+		args := append([]string{"-quick", "-exp", "serve"}, extra...)
+		if status := run(args, &out, &errw); status != 0 {
+			t.Fatalf("%v: status %d, stderr: %s", args, status, errw.String())
+		}
+		outputs[strings.Join(extra, " ")] = out.String()
+	}
+	if outputs["-faultseed 0"] != outputs[""] {
+		t.Errorf("-faultseed 0 output differs from the run without the flag:\n%s\nvs\n%s", outputs["-faultseed 0"], outputs[""])
+	}
+	if outputs["-faultseed 1"] == outputs[""] {
+		t.Error("-faultseed 1 prints the fault-free run; the seeded plan was not armed")
 	}
 }
 

@@ -309,43 +309,17 @@ func (c *Context) ReadOutMbox(i int) uint32 {
 
 // PollOutMbox spins at the configured poll interval until SPE i's
 // outbound mailbox is non-empty, then reads it — the Listing 3
-// `while(spe_stat_out_mbox(spuid)==0);` loop. The spin is simulated
-// without emitting one event per probe: the context blocks until the
-// mailbox fills and then rounds the detection up to the next poll-interval
-// boundary, which is when the spinning PPE would actually have seen it.
-func (c *Context) PollOutMbox(i int) uint32 {
+// `while(spe_stat_out_mbox(spuid)==0);` loop — or gives up once timeout
+// of virtual time passes (sim.Forever: never); ok reports whether a value
+// was read. The spin is simulated without emitting one event per probe:
+// the context blocks until the mailbox fills and then rounds the
+// detection up to the next poll-interval boundary, which is when the
+// spinning PPE would actually have seen it.
+func (c *Context) PollOutMbox(i int, timeout sim.Duration) (v uint32, ok bool) {
 	s := c.machine.SPE(i)
 	if c.StatOutMbox(i) == 0 {
 		start := c.p.Now()
-		s.OutMbox.WaitNotEmpty(c.p)
-		if iv := c.machine.cfg.PollInterval; iv > 0 {
-			if rem := c.p.Now().Sub(start) % iv; rem != 0 {
-				c.p.Sleep(iv - rem)
-			}
-		}
-	}
-	return c.ReadOutMbox(i)
-}
-
-// WaitOutIntrMbox blocks on SPE i's interrupting outbound mailbox and
-// reads it (the interrupt-driven completion path).
-func (c *Context) WaitOutIntrMbox(i int) uint32 {
-	s := c.machine.SPE(i)
-	s.OutIntrMbox.WaitNotEmpty(c.p)
-	c.charge(mboxAccessCost, trace.KindCompute, "mbox-intr-read")
-	return s.OutIntrMbox.Read(c.p)
-}
-
-// WaitSPE blocks until SPE i's program returns.
-func (c *Context) WaitSPE(i int) { c.machine.SPE(i).WaitStopped(c.p) }
-
-// PollOutMboxTimeout is PollOutMbox bounded by a virtual-time deadline;
-// ok reports whether a value arrived before the timeout.
-func (c *Context) PollOutMboxTimeout(i int, timeout sim.Duration) (v uint32, ok bool) {
-	s := c.machine.SPE(i)
-	if c.StatOutMbox(i) == 0 {
-		start := c.p.Now()
-		if !s.OutMbox.WaitNotEmptyTimeout(c.p, timeout) {
+		if !s.OutMbox.WaitNotEmpty(c.p, timeout) {
 			return 0, false
 		}
 		if iv := c.machine.cfg.PollInterval; iv > 0 {
@@ -357,12 +331,18 @@ func (c *Context) PollOutMboxTimeout(i int, timeout sim.Duration) (v uint32, ok 
 	return c.ReadOutMbox(i), true
 }
 
-// WaitOutIntrMboxTimeout is WaitOutIntrMbox bounded by a deadline.
-func (c *Context) WaitOutIntrMboxTimeout(i int, timeout sim.Duration) (v uint32, ok bool) {
+// WaitOutIntrMbox blocks on SPE i's interrupting outbound mailbox and
+// reads it (the interrupt-driven completion path), giving up once timeout
+// of virtual time passes (sim.Forever: never); ok reports whether a value
+// was read.
+func (c *Context) WaitOutIntrMbox(i int, timeout sim.Duration) (v uint32, ok bool) {
 	s := c.machine.SPE(i)
-	if !s.OutIntrMbox.WaitNotEmptyTimeout(c.p, timeout) {
+	if !s.OutIntrMbox.WaitNotEmpty(c.p, timeout) {
 		return 0, false
 	}
 	c.charge(mboxAccessCost, trace.KindCompute, "mbox-intr-read")
 	return s.OutIntrMbox.Read(c.p), true
 }
+
+// WaitSPE blocks until SPE i's program returns.
+func (c *Context) WaitSPE(i int) { c.machine.SPE(i).WaitStopped(c.p) }

@@ -76,7 +76,7 @@ func TestMailboxRoundTrip(t *testing.T) {
 		}
 		ctx.WriteInMbox(0, 40)
 		ctx.WriteInMbox(0, 2)
-		got = ctx.PollOutMbox(0)
+		got, _ = ctx.PollOutMbox(0, sim.Forever)
 		ctx.WriteInMbox(0, 0xFFFF)
 		ctx.WaitSPE(0)
 	})
@@ -110,7 +110,7 @@ func TestInterruptMailboxPath(t *testing.T) {
 			return
 		}
 		ctx.WriteInMbox(3, 21)
-		got = ctx.WaitOutIntrMbox(3)
+		got, _ = ctx.WaitOutIntrMbox(3, sim.Forever)
 		ctx.WaitSPE(3)
 	})
 	if err != nil {
@@ -162,7 +162,7 @@ func TestSPEDMAKernel(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		ctx.PollOutMbox(0)
+		ctx.PollOutMbox(0, sim.Forever)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,8 +277,8 @@ func TestParallelSPEsOverlap(t *testing.T) {
 		}
 		ctx.WriteInMbox(0, 1)
 		ctx.WriteInMbox(1, 1)
-		ctx.PollOutMbox(0)
-		ctx.PollOutMbox(1)
+		ctx.PollOutMbox(0, sim.Forever)
+		ctx.PollOutMbox(1, sim.Forever)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -191,20 +191,8 @@ func (i *Interface) Send(op Opcode, wrapper mainmem.Addr) error {
 // Wait blocks until the in-flight invocation completes and returns the
 // kernel's result word.
 func (i *Interface) Wait() (uint32, error) {
-	if !i.inFlight {
-		return 0, fmt.Errorf("core: %s: Wait with no invocation in flight", i.spec.Name)
-	}
-	var result uint32
-	if i.spec.Mode == Interrupt {
-		result = i.ctx.WaitOutIntrMbox(i.speID)
-	} else {
-		result = i.ctx.PollOutMbox(i.speID)
-	}
-	i.inFlight = false
-	if result == ResultUnknownOpcode {
-		return result, fmt.Errorf("core: %s: kernel reported unknown opcode", i.spec.Name)
-	}
-	return result, nil
+	result, _, err := i.wait(sim.Forever, "Wait")
+	return result, err
 }
 
 // SendAndWait is the Listing-3 protocol: command, address, then block for
@@ -238,13 +226,19 @@ func (i *Interface) Close() error {
 // ok=false and the invocation STAYS in flight — a later Wait or
 // WaitTimeout can still collect it.
 func (i *Interface) WaitTimeout(d sim.Duration) (result uint32, ok bool, err error) {
+	return i.wait(d, "WaitTimeout")
+}
+
+// wait is the body of Wait and WaitTimeout; method names the caller in
+// the no-invocation error.
+func (i *Interface) wait(d sim.Duration, method string) (result uint32, ok bool, err error) {
 	if !i.inFlight {
-		return 0, false, fmt.Errorf("core: %s: WaitTimeout with no invocation in flight", i.spec.Name)
+		return 0, false, fmt.Errorf("core: %s: %s with no invocation in flight", i.spec.Name, method)
 	}
 	if i.spec.Mode == Interrupt {
-		result, ok = i.ctx.WaitOutIntrMboxTimeout(i.speID, d)
+		result, ok = i.ctx.WaitOutIntrMbox(i.speID, d)
 	} else {
-		result, ok = i.ctx.PollOutMboxTimeout(i.speID, d)
+		result, ok = i.ctx.PollOutMbox(i.speID, d)
 	}
 	if !ok {
 		return 0, false, nil

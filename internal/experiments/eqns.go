@@ -47,10 +47,7 @@ func Eqns(cfg Config) (*EqnsResult, error) {
 		return nil, err
 	}
 	cov := ref.KernelCoverage()
-	speed := map[marvel.KernelID]float64{}
-	for _, id := range marvel.KernelIDs {
-		speed[id] = ref.KernelTime[id].Seconds() / single.KernelTime[id].Seconds()
-	}
+	speed := marvel.SpeedUps(ref.KernelTime, single.KernelTime)
 
 	// Each row's estimate is Eq. 2 or 3 over its schedule's groups; its
 	// measurement the per-image application speed-up over the PPE. The

@@ -45,8 +45,9 @@ type Config struct {
 	// FaultSpec is an explicit fault plan for the faults experiment
 	// (fault.Parse grammar). Empty selects a seeded plan.
 	FaultSpec string
-	// FaultSeed seeds the derived fault plan when FaultSpec is empty
-	// (0 selects seed 1).
+	// FaultSeed seeds the derived fault plan when FaultSpec is empty. At
+	// 0 the faults and chaos experiments use seed 1, while serve and
+	// fleet arm no plan and run fault-free.
 	FaultSeed uint64
 	// Watchdog overrides the supervision watchdog timeout in every
 	// fault-armed run (paperbench -watchdog; 0 keeps the default).

@@ -39,6 +39,8 @@ const ServeBlades, ChaosBlades = 3, 8
 // negative none). Arrival stamps stop at half the int64 femtosecond
 // range, so a deadline must be finite and at most a quarter of it
 // (about 38 minutes) to add to any of them; else it is a ConfigError.
+// So is a positive deadline under half a femtosecond, which would round
+// to 0 and select the automatic deadline.
 func (sc ServeConfig) Deadline() (sim.Duration, error) {
 	const limit = sim.Duration(math.MaxInt64 / 4)
 	switch ms := sc.DeadlineMS; {
@@ -46,7 +48,11 @@ func (sc ServeConfig) Deadline() (sim.Duration, error) {
 		return 0, &serve.ConfigError{Field: "Serve.DeadlineMS", Value: ms,
 			Reason: fmt.Sprintf("deadline must be finite and at most %.0f ms", limit.Seconds()*1000)}
 	case ms > 0:
-		return sim.FromSeconds(ms / 1000), nil
+		if d := sim.FromSeconds(ms / 1000); d > 0 {
+			return d, nil
+		}
+		return 0, &serve.ConfigError{Field: "Serve.DeadlineMS", Value: ms,
+			Reason: "a positive deadline must be at least half a femtosecond (5e-13 ms)"}
 	case ms < 0:
 		return -1, nil
 	}

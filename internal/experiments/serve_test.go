@@ -99,10 +99,10 @@ func TestServeExpCollectsPerBlade(t *testing.T) {
 }
 
 // TestServeExpRejectsUnrepresentableDeadline checks a DeadlineMS the
-// femtosecond conversion cannot hold is an error naming the field, not a
-// run with deadlines silently off or automatic.
+// femtosecond conversion cannot hold, or rounds to 0, is an error naming
+// the field, not a run with deadlines silently off or automatic.
 func TestServeExpRejectsUnrepresentableDeadline(t *testing.T) {
-	for _, ms := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, 3.6e6} {
+	for _, ms := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, 3.6e6, 1e-13, 4.9e-13, math.SmallestNonzeroFloat64} {
 		cfg := serveTestConfig(1)
 		cfg.Serve.DeadlineMS = ms
 		if _, err := ServeExp(cfg); err == nil || !strings.Contains(err.Error(), "Config.Serve.DeadlineMS") {

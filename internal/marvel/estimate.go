@@ -5,7 +5,19 @@ import (
 	"math"
 
 	"cellport/internal/amdahl"
+	"cellport/internal/sim"
 )
+
+// SpeedUps is each kernel's speed-up from its time in base and in ported
+// (for §4.2, a reference run's KernelTime over a single-SPE port's): the
+// speed map Groups takes.
+func SpeedUps(base, ported map[KernelID]sim.Duration) map[KernelID]float64 {
+	speed := make(map[KernelID]float64, len(KernelIDs))
+	for _, id := range KernelIDs {
+		speed[id] = base[id].Seconds() / ported[id].Seconds()
+	}
+	return speed
+}
 
 // Groups maps the schedule onto the §4.2 estimator: the groups whose
 // Eq. 3 value estimates the scenario's per-image speed-up over the PPE,

@@ -81,10 +81,11 @@ func (m *Mailbox) Read(p *sim.Proc) uint32 {
 	return v
 }
 
-// WaitNotEmpty blocks until the mailbox has at least one entry without
-// consuming it (interrupt-style completion notification).
-func (m *Mailbox) WaitNotEmpty(p *sim.Proc) {
-	p.WaitFor(m.notEmpty, func() bool { return len(m.fifo) > 0 })
+// WaitNotEmpty blocks until the mailbox has at least one entry, without
+// consuming it, or until d of virtual time passes (sim.Forever: no
+// limit); it reports whether an entry is available.
+func (m *Mailbox) WaitNotEmpty(p *sim.Proc, d sim.Duration) bool {
+	return p.WaitForTimeout(m.notEmpty, d, func() bool { return len(m.fifo) > 0 })
 }
 
 // Writes reports the cumulative number of successful writes.
@@ -92,9 +93,3 @@ func (m *Mailbox) Writes() uint64 { return m.writes }
 
 // Peak reports the occupancy high-water mark over the mailbox's lifetime.
 func (m *Mailbox) Peak() int { return m.peak }
-
-// WaitNotEmptyTimeout blocks until the mailbox has an entry or d of
-// virtual time passes; it reports whether an entry is available.
-func (m *Mailbox) WaitNotEmptyTimeout(p *sim.Proc, d sim.Duration) bool {
-	return p.WaitForTimeout(m.notEmpty, d, func() bool { return len(m.fifo) > 0 })
-}

@@ -82,7 +82,9 @@ func TestWaitNotEmptyDoesNotConsume(t *testing.T) {
 	m := NewMailbox(e, "intr", 1)
 	var observed uint32
 	e.Spawn("ppe", func(p *sim.Proc) {
-		m.WaitNotEmpty(p)
+		if !m.WaitNotEmpty(p, sim.Forever) {
+			t.Error("WaitNotEmpty(Forever) reported no entry")
+		}
 		observed = m.Read(p) // still there
 	})
 	e.Spawn("spu", func(p *sim.Proc) {

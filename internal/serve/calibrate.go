@@ -327,10 +327,8 @@ func Calibrate(cfg Config) (*Calibration, error) {
 // A builder error or a non-positive estimate leaves it inconclusive.
 func fitEstimator(ref *marvel.ReferenceResult, single *marvel.PortedResult) *geomCal {
 	g := &geomCal{}
-	speed := map[marvel.KernelID]float64{}
 	var kernelSum sim.Duration
 	for _, id := range marvel.KernelIDs {
-		speed[id] = ref.KernelTime[id].Seconds() / single.KernelTime[id].Seconds()
 		kernelSum += ref.KernelTime[id]
 	}
 	g.NonKernel = max(ref.PerImage-kernelSum, 0)
@@ -338,7 +336,7 @@ func fitEstimator(ref *marvel.ReferenceResult, single *marvel.PortedResult) *geo
 	if err != nil {
 		return g
 	}
-	groups, err := sched.Groups(ref.KernelCoverage(), speed)
+	groups, err := sched.Groups(ref.KernelCoverage(), marvel.SpeedUps(ref.KernelTime, single.KernelTime))
 	if err != nil {
 		return g
 	}

@@ -8,22 +8,17 @@ import (
 )
 
 // event is a scheduled occurrence: either a callback or a process resume.
-// Events are pooled on the engine free list; idx doubles as the location
-// tag (heap index, now-lane, popped, or cancelled-in-lane).
+// Events are pooled on the engine free list.
 type event struct {
 	at   Time
 	seq  uint64 // tie-break: insertion order, keeps the engine deterministic
 	fn   func()
 	proc *Proc
-	idx  int // heap index; idxPopped / idxNowLane / idxDead when not in heap
+	idx  int // heap index; idxPopped once dispatched or removed
 }
 
-// idx sentinels for events outside the heap.
-const (
-	idxPopped  = -1 // dispatched or removed from the heap
-	idxNowLane = -2 // waiting in the same-timestamp FIFO lane
-	idxDead    = -3 // cancelled while in the now lane; skipped on drain
-)
+// idxPopped marks an event that is no longer in the heap.
+const idxPopped = -1
 
 // eventHeap is a binary min-heap of events by (at, seq); each event's idx
 // tracks its slot so cancel can remove it.
@@ -94,17 +89,9 @@ func (h *eventHeap) remove(i int) *event {
 type Engine struct {
 	now   Time
 	seq   uint64
-	queue eventHeap
-	// nowq is the same-timestamp fast lane: events scheduled at exactly
-	// the current time bypass the heap and run in FIFO (= seq) order.
-	// Wake-at-now (WakeOne, Sleep(0), Spawn) is the dominant scheduling
-	// pattern, so this skips the O(log n) sift for most events. Dispatch
-	// merges the lane head with the heap top by (at, seq), preserving the
-	// exact total order a pure heap would produce.
-	nowq    []*event
-	nowHead int
-	free    []*event // recycled event structs
-	procs   []*Proc  // all live (not yet terminated) processes
+	queue eventHeap // every pending event, ordered by (at, seq)
+	free  []*event  // recycled event structs
+	procs []*Proc   // all live (not yet terminated) processes
 
 	// EventCount is the total number of events dispatched so far.
 	EventCount uint64
@@ -154,25 +141,13 @@ func (e *Engine) recycle(ev *event) {
 func (e *Engine) push(ev *event) {
 	e.seq++
 	ev.seq = e.seq
-	if ev.at == e.now {
-		ev.idx = idxNowLane
-		e.nowq = append(e.nowq, ev)
-		return
-	}
 	e.queue.push(ev)
 }
 
 func (e *Engine) cancel(ev *event) {
-	switch {
-	case ev.idx >= 0:
+	if ev.idx >= 0 {
 		e.queue.remove(ev.idx)
 		e.recycle(ev)
-	case ev.idx == idxNowLane:
-		// Still referenced by the lane slice: tombstone it; the dispatch
-		// loop recycles it when drained.
-		ev.idx = idxDead
-		ev.fn = nil
-		ev.proc = nil
 	}
 }
 
@@ -191,40 +166,9 @@ func (e *Engine) Run() (err error) {
 			e.stopAll()
 		}
 	}()
-	for {
-		// Skip tombstoned lane entries.
-		for e.nowHead < len(e.nowq) && e.nowq[e.nowHead].idx == idxDead {
-			e.recycle(e.nowq[e.nowHead])
-			e.nowq[e.nowHead] = nil
-			e.nowHead++
-		}
-		var ev *event
-		if e.nowHead < len(e.nowq) {
-			// Lane events sit at e.now, so they precede any heap event at
-			// a later time; at equal time the smaller seq wins.
-			nw := e.nowq[e.nowHead]
-			if len(e.queue) == 0 || e.queue[0].at > nw.at ||
-				(e.queue[0].at == nw.at && e.queue[0].seq > nw.seq) {
-				ev = nw
-				e.nowq[e.nowHead] = nil
-				e.nowHead++
-			}
-		} else if e.nowHead > 0 {
-			// Lane drained: reset it so the backing array is reused.
-			e.nowq = e.nowq[:0]
-			e.nowHead = 0
-		}
-		if ev == nil {
-			if len(e.queue) == 0 {
-				err := e.checkQuiescent()
-				e.stopAll()
-				return err
-			}
-			ev = e.queue.remove(0)
-		}
-		if ev.at > e.now {
-			e.now = ev.at
-		}
+	for len(e.queue) > 0 {
+		ev := e.queue.remove(0)
+		e.now = ev.at
 		e.EventCount++
 		switch {
 		case ev.fn != nil:
@@ -238,6 +182,9 @@ func (e *Engine) Run() (err error) {
 		}
 		e.recycle(ev)
 	}
+	err = e.checkQuiescent()
+	e.stopAll()
+	return err
 }
 
 // addProc registers a live process (O(1) slice append).

@@ -210,8 +210,13 @@ func (p *Proc) WaitFor(q *Queue, pred func() bool) {
 
 // WaitForTimeout is WaitFor with a deadline: it returns true as soon as
 // pred() holds, or false once d of virtual time elapses first. On timeout
-// the process is removed from the queue.
+// the process is removed from the queue. With d == Forever it is WaitFor:
+// no timer is armed and it returns true.
 func (p *Proc) WaitForTimeout(q *Queue, d Duration, pred func() bool) bool {
+	if d == Forever {
+		p.WaitFor(q, pred)
+		return true
+	}
 	deadline := p.engine.now.Add(d)
 	expired := false
 	timer := p.engine.At(deadline, func() {

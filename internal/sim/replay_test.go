@@ -3,6 +3,7 @@ package sim
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,18 +11,17 @@ import (
 	"testing"
 )
 
-// TestSameTimestampFIFOAcrossLanes pins the dispatch order when heap-resident
-// events (scheduled for a future instant) and fast-lane events (scheduled at
-// the current instant) share a timestamp: insertion (seq) order must win,
-// exactly as a pure heap would order them.
+// TestSameTimestampFIFOAcrossLanes pins the dispatch order when events
+// scheduled ahead of an instant and events scheduled at it, while it is
+// the current instant, share a timestamp: insertion (seq) order must win.
 func TestSameTimestampFIFOAcrossLanes(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	// A and B are scheduled from t=0 for t=5: both take the heap path.
+	// A and B are scheduled from t=0 for t=5.
 	e.At(Time(5), func() {
 		order = append(order, "A")
-		// C and D are scheduled at t=5 while now==5: both take the fast
-		// lane, and must run after B (smaller seq, already in the heap).
+		// C and D are scheduled at t=5 while now==5, and must run after
+		// B (smaller seq, already pending).
 		e.At(Time(5), func() { order = append(order, "C") })
 		e.After(0, func() { order = append(order, "D") })
 	})
@@ -34,15 +34,15 @@ func TestSameTimestampFIFOAcrossLanes(t *testing.T) {
 	}
 }
 
-// TestNowLaneTimerCancel cancels a timer that lives in the same-timestamp
-// lane (a tombstone, not a heap removal) and checks it never fires while
-// later events still do.
+// TestNowLaneTimerCancel cancels a timer armed for the current instant
+// and checks it never fires while a later event at that instant still
+// does.
 func TestNowLaneTimerCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
 	laterRan := false
 	e.At(Time(3), func() {
-		tm := e.At(e.Now(), func() { fired = true }) // lane-resident
+		tm := e.At(e.Now(), func() { fired = true }) // due now
 		tm.Cancel()
 		e.At(e.Now(), func() { laterRan = true })
 	})
@@ -80,7 +80,7 @@ func TestTimerRearmFromCallback(t *testing.T) {
 }
 
 // replayTrace runs a randomized workload mixing every scheduling primitive —
-// sleeps, zero-sleeps (fast lane), queue wake-ups, timers, timer cancels —
+// sleeps, zero-sleeps (wake at now), queue wake-ups, timers, timer cancels —
 // and records the full dispatch trace plus the final event count.
 func replayTrace(t *testing.T, seed int64) ([]string, uint64) {
 	t.Helper()
@@ -101,7 +101,7 @@ func replayTrace(t *testing.T, seed int64) ([]string, uint64) {
 				case 0:
 					p.Sleep(delay)
 				case 1:
-					p.Sleep(0) // fast lane
+					p.Sleep(0) // wake at now
 				case 2:
 					q.WakeOne(e)
 				case 3:
@@ -114,7 +114,7 @@ func replayTrace(t *testing.T, seed int64) ([]string, uint64) {
 				case 4:
 					p.WaitForTimeout(q, 5*Nanosecond, func() bool { return len(q.waiters) > 2 })
 				case 5:
-					e.After(0, func() { q.WakeAll(e) }) // lane callback
+					e.After(0, func() { q.WakeAll(e) }) // callback at now
 				}
 				log = append(log, fmt.Sprintf("%s@%d", name, int64(p.Now())))
 			}
@@ -280,6 +280,63 @@ func TestWaitForTimeoutZeroDuration(t *testing.T) {
 	}
 	if got || at != 0 {
 		t.Fatalf("zero timeout: got=%v at=%v", got, at)
+	}
+}
+
+// foreverRun runs a waiter whose predicate turns true at 10ns (or never,
+// when satisfied is false) against a waker that wakes the queue at 10ns
+// and 20ns, waiting with wait. It returns the dispatch log, the event
+// count, the time Run ended at and Run's error.
+func foreverRun(t *testing.T, satisfied bool, wait func(p *Proc, q *Queue, pred func() bool)) ([]string, uint64, Time, error) {
+	t.Helper()
+	e := NewEngine()
+	q := NewQueue("forever")
+	ready := false
+	var log []string
+	e.Spawn("waiter", func(p *Proc) {
+		wait(p, q, func() bool { return ready })
+		log = append(log, "waiter@"+p.Now().String())
+	})
+	e.Spawn("waker", func(p *Proc) {
+		for i := 0; i < 2; i++ {
+			p.Sleep(10 * Nanosecond)
+			ready = satisfied
+			log = append(log, "wake@"+p.Now().String())
+			q.WakeAll(e)
+		}
+	})
+	err := e.Run()
+	return log, e.EventCount, e.Now(), err
+}
+
+// TestWaitForTimeoutForeverIsWaitFor: a Forever timeout arms no timer, so
+// the run dispatches exactly what WaitFor's does, and a wait that never
+// succeeds deadlocks at its last real instant instead of expiring at
+// Never.
+func TestWaitForTimeoutForeverIsWaitFor(t *testing.T) {
+	for _, satisfied := range []bool{true, false} {
+		var got bool
+		forever := func(p *Proc, q *Queue, pred func() bool) { got = p.WaitForTimeout(q, Forever, pred) }
+		waitFor := func(p *Proc, q *Queue, pred func() bool) { p.WaitFor(q, pred) }
+		log, events, end, err := foreverRun(t, satisfied, forever)
+		wantLog, wantEvents, wantEnd, wantErr := foreverRun(t, satisfied, waitFor)
+		if !reflect.DeepEqual(log, wantLog) || events != wantEvents || end != wantEnd {
+			t.Fatalf("satisfied=%v: Forever dispatched %v (%d events, end %v), WaitFor %v (%d events, end %v)",
+				satisfied, log, events, end, wantLog, wantEvents, wantEnd)
+		}
+		if end == Never {
+			t.Fatalf("satisfied=%v: run ended at Never", satisfied)
+		}
+		if satisfied {
+			if err != nil || !got {
+				t.Fatalf("satisfied wait: got=%v err=%v, want true and no error", got, err)
+			}
+			continue
+		}
+		var de, wantDE *DeadlockError
+		if !errors.As(err, &de) || !errors.As(wantErr, &wantDE) || de.At != wantDE.At || de.At != Time(20*Nanosecond) {
+			t.Fatalf("unsatisfied wait: err %v, WaitFor err %v; want a deadlock at 20ns from both", err, wantErr)
+		}
 	}
 }
 

@@ -39,6 +39,10 @@ const (
 // Never is a sentinel Time later than any reachable simulation instant.
 const Never Time = math.MaxInt64
 
+// Forever is the timeout that never expires: a wait bounded by Forever
+// arms no timer and blocks until its condition holds.
+const Forever Duration = math.MaxInt64
+
 // Seconds reports the timestamp as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
