@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cellport/internal/fault"
+	"cellport/internal/marvel"
 	"cellport/internal/sim"
 )
 
@@ -256,5 +257,69 @@ func TestBladeFaultValidation(t *testing.T) {
 	cfg.Faults = mustPlan(t, "blade-crash:blade=99,at=5ms")
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("out-of-range blade index accepted")
+	}
+}
+
+// TestSameInstantOrder pins the event loop's tie rule at one instant
+// (DESIGN.md §12): completions retire before lifecycle faults, and
+// faults fire before re-admissions. The goldens never put two of these
+// kinds on one instant, so this is the only check that fails if the
+// rule changes.
+func TestSameInstantOrder(t *testing.T) {
+	base := quickConfig()
+	base.Cal = mustCal(t)
+	base.Requests = 1
+	base.Deadline = -1 // no deadline: nothing is shed as expired
+
+	// One blade, one request: the fault-free makespan is the completion
+	// instant M. A stall planned at exactly M finds the batch retired
+	// and the run over; one femtosecond earlier it delays the request.
+	one := base
+	one.Blades = 1
+	free := mustRun(t, one)
+	m := sim.Time(free.Makespan)
+	stallAt := func(at sim.Time) *Report {
+		cfg := one
+		cfg.Faults = mustPlan(t, fmt.Sprintf("blade-stall:blade=0,at=%dfs,delay=1ms", at))
+		return mustRun(t, cfg)
+	}
+	if rep := stallAt(m); !bytes.Equal(marshal(t, rep), marshal(t, free)) || rep.BladeStalls != 0 {
+		t.Fatalf("stall at the completion instant fired (%d stalls) or changed the report:\n got %s\nwant %s",
+			rep.BladeStalls, marshal(t, rep), marshal(t, free))
+	}
+	if rep := stallAt(m - 1); rep.BladeStalls != 1 || rep.Makespan != free.Makespan+sim.Millisecond {
+		t.Fatalf("stall 1fs before completion: %d stalls, makespan %v; want 1 and %v",
+			rep.BladeStalls, rep.Makespan, free.Makespan+sim.Millisecond)
+	}
+
+	// Two blades: crash the one serving the request just before it
+	// completes, then crash the other at the instant the evicted request
+	// re-enters admission. The crash fires first, so the re-admission
+	// finds no blade and is rejected after one re-route; a crash 1fs
+	// later lets it land on the second blade and be evicted again.
+	two := base
+	two.Blades = 2
+	two.RetryBackoff = sim.Millisecond
+	free = mustRun(t, two)
+	victim := 0
+	if free.PerBlade[1].Requests == 1 {
+		victim = 1
+	}
+	m = sim.Time(free.Makespan)
+	readmit := (m - 1).Add(marvel.BackoffDelay(two.RetryBackoff, 1))
+	crashAt := func(at sim.Time) *Report {
+		cfg := two
+		cfg.Faults = mustPlan(t, fmt.Sprintf("blade-crash:blade=%d,at=%dfs;blade-crash:blade=%d,at=%dfs",
+			victim, m-1, 1-victim, at))
+		rep := mustRun(t, cfg)
+		checkLedger(t, rep)
+		return rep
+	}
+	if rep := crashAt(readmit); rep.BladeCrashes != 2 || rep.Rerouted != 1 || rep.ShedRejected != 1 {
+		t.Fatalf("crash at the re-admission instant: %d crashes, %d re-routed, %d rejected; want 2, 1, 1",
+			rep.BladeCrashes, rep.Rerouted, rep.ShedRejected)
+	}
+	if rep := crashAt(readmit + 1); rep.Rerouted != 2 {
+		t.Fatalf("crash 1fs after the re-admission: %d re-routed, want 2", rep.Rerouted)
 	}
 }
