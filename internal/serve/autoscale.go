@@ -36,11 +36,10 @@ const (
 	scaleLow     = 0.25
 )
 
-// autoscaler is the armed controller: the tick grid and the sliding
+// autoscaler is the armed controller: the tick interval and the sliding
 // sample window.
 type autoscaler struct {
 	interval sim.Duration
-	next     sim.Time
 	window   []float64
 }
 
@@ -59,9 +58,9 @@ func (p *pool) armAutoscale(span sim.Duration) {
 	}
 	p.fleet.scaler = &autoscaler{
 		interval: interval,
-		next:     sim.Time(0).Add(interval),
 		window:   make([]float64, 0, scaleWindow),
 	}
+	p.schedule(event{at: sim.Time(0).Add(interval), kind: eventTick})
 }
 
 // fleetLoad is the instantaneous load signal over the active pools'
@@ -103,7 +102,7 @@ func (p *pool) fleetLoad() float64 {
 func (p *pool) autoscaleTick() {
 	f := p.fleet
 	s := f.scaler
-	s.next = p.now.Add(s.interval)
+	p.schedule(event{at: p.now.Add(s.interval), kind: eventTick})
 	s.window = append(s.window, p.fleetLoad())
 	if len(s.window) > scaleWindow {
 		copy(s.window, s.window[1:])

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 
 	"cellport/internal/fault"
 	"cellport/internal/marvel"
@@ -81,9 +79,8 @@ type bladeEvent struct {
 	delay sim.Duration // stall length (evStallStart only)
 }
 
-// armFleet compiles the plan's fleet-level faults into the pool's
-// lifecycle schedule: per-fault events, stably sorted by instant so
-// same-instant events keep plan order. Blade indices must name blades of
+// armFleet schedules the plan's fleet-level faults, in plan order so
+// same-instant transitions keep it. Blade indices must name blades of
 // this pool.
 func (p *pool) armFleet(plan *fault.Plan) error {
 	for _, f := range plan.FleetFaults() {
@@ -92,21 +89,20 @@ func (p *pool) armFleet(plan *fault.Plan) error {
 		}
 		switch f.Kind {
 		case fault.BladeCrash:
-			p.faultSched = append(p.faultSched, bladeEvent{at: f.At, kind: evBladeCrash, blade: f.Blade})
+			p.scheduleFault(bladeEvent{at: f.At, kind: evBladeCrash, blade: f.Blade})
 		case fault.BladeStall:
-			p.faultSched = append(p.faultSched,
-				bladeEvent{at: f.At, kind: evStallStart, blade: f.Blade, delay: f.Delay},
-				bladeEvent{at: f.At.Add(f.Delay), kind: evStallEnd, blade: f.Blade})
+			p.scheduleFault(bladeEvent{at: f.At, kind: evStallStart, blade: f.Blade, delay: f.Delay})
+			p.scheduleFault(bladeEvent{at: f.At.Add(f.Delay), kind: evStallEnd, blade: f.Blade})
 		case fault.BladeRestart:
-			p.faultSched = append(p.faultSched,
-				bladeEvent{at: f.At, kind: evDrainStart, blade: f.Blade},
-				bladeEvent{at: f.At.Add(f.Drain), kind: evRestartFire, blade: f.Blade})
+			p.scheduleFault(bladeEvent{at: f.At, kind: evDrainStart, blade: f.Blade})
+			p.scheduleFault(bladeEvent{at: f.At.Add(f.Drain), kind: evRestartFire, blade: f.Blade})
 		}
 	}
-	sort.SliceStable(p.faultSched, func(a, b int) bool {
-		return p.faultSched[a].at < p.faultSched[b].at
-	})
 	return nil
+}
+
+func (p *pool) scheduleFault(ev bladeEvent) {
+	p.schedule(event{at: ev.at, kind: eventFault, fault: ev})
 }
 
 // applyFault runs one lifecycle transition at p.now. Guards
@@ -164,10 +160,12 @@ func (p *pool) applyFault(ev bladeEvent) {
 		}
 		if b.busy {
 			// The in-flight dispatch finishes late by the stall length.
+			p.cancelCompletion(b)
 			if b.start > p.now {
 				b.start = b.start.Add(ev.delay)
 			}
 			b.done = b.done.Add(ev.delay)
+			p.schedule(b.completion())
 		}
 	case evStallEnd:
 		if b.health != healthStalled {
@@ -208,6 +206,7 @@ func (p *pool) maybePark(b *blade) {
 // is accounted so utilization stays honest.
 func (p *pool) killBlade(b *blade) {
 	if b.busy {
+		p.cancelCompletion(b)
 		if p.now > b.start {
 			b.busyTime += p.now.Sub(b.start)
 		}
@@ -243,49 +242,5 @@ func (p *pool) reroute(b *blade, r Request) {
 		return
 	}
 	b.rerouted++
-	p.rerouteSeq++
-	heap.Push(&p.reroutes, rerouteEntry{at: at, seq: p.rerouteSeq, req: r})
-}
-
-// rerouteEntry is one re-routed request waiting out its backoff. The
-// (at, seq) key makes heap order total and deterministic: seq is
-// assigned in eviction order.
-type rerouteEntry struct {
-	at  sim.Time
-	seq uint64
-	req Request
-}
-
-// rerouteHeap is a min-heap of pending re-admissions keyed by (at, seq).
-type rerouteHeap []rerouteEntry
-
-func (h rerouteHeap) Len() int { return len(h) }
-func (h rerouteHeap) Less(a, b int) bool {
-	if h[a].at != h[b].at {
-		return h[a].at < h[b].at
-	}
-	return h[a].seq < h[b].seq
-}
-func (h rerouteHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *rerouteHeap) Push(x interface{}) { *h = append(*h, x.(rerouteEntry)) }
-func (h *rerouteHeap) Pop() interface{} {
-	old := *h
-	n := len(old) - 1
-	e := old[n]
-	*h = old[:n]
-	return e
-}
-
-// popReroute removes and returns the earliest pending re-admission.
-func (p *pool) popReroute() Request {
-	return heap.Pop(&p.reroutes).(rerouteEntry).req
-}
-
-// nextTick reports the next armed autoscale sample instant (Never when
-// the fleet runs without an autoscaler).
-func (p *pool) nextTick() sim.Time {
-	if p.fleet == nil || p.fleet.scaler == nil {
-		return sim.Never
-	}
-	return p.fleet.scaler.next
+	p.schedule(event{at: at, kind: eventReadmit, req: r})
 }

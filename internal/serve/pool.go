@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"cellport/internal/marvel"
 	"cellport/internal/parallel"
@@ -68,9 +70,8 @@ type blade struct {
 }
 
 // pool is the deterministic serving event loop: a virtual clock advanced
-// strictly by arrival and completion events. Completions at a timestamp
-// are processed before arrivals at the same timestamp; simultaneous
-// completions resolve by blade index.
+// strictly by the arrival stream and the scheduled events (run gives
+// the order at one instant).
 type pool struct {
 	cfg      Config
 	cal      *Calibration
@@ -99,12 +100,8 @@ type pool struct {
 
 	placeFallbacks int
 
-	// Lifecycle state: the compiled blade-fault schedule (sorted,
-	// consumed via fi) and the pending re-admissions heap.
-	faultSched []bladeEvent
-	fi         int
-	reroutes   rerouteHeap
-	rerouteSeq uint64
+	// events holds every scheduled event, latest first (the next is last).
+	events []event
 
 	// ctr records coordinator-lane trace events (sheds that no blade
 	// held, autoscale actions) when Config.Instrument is set; nil
@@ -131,6 +128,9 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 
 		conclusive: cal.Conclusive(),
 		coldWarmup: cal.service(svcKey{Scheme: SchemeJob, Tall: false, K: 1}).Warmup,
+		// Room for every blade's completion, the tick, and the
+		// re-admissions of one eviction of every blade's work.
+		events: make([]event, 0, total*(1+cfg.MaxQueue+cfg.MaxBatch)+1),
 	}
 	for _, tall := range []bool{false, true} {
 		est := cal.estService(SchemeJob, tall, 1)
@@ -159,73 +159,90 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 	return p
 }
 
-// run plays the event loop over the arrival stream until every admitted
-// request has completed or been shed. Each step takes the earliest
-// pending event: the earliest in-flight completion (earliestBusy), the
-// next planned lifecycle fault, the next autoscale tick, the earliest
-// re-admission, or the next arrival.
-//
-// Event priority at equal timestamps: completions, then lifecycle
-// faults, then autoscale ticks, then re-admissions of evicted requests,
-// then fresh arrivals. The run ends when no completion, re-route, or
-// arrival remains; lifecycle faults and ticks scheduled past that point
-// never fire, so an armed-but-unfired plan leaves the report unchanged.
-func (p *pool) run(reqs []Request) {
-	ai := 0
-	for {
-		nextArr := sim.Never
-		if ai < len(reqs) {
-			nextArr = reqs[ai].Arrival
-		}
-		db := p.earliestBusy()
-		doneT := sim.Never
-		if db != nil {
-			doneT = db.done
-		}
-		nextRer := sim.Never
-		if len(p.reroutes) > 0 {
-			nextRer = p.reroutes[0].at
-		}
-		if doneT == sim.Never && nextRer == sim.Never && nextArr == sim.Never {
-			return
-		}
-		nextFault := sim.Never
-		if p.fi < len(p.faultSched) {
-			nextFault = p.faultSched[p.fi].at
-		}
-		nextTick := p.nextTick()
-		switch {
-		case doneT <= nextFault && doneT <= nextTick && doneT <= nextRer && doneT <= nextArr:
-			p.now = doneT
-			p.complete(db)
-		case nextFault <= nextTick && nextFault <= nextRer && nextFault <= nextArr:
-			p.now = nextFault
-			p.applyFault(p.faultSched[p.fi])
-			p.fi++
-		case nextTick <= nextRer && nextTick <= nextArr:
-			p.now = nextTick
-			p.autoscaleTick()
-		case nextRer <= nextArr:
-			p.now = nextRer
-			p.admit(p.popReroute())
-		default:
-			p.now = nextArr
-			p.admit(reqs[ai])
-			ai++
-		}
+// eventKind ranks the events that share an instant. Arrivals stream from
+// the sorted request slice and lose every tie.
+type eventKind uint8
+
+const (
+	eventCompletion eventKind = iota
+	eventFault
+	eventTick
+	eventReadmit
+)
+
+// event is one scheduled instant. key (the blade index) orders
+// same-instant completions; other ties fire in schedule order: a fault's
+// plan order, a re-admission's eviction order.
+type event struct {
+	at    sim.Time
+	kind  eventKind
+	key   int
+	fault bladeEvent // eventFault
+	req   Request    // eventReadmit
+}
+
+// laterFirst orders events latest first by (at, kind, key).
+func laterFirst(a, b event) int {
+	return cmp.Or(cmp.Compare(b.at, a.at), cmp.Compare(b.kind, a.kind), cmp.Compare(b.key, a.key))
+}
+
+// schedule inserts e ahead of its equals, so ties fire in schedule
+// order. An event at sim.Never is dropped: it could only fire after the
+// run has ended.
+func (p *pool) schedule(e event) {
+	if e.at == sim.Never {
+		return
+	}
+	i, _ := slices.BinarySearchFunc(p.events, e, laterFirst)
+	p.events = slices.Insert(p.events, i, e)
+}
+
+// completion is b's in-flight completion event: dispatch schedules it, a
+// stall moves it and a kill cancels it.
+func (b *blade) completion() event { return event{at: b.done, kind: eventCompletion, key: b.id} }
+
+// cancelCompletion removes b's scheduled completion, if any.
+func (p *pool) cancelCompletion(b *blade) {
+	if i, ok := slices.BinarySearchFunc(p.events, b.completion(), laterFirst); ok {
+		p.events = slices.Delete(p.events, i, i+1)
 	}
 }
 
-// earliestBusy returns the busy blade finishing first (lowest index on
-// ties), or nil when the pool is idle.
-func (p *pool) earliestBusy() *blade {
-	var best *blade
-	for _, b := range p.blades {
-		if b.busy && (best == nil || b.done < best.done) {
-			best = b
+// holdsRun reports whether e keeps the run going: completions and
+// re-admissions do, faults and ticks do not.
+func holdsRun(e event) bool { return e.kind == eventCompletion || e.kind == eventReadmit }
+
+// run plays the event loop over the arrival stream until every admitted
+// request has completed or been shed. Each step takes the earliest
+// scheduled event, or the next arrival when it is strictly earlier.
+//
+// The run ends when no completion, re-admission or arrival remains;
+// lifecycle faults and ticks scheduled past that point never fire, so an
+// armed-but-unfired plan leaves the report unchanged.
+func (p *pool) run(reqs []Request) {
+	ai := 0
+	for ai < len(reqs) || slices.ContainsFunc(p.events, holdsRun) {
+		n := len(p.events) - 1
+		if ai < len(reqs) && (n < 0 || reqs[ai].Arrival < p.events[n].at) {
+			p.now = reqs[ai].Arrival
+			p.admit(reqs[ai])
+			ai++
+			continue
+		}
+		e := p.events[n]
+		p.events = p.events[:n]
+		p.now = e.at
+		switch e.kind {
+		case eventCompletion:
+			p.complete(p.blades[e.key])
+		case eventFault:
+			p.applyFault(e.fault)
+		case eventTick:
+			p.autoscaleTick()
+		case eventReadmit:
+			p.admit(e.req)
 		}
 	}
-	return best
 }
 
 // estOne is the estimator's per-request service estimate (a lone
@@ -400,6 +417,7 @@ func (p *pool) dispatch(b *blade) {
 	b.dispatches++
 	b.batchRequests += len(batch)
 	b.schemeBatches[scheme]++
+	p.schedule(b.completion())
 	if b.rec != nil {
 		geom := ""
 		if tall {
