@@ -232,6 +232,13 @@ func (o *options) validate() string {
 	if _, err := o.cfg.Serve.Deadline(); err != nil {
 		return fmt.Sprintf("bad -deadline: %v", err)
 	}
+	// A spec that does not parse fails its run (exit 1); one that parses
+	// but puts a blade fault out of range is a usage error here.
+	if plan, err := fault.Parse(o.cfg.FaultSpec); err == nil {
+		if err := (serve.Config{Faults: plan}).Validate(); err != nil {
+			return fmt.Sprintf("bad -faults: %v", err)
+		}
+	}
 	if o.set["watchdog"] {
 		d, err := fault.ParseDuration(o.watchdog)
 		if err != nil {

@@ -61,6 +61,9 @@ func TestFlagValidationMatrix(t *testing.T) {
 		{"fleet flags with fleet exp", []string{"-exp", "fleet", "-pools", "4", "-autoscale=false", "-flash=false"}, -1, ""},
 		{"serve flags with fleet exp", []string{"-exp", "fleet", "-rate", "1.5", "-blades", "2"}, -1, ""},
 		{"faults flag with fleet exp", []string{"-exp", "fleet", "-faults", "blade-crash:blade=0,at=5ms"}, -1, ""},
+		{"never-ending blade stall", []string{"-quick", "-exp", "chaos", "-faults", "blade-stall:blade=0,at=15ms,delay=9223372036854775807fs"}, 2, "bad -faults"},
+		{"blade restart past the bound", []string{"-exp", "fleet", "-faults", "blade-restart:blade=0,at=2400s,drain=1s"}, 2, "bad -faults"},
+		{"blade faults at half an hour", []string{"-exp", "chaos", "-faults", "blade-crash:blade=0,at=1800s;blade-restart:blade=5,at=1900s,drain=1s"}, -1, ""},
 		{"workers with wrong exp", []string{"-exp", "serve", "-workers", "2"}, 2, "-workers only applies"},
 		{"reps with wrong exp", []string{"-exp", "fig7", "-reps", "3"}, 2, "-reps only applies"},
 		{"negative workers", []string{"-exp", "race", "-workers", "-1"}, 2, "-workers must be >= 0"},

@@ -87,22 +87,21 @@ func (p *pool) armFleet(plan *fault.Plan) error {
 		if f.Blade < 0 || f.Blade >= len(p.blades) {
 			return fmt.Errorf("serve: fault %q targets blade %d of a %d-blade pool", f, f.Blade, len(p.blades))
 		}
+		sched := func(t sim.Time, kind bladeEventKind, delay sim.Duration) {
+			p.schedule(event{at: t, kind: eventFault, fault: bladeEvent{at: t, kind: kind, blade: f.Blade, delay: delay}})
+		}
 		switch f.Kind {
 		case fault.BladeCrash:
-			p.scheduleFault(bladeEvent{at: f.At, kind: evBladeCrash, blade: f.Blade})
+			sched(f.At, evBladeCrash, 0)
 		case fault.BladeStall:
-			p.scheduleFault(bladeEvent{at: f.At, kind: evStallStart, blade: f.Blade, delay: f.Delay})
-			p.scheduleFault(bladeEvent{at: f.At.Add(f.Delay), kind: evStallEnd, blade: f.Blade})
+			sched(f.At, evStallStart, f.Delay)
+			sched(f.At.Add(f.Delay), evStallEnd, 0)
 		case fault.BladeRestart:
-			p.scheduleFault(bladeEvent{at: f.At, kind: evDrainStart, blade: f.Blade})
-			p.scheduleFault(bladeEvent{at: f.At.Add(f.Drain), kind: evRestartFire, blade: f.Blade})
+			sched(f.At, evDrainStart, 0)
+			sched(f.At.Add(f.Drain), evRestartFire, 0)
 		}
 	}
 	return nil
-}
-
-func (p *pool) scheduleFault(ev bladeEvent) {
-	p.schedule(event{at: ev.at, kind: eventFault, fault: ev})
 }
 
 // applyFault runs one lifecycle transition at p.now. Guards

@@ -40,10 +40,7 @@ type splitmix64 uint64
 
 func (r *splitmix64) next() uint64 {
 	*r += 0x9e3779b97f4a7c15
-	z := uint64(*r)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return mix64(uint64(*r))
 }
 
 // float returns a uniform draw in [0, 1).

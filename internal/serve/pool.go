@@ -114,12 +114,7 @@ type pool struct {
 const coordLane = "coordinator"
 
 func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
-	total := cfg.Blades
-	if cfg.Pools > 0 {
-		// Fleet mode: Blades is the per-pool size, the run owns
-		// Pools × Blades blades in pool-major order.
-		total = cfg.Blades * cfg.Pools
-	}
+	total := cfg.bladeCount()
 	p := &pool{
 		cfg:      cfg,
 		cal:      cal,

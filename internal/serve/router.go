@@ -26,9 +26,8 @@ type ringEntry struct {
 	pool int
 }
 
-// mix64 is the splitmix64 finalizer as a standalone hash — the same
-// mixing the load generator's PRNG uses, reused so the router adds no
-// new hashing primitive.
+// mix64 is the splitmix64 finalizer: the load generator's PRNG output
+// step, and the router's hash.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -189,6 +189,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// bladeCount is the run's blade total: in fleet mode Blades is the
+// per-pool size, and the run owns Pools × Blades in pool-major order.
+func (c Config) bladeCount() int { return c.Blades * max(c.Pools, 1) }
+
 // workload is the k-image workload for one dispatch at a geometry.
 func (c Config) workload(tall bool, k int) marvel.Workload {
 	h := c.Frame.H
@@ -251,13 +255,9 @@ func Run(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("serve: calibration produced a non-positive per-blade capacity")
 	}
 
-	totalBlades := cfg.Blades
-	if cfg.Pools > 0 {
-		totalBlades = cfg.Blades * cfg.Pools
-	}
 	offered := cfg.OfferedRPS
 	if offered <= 0 {
-		offered = cfg.Rate * cal.perBlade * float64(totalBlades)
+		offered = cfg.Rate * cal.perBlade * float64(cfg.bladeCount())
 	}
 	deadline := cfg.Deadline
 	if deadline == 0 {

@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"math"
+
+	"cellport/internal/sim"
 )
 
 // ConfigError reports one rejected Config field. Callers (paperbench)
@@ -28,8 +30,9 @@ func badField(field string, value interface{}, reason string) error {
 // zero is always accepted; what Validate rejects is an explicit
 // out-of-range request — negative counts, a non-finite or negative
 // rate, a fraction outside [0, 1], a burst in (0, 1) that would invert
-// the geometric burst-size distribution. Run calls it first, so every
-// entry point shares the same gate.
+// the geometric burst-size distribution, a blade fault past maxGap
+// (about 38 minutes), whose end could reach sim.Never and never fire.
+// Run calls it first, so every entry point shares the same gate.
 func (c Config) Validate() error {
 	switch {
 	case c.Blades < 0:
@@ -73,6 +76,11 @@ func (c Config) Validate() error {
 	if c.Load != nil {
 		if err := c.Load.validate(); err != nil {
 			return err
+		}
+	}
+	for _, f := range c.Faults.FleetFaults() {
+		if f.At > sim.Time(maxGap) || f.Delay > maxGap || f.Drain > maxGap {
+			return badField("Faults", f, fmt.Sprintf("a blade fault's at, delay and drain must each be at most %v", maxGap))
 		}
 	}
 	return nil

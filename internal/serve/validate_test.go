@@ -4,6 +4,9 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"cellport/internal/fault"
+	"cellport/internal/sim"
 )
 
 // Satellite regression suite for Config.Validate: every degenerate
@@ -44,6 +47,15 @@ func TestValidateRejectsDegenerateConfigs(t *testing.T) {
 		{"negative flash count", mod(func(c *Config) { c.Load = &RateModel{FlashCount: -1} }), "Load.FlashCount"},
 		{"infinite flash factor", mod(func(c *Config) { c.Load = &RateModel{FlashFactor: math.Inf(1)} }), "Load.FlashFactor"},
 		{"negative diurnal period", mod(func(c *Config) { c.Load = &RateModel{Period: -1} }), "Load.Period"},
+		{"never-ending blade stall", mod(func(c *Config) {
+			c.Faults = &fault.Plan{Faults: []fault.Fault{{Kind: fault.BladeStall, At: 15 * sim.Time(sim.Millisecond), Delay: math.MaxInt64}}}
+		}), "Faults"},
+		{"blade restart drain past the bound", mod(func(c *Config) {
+			c.Faults = &fault.Plan{Faults: []fault.Fault{{Kind: fault.BladeRestart, At: 1, Drain: maxGap + 1}}}
+		}), "Faults"},
+		{"blade crash past the bound", mod(func(c *Config) {
+			c.Faults = &fault.Plan{Faults: []fault.Fault{{Kind: fault.BladeCrash, At: sim.Time(maxGap) + 1}}}
+		}), "Faults"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,5 +97,10 @@ func TestValidateAcceptsZeroDefaults(t *testing.T) {
 	}
 	if err := fleetConfig(t).Validate(); err != nil {
 		t.Fatalf("the fleet test scenario rejected: %v", err)
+	}
+	// A blade fault exactly at the bound still validates.
+	cfg.Faults = &fault.Plan{Faults: []fault.Fault{{Kind: fault.BladeStall, At: sim.Time(maxGap), Delay: maxGap}}}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("a blade stall at the bound rejected: %v", err)
 	}
 }
