@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 
 	"cellport/internal/marvel"
 	"cellport/internal/parallel"
@@ -70,8 +70,8 @@ type blade struct {
 }
 
 // pool is the deterministic serving event loop: a virtual clock advanced
-// strictly by the arrival stream and the scheduled events (run gives
-// the order at one instant).
+// strictly by the arrival stream and the scheduled events (eventKind
+// orders those that share an instant).
 type pool struct {
 	cfg      Config
 	cal      *Calibration
@@ -176,19 +176,23 @@ type event struct {
 	req   Request    // eventReadmit
 }
 
-// laterFirst orders events latest first by (at, kind, key).
-func laterFirst(a, b event) int {
-	return cmp.Or(cmp.Compare(b.at, a.at), cmp.Compare(b.kind, a.kind), cmp.Compare(b.key, a.key))
+// after reports whether e orders after o by (at, kind, key).
+func (e *event) after(o *event) bool {
+	if e.at != o.at {
+		return e.at > o.at
+	}
+	return e.kind > o.kind || e.kind == o.kind && e.key > o.key
 }
 
 // schedule inserts e ahead of its equals, so ties fire in schedule
-// order. An event at sim.Never is dropped: it could only fire after the
-// run has ended.
+// order. The search compares in place (slices.BinarySearchFunc would
+// copy an event per probe). An event at sim.Never is dropped: it could
+// only fire after the run has ended.
 func (p *pool) schedule(e event) {
 	if e.at == sim.Never {
 		return
 	}
-	i, _ := slices.BinarySearchFunc(p.events, e, laterFirst)
+	i := sort.Search(len(p.events), func(i int) bool { return !p.events[i].after(&e) })
 	p.events = slices.Insert(p.events, i, e)
 }
 
@@ -198,9 +202,7 @@ func (b *blade) completion() event { return event{at: b.done, kind: eventComplet
 
 // cancelCompletion removes b's scheduled completion, if any.
 func (p *pool) cancelCompletion(b *blade) {
-	if i, ok := slices.BinarySearchFunc(p.events, b.completion(), laterFirst); ok {
-		p.events = slices.Delete(p.events, i, i+1)
-	}
+	p.events = slices.DeleteFunc(p.events, func(e event) bool { return e.kind == eventCompletion && e.key == b.id })
 }
 
 // holdsRun reports whether e keeps the run going: completions and
