@@ -238,6 +238,11 @@ func (o *options) validate() string {
 		if err := (serve.Config{Faults: plan}).Validate(); err != nil {
 			return fmt.Sprintf("bad -faults: %v", err)
 		}
+		// -exp faults simulates one machine: a blade fault there would
+		// be dropped without firing.
+		if fleet := plan.FleetFaults(); o.exp == "faults" && len(fleet) > 0 {
+			return fmt.Sprintf("bad -faults: blade fault %q needs -exp serve, chaos or fleet; -exp faults injects machine faults only", fleet[0])
+		}
 	}
 	if o.set["watchdog"] {
 		d, err := fault.ParseDuration(o.watchdog)

@@ -50,6 +50,7 @@ func TestFlagValidationMatrix(t *testing.T) {
 		{"bench-refresh with nocache", []string{"-nocache", "-bench-refresh"}, -1, ""},
 		{"bench-refresh with parallel", []string{"-bench-refresh", "-parallel", "1"}, -1, ""},
 		{"faults flag with faults exp", []string{"-exp", "faults", "-faults", "crash:spe=0,at=5ms"}, -1, ""},
+		{"blade fault with faults exp", []string{"-quick", "-exp", "faults", "-faults", "crash:spe=0,at=5ms;blade-crash:blade=0,at=5ms"}, 2, "bad -faults: blade fault"},
 		{"faults flag with serve exp", []string{"-exp", "serve", "-faultseed", "3"}, -1, ""},
 		{"serve flags with serve exp", []string{"-exp", "serve", "-rate", "2", "-blades", "2", "-deadline", "-1", "-servesed", "9", "-burst", "1"}, -1, ""},
 		{"fullsim with serve exp", []string{"-exp", "serve", "-fullsim"}, -1, ""},

@@ -1,18 +1,22 @@
 package serve
 
 import (
+	"fmt"
 	"math"
+	"runtime/debug"
 
 	"cellport/internal/sim"
 )
 
 // The load generator produces a seeded, open-loop arrival stream: request
-// timestamps are drawn up front from a splitmix64 stream and never react
+// timestamps are drawn in order from a splitmix64 stream and never react
 // to the serving side (arrivals keep coming whether or not the blades
-// keep up — the overload regime the admission layer exists for). The
-// same (seed, rate, burst, tallFrac, n) always yields byte-identical
-// streams, which is what makes a whole serve run a pure function of its
-// configuration.
+// keep up — the overload regime the admission layer exists for). Run
+// draws the stream on a producer goroutine while the event loop consumes
+// it (streamArrivals); the draws depend only on the configuration, never
+// on how far the loop has got, so the same (seed, rate, burst, tallFrac,
+// n) always yields byte-identical streams, which is what makes a whole
+// serve run a pure function of its configuration.
 
 // Request is one concept-detection query: classify a single frame of the
 // given geometry against the model library.
@@ -249,8 +253,11 @@ func (r *resolvedModel) peak() float64 {
 	return (1 + r.DiurnalAmp) * r.FlashFactor
 }
 
-// arrivalsShaped generates the arrival stream: n requests at an average
-// of ratePerSec requests per virtual second, shaped by model. Burstiness
+// arrivalsShaped generates the arrival stream into out: len(out)
+// requests at an average of ratePerSec requests per virtual second,
+// shaped by model. It calls publish(k) once k requests are written, after
+// every arrivalChunk requests and after the last one, so a consumer may
+// read out[:k] while the rest is still being drawn. Burstiness
 // burst >= 1 groups arrivals into bursts whose size is geometric with
 // mean burst (burst = 1 degenerates to a plain Poisson process); the
 // burst-event rate is scaled down by the mean burst size so the offered
@@ -259,7 +266,8 @@ func (r *resolvedModel) peak() float64 {
 // rate(t)/peak, so the accepted process has exactly the shaped intensity
 // while remaining a pure function of the seed. A nil or inactive model
 // draws no thinning variate and uses peak 1: the homogeneous stream.
-func arrivalsShaped(seed uint64, n int, ratePerSec, burst, tallFrac float64, deadline sim.Duration, model *RateModel) []Request {
+func arrivalsShaped(seed uint64, out []Request, ratePerSec, burst, tallFrac float64, deadline sim.Duration, model *RateModel, publish func(k int)) {
+	n := len(out)
 	if burst < 1 {
 		burst = 1
 	}
@@ -278,9 +286,8 @@ func arrivalsShaped(seed uint64, n int, ratePerSec, burst, tallFrac float64, dea
 		hi = (1 + m.DiurnalAmp) / peak
 	}
 	rng := splitmix64(seed)
-	out := make([]Request, 0, n)
 	t := sim.Time(0)
-	for len(out) < n {
+	for k := 0; k < n; {
 		t = nextArrivalTime(t, rng.exp(ratePerSec*peak/burst))
 		// Thin: one uniform draw per candidate burst event, consumed
 		// whether or not the event survives, keeping the stream aligned.
@@ -293,9 +300,64 @@ func arrivalsShaped(seed uint64, n int, ratePerSec, burst, tallFrac float64, dea
 				}
 			}
 		}
-		for i, size := 0, burstSize(&rng, burst, n); i < size && len(out) < n; i++ {
-			out = append(out, makeRequest(&rng, len(out), t, tallFrac, deadline))
+		for i, size := 0, burstSize(&rng, burst, n); i < size && k < n; i++ {
+			out[k] = makeRequest(&rng, k, t, tallFrac, deadline)
+			if k++; k%arrivalChunk == 0 || k == n {
+				publish(k)
+			}
 		}
 	}
-	return out
+}
+
+// arrivalChunk is how many requests the producer draws between two
+// publications: large enough that the consumer rarely waits on the
+// channel, small enough that the loop starts after a sliver of the
+// stream.
+const arrivalChunk = 512
+
+// stream is the arrival stream as the event loop consumes it. A producer
+// goroutine fills reqs in arrival order and sends each high-water mark on
+// ready; the loop reads reqs[:avail] and waits only when its cursor
+// reaches avail.
+type stream struct {
+	reqs  []Request
+	ready chan int // buffered for every mark, so the producer never blocks
+	avail int
+	// fault is the producer's panic, with its stack; written before
+	// ready closes.
+	fault string
+}
+
+// streamArrivals starts gen on a producer goroutine over a fresh
+// n-request slice and returns the stream the event loop consumes. The
+// producer sends at most one mark per arrivalChunk requests into a
+// channel with room for all of them, so it runs to the end without ever
+// waiting, whether or not anyone consumes: it cannot leak.
+func streamArrivals(n int, gen func(out []Request, publish func(k int))) *stream {
+	s := &stream{
+		reqs:  make([]Request, n),
+		ready: make(chan int, (n+arrivalChunk-1)/arrivalChunk),
+	}
+	go func() {
+		defer close(s.ready)
+		defer func() {
+			if v := recover(); v != nil {
+				s.fault = fmt.Sprintf("%v\n%s", v, debug.Stack())
+			}
+		}()
+		gen(s.reqs, func(k int) { s.ready <- k })
+	}()
+	return s
+}
+
+// await blocks until the producer publishes its next mark. A producer
+// that stopped short panicked: its panic is raised again here, on the
+// consumer's goroutine, where the caller's recover (parallel.RunIndexed
+// in the experiment sweeps) turns it into an error.
+func (s *stream) await() {
+	k, ok := <-s.ready
+	if !ok {
+		panic(fmt.Sprintf("serve: arrival producer stopped at %d of %d requests: %s", s.avail, len(s.reqs), s.fault))
+	}
+	s.avail = k
 }

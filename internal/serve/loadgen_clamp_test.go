@@ -75,7 +75,7 @@ func TestRateClampsAtZero(t *testing.T) {
 // valid (monotone, complete) rather than silently inverting its shape.
 func TestShapedStreamSurvivesOverAmp(t *testing.T) {
 	const n = 256
-	reqs := arrivalsShaped(7, n, 50, 1, 0.25, 0, &RateModel{DiurnalAmp: 1.5})
+	reqs := arrivalSlice(7, n, 50, 1, 0.25, 0, &RateModel{DiurnalAmp: 1.5})
 	checkStream(t, reqs, n)
 }
 

@@ -44,7 +44,7 @@ func arrivalsDigest(t *testing.T, m *RateModel, burst float64) string {
 	h := sha256.New()
 	var rec [33]byte
 	for seed := uint64(0); seed < seeds; seed++ {
-		reqs := arrivalsShaped(seed, requests, rate, burst, tallFrac, deadline, m)
+		reqs := arrivalSlice(seed, requests, rate, burst, tallFrac, deadline, m)
 		checkStream(t, reqs, requests)
 		if m != nil && m.Period > 0 && reqs[requests-1].Arrival < sim.Time(50*m.Period) {
 			t.Fatalf("seed %d: stream ends at %v, inside 50 periods of %v", seed, reqs[requests-1].Arrival, m.Period)

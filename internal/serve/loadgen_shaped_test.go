@@ -77,13 +77,13 @@ func TestClampGapBoundary(t *testing.T) {
 // terminate with a well-formed monotone stream.
 func TestArrivalsExtremeRates(t *testing.T) {
 	for _, rate := range []float64{1e-300, 5e-324, 1e300} {
-		reqs := arrivalsShaped(7, 32, rate, 1, 0.25, 0, nil)
+		reqs := arrivalSlice(7, 32, rate, 1, 0.25, 0, nil)
 		checkStream(t, reqs, 32)
 	}
 	// The tiny-rate stream saturates at the arrival ceiling rather than
 	// wrapping negative: the tail of a fully clamped stream sits at the
 	// cap exactly.
-	reqs := arrivalsShaped(7, 32, 1e-300, 1, 0.25, 0, nil)
+	reqs := arrivalSlice(7, 32, 1e-300, 1, 0.25, 0, nil)
 	if last := reqs[len(reqs)-1].Arrival; last != maxArrival {
 		t.Fatalf("fully clamped stream tail = %d, want the ceiling %d", last, maxArrival)
 	}
@@ -106,13 +106,13 @@ func TestBurstSizeTerminates(t *testing.T) {
 		}
 	}
 	// An end-to-end huge-burst stream terminates and stays well formed.
-	checkStream(t, arrivalsShaped(11, 48, 2, math.MaxFloat64, 0.25, 0, nil), 48)
+	checkStream(t, arrivalSlice(11, 48, 2, math.MaxFloat64, 0.25, 0, nil), 48)
 }
 
 // TestArrivalsDeadlineUnderClamp checks deadline arithmetic on a
 // clamped arrival never collides with the no-deadline sentinel.
 func TestArrivalsDeadlineUnderClamp(t *testing.T) {
-	reqs := arrivalsShaped(7, 16, 1e-300, 1, 0, 250*sim.Millisecond, nil)
+	reqs := arrivalSlice(7, 16, 1e-300, 1, 0, 250*sim.Millisecond, nil)
 	for i, r := range reqs {
 		if r.Deadline == sim.Never {
 			t.Fatalf("request %d lost its deadline", i)
@@ -129,13 +129,13 @@ func TestArrivalsDeadlineUnderClamp(t *testing.T) {
 // homogeneous stream byte for byte.
 func TestShapedStreamInvariants(t *testing.T) {
 	model := &RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3}
-	a := arrivalsShaped(7, 96, 2, 2, 0.25, 0, model)
+	a := arrivalSlice(7, 96, 2, 2, 0.25, 0, model)
 	checkStream(t, a, 96)
-	b := arrivalsShaped(7, 96, 2, 2, 0.25, 0, model)
+	b := arrivalSlice(7, 96, 2, 2, 0.25, 0, model)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("shaped stream is not a pure function of its seed")
 	}
-	if c := arrivalsShaped(8, 96, 2, 2, 0.25, 0, model); reflect.DeepEqual(a, c) {
+	if c := arrivalSlice(8, 96, 2, 2, 0.25, 0, model); reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical shaped streams")
 	}
 
@@ -151,8 +151,8 @@ func TestShapedStreamInvariants(t *testing.T) {
 	}
 
 	// The shaped generator inherits the clamps: extreme rates stay safe.
-	checkStream(t, arrivalsShaped(7, 32, 1e-300, 1, 0.25, 0, model), 32)
-	checkStream(t, arrivalsShaped(7, 32, 1e300, math.MaxFloat64, 0.25, 0, model), 32)
+	checkStream(t, arrivalSlice(7, 32, 1e-300, 1, 0.25, 0, model), 32)
+	checkStream(t, arrivalSlice(7, 32, 1e300, math.MaxFloat64, 0.25, 0, model), 32)
 }
 
 // TestRateModelResolve pins the model's resolved geometry: flash

@@ -7,13 +7,21 @@ import (
 	"cellport/internal/sim"
 )
 
+// arrivalSlice draws a whole n-request stream on the calling goroutine:
+// the one generator, with no consumer reading behind it.
+func arrivalSlice(seed uint64, n int, ratePerSec, burst, tallFrac float64, deadline sim.Duration, model *RateModel) []Request {
+	out := make([]Request, n)
+	arrivalsShaped(seed, out, ratePerSec, burst, tallFrac, deadline, model, func(int) {})
+	return out
+}
+
 func TestArrivalsDeterministic(t *testing.T) {
-	a := arrivalsShaped(42, 200, 100, 3, 0.25, 50*sim.Millisecond, nil)
-	b := arrivalsShaped(42, 200, 100, 3, 0.25, 50*sim.Millisecond, nil)
+	a := arrivalSlice(42, 200, 100, 3, 0.25, 50*sim.Millisecond, nil)
+	b := arrivalSlice(42, 200, 100, 3, 0.25, 50*sim.Millisecond, nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different arrival streams")
 	}
-	c := arrivalsShaped(43, 200, 100, 3, 0.25, 50*sim.Millisecond, nil)
+	c := arrivalSlice(43, 200, 100, 3, 0.25, 50*sim.Millisecond, nil)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical arrival streams")
 	}
@@ -22,7 +30,7 @@ func TestArrivalsDeterministic(t *testing.T) {
 func TestArrivalsShape(t *testing.T) {
 	const n = 2000
 	const rate = 100.0
-	reqs := arrivalsShaped(7, n, rate, 1, 0.25, 0, nil)
+	reqs := arrivalSlice(7, n, rate, 1, 0.25, 0, nil)
 	last := sim.Time(0)
 	tall := 0
 	for i, r := range reqs {
@@ -52,7 +60,7 @@ func TestArrivalsShape(t *testing.T) {
 }
 
 func TestArrivalsBurstsShareTimestamps(t *testing.T) {
-	reqs := arrivalsShaped(7, 500, 100, 4, 0, 0, nil)
+	reqs := arrivalSlice(7, 500, 100, 4, 0, 0, nil)
 	shared := 0
 	for i := 1; i < len(reqs); i++ {
 		if reqs[i].Arrival == reqs[i-1].Arrival {
@@ -69,7 +77,7 @@ func TestArrivalsBurstsShareTimestamps(t *testing.T) {
 
 func TestArrivalsDeadlinesOffsetArrival(t *testing.T) {
 	d := 80 * sim.Millisecond
-	for _, r := range arrivalsShaped(3, 50, 100, 2, 0.5, d, nil) {
+	for _, r := range arrivalSlice(3, 50, 100, 2, 0.5, d, nil) {
 		if r.Deadline != r.Arrival.Add(d) {
 			t.Fatalf("request %d deadline %v, want arrival+%v", r.ID, r.Deadline, d)
 		}
@@ -83,6 +91,6 @@ func BenchmarkArrivalsShaped(b *testing.B) {
 	model := &RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		arrivalsShaped(7, 80_000, 1000, 1, 0.25, 2*sim.Millisecond, model)
+		arrivalSlice(7, 80_000, 1000, 1, 0.25, 2*sim.Millisecond, model)
 	}
 }

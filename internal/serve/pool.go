@@ -19,7 +19,7 @@ import (
 // machine once per distinct dispatched key to prove it).
 type blade struct {
 	id   int
-	lane string
+	lane string // trace and metrics lane name; set only with Config.Instrument
 
 	queue []Request
 	spare []Request // recycled batch buffer (capacity MaxBatch, reused across dispatches)
@@ -140,10 +140,10 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 	for i := 0; i < total; i++ {
 		b := &blade{
 			id:    i,
-			lane:  fmt.Sprintf("blade%d", i),
 			spare: make([]Request, 0, cfg.MaxBatch),
 		}
 		if cfg.Instrument {
+			b.lane = fmt.Sprintf("blade%d", i)
 			b.rec = trace.NewRecorder()
 		}
 		p.blades = append(p.blades, b)
@@ -211,20 +211,27 @@ func holdsRun(e event) bool { return e.kind == eventCompletion || e.kind == even
 
 // run plays the event loop over the arrival stream until every admitted
 // request has completed or been shed. Each step takes the earliest
-// scheduled event, or the next arrival when it is strictly earlier.
+// scheduled event, or the next arrival when it is strictly earlier; the
+// loop waits on the producer only when the next arrival is not yet
+// published.
 //
 // The run ends when no completion, re-admission or arrival remains;
 // lifecycle faults and ticks scheduled past that point never fire, so an
 // armed-but-unfired plan leaves the report unchanged.
-func (p *pool) run(reqs []Request) {
-	ai := 0
+func (p *pool) run(s *stream) {
+	reqs, ai := s.reqs, 0
 	for ai < len(reqs) || slices.ContainsFunc(p.events, holdsRun) {
 		n := len(p.events) - 1
-		if ai < len(reqs) && (n < 0 || reqs[ai].Arrival < p.events[n].at) {
-			p.now = reqs[ai].Arrival
-			p.admit(reqs[ai])
-			ai++
-			continue
+		if ai < len(reqs) {
+			if ai == s.avail {
+				s.await()
+			}
+			if n < 0 || reqs[ai].Arrival < p.events[n].at {
+				p.now = reqs[ai].Arrival
+				p.admit(reqs[ai])
+				ai++
+				continue
+			}
 		}
 		e := p.events[n]
 		p.events = p.events[:n]

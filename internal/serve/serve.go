@@ -235,8 +235,9 @@ func (c Config) RacePointConfig(s Scheme, tall bool, k int) marvel.PortedConfig 
 }
 
 // Run executes one serve run: validate and default the config,
-// calibrate (or reuse cfg.Cal), generate the seeded arrival stream, play
-// the admission/dispatch event loop to completion, and fold the report.
+// calibrate (or reuse cfg.Cal), play the admission/dispatch event loop to
+// completion over the seeded arrival stream (drawn on a producer
+// goroutine as the loop goes), and fold the report.
 // A request without exactly one terminal outcome fails the run, and so
 // does a blade that ends it with a queue or a backlog.
 func Run(cfg Config) (*Report, error) {
@@ -274,7 +275,6 @@ func Run(cfg Config) (*Report, error) {
 		deadline = 0
 	}
 
-	reqs := arrivalsShaped(cfg.Seed, cfg.Requests, offered, cfg.Burst, cfg.TallFrac, deadline, cfg.Load)
 	p := newPool(cfg, cal, deadline)
 	if err := p.armFleet(cfg.Faults); err != nil {
 		return nil, err
@@ -282,11 +282,15 @@ func Run(cfg Config) (*Report, error) {
 	// The expected arrival span is the autoscaler's natural time unit
 	// for its default sample grid.
 	p.armAutoscale(clampGap(float64(cfg.Requests) / offered))
-	p.run(reqs)
+	// The stream is drawn beside the loop that consumes it.
+	s := streamArrivals(cfg.Requests, func(out []Request, publish func(int)) {
+		arrivalsShaped(cfg.Seed, out, offered, cfg.Burst, cfg.TallFrac, deadline, cfg.Load, publish)
+	})
+	p.run(s)
 	if cfg.FullFidelity {
 		if err := p.verifyDispatched(); err != nil {
 			return nil, err
 		}
 	}
-	return p.report(reqs, offered)
+	return p.report(s.reqs, offered)
 }

@@ -436,6 +436,32 @@ func BenchmarkPoolEventLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkRunFleetShaped times one fleet-ladder-shaped Run: 4 pools × 2
+// blades, diurnal plus flash-crowd load, autoscaler, 80k requests
+// offered at the fleet's capacity, on the shared calibration. The
+// arrival stream is drawn on a producer goroutine beside the event loop,
+// so -cpu 1,2 shows both the overlap and what the producer costs on one
+// P.
+func BenchmarkRunFleetShaped(b *testing.B) {
+	cal, err := sharedCal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := quickConfig()
+	cfg.Blades, cfg.Pools = 2, 4
+	cfg.Requests = 80_000
+	cfg.Rate = 1
+	cfg.Load = &RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3}
+	cfg.Autoscale = &Autoscale{}
+	cfg.Cal = cal
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestFitEstimatorZeroCoverageLane checks a kernel the reference run
 // spent no time in leaves its geometry inconclusive: that lane's
 // Kfr/Kspeed-up is 0/0, and the Eq. 3 residual must carry the NaN.
