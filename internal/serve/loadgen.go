@@ -174,6 +174,32 @@ type resolvedModel struct {
 	period   sim.Duration
 	flashLen sim.Duration
 	starts   []sim.Time // flash-window starts within one period, sorted
+	// segs is the thinning squeeze table (DESIGN.md §13): segments
+	// tiling the period in order, the last one ending at period.
+	segs [squeezeSegs]squeezeSeg
+}
+
+// squeezeSegs is how many segments the squeeze table splits a diurnal
+// period into. On the fleet shape a flash-free segment's band between
+// its bounds holds about one candidate in a hundred, and a run of one
+// period crosses a segment boundary only 64 times.
+const squeezeSegs = 64
+
+// squeezePad widens every segment's bounds, in units of the peak rate.
+// The computed rate/peak a candidate is tested against, and the computed
+// bounds, each differ from their exact values only by the rounding of
+// the phase quotient, math.Sin and a few multiplies: a few parts in 1e15
+// of the peak. The pad is five orders of magnitude larger, so a draw
+// outside [lo, hi) falls on the same side of the computed quotient as of
+// the bound.
+const squeezePad = 1e-9
+
+// squeezeSeg is one segment of the squeeze table. It covers the phases
+// from the previous segment's end up to end; no phase in it has a
+// computed rate/peak below lo or above hi.
+type squeezeSeg struct {
+	end    sim.Duration
+	lo, hi float64
 }
 
 func (m RateModel) resolve(seed uint64, n int, ratePerSec float64) resolvedModel {
@@ -203,14 +229,54 @@ func (m RateModel) resolve(seed uint64, n int, ratePerSec float64) resolvedModel
 			}
 		}
 	}
+	r.buildSqueeze()
 	return r
 }
 
-// phase is t's offset into its diurnal period. Flash windows repeat
-// each period, so a multi-day run sees its flash crowds daily at the
-// same phase.
-func (r *resolvedModel) phase(t sim.Time) sim.Duration {
-	return sim.Duration(t) % r.period
+// buildSqueeze fills the squeeze table. Segment j holds the phases whose
+// exact fraction of the period lies in [j/n, (j+1)/n), so its first
+// phase is ceil(j·period/n), and over it 1+A·sin ranges between its
+// values at the two fractions, or reaches ±1 where a quarter or three
+// quarters of the period falls inside. A period shorter than
+// squeezeSegs femtoseconds gets one segment, the whole period. The
+// flash factor raises the upper bound of every segment a flash window
+// touches, and the lower bound only of one a single window covers.
+func (r *resolvedModel) buildSqueeze() {
+	n := squeezeSegs
+	if r.period < squeezeSegs {
+		n = 1
+	}
+	peak := r.peak()
+	q, rem := r.period/sim.Duration(n), r.period%sim.Duration(n)
+	start := sim.Duration(0)
+	for j := 0; j < n; j++ {
+		k := sim.Duration(j + 1)
+		end := k*q + (k*rem+sim.Duration(n-1))/sim.Duration(n)
+		s0 := math.Sin(2 * math.Pi * float64(j) / float64(n))
+		s1 := math.Sin(2 * math.Pi * float64(j+1) / float64(n))
+		sLo, sHi := min(s0, s1), max(s0, s1)
+		if 4*j <= n && n <= 4*(j+1) {
+			sHi = 1
+		}
+		if 4*j <= 3*n && 3*n <= 4*(j+1) {
+			sLo = -1
+		}
+		lo, hi := 1+r.DiurnalAmp*sLo, 1+r.DiurnalAmp*sHi
+		touched, covered := false, false
+		for _, s := range r.starts {
+			ws, we := sim.Duration(s), sim.Duration(s)+r.flashLen
+			touched = touched || ws < end && start < we
+			covered = covered || ws <= start && end <= we
+		}
+		if covered {
+			lo *= r.FlashFactor
+		}
+		if touched {
+			hi *= r.FlashFactor
+		}
+		r.segs[j] = squeezeSeg{end: end, lo: max(0, lo)/peak - squeezePad, hi: max(0, hi)/peak + squeezePad}
+		start = end
+	}
 }
 
 // flashAt reports whether phase lies inside a flash window. The starts
@@ -273,18 +339,23 @@ func arrivalsShaped(seed uint64, out []Request, ratePerSec, burst, tallFrac floa
 	}
 	shaped := model.active()
 	var m resolvedModel
-	peak, lo, hi := 1.0, 1.0, 1.0
+	peak := 1.0
 	if shaped {
 		m = model.resolve(seed, n, ratePerSec)
 		peak = m.peak()
-		// Squeeze bounds on rate(t)/peak (DESIGN.md §13): every rate is
-		// at least max(0, 1−A), and outside the flash windows at most
-		// 1+A. Rounding is monotone, so the bounds hold for the computed
-		// quotient too, and a draw outside [lo, hi) is decided exactly
-		// without evaluating the sinusoid.
-		lo = math.Max(0, 1-m.DiurnalAmp) / peak
-		hi = (1 + m.DiurnalAmp) / peak
 	}
+	// The squeeze (DESIGN.md §13) follows t through the table as it
+	// grows: day is the start of t's diurnal period, seg its segment,
+	// segEnd the segment's end, and [lo, hi) its band. A draw below lo
+	// is accepted and one at or above hi rejected without evaluating
+	// the rate. t is monotone, so the modulo runs only when t leaves its
+	// period, and the walk along the table only when it leaves its
+	// segment.
+	var (
+		day, segEnd sim.Time
+		seg         int
+		lo, hi      float64
+	)
 	rng := splitmix64(seed)
 	t := sim.Time(0)
 	for k := 0; k < n; {
@@ -292,10 +363,25 @@ func arrivalsShaped(seed uint64, out []Request, ratePerSec, burst, tallFrac floa
 		// Thin: one uniform draw per candidate burst event, consumed
 		// whether or not the event survives, keeping the stream aligned.
 		if shaped {
-			if u := rng.float(); u >= lo {
-				phase := m.phase(t)
-				flash := m.flashAt(phase)
-				if !flash && u >= hi || u >= m.rate(phase, flash)/peak {
+			u := rng.float()
+			if t >= segEnd {
+				if t.Sub(day) >= m.period {
+					day, seg = t-sim.Time(sim.Duration(t)%m.period), 0
+				}
+				for t.Sub(day) >= m.segs[seg].end {
+					seg++
+				}
+				segEnd = day.Add(m.segs[seg].end)
+				lo, hi = m.segs[seg].lo, m.segs[seg].hi
+			}
+			if u >= lo {
+				if u >= hi {
+					continue
+				}
+				// Flash windows repeat each period, so a multi-day run
+				// sees its flash crowds daily at the same phase.
+				phase := t.Sub(day)
+				if u >= m.rate(phase, m.flashAt(phase))/peak {
 					continue
 				}
 			}

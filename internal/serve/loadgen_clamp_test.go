@@ -81,6 +81,6 @@ func TestShapedStreamSurvivesOverAmp(t *testing.T) {
 
 // rateAtTime is the model's instantaneous rate at virtual time t.
 func rateAtTime(m *resolvedModel, t sim.Time) float64 {
-	phase := m.phase(t)
+	phase := sim.Duration(t) % m.period
 	return m.rate(phase, m.flashAt(phase))
 }

@@ -29,6 +29,20 @@ var goldenArrivals = map[string]string{
 	"short-period/burst4": "13a0fdb25a2baded0a577f0013447119b7c2d0d6a408a76ad9820f05a8d802cc",
 }
 
+// goldenModels are the rate models TestGoldenArrivals pins, by name.
+var goldenModels = []struct {
+	name  string
+	model *RateModel
+}{
+	{"homogeneous", nil},
+	{"fleet", &RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3}},
+	{"amp0.3", &RateModel{DiurnalAmp: 0.3}},
+	{"amp1", &RateModel{DiurnalAmp: 1}},
+	{"amp1.5", &RateModel{DiurnalAmp: 1.5}},
+	{"flash-only", &RateModel{FlashCount: 3, FlashFactor: 4}},
+	{"short-period", &RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3, Period: 50 * sim.Millisecond}},
+}
+
 // arrivalsDigest digests, for seeds 0–39, every field of every request
 // of a 5000-request stream at 1000 requests per virtual second, a
 // quarter of them tall, with a 2 ms deadline.
@@ -72,19 +86,7 @@ func arrivalsDigest(t *testing.T, m *RateModel, burst float64) string {
 // stream over about a hundred days, each at burst 1 and 4. Any change to
 // thinning, burst sizing or the draw order moves a digest.
 func TestGoldenArrivals(t *testing.T) {
-	models := []struct {
-		name  string
-		model *RateModel
-	}{
-		{"homogeneous", nil},
-		{"fleet", &RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3}},
-		{"amp0.3", &RateModel{DiurnalAmp: 0.3}},
-		{"amp1", &RateModel{DiurnalAmp: 1}},
-		{"amp1.5", &RateModel{DiurnalAmp: 1.5}},
-		{"flash-only", &RateModel{FlashCount: 3, FlashFactor: 4}},
-		{"short-period", &RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3, Period: 50 * sim.Millisecond}},
-	}
-	for _, m := range models {
+	for _, m := range goldenModels {
 		for _, burst := range []float64{1, 4} {
 			name := fmt.Sprintf("%s/burst%v", m.name, burst)
 			t.Run(name, func(t *testing.T) {

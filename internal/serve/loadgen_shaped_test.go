@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cellport/internal/sim"
@@ -186,5 +187,85 @@ func TestRateModelResolve(t *testing.T) {
 	off := RateModel{FlashCount: 3, FlashFactor: 0.5}.resolve(7, 96, 2)
 	if len(off.starts) != 0 || off.FlashFactor != 1 {
 		t.Fatalf("sub-unity flash factor left windows armed: %+v", off)
+	}
+}
+
+// TestSqueezeTableDecidesExactly checks the squeeze table against the
+// full rate test. For every segment it takes the first and last phases,
+// one femtosecond past either edge, and 256 phases spread across it; at
+// each, a draw just below its segment's lower bound must be accepted and
+// a draw at the upper bound rejected. The models are TestGoldenArrivals'
+// shaped ones over a few seeds, and hand-placed flash windows, one
+// straddling segment edges and one ending where the period does, on a
+// period 64 divides and on one it does not, at amplitudes 0, 0.6 and 1.
+// A period shorter than the table has one segment.
+func TestSqueezeTableDecidesExactly(t *testing.T) {
+	type model struct {
+		name string
+		r    resolvedModel
+	}
+	var models []model
+	for _, g := range goldenModels {
+		if !g.model.active() {
+			continue
+		}
+		for seed := uint64(0); seed < 4; seed++ {
+			models = append(models, model{fmt.Sprintf("%s/seed%d", g.name, seed), g.model.resolve(seed, 5000, 1000)})
+		}
+	}
+	for _, period := range []sim.Duration{64_000_000, 64_000_037} {
+		for _, amp := range []float64{0, 0.6, 1} {
+			r := RateModel{DiurnalAmp: amp, FlashCount: 2, FlashFactor: 3, Period: period}.resolve(1, 5000, 1000)
+			r.starts = []sim.Time{sim.Time(period / 64 * 5 / 2), sim.Time(period - r.flashLen)}
+			r.buildSqueeze()
+			models = append(models, model{fmt.Sprintf("placed/period%d/amp%v", period, amp), r})
+		}
+	}
+	short := RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3, Period: 50}.resolve(1, 5000, 1000)
+	if short.segs[0].end != 50 {
+		t.Fatalf("a 50 fs period's first segment ends at %d, want one segment ending at 50", short.segs[0].end)
+	}
+	models = append(models, model{"period50fs", short})
+
+	for _, m := range models {
+		r := &m.r
+		last := slices.IndexFunc(r.segs[:], func(s squeezeSeg) bool { return s.end == r.period })
+		if last < 0 {
+			t.Fatalf("%s: no segment ends at the period %d", m.name, r.period)
+		}
+		segs := r.segs[:last+1]
+		segOf := func(phase sim.Duration) squeezeSeg {
+			for _, s := range segs {
+				if phase < s.end {
+					return s
+				}
+			}
+			panic("phase past the period")
+		}
+		peak := r.peak()
+		start := sim.Duration(0)
+		for j, seg := range segs {
+			if seg.end <= start {
+				t.Fatalf("%s: segment %d is empty: [%d, %d)", m.name, j, start, seg.end)
+			}
+			phases := []sim.Duration{start - 1, start, start + 1, seg.end - 1, seg.end}
+			for i := sim.Duration(0); i < 256; i++ {
+				phases = append(phases, start+(seg.end-start)*i/256)
+			}
+			for _, phase := range phases {
+				if phase < 0 || phase >= r.period {
+					continue
+				}
+				s := segOf(phase)
+				q := r.rate(phase, r.flashAt(phase)) / peak
+				if below := math.Nextafter(s.lo, math.Inf(-1)); !(below < q) {
+					t.Errorf("%s: phase %d: a draw of %v, below the bound %v, is rejected by rate/peak %v", m.name, phase, below, s.lo, q)
+				}
+				if !(s.hi >= q) {
+					t.Errorf("%s: phase %d: a draw of %v, at the bound, is accepted by rate/peak %v", m.name, phase, s.hi, q)
+				}
+			}
+			start = seg.end
+		}
 	}
 }

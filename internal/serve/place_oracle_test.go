@@ -3,6 +3,7 @@ package serve
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -292,6 +293,73 @@ func poolDigest(p *pool) string {
 		}
 	}
 	return s
+}
+
+// TestLookupMatchesRingWalk replays the sort.Search-and-modulo ring walk
+// (sortPlacer.lookup) against lookup on fleets of one to eight pools
+// through seeded drain and activate sequences, each membership rebuilt
+// into the ring as the autoscaler does it. rebuildRing's vnode hashes
+// collide in groups (its salt is ORed over the pool id and vnode index),
+// so every other step replaces the ring with random hashes over the
+// active pools, some repeated, sorted the same way. At every step it
+// draws a room pattern over the pools and looks up random keys, every
+// vnode's hash and its neighbours, and both ends of the key space.
+func TestLookupMatchesRingWalk(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 0x5eed))
+	for pools := 1; pools <= 8; pools++ {
+		f := &fleetState{}
+		for i := 0; i < pools; i++ {
+			f.pools = append(f.pools, &poolShard{id: i, active: true})
+		}
+		f.rebuildRing()
+		oracle := &sortPlacer{p: &pool{fleet: f}, visited: make([]bool, pools)}
+		hasRoom := func(pl *poolShard) bool { return pl.room }
+		for step := 0; step < 200; step++ {
+			if step > 0 {
+				pl := f.pools[rng.IntN(pools)]
+				pl.active = !pl.active
+				f.rebuildRing()
+			}
+			if step%2 == 1 {
+				f.ring = f.ring[:0]
+				for _, pl := range f.pools {
+					for v := rng.IntN(vnodesPerPool); pl.active && v >= 0; v-- {
+						h := rng.Uint64()
+						if len(f.ring) > 0 && rng.IntN(4) == 0 {
+							h = f.ring[rng.IntN(len(f.ring))].hash
+						}
+						f.ring = append(f.ring, ringEntry{hash: h, pool: pl.id})
+					}
+				}
+				slices.SortFunc(f.ring, func(a, b ringEntry) int {
+					return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.pool, b.pool))
+				})
+			}
+			for _, pl := range f.pools {
+				pl.room = pl.active && rng.IntN(3) != 0
+			}
+			keys := []uint64{0, 1, math.MaxUint64}
+			for _, e := range f.ring {
+				keys = append(keys, e.hash-1, e.hash, e.hash+1)
+			}
+			for i := 0; i < 32; i++ {
+				keys = append(keys, rng.Uint64())
+			}
+			for _, key := range keys {
+				if got, want := f.lookup(key), oracle.lookup(key, hasRoom); got != want {
+					t.Fatalf("%d pools, step %d, key %#x: lookup gave %v, the ring walk %v", pools, step, key, shardID(got), shardID(want))
+				}
+			}
+		}
+	}
+}
+
+// shardID names a routing result: its pool index, or -1 for none.
+func shardID(pl *poolShard) int {
+	if pl == nil {
+		return -1
+	}
+	return pl.id
 }
 
 // TestPlaceMatchesSortOracle admits a few requests into each of many

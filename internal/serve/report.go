@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"cellport/internal/metrics"
@@ -183,13 +184,66 @@ func (p *pool) finish(r Request, st terminal, b *blade) {
 	}
 }
 
-// percentile returns the q-quantile (0 < q <= 1) of an ascending sample
-// by the nearest-rank method; 0 for an empty sample.
-func percentile(sorted []sim.Duration, q float64) sim.Duration {
-	if len(sorted) == 0 {
-		return 0
+// latencyQuantiles returns the nearest-rank p50, p95 and p99 of a, zeros
+// for an empty sample, reordering a in place. It selects instead of
+// sorting: p99 over the whole sample, then p95 among the values at or
+// below it, then p50 among those at or below p95.
+func latencyQuantiles(a []sim.Duration) (p50, p95, p99 sim.Duration) {
+	if len(a) == 0 {
+		return 0, 0, 0
 	}
-	return sorted[int(math.Ceil(q*float64(len(sorted))))-1]
+	rank := func(q float64) int { return int(math.Ceil(q*float64(len(a)))) - 1 }
+	// Each selection reorders the prefix that holds the previous one's
+	// rank, so each value is read before the next selection.
+	k99, k95, k50 := rank(0.99), rank(0.95), rank(0.50)
+	selectNth(a, k99)
+	p99 = a[k99]
+	selectNth(a[:k99+1], k95)
+	p95 = a[k95]
+	selectNth(a[:k95+1], k50)
+	return a[k50], p95, p99
+}
+
+// selectSortBelow is the range length under which selectNth sorts
+// instead of partitioning.
+const selectSortBelow = 16
+
+// selectNth reorders a so that a[k] holds the value a sorted copy has
+// there, with no greater value before it and no smaller one after. It
+// partitions Hoare's way around a median-of-three pivot, so runs of
+// equal values split down the middle, and sorts a range that is short
+// or that is still wide after 2·log2(len(a)) partitions, so no input
+// makes it quadratic.
+func selectNth(a []sim.Duration, k int) {
+	for depth := 2 * bits.Len(uint(len(a))); len(a) >= selectSortBelow && depth > 0; depth-- {
+		x, y, z := a[0], a[len(a)/2], a[len(a)-1]
+		pivot := max(min(x, y), min(max(x, y), z))
+		// The pivot is in a, so both scans stop inside it. After the
+		// loop a[:j+1] <= pivot <= a[i:], and a[j+1:i] == pivot.
+		i, j := 0, len(a)-1
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			a = a[:j+1]
+		case k >= i:
+			a, k = a[i:], k-i
+		default:
+			return
+		}
+	}
+	slices.Sort(a)
 }
 
 // report sums the blades' event counters and folds the outcome records
@@ -300,10 +354,7 @@ func (p *pool) report(reqs []Request, offered float64) (*Report, error) {
 			r.ShedGlobal++
 		}
 	}
-	slices.Sort(latencies)
-	r.LatencyP50 = percentile(latencies, 0.50)
-	r.LatencyP95 = percentile(latencies, 0.95)
-	r.LatencyP99 = percentile(latencies, 0.99)
+	r.LatencyP50, r.LatencyP95, r.LatencyP99 = latencyQuantiles(latencies)
 	if r.Served > 0 && r.Makespan > 0 {
 		r.AchievedRPS = float64(r.Served) / r.Makespan.Seconds()
 	}

@@ -72,12 +72,23 @@ func (f *fleetState) rebuildRing() {
 
 // lookup walks the ring clockwise from key and returns the first pool
 // with room (routePool sets poolShard.room), or nil when no pool on the
-// ring has any.
+// ring has any. The walk starts at the first vnode whose hash is at
+// least key, wrapping past the end of the ring to its start.
 func (f *fleetState) lookup(key uint64) *poolShard {
 	n := len(f.ring)
-	start := sort.Search(n, func(i int) bool { return f.ring[i].hash >= key })
-	for i := 0; i < n; i++ {
-		if pl := f.pools[f.ring[(start+i)%n].pool]; pl.room {
+	lo, hi := 0, n
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); f.ring[h].hash < key {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	for i, j := 0, lo; i < n; i, j = i+1, j+1 {
+		if j == n {
+			j = 0
+		}
+		if pl := f.pools[f.ring[j].pool]; pl.room {
 			return pl
 		}
 	}
@@ -120,6 +131,10 @@ func (p *pool) routePool(r Request) *poolShard {
 		if pl.room && (best == nil || pl.frontier < best.frontier) {
 			best = pl
 		}
+	}
+	if best == nil {
+		// No pool has room, so the ring walk would find none either.
+		return nil
 	}
 	hashed := f.lookup(requestKey(r))
 	if hashed == nil || best == hashed || p.cfg.Policy != PolicyEstimator || !p.conclusive {

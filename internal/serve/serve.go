@@ -146,6 +146,9 @@ type Config struct {
 	Cal *Calibration
 }
 
+// defaultRequests is the stream length a zero Config.Requests selects.
+const defaultRequests = 64
+
 func (c Config) withDefaults() Config {
 	if c.Blades <= 0 {
 		c.Blades = 3
@@ -157,7 +160,7 @@ func (c Config) withDefaults() Config {
 		c.MaxBatch = 4
 	}
 	if c.Requests <= 0 {
-		c.Requests = 64
+		c.Requests = defaultRequests
 	}
 	if c.Rate <= 0 {
 		c.Rate = 2

@@ -436,13 +436,10 @@ func BenchmarkPoolEventLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkRunFleetShaped times one fleet-ladder-shaped Run: 4 pools × 2
-// blades, diurnal plus flash-crowd load, autoscaler, 80k requests
-// offered at the fleet's capacity, on the shared calibration. The
-// arrival stream is drawn on a producer goroutine beside the event loop,
-// so -cpu 1,2 shows both the overlap and what the producer costs on one
-// P.
-func BenchmarkRunFleetShaped(b *testing.B) {
+// fleetShapedConfig is one fleet-ladder rung: 4 pools × 2 blades,
+// diurnal plus flash-crowd load, autoscaler, 80k requests offered at the
+// fleet's capacity, on the shared calibration.
+func fleetShapedConfig(b *testing.B) Config {
 	cal, err := sharedCal()
 	if err != nil {
 		b.Fatal(err)
@@ -454,6 +451,17 @@ func BenchmarkRunFleetShaped(b *testing.B) {
 	cfg.Load = &RateModel{DiurnalAmp: 0.6, FlashCount: 2, FlashFactor: 3}
 	cfg.Autoscale = &Autoscale{}
 	cfg.Cal = cal
+	return cfg
+}
+
+// BenchmarkRunFleetShaped times one fleet-ladder-shaped Run: 4 pools × 2
+// blades, diurnal plus flash-crowd load, autoscaler, 80k requests
+// offered at the fleet's capacity, on the shared calibration. The
+// arrival stream is drawn on a producer goroutine beside the event loop,
+// so -cpu 1,2 shows both the overlap and what the producer costs on one
+// P.
+func BenchmarkRunFleetShaped(b *testing.B) {
+	cfg := fleetShapedConfig(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfg); err != nil {

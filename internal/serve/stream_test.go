@@ -47,6 +47,12 @@ func TestStreamChunkEdges(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(t *testing.T) {
 				cfg := shape.cfg
 				cfg.Requests = n
+				if l := cfg.Load; l != nil && l.FlashCount > n {
+					// Validate allows at most one flash window per request.
+					load := *l
+					load.FlashCount = n
+					cfg.Load = &load
+				}
 				cfg.OfferedRPS = 1.5 * cfg.Cal.PerBladeCapacity() * float64(cfg.bladeCount())
 				cfg.Deadline = 40 * sim.Millisecond
 				base := runtime.NumGoroutine()

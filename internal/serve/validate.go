@@ -30,8 +30,9 @@ func badField(field string, value interface{}, reason string) error {
 // zero is always accepted; what Validate rejects is an explicit
 // out-of-range request — negative counts, a non-finite or negative
 // rate, a fraction outside [0, 1], a burst in (0, 1) that would invert
-// the geometric burst-size distribution, a blade fault past maxGap
-// (about 38 minutes), whose end could reach sim.Never and never fire.
+// the geometric burst-size distribution, more flash windows than
+// requests, a blade fault past maxGap (about 38 minutes), whose end
+// could reach sim.Never and never fire.
 // Run calls it first, so every entry point shares the same gate.
 func (c Config) Validate() error {
 	switch {
@@ -74,7 +75,11 @@ func (c Config) Validate() error {
 		return badField("TallFrac", c.TallFrac, "fraction must lie in [0, 1]")
 	}
 	if c.Load != nil {
-		if err := c.Load.validate(); err != nil {
+		requests := c.Requests
+		if requests == 0 {
+			requests = defaultRequests
+		}
+		if err := c.Load.validate(requests); err != nil {
 			return err
 		}
 	}
@@ -86,12 +91,19 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func (m *RateModel) validate() error {
+// validate checks the model against a run of the given stream length.
+// Resolving the model allocates one start per flash window, so the
+// count is bounded by the stream length: a window per request is
+// already more than any stream can show.
+func (m *RateModel) validate(requests int) error {
 	if math.IsNaN(m.DiurnalAmp) || m.DiurnalAmp < 0 || m.DiurnalAmp > 1 {
 		return badField("Load.DiurnalAmp", m.DiurnalAmp, "diurnal amplitude must lie in [0, 1]")
 	}
 	if m.FlashCount < 0 {
 		return badField("Load.FlashCount", m.FlashCount, "flash-crowd count cannot be negative")
+	}
+	if m.FlashCount > requests {
+		return badField("Load.FlashCount", m.FlashCount, fmt.Sprintf("flash-crowd count cannot exceed the %d requests of the run", requests))
 	}
 	if math.IsNaN(m.FlashFactor) || math.IsInf(m.FlashFactor, 0) || m.FlashFactor < 0 {
 		return badField("Load.FlashFactor", m.FlashFactor, "flash factor must be finite and non-negative")

@@ -45,6 +45,8 @@ func TestValidateRejectsDegenerateConfigs(t *testing.T) {
 		{"NaN tall fraction", mod(func(c *Config) { c.TallFrac = math.NaN() }), "TallFrac"},
 		{"diurnal amplitude above one", mod(func(c *Config) { c.Load = &RateModel{DiurnalAmp: 1.5} }), "Load.DiurnalAmp"},
 		{"negative flash count", mod(func(c *Config) { c.Load = &RateModel{FlashCount: -1} }), "Load.FlashCount"},
+		{"flash count past any allocation", mod(func(c *Config) { c.Load = &RateModel{FlashCount: 1 << 62, FlashFactor: 2} }), "Load.FlashCount"},
+		{"more flash windows than requests", mod(func(c *Config) { c.Load = &RateModel{FlashCount: c.Requests + 1, FlashFactor: 2} }), "Load.FlashCount"},
 		{"infinite flash factor", mod(func(c *Config) { c.Load = &RateModel{FlashFactor: math.Inf(1)} }), "Load.FlashFactor"},
 		{"negative diurnal period", mod(func(c *Config) { c.Load = &RateModel{Period: -1} }), "Load.Period"},
 		{"never-ending blade stall", mod(func(c *Config) {
@@ -97,6 +99,16 @@ func TestValidateAcceptsZeroDefaults(t *testing.T) {
 	}
 	if err := fleetConfig(t).Validate(); err != nil {
 		t.Fatalf("the fleet test scenario rejected: %v", err)
+	}
+	// One flash window per request is the bound, also at the default
+	// stream length a zero Requests selects.
+	for _, requests := range []int{cfg.Requests, 0} {
+		c := cfg
+		c.Requests = requests
+		c.Load = &RateModel{FlashCount: c.withDefaults().Requests, FlashFactor: 2}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%d flash windows at Requests %d rejected: %v", c.Load.FlashCount, requests, err)
+		}
 	}
 	// A blade fault exactly at the bound still validates.
 	cfg.Faults = &fault.Plan{Faults: []fault.Fault{{Kind: fault.BladeStall, At: sim.Time(maxGap), Delay: maxGap}}}
