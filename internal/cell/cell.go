@@ -75,11 +75,13 @@ func New(cfg Config) *Machine {
 	e := sim.NewEngine()
 	bus := eib.New(e, cfg.Bus)
 	mem := mainmem.New(cfg.MemorySize)
-	m := &Machine{cfg: cfg, Engine: e, Bus: bus, Memory: mem, tracer: cfg.Tracer}
-	for i := 0; i < cfg.NumSPEs; i++ {
-		s := spe.New(e, i, bus, mem, speModel, cfg.Tracer)
-		s.MFC.SetTracer(cfg.Tracer, fmt.Sprintf("MFC%d", i))
-		m.SPEs = append(m.SPEs, s)
+	m := &Machine{cfg: cfg, Engine: e, Bus: bus, Memory: mem, tracer: cfg.Tracer,
+		SPEs: make([]*spe.SPE, cfg.NumSPEs)}
+	for i := range m.SPEs {
+		m.SPEs[i] = spe.New(e, i, bus, mem, speModel, cfg.Tracer)
+		if cfg.Tracer != nil {
+			m.SPEs[i].MFC.SetTracer(cfg.Tracer, fmt.Sprintf("MFC%d", i))
+		}
 	}
 	return m
 }

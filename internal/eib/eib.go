@@ -129,17 +129,32 @@ func New(e *sim.Engine, cfg Config) *Bus {
 // handle. onDone, if non-nil, runs at completion time. Zero-size transfers
 // complete immediately, inside Start.
 func (b *Bus) Start(src, dst Port, size int64, onDone func()) *Transfer {
-	t := &Transfer{src: src, dst: dst, remaining: float64(size), bus: b, onDone: onDone}
+	t := new(Transfer)
+	b.Begin(t, src, dst, size, onDone)
+	return t
+}
+
+// Begin is Start on a transfer the caller owns, so a caller that moves
+// many pieces can reuse one Transfer for all of them. t must not be in
+// flight: it is new, finished or aborted. Begin keeps t's bound
+// completion callback and resets everything else.
+func (b *Bus) Begin(t *Transfer, src, dst Port, size int64, onDone func()) {
+	if t.bus != nil && !t.finished {
+		panic("eib: Begin on a transfer in flight")
+	}
+	t.src, t.dst, t.remaining, t.bus, t.onDone = src, dst, float64(size), b, onDone
+	t.rate, t.finished, t.timer = 0, false, sim.Timer{}
 	b.transfers++
 	if size <= 0 {
 		t.complete()
-		return t
+		return
 	}
-	t.fire = t.onTimer
+	if t.fire == nil {
+		t.fire = t.onTimer
+	}
 	b.advance()
 	b.addActive(t)
 	b.reallocate()
-	return t
 }
 
 // Abort tears down an in-flight transfer: it stops consuming bandwidth

@@ -18,7 +18,8 @@ type flow struct {
 // start is Bus.Start returning a flow; onDone, if non-nil, runs before
 // the flow's waiters wake.
 func start(b *Bus, src, dst Port, size int64, onDone func()) *flow {
-	f := &flow{q: sim.NewQueue(fmt.Sprintf("eib %v->%v", src, dst))}
+	f := &flow{q: new(sim.Queue)}
+	f.q.Init(fmt.Sprintf("eib %v->%v", src, dst))
 	f.Transfer = b.Start(src, dst, size, func() {
 		f.done = true
 		if onDone != nil {

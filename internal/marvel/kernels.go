@@ -143,7 +143,10 @@ func dmaRows(ctx *spe.Context, lsa ls.Addr, ea mainmem.Addr, rows, stride int, t
 	rowsPerCmd := mfc.MaxTransfer / stride
 	total := rows
 	if v == Optimized {
-		var list []mfc.ListElement
+		// GetList copies the list into its command, so it is built on the
+		// stack; only a list longer than the buffer moves to the heap.
+		var buf [16]mfc.ListElement
+		list := buf[:0]
 		off := 0
 		for total > 0 {
 			n := rowsPerCmd

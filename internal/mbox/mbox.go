@@ -17,11 +17,10 @@ const (
 // sides, in virtual time.
 type Mailbox struct {
 	engine   *sim.Engine
-	name     string
 	capacity int
 	fifo     []uint32
-	notEmpty *sim.Queue
-	notFull  *sim.Queue
+	notEmpty sim.Queue
+	notFull  sim.Queue
 	// writeDelay, when set, stalls each blocking Write by the returned
 	// duration before it enqueues (deterministic fault injection).
 	writeDelay func() sim.Duration
@@ -33,18 +32,23 @@ type Mailbox struct {
 // SetWriteDelay installs (or clears, with nil) the per-write stall hook.
 func (m *Mailbox) SetWriteDelay(h func() sim.Duration) { m.writeDelay = h }
 
-// NewMailbox returns a mailbox with the given entry capacity.
-func NewMailbox(e *sim.Engine, name string, capacity int) *Mailbox {
+// Labels names a mailbox's two wait queues in deadlock reports.
+type Labels struct{ NotEmpty, NotFull string }
+
+// LabelsFor returns the labels of the mailbox called name: name+"
+// not-empty" and name+" not-full".
+func LabelsFor(name string) Labels {
+	return Labels{NotEmpty: name + " not-empty", NotFull: name + " not-full"}
+}
+
+// Init makes m a new mailbox with the given entry capacity.
+func (m *Mailbox) Init(e *sim.Engine, l Labels, capacity int) {
 	if capacity <= 0 {
 		panic("mbox: capacity must be positive")
 	}
-	return &Mailbox{
-		engine:   e,
-		name:     name,
-		capacity: capacity,
-		notEmpty: sim.NewQueue(name + " not-empty"),
-		notFull:  sim.NewQueue(name + " not-full"),
-	}
+	*m = Mailbox{engine: e, capacity: capacity}
+	m.notEmpty.Init(l.NotEmpty)
+	m.notFull.Init(l.NotFull)
 }
 
 // Count reports the number of queued entries (the spe_stat_* analog).
@@ -57,7 +61,7 @@ func (m *Mailbox) Write(p *sim.Proc, v uint32) {
 			p.Sleep(d)
 		}
 	}
-	p.WaitFor(m.notFull, func() bool { return len(m.fifo) < m.capacity })
+	p.WaitFor(&m.notFull, func() bool { return len(m.fifo) < m.capacity })
 	m.fifo = append(m.fifo, v)
 	m.writes++
 	m.notePeak()
@@ -73,7 +77,7 @@ func (m *Mailbox) notePeak() {
 // Read dequeues the oldest entry, blocking the calling process until one
 // is available.
 func (m *Mailbox) Read(p *sim.Proc) uint32 {
-	p.WaitFor(m.notEmpty, func() bool { return len(m.fifo) > 0 })
+	p.WaitFor(&m.notEmpty, func() bool { return len(m.fifo) > 0 })
 	v := m.fifo[0]
 	copy(m.fifo, m.fifo[1:])
 	m.fifo = m.fifo[:len(m.fifo)-1]
@@ -85,7 +89,7 @@ func (m *Mailbox) Read(p *sim.Proc) uint32 {
 // consuming it, or until d of virtual time passes (sim.Forever: no
 // limit); it reports whether an entry is available.
 func (m *Mailbox) WaitNotEmpty(p *sim.Proc, d sim.Duration) bool {
-	return p.WaitForTimeout(m.notEmpty, d, func() bool { return len(m.fifo) > 0 })
+	return p.WaitForTimeout(&m.notEmpty, d, func() bool { return len(m.fifo) > 0 })
 }
 
 // Writes reports the cumulative number of successful writes.

@@ -8,9 +8,16 @@ import (
 	"cellport/internal/sim"
 )
 
+// newMailbox returns a mailbox whose wait queues are labelled after name.
+func newMailbox(e *sim.Engine, name string, capacity int) *Mailbox {
+	m := new(Mailbox)
+	m.Init(e, LabelsFor(name), capacity)
+	return m
+}
+
 func TestMailboxFIFO(t *testing.T) {
 	e := sim.NewEngine()
-	m := NewMailbox(e, "in", InboundDepth)
+	m := newMailbox(e, "in", InboundDepth)
 	var got []uint32
 	e.Spawn("writer", func(p *sim.Proc) {
 		for _, v := range []uint32{10, 20, 30} {
@@ -36,7 +43,7 @@ func TestMailboxFIFO(t *testing.T) {
 
 func TestMailboxWriterBlocksWhenFull(t *testing.T) {
 	e := sim.NewEngine()
-	m := NewMailbox(e, "in", 2)
+	m := newMailbox(e, "in", 2)
 	var fifthWriteAt sim.Time
 	e.Spawn("writer", func(p *sim.Proc) {
 		for i := uint32(0); i < 3; i++ {
@@ -58,7 +65,7 @@ func TestMailboxWriterBlocksWhenFull(t *testing.T) {
 
 func TestMailboxReaderBlocksWhenEmpty(t *testing.T) {
 	e := sim.NewEngine()
-	m := NewMailbox(e, "out", OutboundDepth)
+	m := newMailbox(e, "out", OutboundDepth)
 	var readAt sim.Time
 	var val uint32
 	e.Spawn("reader", func(p *sim.Proc) {
@@ -79,7 +86,7 @@ func TestMailboxReaderBlocksWhenEmpty(t *testing.T) {
 
 func TestWaitNotEmptyDoesNotConsume(t *testing.T) {
 	e := sim.NewEngine()
-	m := NewMailbox(e, "intr", 1)
+	m := newMailbox(e, "intr", 1)
 	var observed uint32
 	e.Spawn("ppe", func(p *sim.Proc) {
 		if !m.WaitNotEmpty(p, sim.Forever) {
@@ -105,7 +112,7 @@ func TestPropMailboxPreservesOrder(t *testing.T) {
 	f := func(vals []uint32, capRaw uint8) bool {
 		capacity := int(capRaw%4) + 1
 		e := sim.NewEngine()
-		m := NewMailbox(e, "prop", capacity)
+		m := newMailbox(e, "prop", capacity)
 		var got []uint32
 		e.Spawn("w", func(p *sim.Proc) {
 			for _, v := range vals {

@@ -13,11 +13,13 @@ import (
 // wait cause named — instead of hanging the test binary forever.
 func TestWriterStallOnCrashedReader(t *testing.T) {
 	e := sim.NewEngine()
-	m := NewMailbox(e, "spe0 in-mbox", InboundDepth)
+	m := newMailbox(e, "spe0 in-mbox", InboundDepth)
 	var reader *sim.Proc
 	reader = e.Spawn("reader", func(p *sim.Proc) {
 		m.Read(p) // consume one word, then wedge forever
-		p.Wait(sim.NewQueue("wedged"))
+		var wedged sim.Queue
+		wedged.Init("wedged")
+		p.Wait(&wedged)
 	})
 	e.Spawn("writer", func(p *sim.Proc) {
 		for i := uint32(0); i < uint32(InboundDepth)+2; i++ {
@@ -55,7 +57,7 @@ func TestWriterStallOnCrashedReader(t *testing.T) {
 // data path intact.
 func TestWriteDelayStallsInVirtualTime(t *testing.T) {
 	e := sim.NewEngine()
-	m := NewMailbox(e, "in", InboundDepth)
+	m := newMailbox(e, "in", InboundDepth)
 	calls := 0
 	m.SetWriteDelay(func() sim.Duration {
 		calls++

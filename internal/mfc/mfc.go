@@ -12,6 +12,7 @@ package mfc
 
 import (
 	"fmt"
+	"slices"
 
 	"cellport/internal/eib"
 	"cellport/internal/ls"
@@ -63,9 +64,9 @@ type MFC struct {
 	store  *ls.LocalStore
 	port   eib.Port
 
-	slots      *sim.Semaphore
+	slots      sim.Semaphore
 	tagPending [NumTags]int
-	tagWait    *sim.Queue
+	tagWait    sim.Queue
 
 	// faultHook, when set, is sampled once per accepted DMA command
 	// (deterministic fault injection).
@@ -73,11 +74,13 @@ type MFC struct {
 	// xferErr is the sticky transfer-error flag: set when a command's
 	// payload was delivered corrupted, cleared by ClearTransferError.
 	xferErr bool
-	// startTimers and inflight track pending startup timers and in-flight
-	// bus transfers so Abort can tear them down. Slices (not maps) keep
-	// teardown order deterministic.
-	startTimers []sim.Timer
-	inflight    []*eib.Transfer
+	// starting holds the commands inside their startup latency and onBus
+	// those with a piece on the bus, so Abort can tear them down. Slices
+	// (not maps) keep teardown order deterministic.
+	starting []*cmd
+	onBus    []*cmd
+	// free holds finished commands for reuse (see cmd).
+	free []*cmd
 
 	// Stats
 	commands  uint64
@@ -130,54 +133,52 @@ func (m *MFC) corrupt(b []byte) {
 	m.xferErr = true
 }
 
-func (m *MFC) removeTimer(t sim.Timer) {
-	for i, x := range m.startTimers {
-		if x == t {
-			m.startTimers = append(m.startTimers[:i], m.startTimers[i+1:]...)
-			return
-		}
+// without returns cs less c, keeping the order of the rest.
+func without(cs []*cmd, c *cmd) []*cmd {
+	if i := slices.Index(cs, c); i >= 0 {
+		return slices.Delete(cs, i, i+1)
 	}
-}
-
-func (m *MFC) track(t *eib.Transfer) { m.inflight = append(m.inflight, t) }
-
-func (m *MFC) untrack(t *eib.Transfer) {
-	for i, x := range m.inflight {
-		if x == t {
-			m.inflight = append(m.inflight[:i], m.inflight[i+1:]...)
-			return
-		}
-	}
+	return cs
 }
 
 // Abort tears down the MFC after its SPE fails: pending command starts are
 // cancelled, in-flight transfers stop moving data, every tag is forced
 // quiescent, and tag waiters are released. The queue semaphore is left as
-// is — a failed SPE never loads another program.
+// is — a failed SPE never loads another program. The torn-down commands
+// are dropped, never recycled.
 func (m *MFC) Abort() {
-	for _, t := range m.startTimers {
-		t.Cancel()
+	for _, c := range m.starting {
+		c.start.Cancel()
 	}
-	m.startTimers = nil
-	for _, tr := range m.inflight {
-		tr.Abort()
+	m.starting = nil
+	for _, c := range m.onBus {
+		c.tr.Abort()
 	}
-	m.inflight = nil
+	m.onBus = nil
 	for i := range m.tagPending {
 		m.tagPending[i] = 0
 	}
 	m.tagWait.WakeAll(m.engine)
 }
 
-// New creates an MFC bound to one SPE's local store and bus port.
-func New(e *sim.Engine, bus *eib.Bus, mem *mainmem.Memory, store *ls.LocalStore, port eib.Port) *MFC {
-	return &MFC{
+// Labels names an MFC's two wait queues in deadlock reports.
+type Labels struct{ Queue, TagGroup string }
+
+// LabelsFor returns the labels of the MFC on port, such as "SPE3 MFC
+// queue" and "SPE3 tag-group".
+func LabelsFor(port eib.Port) Labels {
+	return Labels{Queue: fmt.Sprintf("%v MFC queue", port), TagGroup: fmt.Sprintf("%v tag-group", port)}
+}
+
+// Init makes m a new MFC bound to one SPE's local store and bus port.
+func (m *MFC) Init(e *sim.Engine, bus *eib.Bus, mem *mainmem.Memory, store *ls.LocalStore, port eib.Port, l Labels) {
+	*m = MFC{
 		engine: e, bus: bus, mem: mem, store: store, port: port,
-		slots:     sim.NewSemaphore(e, fmt.Sprintf("%v MFC queue", port), QueueDepth),
-		tagWait:   sim.NewQueue(fmt.Sprintf("%v tag-group", port)),
 		sizeHist:  metrics.Histogram{Bounds: dmaSizeBounds},
 		depthHist: metrics.Histogram{Bounds: queueDepthBounds},
 	}
+	m.slots.Init(e, l.Queue, QueueDepth)
+	m.tagWait.Init(l.TagGroup)
 }
 
 // ListElement describes one entry of a DMA list command: a contiguous run
@@ -249,7 +250,9 @@ func (m *MFC) Get(p *sim.Proc, lsa ls.Addr, ea mainmem.Addr, size uint32, tag in
 	if err := m.checkSingle(lsa, ea, size, tag); err != nil {
 		return err
 	}
-	m.issue(p, tag, getCmd, []piece{{dst: m.store.Bytes(lsa, size), src: m.mem.Bytes(ea, size)}})
+	c := m.newCmd(tag, getCmd)
+	c.pieces = append(c.pieces, piece{dst: m.store.Bytes(lsa, size), src: m.mem.Bytes(ea, size)})
+	m.issue(p, c)
 	return nil
 }
 
@@ -259,65 +262,59 @@ func (m *MFC) Put(p *sim.Proc, lsa ls.Addr, ea mainmem.Addr, size uint32, tag in
 	if err := m.checkSingle(lsa, ea, size, tag); err != nil {
 		return err
 	}
-	snapshot := append([]byte(nil), m.store.Bytes(lsa, size)...)
-	m.issue(p, tag, putCmd, []piece{{dst: m.mem.Bytes(ea, size), src: snapshot}})
+	c := m.newCmd(tag, putCmd)
+	c.pieces = append(c.pieces, piece{dst: m.mem.Bytes(ea, size), src: c.snapshot(m.store.Bytes(lsa, size))})
+	m.issue(p, c)
 	return nil
 }
 
 // GetList enqueues a DMA-list (gather) command: elements are transferred
 // serially into consecutive LS space starting at lsa, all under one tag
 // and one queue slot — the reason DMA lists beat strings of individual
-// gets for many small pieces (§4.1).
+// gets for many small pieces (§4.1). The list is not retained.
 func (m *MFC) GetList(p *sim.Proc, lsa ls.Addr, list []ListElement, tag int) error {
-	pieces, err := m.listPieces(lsa, list, tag, true)
-	if err != nil {
-		return err
-	}
-	m.issue(p, tag, getListCmd, pieces)
-	return nil
+	return m.issueList(p, lsa, list, tag, getListCmd)
 }
 
 // PutList enqueues a DMA-list (scatter) command from consecutive LS space.
 func (m *MFC) PutList(p *sim.Proc, lsa ls.Addr, list []ListElement, tag int) error {
-	pieces, err := m.listPieces(lsa, list, tag, false)
-	if err != nil {
-		return err
-	}
-	m.issue(p, tag, putListCmd, pieces)
-	return nil
+	return m.issueList(p, lsa, list, tag, putListCmd)
 }
 
-// listPieces validates a DMA list and resolves its elements to pieces; a
-// put snapshots each element's LS bytes.
-func (m *MFC) listPieces(lsa ls.Addr, list []ListElement, tag int, get bool) ([]piece, error) {
+// issueList validates a DMA list, resolves its elements to the pieces of
+// one command (a put snapshots each element's LS bytes) and issues it.
+func (m *MFC) issueList(p *sim.Proc, lsa ls.Addr, list []ListElement, tag int, kind command) error {
 	if len(list) == 0 {
-		return nil, fmt.Errorf("mfc: empty DMA list")
+		return fmt.Errorf("mfc: empty DMA list")
 	}
 	if len(list) > MaxListElements {
-		return nil, fmt.Errorf("mfc: DMA list has %d elements, max %d", len(list), MaxListElements)
+		return fmt.Errorf("mfc: DMA list has %d elements, max %d", len(list), MaxListElements)
 	}
 	if err := checkTag(tag); err != nil {
-		return nil, err
+		return err
 	}
+	c := m.newCmd(tag, kind)
 	cursor := lsa
-	pieces := make([]piece, 0, len(list))
 	for i, el := range list {
-		if err := checkTransfer(cursor, el.EA, el.Size); err != nil {
-			return nil, fmt.Errorf("mfc: list element %d: %w", i, err)
+		err := checkTransfer(cursor, el.EA, el.Size)
+		if err == nil {
+			err = m.checkBounds(cursor, el.EA, el.Size)
 		}
-		if err := m.checkBounds(cursor, el.EA, el.Size); err != nil {
-			return nil, fmt.Errorf("mfc: list element %d: %w", i, err)
+		if err != nil {
+			m.recycle(c)
+			return fmt.Errorf("mfc: list element %d: %w", i, err)
 		}
 		lsb := m.store.Bytes(cursor, el.Size)
 		mb := m.mem.Bytes(el.EA, el.Size)
-		if get {
-			pieces = append(pieces, piece{dst: lsb, src: mb})
+		if kind.get {
+			c.pieces = append(c.pieces, piece{dst: lsb, src: mb})
 		} else {
-			pieces = append(pieces, piece{dst: mb, src: append([]byte(nil), lsb...)})
+			c.pieces = append(c.pieces, piece{dst: mb, src: c.snapshot(lsb)})
 		}
 		cursor = ls.Addr(uint32(cursor) + el.Size)
 	}
-	return pieces, nil
+	m.issue(p, c)
+	return nil
 }
 
 // piece is one contiguous run of a DMA command: src is copied to dst when
@@ -338,64 +335,123 @@ var (
 	putListCmd = command{label: "put-list", list: true}
 )
 
+// cmd is one DMA command, from Get, Put or a list call until its last
+// piece lands. Its engine and bus callbacks are bound once, when the
+// struct is first made, and it returns to the MFC's free list in the
+// callback that completes its tag, so a steady stream of commands
+// allocates nothing. A dropped command (FaultDrop) still holds its queue
+// slot and an aborted one its torn-down timer or transfer; neither is
+// recycled.
+type cmd struct {
+	m      *MFC
+	tag    int
+	kind   command
+	act    FaultAction
+	start  sim.Timer // the pending end of the startup latency
+	t0     sim.Time  // when the first piece reached the bus
+	next   int       // the piece on the bus
+	pieces []piece
+	snap   []byte // a put's issue-time copy of its LS bytes
+	tr     eib.Transfer
+	// startFn and landFn are c.begin and c.land, bound once.
+	startFn, landFn func()
+}
+
+// newCmd takes a command from the free list, or makes one.
+func (m *MFC) newCmd(tag int, kind command) *cmd {
+	var c *cmd
+	if n := len(m.free); n > 0 {
+		c = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		c = &cmd{m: m}
+		c.startFn, c.landFn = c.begin, c.land
+	}
+	c.tag, c.kind = tag, kind
+	return c
+}
+
+// recycle puts a command that will never run again on the free list,
+// keeping its piece slice and snapshot buffer for the next one.
+func (m *MFC) recycle(c *cmd) {
+	clear(c.pieces) // let go of the LS and main-memory windows
+	c.pieces, c.snap, c.next = c.pieces[:0], c.snap[:0], 0
+	m.free = append(m.free, c)
+}
+
+// snapshot copies b into the command's snapshot buffer and returns the
+// copy. A buffer that grows leaves earlier copies in the old array, where
+// nothing writes them again.
+func (c *cmd) snapshot(b []byte) []byte {
+	n := len(c.snap)
+	c.snap = append(c.snap, b...)
+	return c.snap[n:]
+}
+
 // issue runs one validated command. The calling process pays the issue
 // cost and takes a queue slot, and the fault hook is sampled once. After
 // the startup latency the pieces stream serially on the bus; the tag
 // completes when the last one lands, and one span covers them all.
-func (m *MFC) issue(p *sim.Proc, tag int, cmd command, pieces []piece) {
+func (m *MFC) issue(p *sim.Proc, c *cmd) {
 	p.Sleep(issueCost)
 	m.slots.Acquire(p)
 	m.noteQueueDepth()
-	m.tagPending[tag]++
+	m.tagPending[c.tag]++
 	m.commands++
-	if cmd.list {
+	if c.kind.list {
 		m.listCmds++
 	}
-	for _, pc := range pieces {
+	for _, pc := range c.pieces {
 		m.sizeHist.Observe(int64(len(pc.dst)))
 	}
-	act := m.sampleFault()
-	if act == FaultDrop {
+	if c.act = m.sampleFault(); c.act == FaultDrop {
 		return // the command is lost; its tag never completes
 	}
+	c.start = m.engine.At(m.engine.Now().Add(startupLatency), c.startFn)
+	m.starting = append(m.starting, c)
+}
+
+// begin ends the startup latency: the first piece goes on the bus.
+func (c *cmd) begin() {
+	m := c.m
+	m.starting = without(m.starting, c)
+	c.t0 = m.engine.Now()
+	c.send()
+}
+
+// send puts the next piece on the bus.
+func (c *cmd) send() {
+	m := c.m
 	src, dst := eib.PortMemory, m.port
-	if !cmd.get {
+	if !c.kind.get {
 		src, dst = dst, src
 	}
-	var t0 sim.Time
-	var run func(i int)
-	run = func(i int) {
-		pc := pieces[i]
-		var tr *eib.Transfer
-		tr = m.bus.Start(src, dst, int64(len(pc.dst)), func() {
-			m.untrack(tr)
-			copy(pc.dst, pc.src)
-			if act == FaultCorrupt {
-				m.corrupt(pc.dst)
-			}
-			if cmd.get {
-				m.bytesIn += uint64(len(pc.dst))
-			} else {
-				m.bytesOut += uint64(len(pc.dst))
-			}
-			if i+1 < len(pieces) {
-				run(i + 1)
-				return
-			}
-			m.span(t0, cmd.label)
-			m.finish(tag)
-		})
-		m.track(tr)
+	m.bus.Begin(&c.tr, src, dst, int64(len(c.pieces[c.next].dst)), c.landFn)
+	m.onBus = append(m.onBus, c)
+}
+
+// land delivers the piece on the bus, then sends the next one or, after
+// the last, completes the tag and recycles the command.
+func (c *cmd) land() {
+	m := c.m
+	m.onBus = without(m.onBus, c)
+	pc := c.pieces[c.next]
+	copy(pc.dst, pc.src)
+	if c.act == FaultCorrupt {
+		m.corrupt(pc.dst)
 	}
-	// The startup timer is tracked so Abort can cancel a command that has
-	// not reached the bus yet.
-	var start sim.Timer
-	start = m.engine.At(m.engine.Now().Add(startupLatency), func() {
-		m.removeTimer(start)
-		t0 = m.engine.Now()
-		run(0)
-	})
-	m.startTimers = append(m.startTimers, start)
+	if c.kind.get {
+		m.bytesIn += uint64(len(pc.dst))
+	} else {
+		m.bytesOut += uint64(len(pc.dst))
+	}
+	if c.next++; c.next < len(c.pieces) {
+		c.send()
+		return
+	}
+	m.span(c.t0, c.kind.label)
+	m.finish(c.tag)
+	m.recycle(c)
 }
 
 // span emits one DMA span on the MFC's lane; an untraced MFC discards it.
@@ -420,13 +476,13 @@ func (m *MFC) noteQueueDepth() {
 // WaitTag blocks until every command issued under tag has completed
 // (the mfc_write_tag_mask / mfc_read_tag_status_all idiom).
 func (m *MFC) WaitTag(p *sim.Proc, tag int) {
-	p.WaitFor(m.tagWait, func() bool { return m.tagPending[tag] == 0 })
+	p.WaitFor(&m.tagWait, func() bool { return m.tagPending[tag] == 0 })
 }
 
 // WaitTagMask blocks until all tags selected by mask (bit i = tag i) are
 // quiescent.
 func (m *MFC) WaitTagMask(p *sim.Proc, mask uint32) {
-	p.WaitFor(m.tagWait, func() bool {
+	p.WaitFor(&m.tagWait, func() bool {
 		for t := 0; t < NumTags; t++ {
 			if mask&(1<<uint(t)) != 0 && m.tagPending[t] > 0 {
 				return false

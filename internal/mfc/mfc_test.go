@@ -25,7 +25,8 @@ func newRig() *rig {
 	bus := eib.New(e, eib.DefaultConfig())
 	mem := mainmem.New(16 << 20)
 	st := ls.New()
-	m := New(e, bus, mem, st, eib.SPEPort(0))
+	m := new(MFC)
+	m.Init(e, bus, mem, st, eib.SPEPort(0), LabelsFor(eib.SPEPort(0)))
 	return &rig{e: e, bus: bus, mem: mem, st: st, m: m}
 }
 

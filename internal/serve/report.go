@@ -329,9 +329,6 @@ func (p *pool) report(reqs []Request, offered float64) (*Report, error) {
 		case outServed:
 			r.Served++
 			r.PerBlade[o.blade].Requests++
-			if r.Fleet != nil {
-				r.Fleet.PerPool[int(o.blade)/p.cfg.Blades].Served++
-			}
 			latencies = append(latencies, o.done.Sub(reqs[id].Arrival))
 			if d := reqs[id].Deadline; d != sim.Never && o.done > d {
 				r.Late++
@@ -352,6 +349,11 @@ func (p *pool) report(reqs []Request, offered float64) (*Report, error) {
 			r.PerBlade[o.blade].ShedExhausted++
 		case outShedGlobal:
 			r.ShedGlobal++
+		}
+	}
+	if r.Fleet != nil {
+		for i, bs := range r.PerBlade {
+			r.Fleet.PerPool[i/p.cfg.Blades].Served += bs.Requests
 		}
 	}
 	r.LatencyP50, r.LatencyP95, r.LatencyP99 = latencyQuantiles(latencies)

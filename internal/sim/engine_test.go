@@ -130,7 +130,7 @@ func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 
 func TestQueueWaitWake(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("cond")
+	q := &Queue{name: "cond"}
 	var got Time
 	e.Spawn("waiter", func(p *Proc) {
 		p.Wait(q)
@@ -150,7 +150,7 @@ func TestQueueWaitWake(t *testing.T) {
 
 func TestQueueFIFOOrder(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("fifo")
+	q := &Queue{name: "fifo"}
 	var order []string
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("w%d", i)
@@ -177,7 +177,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 
 func TestWakeAll(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("all")
+	q := &Queue{name: "all"}
 	count := 0
 	for i := 0; i < 5; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
@@ -201,7 +201,7 @@ func TestWakeAll(t *testing.T) {
 
 func TestWaitForPredicateAlreadyTrue(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("pred")
+	q := &Queue{name: "pred"}
 	ran := false
 	e.Spawn("p", func(p *Proc) {
 		p.WaitFor(q, func() bool { return true })
@@ -217,7 +217,7 @@ func TestWaitForPredicateAlreadyTrue(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("orphan")
+	q := &Queue{name: "orphan"}
 	e.Spawn("stuck", func(p *Proc) { p.Wait(q) })
 	err := e.Run()
 	if err == nil {
@@ -232,7 +232,7 @@ func TestDeadlockDetection(t *testing.T) {
 // the bare global report, with no event-wheel context.
 func TestUnshardedDeadlockMessageUnchanged(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("empty-mailbox")
+	q := &Queue{name: "empty-mailbox"}
 	e.Spawn("reader", func(p *Proc) { p.Wait(q) })
 	err := e.Run()
 	if err == nil {
@@ -257,7 +257,8 @@ func TestNoDeadlockWhenAllDone(t *testing.T) {
 
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	e := NewEngine()
-	sem := NewSemaphore(e, "units", 2)
+	sem := new(Semaphore)
+	sem.Init(e, "units", 2)
 	active, peak := 0, 0
 	for i := 0; i < 6; i++ {
 		e.Spawn(fmt.Sprintf("user%d", i), func(p *Proc) {
@@ -289,7 +290,8 @@ func TestSemaphoreOverReleasePanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	sem := NewSemaphore(e, "over", 1)
+	sem := new(Semaphore)
+	sem.Init(e, "over", 1)
 	sem.Release()
 }
 
@@ -300,7 +302,7 @@ func TestEngineDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
 		var log []string
-		q := NewQueue("shared")
+		q := &Queue{name: "shared"}
 		for i := 0; i < 20; i++ {
 			name := fmt.Sprintf("p%d", i)
 			delays := make([]Duration, 5)
@@ -392,7 +394,7 @@ func BenchmarkEngineEvents(b *testing.B) {
 
 func TestWaitForTimeoutExpires(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("never")
+	q := &Queue{name: "never"}
 	var got bool
 	var at Time
 	e.Spawn("waiter", func(p *Proc) {
@@ -412,7 +414,7 @@ func TestWaitForTimeoutExpires(t *testing.T) {
 
 func TestWaitForTimeoutSucceedsBeforeDeadline(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("cond")
+	q := &Queue{name: "cond"}
 	ready := false
 	var got bool
 	e.Spawn("waiter", func(p *Proc) {
@@ -433,7 +435,7 @@ func TestWaitForTimeoutSucceedsBeforeDeadline(t *testing.T) {
 
 func TestWaitForTimeoutPredicateAlreadyTrue(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("now")
+	q := &Queue{name: "now"}
 	var got bool
 	var at Time
 	e.Spawn("waiter", func(p *Proc) {
@@ -451,7 +453,7 @@ func TestWaitForTimeoutPredicateAlreadyTrue(t *testing.T) {
 func TestWaitForTimeoutSpuriousWakeThenExpiry(t *testing.T) {
 	// Wakes that do not satisfy the predicate must not defeat the timeout.
 	e := NewEngine()
-	q := NewQueue("spurious")
+	q := &Queue{name: "spurious"}
 	var got bool
 	var at Time
 	e.Spawn("waiter", func(p *Proc) {

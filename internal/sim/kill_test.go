@@ -12,7 +12,7 @@ import (
 // end cleanly instead of reporting a deadlock.
 func TestKillBlockedProc(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("never-signaled")
+	q := &Queue{name: "never-signaled"}
 	var finished, unwound bool
 	victim := e.Spawn("victim", func(p *Proc) {
 		defer func() { unwound = true }()
@@ -44,7 +44,7 @@ func TestKillBlockedProc(t *testing.T) {
 // remaining waiters keep their FIFO order.
 func TestKillPreservesQueueFIFO(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("fifo")
+	q := &Queue{name: "fifo"}
 	var order []string
 	waiter := func(name string) *Proc {
 		return e.Spawn(name, func(p *Proc) {
@@ -145,8 +145,8 @@ func TestKillIdempotent(t *testing.T) {
 func TestDeadlockErrorTyped(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	e := NewEngine()
-	qa := NewQueue("orphan-a")
-	qb := NewQueue("orphan-b")
+	qa := &Queue{name: "orphan-a"}
+	qb := &Queue{name: "orphan-b"}
 	unwound := map[string]bool{}
 	e.Spawn("stuck-2", func(p *Proc) {
 		defer func() { unwound["stuck-2"] = true }()
@@ -197,7 +197,7 @@ func TestDeadlockErrorTyped(t *testing.T) {
 func TestRunCallbackPanicError(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	e := NewEngine()
-	q := NewQueue("never-signaled")
+	q := &Queue{name: "never-signaled"}
 	var unwound bool
 	e.Spawn("waiter", func(p *Proc) {
 		defer func() { unwound = true }()

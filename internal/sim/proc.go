@@ -141,14 +141,14 @@ func (p *Proc) Sleep(d Duration) {
 
 // Queue is a FIFO wait queue for processes blocking on a condition owned by
 // some piece of simulated state (a mailbox slot, a DMA completion, ...).
-// The zero value is ready to use; NewQueue labels it for deadlock reports.
+// The zero value is ready to use; Init labels it for deadlock reports.
 type Queue struct {
 	name    string
 	waiters []*Proc
 }
 
-// NewQueue returns a wait queue labelled for deadlock reports.
-func NewQueue(name string) *Queue { return &Queue{name: name} }
+// Init makes q a new wait queue, labelled for deadlock reports.
+func (q *Queue) Init(name string) { *q = Queue{name: name} }
 
 // Wait blocks the calling process until another process calls WakeOne or
 // WakeAll. Wait does not advance virtual time by itself; the wake-up occurs

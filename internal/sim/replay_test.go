@@ -87,7 +87,7 @@ func replayTrace(t *testing.T, seed int64) ([]string, uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	e := NewEngine()
 	var log []string
-	q := NewQueue("shared")
+	q := &Queue{name: "shared"}
 	for i := 0; i < 16; i++ {
 		name := fmt.Sprintf("p%d", i)
 		steps := make([]int, 8)
@@ -192,7 +192,7 @@ func TestEventPoolRecycling(t *testing.T) {
 // dispatches first and the predicate (now true) wins over the expiry.
 func TestWaitForTimeoutPredicateTrueAtExpiryInstant(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("edge")
+	q := &Queue{name: "edge"}
 	ready := false
 	var got bool
 	var at Time
@@ -220,7 +220,7 @@ func TestWaitForTimeoutPredicateTrueAtExpiryInstant(t *testing.T) {
 // still reports success. Expiry only wins when the predicate stays false.
 func TestWaitForTimeoutPredicateWinsEvenAfterTimerFires(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("edge2")
+	q := &Queue{name: "edge2"}
 	ready := false
 	var got bool
 	var at Time
@@ -245,7 +245,7 @@ func TestWaitForTimeoutPredicateWinsEvenAfterTimerFires(t *testing.T) {
 // timeout; the wait fails at precisely the deadline instant.
 func TestWaitForTimeoutExpiryWithSpuriousWakeAtDeadline(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("edge3")
+	q := &Queue{name: "edge3"}
 	var got bool
 	var at Time
 	e.Spawn("waiter", func(p *Proc) {
@@ -268,7 +268,7 @@ func TestWaitForTimeoutExpiryWithSpuriousWakeAtDeadline(t *testing.T) {
 // expires at the current instant without deadlocking.
 func TestWaitForTimeoutZeroDuration(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("zero")
+	q := &Queue{name: "zero"}
 	var got bool
 	var at Time
 	e.Spawn("waiter", func(p *Proc) {
@@ -290,7 +290,7 @@ func TestWaitForTimeoutZeroDuration(t *testing.T) {
 func foreverRun(t *testing.T, satisfied bool, wait func(p *Proc, q *Queue, pred func() bool)) ([]string, uint64, Time, error) {
 	t.Helper()
 	e := NewEngine()
-	q := NewQueue("forever")
+	q := &Queue{name: "forever"}
 	ready := false
 	var log []string
 	e.Spawn("waiter", func(p *Proc) {
@@ -345,7 +345,7 @@ func TestWaitForTimeoutForeverIsWaitFor(t *testing.T) {
 // never resumes the stale process.
 func TestQueueReuseAfterTimedOutWaiter(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue("reuse")
+	q := &Queue{name: "reuse"}
 	var order []string
 	e.Spawn("loser", func(p *Proc) {
 		if p.WaitForTimeout(q, 5*Nanosecond, func() bool { return false }) {

@@ -7,15 +7,16 @@ type Semaphore struct {
 	engine *Engine
 	avail  int
 	cap    int
-	q      *Queue
+	q      Queue
 }
 
-// NewSemaphore returns a semaphore with the given number of units.
-func NewSemaphore(e *Engine, name string, units int) *Semaphore {
+// Init makes s a new semaphore with the given number of units; name
+// labels its wait queue for deadlock reports.
+func (s *Semaphore) Init(e *Engine, name string, units int) {
 	if units < 0 {
 		panic("sim: negative semaphore capacity")
 	}
-	return &Semaphore{engine: e, avail: units, cap: units, q: NewQueue(name)}
+	*s = Semaphore{engine: e, avail: units, cap: units, q: Queue{name: name}}
 }
 
 // Available reports the number of free units.
@@ -23,7 +24,7 @@ func (s *Semaphore) Available() int { return s.avail }
 
 // Acquire takes one unit, blocking in virtual time until one is free.
 func (s *Semaphore) Acquire(p *Proc) {
-	p.WaitFor(s.q, func() bool { return s.avail > 0 })
+	p.WaitFor(&s.q, func() bool { return s.avail > 0 })
 	s.avail--
 }
 

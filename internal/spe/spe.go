@@ -49,10 +49,15 @@ type SPE struct {
 	OutMbox     *mbox.Mailbox // SPU -> PPE, 1 entry, polled
 	OutIntrMbox *mbox.Mailbox // SPU -> PPE, 1 entry, interrupting
 
+	// The parts the exported pointers above name, held by value so that
+	// building an SPE allocates them together.
+	mfc    mfc.MFC
+	mboxes [3]mbox.Mailbox
+
 	running    bool
 	program    string
 	proc       *sim.Proc
-	doneQ      *sim.Queue
+	doneQ      sim.Queue
 	failed     bool
 	failReason string
 	busyTime   sim.Duration
@@ -60,23 +65,54 @@ type SPE struct {
 	mboxWait   sim.Duration
 }
 
+// labels are an SPE's fixed names: its trace lane and the labels its
+// wait queues carry into deadlock reports.
+type labels struct {
+	lane          string // "SPE<id>"
+	in, out, intr mbox.Labels
+	done          string
+	mfc           mfc.Labels
+}
+
+func makeLabels(id int) labels {
+	lane := fmt.Sprintf("SPE%d", id)
+	return labels{
+		lane: lane,
+		in:   mbox.LabelsFor(lane + " in-mbox"),
+		out:  mbox.LabelsFor(lane + " out-mbox"),
+		intr: mbox.LabelsFor(lane + " out-intr-mbox"),
+		done: lane + " done",
+		mfc:  mfc.LabelsFor(eib.SPEPort(id)),
+	}
+}
+
+// labelTable holds the labels of SPEs 0-15, made once, so building a
+// machine formats no name.
+var labelTable = func() (t [16]labels) {
+	for id := range t {
+		t[id] = makeLabels(id)
+	}
+	return t
+}()
+
+func labelsOf(id int) labels {
+	if id >= 0 && id < len(labelTable) {
+		return labelTable[id]
+	}
+	return makeLabels(id)
+}
+
 // New builds an SPE attached to the shared bus and main memory.
 func New(e *sim.Engine, id int, bus *eib.Bus, mem *mainmem.Memory, model *cost.Model, tracer *trace.Recorder) *SPE {
-	store := ls.New()
-	name := fmt.Sprintf("SPE%d", id)
-	return &SPE{
-		id:          id,
-		engine:      e,
-		model:       model,
-		tracer:      tracer,
-		lane:        name,
-		Store:       store,
-		MFC:         mfc.New(e, bus, mem, store, eib.SPEPort(id)),
-		InMbox:      mbox.NewMailbox(e, name+" in-mbox", mbox.InboundDepth),
-		OutMbox:     mbox.NewMailbox(e, name+" out-mbox", mbox.OutboundDepth),
-		OutIntrMbox: mbox.NewMailbox(e, name+" out-intr-mbox", mbox.OutboundDepth),
-		doneQ:       sim.NewQueue(name + " done"),
-	}
+	l := labelsOf(id)
+	s := &SPE{id: id, engine: e, model: model, tracer: tracer, lane: l.lane, Store: ls.New()}
+	s.mfc.Init(e, bus, mem, s.Store, eib.SPEPort(id), l.mfc)
+	s.mboxes[0].Init(e, l.in, mbox.InboundDepth)
+	s.mboxes[1].Init(e, l.out, mbox.OutboundDepth)
+	s.mboxes[2].Init(e, l.intr, mbox.OutboundDepth)
+	s.doneQ.Init(l.done)
+	s.MFC, s.InMbox, s.OutMbox, s.OutIntrMbox = &s.mfc, &s.mboxes[0], &s.mboxes[1], &s.mboxes[2]
+	return s
 }
 
 // BusyTime reports accumulated compute time.
@@ -142,7 +178,7 @@ func (s *SPE) Load(prog Program) error {
 // WaitStopped blocks p until the loaded program returns (the
 // spe_wait analog).
 func (s *SPE) WaitStopped(p *sim.Proc) {
-	p.WaitFor(s.doneQ, func() bool { return !s.running })
+	p.WaitFor(&s.doneQ, func() bool { return !s.running })
 }
 
 // Context is the execution environment handed to an SPE program's Main.
