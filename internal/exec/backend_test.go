@@ -54,8 +54,9 @@ func TestBackendBitExact(t *testing.T) {
 }
 
 // TestBackendNeverConsultsKernelMemo checks that real execution measures
-// real compute: the backend runs its own accumulators and never reads
-// the simulated kernels' memo, even when it shares their cache.
+// real compute: the backend runs its own accumulators and SVM decisions
+// and never reads the simulated kernels' memo, extraction or detection,
+// even when it shares their cache.
 func TestBackendNeverConsultsKernelMemo(t *testing.T) {
 	arts := marvel.NewArtifactCache()
 	b := NewBackend(Options{Workers: 2, Reps: 1, Artifacts: arts})
@@ -68,6 +69,9 @@ func TestBackendNeverConsultsKernelMemo(t *testing.T) {
 	}
 	if hits, misses := arts.KernelStats(); hits != 0 || misses != 0 {
 		t.Fatalf("kernel memo hits/misses after Execute = (%d, %d), want (0, 0)", hits, misses)
+	}
+	if hits, misses := arts.DetectStats(); hits != 0 || misses != 0 {
+		t.Fatalf("detection memo hits/misses after Execute = (%d, %d), want (0, 0)", hits, misses)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // ArtifactCache memoizes the workload artifacts that are bit-identical
 // across the points of an experiment sweep, in three layers: corpus
 // frames, model libraries per seed, and the output of every simulated
-// extraction kernel invocation (the kernel memo, kernelmemo.go).
+// kernel invocation (the kernel memo: kernelmemo.go for extraction,
+// detectmemo.go for detection).
 // Concurrent sweep workers share one in-flight computation per key via
 // the workcache singleflight.
 //
@@ -26,7 +27,8 @@ import (
 // All returned values are shared across callers and goroutines and MUST
 // be treated as immutable: images and model sets are only read (scanned,
 // or copied into simulated memory), feature vectors are only compared
-// against, and kernel outputs are only copied into the local store.
+// against, kernel outputs are only copied into the local store, and a
+// model set's encodings are only compared against by the detection memo.
 //
 // A cache lives as long as the object: nothing is ever evicted. The
 // cache-off path is a cold cache (NewColdArtifactCache), not a nil one:
@@ -35,6 +37,10 @@ type ArtifactCache struct {
 	frames  workcache.Cache[frameKey, *frame]
 	models  workcache.Cache[uint64, *ModelSet]
 	kernels workcache.Cache[kernelKey, kernelOut]
+	// detects and known are the kernel memo's detection entries and the
+	// models they recognize (detectmemo.go).
+	detects workcache.Cache[detectKey, float64]
+	known   knownModels
 
 	// cold disables the kernel memo (NewColdArtifactCache).
 	cold bool
@@ -149,7 +155,11 @@ func (c *ArtifactCache) Images(w Workload) []*img.RGB {
 // read-only.
 func (c *ArtifactCache) ModelSet(seed uint64) (*ModelSet, error) {
 	return c.models.Do(seed, func() (*ModelSet, error) {
-		return NewModelSet(seed)
+		ms, err := NewModelSet(seed)
+		if err == nil && !c.cold {
+			c.known.add(ms)
+		}
+		return ms, err
 	})
 }
 
@@ -176,4 +186,11 @@ func (c *ArtifactCache) Stats() (hits, misses uint64) {
 // deterministic for a given set of runs at any parallelism.
 func (c *ArtifactCache) KernelStats() (hits, misses uint64) {
 	return c.kernels.Stats()
+}
+
+// DetectStats reports cumulative (hits, misses) of the kernel memo's
+// detection entries. They are kept apart from KernelStats so the
+// extraction memo's hit ratio reads the same with detection memoized.
+func (c *ArtifactCache) DetectStats() (hits, misses uint64) {
+	return c.detects.Stats()
 }

@@ -1,6 +1,7 @@
 package marvel
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -87,10 +88,17 @@ func getDetectScratch(n int) *[]float32 {
 
 // DetectKernelSpec builds the concept-detection SPE kernel: it DMAs the
 // feature vector, then streams the model's coefficient block and support
-// vectors from main memory (double-buffered in the optimized variant),
-// evaluating the real SVM decision function exactly as the reference
-// does.
-func DetectKernelSpec(v Variant) core.KernelSpec {
+// vectors from main memory in <=16 KB chunks (double-buffered in the
+// optimized variant), charging SPU time per chunk from the model's shape
+// and reporting the real SVM decision the reference computes. The memo
+// serves the decision from its detection entries (detectmemo.go): while
+// the streamed header, coefficients and chunks equal a known model's
+// encoding byte for byte, the kernel only compares them, and it looks the
+// decision up by that model and the feature's bytes. The first chunk that
+// differs, an unknown model or a cold memo evaluates inline. nil means
+// SharedArtifacts().
+func DetectKernelSpec(v Variant, memo *ArtifactCache) core.KernelSpec {
+	memo = cmp.Or(memo, SharedArtifacts())
 	cal := &kernels[KCD]
 	fn := func(ctx *spe.Context, wrapper mainmem.Addr) uint32 {
 		st := ctx.Store()
@@ -139,24 +147,18 @@ func DetectKernelSpec(v Variant) core.KernelSpec {
 		ctx.WaitTag(0)
 
 		var mhWords [hdrBytes / 4]float32
-		mh := core.DecodeFloat32s(mhWords[:], st.Bytes(mHdrLS, hdrBytes))
+		mhBytes := st.Bytes(mHdrLS, hdrBytes)
+		mh := core.DecodeFloat32s(mhWords[:], mhBytes)
 		if int(mh[0]) != numSV || int(mh[1]) != dim {
 			return resErr
 		}
-		bias, gamma := float64(mh[2]), float64(mh[3])
-		var kern svm.Kernel = svm.Linear{}
-		if gamma > 0 {
-			kern = svm.RBF{Gamma: gamma}
-		}
-		// Stream support vectors in chunks. The feature, the coefficients
-		// and each chunk decode into one pooled scratch slice.
+		// Stream support vectors in chunks.
 		chunkRows := svChunkRows(dim)
 		rowBytes := dim * 4
-		scratch := getDetectScratch(dim + numSV + chunkRows*dim)
-		defer detectScratch.Put(scratch)
-		feature := core.DecodeFloat32s(*scratch, st.Bytes(featLS, uint32(dim)*4))
-		coeffs := core.DecodeFloat32s((*scratch)[dim:], st.Bytes(coeffLS, uint32(numSV)*4))
-		chunk := (*scratch)[dim+numSV:]
+		var run detectRun
+		run.start(memo, mhWords, mhBytes, st.Bytes(coeffLS, uint32(numSV)*4),
+			st.Bytes(featLS, uint32(dim)*4), dim, numSV, chunkRows)
+		defer run.release()
 		chunkBytes := uint32(chunkRows * rowBytes)
 		var bufs [2]ls.Addr
 		for i := 0; i < v.buffers(); i++ {
@@ -178,15 +180,9 @@ func DetectKernelSpec(v Variant) core.KernelSpec {
 			ea, bytes, _ := chunkOf(i)
 			return ctx.Get(bufs[tag], ea, bytes, tag)
 		}
-		sum := bias
 		process := func(i, tag int) {
 			_, _, rows := chunkOf(i)
-			data := core.DecodeFloat32s(chunk, st.Bytes(bufs[tag], uint32(rows*rowBytes)))
-			base := i * chunkRows
-			for r := 0; r < rows; r++ {
-				sv := data[r*dim : (r+1)*dim]
-				sum += float64(coeffs[base+r]) * kern.Eval(sv, feature)
-			}
+			run.add(i, st.Bytes(bufs[tag], uint32(rows*rowBytes)))
 			nomOps := detectNomOps(rows, dim)
 			switch v {
 			case Optimized:
@@ -219,6 +215,10 @@ func DetectKernelSpec(v Variant) core.KernelSpec {
 				ctx.WaitTag(0)
 				process(i, 0)
 			}
+		}
+		sum, err := run.decision()
+		if err != nil {
+			return resErr
 		}
 
 		// Report the decision: score field + classification bit.

@@ -106,7 +106,7 @@ func TestDetectKernelRejectsCorruptHeaders(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		iface, err := core.Open(ctx, 0, DetectKernelSpec(Optimized))
+		iface, err := core.Open(ctx, 0, DetectKernelSpec(Optimized, NewColdArtifactCache()))
 		if err != nil {
 			t.Error(err)
 			return

@@ -412,7 +412,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 	var detectors []*kern
 	for i, id := range ExtractKernels {
 		if sched.PerLane || i == 0 {
-			k, err := sup.open(4+i, DetectKernelSpec(cfg.Variant), detectFallback)
+			k, err := sup.open(4+i, DetectKernelSpec(cfg.Variant, cfg.Artifacts), detectFallback)
 			if err != nil {
 				return err
 			}

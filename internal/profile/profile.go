@@ -20,7 +20,7 @@ import (
 // supplied virtual clock.
 type Profiler struct {
 	clock func() sim.Time
-	nodes map[string]*Node
+	nodes map[nodeKey]*Node
 	edges map[edgeKey]*Edge
 	stack []frame
 	start sim.Time
@@ -53,7 +53,12 @@ type Node struct {
 // Name returns the qualified method name.
 func (n *Node) Name() string { return n.Class + "::" + n.Method }
 
-type edgeKey struct{ caller, callee string }
+// nodeKey and edgeKey key the maps without building qualified names:
+// Enter and Exit run once per profiled call, and a name is formatted only
+// when a node's edge is first recorded.
+type nodeKey struct{ class, method string }
+
+type edgeKey struct{ caller, callee *Node }
 
 // Edge is a call-graph edge with attributed time.
 type Edge struct {
@@ -66,13 +71,13 @@ type Edge struct {
 func New(clock func() sim.Time) *Profiler {
 	return &Profiler{
 		clock: clock,
-		nodes: make(map[string]*Node),
+		nodes: make(map[nodeKey]*Node),
 		edges: make(map[edgeKey]*Edge),
 	}
 }
 
 func (p *Profiler) node(class, method string) *Node {
-	key := class + "::" + method
+	key := nodeKey{class, method}
 	n := p.nodes[key]
 	if n == nil {
 		n = &Node{Class: class, Method: method}
@@ -110,10 +115,10 @@ func (p *Profiler) Exit() {
 	if len(p.stack) > 0 {
 		parent := &p.stack[len(p.stack)-1]
 		parent.childTime += elapsed
-		k := edgeKey{parent.node.Name(), f.node.Name()}
+		k := edgeKey{parent.node, f.node}
 		e := p.edges[k]
 		if e == nil {
-			e = &Edge{Caller: k.caller, Callee: k.callee}
+			e = &Edge{Caller: k.caller.Name(), Callee: k.callee.Name()}
 			p.edges[k] = e
 		}
 		e.Calls++

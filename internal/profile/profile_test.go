@@ -183,3 +183,30 @@ func TestIdentifyKernelsThreshold(t *testing.T) {
 		t.Fatalf("MaxCandidates ignored: %d", len(cands))
 	}
 }
+
+// TestRepeatedCallsAllocateNothing checks that once a call path has been
+// seen, entering and leaving it again allocates nothing: nodes and edges
+// are found by key, not by a freshly formatted name.
+func TestRepeatedCallsAllocateNothing(t *testing.T) {
+	clk := &fakeClock{}
+	p := New(clk.fn())
+	p.Enter("App", "main")
+	call := func() {
+		p.Enter("Feature", "extract")
+		p.Enter("Feature", "histogram")
+		clk.advance(sim.Millisecond)
+		p.Exit()
+		p.Exit()
+	}
+	call()
+	// AllocsPerRun makes one warm-up call beside the 100 it measures.
+	if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+		t.Fatalf("a repeated call path allocates %.1f objects", allocs)
+	}
+	p.Exit()
+	edges := p.Edges()
+	if len(edges) != 2 || edges[0].Caller != "App::main" || edges[0].Callee != "Feature::extract" ||
+		edges[1].Caller != "Feature::extract" || edges[1].Callee != "Feature::histogram" || edges[1].Calls != 102 {
+		t.Fatalf("edges = %+v", edges)
+	}
+}
