@@ -23,12 +23,16 @@ import (
 // extraction. Frames are keyed per frame, not per workload: batches 1..k
 // together synthesize and extract k frames, not k(k+1)/2. References are not cached; each Reference folds
 // its virtual-time charges and concept detection over the cached frames.
+// A warm cache also registers each frame by geometry, so an extraction
+// kernel whose bands equal a frame's rows proves its input by comparison
+// instead of hashing it, and the entry keeps the key sums of each slice
+// plan such a run used (kernelmemo.go).
 //
 // All returned values are shared across callers and goroutines and MUST
 // be treated as immutable: images and model sets are only read (scanned,
-// or copied into simulated memory), feature vectors are only compared
-// against, kernel outputs are only copied into the local store, and a
-// model set's encodings are only compared against by the detection memo.
+// copied into simulated memory, or compared against by the kernel memo),
+// feature vectors are only compared against, and kernel outputs are only
+// copied into the local store.
 //
 // A cache lives as long as the object: nothing is ever evicted. The
 // cache-off path is a cold cache (NewColdArtifactCache), not a nil one:
@@ -41,6 +45,9 @@ type ArtifactCache struct {
 	// models they recognize (detectmemo.go).
 	detects workcache.Cache[detectKey, float64]
 	known   knownModels
+	// knownFr holds the corpus frames a proven extraction run may match
+	// (kernelmemo.go).
+	knownFr knownFrames
 
 	// cold disables the kernel memo (NewColdArtifactCache).
 	cold bool
@@ -61,13 +68,17 @@ func frameKeyOf(w Workload, i int) frameKey {
 
 // frame is one corpus frame's entry: its pixels, its host reference
 // feature vectors by KernelID, each extracted once, by the first caller
-// that needs it, and the kernel memo's prefetch skip index.
+// that needs it, the kernel memo's prefetch skip index and its key sums.
 type frame struct {
 	im   *img.RGB
 	host [numExtract]hostFeature
 	// prefetched marks, by Variant and KernelID, the whole-frame OpRun
 	// outputs a run already listed for prefetch (kernelmemo.go).
 	prefetched [Optimized + 1][numExtract]atomic.Bool
+	// sumMu guards sums, the kernel memo's key sums of the frame's bands,
+	// one per slice plan a proven run used (kernelmemo.go).
+	sumMu sync.Mutex
+	sums  []planSum
 }
 
 // hostFeature is one kernel's host reference vector of a frame.
@@ -118,7 +129,11 @@ func NewColdArtifactCache() *ArtifactCache { return &ArtifactCache{cold: true} }
 func (c *ArtifactCache) frame(w Workload, i int) *frame {
 	k := frameKeyOf(w, i)
 	f, _ := c.frames.Do(k, func() (*frame, error) {
-		return &frame{im: img.Synthesize(k.Seed, w.W, w.H)}, nil
+		f := &frame{im: img.Synthesize(k.Seed, w.W, w.H)}
+		if !c.cold {
+			c.knownFr.add(f, w.Images)
+		}
+		return f, nil
 	})
 	return f
 }

@@ -1,8 +1,10 @@
 package marvel
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/maphash"
+	"slices"
 	"sync"
 
 	"cellport/internal/img"
@@ -24,7 +26,10 @@ import (
 // seeded 64-bit maphash sums over every slice's geometry and local-store
 // band bytes. A corrupted DMA payload therefore changes the key. The
 // seeds are drawn once per process, and the memo never leaves the
-// process, so nothing depends on the sums' values.
+// process, so nothing depends on the sums' values. A run whose bands were
+// proven equal to a cached frame's rows takes the same sums, computed
+// once from those rows (frame.planSum), so proven and hashed runs share
+// entries.
 type kernelKey struct {
 	id      KernelID
 	partial bool
@@ -43,42 +48,80 @@ type kernelOut struct {
 }
 
 // kernelRun gathers one kernel invocation's bands and produces its
-// output. On a cold cache it folds each band into the accumulator as the
-// band arrives (the inline oracle path); otherwise it hashes and copies
-// each band, and runs the same accumulator over the copies only when the
-// key misses.
+// output, on one of three paths:
+//
+//   - inline, on a cold cache: each band is folded into the accumulator
+//     as it arrives (the oracle path);
+//   - proven, while every band equals the rows of one known frame
+//     (knownFrames): the run only compares, and its key is the frame's
+//     cached sum for the plan, so a hit neither hashes nor copies and a
+//     miss folds straight from the frame's rows;
+//   - hashed, from the first band that matches no known frame or differs
+//     from its frame: each band is hashed and copied, the equal prefix
+//     first, from the frame's rows, and a miss folds the copies.
+//
+// The bands arrive in plan order, one per slice.
 type kernelRun struct {
-	id        KernelID
-	partial   bool
-	w, stride int
+	id                KernelID
+	partial           bool
+	w, height, stride int
+	slices            []img.Slice // the plan
+	n                 int         // bands added
 
 	acc Accumulator // inline path
 
-	memo   *ArtifactCache // memo path
-	h      [2]maphash.Hash
-	bands  *[]byte // from bandPool, returned by output
-	slices []img.Slice
+	memo  *ArtifactCache // memo paths
+	frame *frame         // proven path: bands [0, n) are its rows
+	h     [2]maphash.Hash
+	bands *[]byte // hashed path, from bandPool, returned by output
 }
 
-// bandPool recycles the memo path's band copies: the local store
+// bandPool recycles the hashed path's band copies: the local store
 // overwrites its buffers as the kernel streams, so a miss needs its own
 // copy of every band, but no copy outlives its invocation's output call.
 var bandPool sync.Pool
 
-// newKernelRun starts an invocation of kernel id over the planned slices
-// of a w-pixel-wide image with the given row stride. A cold memo selects
-// the inline path.
-func newKernelRun(memo *ArtifactCache, id KernelID, partial bool, w, stride int, slices []img.Slice) *kernelRun {
-	r := &kernelRun{id: id, partial: partial, w: w, stride: stride}
+// start begins an invocation of kernel id over the planned slices of a
+// w×height image with the given row stride. A cold memo selects the
+// inline path; otherwise the first band picks the path.
+func (r *kernelRun) start(memo *ArtifactCache, id KernelID, partial bool, w, height, stride int, slices []img.Slice) {
+	*r = kernelRun{id: id, partial: partial, w: w, height: height, stride: stride, slices: slices}
 	if memo.cold {
 		r.acc = kernelOf(id).newAcc()
-		return r
-	}
-	total := 0
-	for _, s := range slices {
-		total += s.TransferRows() * stride
+		return
 	}
 	r.memo = memo
+}
+
+// add takes the next slice's band as it sits in the local store.
+func (r *kernelRun) add(band []byte) {
+	s := r.slices[r.n]
+	switch {
+	case r.memo == nil:
+		foldBand(r.acc, band, s, r.w, r.stride)
+	case r.bands != nil:
+		r.hashBand(band, s)
+	case r.n == 0:
+		r.frame = r.memo.knownFr.match(frameGeom{r.w, r.height, r.stride}, s, band)
+		if r.frame == nil {
+			r.leave()
+			r.hashBand(band, s)
+		}
+	case !bytes.Equal(band, r.frame.rows(s)):
+		r.leave()
+		r.hashBand(band, s)
+	}
+	r.n++
+}
+
+// leave drops a proven (or not yet started) run to the hashed path: it
+// hashes and copies bands [0, n) from the frame's rows, which every one
+// of them equalled, so the key is the one hashing the bands would give.
+func (r *kernelRun) leave() {
+	total := 0
+	for _, s := range r.slices {
+		total += s.TransferRows() * r.stride
+	}
 	for i := range r.h {
 		r.h[i].SetSeed(keySeeds[i])
 	}
@@ -88,55 +131,158 @@ func newKernelRun(memo *ArtifactCache, id KernelID, partial bool, w, stride int,
 		r.bands = &b
 	}
 	*r.bands = (*r.bands)[:0]
-	r.slices = make([]img.Slice, 0, len(slices))
-	return r
+	f := r.frame
+	r.frame = nil
+	for _, s := range r.slices[:r.n] {
+		r.hashBand(f.rows(s), s)
+	}
 }
 
-// add takes slice s's band as it sits in the local store.
-func (r *kernelRun) add(band []byte, s img.Slice) {
-	if r.memo == nil {
-		foldBand(r.acc, band, s, r.w, r.stride)
-		return
-	}
+// hashBand adds slice s's band to the run's sums and copies it.
+func (r *kernelRun) hashBand(band []byte, s img.Slice) {
+	writeBand(&r.h, r.w, r.stride, s, band)
+	*r.bands = append(*r.bands, band...)
+}
+
+// writeBand writes one slice's geometry words and band bytes to the key's
+// two sums: the content a kernelKey is the sum of.
+func writeBand(h *[2]maphash.Hash, w, stride int, s img.Slice, band []byte) {
 	var g [5 * 4]byte
-	for i, v := range []int{r.w, r.stride, s.TransferRows(), s.HaloTop, s.PayloadRows()} {
+	for i, v := range []int{w, stride, s.TransferRows(), s.HaloTop, s.PayloadRows()} {
 		binary.LittleEndian.PutUint32(g[4*i:], uint32(v))
 	}
-	for i := range r.h {
-		r.h[i].Write(g[:])
-		r.h[i].Write(band)
+	for i := range h {
+		h[i].Write(g[:])
+		h[i].Write(band)
 	}
-	*r.bands = append(*r.bands, band...)
-	r.slices = append(r.slices, s)
 }
 
-// key is the memo key of the bands added so far.
+// key is the memo key of the bands added so far. A proven run that has
+// every band takes its frame's cached sum for the plan; one that stopped
+// short leaves the proof, so the sum covers exactly its bands.
 func (r *kernelRun) key() kernelKey {
-	return kernelKey{id: r.id, partial: r.partial, sum: [2]uint64{r.h[0].Sum64(), r.h[1].Sum64()}}
+	k := kernelKey{id: r.id, partial: r.partial}
+	if r.frame != nil && r.n == len(r.slices) {
+		k.sum = r.frame.planSum(r.slices)
+		return k
+	}
+	if r.bands == nil {
+		r.leave()
+	}
+	k.sum = [2]uint64{r.h[0].Sum64(), r.h[1].Sum64()}
+	return k
 }
 
 // output returns the invocation's result: computed inline, found in the
-// memo, or computed once over the copied bands and stored. The
-// computation itself never fails, but one that panicked in another
-// goroutine (a prefetch helper) hands its waiters an error and no
-// output, which the caller must not use.
+// memo, or computed once, from the proven frame's rows or the copied
+// bands, and stored. The computation itself never fails, but one that
+// panicked in another goroutine (a prefetch helper) hands its waiters an
+// error and no output, which the caller must not use.
 func (r *kernelRun) output() (kernelOut, error) {
 	if r.memo == nil {
 		return finishAcc(r.acc, r.partial), nil
 	}
 	out, err := r.memo.kernels.Do(r.key(), func() (kernelOut, error) {
 		acc := kernelOf(r.id).newAcc()
-		bands, off := *r.bands, 0
-		for _, s := range r.slices {
+		off := 0
+		for _, s := range r.slices[:r.n] {
+			if f := r.frame; f != nil {
+				foldBand(acc, f.rows(s), s, r.w, r.stride)
+				continue
+			}
 			n := s.TransferRows() * r.stride
-			foldBand(acc, bands[off:off+n], s, r.w, r.stride)
+			foldBand(acc, (*r.bands)[off:off+n], s, r.w, r.stride)
 			off += n
 		}
 		return finishAcc(acc, r.partial), nil
 	})
-	bandPool.Put(r.bands)
-	r.bands = nil
+	if r.bands != nil {
+		bandPool.Put(r.bands)
+		r.bands = nil
+	}
 	return out, err
+}
+
+// frameGeom is a pixel block's geometry, the registry key of known frames.
+type frameGeom struct{ W, H, Stride int }
+
+// knownFrames is the extraction memo's frame registry, filled as a warm
+// cache synthesizes corpus frames: the frames a proven run may match, by
+// geometry.
+type knownFrames struct {
+	mu     sync.RWMutex
+	byGeom map[frameGeom][]*frame
+}
+
+// add registers f, one of a workload's n frames.
+func (k *knownFrames) add(f *frame, n int) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.byGeom == nil {
+		k.byGeom = make(map[frameGeom][]*frame)
+	}
+	g := frameGeom{f.im.W, f.im.H, f.im.Stride}
+	fs := k.byGeom[g]
+	if fs == nil {
+		fs = make([]*frame, 0, n)
+	}
+	k.byGeom[g] = append(fs, f)
+}
+
+// match returns the known frame of geometry g whose rows of slice s equal
+// band, or nil.
+func (k *knownFrames) match(g frameGeom, s img.Slice, band []byte) *frame {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	for _, f := range k.byGeom[g] {
+		if bytes.Equal(f.rows(s), band) {
+			return f
+		}
+	}
+	return nil
+}
+
+// rows returns the frame's pixel rows slice s transfers, or nil if they
+// lie outside the frame.
+func (f *frame) rows(s img.Slice) []byte {
+	y0, y1 := s.TransferY0(), s.TransferY1()
+	if y0 < 0 || y1 > f.im.H || y0 > y1 {
+		return nil
+	}
+	return f.im.Pix[y0*f.im.Stride : y1*f.im.Stride]
+}
+
+// planSum returns the key sums of the frame's bands under the slice plan,
+// as writeBand takes them, computing them on the plan's first request.
+// The plan is kept, not copied: plans are never written after planning.
+func (f *frame) planSum(plan []img.Slice) [2]uint64 {
+	f.sumMu.Lock()
+	defer f.sumMu.Unlock()
+	for _, p := range f.sums {
+		if slices.Equal(p.plan, plan) {
+			return p.sum
+		}
+	}
+	var h [2]maphash.Hash
+	for i := range h {
+		h[i].SetSeed(keySeeds[i])
+	}
+	for _, s := range plan {
+		writeBand(&h, f.im.W, f.im.Stride, s, f.rows(s))
+	}
+	sum := [2]uint64{h[0].Sum64(), h[1].Sum64()}
+	if f.sums == nil {
+		// One whole-frame plan per kernel and variant at most.
+		f.sums = make([]planSum, 0, numExtract*int(Optimized+1))
+	}
+	f.sums = append(f.sums, planSum{plan: plan, sum: sum})
+	return sum
+}
+
+// planSum is one slice plan's key sums over a frame.
+type planSum struct {
+	plan []img.Slice
+	sum  [2]uint64
 }
 
 // foldBand folds slice s's payload rows of band into acc.
@@ -186,9 +332,9 @@ func (c *ArtifactCache) prefetchJobs(w Workload, sched Schedule, v Variant, fram
 				}
 				plans[id] = s
 			}
-			im, slices := f.im, plans[id]
+			slices := plans[id]
 			jobs = append(jobs, func() error {
-				_, err := frameRun(c, id, im, slices).output()
+				_, err := frameRun(c, id, f, slices).output()
 				return err
 			})
 		}
@@ -196,14 +342,13 @@ func (c *ArtifactCache) prefetchJobs(w Workload, sched Schedule, v Variant, fram
 	return jobs
 }
 
-// frameRun gathers kernel id's whole-frame OpRun over im by the given
-// slice plan: each band is the slice's transferred rows of im.Pix, the
-// bytes the DMA delivers to the local store.
-func frameRun(c *ArtifactCache, id KernelID, im *img.RGB, slices []img.Slice) *kernelRun {
-	r := newKernelRun(c, id, false, im.W, im.Stride, slices)
-	for _, s := range slices {
-		y0 := s.TransferY0()
-		r.add(im.Pix[y0*im.Stride:(y0+s.TransferRows())*im.Stride], s)
+// frameRun gathers kernel id's whole-frame OpRun over frame f by the
+// given slice plan on warm cache c. Its bands are the slices' transferred
+// rows of the frame, the bytes the DMA delivers to the local store, so it
+// starts proven on f.
+func frameRun(c *ArtifactCache, id KernelID, f *frame, slices []img.Slice) *kernelRun {
+	return &kernelRun{
+		id: id, w: f.im.W, height: f.im.H, stride: f.im.Stride,
+		slices: slices, n: len(slices), memo: c, frame: f,
 	}
-	return r
 }

@@ -3,9 +3,13 @@ package marvel
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"cellport/internal/fault"
+	"cellport/internal/img"
+	"cellport/internal/mfc"
 )
 
 // memoPlan is a seeded machine plan whose dma-corrupt fires in the
@@ -176,5 +180,321 @@ func TestKernelMemoColdCacheComputesInline(t *testing.T) {
 	}
 	if _, misses := cfg.Artifacts.Stats(); misses == 0 {
 		t.Fatal("cold cache built no artifacts")
+	}
+}
+
+// forgetFrames empties arts' frame registry, so its extraction runs can
+// prove no band and take the hashed path.
+func forgetFrames(arts *ArtifactCache) {
+	arts.knownFr.mu.Lock()
+	arts.knownFr.byGeom = nil
+	arts.knownFr.mu.Unlock()
+}
+
+// registerFrames puts frames back in arts' registry.
+func registerFrames(arts *ArtifactCache, frames []*frame) {
+	for _, f := range frames {
+		arts.knownFr.add(f, len(frames))
+	}
+}
+
+// TestKernelMemoProvenKeyEqualsHashed checks that a proven run's key is the
+// key hashing the same bands gives. Each config runs first with the frame
+// registry emptied, so every kernel hashes its bands, then with the frames
+// registered again, so every kernel proves them: the second run must hit
+// every entry the first stored and miss none, and only it may leave plan
+// sums on the frames. Whole-frame OpRun plans come from every scenario ×
+// variant (prefetch off, so only the kernels compute), OpRunPartial plans
+// from the data-parallel path at one and three SPEs.
+func TestKernelMemoProvenKeyEqualsHashed(t *testing.T) {
+	twice := func(t *testing.T, arts *ArtifactCache, frames []*frame, run func() any) {
+		t.Helper()
+		forgetFrames(arts)
+		hashed := run()
+		h0, m0 := arts.KernelStats()
+		for _, f := range frames {
+			if len(f.sums) != 0 {
+				t.Fatal("a run with no registered frame took a proven key")
+			}
+		}
+		registerFrames(arts, frames)
+		proven := run()
+		h1, m1 := arts.KernelStats()
+		if m0 == 0 || m1 != m0 || h1-h0 != h0+m0 {
+			t.Fatalf("hits/misses %d/%d after the hashed run, %d/%d after the proven one: proven keys differ from hashed ones", h0, m0, h1, m1)
+		}
+		for _, f := range frames {
+			if len(f.sums) == 0 {
+				t.Fatal("the registered run proved no band")
+			}
+		}
+		if !reflect.DeepEqual(hashed, proven) {
+			t.Fatal("the proven run's result differs from the hashed run's")
+		}
+	}
+	for _, scen := range []Scenario{SingleSPE, MultiSPE, MultiSPE2, Pipelined} {
+		for _, v := range []Variant{Naive, Optimized} {
+			t.Run(fmt.Sprintf("%v/%v", scen, v), func(t *testing.T) {
+				cfg := PortedConfig{
+					Workload:      testWorkload(2),
+					Scenario:      scen,
+					Variant:       v,
+					MachineConfig: testMachineConfig(),
+					Artifacts:     NewArtifactCache(),
+				}
+				frames := cfg.Artifacts.framesOf(cfg.Workload)
+				for _, f := range frames {
+					for _, id := range ExtractKernels {
+						f.prefetched[v][id].Store(true)
+					}
+				}
+				twice(t, cfg.Artifacts, frames, func() any { return mustRun(t, cfg) })
+			})
+		}
+	}
+	w := testWorkload(1)
+	for _, id := range ExtractKernels {
+		for _, n := range []int{1, 3} {
+			for _, v := range []Variant{Naive, Optimized} {
+				t.Run(fmt.Sprintf("partial/%v/%d/%v", id, n, v), func(t *testing.T) {
+					arts := NewArtifactCache()
+					twice(t, arts, arts.framesOf(w), func() any {
+						res, err := RunDataParallelExtraction(id, n, w, v, testMachineConfig(), arts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res
+					})
+				})
+			}
+		}
+	}
+}
+
+// bandCommand returns the 1-based number of the DMA command that delivers
+// the first rows of band i in kernel id's first whole-frame invocation on
+// an SPE: the header is command 1, then each band takes one list command
+// (Optimized) or one command per MaxTransfer of rows (Naive).
+func bandCommand(t *testing.T, id KernelID, v Variant, w Workload, i int) uint64 {
+	t.Helper()
+	plan, err := ExecPlan(id, v, w.W, w.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride := img.StrideFor(w.W)
+	n := uint64(2)
+	for _, s := range plan[:i] {
+		if v == Optimized {
+			n++
+			continue
+		}
+		per := mfc.MaxTransfer / stride
+		n += uint64((s.TransferRows() + per - 1) / per)
+	}
+	return n
+}
+
+// TestKernelMemoCorruptBandFallsBack checks that a proven run cannot
+// mask a band that is not its frame's. A dma-corrupt of the first, a
+// middle or the last band of SingleSPE's first histogram invocation, on a
+// warm memo, must leave the proof: the invocation misses, recomputes from
+// the bytes it was delivered, and the run equals the cold-cache run. The
+// same holds, driving the kernel's run directly, for a frame that differs
+// from a cached frame of the same geometry in one byte of its last band:
+// every band before it is proven, the last one leaves the proof, and the
+// output is the inline one. The frame is 480 rows tall, so every plan has
+// at least three bands.
+func TestKernelMemoCorruptBandFallsBack(t *testing.T) {
+	w := Workload{Images: 1, W: 352, H: 480, Seed: 99}
+	for _, v := range []Variant{Naive, Optimized} {
+		plan, err := ExecPlan(KCH, v, w.W, w.H)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan) < 3 {
+			t.Fatalf("%v: %d bands, want a first, a middle and a last", v, len(plan))
+		}
+		cfg := PortedConfig{
+			Workload:      w,
+			Scenario:      SingleSPE,
+			Variant:       v,
+			Validate:      true,
+			MachineConfig: testMachineConfig(),
+			Artifacts:     NewArtifactCache(),
+		}
+		mustRun(t, cfg)
+		_, misses := cfg.Artifacts.KernelStats()
+		for _, band := range []int{0, len(plan) / 2, len(plan) - 1} {
+			t.Run(fmt.Sprintf("%v/band%d", v, band), func(t *testing.T) {
+				spec := fmt.Sprintf("dma-corrupt:spe=0,n=%d", bandCommand(t, KCH, v, w, band))
+				p, err := fault.Parse(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := cfg
+				c.Faults = p
+				memo := mustRun(t, c)
+				_, m := c.Artifacts.KernelStats()
+				if m != misses+1 {
+					t.Errorf("%s: misses %d, want %d (the corrupted invocation only)", spec, m, misses+1)
+				}
+				misses = m
+				c.Artifacts = NewColdArtifactCache()
+				inline := mustRun(t, c)
+				if !corruptFired(inline) {
+					t.Fatalf("%s corrupted no transfer", spec)
+				}
+				if !reflect.DeepEqual(memo, inline) {
+					t.Fatalf("%s: run differs from the cold-cache run:\n got %+v\nwant %+v", spec, memo, inline)
+				}
+			})
+		}
+	}
+
+	arts := NewArtifactCache()
+	f := arts.framesOf(w)[0]
+	pix := slices.Clone(f.im.Pix)
+	pix[(w.H-1)*f.im.Stride] ^= 1 // the last row, which only the last band transfers
+	other := &frame{im: &img.RGB{W: w.W, H: w.H, Stride: f.im.Stride, Pix: pix}}
+	for _, id := range ExtractKernels {
+		for _, v := range []Variant{Naive, Optimized} {
+			plan, err := ExecPlan(id, v, w.W, w.H)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := frameRun(arts, id, f, plan).output(); err != nil {
+				t.Fatal(err)
+			}
+			h0, m0 := arts.KernelStats()
+			var r kernelRun
+			r.start(arts, id, false, w.W, w.H, f.im.Stride, plan)
+			for i, s := range plan {
+				if i == len(plan)-1 && r.frame != f {
+					t.Fatalf("%v/%v: bands before the last were not proven on the cached frame", id, v)
+				}
+				r.add(slices.Clone(other.rows(s)))
+			}
+			if r.frame != nil {
+				t.Fatalf("%v/%v: a differing last band kept the proof", id, v)
+			}
+			got, err := r.output()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var inline kernelRun
+			inline.start(NewColdArtifactCache(), id, false, w.W, w.H, f.im.Stride, plan)
+			for _, s := range plan {
+				inline.add(other.rows(s))
+			}
+			want, err := inline.output()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v/%v: output differs from the inline one", id, v)
+			}
+			if h, m := arts.KernelStats(); h != h0 || m != m0+1 {
+				t.Errorf("%v/%v: hits/misses went %d/%d -> %d/%d, want one miss", id, v, h0, m0, h, m)
+			}
+		}
+	}
+}
+
+// TestKernelMemoHitAllocFree checks that a proven extraction answered by
+// the memo allocates nothing: the frame match, the band comparisons, the
+// plan sum and the lookup.
+func TestKernelMemoHitAllocFree(t *testing.T) {
+	w := testWorkload(1)
+	arts := NewArtifactCache()
+	f := arts.framesOf(w)[0]
+	// The local store's copy of the frame, so no band aliases it.
+	pix := slices.Clone(f.im.Pix)
+	for _, id := range ExtractKernels {
+		plan, err := ExecPlan(id, Optimized, w.W, w.H)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extract := func() kernelOut {
+			var r kernelRun
+			r.start(arts, id, false, w.W, w.H, f.im.Stride, plan)
+			for _, s := range plan {
+				r.add(pix[s.TransferY0()*f.im.Stride : s.TransferY1()*f.im.Stride])
+			}
+			out, err := r.output()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		if got, want := extract().vec, f.feature(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: feature %v, reference %v", id, got, want)
+		}
+		h0, m0 := arts.KernelStats()
+		if allocs := testing.AllocsPerRun(100, func() { extract() }); allocs != 0 {
+			t.Fatalf("%v: a memo hit allocates %.1f objects", id, allocs)
+		}
+		if h, m := arts.KernelStats(); m != m0 || h == h0 {
+			t.Fatalf("%v: hits/misses went %d/%d -> %d/%d, want hits only", id, h0, m0, h, m)
+		}
+	}
+}
+
+// TestKernelMemoConcurrentWarm runs validated ported runs of every
+// scenario × variant and two workload seeds concurrently on one shared
+// cache, twice (run it under -race): the first pass proves and prefetches
+// beside other runs' kernels, the second hits. Each run must equal its
+// cold-cache run.
+func TestKernelMemoConcurrentWarm(t *testing.T) {
+	type point struct {
+		cfg  PortedConfig
+		want *PortedResult
+	}
+	var points []point
+	for _, seed := range []uint64{99, 100} {
+		for _, scen := range []Scenario{SingleSPE, MultiSPE, MultiSPE2, Pipelined} {
+			for _, v := range []Variant{Naive, Optimized} {
+				cfg := PortedConfig{
+					Workload:      Workload{Images: 2, W: 352, H: 96, Seed: seed},
+					Scenario:      scen,
+					Variant:       v,
+					Validate:      true,
+					MachineConfig: testMachineConfig(),
+					Artifacts:     NewColdArtifactCache(),
+				}
+				points = append(points, point{cfg, mustRun(t, cfg)})
+			}
+		}
+	}
+	shared := NewArtifactCache()
+	var misses uint64
+	for pass := range 2 {
+		var wg sync.WaitGroup
+		errs := make([]error, len(points))
+		for i, p := range points {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cfg := p.cfg
+				cfg.Artifacts = shared
+				got, err := RunPorted(cfg)
+				switch {
+				case err != nil:
+					errs[i] = err
+				case !reflect.DeepEqual(got, p.want):
+					errs[i] = fmt.Errorf("%v/%v seed %d pass %d differs from the cold-cache run", cfg.Scenario, cfg.Variant, cfg.Workload.Seed, pass)
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Error(err)
+			}
+		}
+		_, m := shared.KernelStats()
+		if pass == 1 && m != misses {
+			t.Errorf("the warm pass missed %d times", m-misses)
+		}
+		misses = m
 	}
 }

@@ -276,7 +276,8 @@ func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelS
 			return resErr
 		}
 
-		run := newKernelRun(memo, id, partial, w, stride, slices)
+		var run kernelRun
+		run.start(memo, id, partial, w, h, stride, slices)
 		fetch := func(i, tag int) error {
 			s := slices[i]
 			return dmaRows(ctx, bufs[tag], pixEA+mainmem.Addr(s.TransferY0()*stride),
@@ -284,7 +285,7 @@ func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelS
 		}
 		process := func(i, tag int) {
 			s := slices[i]
-			run.add(st.Bytes(bufs[tag], uint32(s.TransferRows()*stride)), s)
+			run.add(st.Bytes(bufs[tag], uint32(s.TransferRows()*stride)))
 			chargeExtract(ctx, id, v, float64(s.PayloadRows()*w))
 		}
 		if v == Optimized {

@@ -144,7 +144,7 @@ func TestKernelMemoJoinedPanicError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := frameRun(arts, KCH, frames[0].im, slices).key()
+	key := frameRun(arts, KCH, frames[0], slices).key()
 
 	release := make(chan struct{})
 	planted := make(chan struct{})
