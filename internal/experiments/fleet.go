@@ -40,7 +40,7 @@ type FleetResult struct {
 }
 
 // FleetExp runs the fleet-scale serving experiment: Pools pools of
-// blades behind the consistent-hash router (with estimator override)
+// blades behind the first-fit router (with estimator override)
 // under a diurnal + flash-crowd stream, the autoscaler optionally
 // draining pools through the lifecycle machinery off-peak — against a
 // static single-pool run on the identical absolute-rate stream.

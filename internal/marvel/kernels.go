@@ -228,6 +228,7 @@ func sliceBudget(free uint32, id KernelID, v Variant, w, stride int) int {
 func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelSpec {
 	memo = cmp.Or(memo, SharedArtifacts())
 	g := kernelOf(id)
+	labels := &traceLabelTable[id]
 	fn := func(ctx *spe.Context, wrapper mainmem.Addr, partial bool) uint32 {
 		st := ctx.Store()
 		hdrLS, err := st.Alloc(exHdrBytes, 16)
@@ -318,10 +319,10 @@ func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelS
 			return resErr
 		}
 		if partial {
-			ctx.ComputeScalar(float64(len(out.raw))*3, id.String()+"-emit-raw")
+			ctx.ComputeScalar(float64(len(out.raw))*3, labels.emitRaw)
 			core.PutUint32s(st.Bytes(outLS, uint32(len(out.raw)*4)), out.raw)
 		} else {
-			ctx.ComputeScalar(float64(len(out.vec))*12, id.String()+"-finalize")
+			ctx.ComputeScalar(float64(len(out.vec))*12, labels.finalize)
 			core.PutFloat32s(st.Bytes(outLS, uint32(len(out.vec)*4)), out.vec)
 		}
 		if err := ctx.Put(outLS, wrapper+mainmem.Addr(extractOutOff()), oBytes, 1); err != nil {

@@ -23,6 +23,21 @@ func testMachineConfig() *cell.Config {
 	return &cfg
 }
 
+// TestTraceLabelTable checks every extraction kernel's trace labels
+// against the names the kernels used to format per charge.
+func TestTraceLabelTable(t *testing.T) {
+	for id := KernelID(0); id < KCD; id++ {
+		l := traceLabelTable[id]
+		for _, c := range [...]struct{ got, suffix string }{
+			{l.emitRaw, "-emit-raw"}, {l.finalize, "-finalize"}, {l.ppe, "-ppe"},
+		} {
+			if want := id.String() + c.suffix; c.got != want {
+				t.Errorf("%v: label %q, want %q", id, c.got, want)
+			}
+		}
+	}
+}
+
 func TestModelSetShapes(t *testing.T) {
 	ms, err := NewModelSet(1)
 	if err != nil {

@@ -335,6 +335,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 	// code against the wrapper in main memory, charging reference-style
 	// PPE time.
 	extractFallback := func(id KernelID) fallbackFunc {
+		ppe := traceLabelTable[id].ppe
 		return func(wrapper mainmem.Addr) uint32 {
 			hdr := core.GetUint32s(mem.Bytes(wrapper, exHdrBytes))
 			iw, ih, stride := int(hdr[0]), int(hdr[1]), int(hdr[2])
@@ -346,8 +347,8 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 			im := img.Wrap(mem.Bytes(pixEA, uint32(stride*ih)), iw, ih, stride)
 			k := kernelOf(id)
 			vec := k.reference(im)
-			ctx.ComputeBranches(k.NomBranchesPerPixel*pixels, -1, id.String()+"-ppe")
-			ctx.ComputeScalar(k.NomOpsPerPixel*pixels*k.HostOpsMult, id.String()+"-ppe")
+			ctx.ComputeBranches(k.NomBranchesPerPixel*pixels, -1, ppe)
+			ctx.ComputeScalar(k.NomOpsPerPixel*pixels*k.HostOpsMult, ppe)
 			core.PutFloat32s(mem.Bytes(wrapper+mainmem.Addr(extractOutOff()), uint32(len(vec)*4)), vec)
 			return resOK
 		}

@@ -247,6 +247,26 @@ func kernelOf(id KernelID) *kernelRow {
 	return &kernels[id]
 }
 
+// traceLabels are an extraction kernel's trace labels: its name with a
+// suffix per step it charges outside the streamed slices.
+type traceLabels struct {
+	emitRaw, finalize, ppe string
+}
+
+// traceLabelTable holds every extraction kernel's labels, made once, so
+// an extraction or a PPE fallback formats no name, traced or not.
+var traceLabelTable = func() (t [KCD]traceLabels) {
+	for id := range t {
+		name := KernelID(id).String()
+		t[id] = traceLabels{
+			emitRaw:  name + "-emit-raw",
+			finalize: name + "-finalize",
+			ppe:      name + "-ppe",
+		}
+	}
+	return t
+}()
+
 // NaiveMispredict is the misprediction rate charged to naive kernels
 // (static prediction on data-dependent branches).
 const NaiveMispredict = 0.30

@@ -169,7 +169,6 @@ func (p *pool) activatePool() bool {
 				b.parkPending = false // stall will restore its pre-stall state
 			}
 		}
-		f.rebuildRing()
 		return true
 	}
 	return false
@@ -201,7 +200,6 @@ func (p *pool) drainPool() bool {
 				p.maybePark(b)
 			}
 		}
-		f.rebuildRing()
 		return true
 	}
 	return false

@@ -4,18 +4,16 @@ package serve
 // Config.Pools independent pools of Config.Blades blades each. Each pool
 // keeps its own admission rotation and queue set; the calibration table
 // and the event loop are shared across the fleet. A router places each
-// arrival on a pool by consistent hashing of its geometry key, with an
-// estimator-aware override toward the pool with the earliest estimated
-// finish frontier; when no active pool has room the request is shed
-// globally (shed_global — the fleet ledger's sixth term). A
-// deterministic autoscaler (autoscale.go) activates and drains pools
-// from virtual-time load signals, driving drains through the blade
-// lifecycle machinery.
+// arrival on the first active pool with room, with an estimator-aware
+// override toward the pool with the earliest estimated finish frontier;
+// when no active pool has room the request is shed globally
+// (shed_global — the fleet ledger's sixth term). A deterministic
+// autoscaler (autoscale.go) activates and drains pools from
+// virtual-time load signals, driving drains through the blade lifecycle
+// machinery.
 //
-// Routing, scaling, and the ring are pure functions of the virtual
-// history, so fleet runs stay byte-identical at any -parallel.
-
-import "cellport/internal/sim"
+// Routing and scaling are pure functions of the virtual history, so
+// fleet runs stay byte-identical at any -parallel.
 
 // poolShard is one pool of the fleet: a contiguous pool-major slice of
 // the run's blades plus the pool-local admission rotation.
@@ -25,19 +23,14 @@ type poolShard struct {
 	rr     int
 	active bool
 	routed int // arrivals and re-admissions the router sent here
-
-	// Router scratch, set by routePool for the request being routed.
-	frontier sim.Duration
-	room     bool
 }
 
 // fleetState is the router + autoscaler layer over the pool's blades.
 type fleetState struct {
 	pools  []*poolShard
-	ring   []ringEntry
 	scaler *autoscaler
 
-	overrides  int // estimator frontier overrides of the hash placement
+	overrides  int // estimator frontier overrides of the first fit
 	scaleUps   int
 	scaleDowns int
 	activeMin  int // fewest simultaneously active pools observed
@@ -57,7 +50,6 @@ func newFleet(p *pool) *fleetState {
 			active: true,
 		}
 	}
-	f.rebuildRing()
 	return f
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 
 	"cellport/internal/fault"
@@ -26,17 +27,25 @@ func fleetConfig(t *testing.T) Config {
 
 // TestFleetDeterminismMatrix is the tentpole guarantee at fleet scale:
 // one fleet run under flash-crowd load, routing, and autoscaling is
-// byte-identical across repeated runs and calibration parallelism.
+// byte-identical across repeated runs and calibration parallelism, and
+// its ledger conserves. It runs at the scenario's 4 pools and at 9, the
+// smallest fleet whose routing changed when first fit replaced the
+// router's vnode ring.
 func TestFleetDeterminismMatrix(t *testing.T) {
-	base := fleetConfig(t)
-	golden := marshal(t, mustRun(t, base))
-	if got := marshal(t, mustRun(t, base)); !bytes.Equal(got, golden) {
-		t.Fatalf("fleet rerun diverged:\n got %s\nwant %s", got, golden)
-	}
-	par := base
-	par.Parallel = 8
-	if got := marshal(t, mustRun(t, par)); !bytes.Equal(got, golden) {
-		t.Fatalf("-parallel 8 changed the fleet report")
+	for _, pools := range []int{4, 9} {
+		base := fleetConfig(t)
+		base.Pools = pools
+		rep := mustRun(t, base)
+		checkLedger(t, rep)
+		golden := marshal(t, rep)
+		if got := marshal(t, mustRun(t, base)); !bytes.Equal(got, golden) {
+			t.Fatalf("%d pools: fleet rerun diverged:\n got %s\nwant %s", pools, got, golden)
+		}
+		par := base
+		par.Parallel = 8
+		if got := marshal(t, mustRun(t, par)); !bytes.Equal(got, golden) {
+			t.Fatalf("%d pools: -parallel 8 changed the fleet report", pools)
+		}
 	}
 }
 
@@ -185,9 +194,8 @@ func TestFleetChaos(t *testing.T) {
 }
 
 // TestFleetRouterStability: with a conclusive estimator the router keeps
-// the ledger conserved while overriding the hash placement at least
-// occasionally under skewed load, and the consistent-hash path routes
-// every request somewhere while capacity remains.
+// the ledger conserved under skewed load, every pool is routed to, and
+// the router places at least every request that is served.
 func TestFleetRouterStability(t *testing.T) {
 	cfg := fleetConfig(t)
 	cfg.Autoscale = nil
@@ -202,6 +210,66 @@ func TestFleetRouterStability(t *testing.T) {
 	}
 	if routed < rep.Served {
 		t.Fatalf("router placed %d requests but %d were served", routed, rep.Served)
+	}
+}
+
+// TestRouterFirstFit: with no estimator override in play (round-robin
+// policy, or an inconclusive estimator) routePool returns the
+// lowest-index active pool with room, or nil when no active pool has
+// any, over fleets of 1 to 12 pools under seeded active, health and
+// queue patterns. A pool has room when some admittable blade's queue is
+// short of MaxQueue.
+func TestRouterFirstFit(t *testing.T) {
+	rng := rand.New(rand.NewPCG(46, 0x5eed))
+	cal := mustCal(t)
+	var routed, none int
+	for pools := 1; pools <= 12; pools++ {
+		cfg := quickConfig().withDefaults()
+		cfg.Blades = 2
+		cfg.Pools = pools
+		cfg.MaxQueue = 2
+		p := newPool(cfg, cal, 0)
+		for step := 0; step < 200; step++ {
+			p.cfg.Policy, p.conclusive = PolicyRoundRobin, true
+			if step%2 == 1 {
+				p.cfg.Policy, p.conclusive = PolicyEstimator, false
+			}
+			want := -1
+			for _, pl := range p.fleet.pools {
+				pl.active = rng.IntN(3) != 0
+				room := false
+				for _, b := range pl.blades {
+					b.health = health(rng.IntN(int(healthParked) + 1))
+					n := cfg.MaxQueue
+					if rng.IntN(3) == 0 {
+						n = rng.IntN(cfg.MaxQueue)
+					}
+					b.queue = b.queue[:0]
+					for i := 0; i < n; i++ {
+						b.queue = append(b.queue, Request{ID: -1, Deadline: sim.Never})
+					}
+					room = room || b.health.admittable() && n < cfg.MaxQueue
+				}
+				if want < 0 && pl.active && room {
+					want = pl.id
+				}
+			}
+			r := Request{ID: step, Tall: step%3 == 0, Deadline: sim.Never}
+			if got := shardID(p.routePool(r)); got != want {
+				t.Fatalf("%d pools, step %d: routePool gave pool %d, want %d", pools, step, got, want)
+			}
+			if want < 0 {
+				none++
+			} else {
+				routed++
+			}
+		}
+		if p.fleet.overrides != 0 {
+			t.Fatalf("%d pools: %d overrides with no conclusive estimator", pools, p.fleet.overrides)
+		}
+	}
+	if routed == 0 || none == 0 {
+		t.Fatalf("patterns reached %d routed and %d unroutable requests; want both", routed, none)
 	}
 }
 

@@ -47,6 +47,15 @@ func (r *splitmix64) next() uint64 {
 	return mix64(uint64(*r))
 }
 
+// mix64 is the splitmix64 finalizer: the generator's output step.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // float returns a uniform draw in [0, 1).
 func (r *splitmix64) float() float64 {
 	return float64(r.next()>>11) / (1 << 53)

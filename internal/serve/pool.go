@@ -345,8 +345,8 @@ func (p *pool) admitInto(r Request, blades []*blade, rr *int) {
 
 // admit places one request (a fresh arrival or a re-routed eviction)
 // through admitInto. In fleet mode the router first picks the pool
-// (consistent hashing with estimator override), and exhausted candidacy
-// is global backpressure (shed_global).
+// (first fit with estimator override), and exhausted candidacy is
+// global backpressure (shed_global).
 func (p *pool) admit(r Request) {
 	if p.fleet != nil {
 		p.admitFleet(r)

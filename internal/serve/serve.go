@@ -61,10 +61,10 @@ type Config struct {
 	// Burst is the mean arrival burst size (1 = plain Poisson arrivals).
 	Burst float64
 	// Pools, when positive, selects fleet mode (DESIGN.md §13): the run
-	// owns Pools independent pools of Blades blades each, routed by
-	// consistent hashing of request geometry with an estimator-aware
-	// override, with global backpressure (shed_global) when every
-	// candidate pool is full. Zero keeps the classic single-pool layout.
+	// owns Pools independent pools of Blades blades each, routed to the
+	// first active pool with room with an estimator-aware override, with
+	// global backpressure (shed_global) when every candidate pool is
+	// full. Zero keeps the classic single-pool layout.
 	Pools int
 	// Autoscale, when non-nil in fleet mode, arms the deterministic
 	// autoscaler: pools are activated and drained from virtual-time load
