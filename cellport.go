@@ -35,7 +35,11 @@ type Program = spe.Program
 // published Cell clock and bandwidth figures.
 func DefaultConfig() Config { return cell.DefaultConfig() }
 
-// NewMachine builds a machine from the configuration.
+// NewMachine builds a machine from the configuration, reusing one that
+// an earlier Release handed back when one of the same shape (NumSPEs and
+// MemorySize) is free; a reused machine runs exactly as a new one.
+// Release is optional, and the machine must not be used after it: its
+// methods panic, until a later NewMachine hands the machine out again.
 func NewMachine(cfg Config) *Machine { return cell.New(cfg) }
 
 // --- porting framework (the paper's contribution) -------------------------

@@ -45,9 +45,9 @@ func New(size uint32) Store {
 		list[n-1] = nil
 		free[size] = list[:n-1]
 		freeMu.Unlock()
-		clear(b.data[:b.touched])
-		b.touched = 0
-		return Store{b: b}
+		s := Store{b: b}
+		s.Clear()
+		return s
 	}
 	freeMu.Unlock()
 	return Store{b: &buf{data: make([]byte, size)}}
@@ -66,6 +66,14 @@ func (s *Store) Release() {
 	free[size] = append(free[size], s.b)
 	freeMu.Unlock()
 	s.b = nil
+}
+
+// Clear makes the store all zero again, re-zeroing only the prefix views
+// have reached, as New does for a recycled array. Clear on a released
+// store panics.
+func (s *Store) Clear() {
+	clear(s.b.data[:s.b.touched])
+	s.b.touched = 0
 }
 
 // Live reports whether the store has not been released.

@@ -6,6 +6,7 @@ package cell
 
 import (
 	"fmt"
+	"sync"
 
 	"cellport/internal/cost"
 	"cellport/internal/eib"
@@ -65,42 +66,136 @@ type Machine struct {
 	Memory *mainmem.Memory
 	SPEs   []*spe.SPE
 	tracer *trace.Recorder
+	// parts holds the components while the machine is released, when the
+	// exported fields are nil.
+	parts parts
 }
 
-// New builds a machine from the configuration.
+// parts are a machine's components.
+type parts struct {
+	engine *sim.Engine
+	bus    *eib.Bus
+	memory *mainmem.Memory
+	spes   []*spe.SPE
+}
+
+// shape is what a released machine must match to be handed out again:
+// the components a configuration sizes.
+type shape struct {
+	spes int
+	mem  uint32
+}
+
+// pool holds the released machines of each shape. Like internal/backing's
+// arrays, it never holds more machines of a shape than were live at
+// once, so it needs no bound.
+var (
+	poolMu sync.Mutex
+	pool   = map[shape][]*Machine{}
+)
+
+// New builds a machine from the configuration. A machine of the same
+// shape (NumSPEs and MemorySize) that an earlier run released is reset
+// and handed out again, so a run on it is identical to one on a new
+// machine: everything the configuration sets is taken from cfg, and
+// every clock, counter, fault hook and memory byte starts at zero.
 func New(cfg Config) *Machine {
 	if cfg.NumSPEs <= 0 {
 		panic("cell: need at least one SPE")
 	}
-	e := sim.NewEngine()
-	bus := eib.New(e, cfg.Bus)
-	mem := mainmem.New(cfg.MemorySize)
-	m := &Machine{cfg: cfg, Engine: e, Bus: bus, Memory: mem, tracer: cfg.Tracer,
-		SPEs: make([]*spe.SPE, cfg.NumSPEs)}
-	for i := range m.SPEs {
-		m.SPEs[i] = spe.New(e, i, bus, mem, speModel, cfg.Tracer)
-		if cfg.Tracer != nil {
-			m.SPEs[i].MFC.SetTracer(cfg.Tracer, fmt.Sprintf("MFC%d", i))
+	m := take(shape{cfg.NumSPEs, cfg.MemorySize})
+	if m == nil {
+		e := sim.NewEngine()
+		bus := eib.New(e, cfg.Bus)
+		mem := mainmem.New(cfg.MemorySize)
+		m = &Machine{parts: parts{engine: e, bus: bus, memory: mem, spes: make([]*spe.SPE, cfg.NumSPEs)}}
+		for i := range m.parts.spes {
+			m.parts.spes[i] = spe.New(e, i, bus, mem, speModel, nil)
 		}
 	}
+	m.reset(cfg)
 	return m
+}
+
+// take removes a released machine of shape sh from the pool, or returns
+// nil.
+func take(sh shape) *Machine {
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	list := pool[sh]
+	n := len(list)
+	if n == 0 {
+		return nil
+	}
+	m := list[n-1]
+	list[n-1] = nil
+	pool[sh] = list[:n-1]
+	return m
+}
+
+// reset wires the released or new machine m for cfg and returns it to
+// time zero: engine (clock, sequence numbers, event count), bus, main
+// memory and every SPE, each keeping the capacity it grew to.
+func (m *Machine) reset(cfg Config) {
+	p := m.parts
+	m.parts = parts{}
+	m.cfg, m.tracer = cfg, cfg.Tracer
+	m.Engine, m.Bus, m.Memory, m.SPEs = p.engine, p.bus, p.memory, p.spes
+	m.Engine.Reset()
+	m.Bus.Reset(cfg.Bus)
+	m.Memory.Clear()
+	for i, s := range m.SPEs {
+		s.Reset(cfg.Tracer)
+		if cfg.Tracer != nil {
+			s.MFC.SetTracer(cfg.Tracer, fmt.Sprintf("MFC%d", i))
+		}
+	}
 }
 
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// Release returns pooled resources (the main-memory and local-store
-// backing stores) for reuse by a future New. The machine must not be used
-// afterwards. Optional: an unreleased machine is simply garbage-collected.
+// Release hands the whole machine back for a later New of the same shape
+// to reset and reuse: engine, bus, main memory and SPEs with their local
+// stores, MFC command structs, mailboxes and wait queues. The machine must
+// not be used afterwards: its exported fields are nil and its methods
+// panic until a later New hands the same machine out again, to its new
+// owner. A machine whose engine still holds a live process (released
+// inside RunMain, or with a program loaded but never run) is not reused;
+// only its memories return to the pool internal/backing keeps. Optional:
+// an unreleased machine is simply garbage-collected. A second Release
+// before the machine is handed out again is a no-op.
 func (m *Machine) Release() {
-	m.Memory.Release()
-	for _, s := range m.SPEs {
-		s.Store.Release()
+	if m.Engine == nil {
+		return
+	}
+	p := parts{engine: m.Engine, bus: m.Bus, memory: m.Memory, spes: m.SPEs}
+	m.Engine, m.Bus, m.Memory, m.SPEs = nil, nil, nil, nil
+	m.cfg, m.tracer = Config{}, nil
+	if p.engine.Live() > 0 {
+		p.memory.Release()
+		for _, s := range p.spes {
+			s.Store.Release()
+		}
+		return
+	}
+	m.parts = p
+	sh := shape{len(p.spes), p.memory.Size()}
+	poolMu.Lock()
+	pool[sh] = append(pool[sh], m)
+	poolMu.Unlock()
+}
+
+// live panics when m has been released.
+func (m *Machine) live() {
+	if m.Engine == nil {
+		panic("cell: machine used after Release")
 	}
 }
 
 // SPE returns SPE i.
 func (m *Machine) SPE(i int) *spe.SPE {
+	m.live()
 	if i < 0 || i >= len(m.SPEs) {
 		panic(fmt.Sprintf("cell: SPE index %d out of range [0,%d)", i, len(m.SPEs)))
 	}
@@ -113,6 +208,7 @@ func (m *Machine) SPE(i int) *spe.SPE {
 // RunMain. A machine that never calls InjectFaults has nil hooks
 // everywhere and takes its exact fault-free paths.
 func (m *Machine) InjectFaults(inj *fault.Injector) {
+	m.live()
 	for i, s := range m.SPEs {
 		i, s := i, s
 		speLane := fmt.Sprintf("SPE%d", i)
@@ -172,6 +268,7 @@ func (m *Machine) InjectFaults(inj *fault.Injector) {
 // schedules nothing and charges no virtual time, so it cannot perturb
 // the replay fingerprint.
 func (m *Machine) HarvestMetrics(reg *metrics.Registry, total sim.Duration) {
+	m.live()
 	for i, s := range m.SPEs {
 		comp := fmt.Sprintf("spe%d", i)
 		reg.Counter(comp, "compute_fs", int64(s.BusyTime()))
@@ -217,6 +314,7 @@ func (m *Machine) HarvestMetrics(reg *metrics.Registry, total sim.Duration) {
 // completion. It returns the virtual time consumed by main (from spawn to
 // return) and any simulation error (e.g. a deadlock).
 func (m *Machine) RunMain(name string, body func(ctx *Context)) (sim.Duration, error) {
+	m.live()
 	var elapsed sim.Duration
 	m.Engine.Spawn("PPE:"+name, func(p *sim.Proc) {
 		start := p.Now()

@@ -221,12 +221,24 @@ func TestActiveTransfersBookkeeping(t *testing.T) {
 			t.Fatalf("active-transfer sequence %v, want %v", observed, want)
 		}
 	}
-	if len(b.portLoad) != 0 {
-		t.Fatalf("port loads did not drain: %v", b.portLoad)
+	if l := loads(b); len(l) != 0 {
+		t.Fatalf("port loads did not drain: %v", l)
 	}
 	if b.Transfers() != 3 {
 		t.Fatalf("Transfers = %d, want 3", b.Transfers())
 	}
+}
+
+// loads returns the ports that still carry active flows, with their
+// counts.
+func loads(b *Bus) map[Port]int {
+	out := map[Port]int{}
+	for p, s := range b.ports {
+		if s.load != 0 {
+			out[Port(p)] = s.load
+		}
+	}
+	return out
 }
 
 // TestPortLoadTracksActiveFlows pins the per-port counts that gate the
@@ -238,10 +250,10 @@ func TestPortLoadTracksActiveFlows(t *testing.T) {
 		a := start(b, PortMemory, SPEPort(0), 1<<20, nil)
 		c := start(b, PortMemory, SPEPort(1), 1<<20, nil)
 		lb := start(b, SPEPort(2), SPEPort(2), 1<<20, nil) // loop-back
-		if got := b.portLoad[PortMemory]; got != 2 {
+		if got := b.port(PortMemory).load; got != 2 {
 			t.Errorf("memory port load = %d, want 2", got)
 		}
-		if got := b.portLoad[SPEPort(2)]; got != 1 {
+		if got := b.port(SPEPort(2)).load; got != 1 {
 			t.Errorf("loop-back port load = %d, want 1 (counted once)", got)
 		}
 		a.Wait(p)
@@ -251,7 +263,7 @@ func TestPortLoadTracksActiveFlows(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(b.portLoad) != 0 {
-		t.Fatalf("port loads did not drain: %v", b.portLoad)
+	if l := loads(b); len(l) != 0 {
+		t.Fatalf("port loads did not drain: %v", l)
 	}
 }

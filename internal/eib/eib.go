@@ -73,10 +73,9 @@ type Bus struct {
 	// active holds in-flight transfers in a deterministic order (insertion
 	// order with swap-removal); each transfer records its slot in idx.
 	active []*Transfer
-	// portLoad counts the active flows crossing each port (a loop-back
-	// transfer counts once). The counts classify the constraint shape so
-	// reallocate can skip the full waterfill for uniform shapes.
-	portLoad   map[Port]int
+	// ports holds each port's counters, indexed by Port and grown to the
+	// highest port a transfer has crossed.
+	ports      []portStat
 	lastUpdate sim.Time
 
 	// forceFull disables the closed-form fast paths so tests can compare
@@ -86,16 +85,28 @@ type Bus struct {
 	// Stats
 	bytesMoved float64
 	transfers  uint64
-	// portBytes accumulates delivered bytes per crossed port (a loop-back
-	// transfer is credited once) — the per-port bandwidth-share numbers.
-	portBytes map[Port]float64
-	// portFlows counts transfers started per crossed port.
-	portFlows map[Port]uint64
 	// Reallocation counters: every reallocate() call, split by whether the
 	// closed-form uniform rate applied or the full waterfill ran.
 	reallocs    uint64
 	reallocFast uint64
 	reallocFull uint64
+}
+
+// portStat is one port's share of the bus state. A loop-back transfer
+// counts once at its port.
+type portStat struct {
+	// load counts the active flows crossing the port. The counts classify
+	// the constraint shape so reallocate can skip the full waterfill for
+	// uniform shapes.
+	load int
+	// flows counts transfers started across the port.
+	flows uint64
+	// bytes accumulates the bytes delivered across the port — the
+	// per-port bandwidth-share numbers — and credited records that some
+	// transfer was credited there, even with zero bytes, so PortBytes
+	// lists the port.
+	bytes    float64
+	credited bool
 }
 
 // Transfer is one in-flight bulk data movement. It reports completion
@@ -114,15 +125,30 @@ type Transfer struct {
 
 // New creates a bus on the given engine.
 func New(e *sim.Engine, cfg Config) *Bus {
+	b := &Bus{engine: e}
+	b.Reset(cfg)
+	return b
+}
+
+// Reset returns the bus to the state New leaves it in, with the
+// capacities of cfg, for a run that starts over on the same engine (which
+// must be reset too: a transfer in flight is dropped without its
+// completion). The bus keeps the capacity its slices grew to.
+func (b *Bus) Reset(cfg Config) {
 	if cfg.PortBandwidth <= 0 || cfg.TotalBandwidth <= 0 {
 		panic("eib: non-positive bandwidth")
 	}
-	return &Bus{
-		engine: e, cfg: cfg,
-		portLoad:  make(map[Port]int),
-		portBytes: make(map[Port]float64),
-		portFlows: make(map[Port]uint64),
+	clear(b.active)
+	clear(b.ports)
+	*b = Bus{engine: b.engine, cfg: cfg, active: b.active[:0], ports: b.ports[:0]}
+}
+
+// port returns p's counters, growing the table to reach p.
+func (b *Bus) port(p Port) *portStat {
+	if int(p) >= len(b.ports) {
+		b.ports = append(b.ports, make([]portStat, int(p)+1-len(b.ports))...)
 	}
+	return &b.ports[p]
 }
 
 // Start begins moving size bytes from src to dst and returns the transfer
@@ -182,11 +208,13 @@ func (t *Transfer) complete() {
 func (b *Bus) addActive(t *Transfer) {
 	t.idx = len(b.active)
 	b.active = append(b.active, t)
-	b.portLoad[t.src]++
-	b.portFlows[t.src]++
+	src := b.port(t.src)
+	src.load++
+	src.flows++
 	if t.dst != t.src {
-		b.portLoad[t.dst]++
-		b.portFlows[t.dst]++
+		dst := b.port(t.dst)
+		dst.load++
+		dst.flows++
 	}
 }
 
@@ -196,15 +224,9 @@ func (b *Bus) removeActive(t *Transfer) {
 	b.active[t.idx].idx = t.idx
 	b.active[last] = nil
 	b.active = b.active[:last]
-	b.decLoad(t.src)
+	b.ports[t.src].load--
 	if t.dst != t.src {
-		b.decLoad(t.dst)
-	}
-}
-
-func (b *Bus) decLoad(p Port) {
-	if b.portLoad[p]--; b.portLoad[p] == 0 {
-		delete(b.portLoad, p)
+		b.ports[t.dst].load--
 	}
 }
 
@@ -230,10 +252,15 @@ func (b *Bus) advance() {
 
 // creditPorts attributes moved bytes to the ports a transfer crosses.
 func (b *Bus) creditPorts(t *Transfer, moved float64) {
-	b.portBytes[t.src] += moved
+	b.ports[t.src].credit(moved)
 	if t.dst != t.src {
-		b.portBytes[t.dst] += moved
+		b.ports[t.dst].credit(moved)
 	}
+}
+
+func (s *portStat) credit(moved float64) {
+	s.bytes += moved
+	s.credited = true
 }
 
 // reallocate computes the max-min fair rate for every active transfer and
@@ -247,10 +274,8 @@ func (b *Bus) reallocate() {
 		return
 	}
 	maxLoad := 0
-	for _, l := range b.portLoad {
-		if l > maxLoad {
-			maxLoad = l
-		}
+	for i := range b.ports {
+		maxLoad = max(maxLoad, b.ports[i].load)
 	}
 	b.reallocs++
 	if rate, ok := uniformRate(n, maxLoad, b.cfg); ok && !b.forceFull {
@@ -425,20 +450,26 @@ func (b *Bus) BytesMoved() float64 { return b.bytesMoved }
 // Transfers reports the cumulative number of transfers started.
 func (b *Bus) Transfers() uint64 { return b.transfers }
 
-// PortBytes returns a copy of the delivered-bytes-per-port accounting.
+// PortBytes returns the delivered bytes of every port a transfer was
+// credited at.
 func (b *Bus) PortBytes() map[Port]float64 {
-	out := make(map[Port]float64, len(b.portBytes))
-	for p, v := range b.portBytes {
-		out[p] = v
+	out := make(map[Port]float64)
+	for p, s := range b.ports {
+		if s.credited {
+			out[Port(p)] = s.bytes
+		}
 	}
 	return out
 }
 
-// PortFlows returns a copy of the transfers-started-per-port counts.
+// PortFlows returns the transfers started across every port some
+// transfer crossed.
 func (b *Bus) PortFlows() map[Port]uint64 {
-	out := make(map[Port]uint64, len(b.portFlows))
-	for p, v := range b.portFlows {
-		out[p] = v
+	out := make(map[Port]uint64)
+	for p, s := range b.ports {
+		if s.flows > 0 {
+			out[Port(p)] = s.flows
+		}
 	}
 	return out
 }

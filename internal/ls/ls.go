@@ -49,6 +49,14 @@ func New() *LocalStore {
 	return &LocalStore{store: backing.New(Size), stack: DefaultStackBytes}
 }
 
+// Clear returns the store to the state New leaves it in, keeping its
+// memory: all zero (only the prefix Bytes reached is re-zeroed), no
+// program loaded, no data allocated, no fault hook.
+func (l *LocalStore) Clear() {
+	l.store.Clear()
+	*l = LocalStore{store: l.store, stack: DefaultStackBytes}
+}
+
 // Release returns the store's memory to the pool for a future New. The
 // store must not be used afterwards: Bytes panics. Calling Release is
 // optional, and a second call is a no-op.

@@ -46,11 +46,21 @@ func New(size uint32) *Memory {
 	if size < AlignCacheLine {
 		panic("mainmem: memory too small")
 	}
-	return &Memory{
-		store: backing.New(size),
-		free:  []span{{base: AlignCacheLine, size: size - AlignCacheLine}},
-		alloc: make(map[Addr]uint32),
-	}
+	m := &Memory{store: backing.New(size), alloc: make(map[Addr]uint32)}
+	m.Clear()
+	return m
+}
+
+// Clear returns the memory to the state New leaves it in, keeping its
+// store and the capacity of its allocator's tables: all zero (only the
+// prefix Bytes reached is re-zeroed), nothing allocated, counters at
+// zero. Clear on a released memory panics.
+func (m *Memory) Clear() {
+	m.checkLive()
+	m.store.Clear()
+	clear(m.alloc)
+	m.free = append(m.free[:0], span{base: AlignCacheLine, size: m.Size() - AlignCacheLine})
+	m.allocated, m.peak, m.allocations = 0, 0, 0
 }
 
 // Release returns the backing store to the process-wide pool

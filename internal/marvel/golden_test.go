@@ -43,29 +43,33 @@ func spanDigest(rec *trace.Recorder) string {
 func runGoldenPorted(t *testing.T, tests []goldenPorted) {
 	t.Helper()
 	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := trace.NewRecorder()
-			mcfg := testMachineConfig()
-			mcfg.Tracer = rec
-			res, events := tc.run(t, mcfg)
-			if tc.must != nil {
-				tc.must(t, res)
-			}
-			js, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(js)
-			if got := hex.EncodeToString(sum[:]); got != tc.sha256 {
-				t.Errorf("result digest %s, want %s:\n%s", got, tc.sha256, js)
-			}
-			if events != tc.events {
-				t.Errorf("EventCount %d, want %d", events, tc.events)
-			}
-			if got := spanDigest(rec); got != tc.trace {
-				t.Errorf("trace digest %s, want %s", got, tc.trace)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { tc.check(t, *testMachineConfig()) })
+	}
+}
+
+// check runs tc traced on a machine configured as mcfg and compares the
+// run with its pinned digests.
+func (tc goldenPorted) check(t *testing.T, mcfg cell.Config) {
+	t.Helper()
+	rec := trace.NewRecorder()
+	mcfg.Tracer = rec
+	res, events := tc.run(t, &mcfg)
+	if tc.must != nil {
+		tc.must(t, res)
+	}
+	js, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(js)
+	if got := hex.EncodeToString(sum[:]); got != tc.sha256 {
+		t.Errorf("result digest %s, want %s:\n%s", got, tc.sha256, js)
+	}
+	if events != tc.events {
+		t.Errorf("EventCount %d, want %d", events, tc.events)
+	}
+	if got := spanDigest(rec); got != tc.trace {
+		t.Errorf("trace digest %s, want %s", got, tc.trace)
 	}
 }
 
@@ -95,7 +99,11 @@ func ported(arts *ArtifactCache, cfg PortedConfig) func(t *testing.T, mcfg *cell
 // drivers one schedule loop, so they prove both refactors preserved every
 // simulated call, charge and output.
 func TestGoldenPorted(t *testing.T) {
-	arts := NewArtifactCache()
+	runGoldenPorted(t, goldenPortedCases(NewArtifactCache()))
+}
+
+// goldenPortedCases lists TestGoldenPorted's runs, all on arts.
+func goldenPortedCases(arts *ArtifactCache) []goldenPorted {
 	run := func(sc Scenario, v Variant) func(t *testing.T, mcfg *cell.Config) (any, uint64) {
 		return ported(arts, PortedConfig{Scenario: sc, Variant: v})
 	}
@@ -182,5 +190,5 @@ func TestGoldenPorted(t *testing.T) {
 			trace:  dp.trace,
 		})
 	}
-	runGoldenPorted(t, tests)
+	return tests
 }

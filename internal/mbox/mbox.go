@@ -41,12 +41,13 @@ func LabelsFor(name string) Labels {
 	return Labels{NotEmpty: name + " not-empty", NotFull: name + " not-full"}
 }
 
-// Init makes m a new mailbox with the given entry capacity.
+// Init makes m a new mailbox with the given entry capacity. A mailbox
+// that was in use keeps the capacity its FIFO and wait queues grew to.
 func (m *Mailbox) Init(e *sim.Engine, l Labels, capacity int) {
 	if capacity <= 0 {
 		panic("mbox: capacity must be positive")
 	}
-	*m = Mailbox{engine: e, capacity: capacity}
+	*m = Mailbox{engine: e, capacity: capacity, fifo: m.fifo[:0], notEmpty: m.notEmpty, notFull: m.notFull}
 	m.notEmpty.Init(l.NotEmpty)
 	m.notFull.Init(l.NotFull)
 }

@@ -170,10 +170,18 @@ func LabelsFor(port eib.Port) Labels {
 	return Labels{Queue: fmt.Sprintf("%v MFC queue", port), TagGroup: fmt.Sprintf("%v tag-group", port)}
 }
 
-// Init makes m a new MFC bound to one SPE's local store and bus port.
+// Init makes m a new MFC bound to one SPE's local store and bus port. An
+// MFC that was in use keeps its free commands and the capacity of its
+// lists and wait queues; the commands a faulted or failed run left
+// starting, on the bus or dropped are let go. Its engine and bus must have
+// been reset first.
 func (m *MFC) Init(e *sim.Engine, bus *eib.Bus, mem *mainmem.Memory, store *ls.LocalStore, port eib.Port, l Labels) {
+	clear(m.starting)
+	clear(m.onBus)
 	*m = MFC{
 		engine: e, bus: bus, mem: mem, store: store, port: port,
+		slots: m.slots, tagWait: m.tagWait,
+		starting: m.starting[:0], onBus: m.onBus[:0], free: m.free,
 		sizeHist:  metrics.Histogram{Bounds: dmaSizeBounds},
 		depthHist: metrics.Histogram{Bounds: queueDepthBounds},
 	}

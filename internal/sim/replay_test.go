@@ -84,8 +84,13 @@ func TestTimerRearmFromCallback(t *testing.T) {
 // and records the full dispatch trace plus the final event count.
 func replayTrace(t *testing.T, seed int64) ([]string, uint64) {
 	t.Helper()
+	return replayTraceOn(t, NewEngine(), seed)
+}
+
+// replayTraceOn is replayTrace on the engine e, new or reset.
+func replayTraceOn(t *testing.T, e *Engine, seed int64) ([]string, uint64) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	e := NewEngine()
 	var log []string
 	q := &Queue{name: "shared"}
 	for i := 0; i < 16; i++ {

@@ -11,12 +11,14 @@ type Semaphore struct {
 }
 
 // Init makes s a new semaphore with the given number of units; name
-// labels its wait queue for deadlock reports.
+// labels its wait queue for deadlock reports. A semaphore that was in use
+// keeps its queue's capacity.
 func (s *Semaphore) Init(e *Engine, name string, units int) {
 	if units < 0 {
 		panic("sim: negative semaphore capacity")
 	}
-	*s = Semaphore{engine: e, avail: units, cap: units, q: Queue{name: name}}
+	s.engine, s.avail, s.cap = e, units, units
+	s.q.Init(name)
 }
 
 // Available reports the number of free units.

@@ -39,6 +39,8 @@ type Program struct {
 type SPE struct {
 	id     int
 	engine *sim.Engine
+	bus    *eib.Bus
+	mem    *mainmem.Memory
 	model  *cost.Model
 	tracer *trace.Recorder // nil when untraced
 	lane   string          // "SPE<id>", the trace lane
@@ -104,15 +106,29 @@ func labelsOf(id int) labels {
 
 // New builds an SPE attached to the shared bus and main memory.
 func New(e *sim.Engine, id int, bus *eib.Bus, mem *mainmem.Memory, model *cost.Model, tracer *trace.Recorder) *SPE {
-	l := labelsOf(id)
-	s := &SPE{id: id, engine: e, model: model, tracer: tracer, lane: l.lane, Store: ls.New()}
-	s.mfc.Init(e, bus, mem, s.Store, eib.SPEPort(id), l.mfc)
-	s.mboxes[0].Init(e, l.in, mbox.InboundDepth)
-	s.mboxes[1].Init(e, l.out, mbox.OutboundDepth)
-	s.mboxes[2].Init(e, l.intr, mbox.OutboundDepth)
-	s.doneQ.Init(l.done)
+	s := &SPE{id: id, engine: e, bus: bus, mem: mem, model: model, Store: ls.New()}
 	s.MFC, s.InMbox, s.OutMbox, s.OutIntrMbox = &s.mfc, &s.mboxes[0], &s.mboxes[1], &s.mboxes[2]
+	s.Reset(tracer)
 	return s
+}
+
+// Reset returns the SPE to the state New leaves it in, traced by tracer,
+// for a run that starts over on the same engine, bus and main memory,
+// each reset first: its local store cleared, no program loaded, not
+// failed, counters and fault hooks cleared. Its MFC keeps its free
+// commands, and its queues their capacity.
+func (s *SPE) Reset(tracer *trace.Recorder) {
+	l := labelsOf(s.id)
+	s.Store.Clear()
+	s.mfc.Init(s.engine, s.bus, s.mem, s.Store, eib.SPEPort(s.id), l.mfc)
+	s.mboxes[0].Init(s.engine, l.in, mbox.InboundDepth)
+	s.mboxes[1].Init(s.engine, l.out, mbox.OutboundDepth)
+	s.mboxes[2].Init(s.engine, l.intr, mbox.OutboundDepth)
+	s.doneQ.Init(l.done)
+	s.tracer, s.lane = tracer, l.lane
+	s.running, s.program, s.proc = false, "", nil
+	s.failed, s.failReason = false, ""
+	s.busyTime, s.dmaWait, s.mboxWait = 0, 0, 0
 }
 
 // BusyTime reports accumulated compute time.

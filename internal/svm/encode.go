@@ -3,6 +3,7 @@ package svm
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Flat float32 model encoding, so precomputed models can be placed in
@@ -68,14 +69,19 @@ func Decode(concept string, data []float32) (*Model, error) {
 	for i, c := range coeffs {
 		m.Coeffs[i] = float64(c)
 	}
-	rows := data[encodeHeader+n:]
-	m.SupportVectors = make([][]float32, n)
-	for i := 0; i < n; i++ {
-		sv := make([]float32, dim)
-		copy(sv, rows[i*dim:(i+1)*dim])
-		m.SupportVectors[i] = sv
-	}
+	m.SupportVectors = rowsOf(slices.Clone(data[encodeHeader+n:]), n, dim)
 	return m, m.Validate()
+}
+
+// rowsOf slices flat into n rows of dim values each. Every row's
+// capacity ends at its last value, so an append to one row cannot write
+// into the next.
+func rowsOf(flat []float32, n, dim int) [][]float32 {
+	rows := make([][]float32, n)
+	for i := range rows {
+		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return rows
 }
 
 // Synthetic constructs a deterministic model with exactly numSV support
@@ -95,9 +101,10 @@ func Synthetic(concept string, seed uint64, numSV, dim int, gamma float64) *Mode
 		s ^= s << 17
 		return float64(s%1_000_003) / 1_000_003.0
 	}
-	m := &Model{Concept: concept, Kernel: RBF{Gamma: gamma}}
-	for i := 0; i < numSV; i++ {
-		sv := make([]float32, dim)
+	m := &Model{Concept: concept, Kernel: RBF{Gamma: gamma},
+		SupportVectors: rowsOf(make([]float32, numSV*dim), numSV, dim),
+		Coeffs:         make([]float64, numSV)}
+	for i, sv := range m.SupportVectors {
 		var sum float64
 		for d := range sv {
 			v := math.Pow(next(), 3) // sparse-ish, like real histograms
@@ -109,12 +116,11 @@ func Synthetic(concept string, seed uint64, numSV, dim int, gamma float64) *Mode
 				sv[d] = float32(float64(sv[d]) / sum)
 			}
 		}
-		m.SupportVectors = append(m.SupportVectors, sv)
 		coeff := 0.5 + next()
 		if i%2 == 1 {
 			coeff = -coeff
 		}
-		m.Coeffs = append(m.Coeffs, coeff)
+		m.Coeffs[i] = coeff
 	}
 	m.Bias = next() - 0.5
 	return m
