@@ -35,11 +35,12 @@ type Program = spe.Program
 // published Cell clock and bandwidth figures.
 func DefaultConfig() Config { return cell.DefaultConfig() }
 
-// NewMachine builds a machine from the configuration, reusing one that
-// an earlier Release handed back when one of the same shape (NumSPEs and
-// MemorySize) is free; a reused machine runs exactly as a new one.
+// NewMachine builds a machine from the configuration, reusing the parts
+// an earlier Release handed back when parts of the same shape (NumSPEs
+// and MemorySize) are free; a reused machine runs exactly as a new one.
 // Release is optional, and the machine must not be used after it: its
-// methods panic, until a later NewMachine hands the machine out again.
+// methods panic. Each NewMachine returns a new handle, so releasing a
+// machine twice is harmless.
 func NewMachine(cfg Config) *Machine { return cell.New(cfg) }
 
 // --- porting framework (the paper's contribution) -------------------------

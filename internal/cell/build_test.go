@@ -11,16 +11,23 @@ import (
 )
 
 // machineBuildBudget bounds the objects a default New(cfg).Release()
-// allocates. A build makes the machine, its engine, bus and main memory,
-// and for each SPE one struct holding its MFC, mailboxes and wait queues
-// by value, plus its local store; no queue or lane name is formatted.
+// allocates when no released machine of its shape is in the pool. A build
+// makes the machine, its engine, bus and main memory, and for each SPE
+// one struct holding its MFC, mailboxes and wait queues by value, plus
+// its local store; no queue or lane name is formatted.
 const machineBuildBudget = 120
 
-// TestMachineBuildAllocBudget holds a default machine build under its
-// allocation budget and, over it, names the allocating sites.
+// TestMachineBuildAllocBudget holds a default build of new parts under
+// its allocation budget and, over it, names the allocating sites. The
+// machine pool is emptied before each build, with the dropped machines'
+// memories returned to internal/backing, so the build takes its arrays
+// from there as every first run of a shape does.
 func TestMachineBuildAllocBudget(t *testing.T) {
 	cfg := DefaultConfig()
-	build := func() { New(cfg).Release() }
+	build := func() {
+		emptyPool()
+		New(cfg).Release()
+	}
 	build() // fill the backing pool
 	n := testing.AllocsPerRun(100, build)
 	if raceEnabled {

@@ -66,12 +66,10 @@ type Machine struct {
 	Memory *mainmem.Memory
 	SPEs   []*spe.SPE
 	tracer *trace.Recorder
-	// parts holds the components while the machine is released, when the
-	// exported fields are nil.
-	parts parts
 }
 
-// parts are a machine's components.
+// parts are a machine's components, which outlive the Machine handle
+// that New wraps them in.
 type parts struct {
 	engine *sim.Engine
 	bus    *eib.Bus
@@ -79,111 +77,131 @@ type parts struct {
 	spes   []*spe.SPE
 }
 
-// shape is what a released machine must match to be handed out again:
-// the components a configuration sizes.
+// shape is what released parts must match to be handed out again: the
+// components a configuration sizes.
 type shape struct {
 	spes int
 	mem  uint32
 }
 
-// pool holds the released machines of each shape. Like internal/backing's
+// pool holds the released parts of each shape. Like internal/backing's
 // arrays, it never holds more machines of a shape than were live at
 // once, so it needs no bound.
 var (
 	poolMu sync.Mutex
-	pool   = map[shape][]*Machine{}
+	pool   = map[shape][]parts{}
 )
 
-// New builds a machine from the configuration. A machine of the same
-// shape (NumSPEs and MemorySize) that an earlier run released is reset
-// and handed out again, so a run on it is identical to one on a new
-// machine: everything the configuration sets is taken from cfg, and
-// every clock, counter, fault hook and memory byte starts at zero.
+// New builds a machine from the configuration. The parts of a machine of
+// the same shape (NumSPEs and MemorySize) that an earlier run released
+// are reset and handed out again in a new Machine, so a run on them is
+// identical to one on new parts: everything the configuration sets is
+// taken from cfg, and every clock, counter, fault hook and memory byte
+// starts at zero.
 func New(cfg Config) *Machine {
 	if cfg.NumSPEs <= 0 {
 		panic("cell: need at least one SPE")
 	}
-	m := take(shape{cfg.NumSPEs, cfg.MemorySize})
-	if m == nil {
+	p, ok := take(shape{cfg.NumSPEs, cfg.MemorySize})
+	if ok {
+		p.reset(cfg)
+	} else {
 		e := sim.NewEngine()
 		bus := eib.New(e, cfg.Bus)
 		mem := mainmem.New(cfg.MemorySize)
-		m = &Machine{parts: parts{engine: e, bus: bus, memory: mem, spes: make([]*spe.SPE, cfg.NumSPEs)}}
-		for i := range m.parts.spes {
-			m.parts.spes[i] = spe.New(e, i, bus, mem, speModel, nil)
+		p = parts{engine: e, bus: bus, memory: mem, spes: make([]*spe.SPE, cfg.NumSPEs)}
+		for i := range p.spes {
+			p.spes[i] = spe.New(e, i, bus, mem, speModel, cfg.Tracer)
 		}
 	}
-	m.reset(cfg)
-	return m
+	if cfg.Tracer != nil {
+		for i, s := range p.spes {
+			s.MFC.SetTracer(cfg.Tracer, fmt.Sprintf("MFC%d", i))
+		}
+	}
+	return &Machine{cfg: cfg, Engine: p.engine, Bus: p.bus, Memory: p.memory, SPEs: p.spes, tracer: cfg.Tracer}
 }
 
-// take removes a released machine of shape sh from the pool, or returns
-// nil.
-func take(sh shape) *Machine {
+// take removes released parts of shape sh from the pool; ok is false when
+// there are none.
+func take(sh shape) (p parts, ok bool) {
 	poolMu.Lock()
 	defer poolMu.Unlock()
 	list := pool[sh]
 	n := len(list)
 	if n == 0 {
-		return nil
+		return parts{}, false
 	}
-	m := list[n-1]
-	list[n-1] = nil
+	p = list[n-1]
+	list[n-1] = parts{}
 	pool[sh] = list[:n-1]
-	return m
+	return p, true
 }
 
-// reset wires the released or new machine m for cfg and returns it to
-// time zero: engine (clock, sequence numbers, event count), bus, main
-// memory and every SPE, each keeping the capacity it grew to.
-func (m *Machine) reset(cfg Config) {
-	p := m.parts
-	m.parts = parts{}
-	m.cfg, m.tracer = cfg, cfg.Tracer
-	m.Engine, m.Bus, m.Memory, m.SPEs = p.engine, p.bus, p.memory, p.spes
-	m.Engine.Reset()
-	m.Bus.Reset(cfg.Bus)
-	m.Memory.Clear()
-	for i, s := range m.SPEs {
+// reset returns released parts to the state New leaves new ones in,
+// configured by cfg: engine (clock, event count), bus, main memory and
+// every SPE back at time zero, each keeping the capacity it grew to.
+func (p parts) reset(cfg Config) {
+	p.engine.Reset()
+	p.bus.Reset(cfg.Bus)
+	p.memory.Clear()
+	for _, s := range p.spes {
 		s.Reset(cfg.Tracer)
-		if cfg.Tracer != nil {
-			s.MFC.SetTracer(cfg.Tracer, fmt.Sprintf("MFC%d", i))
-		}
 	}
 }
 
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// Release hands the whole machine back for a later New of the same shape
-// to reset and reuse: engine, bus, main memory and SPEs with their local
-// stores, MFC command structs, mailboxes and wait queues. The machine must
-// not be used afterwards: its exported fields are nil and its methods
-// panic until a later New hands the same machine out again, to its new
-// owner. A machine whose engine still holds a live process (released
-// inside RunMain, or with a program loaded but never run) is not reused;
-// only its memories return to the pool internal/backing keeps. Optional:
-// an unreleased machine is simply garbage-collected. A second Release
-// before the machine is handed out again is a no-op.
+// Release hands the machine's parts back for a later New of the same
+// shape to reset and reuse: engine, bus, main memory and SPEs with their
+// local stores, MFC command structs, mailboxes and wait queues. The
+// machine must not be used afterwards: its exported fields are nil and
+// its methods panic. A later New wraps the parts in a new Machine, so a
+// second Release of this one is a no-op, however the parts are used by
+// then. Parts that cannot be reset are not reused: those of an engine
+// that still holds a live process (released inside RunMain, or with a
+// program loaded but never run), and those whose main memory or a local
+// store was already released on its own. Their memories still live
+// return to the pool internal/backing keeps. Release is optional: an
+// unreleased machine is simply garbage-collected.
 func (m *Machine) Release() {
 	if m.Engine == nil {
 		return
 	}
 	p := parts{engine: m.Engine, bus: m.Bus, memory: m.Memory, spes: m.SPEs}
-	m.Engine, m.Bus, m.Memory, m.SPEs = nil, nil, nil, nil
-	m.cfg, m.tracer = Config{}, nil
-	if p.engine.Live() > 0 {
-		p.memory.Release()
-		for _, s := range p.spes {
-			s.Store.Release()
-		}
+	*m = Machine{}
+	if !p.reusable() {
+		p.release()
 		return
 	}
-	m.parts = p
 	sh := shape{len(p.spes), p.memory.Size()}
 	poolMu.Lock()
-	pool[sh] = append(pool[sh], m)
+	pool[sh] = append(pool[sh], p)
 	poolMu.Unlock()
+}
+
+// reusable reports whether a reset can return p to time zero: no process
+// is live and no memory was released.
+func (p parts) reusable() bool {
+	if p.engine.Live() > 0 || !p.memory.Live() {
+		return false
+	}
+	for _, s := range p.spes {
+		if !s.Store.Live() {
+			return false
+		}
+	}
+	return true
+}
+
+// release returns p's memories to the pool internal/backing keeps; p is
+// not used again.
+func (p parts) release() {
+	p.memory.Release()
+	for _, s := range p.spes {
+		s.Store.Release()
+	}
 }
 
 // live panics when m has been released.

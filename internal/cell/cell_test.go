@@ -335,11 +335,24 @@ func TestRunMainPanicError(t *testing.T) {
 	}
 }
 
-// BenchmarkMachineBuild prices building and releasing a default machine:
-// with main memory and every local store recycled through the backing
-// pool, a build re-zeroes only what the previous machine touched.
+// BenchmarkMachineBuild prices building and releasing a default machine
+// of new parts, with the machine pool emptied each time: main memory and
+// every local store come from the backing pool, so a build re-zeroes only
+// what the previous machine touched.
 func BenchmarkMachineBuild(b *testing.B) {
 	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		emptyPool()
+		New(cfg).Release()
+	}
+}
+
+// BenchmarkMachineRecycle prices New and Release of a default machine
+// whose parts come back from the machine pool.
+func BenchmarkMachineRecycle(b *testing.B) {
+	cfg := DefaultConfig()
+	New(cfg).Release()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		New(cfg).Release()

@@ -62,6 +62,9 @@ func (l *LocalStore) Clear() {
 // optional, and a second call is a no-op.
 func (l *LocalStore) Release() { l.store.Release() }
 
+// Live reports whether the store has not been released.
+func (l *LocalStore) Live() bool { return l.store.Live() }
+
 // LoadProgram reserves the bottom of the LS for a program image of the
 // given size, resetting any data allocations. It fails if the image plus
 // stack cannot fit.

@@ -71,6 +71,9 @@ func (m *Memory) Clear() {
 // the memory directly) is a no-op.
 func (m *Memory) Release() { m.store.Release() }
 
+// Live reports whether the memory has not been released.
+func (m *Memory) Live() bool { return m.store.Live() }
+
 // checkLive panics with a clear diagnosis when the memory was released;
 // the backing store may already belong to another Memory, so any further
 // use would corrupt an unrelated run.

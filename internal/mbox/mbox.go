@@ -47,7 +47,9 @@ func (m *Mailbox) Init(e *sim.Engine, l Labels, capacity int) {
 	if capacity <= 0 {
 		panic("mbox: capacity must be positive")
 	}
-	*m = Mailbox{engine: e, capacity: capacity, fifo: m.fifo[:0], notEmpty: m.notEmpty, notFull: m.notFull}
+	fifo, notEmpty, notFull := m.fifo[:0], m.notEmpty, m.notFull
+	*m = Mailbox{engine: e, capacity: capacity, fifo: fifo}
+	m.notEmpty, m.notFull = notEmpty, notFull
 	m.notEmpty.Init(l.NotEmpty)
 	m.notFull.Init(l.NotFull)
 }

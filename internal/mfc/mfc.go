@@ -178,16 +178,22 @@ func LabelsFor(port eib.Port) Labels {
 func (m *MFC) Init(e *sim.Engine, bus *eib.Bus, mem *mainmem.Memory, store *ls.LocalStore, port eib.Port, l Labels) {
 	clear(m.starting)
 	clear(m.onBus)
+	slots, tagWait := m.slots, m.tagWait
+	starting, onBus, free := m.starting[:0], m.onBus[:0], m.free
 	*m = MFC{
 		engine: e, bus: bus, mem: mem, store: store, port: port,
-		slots: m.slots, tagWait: m.tagWait,
-		starting: m.starting[:0], onBus: m.onBus[:0], free: m.free,
 		sizeHist:  metrics.Histogram{Bounds: dmaSizeBounds},
 		depthHist: metrics.Histogram{Bounds: queueDepthBounds},
 	}
+	m.slots, m.tagWait = slots, tagWait
+	m.starting, m.onBus, m.free = starting, onBus, free
 	m.slots.Init(e, l.Queue, QueueDepth)
 	m.tagWait.Init(l.TagGroup)
 }
+
+// Reset makes m new again on the engine, bus, main memory, local store
+// and port Init bound it to, as Init does for an MFC that was in use.
+func (m *MFC) Reset(l Labels) { m.Init(m.engine, m.bus, m.mem, m.store, m.port, l) }
 
 // ListElement describes one entry of a DMA list command: a contiguous run
 // in main memory. The LS side advances by Size for each element.

@@ -92,7 +92,6 @@ type Engine struct {
 	queue eventHeap // every pending event, ordered by (at, seq)
 	free  []*event  // recycled event structs
 	procs []*Proc   // all live (not yet terminated) processes
-	idle  []*coro   // coroutines parked after their body ended, this run
 
 	// EventCount is the total number of events dispatched so far.
 	EventCount uint64
@@ -101,12 +100,13 @@ type Engine struct {
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine { return &Engine{} }
 
-// Reset returns the engine to the state NewEngine leaves it in, for a
-// run that starts over: pending events are dropped, and the clock, the
-// sequence numbers and EventCount restart at zero, so the next run
-// dispatches exactly as on a new engine. The event free list and the
-// queue keep their capacity. A Timer armed before Reset must not be
-// cancelled after it. Reset panics while a process is live (see Live).
+// Reset returns the engine to virtual time zero for a run that starts
+// over: pending events are dropped, and the clock and EventCount restart
+// at zero, so the next run dispatches exactly as on a new engine. The
+// sequence counter keeps running, since only the order of sequence
+// numbers matters, so a Timer armed before Reset never names an event of
+// the new run. The event free list and the queue keep their capacity.
+// Reset panics while a process is live (see Live).
 func (e *Engine) Reset() {
 	if len(e.procs) > 0 {
 		panic(fmt.Sprintf("sim: Reset with %d live process(es)", len(e.procs)))
@@ -116,7 +116,7 @@ func (e *Engine) Reset() {
 	}
 	clear(e.queue)
 	e.queue = e.queue[:0]
-	e.now, e.seq, e.EventCount = 0, 0, 0
+	e.now, e.EventCount = 0, 0
 }
 
 // Live reports the processes spawned and not yet ended. It is zero after
@@ -280,27 +280,21 @@ func (e *Engine) resume(p *Proc) error {
 		return nil
 	}
 	p.state = procRunning
-	p.co.next()
+	p.next()
 	return p.err
 }
 
-// stopAll unwinds every live process, then stops the parked coroutines.
-// A suspended process unwinds from its yield point, running its deferred
-// functions, and leaves e.procs as it ends; stopping one that never
-// started runs nothing, so it is dropped here.
+// stopAll unwinds every live process. A suspended one unwinds from its
+// yield point, running its deferred functions, and leaves e.procs as it
+// ends; stopping one that never started runs nothing, so it is dropped
+// here.
 func (e *Engine) stopAll() {
 	for len(e.procs) > 0 {
 		p := e.procs[len(e.procs)-1]
-		p.co.stop()
+		p.stop()
 		if p.state != procDone {
 			p.state = procDone
 			e.removeProc(p)
 		}
-	}
-	for n := len(e.idle); n > 0; n = len(e.idle) {
-		c := e.idle[n-1]
-		e.idle[n-1] = nil
-		e.idle = e.idle[:n-1]
-		c.stop()
 	}
 }

@@ -18,37 +18,26 @@ const (
 	procDone
 )
 
-// Proc is a simulated process: a body run on a coroutine whose execution
-// is interleaved with all other processes by the engine, one at a time, in
-// virtual-time order. All Proc methods must be called only from the
-// process's own body, except Kill, which any other process or engine
-// callback may call.
+// Proc is a simulated process: a coroutine whose execution is interleaved
+// with all other processes by the engine, one at a time, in virtual-time
+// order. All Proc methods must be called only from the process's own body,
+// except Kill, which any other process or engine callback may call.
 type Proc struct {
 	engine       *Engine
 	name         string
-	body         func(p *Proc) // nil once the body has ended
-	co           *coro         // the coroutine running the body
 	state        procState
 	waitingIn    *Queue // the queue it is blocked on, if blocked
 	blockedSince Time   // when the process entered procBlocked
 	wake         *event // pending resume event, if sleeping
 	procIdx      int    // position in engine.procs for O(1) removal
 	killed       bool
-	err          error // a panic in the body, set when the body ends
-}
 
-// coro is one iter.Pull coroutine running process bodies: the engine
-// resumes it with next and unwinds it with stop, and a body parks in
-// yield. When a body ends the coroutine parks on its engine's idle list,
-// and the next Spawn hands it a new body instead of starting another
-// coroutine. Run stops the parked ones before it returns, so none
-// outlives a run.
-type coro struct {
+	// The coroutine running the body: the engine resumes it with next
+	// and unwinds it with stop; the body parks in yieldFn.
 	next    func() (struct{}, bool)
 	stop    func()
-	yield   func(struct{}) bool
-	p       *Proc // the process it runs; nil while parked
-	stopped bool  // stop unwound its body: the coroutine is ending
+	yieldFn func(struct{}) bool
+	err     error // a panic in the body, set when the coroutine ends
 }
 
 // killUnwind is the panic value that unwinds a killed or stopped
@@ -58,63 +47,31 @@ type killUnwind struct{ p *Proc }
 
 // Spawn creates a process that starts running at the current virtual time.
 // The body runs as a coroutine, never concurrently with the engine or
-// another process; a coroutine whose body has ended in this run is
-// reused. A panic in the body ends the run: Run returns it as an error.
+// another process. A panic in the body ends the run: Run returns it as an
+// error.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{engine: e, name: name, body: body}
-	if n := len(e.idle); n > 0 {
-		p.co = e.idle[n-1]
-		e.idle[n-1] = nil
-		e.idle = e.idle[:n-1]
-	} else {
-		p.co = e.newCoro()
-	}
-	p.co.p = p
+	p := &Proc{engine: e, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldFn = yield
+		defer func() {
+			r := recover()
+			p.state = procDone
+			e.removeProc(p)
+			if q := p.waitingIn; q != nil { // stopped while blocked
+				q.remove(p)
+			}
+			if ku, ok := r.(killUnwind); r != nil && (!ok || ku.p != p) {
+				p.err = fmt.Errorf("sim: process %s panicked: %v\n%s", p.name, r, debug.Stack())
+			}
+		}()
+		if !p.killed {
+			body(p)
+		}
+	})
 	e.addProc(p)
 	p.resumeAt(e.now)
 	p.state = procNew // the first resume starts the body
 	return p
-}
-
-// newCoro starts a coroutine that runs the body of its current process,
-// then parks until Spawn gives it another, until stopped.
-func (e *Engine) newCoro() *coro {
-	c := &coro{}
-	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
-		c.yield = yield
-		for {
-			c.p.run()
-			if c.stopped {
-				return
-			}
-			c.p = nil
-			e.idle = append(e.idle, c)
-			if !yield(struct{}{}) {
-				return
-			}
-		}
-	})
-	return c
-}
-
-// run runs the body, unless the process was killed before it started,
-// and ends the process however the body ends.
-func (p *Proc) run() {
-	defer func() {
-		r := recover()
-		p.state = procDone
-		p.body = nil
-		p.engine.removeProc(p)
-		if q := p.waitingIn; q != nil { // stopped while blocked
-			q.remove(p)
-		}
-		if ku, ok := r.(killUnwind); r != nil && (!ok || ku.p != p) {
-			p.err = fmt.Errorf("sim: process %s panicked: %v\n%s", p.name, r, debug.Stack())
-		}
-	}()
-	if !p.killed {
-		p.body(p)
-	}
 }
 
 // Now returns the current virtual time.
@@ -125,11 +82,7 @@ func (p *Proc) Now() Time { return p.engine.now }
 // A process killed while parked, or stopped by the engine, unwinds here
 // instead of returning.
 func (p *Proc) yield() {
-	if !p.co.yield(struct{}{}) {
-		p.co.stopped = true
-		panic(killUnwind{p})
-	}
-	if p.killed {
+	if !p.yieldFn(struct{}{}) || p.killed {
 		panic(killUnwind{p})
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -50,43 +49,19 @@ func TestRecycleResetDropsPending(t *testing.T) {
 	e.Reset()
 }
 
-// TestRecycleCoroutineReuse: a process spawned after another's body has
-// ended runs on that body's coroutine, a killed or panicked body's
-// coroutine is reused too, and Run stops every parked coroutine before it
-// returns, leaving no goroutine behind.
-func TestRecycleCoroutineReuse(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+// TestRecycleStaleTimer: a Timer armed before Reset cannot cancel the
+// event of the new run that reuses its event struct at the same place
+// in the run.
+func TestRecycleStaleTimer(t *testing.T) {
 	e := NewEngine()
-	first := e.Spawn("first", func(p *Proc) { p.Sleep(Nanosecond) })
-	var second, third *Proc
-	var order []string
-	e.At(Time(2*Nanosecond), func() {
-		second = e.Spawn("second", func(p *Proc) {
-			order = append(order, "second")
-			p.Sleep(Nanosecond)
-		})
-		third = e.Spawn("third", func(p *Proc) { order = append(order, "third") })
-		third.Kill()
-	})
-	e.At(Time(5*Nanosecond), func() {
-		e.Spawn("fourth", func(p *Proc) { order = append(order, "fourth") })
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	stale := e.After(Nanosecond, func() {})
+	e.Reset()
+	ran := false
+	if live := e.After(Nanosecond, func() { ran = true }); live.ev != stale.ev {
+		t.Fatal("the new event did not reuse the dropped one's struct")
 	}
-	if second.co != first.co {
-		t.Error("the second process did not reuse the first one's coroutine")
-	}
-	if third.co == second.co {
-		t.Error("two live processes share a coroutine")
-	}
-	if got := strings.Join(order, ","); got != "second,fourth" {
-		t.Errorf("bodies ran %q, want second,fourth (third was killed before it started)", got)
-	}
-	if len(e.idle) != 0 || len(e.procs) != 0 {
-		t.Errorf("after Run: %d parked coroutines, %d live processes; want none", len(e.idle), len(e.procs))
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		t.Errorf("goroutines after Run = %d, want at most the baseline %d", n, baseline)
+	stale.Cancel()
+	if err := e.Run(); err != nil || !ran {
+		t.Fatalf("the new run's event ran %v (err %v); a stale Timer cancelled it", ran, err)
 	}
 }

@@ -39,8 +39,6 @@ type Program struct {
 type SPE struct {
 	id     int
 	engine *sim.Engine
-	bus    *eib.Bus
-	mem    *mainmem.Memory
 	model  *cost.Model
 	tracer *trace.Recorder // nil when untraced
 	lane   string          // "SPE<id>", the trace lane
@@ -106,9 +104,11 @@ func labelsOf(id int) labels {
 
 // New builds an SPE attached to the shared bus and main memory.
 func New(e *sim.Engine, id int, bus *eib.Bus, mem *mainmem.Memory, model *cost.Model, tracer *trace.Recorder) *SPE {
-	s := &SPE{id: id, engine: e, bus: bus, mem: mem, model: model, Store: ls.New()}
+	s := &SPE{id: id, engine: e, model: model, Store: ls.New()}
 	s.MFC, s.InMbox, s.OutMbox, s.OutIntrMbox = &s.mfc, &s.mboxes[0], &s.mboxes[1], &s.mboxes[2]
-	s.Reset(tracer)
+	l := labelsOf(id)
+	s.mfc.Init(e, bus, mem, s.Store, eib.SPEPort(id), l.mfc)
+	s.init(l, tracer)
 	return s
 }
 
@@ -120,7 +120,12 @@ func New(e *sim.Engine, id int, bus *eib.Bus, mem *mainmem.Memory, model *cost.M
 func (s *SPE) Reset(tracer *trace.Recorder) {
 	l := labelsOf(s.id)
 	s.Store.Clear()
-	s.mfc.Init(s.engine, s.bus, s.mem, s.Store, eib.SPEPort(s.id), l.mfc)
+	s.mfc.Reset(l.mfc)
+	s.init(l, tracer)
+}
+
+// init makes everything but the local store and the MFC new.
+func (s *SPE) init(l labels, tracer *trace.Recorder) {
 	s.mboxes[0].Init(s.engine, l.in, mbox.InboundDepth)
 	s.mboxes[1].Init(s.engine, l.out, mbox.OutboundDepth)
 	s.mboxes[2].Init(s.engine, l.intr, mbox.OutboundDepth)
