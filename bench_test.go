@@ -268,8 +268,9 @@ func BenchmarkSweepGridNoCache(b *testing.B) { benchSweepGrid(b, true) }
 // benchDistinctFrames prices the kernel memo on traffic with no reuse:
 // every iteration simulates one full-size frame no earlier iteration has
 // seen, so each kernel's entry is computed once, by a prefetch helper,
-// and hashed twice, by the helper and by the event loop. The NoCache
-// variant runs on a cold cache, computes inline and is the reference.
+// and the event loop proves its bands against the frame and finds it
+// there. The NoCache variant runs on a cold cache, computes inline and is
+// the reference.
 // Each iteration gets a fresh cache so the cache does not grow with b.N;
 // hit_share reports the memo's hits over lookups (0.5 by construction:
 // every event-loop lookup finds its prefetched entry).

@@ -25,8 +25,7 @@ import (
 // its virtual-time charges and concept detection over the cached frames.
 // A warm cache also registers each frame by geometry, so an extraction
 // kernel whose bands equal a frame's rows proves its input by comparison
-// instead of hashing it, and the entry keeps the key sums of each slice
-// plan such a run used (kernelmemo.go).
+// and is memoized under that frame (kernelmemo.go).
 //
 // All returned values are shared across callers and goroutines and MUST
 // be treated as immutable: images and model sets are only read (scanned,
@@ -68,17 +67,13 @@ func frameKeyOf(w Workload, i int) frameKey {
 
 // frame is one corpus frame's entry: its pixels, its host reference
 // feature vectors by KernelID, each extracted once, by the first caller
-// that needs it, the kernel memo's prefetch skip index and its key sums.
+// that needs it, and the kernel memo's prefetch skip index.
 type frame struct {
 	im   *img.RGB
 	host [numExtract]hostFeature
 	// prefetched marks, by Variant and KernelID, the whole-frame OpRun
 	// outputs a run already listed for prefetch (kernelmemo.go).
 	prefetched [Optimized + 1][numExtract]atomic.Bool
-	// sumMu guards sums, the kernel memo's key sums of the frame's bands,
-	// one per slice plan a proven run used (kernelmemo.go).
-	sumMu sync.Mutex
-	sums  []planSum
 }
 
 // hostFeature is one kernel's host reference vector of a frame.
@@ -197,8 +192,9 @@ func (c *ArtifactCache) Stats() (hits, misses uint64) {
 }
 
 // KernelStats reports cumulative (hits, misses) of the kernel memo. Misses
-// equal the number of distinct kernel inputs simulated, so they are
-// deterministic for a given set of runs at any parallelism.
+// equal the number of distinct (kernel, frame, slice plan) inputs proven,
+// so they are deterministic for a given set of runs at any parallelism;
+// a run that leaves the proof folds inline and counts in neither.
 func (c *ArtifactCache) KernelStats() (hits, misses uint64) {
 	return c.kernels.Stats()
 }

@@ -37,12 +37,16 @@ func (m *knownModel) svBytes(numSV, dim, base, rows int) []byte {
 
 // detectKey identifies one detection's decision value: the known model
 // the stream matched byte for byte, and two independently seeded 64-bit
-// maphash sums of the feature bytes (the kernelKey rule, under the same
-// seeds).
+// maphash sums of the feature bytes. The seeds are drawn once per
+// process, and the memo never leaves the process, so nothing depends on
+// the sums' values.
 type detectKey struct {
 	model *knownModel
 	sum   [2]uint64
 }
+
+// keySeeds seed the detection key's two feature sums.
+var keySeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
 
 // knownModels is the detection memo's model registry, filled as the
 // cache builds model sets: known models by their 16-byte header, one

@@ -2,9 +2,6 @@ package marvel
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/maphash"
-	"slices"
 	"sync"
 
 	"cellport/internal/img"
@@ -15,29 +12,36 @@ import (
 // pixel values, yet it also computes real feature values so the port
 // stays functional at all times. Calibration grids and verified serving
 // re-run the same kernels on the same seeded frames many times over, so
-// the arithmetic is memoized by the exact input the kernel saw: its local
-// store bands, as the DMA delivered them, and the slice geometry it folded
-// them with. Every DMA, compute charge and event still happens, so virtual
-// time and EventCount cannot move; only the host arithmetic is shared.
+// the arithmetic is memoized for every run whose local store bands, as
+// the DMA delivered them, are proven equal to a cached frame's rows. Every
+// DMA, compute charge and event still happens, so virtual time and
+// EventCount cannot move; only the host arithmetic is shared.
 
 // kernelKey identifies one extraction kernel invocation's functional
 // output: the kernel, whether it emits raw accumulator words
-// (OpRunPartial) or the finalized vector (OpRun), and two independently
-// seeded 64-bit maphash sums over every slice's geometry and local-store
-// band bytes. A corrupted DMA payload therefore changes the key. The
-// seeds are drawn once per process, and the memo never leaves the
-// process, so nothing depends on the sums' values. A run whose bands were
-// proven equal to a cached frame's rows takes the same sums, computed
-// once from those rows (frame.planSum), so proven and hashed runs share
-// entries.
+// (OpRunPartial) or the finalized vector (OpRun), the cached frame its
+// bands were proven equal to, by identity, and its slice plan. Frames are
+// de-duplicated per cache by frameKey and the memo is per cache, so the
+// frame pointer names the pixels.
 type kernelKey struct {
 	id      KernelID
 	partial bool
-	sum     [2]uint64
+	frame   *frame
+	plan    planID
 }
 
-// keySeeds seed the key's two sums.
-var keySeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+// planID names a slice plan by its payload range and its first slice's
+// payload rows. For a given kernel and frame height that fixes every
+// slice and halo: planRange is the one planner (the kernel's, and
+// ExecPlan's through planKernel), and it cuts [y0, y1) into slices of the
+// first one's payload rows, the last taking the rest, with each halo the
+// kernel's, clamped at the frame.
+type planID struct{ y0, y1, step int }
+
+// planOf returns the name of a non-empty slice plan.
+func planOf(slices []img.Slice) planID {
+	return planID{slices[0].Y0, slices[len(slices)-1].Y1, slices[0].PayloadRows()}
+}
 
 // kernelOut is one kernel invocation's output, shared and read-only: the
 // finalized feature vector (OpRun) or the raw accumulator words
@@ -48,17 +52,15 @@ type kernelOut struct {
 }
 
 // kernelRun gathers one kernel invocation's bands and produces its
-// output, on one of three paths:
+// output, on one of two paths:
 //
-//   - inline, on a cold cache: each band is folded into the accumulator
-//     as it arrives (the oracle path);
 //   - proven, while every band equals the rows of one known frame
-//     (knownFrames): the run only compares, and its key is the frame's
-//     cached sum for the plan, so a hit neither hashes nor copies and a
-//     miss folds straight from the frame's rows;
-//   - hashed, from the first band that matches no known frame or differs
-//     from its frame: each band is hashed and copied, the equal prefix
-//     first, from the frame's rows, and a miss folds the copies.
+//     (knownFrames): the run only compares, a hit neither folds nor
+//     copies, and a miss folds straight from the frame's rows;
+//   - inline, on a cold cache or from the first band that matches no
+//     known frame or differs from its frame: each band is folded into
+//     the accumulator as it arrives, the equal prefix first, from the
+//     frame's rows (the oracle path). An inline run makes no lookup.
 //
 // The bands arrive in plan order, one per slice.
 type kernelRun struct {
@@ -70,16 +72,9 @@ type kernelRun struct {
 
 	acc Accumulator // inline path
 
-	memo  *ArtifactCache // memo paths
-	frame *frame         // proven path: bands [0, n) are its rows
-	h     [2]maphash.Hash
-	bands *[]byte // hashed path, from bandPool, returned by output
+	memo  *ArtifactCache // proven path
+	frame *frame         // bands [0, n) are its rows
 }
-
-// bandPool recycles the hashed path's band copies: the local store
-// overwrites its buffers as the kernel streams, so a miss needs its own
-// copy of every band, but no copy outlives its invocation's output call.
-var bandPool sync.Pool
 
 // start begins an invocation of kernel id over the planned slices of a
 // w×height image with the given row stride. A cold memo selects the
@@ -96,111 +91,57 @@ func (r *kernelRun) start(memo *ArtifactCache, id KernelID, partial bool, w, hei
 // add takes the next slice's band as it sits in the local store.
 func (r *kernelRun) add(band []byte) {
 	s := r.slices[r.n]
-	switch {
-	case r.memo == nil:
-		foldBand(r.acc, band, s, r.w, r.stride)
-	case r.bands != nil:
-		r.hashBand(band, s)
-	case r.n == 0:
-		r.frame = r.memo.knownFr.match(frameGeom{r.w, r.height, r.stride}, s, band)
-		if r.frame == nil {
-			r.leave()
-			r.hashBand(band, s)
-		}
-	case !bytes.Equal(band, r.frame.rows(s)):
+	if r.memo != nil && !r.proves(band, s) {
 		r.leave()
-		r.hashBand(band, s)
+	}
+	if r.memo == nil {
+		foldBand(r.acc, band, s, r.w, r.stride)
 	}
 	r.n++
 }
 
-// leave drops a proven (or not yet started) run to the hashed path: it
-// hashes and copies bands [0, n) from the frame's rows, which every one
-// of them equalled, so the key is the one hashing the bands would give.
+// proves reports whether band equals the proven frame's rows of slice s;
+// the first band picks the frame.
+func (r *kernelRun) proves(band []byte, s img.Slice) bool {
+	if r.n == 0 {
+		r.frame = r.memo.knownFr.match(frameGeom{r.w, r.height, r.stride}, s, band)
+		return r.frame != nil
+	}
+	return bytes.Equal(band, r.frame.rows(s))
+}
+
+// leave drops a proven (or not yet started) run to the inline path: it
+// folds bands [0, n) from the frame's rows, which every one of them
+// equalled, so the accumulator is the one folding the bands gives.
 func (r *kernelRun) leave() {
-	total := 0
-	for _, s := range r.slices {
-		total += s.TransferRows() * r.stride
-	}
-	for i := range r.h {
-		r.h[i].SetSeed(keySeeds[i])
-	}
-	r.bands, _ = bandPool.Get().(*[]byte)
-	if r.bands == nil || cap(*r.bands) < total {
-		b := make([]byte, 0, total)
-		r.bands = &b
-	}
-	*r.bands = (*r.bands)[:0]
-	f := r.frame
-	r.frame = nil
+	r.acc = kernelOf(r.id).newAcc()
 	for _, s := range r.slices[:r.n] {
-		r.hashBand(f.rows(s), s)
+		foldBand(r.acc, r.frame.rows(s), s, r.w, r.stride)
 	}
+	r.memo, r.frame = nil, nil
 }
 
-// hashBand adds slice s's band to the run's sums and copies it.
-func (r *kernelRun) hashBand(band []byte, s img.Slice) {
-	writeBand(&r.h, r.w, r.stride, s, band)
-	*r.bands = append(*r.bands, band...)
-}
-
-// writeBand writes one slice's geometry words and band bytes to the key's
-// two sums: the content a kernelKey is the sum of.
-func writeBand(h *[2]maphash.Hash, w, stride int, s img.Slice, band []byte) {
-	var g [5 * 4]byte
-	for i, v := range []int{w, stride, s.TransferRows(), s.HaloTop, s.PayloadRows()} {
-		binary.LittleEndian.PutUint32(g[4*i:], uint32(v))
-	}
-	for i := range h {
-		h[i].Write(g[:])
-		h[i].Write(band)
-	}
-}
-
-// key is the memo key of the bands added so far. A proven run that has
-// every band takes its frame's cached sum for the plan; one that stopped
-// short leaves the proof, so the sum covers exactly its bands.
+// key is the memo key of a proven run.
 func (r *kernelRun) key() kernelKey {
-	k := kernelKey{id: r.id, partial: r.partial}
-	if r.frame != nil && r.n == len(r.slices) {
-		k.sum = r.frame.planSum(r.slices)
-		return k
-	}
-	if r.bands == nil {
-		r.leave()
-	}
-	k.sum = [2]uint64{r.h[0].Sum64(), r.h[1].Sum64()}
-	return k
+	return kernelKey{id: r.id, partial: r.partial, frame: r.frame, plan: planOf(r.slices)}
 }
 
-// output returns the invocation's result: computed inline, found in the
-// memo, or computed once, from the proven frame's rows or the copied
-// bands, and stored. The computation itself never fails, but one that
-// panicked in another goroutine (a prefetch helper) hands its waiters an
-// error and no output, which the caller must not use.
+// output returns the invocation's result after its plan's last band:
+// computed inline, or found in the memo, computed once from the proven
+// frame's rows and stored. The computation itself never fails, but one
+// that panicked in another goroutine (a prefetch helper) hands its
+// waiters an error and no output, which the caller must not use.
 func (r *kernelRun) output() (kernelOut, error) {
 	if r.memo == nil {
 		return finishAcc(r.acc, r.partial), nil
 	}
-	out, err := r.memo.kernels.Do(r.key(), func() (kernelOut, error) {
+	return r.memo.kernels.Do(r.key(), func() (kernelOut, error) {
 		acc := kernelOf(r.id).newAcc()
-		off := 0
-		for _, s := range r.slices[:r.n] {
-			if f := r.frame; f != nil {
-				foldBand(acc, f.rows(s), s, r.w, r.stride)
-				continue
-			}
-			n := s.TransferRows() * r.stride
-			foldBand(acc, (*r.bands)[off:off+n], s, r.w, r.stride)
-			off += n
+		for _, s := range r.slices {
+			foldBand(acc, r.frame.rows(s), s, r.w, r.stride)
 		}
 		return finishAcc(acc, r.partial), nil
 	})
-	if r.bands != nil {
-		bandPool.Put(r.bands)
-		r.bands = nil
-	}
-	return out, err
 }
 
 // frameGeom is a pixel block's geometry, the registry key of known frames.
@@ -252,39 +193,6 @@ func (f *frame) rows(s img.Slice) []byte {
 	return f.im.Pix[y0*f.im.Stride : y1*f.im.Stride]
 }
 
-// planSum returns the key sums of the frame's bands under the slice plan,
-// as writeBand takes them, computing them on the plan's first request.
-// The plan is kept, not copied: plans are never written after planning.
-func (f *frame) planSum(plan []img.Slice) [2]uint64 {
-	f.sumMu.Lock()
-	defer f.sumMu.Unlock()
-	for _, p := range f.sums {
-		if slices.Equal(p.plan, plan) {
-			return p.sum
-		}
-	}
-	var h [2]maphash.Hash
-	for i := range h {
-		h[i].SetSeed(keySeeds[i])
-	}
-	for _, s := range plan {
-		writeBand(&h, f.im.W, f.im.Stride, s, f.rows(s))
-	}
-	sum := [2]uint64{h[0].Sum64(), h[1].Sum64()}
-	if f.sums == nil {
-		// One whole-frame plan per kernel and variant at most.
-		f.sums = make([]planSum, 0, numExtract*int(Optimized+1))
-	}
-	f.sums = append(f.sums, planSum{plan: plan, sum: sum})
-	return sum
-}
-
-// planSum is one slice plan's key sums over a frame.
-type planSum struct {
-	plan []img.Slice
-	sum  [2]uint64
-}
-
 // foldBand folds slice s's payload rows of band into acc.
 func foldBand(acc Accumulator, band []byte, s img.Slice, w, stride int) {
 	acc.Process(img.Wrap(band, w, s.TransferRows(), stride), s.HaloTop, s.HaloTop+s.PayloadRows())
@@ -304,8 +212,9 @@ func finishAcc(acc Accumulator, partial bool) kernelOut {
 // so its memo entry can be computed from the cached frame before the
 // simulation reaches it. RunPorted hands these computations to helper
 // goroutines; the event loop's lookup of the same key then hits, or
-// joins the in-flight computation. The key is the content either way,
-// so who computes an entry changes nothing but the wall time.
+// joins the in-flight computation. Both runs are proven on the frame
+// and share its plan, so they take the same key, and who computes an
+// entry changes nothing but the wall time.
 
 // prefetchJobs lists the memo computations of the whole-frame OpRun
 // invocations sched makes over workload w's frames, in the order the

@@ -9,6 +9,7 @@ import (
 
 	"cellport/internal/fault"
 	"cellport/internal/img"
+	"cellport/internal/ls"
 	"cellport/internal/mfc"
 )
 
@@ -90,10 +91,12 @@ func TestKernelMemoMatchesInline(t *testing.T) {
 }
 
 // TestKernelMemoDMACorruptFault checks that a warm memo cannot mask a
-// corrupted transfer: the corrupted band hashes to a key the clean run
-// never stored, so the kernel recomputes over the corrupted bytes, the
-// MFC's latched error still trips supervision, and the fault report
-// equals the cold-cache run's.
+// corrupted transfer: the corrupted band differs from its frame's rows,
+// so that invocation leaves the proof and folds inline over the
+// corrupted bytes without a memo lookup, the MFC's latched error still
+// trips supervision, and the fault report equals the cold-cache run's.
+// Every other invocation of the run, the retried one included, proves its
+// bands and hits.
 func TestKernelMemoDMACorruptFault(t *testing.T) {
 	cfg := PortedConfig{
 		Workload:      testWorkload(1),
@@ -104,7 +107,7 @@ func TestKernelMemoDMACorruptFault(t *testing.T) {
 		Artifacts:     NewArtifactCache(),
 	}
 	mustRun(t, cfg) // warm the memo with the clean run
-	_, warmMisses := cfg.Artifacts.KernelStats()
+	cleanHits, warmMisses := cfg.Artifacts.KernelStats()
 
 	// SPE0 runs the histogram kernel; its first command fetches the
 	// header and the third delivers a band of pixel rows.
@@ -114,7 +117,7 @@ func TestKernelMemoDMACorruptFault(t *testing.T) {
 	}
 	cfg.Faults = plan
 	memo := mustRun(t, cfg)
-	_, misses := cfg.Artifacts.KernelStats()
+	hits, misses := cfg.Artifacts.KernelStats()
 
 	cfg.Artifacts = NewColdArtifactCache()
 	inline := mustRun(t, cfg)
@@ -122,8 +125,10 @@ func TestKernelMemoDMACorruptFault(t *testing.T) {
 	if !corruptFired(inline) || inline.Faults.Retries == 0 {
 		t.Fatalf("corruption did not trip supervision: %+v", inline.Faults)
 	}
-	if misses == warmMisses {
-		t.Fatal("corrupted run hit the warm memo: the key ignores the delivered bytes")
+	// The clean run's event loop hit once per invocation; the faulted run
+	// adds one invocation per retry and takes the corrupted one away.
+	if want := 2*cleanHits + uint64(inline.Faults.Retries) - 1; misses != warmMisses || hits != want {
+		t.Fatalf("hits/misses %d/%d after the corrupted run, want %d/%d: the corrupted invocation looked the memo up", hits, misses, want, warmMisses)
 	}
 	if !reflect.DeepEqual(memo.Faults, inline.Faults) {
 		t.Fatalf("fault report differs from the cold-cache run:\n got %+v\nwant %+v", memo.Faults, inline.Faults)
@@ -184,52 +189,38 @@ func TestKernelMemoColdCacheComputesInline(t *testing.T) {
 }
 
 // forgetFrames empties arts' frame registry, so its extraction runs can
-// prove no band and take the hashed path.
+// prove no band and fold inline.
 func forgetFrames(arts *ArtifactCache) {
 	arts.knownFr.mu.Lock()
 	arts.knownFr.byGeom = nil
 	arts.knownFr.mu.Unlock()
 }
 
-// registerFrames puts frames back in arts' registry.
-func registerFrames(arts *ArtifactCache, frames []*frame) {
-	for _, f := range frames {
-		arts.knownFr.add(f, len(frames))
-	}
-}
-
-// TestKernelMemoProvenKeyEqualsHashed checks that a proven run's key is the
-// key hashing the same bands gives. Each config runs first with the frame
-// registry emptied, so every kernel hashes its bands, then with the frames
-// registered again, so every kernel proves them: the second run must hit
-// every entry the first stored and miss none, and only it may leave plan
-// sums on the frames. Whole-frame OpRun plans come from every scenario ×
-// variant (prefetch off, so only the kernels compute), OpRunPartial plans
-// from the data-parallel path at one and three SPEs.
-func TestKernelMemoProvenKeyEqualsHashed(t *testing.T) {
-	twice := func(t *testing.T, arts *ArtifactCache, frames []*frame, run func() any) {
+// TestKernelMemoUnprovenFoldsInline checks that a run which proves no
+// band makes no memo lookup and gives the proven result. Each config runs
+// first on a warm cache, where every kernel proves its bands, then with
+// the frame registry emptied, where every kernel folds inline: that run
+// must leave KernelStats() as the proven run left it, although every
+// entry it would need is stored, and equal the proven run and the
+// cold-cache run. Whole-frame OpRun plans come from every scenario ×
+// variant (prefetch off, so only the kernels compute), OpRunPartial
+// plans from the data-parallel path at one and three SPEs.
+func TestKernelMemoUnprovenFoldsInline(t *testing.T) {
+	check := func(t *testing.T, arts *ArtifactCache, run func(*ArtifactCache) any) {
 		t.Helper()
-		forgetFrames(arts)
-		hashed := run()
+		proven := run(arts)
 		h0, m0 := arts.KernelStats()
-		for _, f := range frames {
-			if len(f.sums) != 0 {
-				t.Fatal("a run with no registered frame took a proven key")
-			}
+		if m0 == 0 {
+			t.Fatal("the proven run made no memo entry")
 		}
-		registerFrames(arts, frames)
-		proven := run()
-		h1, m1 := arts.KernelStats()
-		if m0 == 0 || m1 != m0 || h1-h0 != h0+m0 {
-			t.Fatalf("hits/misses %d/%d after the hashed run, %d/%d after the proven one: proven keys differ from hashed ones", h0, m0, h1, m1)
+		forgetFrames(arts)
+		unproven := run(arts)
+		if h, m := arts.KernelStats(); h != h0 || m != m0 {
+			t.Fatalf("hits/misses went %d/%d -> %d/%d: a run that proved no band looked the memo up", h0, m0, h, m)
 		}
-		for _, f := range frames {
-			if len(f.sums) == 0 {
-				t.Fatal("the registered run proved no band")
-			}
-		}
-		if !reflect.DeepEqual(hashed, proven) {
-			t.Fatal("the proven run's result differs from the hashed run's")
+		cold := run(NewColdArtifactCache())
+		if !reflect.DeepEqual(unproven, proven) || !reflect.DeepEqual(unproven, cold) {
+			t.Fatal("the inline run's result differs from the proven or the cold-cache run's")
 		}
 	}
 	for _, scen := range []Scenario{SingleSPE, MultiSPE, MultiSPE2, Pipelined} {
@@ -240,15 +231,18 @@ func TestKernelMemoProvenKeyEqualsHashed(t *testing.T) {
 					Scenario:      scen,
 					Variant:       v,
 					MachineConfig: testMachineConfig(),
-					Artifacts:     NewArtifactCache(),
 				}
-				frames := cfg.Artifacts.framesOf(cfg.Workload)
-				for _, f := range frames {
+				arts := NewArtifactCache()
+				for _, f := range arts.framesOf(cfg.Workload) {
 					for _, id := range ExtractKernels {
 						f.prefetched[v][id].Store(true)
 					}
 				}
-				twice(t, cfg.Artifacts, frames, func() any { return mustRun(t, cfg) })
+				check(t, arts, func(a *ArtifactCache) any {
+					c := cfg
+					c.Artifacts = a
+					return mustRun(t, c)
+				})
 			})
 		}
 	}
@@ -257,9 +251,8 @@ func TestKernelMemoProvenKeyEqualsHashed(t *testing.T) {
 		for _, n := range []int{1, 3} {
 			for _, v := range []Variant{Naive, Optimized} {
 				t.Run(fmt.Sprintf("partial/%v/%d/%v", id, n, v), func(t *testing.T) {
-					arts := NewArtifactCache()
-					twice(t, arts, arts.framesOf(w), func() any {
-						res, err := RunDataParallelExtraction(id, n, w, v, testMachineConfig(), arts)
+					check(t, NewArtifactCache(), func(a *ArtifactCache) any {
+						res, err := RunDataParallelExtraction(id, n, w, v, testMachineConfig(), a)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -268,6 +261,104 @@ func TestKernelMemoProvenKeyEqualsHashed(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// partialPlan returns the slice plan kernel id's OpRunPartial over payload
+// rows [y0, y1) of a w×h frame makes: the planner over the partition,
+// against the local store planKernel leaves as the kernel sees it.
+func partialPlan(t *testing.T, id KernelID, v Variant, w, h, y0, y1 int) []img.Slice {
+	t.Helper()
+	st := ls.New()
+	defer st.Release()
+	if _, err := planKernel(st, id, v, w, h); err != nil {
+		t.Fatal(err)
+	}
+	k := kernelOf(id)
+	plan, err := planRange(y0, y1, h, sliceBudget(st.Free(), id, v, w, img.StrideFor(w)), k.halo, k.granularity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// TestKernelMemoKeyedByPlan checks that the memo keeps one entry per
+// frame and slice plan. On one warm cache a 352x240 frame runs whole-frame
+// Naive and then Optimized, and data-parallel OpRunPartial at one and
+// three SPEs in both variants. The variants plan differently at that size
+// (CH cuts 2 slices Naive and 3 Optimized), so a key naming a plan by its
+// payload range alone would merge entries whose slices differ. Misses
+// must equal the distinct (kernel, partial, plan) triples over the one
+// frame, and every run must equal its cold-cache run.
+func TestKernelMemoKeyedByPlan(t *testing.T) {
+	w := Workload{Images: 1, W: 352, H: 240, Seed: 99}
+	type use struct {
+		id      KernelID
+		partial bool
+		plan    []img.Slice
+	}
+	var uses []use
+	arts := NewArtifactCache()
+	for _, v := range []Variant{Naive, Optimized} {
+		cfg := PortedConfig{
+			Workload:      w,
+			Scenario:      SingleSPE,
+			Variant:       v,
+			MachineConfig: testMachineConfig(),
+			Artifacts:     NewColdArtifactCache(),
+		}
+		want := mustRun(t, cfg)
+		cfg.Artifacts = arts
+		if got := mustRun(t, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: whole-frame run differs from the cold-cache run", v)
+		}
+		for _, id := range ExtractKernels {
+			plan, err := ExecPlan(id, v, w.W, w.H)
+			if err != nil {
+				t.Fatal(err)
+			}
+			uses = append(uses, use{id, false, plan})
+		}
+	}
+	for _, v := range []Variant{Naive, Optimized} {
+		for _, n := range []int{1, 3} {
+			for _, id := range ExtractKernels {
+				want, err := RunDataParallelExtraction(id, n, w, v, testMachineConfig(), NewColdArtifactCache())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := RunDataParallelExtraction(id, n, w, v, testMachineConfig(), arts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v/%d/%v: partial run differs from the cold-cache run", id, n, v)
+				}
+				for _, b := range splitRows(w.H, n, kernelOf(id).granularity) {
+					uses = append(uses, use{id, true, partialPlan(t, id, v, w.W, w.H, b[0], b[1])})
+				}
+			}
+		}
+	}
+	type span struct {
+		id      KernelID
+		partial bool
+		y0, y1  int
+	}
+	distinct, ranges := 0, map[span]bool{}
+	for i, u := range uses {
+		if !slices.ContainsFunc(uses[:i], func(d use) bool {
+			return d.id == u.id && d.partial == u.partial && slices.Equal(d.plan, u.plan)
+		}) {
+			distinct++
+		}
+		ranges[span{u.id, u.partial, u.plan[0].Y0, u.plan[len(u.plan)-1].Y1}] = true
+	}
+	if len(ranges) == distinct {
+		t.Fatal("no two plans share a payload range: the test cannot tell plans apart")
+	}
+	if _, misses := arts.KernelStats(); misses != uint64(distinct) {
+		t.Fatalf("misses = %d, want %d (one per distinct frame and plan; %d distinct payload ranges)", misses, distinct, len(ranges))
 	}
 }
 
@@ -297,13 +388,14 @@ func bandCommand(t *testing.T, id KernelID, v Variant, w Workload, i int) uint64
 // TestKernelMemoCorruptBandFallsBack checks that a proven run cannot
 // mask a band that is not its frame's. A dma-corrupt of the first, a
 // middle or the last band of SingleSPE's first histogram invocation, on a
-// warm memo, must leave the proof: the invocation misses, recomputes from
-// the bytes it was delivered, and the run equals the cold-cache run. The
-// same holds, driving the kernel's run directly, for a frame that differs
-// from a cached frame of the same geometry in one byte of its last band:
-// every band before it is proven, the last one leaves the proof, and the
-// output is the inline one. The frame is 480 rows tall, so every plan has
-// at least three bands.
+// warm memo, must leave the proof: the invocation makes no memo lookup,
+// folds inline over the bytes it was delivered, and the run equals the
+// cold-cache run. The same holds, driving the kernel's run directly, for
+// a frame that differs from a cached frame of the same geometry in one
+// byte of its last band: every band before it is proven, the last one
+// leaves the proof, the output is the inline one, and the memo is not
+// consulted. The frame is 480 rows tall, so every plan has at least three
+// bands.
 func TestKernelMemoCorruptBandFallsBack(t *testing.T) {
 	w := Workload{Images: 1, W: 352, H: 480, Seed: 99}
 	for _, v := range []Variant{Naive, Optimized} {
@@ -334,11 +426,9 @@ func TestKernelMemoCorruptBandFallsBack(t *testing.T) {
 				c := cfg
 				c.Faults = p
 				memo := mustRun(t, c)
-				_, m := c.Artifacts.KernelStats()
-				if m != misses+1 {
-					t.Errorf("%s: misses %d, want %d (the corrupted invocation only)", spec, m, misses+1)
+				if _, m := c.Artifacts.KernelStats(); m != misses {
+					t.Errorf("%s: misses %d, want %d (the corrupted invocation makes no lookup)", spec, m, misses)
 				}
-				misses = m
 				c.Artifacts = NewColdArtifactCache()
 				inline := mustRun(t, c)
 				if !corruptFired(inline) {
@@ -393,8 +483,8 @@ func TestKernelMemoCorruptBandFallsBack(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%v/%v: output differs from the inline one", id, v)
 			}
-			if h, m := arts.KernelStats(); h != h0 || m != m0+1 {
-				t.Errorf("%v/%v: hits/misses went %d/%d -> %d/%d, want one miss", id, v, h0, m0, h, m)
+			if h, m := arts.KernelStats(); h != h0 || m != m0 {
+				t.Errorf("%v/%v: hits/misses went %d/%d -> %d/%d, want no lookup", id, v, h0, m0, h, m)
 			}
 		}
 	}
@@ -402,7 +492,7 @@ func TestKernelMemoCorruptBandFallsBack(t *testing.T) {
 
 // TestKernelMemoHitAllocFree checks that a proven extraction answered by
 // the memo allocates nothing: the frame match, the band comparisons, the
-// plan sum and the lookup.
+// key and the lookup.
 func TestKernelMemoHitAllocFree(t *testing.T) {
 	w := testWorkload(1)
 	arts := NewArtifactCache()

@@ -222,9 +222,10 @@ func sliceBudget(free uint32, id KernelID, v Variant, w, stride int) int {
 // one (naive) or two (optimized) buffers, runs the real incremental
 // feature computation, and DMAs the result back — the finalized feature
 // vector for OpRun, the raw accumulator words for OpRunPartial. The memo
-// serves the feature arithmetic from its kernel layer, keyed by the bands
-// the DMA delivered (kernelmemo.go); a cold memo computes inline, and nil
-// means SharedArtifacts().
+// serves the feature arithmetic from its kernel layer when the bands the
+// DMA delivered are proven equal to a cached frame's rows (kernelmemo.go);
+// otherwise, and on a cold memo, the kernel computes inline. nil means
+// SharedArtifacts().
 func ExtractKernelSpec(id KernelID, v Variant, memo *ArtifactCache) core.KernelSpec {
 	memo = cmp.Or(memo, SharedArtifacts())
 	g := kernelOf(id)

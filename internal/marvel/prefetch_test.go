@@ -82,9 +82,12 @@ func prefetchClaims(arts *ArtifactCache, cfg PortedConfig) uint64 {
 }
 
 // TestPrefetchDMACorruptRecomputes checks that a memo warmed by prefetch
-// cannot mask a corrupted transfer: the corrupted band hashes to a key no
-// clean run stored, so that invocation misses and recomputes from the
-// bytes it was delivered, and the run equals the cold-cache run.
+// cannot mask a corrupted transfer: the corrupted band differs from the
+// frame it was proven on, so that invocation makes no memo lookup and
+// recomputes inline from the bytes it was delivered, and the run equals
+// the cold-cache run. The faulted run prefetches nothing, so every other
+// invocation, the retried one included, hits an entry the clean run's
+// prefetch stored.
 func TestPrefetchDMACorruptRecomputes(t *testing.T) {
 	cfg := PortedConfig{
 		Workload:      testWorkload(2),
@@ -95,7 +98,7 @@ func TestPrefetchDMACorruptRecomputes(t *testing.T) {
 		Artifacts:     NewArtifactCache(),
 	}
 	mustRun(t, cfg)
-	_, clean := cfg.Artifacts.KernelStats()
+	cleanHits, clean := cfg.Artifacts.KernelStats()
 
 	// SPE0 runs the histogram kernel; its first command fetches the
 	// header and the third delivers a band of pixel rows.
@@ -105,13 +108,16 @@ func TestPrefetchDMACorruptRecomputes(t *testing.T) {
 	}
 	cfg.Faults = plan
 	memo := mustRun(t, cfg)
-	if _, misses := cfg.Artifacts.KernelStats(); misses != clean+1 {
-		t.Errorf("misses after the corrupted run = %d, want %d (the corrupted invocation only)", misses, clean+1)
-	}
+	hits, misses := cfg.Artifacts.KernelStats()
 	cfg.Artifacts = NewColdArtifactCache()
 	inline := mustRun(t, cfg)
-	if !corruptFired(inline) {
-		t.Fatal("the plan corrupted no transfer")
+	if !corruptFired(inline) || inline.Faults.Retries == 0 {
+		t.Fatalf("the plan did not trip supervision: %+v", inline.Faults)
+	}
+	// The clean run's event loop hit once per invocation; the faulted run
+	// adds one invocation per retry and takes the corrupted one away.
+	if want := 2*cleanHits + uint64(inline.Faults.Retries) - 1; misses != clean || hits != want {
+		t.Errorf("hits/misses after the corrupted run = %d/%d, want %d/%d (no lookup by the corrupted invocation)", hits, misses, want, clean)
 	}
 	if !reflect.DeepEqual(memo, inline) {
 		t.Fatalf("corrupted run differs from the cold-cache run:\n got %+v\nwant %+v", memo, inline)
