@@ -91,7 +91,7 @@ func TestKernelMemoMatchesInline(t *testing.T) {
 }
 
 // TestKernelMemoDMACorruptFault checks that a warm memo cannot mask a
-// corrupted transfer: the corrupted band differs from its frame's rows,
+// corrupted transfer: the corrupted band equals no cached frame's rows,
 // so that invocation leaves the proof and folds inline over the
 // corrupted bytes without a memo lookup, the MFC's latched error still
 // trips supervision, and the fault report equals the cold-cache run's.

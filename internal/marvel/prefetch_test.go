@@ -82,9 +82,9 @@ func prefetchClaims(arts *ArtifactCache, cfg PortedConfig) uint64 {
 }
 
 // TestPrefetchDMACorruptRecomputes checks that a memo warmed by prefetch
-// cannot mask a corrupted transfer: the corrupted band differs from the
-// frame it was proven on, so that invocation makes no memo lookup and
-// recomputes inline from the bytes it was delivered, and the run equals
+// cannot mask a corrupted transfer: the corrupted band equals no cached
+// frame's rows, so that invocation makes no memo lookup and recomputes
+// inline from the bytes it was delivered, and the run equals
 // the cold-cache run. The faulted run prefetches nothing, so every other
 // invocation, the retried one included, hits an entry the clean run's
 // prefetch stored.
